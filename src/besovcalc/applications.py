@@ -78,7 +78,7 @@ def stability_constants(A: MatrixOperator) -> tuple[float, float]:
     if w_spec <= 0:
         raise InvalidParameter("exponential-stability fit needs min Re spectrum > 0")
     ts = np.geomspace(0.05, max(4.0 / w_spec, 1.0), 40)
-    norms = np.array([_opnorm(semigroup(A, t)) for t in ts])
+    norms = np.linalg.norm(semigroup(A, ts), 2, axis=(1, 2))
     slope, intercept = np.polyfit(ts, np.log(norms), 1)
     omega = min(-slope, w_spec) * 0.999
     if omega <= 0:
@@ -312,7 +312,8 @@ def inverse_generator_constant(
     prof = A.profile(cfg)
     a_inv = np.linalg.inv(A.matrix)
     inv_op = MatrixOperator(a_inv, label=f"{A.label}^-1")
-    vals = {float(t): _opnorm(semigroup(inv_op, t)) for t in ts}
+    norms = np.linalg.norm(semigroup(inv_op, ts), 2, axis=(1, 2))
+    vals = {float(t): float(v) for t, v in zip(ts, norms)}
     c_meas = max(v / (1.0 + math.log1p(t)) for t, v in vals.items())
     envelope_const = max(
         b_norm(_vitse_for_constant(t), cfg).value / (1.0 + math.log1p(t)) for t in (1.0, 16.0)

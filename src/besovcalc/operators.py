@@ -8,7 +8,6 @@ import re
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     IntegralNotNormConvergent,
@@ -90,6 +89,8 @@ class MatrixOperator:
         a = np.asarray(self.matrix, dtype=complex)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise InvalidParameter("operator matrix must be square")
+        if not np.all(np.isfinite(a)):
+            raise InvalidParameter("operator matrix has a non-finite entry")
         if a.shape[0] > _MAX_DIM:
             raise InvalidParameter(f"matrix size capped at {_MAX_DIM}x{_MAX_DIM}")
         self.matrix = a
@@ -178,11 +179,156 @@ def _resolvents_squared(A: MatrixOperator, zs: np.ndarray) -> np.ndarray:
     return inv @ inv
 
 
-def semigroup(A: MatrixOperator, t: float) -> np.ndarray:
-    """exp(-t A) by scaling-and-squaring Pade approximation."""
-    if t < 0:
-        raise InvalidParameter("semigroup time must be >= 0")
-    return scipy.linalg.expm(-t * A.matrix)
+# Degree-13 Pade coefficients and the scaled-norm threshold of
+# Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 31 (2009), Algorithm 5.1.
+_PADE13 = (
+    64764752532480000.0, 32382376266240000.0, 7771770303897600.0, 1187353796428800.0,
+    129060195264000.0, 10559470521600.0, 670442572800.0, 33522128640.0,
+    1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0,
+)
+_THETA13 = 4.25
+# matrix entries per kernel call: bounds its working memory at about 12 MB
+_EXPM_BATCH_ENTRIES = 2**16
+# log2 of 1/|c_27|, the leading coefficient of the degree-13 backward-error
+# series: comb(26, 13) * 27!
+_LOG2_C27_RECIP = math.log2(math.comb(26, 13)) + math.log2(math.factorial(27))
+
+
+def _norm1(m: np.ndarray) -> np.ndarray:
+    """Matrix 1-norm of each matrix in a stack."""
+    return np.abs(m).sum(axis=1).max(axis=1)
+
+
+def _extra_squarings(a: np.ndarray) -> np.ndarray:
+    """Al-Mohy-Higham ell(a, 13): squarings to add for a non-normal stack.
+
+    Needs the 1-norm of |a|^27, taken as 27 row-vector products renormalised at
+    each step so that it cannot overflow.
+    """
+    absa = np.abs(a)
+    v = np.ones(a.shape[:2])
+    log2_norm = np.zeros(a.shape[0])
+    for _ in range(27):
+        v = np.einsum("ki,kij->kj", v, absa)
+        top = v.max(axis=1)
+        top[top == 0.0] = 1.0
+        v /= top[:, None]
+        log2_norm += np.log2(top)
+    log2_norm[v.max(axis=1) == 0.0] = -np.inf
+    with np.errstate(divide="ignore"):
+        log2_alpha = log2_norm - np.log2(_norm1(a)) - _LOG2_C27_RECIP + 53.0
+    ell = np.ceil(log2_alpha / 26.0)
+    return np.where(np.isfinite(ell) & (ell > 0), ell, 0.0).astype(int)
+
+
+def _exp_divided_difference(l1: np.ndarray, l2: np.ndarray) -> np.ndarray:
+    """(exp(l2) - exp(l1)) / (l2 - l1), the superdiagonal factor of exp on a
+    triangular matrix (Higham, Functions of Matrices, eq. 10.42): the sinh form
+    near l1 == l2, where the plain quotient cancels."""
+    half = 0.5 * (l2 - l1)
+    with np.errstate(all="ignore"):
+        near = np.exp(l1 + half) * np.where(half == 0, 1.0, np.sinh(half) / half)
+        far = (np.exp(l2) - np.exp(l1)) / (l2 - l1)
+    return np.where(np.abs(half) < 1.0, near, far)
+
+
+def _exact_bidiagonal(x: np.ndarray, t: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """x ~ exp(2^-j t) for upper-triangular t, with its diagonal and first
+    superdiagonal replaced by their closed forms (Al-Mohy & Higham 2009,
+    Code Fragment 2.1)."""
+    x = x.copy()
+    n = t.shape[1]
+    i = np.arange(n)
+    h = 0.5**j[:, None]
+    d = t[:, i, i] * h
+    x[:, i, i] = np.exp(d)
+    dd = _exp_divided_difference(d[:, :-1], d[:, 1:])
+    x[:, i[:-1], i[1:]] = t[:, i[:-1], i[1:]] * h * dd
+    return x
+
+
+def _expm(stack: np.ndarray) -> np.ndarray:
+    """exp of every matrix in a (k, n, n) stack, by degree-13 Pade scaling and
+    squaring (Higham 2005; Al-Mohy & Higham 2009).
+
+    Each matrix gets its own scaling exponent and is squared only that often.
+    Diagonal matrices take exp of their diagonal exactly, triangular ones keep
+    their diagonal and superdiagonal exact through the squarings, and a matrix
+    with a non-finite entry gives an all-NaN result.
+    """
+    stack = np.array(stack, dtype=complex)
+    n = stack.shape[1]
+    out = np.full(stack.shape, np.nan, dtype=complex)
+    if n == 0:
+        return out
+    finite = np.isfinite(stack).all(axis=(1, 2))
+    strict_lower = np.tril(np.ones((n, n), dtype=bool), -1)
+    below = (stack[:, strict_lower] != 0).any(axis=1)
+    above = (stack[:, strict_lower.T] != 0).any(axis=1)
+    diag = finite & ~below & ~above
+    with np.errstate(over="ignore"):
+        d = np.exp(np.diagonal(stack[diag], axis1=1, axis2=2))
+    out[diag] = d[:, :, None] * np.eye(n)
+    full = finite & ~diag
+    if not full.any():
+        return out
+    # exp(T^T) = exp(T)^T: lower-triangular input is handled as upper
+    lower = full & ~above
+    stack[lower] = stack[lower].transpose(0, 2, 1)
+    tri = (~(below & above))[full]
+    t = stack[full]
+    # a power-of-two prescale to 1-norm <= 1 keeps the powers below from overflowing
+    e = np.maximum(np.ceil(np.log2(_norm1(t))), 0.0)
+    a = t * (0.5**e)[:, None, None]
+    a2 = a @ a
+    a4 = a2 @ a2
+    a6 = a2 @ a4
+    d6, d8, d10 = (_norm1(m) ** (1.0 / p) for m, p in ((a6, 6), (a4 @ a4, 8), (a4 @ a6, 10)))
+    eta = np.minimum(np.maximum(d6, d8), np.maximum(d8, d10))
+    with np.errstate(divide="ignore"):
+        s = np.maximum(np.ceil(np.log2(eta / _THETA13) + e), 0.0).astype(int)
+    h = 2.0 ** (e - s)[:, None, None]
+    s += _extra_squarings(a * h)
+    h = 2.0 ** (e - s)[:, None, None]
+    a, a2, a4, a6 = a * h, a2 * h**2, a4 * h**4, a6 * h**6
+    b = _PADE13
+    u = a @ (
+        a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
+        + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * np.eye(n)
+    )
+    v = (
+        a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
+        + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * np.eye(n)
+    )
+    # r = I + 2 (V - U)^(-1) U keeps the deviation from I to full relative accuracy
+    x = np.linalg.solve(v - u, 2.0 * u) + np.eye(n)
+    x[tri] = _exact_bidiagonal(np.triu(x[tri]), t[tri], s[tri])
+    # a growing semigroup overflows here; callers test the result for non-finite entries
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(int(s.max())):
+            todo = s > i
+            x[todo] = x[todo] @ x[todo]
+            todo &= tri
+            x[todo] = _exact_bidiagonal(x[todo], t[todo], s[todo] - i - 1)
+    out[full] = x
+    out[lower] = out[lower].transpose(0, 2, 1)
+    return out
+
+
+def semigroup(A: MatrixOperator, t) -> np.ndarray:
+    """exp(-t A) for a time t, or the (k, n, n) stack for a 1-D array of times."""
+    ts = np.asarray(t, dtype=float)
+    if ts.ndim > 1:
+        raise InvalidParameter("semigroup times must be a scalar or a 1-D array")
+    if not np.all(np.isfinite(ts)) or np.any(ts < 0):
+        raise InvalidParameter("semigroup time must be finite and >= 0")
+    flat = ts.reshape(-1)
+    out = np.empty((len(flat), A.n, A.n), dtype=complex)
+    # the kernel holds about a dozen temporaries the size of its input
+    step = max(1, _EXPM_BATCH_ENTRIES // max(A.n**2, 1))
+    for i in range(0, len(flat), step):
+        out[i : i + step] = _expm(-flat[i : i + step, None, None] * A.matrix)
+    return out[0] if ts.ndim == 0 else out
 
 
 # ---------------------------------------------------------------------------
@@ -200,11 +346,12 @@ def _semigroup_sup(A: MatrixOperator) -> float:
     prev_best = -1.0
     for _ in range(12):
         ts = 2.0 ** np.arange(k_lo, k_hi, 0.25)
-        norms = np.array([np.linalg.norm(semigroup(A, t), 2) for t in ts])
-        if not np.all(np.isfinite(norms)):
+        mats = semigroup(A, ts)
+        if not np.all(np.isfinite(mats)):
             raise ProfileDivergence(
                 "semigroup norm overflows on the settling grid; operator rejected"
             )
+        norms = np.linalg.norm(mats, 2, axis=(1, 2))
         cand = float(norms.max())
         if cand > best:
             best = cand
@@ -448,21 +595,21 @@ def hp_apply(
 
         def integrand(ts):
             ts = np.asarray(ts, dtype=float)
-            return np.array([dens_val(t) * semigroup(A, t) for t in ts])
+            return dens_val(ts)[:, None, None] * semigroup(A, ts)
 
         if mu.density[0] == "exp":
             _, coeff, rate = mu.density
 
-            def dens_val(t):
-                return coeff * math.exp(-rate * t)
+            def dens_val(ts):
+                return coeff * np.exp(-rate * ts)
 
             env = ExpEnvelope(a=rate, c=abs(coeff) * K)
             res = integrate_halfline(integrand, env, cfg, strict=False)
         else:
             _, coeff, a, b = mu.density
 
-            def dens_val(t):
-                return coeff
+            def dens_val(ts):
+                return np.full(ts.shape, coeff)
 
             res = integrate_interval(integrand, a, b, cfg)
         out += res.value

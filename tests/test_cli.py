@@ -116,6 +116,13 @@ def test_bad_function_spec_exit_code(capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_non_finite_operator_exit_code(capsys):
+    for spec in ("diag(nan,1)", "diag(1,inf)"):
+        assert run(["profile", "--A", spec]) == 1
+        err = capsys.readouterr().err
+        assert "error" in err and "Traceback" not in err
+
+
 def test_bad_manifest_exit_code(capsys):
     rc = run(["suite", "--manifest", "/nonexistent/path.suite"])
     assert rc == 1

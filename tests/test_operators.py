@@ -2,9 +2,16 @@
 calculus against oracles, and admission rules."""
 
 import math
+import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
+import scipy.linalg
+
+import besovcalc
 
 from besovcalc.errors import (
     InvalidParameter,
@@ -27,6 +34,7 @@ from besovcalc.functions import (
 from besovcalc.norms import b_norm
 from besovcalc.operators import (
     MatrixOperator,
+    _expm,
     apply_calculus,
     apply_calculus_report,
     format_matrix_text,
@@ -36,6 +44,7 @@ from besovcalc.operators import (
     parse_operator_spec,
     profile,
     random_normal_operator,
+    random_sectorial_operator,
     read_matrix_text,
     resolvent_matrix,
     semigroup,
@@ -86,6 +95,165 @@ class TestBasics:
         lam, v = np.linalg.eig(A.matrix)
         oracle = v @ np.diag(np.exp(-t * lam)) @ np.linalg.inv(v)
         assert np.max(np.abs(semigroup(A, t) - oracle)) < 1e-10
+
+
+def _kernel_cases():
+    rng = np.random.default_rng(5)
+    v = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    jordan = jordan_operator(0.5 + 2.0j, 3).matrix
+    return {
+        "normal": random_normal_operator(6, seed=3).matrix,
+        "nonnormal_dense": v @ np.diag([0.3, 1.0 + 2.0j, 2.0, 4.0 - 1.0j]) @ np.linalg.inv(v),
+        "sectorial": random_sectorial_operator(5, seed=4, angle=1.2).matrix,
+        "jordan": jordan,
+        "jordan_lower": jordan.T.copy(),
+        "jordan_slow": jordan_operator(1e-6 + 1.0j, 3).matrix,
+        "diagonal": np.diag([1.0, 2.0 + 1.0j, 0.5j]),
+        "scalar": np.array([[0.7 - 3.0j]]),
+        "empty": np.zeros((0, 0)),
+    }
+
+
+_KERNEL_TS = 2.0 ** np.arange(-12.0, 45.0, 1.0)
+
+
+class TestExpmKernel:
+    """The numpy scaling-and-squaring kernel against scipy.linalg.expm."""
+
+    @pytest.mark.parametrize("name", sorted(_kernel_cases()))
+    def test_matches_scipy(self, name):
+        A = MatrixOperator(_kernel_cases()[name])
+        got = semigroup(A, _KERNEL_TS)
+        assert got.shape == (len(_KERNEL_TS), A.n, A.n)
+        for t, g in zip(_KERNEL_TS, got):
+            ref = scipy.linalg.expm(-t * A.matrix)
+            scale = np.abs(ref).max() if ref.size else 0.0
+            # rounding -t A alone moves exp(-t A) by about eps * t * ||A|| relative
+            rtol = 1e-13 * (1.0 + t * A.norm2)
+            assert np.abs(g - ref).max(initial=0.0) <= rtol * scale + 1e-300, (name, t)
+
+    @pytest.mark.parametrize("name", sorted(_kernel_cases()))
+    def test_batched_equals_one_at_a_time(self, name):
+        A = MatrixOperator(_kernel_cases()[name])
+        one_by_one = np.array([semigroup(A, t) for t in _KERNEL_TS])
+        assert np.array_equal(semigroup(A, _KERNEL_TS), one_by_one)
+
+    def test_diagonal_exact(self):
+        lam = np.array([1.0, 2.0 + 1.0j, 0.5j])
+        got = semigroup(MatrixOperator(np.diag(lam)), _KERNEL_TS)
+        for t, g in zip(_KERNEL_TS, got):
+            assert np.array_equal(g, np.diag(np.exp(-t * lam)))
+
+    def test_jordan_closed_form(self):
+        # exp(-t J) = exp(-t lam) (I - t N + t^2 N^2 / 2) for a 3x3 Jordan block
+        lam = 1e-6 + 1.0j
+        A = jordan_operator(lam, 3)
+        n1 = np.diag(np.ones(2), 1)
+        for t, g in zip(_KERNEL_TS, semigroup(A, _KERNEL_TS)):
+            exact = np.exp(-t * lam) * (np.eye(3) - t * n1 + 0.5 * t * t * n1 @ n1)
+            assert np.abs(g - exact).max() <= 1e-13 * np.abs(exact).max() + 1e-300
+
+    @pytest.mark.parametrize(
+        "lam", [[1.0j, -1.0j, 1.0], [0.5, 1.0 + 3.0j, 2.0 - 1.0j, 0.25j]], ids=["rot_iim1", "rot4"]
+    )
+    def test_normal_error_at_most_twice_scipy(self, lam):
+        # Unitarily rotated diagonals, where the eigen formula is exact up to
+        # rounding.  Both kernels lose about eps * t * ||A|| to the phase of
+        # the unitary part, and for one rotation that loss is a random draw
+        # (at t = 2^44 either kernel's error ranges over a factor of 50), so
+        # the errors are averaged over eight rotations at each t.
+        rng = np.random.default_rng(11)
+        n = len(lam)
+        lam = np.array(lam)
+        ours = np.zeros(len(_KERNEL_TS))
+        theirs = np.zeros(len(_KERNEL_TS))
+        for _ in range(8):
+            q, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+            A = MatrixOperator(q @ np.diag(lam) @ q.conj().T)
+            for k, (t, g) in enumerate(zip(_KERNEL_TS, semigroup(A, _KERNEL_TS))):
+                exact = q @ np.diag(np.exp(-t * lam)) @ q.conj().T
+                ours[k] += np.abs(g - exact).max() / 8.0
+                theirs[k] += np.abs(scipy.linalg.expm(-t * A.matrix) - exact).max() / 8.0
+        assert np.all(ours <= 2.0 * theirs + 1e-14), ours / (2.0 * theirs + 1e-14)
+        assert theirs[-1] > 1e-4  # the phase loss at t = 2^44 is really there
+
+    def test_non_finite_input_gives_non_finite_output(self):
+        stack = np.array(
+            [
+                [[np.nan, 1.0], [0.0, 1.0]],
+                [[np.inf, 0.0], [0.0, 1.0]],
+                [[1.0, 2.0], [3.0, 4.0]],
+                [[1.0, -np.inf], [0.5, 1.0]],
+            ],
+            dtype=complex,
+        )
+        got = _expm(stack)
+        assert np.all(np.isnan(got[[0, 1, 3]]))
+        assert np.allclose(got[2], scipy.linalg.expm(stack[2]), rtol=1e-13)
+
+    def test_growth_overflow_is_non_finite(self):
+        # a doctored generator with spectrum in the left half-plane overflows
+        got = _expm(1e4 * np.array([[[0.5, 1.0], [0.25, 0.5]]]))
+        assert not np.all(np.isfinite(got))
+
+
+class TestBadInput:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_matrix_rejected(self, bad):
+        with pytest.raises(InvalidParameter):
+            MatrixOperator(np.array([[bad, 0.0], [0.0, 1.0]]))
+        with pytest.raises(InvalidParameter):
+            MatrixOperator(np.array([[1.0, bad], [0.0, 1.0]]))
+
+    def test_non_finite_spec_rejected(self):
+        with pytest.raises(InvalidParameter):
+            parse_operator_spec("diag(nan,1)")
+        with pytest.raises(InvalidParameter):
+            read_matrix_text("2\n1+0i nan+0i\n0+0i 1+0i\n")
+
+    @pytest.mark.parametrize(
+        "t", [math.nan, -1.0, -1e-300, math.inf, [0.5, math.nan], [1.0, -2.0]]
+    )
+    def test_bad_time_rejected(self, t):
+        A = parse_operator_spec("diag(1,2)")
+        with pytest.raises(InvalidParameter):
+            semigroup(A, t)
+
+    def test_time_array_shape(self):
+        A = parse_operator_spec("diag(1,2)")
+        assert semigroup(A, 0.5).shape == (2, 2)
+        assert semigroup(A, [0.5]).shape == (1, 2, 2)
+        assert semigroup(A, np.zeros(0)).shape == (0, 2, 2)
+        with pytest.raises(InvalidParameter):
+            semigroup(A, np.ones((2, 2)))
+
+
+def test_runtime_does_not_import_scipy():
+    """numpy is the only runtime dependency: profile, the calculus and the
+    Hille-Phillips route never load scipy."""
+    script = textwrap.dedent(
+        """
+        import sys
+        import besovcalc
+        import besovcalc.cli
+        from besovcalc.functions import HalfLineMeasure, exp_decay
+        from besovcalc.operators import (
+            apply_calculus_report, hp_apply, jordan_operator, parse_operator_spec, profile,
+        )
+        A = parse_operator_spec("diag(1,2)")
+        profile(A)
+        apply_calculus_report(A, exp_decay(1.0))
+        hp_apply(jordan_operator(1.0, 2), HalfLineMeasure(density=("exp", -2.0, 1.0)))
+        loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+        assert not loaded, loaded
+        """
+    )
+    src = os.path.dirname(os.path.dirname(besovcalc.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert done.returncode == 0, done.stderr
 
 
 class TestAdmission:
