@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidParameter, NotDiagonalizable
-from .estimates import EstimateReport
+from .estimates import EstimateReport, majorant_integral
 from .functions import (
     AnalyticFunction,
     DecayProfile,
@@ -20,21 +20,16 @@ from .functions import (
     exp_inv_shift,
     mul,
     shift,
+    vitse_reg,
 )
-from .norms import b_norm, hinf_norm, line_sup_modulus
+from .norms import BOUNDARY_OFFSET, b_norm, hinf_norm, left_line_sup
 from .operators import (
     MatrixOperator,
     apply_calculus,
     apply_calculus_report,
     semigroup,
 )
-from .quadrature import (
-    DEFAULT_CONFIG,
-    ConstEnvelope,
-    QuadratureConfig,
-    envelope_product,
-    integrate_halfline,
-)
+from .quadrature import DEFAULT_CONFIG, QuadratureConfig
 
 __all__ = [
     "is_normal",
@@ -54,9 +49,6 @@ __all__ = [
     "convergence_demo",
     "ConvergenceTable",
 ]
-
-_LINE_OFFSET = 1e-6
-
 
 def is_normal(A: MatrixOperator, tol: float = 1e-10) -> bool:
     a = A.matrix
@@ -177,7 +169,7 @@ def check_smoothed_window(
     rep = apply_calculus_report(A, f, cfg)
     lhs = _opnorm(rep.value)
     prof = A.profile(cfg)
-    g_left = line_sup_modulus(g, -omega + _LINE_OFFSET, cfg)
+    g_left = left_line_sup(g, omega, cfg)
     rhs = 2.0 * prof.K**2 * (2.0 + 0.5 * math.log1p(1.0 / (omega * tau))) * g_left
     return EstimateReport(
         "smoothed_window",
@@ -210,7 +202,7 @@ def check_fractional_smoothing(
     lhs = _opnorm(ga @ frac)
     prof = A.profile(cfg)
     m = min(omega, lam.real)
-    g_left = line_sup_modulus(g, -omega + _LINE_OFFSET, cfg)
+    g_left = left_line_sup(g, omega, cfg)
     rhs = (4.0 + 1.0 / alpha) * prof.K**2 / m**alpha * g_left
     return EstimateReport(
         "fractional_smoothing",
@@ -234,7 +226,7 @@ def check_deriv_operator(
     rep = apply_calculus_report(A, fprime, cfg)
     lhs = _opnorm(rep.value)
     prof = A.profile(cfg)
-    f_left = line_sup_modulus(f, -omega + _LINE_OFFSET, cfg)
+    f_left = left_line_sup(f, omega, cfg)
     rhs = 3.0 * prof.K**2 / omega * f_left
     return EstimateReport(
         "deriv_operator",
@@ -259,14 +251,7 @@ def check_exp_stable_decay(
     g = shift(f, omega)
     rep = apply_calculus_report(shifted, g, cfg)
     lhs = _opnorm(rep.value)
-
-    def integrand(ts):
-        ts = np.asarray(ts, dtype=float)
-        return np.asarray(h.h(ts), dtype=float) / (omega + ts)
-
-    env = envelope_product(h.envelope, ConstEnvelope(c=1.0 / omega))
-    val = integrate_halfline(integrand, env, cfg, tail_tol=1e-9)
-    rhs = 6.0 * M**2 * float(np.real(val.value))
+    rhs = 6.0 * M**2 * majorant_integral(h, omega, cfg)
     return EstimateReport(
         "exp_stable_decay",
         {"A": A.label, "f": f.label, "M": M, "omega": omega},
@@ -316,18 +301,12 @@ def inverse_generator_constant(
     vals = {float(t): float(v) for t, v in zip(ts, norms)}
     c_meas = max(v / (1.0 + math.log1p(t)) for t, v in vals.items())
     envelope_const = max(
-        b_norm(_vitse_for_constant(t), cfg).value / (1.0 + math.log1p(t)) for t in (1.0, 16.0)
+        b_norm(vitse_reg(t), cfg).value / (1.0 + math.log1p(t)) for t in (1.0, 16.0)
     )
     c_a = 2.0 * envelope_const * prof.K**2 * _opnorm(
         (np.eye(A.n) + a_inv) @ (np.eye(A.n) + a_inv)
     )
     return {"measured": c_meas, "predicted": c_a, "values": vals}
-
-
-def _vitse_for_constant(t: float) -> AnalyticFunction:
-    from .functions import vitse_reg
-
-    return vitse_reg(t)
 
 
 def inverse_generator_consistency(
@@ -417,7 +396,7 @@ def convergence_demo(
     """|| f(A/n) x - f(0) x || along n, plus the non-convergent stretched family
     f(n z) reported without any assertion."""
     x = np.asarray(x, dtype=complex)
-    f0 = complex(f(_LINE_OFFSET))
+    f0 = complex(f(BOUNDARY_OFFSET))
     fin = complex(f.infinity())
     shrink, stretchv = [], []
     for n in n_list:

@@ -95,8 +95,8 @@ def run(argv=None) -> int:
         args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
-    cfg = _config(args)
     try:
+        cfg = _config(args)
         if args.command == "norm":
             f = parse_function_spec(args.f)
             kind = {"b": b_norm, "b0": b0_norm, "hinf": hinf_norm, "e0": e0_norm}[args.kind]
@@ -256,3 +256,7 @@ def run(argv=None) -> int:
 
 def main() -> None:
     sys.exit(run())
+
+
+if __name__ == "__main__":
+    main()

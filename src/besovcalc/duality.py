@@ -10,10 +10,9 @@ import numpy as np
 
 from .errors import DivergenceSuspicion
 from .functions import AnalyticFunction, resolvent
-from .norms import e0_norm
+from .norms import BOUNDARY_OFFSET, e0_norm, fitted_power_envelope
 from .quadrature import (
     DEFAULT_CONFIG,
-    PowerEnvelope,
     QuadratureConfig,
     envelope_product,
     integrate_halfline,
@@ -21,9 +20,6 @@ from .quadrature import (
 )
 
 __all__ = ["PairingResult", "pairing", "pairing_value", "reproduce_residual", "green_pairing"]
-
-_BOUNDARY_OFFSET = 1e-6
-
 
 @dataclass
 class PairingResult:
@@ -95,7 +91,7 @@ def reproduce_residual(
 ) -> float:
     """|f(z) - f(inf) - (2/pi) <r_z, f>| with the boundary-offset convention."""
     z = complex(z)
-    z_eff = complex(max(z.real, _BOUNDARY_OFFSET), z.imag)
+    z_eff = complex(max(z.real, BOUNDARY_OFFSET), z.imag)
     r_z = resolvent(z_eff)
     p = pairing(r_z, f, cfg)
     return abs(complex(f(z_eff)) - f.infinity() - (2.0 / math.pi) * p.value)
@@ -111,7 +107,7 @@ def green_pairing(
     """
     gi = complex(g.infinity())
     fi = complex(f.infinity())
-    x0 = _BOUNDARY_OFFSET
+    x0 = BOUNDARY_OFFSET
 
     def integrand(ys):
         ys = np.asarray(ys, dtype=float)
@@ -124,18 +120,6 @@ def green_pairing(
         # diagnostic route only: fit the observed boundary decay with margin
         ts = np.geomspace(32.0, 4096.0, 8)
         vals = np.abs(integrand(ts)) + np.abs(integrand(-ts))
-        good = vals > 1e-250
-        if good.sum() < 4:
-            env = PowerEnvelope(p=2.0, c=1e-250, t0=32.0)
-        else:
-            p = -np.polyfit(np.log(ts[good]), np.log(vals[good]), 1)[0]
-            if p <= 1.05:
-                raise DivergenceSuspicion(
-                    "boundary product decays too slowly for the Green form"
-                )
-            p_safe = max(1.05, 0.9 * p)
-            env = PowerEnvelope(
-                p=p_safe, c=10.0 * float(np.max(vals * ts**p_safe)), t0=32.0
-            )
+        env = fitted_power_envelope(ts, vals, "boundary product")
     res = integrate_line(integrand, env, cfg, strict=False)
     return 0.25 * complex(res.value)

@@ -22,10 +22,11 @@ from .functions import (
     shift,
     vitse_reg,
 )
-from .norms import b0_norm, b_norm, hinf_norm, line_sup_modulus
+from .norms import BOUNDARY_OFFSET, _line_sup, b0_norm, b_norm, hinf_norm, left_line_sup
 from .quadrature import (
     DEFAULT_CONFIG,
     ConstEnvelope,
+    PowerEnvelope,
     QuadratureConfig,
     envelope_product,
     integrate_halfline,
@@ -38,15 +39,13 @@ __all__ = [
     "check_product_bound",
     "check_exp_window",
     "check_decay_majorant",
+    "majorant_integral",
     "exact_expinv_norm",
     "check_expinv_exact",
     "check_vitse_reg",
     "check_cayley",
     "check_bernstein",
 ]
-
-_LINE_OFFSET = 1e-6
-
 
 @dataclass
 class EstimateReport:
@@ -109,7 +108,7 @@ def check_deriv_bound(
     if f.left_bound < omega:
         raise InvalidParameter("f does not extend left far enough for this bound")
     lhs = b_norm(fprime, cfg)
-    sup_left = line_sup_modulus(f, -omega + _LINE_OFFSET, cfg)
+    sup_left = left_line_sup(f, omega, cfg)
     rhs = 1.5 / omega * sup_left
     return EstimateReport(
         "deriv_bound", {"omega": omega, "f": f.label}, lhs.value, rhs, lhs.error_bound
@@ -118,21 +117,11 @@ def check_deriv_bound(
 
 def _phi_over_weight(f: AnalyticFunction, omega: float, cfg: QuadratureConfig) -> float:
     """int over x > 0 of sup_y |f(x+iy)| / (omega + x)."""
-    from .quadrature import sup_on_vertical_line
-
-    def phi_at(x: float) -> float:
-        def phi(ys):
-            return np.abs(f(x + 1j * np.asarray(ys, dtype=float)))
-
-        return sup_on_vertical_line(
-            phi, f.profiles.modulus_line(x), cfg, window=f.profiles.window
-        ).value
 
     def integrand(xs):
-        xs = np.asarray(xs, dtype=float)
-        return np.array([phi_at(float(x)) / (omega + float(x)) for x in xs])
-
-    from .quadrature import PowerEnvelope
+        xs = [float(x) for x in np.asarray(xs, dtype=float)]
+        sups = [_line_sup(f, x, f.profiles.modulus_line(x), f, cfg).value for x in xs]
+        return np.array([s / (omega + x) for s, x in zip(sups, xs)])
 
     env = envelope_product(f.profiles.modulus_outer, PowerEnvelope(p=1.0, c=1.0, t0=1.0))
     res = integrate_halfline(integrand, env, cfg, tail_tol=1e-8)
@@ -151,7 +140,7 @@ def check_product_bound(
         raise InvalidParameter("g does not extend left far enough for this bound")
     lhs = b_norm(mul(f, g), cfg)
     g_inf = hinf_norm(g, cfg).value
-    g_left = line_sup_modulus(g, -omega + _LINE_OFFSET, cfg)
+    g_left = left_line_sup(g, omega, cfg)
     phi_int = _phi_over_weight(f, omega, cfg)
     rhs = b_norm(f, cfg).value * g_inf + 0.5 * g_left * phi_int
     return EstimateReport(
@@ -178,7 +167,7 @@ def check_exp_window(
         raise InvalidParameter("g does not extend left far enough for this bound")
     f = mul(exp_decay(tau), g)
     lhs = b_norm(f, cfg)
-    f_left = line_sup_modulus(f, -omega + _LINE_OFFSET, cfg)
+    f_left = left_line_sup(f, omega, cfg)
     rhs = math.exp(-omega * tau) * (2.0 + 0.5 * math.log1p(1.0 / (tau * omega))) * f_left
     return EstimateReport(
         "exp_window",
@@ -187,6 +176,18 @@ def check_exp_window(
         rhs,
         lhs.error_bound,
     )
+
+
+def majorant_integral(h: DecayProfile, omega: float, cfg: QuadratureConfig) -> float:
+    """int over t > 0 of h(t) / (omega + t), the right side of the decay bounds."""
+
+    def integrand(ts):
+        ts = np.asarray(ts, dtype=float)
+        return np.asarray(h.h(ts), dtype=float) / (omega + ts)
+
+    env = envelope_product(h.envelope, ConstEnvelope(c=1.0 / omega))
+    res = integrate_halfline(integrand, env, cfg, tail_tol=1e-9)
+    return float(np.real(res.value))
 
 
 def check_decay_majorant(
@@ -199,19 +200,12 @@ def check_decay_majorant(
     h majorizes |f| far out on the boundary."""
     h.validate()
     ss = np.geomspace(0.1, 200.0, 40)
-    fb = np.abs(f(_LINE_OFFSET + 1j * ss))
+    fb = np.abs(f(BOUNDARY_OFFSET + 1j * ss))
     hb = np.asarray(h.h(ss), dtype=float)
     if np.any(fb > 1.02 * hb + 1e-12):
         raise InvalidParameter("profile fails to majorize sampled boundary values")
     lhs = b0_norm(shift(f, omega), cfg)
-
-    def integrand(ts):
-        ts = np.asarray(ts, dtype=float)
-        return np.asarray(h.h(ts), dtype=float) / (omega + ts)
-
-    env = envelope_product(h.envelope, ConstEnvelope(c=1.0 / omega))
-    rhs_int = integrate_halfline(integrand, env, cfg, tail_tol=1e-9)
-    rhs = 3.0 * float(np.real(rhs_int.value))
+    rhs = 3.0 * majorant_integral(h, omega, cfg)
     return EstimateReport(
         "decay_majorant",
         {"omega": omega, "f": f.label},

@@ -38,6 +38,8 @@ __all__ = [
     "make_catalog",
     "parse_function_spec",
     "parse_complex",
+    "parse_number",
+    "SpecArgs",
     "deriv_fallback",
     "cauchy_derivatives",
     "add",
@@ -342,8 +344,8 @@ def const(c: complex) -> AnalyticFunction:
 def exp_decay(a: float) -> AnalyticFunction:
     """e_a(z) = exp(-a z) for real a >= 0."""
     a = complex(a)
-    if a.imag != 0 or a.real < 0:
-        raise InvalidParameter("exp catalog member needs real a >= 0")
+    if a.imag != 0 or not 0 <= a.real < math.inf:
+        raise InvalidParameter("exp catalog member needs finite real a >= 0")
     a = a.real
     if a == 0:
         return const(1.0)
@@ -368,6 +370,8 @@ def exp_decay(a: float) -> AnalyticFunction:
 def resolvent(a: complex) -> AnalyticFunction:
     """r_a(z) = (z + a)^(-1) for a in the closed right half-plane."""
     a = complex(a)
+    if not cmath.isfinite(a):
+        raise InvalidParameter("resolvent catalog member needs a finite a")
     if a.real < 0:
         raise InvalidParameter("resolvent catalog member needs Re a >= 0")
     if a == 0:
@@ -1146,7 +1150,9 @@ def _parse_pair_list(text: str) -> list[tuple[float, complex]]:
             nums = _split_top(inner, ",")
             if len(nums) != 2:
                 raise InvalidParameter(f"expected (location, weight) pairs in {text!r}")
-            pairs.append((float(parse_complex(nums[0]).real), parse_complex(nums[1])))
+            pairs.append(
+                (parse_number(nums[0], "location", float), parse_number(nums[1], "weight"))
+            )
             buf = []
     if buf:
         raise InvalidParameter(f"unbalanced tuple in {text!r}")
@@ -1161,23 +1167,16 @@ def _parse_density(text: str):
     if "*" in s:
         pre, s = s.split("*", 1)
         coeff = parse_complex(pre)
-    if s.startswith("exp"):
-        rate = 1.0
-        m = re.match(r"exp\((.*)\)$", s)
-        if m:
-            arg = m.group(1)
-            rate = float(arg.split("=")[-1]) if arg else 1.0
-        return ("exp", coeff, rate)
-    if s.startswith("lebesgue"):
-        a, b = 0.0, 1.0
-        m = re.match(r"lebesgue\((.*)\)$", s)
-        if m and m.group(1):
-            nums = _split_top(m.group(1), ",")
-            if len(nums) != 2:
-                raise InvalidParameter(f"lebesgue density needs two endpoints: {text!r}")
-            a, b = float(nums[0]), float(nums[1])
-        return ("lebesgue", coeff, a, b)
-    raise InvalidParameter(f"unknown density spec {text!r}")
+    args = SpecArgs(s, "density")
+    if args.name == "exp":
+        density = ("exp", coeff, args.number("rate", 0, 1.0, kind=float))
+    elif args.name == "lebesgue":
+        a, b = args.number("a", 0, 0.0, kind=float), args.number("b", 1, 1.0, kind=float)
+        density = ("lebesgue", coeff, a, b)
+    else:
+        raise InvalidParameter(f"unknown density spec {text!r}")
+    args.finish()
+    return density
 
 
 def _parse_args(body: str) -> tuple[list[str], dict[str, str]]:
@@ -1185,10 +1184,70 @@ def _parse_args(body: str) -> tuple[list[str], dict[str, str]]:
     for part in _split_top(body, ",;"):
         if "=" in part and part.split("=", 1)[0].strip().replace("_", "").isalpha():
             k, v = part.split("=", 1)
-            named[k.strip().lower()] = v.strip()
+            key = k.strip().lower()
+            if key in named:
+                raise InvalidParameter(f"parameter {key!r} given twice")
+            named[key] = v.strip()
         else:
             positional.append(part)
     return positional, named
+
+
+def parse_number(text: str, what: str, kind: type = complex):
+    """A finite literal of `kind` (complex, float or int); `what` names it in errors."""
+    v = parse_complex(text)
+    if not cmath.isfinite(v) or (kind is not complex and v.imag != 0) or (
+        kind is int and not v.real.is_integer()
+    ):
+        noun = {complex: "number", float: "real number", int: "integer"}[kind]
+        raise InvalidParameter(f"{what} must be a finite {noun}, got {text!r}")
+    return v if kind is complex else kind(v.real)
+
+
+_SPEC_CALL = re.compile(r"^([a-zA-Z_][a-zA-Z0-9_]*)\s*(\((.*)\))?$", re.DOTALL)
+_REQUIRED = object()
+
+
+class SpecArgs:
+    """The arguments of one function, density or operator spec `name(...)`: a value
+    is read by its case-insensitive key, else by its index among the positional
+    arguments, and `finish` rejects every argument that no reader took."""
+
+    def __init__(self, text: str, what: str, *, bare: bool = True):
+        m = _SPEC_CALL.match(text.strip())
+        if not m or (m.group(2) is None and not bare):
+            raise UnknownSpec(f"cannot parse {what} spec {text!r}")
+        self.name = m.group(1).lower()
+        self.positional, self.named = _parse_args(m.group(3) or "")
+        self._read_keys: set[str] = set()
+        self._read_pos: set[int] = set()
+
+    def text(self, key: str, idx: int | None = None, default=_REQUIRED):
+        if key in self.named:
+            self._read_keys.add(key)
+            return self.named[key]
+        if idx is not None and idx < len(self.positional):
+            self._read_pos.add(idx)
+            return self.positional[idx]
+        if default is _REQUIRED:
+            raise InvalidParameter(f"{self.name} spec needs parameter {key!r}")
+        return default
+
+    def number(self, key: str, idx: int | None = None, default=_REQUIRED, kind=complex):
+        raw = self.text(key, idx, default)
+        return raw if raw is default else parse_number(raw, f"{self.name} {key!r}", kind)
+
+    def numbers(self) -> list[complex]:
+        self._read_pos.update(range(len(self.positional)))
+        return [parse_number(p, f"{self.name} entry") for p in self.positional]
+
+    def finish(self) -> None:
+        unknown = sorted(set(self.named) - self._read_keys)
+        if unknown:
+            raise InvalidParameter(f"{self.name} spec has unknown parameter(s) {unknown}")
+        surplus = [p for i, p in enumerate(self.positional) if i not in self._read_pos]
+        if surplus:
+            raise InvalidParameter(f"{self.name} spec has surplus argument(s) {surplus}")
 
 
 def make_catalog(spec) -> AnalyticFunction:
@@ -1199,62 +1258,50 @@ def make_catalog(spec) -> AnalyticFunction:
 
 
 def parse_function_spec(text: str) -> AnalyticFunction:
-    s = text.strip()
-    m = re.match(r"^([a-zA-Z_][a-zA-Z0-9_]*)\s*(\((.*)\))?$", s, re.DOTALL)
-    if not m:
-        raise UnknownSpec(f"cannot parse function spec {text!r}")
-    name = m.group(1).lower()
-    body = m.group(3) or ""
-    pos, kw = _parse_args(body)
+    args = SpecArgs(text, "function")
+    f = _build_function(args)
+    args.finish()
+    return f
 
-    def num(key, idx=0, default=None):
-        if key in kw:
-            return parse_complex(kw[key])
-        if idx < len(pos):
-            return parse_complex(pos[idx])
-        if default is not None:
-            return default
-        raise InvalidParameter(f"{name} spec needs parameter {key!r}")
 
+def _build_function(args: SpecArgs) -> AnalyticFunction:
+    name = args.name
     if name == "const":
-        return const(num("c", 0, 1.0))
+        return const(args.number("c", 0, 1.0))
     if name == "exp":
-        return exp_decay(float(num("a", 0).real) if num("a", 0).imag == 0 else num("a", 0))
+        return exp_decay(args.number("a", 0))
     if name == "resolvent":
-        return resolvent(num("a", 0))
+        return resolvent(args.number("a", 0))
     if name == "cayley":
-        return cayley_pow(int(num("n", 0).real))
+        return cayley_pow(args.number("n", 0, kind=int))
     if name == "eta":
-        return eta(float(num("delta", 0, 1.0).real))
+        return eta(args.number("delta", 0, 1.0, kind=float))
     if name == "expinv":
-        return exp_inv_shift(float(num("t", 0).real))
+        return exp_inv_shift(args.number("t", 0, kind=float))
     if name == "vitse":
-        return vitse_reg(float(num("t", 0).real))
+        return vitse_reg(args.number("t", 0, kind=float))
     if name == "laplace":
-        atoms = _parse_pair_list(kw["atoms"]) if "atoms" in kw else []
-        dens = _parse_density(kw.get("density", "none"))
+        atoms = _parse_pair_list(args.text("atoms", default="[]"))
+        dens = _parse_density(args.text("density", default="none"))
         return laplace_transform(HalfLineMeasure(atoms=tuple(atoms), density=dens))
     if name == "band":
-        eps = float(num("eps", 0).real)
-        sigma = float(num("sigma", 1).real)
-        coeffs = _parse_pair_list(kw["coeffs"]) if "coeffs" in kw else None
-        return band_function(eps, sigma, coeffs)
+        eps = args.number("eps", 0, kind=float)
+        sigma = args.number("sigma", 1, kind=float)
+        coeffs = args.text("coeffs", default=None)
+        return band_function(eps, sigma, _parse_pair_list(coeffs) if coeffs is not None else None)
     if name == "bernstein_res":
-        jumps = (
-            tuple((float(t), float(c.real)) for t, c in _parse_pair_list(kw["atoms"]))
-            if "atoms" in kw
-            else ()
-        )
+        atoms = _parse_pair_list(args.text("atoms", default="[]"))
+        jumps = tuple((float(t), float(c.real)) for t, c in atoms)
         fb = BernsteinFunction(
-            a=float(num("a", default=0.0).real),
-            b=float(num("b", default=0.0).real),
+            a=args.number("a", default=0.0, kind=float),
+            b=args.number("b", default=0.0, kind=float),
             jumps=jumps,
         )
         return bernstein_resolvent(
             fb,
-            alpha=float(num("alpha").real),
-            beta=float(num("beta").real),
-            theta=float(num("theta").real),
-            lam=num("lambda", default=None) if "lambda" in kw else num("lam"),
+            alpha=args.number("alpha", kind=float),
+            beta=args.number("beta", kind=float),
+            theta=args.number("theta", kind=float),
+            lam=args.number("lambda") if "lambda" in args.named else args.number("lam"),
         )
     raise UnknownSpec(f"unknown function family {name!r}")

@@ -12,9 +12,9 @@ from .errors import DivergenceSuspicion, UnboundedSuspicion
 from .functions import AnalyticFunction
 from .quadrature import (
     DEFAULT_CONFIG,
-    DecayEnvelope,
     PowerEnvelope,
     QuadratureConfig,
+    SupResult,
     golden_max,
     integrate_halfline,
     integrate_line,
@@ -22,6 +22,7 @@ from .quadrature import (
 )
 
 __all__ = [
+    "BOUNDARY_OFFSET",
     "NormReport",
     "hinf_norm",
     "b0_norm",
@@ -29,9 +30,13 @@ __all__ = [
     "e0_norm",
     "deriv_sup_at",
     "line_sup_modulus",
+    "left_line_sup",
+    "fitted_power_envelope",
 ]
 
-_BOUNDARY_OFFSET = 1e-6
+# Boundary lines Re z = -omega (omega = 0 for the imaginary axis) are sampled
+# this far inside the half-plane; every module reads the offset from here.
+BOUNDARY_OFFSET = 1e-6
 
 
 @dataclass
@@ -56,48 +61,48 @@ class NormReport:
         return self.value
 
 
-def deriv_sup_at(f: AnalyticFunction, x: float, cfg: QuadratureConfig = DEFAULT_CONFIG):
-    """sup over y of |f'(x+iy)| with the function's declared line envelope."""
+def _line_sup(h, x: float, env, f: AnalyticFunction, cfg: QuadratureConfig) -> SupResult:
+    """sup over y of |h(x+iy)|, with h = f or f.deriv and env its envelope on the line."""
 
     def phi(ys):
-        return np.abs(f.deriv(x + 1j * np.asarray(ys, dtype=float)))
+        return np.abs(h(x + 1j * np.asarray(ys, dtype=float)))
 
-    return sup_on_vertical_line(
-        phi, f.profiles.deriv_line(x), cfg, window=f.profiles.window
-    )
+    return sup_on_vertical_line(phi, env, cfg, window=f.profiles.window)
+
+
+def deriv_sup_at(f: AnalyticFunction, x: float, cfg: QuadratureConfig = DEFAULT_CONFIG):
+    """sup over y of |f'(x+iy)| with the function's declared line envelope."""
+    return _line_sup(f.deriv, x, f.profiles.deriv_line(x), f, cfg)
+
+
+def _modulus_sup(f: AnalyticFunction, x: float, cfg: QuadratureConfig) -> SupResult:
+    if x <= -f.left_bound:
+        raise DivergenceSuspicion(
+            f"line Re = {x} lies outside the declared analyticity strip"
+        )
+    sup = _line_sup(f, x, f.profiles.modulus_line(max(x, BOUNDARY_OFFSET)), f, cfg)
+    if f.value_at_infinity is not None:
+        sup.value = max(sup.value, abs(f.value_at_infinity))
+    return sup
 
 
 def line_sup_modulus(
     f: AnalyticFunction, x: float, cfg: QuadratureConfig = DEFAULT_CONFIG
 ) -> float:
     """sup over y of |f(x+iy)| on a vertical line with Re = x > -left_bound."""
-    if x <= -f.left_bound:
-        raise DivergenceSuspicion(
-            f"line Re = {x} lies outside the declared analyticity strip"
-        )
+    return _modulus_sup(f, x, cfg).value
 
-    def phi(ys):
-        return np.abs(f(x + 1j * np.asarray(ys, dtype=float)))
 
-    env = f.profiles.modulus_line(max(x, _BOUNDARY_OFFSET))
-    sup = sup_on_vertical_line(phi, env, cfg, window=f.profiles.window)
-    value = sup.value
-    if f.value_at_infinity is not None:
-        value = max(value, abs(f.value_at_infinity))
-    return value
+def left_line_sup(f: AnalyticFunction, omega: float, cfg: QuadratureConfig = DEFAULT_CONFIG):
+    """sup of |f| on the line BOUNDARY_OFFSET inside the boundary Re z = -omega."""
+    return line_sup_modulus(f, -omega + BOUNDARY_OFFSET, cfg)
 
 
 def hinf_norm(f: AnalyticFunction, cfg: QuadratureConfig = DEFAULT_CONFIG) -> NormReport:
-    """Supremum norm, evaluated on the line Re z = 1e-6 by the maximum principle."""
-    x0 = _BOUNDARY_OFFSET
-
-    def phi(ys):
-        return np.abs(f(x0 + 1j * np.asarray(ys, dtype=float)))
-
-    sup = sup_on_vertical_line(phi, f.profiles.modulus_line(x0), cfg, window=f.profiles.window)
+    """Supremum norm, evaluated on the line Re z = BOUNDARY_OFFSET by the maximum
+    principle; the offset is charged to the error as 2 * BOUNDARY_OFFSET * value."""
+    sup = _modulus_sup(f, BOUNDARY_OFFSET, cfg)
     value = sup.value
-    if f.value_at_infinity is not None:
-        value = max(value, abs(f.value_at_infinity))
     xs = np.geomspace(1e-2, 1e3, 11)
     ys = np.linspace(-40.0, 40.0, 17)
     interior = float(np.max(np.abs(f((xs[:, None] + 1j * ys[None, :]).ravel()))))
@@ -106,29 +111,26 @@ def hinf_norm(f: AnalyticFunction, cfg: QuadratureConfig = DEFAULT_CONFIG) -> No
             f"interior sample {interior:.6g} exceeds boundary estimate {value:.6g}"
         )
     value = max(value, interior)
-    err = max(cfg.abs_tol, 2.0 * _BOUNDARY_OFFSET * value)
+    err = max(cfg.abs_tol, 2.0 * BOUNDARY_OFFSET * value)
     return NormReport(value, err, {"hinf": value}, certified=sup.stabilized)
 
 
-def _fitted_outer_envelope(sup_fn, cfg) -> tuple[DecayEnvelope, bool]:
-    """Power-law fit of the outer integrand decay, with a safety factor.
+def fitted_power_envelope(ts: np.ndarray, vals: np.ndarray, what: str) -> PowerEnvelope:
+    """Power-law fit c * t^-p of sampled decay beyond ts[0], with a safety factor.
 
-    Used only when a function carries no integrable certified envelope; the
-    resulting norm is flagged non-certified.
+    For integrands with no integrable certified envelope; a result built on it
+    is not certified.
     """
-    xs = np.geomspace(8.0, 4096.0, 10)
-    vals = np.array([sup_fn(x) for x in xs])
     good = vals > 1e-250
     if good.sum() < 4:
-        return PowerEnvelope(p=2.0, c=1e-250, t0=xs[0]), False
-    p = -np.polyfit(np.log(xs[good]), np.log(vals[good]), 1)[0]
+        return PowerEnvelope(p=2.0, c=1e-250, t0=float(ts[0]))
+    p = -np.polyfit(np.log(ts[good]), np.log(vals[good]), 1)[0]
     if p <= 1.05:
         raise DivergenceSuspicion(
-            f"outer integrand decays like x^-{p:.3f}; the norm integral looks divergent"
+            f"{what} decays like t^-{p:.3f}; its integral looks divergent"
         )
-    p_safe = max(1.05, p * 0.9)
-    c = 10.0 * float(np.max(vals * xs[: len(vals)] ** p_safe))
-    return PowerEnvelope(p=p_safe, c=c, t0=float(xs[0])), True
+    p_safe = max(1.05, 0.9 * p)
+    return PowerEnvelope(p=p_safe, c=10.0 * float(np.max(vals * ts**p_safe)), t0=float(ts[0]))
 
 
 def b0_norm(f: AnalyticFunction, cfg: QuadratureConfig = DEFAULT_CONFIG) -> NormReport:
@@ -148,7 +150,8 @@ def b0_norm(f: AnalyticFunction, cfg: QuadratureConfig = DEFAULT_CONFIG) -> Norm
     env = f.profiles.deriv_outer
     certified = True
     if not env.integrable:
-        env, _ = _fitted_outer_envelope(sup_at, cfg)
+        xs = np.geomspace(8.0, 4096.0, 10)
+        env = fitted_power_envelope(xs, np.array([sup_at(x) for x in xs]), "outer integrand")
         certified = False
     res = integrate_halfline(integrand, env, cfg, tail_tol=max(cfg.abs_tol, 1e-9))
     if not res.converged:

@@ -4,7 +4,6 @@ double-integral calculus, the Hille-Phillips route, and eigen oracles."""
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,7 +17,14 @@ from .errors import (
     SpectrumError,
     UnknownSpec,
 )
-from .functions import AnalyticFunction, HalfLineMeasure, cauchy_derivatives, parse_complex
+from .functions import (
+    AnalyticFunction,
+    HalfLineMeasure,
+    SpecArgs,
+    cauchy_derivatives,
+    parse_complex,
+    parse_number,
+)
 from .quadrature import (
     DEFAULT_CONFIG,
     ExpEnvelope,
@@ -491,12 +497,6 @@ class ApplyReport:
     n_evals: int = 0
 
 
-def _sup_deriv_cap(f: AnalyticFunction) -> float:
-    env = f.profiles.deriv_outer
-    t0 = max(env.t0, 1e-3)
-    return env.bound(t0)
-
-
 def _apply_direct(
     A: MatrixOperator, f: AnalyticFunction, cfg: QuadratureConfig, apply_tol: float
 ) -> ApplyReport:
@@ -751,6 +751,8 @@ def random_sectorial_operator(n: int, seed: int, angle: float) -> MatrixOperator
 
 
 def jordan_operator(lam: complex, m: int) -> MatrixOperator:
+    if not isinstance(m, (int, np.integer)) or m < 1:
+        raise InvalidParameter("Jordan block size needs integer m >= 1")
     a = np.diag(np.full(m, complex(lam))) + np.diag(np.ones(m - 1), 1) if m > 1 else np.array(
         [[complex(lam)]]
     )
@@ -762,54 +764,32 @@ def parse_operator_spec(text: str) -> MatrixOperator:
     if s.startswith("file:"):
         with open(s[5:], "r", encoding="utf-8") as fh:
             return read_matrix_text(fh.read(), label=s)
-    m = re.match(r"^([a-zA-Z_][a-zA-Z0-9_]*)\s*\((.*)\)$", s, re.DOTALL)
-    if not m:
-        raise UnknownSpec(f"cannot parse operator spec {text!r}")
-    name = m.group(1).lower()
-    body = m.group(2)
-    from .functions import _split_top
+    args = SpecArgs(text, "operator", bare=False)
+    A = _build_operator(args, s)
+    args.finish()
+    return A
 
-    parts = _split_top(body, ",;")
-    named = {}
-    positional = []
-    for p in parts:
-        if "=" in p and p.split("=", 1)[0].strip().isidentifier():
-            k, v = p.split("=", 1)
-            named[k.strip().lower()] = v.strip()
-        else:
-            positional.append(p)
 
-    def grab(key, idx, default=None):
-        if key in named:
-            return named[key]
-        if idx < len(positional):
-            return positional[idx]
-        if default is not None:
-            return default
-        raise InvalidParameter(f"operator spec {name} needs {key}")
-
+def _build_operator(args: SpecArgs, label: str) -> MatrixOperator:
+    name = args.name
     if name == "diag":
-        vals = [parse_complex(p) for p in positional] + [
-            parse_complex(v) for k, v in named.items()
-        ]
-        return MatrixOperator(np.diag(np.array(vals, dtype=complex)), label=s)
+        return MatrixOperator(np.diag(np.array(args.numbers(), dtype=complex)), label=label)
     if name == "jordan":
-        lam = parse_complex(grab("lambda", 0))
-        mm = int(float(grab("m", 1)))
-        return jordan_operator(lam, mm)
+        return jordan_operator(args.number("lambda", 0), args.number("m", 1, kind=int))
     if name == "normal_random":
-        n = int(float(grab("n", 0)))
-        seed = int(float(grab("seed", 1, "42")))
+        n = args.number("n", 0, kind=int)
+        seed = args.number("seed", 1, 42, kind=int)
         box = (0.5, 5.0, -5.0, 5.0)
-        if "box" in named:
-            nums = [float(x) for x in named["box"].strip("[]").split(",")]
+        box_text = args.text("box", default=None)
+        if box_text is not None:
+            nums = [parse_number(x, "box", float) for x in box_text.strip("[]").split(",")]
             if len(nums) != 4:
                 raise InvalidParameter("spectrum box needs [re_min,re_max,im_min,im_max]")
             box = tuple(nums)  # type: ignore[assignment]
         return random_normal_operator(n, seed, box)
     if name == "sectorial_random":
-        n = int(float(grab("n", 0)))
-        seed = int(float(grab("seed", 1, "42")))
-        angle = float(grab("angle", 2, str(math.pi / 6)))
+        n = args.number("n", 0, kind=int)
+        seed = args.number("seed", 1, 42, kind=int)
+        angle = args.number("angle", 2, math.pi / 6, kind=float)
         return random_sectorial_operator(n, seed, angle)
     raise UnknownSpec(f"unknown operator family {name!r}")

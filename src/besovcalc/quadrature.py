@@ -49,8 +49,11 @@ class QuadratureConfig:
     sup_refine_rounds: int = 30
 
     def __post_init__(self):
-        if self.abs_tol <= 0 or self.rel_tol <= 0 or self.line_trunc_factor <= 0:
-            raise InvalidParameter("tolerances and truncation factors must be positive")
+        if not all(
+            math.isfinite(v) and v > 0
+            for v in (self.abs_tol, self.rel_tol, self.line_trunc_factor)
+        ):
+            raise InvalidParameter("tolerances and truncation factors must be finite and positive")
         if self.max_depth < 10:
             raise InvalidParameter("max_depth must be at least 10")
         if self.sup_grid_points < 9 or self.sup_refine_rounds < 1:
@@ -664,23 +667,12 @@ _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 def golden_max(phi: Callable[[float], float], lo: float, hi: float, rounds: int):
-    """Golden-section search for a maximum on [lo, hi]."""
-    a, b = lo, hi
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc, fd = phi(c), phi(d)
-    for _ in range(rounds):
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = phi(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = phi(d)
-    if fc >= fd:
-        return c, fc
-    return d, fd
+    """Golden-section search for a maximum on [lo, hi]: one bracket of
+    `_golden_max_multi`, calling the scalar phi 2 + rounds times."""
+    xs, vs = _golden_max_multi(
+        lambda u: np.array([phi(float(u[0]))]), np.array([lo]), np.array([hi]), rounds
+    )
+    return float(xs[0]), float(vs[0])
 
 
 def _golden_max_multi(phi_vec, los: np.ndarray, his: np.ndarray, rounds: int):

@@ -37,6 +37,7 @@ from .functions import (
     mul,
     parse_complex,
     parse_function_spec,
+    parse_number,
     resolvent,
     scale,
 )
@@ -112,7 +113,7 @@ def _run_vitse(p, cfg):
 
 
 def _run_cayley(p, cfg):
-    return check_cayley(int(float(p.get("n", 1))), cfg)
+    return check_cayley(parse_number(str(p.get("n", 1)), "cayley_norm n", int), cfg)
 
 
 def _run_bernstein(p, cfg):
@@ -185,7 +186,7 @@ def _run_inverse_generator(p, cfg):
 
 def _run_cayley_power(p, cfg):
     A = parse_operator_spec(p.get("A", "diag(1,2)"))
-    return cayley_power_check(A, int(float(p.get("n", 16))), cfg)
+    return cayley_power_check(A, parse_number(str(p.get("n", 16)), "cayley_power n", int), cfg)
 
 
 def _run_spectral_mapping(p, cfg):

@@ -19,7 +19,15 @@ from besovcalc.functions import (
     resolvent,
     shift,
 )
-from besovcalc.norms import b0_norm, b_norm, e0_norm, hinf_norm, line_sup_modulus
+from besovcalc.norms import (
+    BOUNDARY_OFFSET,
+    b0_norm,
+    b_norm,
+    e0_norm,
+    hinf_norm,
+    left_line_sup,
+    line_sup_modulus,
+)
 from besovcalc.quadrature import ConstEnvelope, PowerEnvelope, QuadratureConfig
 
 CFG = QuadratureConfig()
@@ -35,6 +43,17 @@ class TestHinf:
         rep = hinf_norm(f, CFG)
         assert rep.value == pytest.approx(expect, abs=1e-4)
         assert rep.value <= expect + 1e-12
+
+    @pytest.mark.parametrize(
+        "f",
+        [exp_decay(1.0), cayley_pow(3), resolvent(1.0 + 2.0j), eta()],
+        ids=["exp", "cayley", "resolvent", "eta"],
+    )
+    def test_dominates_boundary_line_sup(self, f):
+        # the sup norm is the boundary-line supremum plus the interior cross-check
+        rep = hinf_norm(f, CFG)
+        assert rep.value >= line_sup_modulus(f, BOUNDARY_OFFSET, CFG)
+        assert rep.certified
 
     def test_interior_consistency(self):
         rep = hinf_norm(eta(), CFG)
@@ -171,6 +190,9 @@ class TestInequalities:
         # |r_2| on the line Re = -1 peaks at 1/(2-1) = 1
         assert line_sup_modulus(resolvent(2.0), -1.0 + 1e-6, CFG) == pytest.approx(
             1.0, abs=1e-4
+        )
+        assert left_line_sup(resolvent(2.0), 1.0, CFG) == line_sup_modulus(
+            resolvent(2.0), -1.0 + BOUNDARY_OFFSET, CFG
         )
 
     def test_norm_report_json(self):

@@ -20,9 +20,11 @@ from besovcalc.quadrature import (
     envelope_product,
     integrate_halfline,
     integrate_interval,
+    golden_max,
     integrate_line,
     sup_on_vertical_line,
 )
+from besovcalc.quadrature import _golden_max_multi
 
 CFG = QuadratureConfig()
 
@@ -223,6 +225,31 @@ class TestSupremum:
         )
         assert s1.value <= s2.value + CFG.abs_tol
 
+    @pytest.mark.parametrize(
+        "phi,lo,hi",
+        [
+            (lambda u: -((u - 0.3) ** 2), -1.0, 2.0),
+            (lambda u: math.cos(3.0 * u), 0.5, 4.0),
+            (lambda u: 1.0, 0.0, 1.0),  # every comparison is a tie
+            (lambda u: abs(u), -2.0, 1.0),  # maximum at the bracket edge
+        ],
+    )
+    @pytest.mark.parametrize("rounds", [1, 7, 30])
+    def test_golden_max_is_one_bracket(self, phi, lo, hi, rounds):
+        calls = []
+
+        def counted(u):
+            calls.append(u)
+            return phi(u)
+
+        got = golden_max(counted, lo, hi, rounds)
+        assert len(calls) == 2 + rounds
+        assert all(type(u) is float for u in calls)
+        xs, vs = _golden_max_multi(
+            lambda us: np.array([phi(u) for u in us]), np.array([lo]), np.array([hi]), rounds
+        )
+        assert got == (xs[0], vs[0])
+
 
 class TestEnvelopes:
     def test_tails_dominate(self):
@@ -260,3 +287,9 @@ class TestEnvelopes:
             QuadratureConfig(max_depth=5)
         with pytest.raises(InvalidParameter):
             QuadratureConfig(abs_tol=-1.0)
+        for bad in (math.nan, math.inf, -math.inf, 0.0):
+            for name in ("abs_tol", "rel_tol", "line_trunc_factor"):
+                with pytest.raises(InvalidParameter):
+                    QuadratureConfig(**{name: bad})
+            with pytest.raises(InvalidParameter):
+                CFG.with_tolerances(abs_tol=bad)

@@ -1,0 +1,199 @@
+"""Spec strings: one argument grammar for function and operator specs, the
+inputs it rejects, and the command-line exit codes for them."""
+
+import math
+import os
+import subprocess
+import sys
+
+import numpy as np
+import pytest
+
+import besovcalc
+from besovcalc.cli import run
+from besovcalc.errors import InvalidParameter, UnknownSpec
+from besovcalc.functions import SpecArgs, exp_decay, parse_function_spec, resolvent
+from besovcalc.operators import jordan_operator, parse_operator_spec
+from besovcalc.suite import run_suite
+
+ZS = np.array([0.5, 1.0 + 2.0j, 3.0 - 0.5j])
+
+# body -> (positional, named) as both parsers read it
+GRAMMAR = [
+    ("1,2", ["1", "2"], {}),
+    ("1;2", ["1", "2"], {}),
+    ("a=1+2i", [], {"a": "1+2i"}),
+    ("A=1 ; Lambda = 2", [], {"a": "1", "lambda": "2"}),
+    ("4,seed=3;angle=0.5", ["4"], {"seed": "3", "angle": "0.5"}),
+    (
+        "atoms=[(0,1),(1,2)];density=lebesgue(0,1)",
+        [],
+        {"atoms": "[(0,1),(1,2)]", "density": "lebesgue(0,1)"},
+    ),
+    ("6,box=[1,2,-0.5,0.5]", ["6"], {"box": "[1,2,-0.5,0.5]"}),
+    ("", [], {}),
+]
+
+
+@pytest.mark.parametrize("body,positional,named", GRAMMAR)
+@pytest.mark.parametrize("family", ["exp", "diag"])
+def test_one_grammar(family, body, positional, named):
+    args = SpecArgs(f"{family}({body})", "any")
+    assert (args.name, args.positional, args.named) == (family, positional, named)
+
+
+# spellings of one function spec: positional or key=value, ',' or ';', key case
+FUNCTION_SPELLINGS = [
+    ["resolvent(a=1+2i)", "resolvent(1+2i)", "resolvent(A=1+2i)", "RESOLVENT( a = 1+2i )"],
+    ["band(eps=1,sigma=4)", "band(1,4)", "band(1;sigma=4)", "band(EPS=1;SIGMA=4)"],
+    ["cayley(n=2)", "cayley(2)", "cayley(N=2.0)"],
+    [
+        "laplace(atoms=[(0,1),(2,1)];density=lebesgue(0,1))",
+        "laplace(density=lebesgue(0,1),atoms=[(0,1),(2,1)])",
+        "laplace(ATOMS=[(0,1),(2,1)];Density=lebesgue(0,1))",
+    ],
+    ["eta", "eta()", "eta(1)", "eta(delta=1)"],
+    [
+        "laplace(density=-2*exp(rate=2))",
+        "laplace(density=-2*exp(2))",
+        "laplace(DENSITY=-2*EXP(RATE=2))",
+    ],
+    [
+        "laplace(density=lebesgue)",
+        "laplace(density=lebesgue(0,1))",
+        "laplace(density=lebesgue(b=1;a=0))",
+    ],
+]
+
+OPERATOR_SPELLINGS = [
+    ["jordan(lambda=1,m=2)", "jordan(1,2)", "jordan(1;m=2)", "jordan(LAMBDA=1;M=2)"],
+    [
+        "normal_random(6,seed=2,box=[1,2,-0.5,0.5])",
+        "normal_random(n=6;seed=2;box=[1,2,-0.5,0.5])",
+        "normal_random(6,2,BOX=[1,2,-0.5,0.5])",
+    ],
+    ["sectorial_random(4,seed=3,angle=0.5)", "sectorial_random(4;3;0.5)"],
+    ["diag(1,2i)", "diag(1;2i)", "diag( 1 , 2i )"],
+]
+
+
+@pytest.mark.parametrize("specs", FUNCTION_SPELLINGS, ids=lambda s: s[0])
+def test_function_spellings_agree(specs):
+    want = parse_function_spec(specs[0])(ZS)
+    for spec in specs[1:]:
+        assert np.array_equal(parse_function_spec(spec)(ZS), want), spec
+
+
+@pytest.mark.parametrize("specs", OPERATOR_SPELLINGS, ids=lambda s: s[0])
+def test_operator_spellings_agree(specs):
+    want = parse_operator_spec(specs[0]).matrix
+    for spec in specs[1:]:
+        assert np.array_equal(parse_operator_spec(spec).matrix, want), spec
+
+
+BAD_FUNCTIONS = [
+    "cayley(n=1.5)",
+    "cayley(n=1+1i)",
+    "exp(a=nan)",
+    "exp(a=1e400)",
+    "resolvent(a=nan)",
+    "resolvent(a=1,b=7)",
+    "exp(1,2,3)",
+    "exp(1,a=1)",
+    "exp(a=1,a=2)",
+    "expinv(t=2i)",
+    "bernstein_res(1,alpha=0.5,beta=2,theta=0.785,lambda=1)",
+    "laplace(density=exp(rate=nan))",
+    "laplace(density=exp(2,rate=2))",
+    "laplace(density=lebesgue(0,1,2))",
+    "laplace(density=gauss(1))",
+    "laplace(atoms=[(nan,1)])",
+    "laplace(atoms=[(1i,1)])",
+    "band(eps=1,sigma=4,coeffs=[(1,nan)])",
+]
+
+BAD_OPERATORS = [
+    "jordan(lambda=1,m=2.5)",
+    "jordan(lambda=1,m=0)",
+    "normal_random(n=3.5)",
+    "normal_random(3,seed=4.7)",
+    "normal_random(3,sed=5)",
+    "normal_random(3,box=[1,2,nan,1])",
+    "sectorial_random(3,seed=1,angle=0.5,extra=1)",
+    "diag(1,2,m=3)",
+    "diag(nan,1)",
+]
+
+
+@pytest.mark.parametrize("spec", BAD_FUNCTIONS)
+def test_bad_function_spec_rejected(spec, capsys):
+    with pytest.raises(InvalidParameter):
+        parse_function_spec(spec)
+    assert run(["norm", "--kind", "hinf", "--f", spec]) == 1
+    err = capsys.readouterr().err
+    assert "error" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("spec", BAD_OPERATORS)
+def test_bad_operator_spec_rejected(spec, capsys):
+    with pytest.raises(InvalidParameter):
+        parse_operator_spec(spec)
+    assert run(["profile", "--A", spec]) == 1
+    err = capsys.readouterr().err
+    assert "error" in err and "Traceback" not in err
+
+
+def test_bare_names():
+    assert parse_function_spec("eta").label == parse_function_spec("eta()").label
+    with pytest.raises(UnknownSpec):
+        parse_operator_spec("diag")
+    with pytest.raises(UnknownSpec):
+        parse_function_spec("nosuch")
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_catalog_rejects_non_finite(bad):
+    with pytest.raises(InvalidParameter):
+        exp_decay(bad)
+    with pytest.raises(InvalidParameter):
+        resolvent(bad)
+    with pytest.raises(InvalidParameter):
+        resolvent(complex(1.0, bad))
+
+
+@pytest.mark.parametrize("m", [0, -1, 2.5])
+def test_jordan_block_size(m):
+    with pytest.raises(InvalidParameter):
+        jordan_operator(1.0, m)
+
+
+@pytest.mark.parametrize(
+    "manifest", ["cayley_norm n=1.5", "cayley_power n=2.5", "cayley_power A=diag(1,2) n=x"]
+)
+def test_manifest_integer_rejected(manifest, tmp_path):
+    with pytest.raises(InvalidParameter):
+        run_suite(manifest)
+    mf = tmp_path / "bad.suite"
+    mf.write_text(manifest + "\n")
+    assert run(["suite", "--manifest", str(mf)]) == 1
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+def test_bad_tolerance_exit_code(tol, capsys):
+    assert run(["norm", "--f", "cayley(n=1)", "--tol", tol]) == 1
+    assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("module", ["besovcalc", "besovcalc.cli"])
+def test_module_entry_point(module):
+    src = os.path.dirname(os.path.dirname(besovcalc.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        [sys.executable, "-m", module, "norm", "--f", "cayley(n=1)"],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    assert "b-norm[cayley(n=1)] = 3.000000" in done.stdout
