@@ -27,12 +27,12 @@ from .operators import (
     MatrixOperator,
     apply_calculus,
     apply_calculus_report,
+    is_normal,
     semigroup,
 )
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig
 
 __all__ = [
-    "is_normal",
     "stability_constants",
     "check_hilbert_calc_bound",
     "check_sectorial_gamma",
@@ -49,12 +49,6 @@ __all__ = [
     "convergence_demo",
     "ConvergenceTable",
 ]
-
-def is_normal(A: MatrixOperator, tol: float = 1e-10) -> bool:
-    a = A.matrix
-    comm = a @ a.conj().T - a.conj().T @ a
-    return float(np.linalg.norm(comm)) <= tol * max(1.0, A.norm2**2)
-
 
 def _opnorm(m: np.ndarray) -> float:
     return float(np.linalg.norm(m, 2))

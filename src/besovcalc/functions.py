@@ -1111,7 +1111,8 @@ def parse_complex(text: str) -> complex:
     if not s:
         raise InvalidParameter("empty complex literal")
     try:
-        return complex(s.replace("i", "j"))
+        # only an `i` that ends a term is the imaginary unit; `inf` keeps its `i`
+        return complex(re.sub(r"i(?=$|[+-])", "j", s))
     except ValueError as exc:
         raise InvalidParameter(f"bad complex literal {text!r}") from exc
 

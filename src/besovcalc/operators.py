@@ -39,6 +39,7 @@ from .quadrature import (
 
 __all__ = [
     "MatrixOperator",
+    "is_normal",
     "OperatorProfile",
     "ApplyReport",
     "resolvent_matrix",
@@ -59,6 +60,11 @@ __all__ = [
 
 _MAX_DIM = 64
 _EIG_TOL = 1e-7
+# ||A A^H - A^H A||_F <= _NORMAL_TOL * max(1, ||A||_2^2) makes A normal
+_NORMAL_TOL = 1e-10
+# the unitary diagonalisation of a normal A is used when both of its residuals
+# are <= _SPECTRAL_TOL * max(1, ||A||_2)
+_SPECTRAL_TOL = 1e-12
 
 
 def _cluster(values: np.ndarray, tol: float) -> list[list[int]]:
@@ -90,6 +96,8 @@ class MatrixOperator:
     jordan_blocks: list[tuple[complex, int]] | None = field(init=False, default=None)
     norm2: float = field(init=False, default=0.0)
     _profile_cache: "OperatorProfile | None" = field(init=False, default=None, repr=False)
+    _normal: bool | None = field(init=False, default=None, repr=False)
+    _spectral_cache: "Spectral | bool | None" = field(init=False, default=None, repr=False)
 
     def __post_init__(self):
         a = np.asarray(self.matrix, dtype=complex)
@@ -153,6 +161,52 @@ class MatrixOperator:
         if self._profile_cache is None:
             self._profile_cache = profile(self, cfg)
         return self._profile_cache
+
+    def spectral(self) -> "Spectral | None":
+        """The unitary diagonalisation when the matrix is normal and it is accurate
+        enough, else None; computed from `matrix` on first use."""
+        if self._spectral_cache is None:
+            self._spectral_cache = _diagonalise(self) or False
+        return self._spectral_cache or None
+
+
+def is_normal(A: MatrixOperator) -> bool:
+    """The one normality test: ||A A^H - A^H A||_F <= 1e-10 max(1, ||A||_2^2),
+    evaluated once per operator."""
+    if A._normal is None:
+        a = A.matrix
+        comm = a @ a.conj().T - a.conj().T @ a
+        A._normal = float(np.linalg.norm(comm)) <= _NORMAL_TOL * max(1.0, A.norm2**2)
+    return A._normal
+
+
+@dataclass
+class Spectral:
+    """A = Q diag(lam) Q^H up to `residual`, a first-order bound on
+    ||A - Q diag(lam) Q^H||_2 that the calculus adds to its error."""
+
+    q: np.ndarray
+    lam: np.ndarray
+    residual: float
+
+
+def _diagonalise(A: MatrixOperator) -> Spectral | None:
+    """Q from the QR factor of the eigenvectors, lam the diagonal of Q^H A Q;
+    None unless A is normal and both ||offdiag(Q^H A Q)||_F and ||Q^H Q - I||_F
+    are <= 1e-12 max(1, ||A||_2)."""
+    if not is_normal(A):
+        return None
+    a = A.matrix
+    q, _ = np.linalg.qr(np.linalg.eig(a)[1])
+    t = q.conj().T @ a @ q
+    lam = np.diagonal(t).copy()
+    off = float(np.linalg.norm(t - np.diag(lam)))
+    drift = float(np.linalg.norm(q.conj().T @ q - np.eye(A.n)))
+    tol = _SPECTRAL_TOL * max(1.0, A.norm2)
+    if off > tol or drift > tol:
+        return None
+    # A = Q G^-1 (diag(lam) + offdiag) G^-1 Q^H with G = Q^H Q, to first order in G - I
+    return Spectral(q, lam, off + 2.0 * drift * float(np.abs(lam).max(initial=0.0)))
 
 
 @dataclass
@@ -342,22 +396,31 @@ def semigroup(A: MatrixOperator, t) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def _semigroup_norms(A: MatrixOperator, ts: np.ndarray) -> np.ndarray:
+    """||exp(-t A)|| for each t of a 1-D array; max_i |exp(-t lam_i)| when A is normal."""
+    spec = A.spectral()
+    if spec is None:
+        vals = semigroup(A, ts)
+    else:
+        with np.errstate(over="ignore"):
+            vals = np.exp(-ts[:, None] * spec.lam)
+    if not np.all(np.isfinite(vals)):
+        raise ProfileDivergence("semigroup norm overflows on the settling grid; operator rejected")
+    if spec is None:
+        return np.linalg.norm(vals, 2, axis=(1, 2))
+    return np.abs(vals).max(axis=1)
+
+
 def _semigroup_sup(A: MatrixOperator) -> float:
     if A.n == 0:
         return 1.0
-    scale = max(1.0, A.norm2)
     k_lo, k_hi = -12, 8
     best = 1.0
     best_t = 0.0
     prev_best = -1.0
     for _ in range(12):
         ts = 2.0 ** np.arange(k_lo, k_hi, 0.25)
-        mats = semigroup(A, ts)
-        if not np.all(np.isfinite(mats)):
-            raise ProfileDivergence(
-                "semigroup norm overflows on the settling grid; operator rejected"
-            )
-        norms = np.linalg.norm(mats, 2, axis=(1, 2))
+        norms = _semigroup_norms(A, ts)
         cand = float(norms.max())
         if cand > best:
             best = cand
@@ -374,7 +437,7 @@ def _semigroup_sup(A: MatrixOperator) -> float:
             break
     if best_t > 0:
         _, v = golden_max(
-            lambda u: float(np.linalg.norm(semigroup(A, math.exp(u)), 2)),
+            lambda u: float(_semigroup_norms(A, np.array([math.exp(u)]))[0]),
             math.log(best_t) - 0.3,
             math.log(best_t) + 0.3,
             40,
@@ -389,17 +452,28 @@ def _sectoriality_sup(A: MatrixOperator) -> float:
     if np.any((np.abs(lam.real) <= 1e-9 * scale) & (np.abs(lam) > 1e-9 * scale)):
         return math.inf
 
+    spec = A.spectral()
+
+    def phis(ys: np.ndarray) -> np.ndarray:
+        """|y| ||(iy + A)^(-1)|| for each y."""
+        out = np.full(ys.shape, 0.0 if np.min(np.abs(lam)) > 1e-9 else 1.0)
+        off = np.abs(ys) > 1e-30
+        y = ys[off]
+        if spec is not None:
+            res_norm = 1.0 / np.abs(1j * y[:, None] + spec.lam).min(axis=1)
+        else:
+            inv = np.linalg.inv(1j * y[:, None, None] * np.eye(A.n) + A.matrix)
+            res_norm = np.linalg.norm(inv, 2, axis=(1, 2))
+        out[off] = np.abs(y) * res_norm
+        return out
+
     def phi(y: float) -> float:
-        z = 1j * y
-        if abs(z) <= 1e-30:
-            return 0.0 if np.min(np.abs(lam)) > 1e-9 else 1.0
-        m = z * np.eye(A.n) + A.matrix
-        return abs(z) * np.linalg.norm(np.linalg.solve(m, np.eye(A.n)), 2)
+        return float(phis(np.array([y]))[0])
 
     ys = np.concatenate(
         [-np.geomspace(1e-6, 1e3 * scale, 60)[::-1], [0.0], np.geomspace(1e-6, 1e3 * scale, 60)]
     )
-    vals = np.array([phi(y) for y in ys])
+    vals = phis(ys)
     best = max(float(vals.max()), 1.0)
     k = int(vals.argmax())
     if 0 < k < len(ys) - 1 and ys[k - 1] < ys[k + 1]:
@@ -420,24 +494,30 @@ def _gamma_inner(
     eps = max(cfg.abs_tol, 5e-8) / max(alpha, 1.0)
     local = cfg.with_tolerances(abs_tol=eps, rel_tol=1e-6)
 
-    if pairs is None:
-
-        def integrand(betas):
-            r2 = _resolvents_squared(A, alpha + 1j * np.asarray(betas, dtype=float))
-            return np.linalg.svd(r2, compute_uv=False)[:, 0]
-
-        res = integrate_line(integrand, env, local, tail_tol=eps, strict=False)
-        return alpha * float(np.real(res.value))
-
-    xs, ys = pairs
+    spec = A.spectral()
+    if spec is not None and pairs is not None:
+        # <Q D Q^H x, y> = D-weighted sum of (Q^H x) conj(Q^H y)
+        qh = spec.q.conj().T
+        weights = (qh @ pairs[0]) * (qh @ pairs[1]).conj()
 
     def integrand(betas):
-        r2 = _resolvents_squared(A, alpha + 1j * np.asarray(betas, dtype=float))
-        opn = np.linalg.svd(r2, compute_uv=False)[:, 0]
-        weak = np.abs(np.einsum("kij,jp,ip->kp", r2, xs, ys.conj()))
-        return np.concatenate([opn[:, None], weak], axis=1)
+        zs = alpha + 1j * np.asarray(betas, dtype=float)
+        weak = None
+        if spec is None:
+            r2 = _resolvents_squared(A, zs)
+            opn = np.linalg.svd(r2, compute_uv=False)[:, 0]
+            if pairs is not None:
+                weak = np.abs(np.einsum("kij,jp,ip->kp", r2, pairs[0], pairs[1].conj()))
+        else:
+            d = (zs[:, None] + spec.lam) ** -2
+            opn = np.abs(d).max(axis=1)
+            if pairs is not None:
+                weak = np.abs(d @ weights)
+        return opn if weak is None else np.concatenate([opn[:, None], weak], axis=1)
 
     res = integrate_line(integrand, env, local, tail_tol=eps, strict=False)
+    if pairs is None:
+        return alpha * float(np.real(res.value))
     vals = alpha * np.real(res.value)
     return float(vals[0]), vals[1:]
 
@@ -507,6 +587,7 @@ def _apply_direct(
         raise IntegralNotNormConvergent(
             "no integrable derivative envelope for the outer integral"
         )
+    spec = A.spectral()
     inner_err = [0.0]
     n_evals = [0]
 
@@ -519,9 +600,10 @@ def _apply_direct(
 
         def integrand(betas):
             betas = np.asarray(betas, dtype=float)
-            r2 = _resolvents_squared(A, alpha - 1j * betas)
             fp = np.asarray(f.deriv(alpha + 1j * betas))
-            return r2 * fp[:, None, None]
+            if spec is not None:
+                return (alpha - 1j * betas[:, None] + spec.lam) ** -2 * fp[:, None]
+            return _resolvents_squared(A, alpha - 1j * betas) * fp[:, None, None]
 
         res = integrate_line(integrand, env, local, tail_tol=eps, strict=False)
         inner_err[0] += alpha * res.error
@@ -535,9 +617,29 @@ def _apply_direct(
     res = integrate_halfline(
         outer_integrand, env_outer, local_outer, tail_tol=apply_tol / 8.0, strict=False
     )
-    value = f.infinity() * np.eye(A.n) - (2.0 / math.pi) * res.value
+    integral = res.value if spec is None else (spec.q * res.value) @ spec.q.conj().T
+    value = f.infinity() * np.eye(A.n) - (2.0 / math.pi) * integral
+    # a unitary Q does not enlarge the max-entry error of diag(res.value)
     err = (2.0 / math.pi) * (res.error + inner_err[0])
+    if spec is not None and spec.residual > 0.0:
+        err += spec.residual * _spectral_lipschitz(f, spec.lam)
     return ApplyReport(value=value, error=err, n_evals=n_evals[0])
+
+
+def _spectral_lipschitz(f: AnalyticFunction, lam: np.ndarray) -> float:
+    """max |f[lam_i, lam_j]| over pairs of eigenvalues (f' at lam_i when i == j).
+
+    At a normal matrix this is the norm of the Frechet derivative of f in the
+    Frobenius norm, so ||f(A) - f(Q diag(lam) Q^H)|| <= it * residual to first
+    order.  Pairs closer than 1e-3 (1 + |lam|) take the larger |f'| at their two
+    ends, where the divided difference would cancel.
+    """
+    values = np.asarray(f(lam))
+    slopes = np.abs(np.asarray(f.deriv(lam)))
+    gap = lam[:, None] - lam[None, :]
+    near = np.abs(gap) <= 1e-3 * (1.0 + np.abs(lam))[:, None]
+    quotients = np.abs(values[:, None] - values[None, :]) / np.where(near, 1.0, np.abs(gap))
+    return float(np.where(near, np.maximum(slopes[:, None], slopes[None, :]), quotients).max())
 
 
 def apply_calculus_report(

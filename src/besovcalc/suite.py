@@ -62,6 +62,11 @@ def _neg_deriv_of_resolvent(a: float):
     return scale(mul(resolvent(a), resolvent(a)), -1.0)
 
 
+def _real(p: dict, key: str, default: float) -> float:
+    """A finite real manifest parameter."""
+    return parse_number(str(p.get(key, default)), key, float)
+
+
 def _bernstein_from(name: str) -> BernsteinFunction:
     table = {
         "linear": BernsteinFunction(b=1.0),
@@ -74,7 +79,7 @@ def _bernstein_from(name: str) -> BernsteinFunction:
 
 
 def _run_band_embedding(p, cfg):
-    eps, sigma = float(p.get("eps", 1.0)), float(p.get("sigma", 4.0))
+    eps, sigma = _real(p, "eps", 1.0), _real(p, "sigma", 4.0)
     coeffs = p.get("coeffs")
     if coeffs is None:
         coeffs = [(eps, 1.0), (sigma, -1.0)]
@@ -82,34 +87,34 @@ def _run_band_embedding(p, cfg):
 
 
 def _run_deriv_bound(p, cfg):
-    a = float(p.get("a", 2.0))
-    omega = float(p.get("omega", 1.0))
+    a = _real(p, "a", 2.0)
+    omega = _real(p, "omega", 1.0)
     return check_deriv_bound(resolvent(a), _neg_deriv_of_resolvent(a), omega, cfg)
 
 
 def _run_product_bound(p, cfg):
     f = parse_function_spec(p.get("f", "resolvent(a=1)"))
     g = parse_function_spec(p.get("g", "resolvent(a=2)"))
-    return check_product_bound(f, g, float(p.get("omega", 1.0)), cfg)
+    return check_product_bound(f, g, _real(p, "omega", 1.0), cfg)
 
 
 def _run_exp_window(p, cfg):
     g = parse_function_spec(p.get("g", "resolvent(a=2)"))
-    return check_exp_window(g, float(p.get("tau", 1.0)), float(p.get("omega", 1.0)), cfg)
+    return check_exp_window(g, _real(p, "tau", 1.0), _real(p, "omega", 1.0), cfg)
 
 
 def _run_decay_majorant(p, cfg):
     return check_decay_majorant(
-        _r_squared(), _inv_square_profile(), float(p.get("omega", 1.0)), cfg
+        _r_squared(), _inv_square_profile(), _real(p, "omega", 1.0), cfg
     )
 
 
 def _run_expinv(p, cfg):
-    return check_expinv_exact(float(p.get("t", 1.0)), cfg)
+    return check_expinv_exact(_real(p, "t", 1.0), cfg)
 
 
 def _run_vitse(p, cfg):
-    return check_vitse_reg(float(p.get("t", 1.0)), cfg)
+    return check_vitse_reg(_real(p, "t", 1.0), cfg)
 
 
 def _run_cayley(p, cfg):
@@ -121,9 +126,9 @@ def _run_bernstein(p, cfg):
     lam = parse_complex(str(p.get("lambda", "1")))
     return check_bernstein(
         fb,
-        float(p.get("alpha", 0.5)),
-        float(p.get("beta", 2.0)),
-        float(p.get("theta", math.pi / 4)),
+        _real(p, "alpha", 0.5),
+        _real(p, "beta", 2.0),
+        _real(p, "theta", math.pi / 4),
         lam,
         cfg,
     )
@@ -141,7 +146,7 @@ def _run_sectorial_gamma(p, cfg):
 
 
 def _run_band_operator(p, cfg):
-    eps, sigma = float(p.get("eps", 1.0)), float(p.get("sigma", 4.0))
+    eps, sigma = _real(p, "eps", 1.0), _real(p, "sigma", 4.0)
     A = parse_operator_spec(p.get("A", "diag(1,2)"))
     f = parse_function_spec(p.get("f", f"band(eps={eps:g},sigma={sigma:g})"))
     return check_band_operator(A, f, eps, sigma, cfg)
@@ -150,7 +155,7 @@ def _run_band_operator(p, cfg):
 def _run_smoothed_window(p, cfg):
     A = parse_operator_spec(p.get("A", "diag(1,2)"))
     g = parse_function_spec(p.get("g", "resolvent(a=2)"))
-    return check_smoothed_window(A, g, float(p.get("omega", 1.0)), float(p.get("tau", 1.0)), cfg)
+    return check_smoothed_window(A, g, _real(p, "omega", 1.0), _real(p, "tau", 1.0), cfg)
 
 
 def _run_fractional(p, cfg):
@@ -160,17 +165,17 @@ def _run_fractional(p, cfg):
         A,
         g,
         parse_complex(str(p.get("lambda", "1"))),
-        float(p.get("alpha", 1.0)),
-        float(p.get("omega", 1.0)),
+        _real(p, "alpha", 1.0),
+        _real(p, "omega", 1.0),
         cfg,
     )
 
 
 def _run_deriv_operator(p, cfg):
     A = parse_operator_spec(p.get("A", "diag(1,2)"))
-    a = float(p.get("a", 2.0))
+    a = _real(p, "a", 2.0)
     return check_deriv_operator(
-        A, resolvent(a), _neg_deriv_of_resolvent(a), float(p.get("omega", 1.0)), cfg
+        A, resolvent(a), _neg_deriv_of_resolvent(a), _real(p, "omega", 1.0), cfg
     )
 
 
@@ -181,7 +186,7 @@ def _run_exp_stable(p, cfg):
 
 def _run_inverse_generator(p, cfg):
     A = parse_operator_spec(p.get("A", "diag(1,4)"))
-    return inverse_generator_check(A, float(p.get("t", 10.0)), cfg)
+    return inverse_generator_check(A, _real(p, "t", 10.0), cfg)
 
 
 def _run_cayley_power(p, cfg):

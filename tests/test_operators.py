@@ -31,10 +31,13 @@ from besovcalc.functions import (
     shift,
     vitse_reg,
 )
+from besovcalc import operators
 from besovcalc.norms import b_norm
 from besovcalc.operators import (
     MatrixOperator,
     _expm,
+    _sectoriality_sup,
+    _spectral_lipschitz,
     apply_calculus,
     apply_calculus_report,
     format_matrix_text,
@@ -45,6 +48,7 @@ from besovcalc.operators import (
     profile,
     random_normal_operator,
     random_sectorial_operator,
+    is_normal,
     read_matrix_text,
     resolvent_matrix,
     semigroup,
@@ -53,6 +57,7 @@ from besovcalc.operators import (
 from besovcalc.quadrature import (
     PowerEnvelope,
     QuadratureConfig,
+    golden_max,
     integrate_line,
 )
 
@@ -305,6 +310,103 @@ class TestProfile:
         lam = 1.0 + 2.0j
         p = profile(MatrixOperator(np.array([[lam]])), CFG)
         assert p.M == pytest.approx(abs(lam) / lam.real, abs=1e-5)
+
+
+# normal operators that take the spectral path, as (id, matrix)
+NORMAL_CASES = [
+    ("diag(1,2)", np.diag([1.0, 2.0])),
+    ("diag(1,1,2)", np.diag([1.0, 1.0, 2.0])),
+    *((f"normal_random({n})", random_normal_operator(n, 3).matrix) for n in (1, 3, 12)),
+]
+
+
+def _dense_twin(matrix, monkeypatch):
+    """The same matrix as an operator that the normality test turns away."""
+    with monkeypatch.context() as m:
+        m.setattr(operators, "is_normal", lambda A: False)
+        A = MatrixOperator(matrix)
+        assert A.spectral() is None
+    return A
+
+
+class TestSpectralPath:
+    @pytest.mark.parametrize("name,matrix", NORMAL_CASES, ids=[c[0] for c in NORMAL_CASES])
+    def test_profile_matches_dense(self, name, matrix, monkeypatch):
+        A = MatrixOperator(matrix)
+        spec = A.spectral()
+        assert spec is not None
+        assert spec.residual <= 1e-12 * max(1.0, A.norm2)
+        fast, dense = profile(A, CFG), profile(_dense_twin(matrix, monkeypatch), CFG)
+        for key in ("K", "M", "gamma_hat", "gamma_weak_sample"):
+            assert getattr(fast, key) == pytest.approx(getattr(dense, key), rel=1e-10), key
+
+    @pytest.mark.parametrize("name,matrix", NORMAL_CASES, ids=[c[0] for c in NORMAL_CASES])
+    def test_apply_matches_dense(self, name, matrix, monkeypatch):
+        A, B = MatrixOperator(matrix), _dense_twin(matrix, monkeypatch)
+        fs = [resolvent(1.5)] if A.n > 3 else [resolvent(1.5), exp_decay(1.0), cayley_pow(2)]
+        for f in fs:
+            fast = apply_calculus_report(A, f, CFG)
+            dense = apply_calculus_report(B, f, CFG)
+            gap = float(np.max(np.abs(fast.value - dense.value)))
+            assert gap <= fast.error + dense.error, f.label
+            assert float(np.max(np.abs(fast.value - oracle_apply(A, f)))) <= fast.error
+
+    def test_perturbed_normal_takes_dense_path(self):
+        A = MatrixOperator(np.diag([1.0, 2.0]) + 1e-6 * np.eye(2, k=1))
+        assert not is_normal(A)
+        assert A.spectral() is None
+
+    def test_rotated_repeated_eigenvalue(self):
+        rng = np.random.default_rng(3)
+        q, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+        lam = np.array([1.0, 1.0, 1.0 + 2.0j, 2.0])
+        spec = MatrixOperator(q @ np.diag(lam) @ q.conj().T).spectral()
+        assert spec is not None
+        assert np.allclose(np.sort_complex(spec.lam.round(12)), lam, atol=1e-13)
+        assert np.allclose(spec.q.conj().T @ spec.q, np.eye(4), atol=1e-13)
+
+    def test_residual_charged_to_error(self):
+        A = MatrixOperator(np.diag([1.0, 2.0]))
+        f = resolvent(1.0)
+        base = apply_calculus_report(A, f, CFG).error
+        A.spectral().residual = 1e-3
+        # max |f[lam_i, lam_j]| = |f'(1)| = 1/4 for r_1 on {1, 2}
+        assert apply_calculus_report(A, f, CFG).error == pytest.approx(base + 0.25e-3, rel=1e-9)
+
+    def test_lipschitz_closed_form(self):
+        # r_1 on {1, 2}: f'(1) = -1/4, f'(2) = -1/9, f[1, 2] = -1/6
+        lam = np.array([1.0, 2.0], dtype=complex)
+        assert _spectral_lipschitz(resolvent(1.0), lam) == pytest.approx(0.25, rel=1e-12)
+        # a pair closer than the cancellation guard takes the larger endpoint slope
+        near = np.array([1.0, 1.0 + 1e-6], dtype=complex)
+        assert _spectral_lipschitz(resolvent(1.0), near) == pytest.approx(0.25, rel=1e-12)
+
+
+def _sectoriality_loop(A):
+    """The per-y solve loop that the batched grid replaced, as a reference."""
+    scale = max(1.0, A.norm2)
+
+    def phi(y):
+        if abs(y) <= 1e-30:
+            return 0.0 if np.min(np.abs(A.eigenvalues)) > 1e-9 else 1.0
+        m = 1j * y * np.eye(A.n) + A.matrix
+        return abs(y) * np.linalg.norm(np.linalg.solve(m, np.eye(A.n)), 2)
+
+    grid = np.geomspace(1e-6, 1e3 * scale, 60)
+    ys = np.concatenate([-grid[::-1], [0.0], grid])
+    vals = np.array([phi(y) for y in ys])
+    best = max(float(vals.max()), 1.0)
+    k = int(vals.argmax())
+    if 0 < k < len(ys) - 1:
+        best = max(best, golden_max(phi, float(ys[k - 1]), float(ys[k + 1]), 48)[1])
+    return best
+
+
+@pytest.mark.parametrize("seed", [1, 3, 8])
+def test_dense_sectoriality_grid_matches_loop(seed):
+    A = random_sectorial_operator(4, seed, 0.5236)
+    assert A.spectral() is None
+    assert _sectoriality_sup(A) == pytest.approx(_sectoriality_loop(A), rel=1e-12)
 
 
 class TestApplyCalculus:

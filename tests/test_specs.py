@@ -12,7 +12,13 @@ import pytest
 import besovcalc
 from besovcalc.cli import run
 from besovcalc.errors import InvalidParameter, UnknownSpec
-from besovcalc.functions import SpecArgs, exp_decay, parse_function_spec, resolvent
+from besovcalc.functions import (
+    SpecArgs,
+    exp_decay,
+    parse_complex,
+    parse_function_spec,
+    resolvent,
+)
 from besovcalc.operators import jordan_operator, parse_operator_spec
 from besovcalc.suite import run_suite
 
@@ -176,6 +182,32 @@ def test_manifest_integer_rejected(manifest, tmp_path):
     mf = tmp_path / "bad.suite"
     mf.write_text(manifest + "\n")
     assert run(["suite", "--manifest", str(mf)]) == 1
+
+
+@pytest.mark.parametrize(
+    "manifest",
+    ["deriv_bound omega=nan", "vitse_reg t=inf", "exp_window tau=-inf", "bernstein_resolvent theta=1+i"],
+)
+def test_manifest_real_rejected(manifest, tmp_path, capsys):
+    with pytest.raises(InvalidParameter, match="finite real number"):
+        run_suite(manifest)
+    mf = tmp_path / "bad.suite"
+    mf.write_text(manifest + "\n")
+    assert run(["suite", "--manifest", str(mf), "--out", str(tmp_path)]) == 1
+    assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", ["inf", "-inf", "1+infi", "nan"])
+def test_non_finite_literal_message(text, capsys):
+    assert not math.isfinite(abs(parse_complex(text)))
+    assert run(["norm", "--kind", "hinf", "--f", f"exp(a={text})"]) == 1
+    err = capsys.readouterr().err
+    assert "must be a finite" in err and "bad complex literal" not in err
+
+
+def test_imaginary_unit_spellings():
+    for text, value in [("i", 1j), ("-i", -1j), ("1+i", 1 + 1j), ("2-3.5I", 2 - 3.5j), ("1e-3i", 1e-3j)]:
+        assert parse_complex(text) == value
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
