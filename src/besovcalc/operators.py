@@ -65,6 +65,8 @@ _NORMAL_TOL = 1e-10
 # the unitary diagonalisation of a normal A is used when both of its residuals
 # are <= _SPECTRAL_TOL * max(1, ||A||_2)
 _SPECTRAL_TOL = 1e-12
+# entries of the per-row intermediate of the profile's weak samples held at once
+_WEAK_BLOCK_ENTRIES = 2**13
 
 
 def _cluster(values: np.ndarray, tol: float) -> list[list[int]]:
@@ -236,7 +238,7 @@ def _resolvents_squared(A: MatrixOperator, zs: np.ndarray) -> np.ndarray:
     eye = np.eye(A.n, dtype=complex)
     mats = zs[:, None, None] * eye[None, :, :] + A.matrix[None, :, :]
     inv = np.linalg.inv(mats)
-    return inv @ inv
+    return np.matmul(inv, inv, out=mats)
 
 
 # Degree-13 Pade coefficients and the scaled-norm threshold of
@@ -412,8 +414,6 @@ def _semigroup_norms(A: MatrixOperator, ts: np.ndarray) -> np.ndarray:
 
 
 def _semigroup_sup(A: MatrixOperator) -> float:
-    if A.n == 0:
-        return 1.0
     k_lo, k_hi = -12, 8
     best = 1.0
     best_t = 0.0
@@ -495,25 +495,38 @@ def _gamma_inner(
     local = cfg.with_tolerances(abs_tol=eps, rel_tol=1e-6)
 
     spec = A.spectral()
-    if spec is not None and pairs is not None:
-        # <Q D Q^H x, y> = D-weighted sum of (Q^H x) conj(Q^H y)
-        qh = spec.q.conj().T
-        weights = (qh @ pairs[0]) * (qh @ pairs[1]).conj()
+    if pairs is not None:
+        xs, ys = pairs
+        # rows per block: the per-row intermediate is n*p wide, or p on the spectral path
+        if spec is None:
+            ys_conj = ys.conj()
+            width = A.n * xs.shape[1]
+        else:
+            # <Q D Q^H x, y> = D-weighted sum of (Q^H x) conj(Q^H y)
+            qh = spec.q.conj().T
+            weights = (qh @ xs) * (qh @ ys).conj()
+            width = xs.shape[1]
+        step = max(1, _WEAK_BLOCK_ENTRIES // width)
 
     def integrand(betas):
         zs = alpha + 1j * np.asarray(betas, dtype=float)
-        weak = None
         if spec is None:
             r2 = _resolvents_squared(A, zs)
             opn = np.linalg.svd(r2, compute_uv=False)[:, 0]
-            if pairs is not None:
-                weak = np.abs(np.einsum("kij,jp,ip->kp", r2, pairs[0], pairs[1].conj()))
         else:
             d = (zs[:, None] + spec.lam) ** -2
             opn = np.abs(d).max(axis=1)
-            if pairs is not None:
-                weak = np.abs(d @ weights)
-        return opn if weak is None else np.concatenate([opn[:, None], weak], axis=1)
+        if pairs is None:
+            return opn
+        out = np.empty((len(zs), 1 + xs.shape[1]))
+        out[:, 0] = opn
+        for i in range(0, len(zs), step):
+            if spec is None:
+                w = ((r2[i : i + step] @ xs) * ys_conj).sum(axis=1)
+            else:
+                w = d[i : i + step] @ weights
+            np.abs(w, out=out[i : i + step, 1:])
+        return out
 
     res = integrate_line(integrand, env, local, tail_tol=eps, strict=False)
     if pairs is None:
@@ -524,6 +537,8 @@ def _gamma_inner(
 
 def profile(A: MatrixOperator, cfg: QuadratureConfig = DEFAULT_CONFIG, seed: int = 42):
     """Semigroup bound, sectoriality constant, and the gamma bracket."""
+    if A.n == 0:
+        raise InvalidParameter("the operator profile needs a matrix of size at least 1x1")
     K = _semigroup_sup(A)
     M = _sectoriality_sup(A)
     rng = np.random.default_rng(seed)

@@ -441,6 +441,7 @@ _WG_FULL = np.zeros(15)
 _WG_FULL[[1, 3, 5]] = _WG
 _WG_FULL[7] = _WG_CENTER
 _WG_FULL[[9, 11, 13]] = _WG[::-1]
+_WKG = np.stack([_WK, _WG_FULL])
 
 _MAX_PANELS = 40000
 
@@ -473,8 +474,13 @@ def _eval_panels(f, lefts, rights):
     vals = vals.reshape(pts.shape + vals.shape[1:])
     if not np.all(np.isfinite(vals)):
         raise DepthExceeded("non-finite integrand value inside a panel")
-    kron = np.tensordot(vals, _WK, axes=([1], [0])) if vals.ndim > 2 else vals @ _WK
-    gauss = np.tensordot(vals, _WG_FULL, axes=([1], [0])) if vals.ndim > 2 else vals @ _WG_FULL
+    if vals.ndim == 2:
+        kron, gauss = vals @ _WK, vals @ _WG_FULL
+    else:
+        # one product against both rules; wide values are never copied
+        kg = _WKG @ vals.reshape(len(half), 15, -1)
+        kron, gauss = (kg[:, i].reshape((len(half),) + vals.shape[2:]) for i in (0, 1))
+    # the scaled arrays own their memory, so stored panels do not pin `kg`
     kron = kron * half.reshape((-1,) + (1,) * (kron.ndim - 1))
     gauss = gauss * half.reshape((-1,) + (1,) * (gauss.ndim - 1))
     diff = np.abs(kron - gauss)

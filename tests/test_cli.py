@@ -123,6 +123,18 @@ def test_non_finite_operator_exit_code(capsys):
         assert "error" in err and "Traceback" not in err
 
 
+def test_empty_operator_profile_exit_code(capsys):
+    assert run(["profile", "--A", "diag()"]) == 1
+    err = capsys.readouterr().err
+    assert "error" in err and "1x1" in err and "Traceback" not in err
+
+
+def test_empty_operator_apply_exit_code(capsys):
+    assert run(["apply", "--A", "diag()", "--f", "exp(a=1)"]) == 1
+    err = capsys.readouterr().err
+    assert "error" in err and "1x1" in err and "Traceback" not in err
+
+
 def test_bad_manifest_exit_code(capsys):
     rc = run(["suite", "--manifest", "/nonexistent/path.suite"])
     assert rc == 1

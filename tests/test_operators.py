@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -35,7 +36,10 @@ from besovcalc import operators
 from besovcalc.norms import b_norm
 from besovcalc.operators import (
     MatrixOperator,
+    _WEAK_BLOCK_ENTRIES,
     _expm,
+    _gamma_inner,
+    _resolvents_squared,
     _sectoriality_sup,
     _spectral_lipschitz,
     apply_calculus,
@@ -261,6 +265,30 @@ def test_runtime_does_not_import_scipy():
     assert done.returncode == 0, done.stderr
 
 
+def test_norms_and_pairings_do_not_import_numpy_random():
+    """numpy.random costs about 6 MB of resident memory; only the profile's
+    sample pairs and the *_random operator specs need it."""
+    script = textwrap.dedent(
+        """
+        import sys
+        import besovcalc
+        import besovcalc.cli
+        from besovcalc.duality import pairing
+        from besovcalc.functions import exp_decay, resolvent
+        from besovcalc.norms import b_norm
+        b_norm(exp_decay(1.0))
+        pairing(resolvent(2.0), exp_decay(1.0))
+        assert "numpy.random" not in sys.modules
+        """
+    )
+    src = os.path.dirname(os.path.dirname(besovcalc.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert done.returncode == 0, done.stderr
+
+
 class TestAdmission:
     def test_left_halfplane_rejected(self):
         with pytest.raises(SpectrumError):
@@ -310,6 +338,15 @@ class TestProfile:
         lam = 1.0 + 2.0j
         p = profile(MatrixOperator(np.array([[lam]])), CFG)
         assert p.M == pytest.approx(abs(lam) / lam.real, abs=1e-5)
+
+    def test_empty_operator_rejected(self):
+        # a 0x0 matrix is admitted (the _expm kernel takes it) but has no profile
+        A = parse_operator_spec("diag()")
+        assert A.n == 0
+        with pytest.raises(InvalidParameter):
+            profile(A, CFG)
+        with pytest.raises(InvalidParameter):
+            apply_calculus_report(A, exp_decay(1.0), CFG)
 
 
 # normal operators that take the spectral path, as (id, matrix)
@@ -380,6 +417,105 @@ class TestSpectralPath:
         # a pair closer than the cancellation guard takes the larger endpoint slope
         near = np.array([1.0, 1.0 + 1e-6], dtype=complex)
         assert _spectral_lipschitz(resolvent(1.0), near) == pytest.approx(0.25, rel=1e-12)
+
+
+def _unit_pairs(n, npairs=200, seed=42):
+    """Unit-norm sample pairs as `profile` draws them."""
+    rng = np.random.default_rng(seed)
+    xs = rng.normal(size=(n, npairs)) + 1j * rng.normal(size=(n, npairs))
+    ys = rng.normal(size=(n, npairs)) + 1j * rng.normal(size=(n, npairs))
+    return xs / np.linalg.norm(xs, axis=0), ys / np.linalg.norm(ys, axis=0)
+
+
+class _Captured(Exception):
+    pass
+
+
+def _weak_integrand(A, pairs, alpha=0.5):
+    """The integrand that _gamma_inner hands to integrate_line for weak samples."""
+    got = []
+
+    def capture(f, *args, **kwargs):
+        got.append(f)
+        raise _Captured
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(operators, "integrate_line", capture)
+        with pytest.raises(_Captured):
+            _gamma_inner(A, alpha, CFG, pairs=pairs)
+    return got[0]
+
+
+def _weak_operator(path, n, monkeypatch):
+    if path == "spectral":
+        A = random_normal_operator(n, 3)
+        assert A.spectral() is not None
+        return A
+    return _dense_twin(random_sectorial_operator(n, 4, 0.5).matrix, monkeypatch)
+
+
+def _weak_reference(A, alpha, betas, pairs):
+    """One-shot weak samples: the three-operand einsum on the dense path,
+    d @ weights on the spectral one."""
+    xs, ys = pairs
+    zs = alpha + 1j * betas
+    spec = A.spectral()
+    if spec is None:
+        inv = np.linalg.inv(zs[:, None, None] * np.eye(A.n) + A.matrix)
+        r2 = inv @ inv
+        return np.linalg.svd(r2, compute_uv=False)[:, 0], np.einsum(
+            "kij,jp,ip->kp", r2, xs, ys.conj()
+        )
+    qh = spec.q.conj().T
+    d = (zs[:, None] + spec.lam) ** -2
+    return np.abs(d).max(axis=1), d @ ((qh @ xs) * (qh @ ys).conj())
+
+
+class TestWeakSamples:
+    @pytest.mark.parametrize("n", [1, 3, 12])
+    @pytest.mark.parametrize("path", ["spectral", "dense"])
+    def test_blocks_match_one_shot(self, path, n, monkeypatch):
+        A = _weak_operator(path, n, monkeypatch)
+        pairs = _unit_pairs(n)
+        f = _weak_integrand(A, pairs)
+        width = pairs[0].shape[1] * (n if path == "dense" else 1)
+        step = _WEAK_BLOCK_ENTRIES // width
+        betas_all = np.linspace(-30.0, 30.0, 570)
+        for k in (1, step - 1, step, step + 1, 570):
+            betas = betas_all[:k]
+            out = f(betas)
+            opn, weak = _weak_reference(A, 0.5, betas, pairs)
+            assert out.shape == (k, 1 + pairs[0].shape[1])
+            assert np.array_equal(out[:, 0], opn)
+            weak = np.abs(weak)
+            assert float(np.max(np.abs(out[:, 1:] - weak))) <= 1e-13 * float(weak.max()), k
+
+    @pytest.mark.parametrize("path,n", [("dense", 3), ("spectral", 3), ("spectral", 12)])
+    def test_working_memory(self, path, n, monkeypatch):
+        """One call at 570 points (38 panels) allocates at most twice its output;
+        a concatenated or one-shot weak block took three times or more."""
+        A = _weak_operator(path, n, monkeypatch)
+        f = _weak_integrand(A, _unit_pairs(n))
+        betas = np.linspace(-30.0, 30.0, 570)
+        out = f(betas)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            f(betas)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.0 * out.nbytes, peak / out.nbytes
+
+
+@pytest.mark.parametrize("n", [1, 3, 12, 64])
+def test_resolvents_squared_bit_identical(n):
+    rng = np.random.default_rng(n)
+    a = np.diag(rng.uniform(0.5, 3.0, n)) + 0.1 * np.triu(rng.normal(size=(n, n)), 1)
+    A = MatrixOperator(a)
+    zs = 0.7 + 1j * np.linspace(-5.0, 5.0, 9)
+    inv = np.linalg.inv(zs[:, None, None] * np.eye(n) + A.matrix)
+    assert np.array_equal(_resolvents_squared(A, zs), inv @ inv)
 
 
 def _sectoriality_loop(A):

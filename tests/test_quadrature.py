@@ -2,6 +2,7 @@
 certified truncation, oscillatory tails, and supremum search."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from besovcalc.quadrature import (
     integrate_line,
     sup_on_vertical_line,
 )
-from besovcalc.quadrature import _golden_max_multi
+from besovcalc.quadrature import _NODES, _WG_FULL, _WK, _eval_panels, _golden_max_multi
 
 CFG = QuadratureConfig()
 
@@ -293,3 +294,76 @@ class TestEnvelopes:
                     QuadratureConfig(**{name: bad})
             with pytest.raises(InvalidParameter):
                 CFG.with_tolerances(abs_tol=bad)
+
+
+def _panel_values(f, lefts, rights):
+    half = 0.5 * (rights - lefts)
+    pts = 0.5 * (lefts + rights)[:, None] + half[:, None] * _NODES[None, :]
+    vals = np.asarray(f(pts.reshape(-1)))
+    return half, vals.reshape(pts.shape + vals.shape[1:])
+
+
+def _panels_reference(f, lefts, rights):
+    """The reduction that one stacked product replaced: a tensordot per rule
+    for values wider than a scalar, each of which copies the values."""
+    half, vals = _panel_values(f, lefts, rights)
+    if vals.ndim > 2:
+        kron = np.tensordot(vals, _WK, axes=([1], [0]))
+        gauss = np.tensordot(vals, _WG_FULL, axes=([1], [0]))
+    else:
+        kron, gauss = vals @ _WK, vals @ _WG_FULL
+    shape = (-1,) + (1,) * (kron.ndim - 1)
+    kron, gauss = kron * half.reshape(shape), gauss * half.reshape(shape)
+    return kron, np.abs(kron - gauss).reshape(len(half), -1).max(axis=1)
+
+
+def _wide_float(t):
+    """201 columns, the shape of the operator profile's weak samples."""
+    return np.abs(np.cos(np.outer(t, np.linspace(0.1, 3.0, 201)))) / (1.0 + t[:, None] ** 2)
+
+
+def _matrix_valued(t):
+    lam = np.array([1.0, 2.0 + 1.0j, 0.5 - 3.0j])
+    return np.exp(-1j * t[:, None, None] * lam[None, :, None]) * lam[None, None, :] / (
+        1.0 + t[:, None, None] ** 2
+    )
+
+
+class TestPanelReduction:
+    lefts = np.linspace(-40.0, 36.0, 38)
+    rights = lefts + 2.0
+
+    def test_scalar_values_bit_identical(self):
+        def f(t):
+            return np.exp(1j * t) / (1.0 + t**2)
+
+        kron, errs = _eval_panels(f, self.lefts, self.rights)
+        ref_kron, ref_errs = _panels_reference(f, self.lefts, self.rights)
+        assert np.array_equal(kron, ref_kron)
+        assert np.array_equal(errs, ref_errs)
+
+    @pytest.mark.parametrize("f", [_wide_float, _matrix_valued], ids=["width201", "3x3"])
+    def test_wide_values_match_tensordot(self, f):
+        kron, errs = _eval_panels(f, self.lefts, self.rights)
+        ref_kron, ref_errs = _panels_reference(f, self.lefts, self.rights)
+        assert kron.shape == ref_kron.shape and kron.dtype == ref_kron.dtype
+        scale = float(np.max(np.abs(ref_kron)))
+        assert float(np.max(np.abs(kron - ref_kron))) <= 1e-14 * scale
+        assert float(np.max(np.abs(errs - ref_errs))) <= 1e-14 * scale
+        # stored panels must not pin the product of both rules
+        assert kron.base is None
+
+    def test_wide_values_not_copied(self):
+        """The reduction of 38 panels of width-201 values allocates well under
+        the size of the values (the two tensordot calls copied them whole)."""
+        _, vals = _panel_values(_wide_float, self.lefts, self.rights)
+        flat = vals.reshape(-1, vals.shape[-1])
+        _eval_panels(lambda t: flat, self.lefts, self.rights)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            _eval_panels(lambda t: flat, self.lefts, self.rights)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.6 * flat.nbytes, peak / flat.nbytes
