@@ -320,7 +320,6 @@ def cayley_power_check(
     A: MatrixOperator,
     n: int,
     cfg: QuadratureConfig = DEFAULT_CONFIG,
-    cross_check: bool = True,
 ) -> EstimateReport:
     """||V(A)^n|| <= 2 K^2 (3 + 2 log 2n) with V the Cayley transform."""
     if not is_normal(A):
@@ -333,10 +332,8 @@ def cayley_power_check(
     lhs = _opnorm(pw)
     prof = A.profile(cfg)
     rhs = 2.0 * prof.K**2 * (3.0 + 2.0 * math.log(2.0 * n))
-    info = {}
-    if cross_check:
-        via_calc = apply_calculus(A, cayley_pow(n), cfg)
-        info["calculus_gap"] = float(np.max(np.abs(via_calc - pw)))
+    via_calc = apply_calculus(A, cayley_pow(n), cfg)
+    info = {"calculus_gap": float(np.max(np.abs(via_calc - pw)))}
     return EstimateReport(
         "cayley_power", {"A": A.label, "n": n}, lhs, rhs, 1e-10, info=info
     )

@@ -19,7 +19,7 @@ from .quadrature import (
     integrate_line,
 )
 
-__all__ = ["PairingResult", "pairing", "pairing_value", "reproduce_residual", "green_pairing"]
+__all__ = ["PairingResult", "pairing", "reproduce_residual", "green_pairing"]
 
 @dataclass
 class PairingResult:
@@ -80,10 +80,6 @@ def pairing(
     if not certified:
         err = max(err, 0.25 * abs(res.value))
     return PairingResult(complex(res.value), err)
-
-
-def pairing_value(g, f, cfg: QuadratureConfig = DEFAULT_CONFIG) -> complex:
-    return pairing(g, f, cfg).value
 
 
 def reproduce_residual(

@@ -118,8 +118,8 @@ class DecayProfile:
     h: Callable[[np.ndarray], np.ndarray]
     envelope: DecayEnvelope
 
-    def validate(self, grid: np.ndarray | None = None) -> None:
-        ts = np.geomspace(1e-3, 1e3, 61) if grid is None else grid
+    def validate(self) -> None:
+        ts = np.geomspace(1e-3, 1e3, 61)
         vals = np.asarray(self.h(ts), dtype=float)
         if np.any(np.diff(vals) > 1e-12 * (1 + vals[:-1])):
             raise InvalidParameter("decay profile must be nonincreasing")
@@ -213,8 +213,6 @@ class AnalyticFunction:
     class_flags: frozenset = frozenset()
     label: str = "f"
     left_bound: float = 0.0
-    infinity_certified: bool = True
-    decay_profile: DecayProfile | None = None
     summands: tuple["AnalyticFunction", ...] | None = None
 
     def __call__(self, z):
@@ -252,13 +250,6 @@ class AnalyticFunction:
         return replace(self, label=label)
 
 
-def _vec(fn):
-    def wrapped(z):
-        return fn(np.asarray(z, dtype=complex))
-
-    return wrapped
-
-
 # ---------------------------------------------------------------------------
 # Fallback differentiation (Cauchy circle, trapezoid with node doubling)
 # ---------------------------------------------------------------------------
@@ -269,9 +260,6 @@ def cauchy_derivatives(
     z: complex,
     order: int,
     cfg: QuadratureConfig = DEFAULT_CONFIG,
-    *,
-    radius: float | None = None,
-    use_deriv: bool = False,
 ) -> np.ndarray:
     """Derivatives f^(1..order)(z) from trapezoid sums on a circle of radius Re z / 2.
 
@@ -281,11 +269,8 @@ def cauchy_derivatives(
     z = complex(z)
     if z.real <= 0:
         raise InvalidParameter("Cauchy-circle differentiation needs Re z > 0")
-    r = 0.5 * z.real if radius is None else radius
-    if isinstance(f, AnalyticFunction):
-        base = f.deriv_fn if (use_deriv and f.deriv_fn is not None) else f.eval_fn
-    else:
-        base = f
+    r = 0.5 * z.real
+    base = f.eval_fn if isinstance(f, AnalyticFunction) else f
     prev = None
     n = 64
     for _ in range(12):
@@ -331,8 +316,8 @@ def const(c: complex) -> AnalyticFunction:
         e0_upper=0.0,
     )
     return AnalyticFunction(
-        eval_fn=_vec(lambda z: np.full_like(z, c)),
-        deriv_fn=_vec(lambda z: np.zeros_like(z)),
+        eval_fn=lambda z: np.full_like(z, c),
+        deriv_fn=lambda z: np.zeros_like(z),
         profiles=prof,
         value_at_infinity=c,
         class_flags=frozenset({("IN_LM",)}),
@@ -357,8 +342,8 @@ def exp_decay(a: float) -> AnalyticFunction:
         window=3.0 * 2.0 * math.pi / a,
     )
     return AnalyticFunction(
-        eval_fn=_vec(lambda z: np.exp(-a * z)),
-        deriv_fn=_vec(lambda z: -a * np.exp(-a * z)),
+        eval_fn=lambda z: np.exp(-a * z),
+        deriv_fn=lambda z: -a * np.exp(-a * z),
         profiles=prof,
         value_at_infinity=0.0,
         class_flags=frozenset({("IN_LM",), ("EXTENDS_LEFT", math.inf)}),
@@ -393,8 +378,8 @@ def resolvent(a: complex) -> AnalyticFunction:
     if s > 0:
         flags.add(("IN_LM",))
     return AnalyticFunction(
-        eval_fn=_vec(lambda z: 1.0 / (z + a)),
-        deriv_fn=_vec(lambda z: -1.0 / (z + a) ** 2),
+        eval_fn=lambda z: 1.0 / (z + a),
+        deriv_fn=lambda z: -1.0 / (z + a) ** 2,
         profiles=prof,
         value_at_infinity=0.0,
         class_flags=frozenset(flags),
@@ -424,8 +409,8 @@ def cayley_pow(n: int) -> AnalyticFunction:
         window=max(8.0, 2.0 * n),
     )
     return AnalyticFunction(
-        eval_fn=_vec(ev),
-        deriv_fn=_vec(dv),
+        eval_fn=ev,
+        deriv_fn=dv,
         profiles=prof,
         value_at_infinity=1.0,
         class_flags=frozenset({("IN_LM",), ("EXTENDS_LEFT", 1.0)}),
@@ -528,8 +513,8 @@ def exp_inv_shift(t: float) -> AnalyticFunction:
         modulus_outer=ConstEnvelope(c=1.0),
     )
     return AnalyticFunction(
-        eval_fn=_vec(ev),
-        deriv_fn=_vec(dv),
+        eval_fn=ev,
+        deriv_fn=dv,
         profiles=prof,
         value_at_infinity=1.0,
         class_flags=frozenset({("IN_LM",), ("EXTENDS_LEFT", 1.0)}),
@@ -557,8 +542,8 @@ def vitse_reg(t: float) -> AnalyticFunction:
         window=max(8.0, 4.0 * math.sqrt(t)),
     )
     return AnalyticFunction(
-        eval_fn=_vec(ev),
-        deriv_fn=_vec(dv),
+        eval_fn=ev,
+        deriv_fn=dv,
         profiles=prof,
         value_at_infinity=1.0,
         class_flags=frozenset({("IN_LM",)}),
@@ -694,8 +679,8 @@ def laplace_transform(measure: HalfLineMeasure) -> AnalyticFunction:
     )
     parts = _laplace_summands(atoms, dens)
     return AnalyticFunction(
-        eval_fn=_vec(ev),
-        deriv_fn=_vec(dv),
+        eval_fn=ev,
+        deriv_fn=dv,
         profiles=prof,
         value_at_infinity=measure.mass_at_zero(),
         class_flags=frozenset({("IN_LM",)}),
@@ -803,8 +788,8 @@ def bernstein_resolvent(
         modulus_outer=ConstEnvelope(c=1.0 / (kappa * abs(lam))),
     )
     return AnalyticFunction(
-        eval_fn=_vec(ev),
-        deriv_fn=_vec(dv),
+        eval_fn=ev,
+        deriv_fn=dv,
         profiles=prof,
         value_at_infinity=f_inf,
         class_flags=frozenset(),
@@ -876,7 +861,6 @@ def add(f: AnalyticFunction, g: AnalyticFunction) -> AnalyticFunction:
         ),
         label=f"({f.label}+{g.label})",
         left_bound=_merge_left(f, g),
-        infinity_certified=f.infinity_certified and g.infinity_certified,
         summands=(f.summands or (f,)) + (g.summands or (g,)),
     )
 
@@ -919,7 +903,6 @@ def mul(f: AnalyticFunction, g: AnalyticFunction) -> AnalyticFunction:
         ),
         label=f"({f.label}*{g.label})",
         left_bound=_merge_left(f, g),
-        infinity_certified=f.infinity_certified and g.infinity_certified,
     )
 
 
@@ -1034,13 +1017,13 @@ def _sample_grid(f: AnalyticFunction) -> np.ndarray:
     return np.asarray(f.eval_fn(zs))
 
 
-def reciprocal(f: AnalyticFunction, lower_bound: float = 1e-9) -> AnalyticFunction:
+def reciprocal(f: AnalyticFunction) -> AnalyticFunction:
     """1/f; requires |f| bounded away from zero on a sample grid."""
     vals = _sample_grid(f)
     m = float(np.min(np.abs(vals)))
     if f.value_at_infinity is not None:
         m = min(m, abs(f.value_at_infinity))
-    if m <= lower_bound:
+    if m <= 1e-9:
         raise RangeViolation(f"reciprocal needs |f| >= m > 0; sampled minimum {m:.3e}")
     fp = f.profiles
     prof = Profiles(
@@ -1060,7 +1043,6 @@ def reciprocal(f: AnalyticFunction, lower_bound: float = 1e-9) -> AnalyticFuncti
         value_at_infinity=1.0 / fi if fi not in (None, 0) else None,
         label=f"(1/{f.label})",
         left_bound=0.0,
-        infinity_certified=f.infinity_certified and fi not in (None, 0),
     )
 
 
@@ -1097,7 +1079,6 @@ def power(f: AnalyticFunction, beta: float) -> AnalyticFunction:
         value_at_infinity=fi**beta if fi is not None and (fi != 0 or beta > 0) else None,
         label=f"({f.label}**{beta:g})",
         left_bound=0.0,
-        infinity_certified=f.infinity_certified,
     )
 
 

@@ -135,23 +135,15 @@ def fitted_power_envelope(ts: np.ndarray, vals: np.ndarray, what: str) -> PowerE
 
 def b0_norm(f: AnalyticFunction, cfg: QuadratureConfig = DEFAULT_CONFIG) -> NormReport:
     """Integral over x > 0 of the vertical-line supremum of |f'|."""
-    sup_cache: dict[float, float] = {}
-
-    def sup_at(x: float) -> float:
-        got = sup_cache.get(x)
-        if got is None:
-            got = deriv_sup_at(f, x, cfg).value
-            sup_cache[x] = got
-        return got
 
     def integrand(xs):
-        return np.array([sup_at(float(x)) for x in np.asarray(xs, dtype=float)])
+        return np.array([deriv_sup_at(f, float(x), cfg).value for x in np.asarray(xs, dtype=float)])
 
     env = f.profiles.deriv_outer
     certified = True
     if not env.integrable:
         xs = np.geomspace(8.0, 4096.0, 10)
-        env = fitted_power_envelope(xs, np.array([sup_at(x) for x in xs]), "outer integrand")
+        env = fitted_power_envelope(xs, integrand(xs), "outer integrand")
         certified = False
     res = integrate_halfline(integrand, env, cfg, tail_tol=max(cfg.abs_tol, 1e-9))
     if not res.converged:

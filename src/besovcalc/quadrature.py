@@ -180,9 +180,6 @@ class DecayEnvelope:
             freq_hi=self.freq_hi,
         )
 
-    def with_band(self, lo: float, hi: float) -> "DecayEnvelope":
-        return replace(self, freq_lo=lo, freq_hi=hi)
-
     def conjugated(self) -> "DecayEnvelope":
         """Envelope of t -> conj(f(conj-reflected)) use: frequencies negate."""
         return replace(self, freq_lo=-self.freq_hi, freq_hi=-self.freq_lo)
@@ -454,10 +451,6 @@ class QuadResult:
     converged: bool = True
     tail_error: float = 0.0
 
-    def __iter__(self):  # allow  value, err = integrate_...(...)
-        yield self.value
-        yield self.error
-
 
 def _maxabs(x) -> float:
     return float(np.max(np.abs(x)))
@@ -465,8 +458,6 @@ def _maxabs(x) -> float:
 
 def _eval_panels(f, lefts, rights):
     """Return per-panel Kronrod values and |K15-G7| error estimates."""
-    lefts = np.asarray(lefts, dtype=float)
-    rights = np.asarray(rights, dtype=float)
     mid = 0.5 * (lefts + rights)
     half = 0.5 * (rights - lefts)
     pts = mid[:, None] + half[:, None] * _NODES[None, :]
@@ -500,63 +491,55 @@ def integrate_interval(
     """Adaptive Gauss-Kronrod integration of a vectorized integrand over [a, b].
 
     The reported error bounds max(abs_tol, rel_tol*|result|) on success.
+    Panel state is five arrays: kept panels first, then each split's children.
     """
     if not (a < b):
         raise InvalidParameter("integrate_interval requires a < b")
     edges = [a, b] if not breakpoints else sorted({a, b, *(x for x in breakpoints if a < x < b)})
-    lefts = np.array(edges[:-1])
-    rights = np.array(edges[1:])
+    lefts = np.array(edges[:-1], dtype=float)
+    rights = np.array(edges[1:], dtype=float)
     values, errs = _eval_panels(f, lefts, rights)
-    panels = [
-        [lefts[i], rights[i], values[i], errs[i], 0] for i in range(len(lefts))
-    ]  # [left, right, value, err, depth]
-    n_evals = 15 * len(panels)
+    depth = np.zeros(len(lefts), dtype=int)
+    n_evals = 15 * len(lefts)
 
+    # Sums run left to right (cumsum), not in numpy's pairwise order: an outer
+    # rule's |K15-G7| turns last-bit changes of inner values into its error.
     for _ in range(16 * cfg.max_depth):
-        total_err = sum(p[3] for p in panels)
-        total_val = panels[0][2] * 0
-        for p in panels:
-            total_val = total_val + p[2]
+        total_val = np.cumsum(values, axis=0)[-1]
+        total_err = float(np.cumsum(errs)[-1])
         tol = max(cfg.abs_tol, cfg.rel_tol * _maxabs(total_val))
         if total_err <= tol:
             break
-        width_total = b - a
-        share = [
-            max(tol * (p[1] - p[0]) / width_total, tol / (4.0 * len(panels))) for p in panels
-        ]
-        split_idx = [i for i, p in enumerate(panels) if p[3] > share[i] and p[4] < cfg.max_depth]
-        if not split_idx:
+        share = np.maximum(tol * (rights - lefts) / (b - a), tol / (4.0 * len(lefts)))
+        split = (errs > share) & (depth < cfg.max_depth)
+        l, r = lefts[split], rights[split]
+        m = 0.5 * (l + r)
+        if not split.any():
+            failure = f"adaptive bisection stalled: error {total_err:.3e} > tol {tol:.3e}"
+        elif len(lefts) + len(l) > _MAX_PANELS:
+            failure = "panel budget exhausted"
+        elif np.any((m <= l) | (m >= r)):
+            failure = "panel width underflow"
+        else:
+            failure = None
+        if failure is not None:
             if strict:
-                raise DepthExceeded(
-                    f"adaptive bisection stalled: error {total_err:.3e} > tol {tol:.3e}"
-                )
+                raise DepthExceeded(failure)
             return QuadResult(total_val, total_err, n_evals, converged=False)
-        if len(panels) + len(split_idx) > _MAX_PANELS:
-            if strict:
-                raise DepthExceeded("panel budget exhausted")
-            return QuadResult(total_val, total_err, n_evals, converged=False)
-        new_lefts, new_rights, meta = [], [], []
-        for i in split_idx:
-            l, r, _, _, d = panels[i]
-            m = 0.5 * (l + r)
-            if m <= l or m >= r:
-                if strict:
-                    raise DepthExceeded("panel width underflow")
-                return QuadResult(total_val, total_err, n_evals, converged=False)
-            new_lefts += [l, m]
-            new_rights += [m, r]
-            meta += [d + 1, d + 1]
+        # children interleaved: left and right half of each split panel in turn
+        new_lefts = np.column_stack([l, m]).ravel()
+        new_rights = np.column_stack([m, r]).ravel()
         vals2, errs2 = _eval_panels(f, new_lefts, new_rights)
         n_evals += 15 * len(new_lefts)
-        for i in sorted(split_idx, reverse=True):
-            del panels[i]
-        for j in range(len(new_lefts)):
-            panels.append([new_lefts[j], new_rights[j], vals2[j], errs2[j], meta[j]])
-    panels.sort(key=lambda p: p[0])
-    value = panels[0][2] * 0
-    for p in panels:
-        value = value + p[2]
-    total_err = sum(p[3] for p in panels)
+        keep = ~split
+        lefts = np.concatenate([lefts[keep], new_lefts])
+        rights = np.concatenate([rights[keep], new_rights])
+        values = np.concatenate([values[keep], vals2])
+        errs = np.concatenate([errs[keep], errs2])
+        depth = np.concatenate([depth[keep], np.repeat(depth[split] + 1, 2)])
+    order = np.argsort(lefts, kind="stable")
+    value = np.cumsum(values[order], axis=0)[-1]
+    total_err = float(np.cumsum(errs[order])[-1])
     tol = max(cfg.abs_tol, cfg.rel_tol * _maxabs(value))
     if total_err > tol and strict:
         raise DepthExceeded(f"quadrature did not converge: err {total_err:.3e} > tol {tol:.3e}")
@@ -589,38 +572,41 @@ def _dyadic_breakpoints(a: float, b: float, scale: float) -> list[float]:
     return pts
 
 
+def _integrate_truncated(f, envelope, cfg, tails, tail_tol, strict) -> QuadResult:
+    """Integrate f over [0, inf) (tails=1) or the whole line (tails=2); the tail
+    budget (tail_tol, else abs_tol/2) is split equally between the tails."""
+    if not envelope.integrable:
+        raise InvalidParameter("integration to infinity requires an integrable envelope")
+    budget = 0.5 * cfg.abs_tol if tail_tol is None else tail_tol
+    T = envelope.cutoff(budget / tails)
+    if not math.isfinite(T):
+        raise InvalidParameter("envelope tail never reaches the requested tolerance")
+    T = max(T, envelope.t0 * 1.5 + 1e-9, 1.0)
+    bp = _dyadic_breakpoints(0.0, T, max(envelope.t0, 1.0) / 4.0)
+    if tails == 2:  # integrate_interval sorts and deduplicates breakpoints
+        bp += [0.0, *(-x for x in bp)]
+    res = integrate_interval(f, -T if tails == 2 else 0.0, T, cfg, breakpoints=bp, strict=strict)
+    for sign in (1.0, -1.0)[:tails]:
+        _check_envelope(f, envelope, T, sign)
+    value = res.value
+    if envelope.tail_mode(T) == "corrected":
+        ends = np.asarray(f(np.array([-T, T] if tails == 2 else [T])))
+        jump = ends[0] - ends[1] if tails == 2 else -ends[0]
+        value = value + jump / (1j * envelope.single_freq)
+    tail = tails * envelope.effective_tail(T)
+    return QuadResult(value, res.error + tail, res.n_evals, res.converged, tail)
+
+
 def integrate_halfline(
     f,
     envelope: DecayEnvelope,
     cfg: QuadratureConfig = DEFAULT_CONFIG,
     *,
-    start: float = 0.0,
     tail_tol: float | None = None,
     strict: bool = True,
 ) -> QuadResult:
-    """Integrate f over [start, inf) with envelope-certified truncation."""
-    if not envelope.integrable:
-        raise InvalidParameter("half-line integration requires an integrable envelope")
-    eps = 0.5 * cfg.abs_tol if tail_tol is None else tail_tol
-    T = envelope.cutoff(eps)
-    if not math.isfinite(T):
-        raise InvalidParameter("envelope tail never reaches the requested tolerance")
-    T = max(T, start + 1.0, envelope.t0 * 1.5 + 1e-9)
-    res = integrate_interval(
-        f,
-        start,
-        T,
-        cfg,
-        breakpoints=_dyadic_breakpoints(start, T, max(envelope.t0, 1.0) / 4.0),
-        strict=strict,
-    )
-    _check_envelope(f, envelope, T)
-    value = res.value
-    if envelope.tail_mode(T) == "corrected":
-        phi = envelope.single_freq
-        value = value - np.asarray(f(np.array([T])))[0] / (1j * phi)
-    tail = envelope.effective_tail(T)
-    return QuadResult(value, res.error + tail, res.n_evals, res.converged, tail)
+    """Integrate f over [0, inf) with envelope-certified truncation."""
+    return _integrate_truncated(f, envelope, cfg, 1, tail_tol, strict)
 
 
 def integrate_line(
@@ -632,26 +618,7 @@ def integrate_line(
     strict: bool = True,
 ) -> QuadResult:
     """Integrate f over the whole line; the envelope bounds both tails in |t|."""
-    if not envelope.integrable:
-        raise InvalidParameter("line integration requires an integrable envelope")
-    eps = 0.25 * cfg.abs_tol if tail_tol is None else 0.5 * tail_tol
-    T = envelope.cutoff(eps)
-    if not math.isfinite(T):
-        raise InvalidParameter("envelope tail never reaches the requested tolerance")
-    T = max(T, envelope.t0 * 1.5 + 1e-9, 1.0)
-    bp = _dyadic_breakpoints(0.0, T, max(envelope.t0, 1.0) / 4.0)
-    res = integrate_interval(
-        f, -T, T, cfg, breakpoints=sorted({-x for x in bp} | set(bp) | {0.0}), strict=strict
-    )
-    _check_envelope(f, envelope, T, sign=1.0)
-    _check_envelope(f, envelope, T, sign=-1.0)
-    value = res.value
-    if envelope.tail_mode(T) == "corrected":
-        phi = envelope.single_freq
-        ends = np.asarray(f(np.array([-T, T])))
-        value = value + (ends[0] - ends[1]) / (1j * phi)
-    tail = 2.0 * envelope.effective_tail(T)
-    return QuadResult(value, res.error + tail, res.n_evals, res.converged, tail)
+    return _integrate_truncated(f, envelope, cfg, 2, tail_tol, strict)
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ certified truncation, oscillatory tails, and supremum search."""
 import math
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -25,7 +26,16 @@ from besovcalc.quadrature import (
     integrate_line,
     sup_on_vertical_line,
 )
-from besovcalc.quadrature import _NODES, _WG_FULL, _WK, _eval_panels, _golden_max_multi
+from besovcalc import quadrature
+from besovcalc.quadrature import (
+    _NODES,
+    _WG_FULL,
+    _WK,
+    QuadResult,
+    _eval_panels,
+    _golden_max_multi,
+    _maxabs,
+)
 
 CFG = QuadratureConfig()
 
@@ -73,6 +83,14 @@ HALFLINE_BATTERY = [
     ("lorentz", lambda t: 1.0 / (4.0 + t**2), ResolventEnvelope(m=1.0, shift=2.0), math.pi / 4),
     ("damped_cos", lambda t: np.exp(-t) * np.cos(t), ExpEnvelope(a=1.0, c=1.0), 0.5),
     ("inv_square", lambda t: (1.0 + t) ** -2, PowerEnvelope(p=2.0, c=1.0, t0=1.0), 1.0),
+    (
+        # one nonzero frequency: the only case that takes the corrected tail,
+        # e^{-2i} E_2(-2i) by u = 1 + t
+        "fourier_inv_square",
+        lambda t: np.exp(2.0j * t) / (1.0 + t) ** 2,
+        PowerEnvelope(p=2.0, c=1.0, t0=1.0, freq_lo=2.0, freq_hi=2.0),
+        complex(mpmath.exp(-2j) * mpmath.expint(2, -2j)),
+    ),
 ]
 
 LINE_BATTERY = [
@@ -367,3 +385,124 @@ class TestPanelReduction:
         finally:
             tracemalloc.stop()
         assert peak <= 0.6 * flat.nbytes, peak / flat.nbytes
+
+
+def _integrate_interval_reference(f, a, b, cfg, *, breakpoints=None, strict=True):
+    """List-based engine, one Python list [left, right, value, err, depth] per
+    panel: the reference the array-state `integrate_interval` must match."""
+    edges = [a, b] if not breakpoints else sorted({a, b, *(x for x in breakpoints if a < x < b)})
+    lefts = np.array(edges[:-1], dtype=float)
+    rights = np.array(edges[1:], dtype=float)
+    values, errs = _eval_panels(f, lefts, rights)
+    panels = [[lefts[i], rights[i], values[i], errs[i], 0] for i in range(len(lefts))]
+    n_evals = 15 * len(panels)
+    for _ in range(16 * cfg.max_depth):
+        total_err = sum(p[3] for p in panels)
+        total_val = panels[0][2] * 0
+        for p in panels:
+            total_val = total_val + p[2]
+        tol = max(cfg.abs_tol, cfg.rel_tol * _maxabs(total_val))
+        if total_err <= tol:
+            break
+        share = [max(tol * (p[1] - p[0]) / (b - a), tol / (4.0 * len(panels))) for p in panels]
+        split_idx = [i for i, p in enumerate(panels) if p[3] > share[i] and p[4] < cfg.max_depth]
+        if not split_idx:
+            if strict:
+                raise DepthExceeded(
+                    f"adaptive bisection stalled: error {total_err:.3e} > tol {tol:.3e}"
+                )
+            return QuadResult(total_val, total_err, n_evals, converged=False)
+        if len(panels) + len(split_idx) > quadrature._MAX_PANELS:
+            if strict:
+                raise DepthExceeded("panel budget exhausted")
+            return QuadResult(total_val, total_err, n_evals, converged=False)
+        new_lefts, new_rights, meta = [], [], []
+        for i in split_idx:
+            l, r, _, _, d = panels[i]
+            m = 0.5 * (l + r)
+            if m <= l or m >= r:
+                if strict:
+                    raise DepthExceeded("panel width underflow")
+                return QuadResult(total_val, total_err, n_evals, converged=False)
+            new_lefts += [l, m]
+            new_rights += [m, r]
+            meta += [d + 1, d + 1]
+        vals2, errs2 = _eval_panels(f, np.array(new_lefts), np.array(new_rights))
+        n_evals += 15 * len(new_lefts)
+        for i in sorted(split_idx, reverse=True):
+            del panels[i]
+        for j in range(len(new_lefts)):
+            panels.append([new_lefts[j], new_rights[j], vals2[j], errs2[j], meta[j]])
+    panels.sort(key=lambda p: p[0])
+    value = panels[0][2] * 0
+    for p in panels:
+        value = value + p[2]
+    total_err = sum(p[3] for p in panels)
+    tol = max(cfg.abs_tol, cfg.rel_tol * _maxabs(value))
+    if total_err > tol and strict:
+        raise DepthExceeded(f"quadrature did not converge: err {total_err:.3e} > tol {tol:.3e}")
+    return QuadResult(value, total_err, n_evals, converged=total_err <= tol)
+
+
+_SINGULAR_CFG = QuadratureConfig(abs_tol=1e-13, rel_tol=1e-13, max_depth=12)
+
+# (name, integrand, a, b, breakpoints, cfg)
+ENGINE_CASES = [
+    ("rational", lambda t: 1.0 / (1.0 + t**2), -1e3, 1e3, None, CFG),
+    ("fourier", lambda t: np.exp(2.0j * t) / (1.0 + t**2), -60.0, 60.0, [-9.0, 0.0, 0.5, 9.0], CFG),
+    ("log_breakpoints", lambda t: np.log(np.abs(t)), -1.0, 2.0, [0.0], CFG),
+    (
+        "width201",
+        lambda t: np.cos(np.outer(t, np.linspace(0.1, 3.0, 201))) / (1.0 + t[:, None] ** 2),
+        -40.0,
+        40.0,
+        [-4.0, 0.0, 4.0],
+        CFG,
+    ),
+    ("3x3", _matrix_valued, -30.0, 30.0, None, CFG),
+    ("stall", lambda t: np.abs(t) ** -0.9, 1e-300, 1.0, None, _SINGULAR_CFG),
+    # noise at every scale: every panel splits every round until a limit is hit
+    ("budget", lambda t: np.sin(1e12 * t), 0.0, 1.0, None, CFG),
+    ("width_underflow", lambda t: 1e30 * np.sin(1e18 * t), 1.0, 1.0 + 2.0**-50, None, CFG),
+]
+
+
+class TestArrayEngine:
+    """The array-state engine against the list-based reference: the same
+    splits (n_evals, converged, messages) and the same results."""
+
+    @pytest.mark.parametrize("strict", [True, False])
+    @pytest.mark.parametrize(
+        "name,f,a,b,bp,cfg", ENGINE_CASES, ids=[c[0] for c in ENGINE_CASES]
+    )
+    def test_matches_list_reference(self, name, f, a, b, bp, cfg, strict):
+        def run(engine):
+            try:
+                return engine(f, a, b, cfg, breakpoints=bp, strict=strict)
+            except DepthExceeded as exc:
+                return str(exc)
+
+        got = run(integrate_interval)
+        ref = run(_integrate_interval_reference)
+        if isinstance(ref, str):
+            assert got == ref
+            return
+        assert (got.n_evals, got.converged) == (ref.n_evals, ref.converged)
+        # both sum panels left to right in the same order, so the arithmetic is equal
+        assert np.array_equal(got.value, ref.value)
+        assert got.error == ref.error
+
+    @pytest.mark.parametrize(
+        "name,expected",
+        [
+            ("stall", "adaptive bisection stalled"),
+            ("budget", "panel budget exhausted"),
+            ("width_underflow", "panel width underflow"),
+        ],
+    )
+    def test_each_limit_is_reached(self, name, expected):
+        _, f, a, b, bp, cfg = next(c for c in ENGINE_CASES if c[0] == name)
+        with pytest.raises(DepthExceeded, match=expected):
+            integrate_interval(f, a, b, cfg, breakpoints=bp)
+        res = integrate_interval(f, a, b, cfg, breakpoints=bp, strict=False)
+        assert not res.converged
