@@ -3,13 +3,14 @@
 Improper integrals require a declared decay envelope; the tail beyond the
 truncation point is bounded by the envelope's closed-form tail integral and
 charged to the reported error.  Integrands may be scalar-, vector- or
-matrix-valued; all values at the nodes of a panel batch are computed in one
-vectorized call.
+matrix-valued; the values at the nodes of a panel batch are computed in
+vectorized calls of at most 2**12 points and 2**16 value entries each.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
@@ -54,6 +55,9 @@ class QuadratureConfig:
             for v in (self.abs_tol, self.rel_tol, self.line_trunc_factor)
         ):
             raise InvalidParameter("tolerances and truncation factors must be finite and positive")
+        for name in ("max_depth", "sup_grid_points", "sup_refine_rounds"):
+            if not isinstance(getattr(self, name), numbers.Integral):
+                raise InvalidParameter(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.max_depth < 10:
             raise InvalidParameter("max_depth must be at least 10")
         if self.sup_grid_points < 9 or self.sup_refine_rounds < 1:
@@ -113,23 +117,26 @@ class DecayEnvelope:
             return self.freq_lo
         return 0.0
 
-    def tail_ibp(self, T: float) -> float:
+    def tail_bounds(self, T: float) -> tuple[float, float, float]:
+        """The plain, integration-by-parts and corrected tail bounds at T (inf
+        where the frequency band disables one), from one tail(T) and at most
+        one bound(T)."""
+        plain = self.tail(T)
         w = self.osc_freq
         if w <= 0:
-            return math.inf
-        return (self.bound(T) + _H1_FACTOR * self.tail(T) / T) / w
-
-    def tail_corrected(self, T: float) -> float:
+            return plain, math.inf, math.inf
+        b = self.bound(T)
+        ibp = (b + _H1_FACTOR * plain / T) / w
         w = abs(self.single_freq)
         if w <= 0:
-            return math.inf
-        return (_H1_FACTOR * self.bound(T) / T + _H2_FACTOR * self.tail(T) / T**2) / w**2
+            return plain, ibp, math.inf
+        return plain, ibp, (_H1_FACTOR * b / T + _H2_FACTOR * plain / T**2) / w**2
 
     def effective_tail(self, T: float) -> float:
-        return min(self.tail(T), self.tail_ibp(T), self.tail_corrected(T))
+        return min(self.tail_bounds(T))
 
     def tail_mode(self, T: float) -> str:
-        plain, ibp, corr = self.tail(T), self.tail_ibp(T), self.tail_corrected(T)
+        plain, ibp, corr = self.tail_bounds(T)
         if corr <= min(plain, ibp):
             return "corrected"
         if ibp <= plain:
@@ -150,6 +157,8 @@ class DecayEnvelope:
             return math.inf
         for _ in range(80):
             mid = math.sqrt(lo * hi)
+            if mid == lo or mid == hi:
+                break  # fixed point: neither end can move again
             if self.effective_tail(mid) <= eps:
                 hi = mid
             else:
@@ -456,8 +465,52 @@ def _maxabs(x) -> float:
     return float(np.max(np.abs(x)))
 
 
-def _eval_panels(f, lefts, rights):
-    """Return per-panel Kronrod values and |K15-G7| error estimates."""
+# Each integrand call gets at most this many points, and at most this many
+# value entries (points x entries per value) once the value width is known;
+# a slice always holds at least one whole panel.
+_SLICE_POINTS = 2**12
+_SLICE_ENTRIES = 2**16
+# numpy reduces scalar panels by a BLAS matrix-vector product, whose kernel
+# takes rows in blocks (4 for OpenBLAS on x86-64) and the leftover rows on
+# another path, and a lone panel by a dot product; each path can round the
+# last bit differently.  Slices of more than this many panels are multiples
+# of it, so every panel stays in its block position of a single call.
+_SLICE_ALIGN = 16
+
+
+def _slice_panels(width: int | None) -> int:
+    """Panels per integrand call for values of `width` entries (None: unknown)."""
+    points = _SLICE_POINTS if width is None else min(_SLICE_POINTS, _SLICE_ENTRIES // width)
+    panels = points // 15
+    return panels - panels % _SLICE_ALIGN if panels >= _SLICE_ALIGN else max(panels, 1)
+
+
+def _eval_panels(f, lefts, rights, width: int | None = None):
+    """Return per-panel Kronrod values and |K15-G7| error estimates, calling f
+    on consecutive slices of whole panels (see `_slice_panels`).  The result
+    equals one call over the whole batch bit for bit."""
+    n = len(lefts)
+    step = _slice_panels(width)
+    if n <= step:
+        return _reduce_panels(f, lefts, rights)
+    kron, errs = [], []
+    start = 0
+    while start < n:
+        # near-equal slices, so the last one is never a lone scalar panel
+        rest = n - start
+        size = -(-rest // -(-rest // step))
+        if size < rest:
+            size = min(-(-size // _SLICE_ALIGN) * _SLICE_ALIGN, step)
+        k, e = _reduce_panels(f, lefts[start : start + size], rights[start : start + size])
+        kron.append(k)
+        errs.append(e)
+        start += size
+        step = _slice_panels(k[0].size)
+    return np.concatenate(kron), np.concatenate(errs)
+
+
+def _reduce_panels(f, lefts, rights):
+    """Kronrod values and |K15-G7| error estimates of panels in one call of f."""
     mid = 0.5 * (lefts + rights)
     half = 0.5 * (rights - lefts)
     pts = mid[:, None] + half[:, None] * _NODES[None, :]
@@ -499,6 +552,7 @@ def integrate_interval(
     lefts = np.array(edges[:-1], dtype=float)
     rights = np.array(edges[1:], dtype=float)
     values, errs = _eval_panels(f, lefts, rights)
+    width = values[0].size
     depth = np.zeros(len(lefts), dtype=int)
     n_evals = 15 * len(lefts)
 
@@ -529,7 +583,7 @@ def integrate_interval(
         # children interleaved: left and right half of each split panel in turn
         new_lefts = np.column_stack([l, m]).ravel()
         new_rights = np.column_stack([m, r]).ravel()
-        vals2, errs2 = _eval_panels(f, new_lefts, new_rights)
+        vals2, errs2 = _eval_panels(f, new_lefts, new_rights, width)
         n_evals += 15 * len(new_lefts)
         keep = ~split
         lefts = np.concatenate([lefts[keep], new_lefts])

@@ -31,6 +31,7 @@ from besovcalc.quadrature import (
     _NODES,
     _WG_FULL,
     _WK,
+    _WKG,
     QuadResult,
     _eval_panels,
     _golden_max_multi,
@@ -304,6 +305,19 @@ class TestEnvelopes:
     def test_config_validation(self):
         with pytest.raises(InvalidParameter):
             QuadratureConfig(max_depth=5)
+        # non-integers used to pass here and fail later with a raw TypeError
+        for name, bad in [
+            ("max_depth", 12.5),
+            ("max_depth", math.nan),
+            ("max_depth", 40.0),
+            ("sup_grid_points", 100.5),
+            ("sup_grid_points", math.inf),
+            ("sup_refine_rounds", 2.5),
+            ("sup_refine_rounds", "3"),
+        ]:
+            with pytest.raises(InvalidParameter, match=name):
+                QuadratureConfig(**{name: bad})
+        assert QuadratureConfig(max_depth=np.int64(12)).max_depth == 12
         with pytest.raises(InvalidParameter):
             QuadratureConfig(abs_tol=-1.0)
         for bad in (math.nan, math.inf, -math.inf, 0.0):
@@ -506,3 +520,222 @@ class TestArrayEngine:
             integrate_interval(f, a, b, cfg, breakpoints=bp)
         res = integrate_interval(f, a, b, cfg, breakpoints=bp, strict=False)
         assert not res.converged
+
+
+def _eval_panels_one_call(f, lefts, rights):
+    """The panel evaluation before slicing: every panel of a batch in one call
+    of f, the reference the sliced `_eval_panels` must match bit for bit."""
+    mid = 0.5 * (lefts + rights)
+    half = 0.5 * (rights - lefts)
+    pts = mid[:, None] + half[:, None] * _NODES[None, :]
+    vals = np.asarray(f(pts.reshape(-1)))
+    vals = vals.reshape(pts.shape + vals.shape[1:])
+    if not np.all(np.isfinite(vals)):
+        raise DepthExceeded("non-finite integrand value inside a panel")
+    if vals.ndim == 2:
+        kron, gauss = vals @ _WK, vals @ _WG_FULL
+    else:
+        kg = _WKG @ vals.reshape(len(half), 15, -1)
+        kron, gauss = (kg[:, i].reshape((len(half),) + vals.shape[2:]) for i in (0, 1))
+    kron = kron * half.reshape((-1,) + (1,) * (kron.ndim - 1))
+    gauss = gauss * half.reshape((-1,) + (1,) * (gauss.ndim - 1))
+    diff = np.abs(kron - gauss)
+    errs = diff.reshape(diff.shape[0], -1).max(axis=1)
+    return kron, errs
+
+
+def _scalar_complex(t):
+    u = 1.0 + t * t
+    e = np.exp(1j * t)
+    return e / u + np.sin(t) * e / (u * u)
+
+
+_M64 = np.exp(2j * np.pi * np.outer(np.arange(64), np.arange(64)) / 64.0) / (
+    1.0 + np.arange(64)[None, :]
+)
+
+
+def _matrix64(t):
+    return np.exp(-1j * t)[:, None, None] * _M64[None] / (1.0 + t[:, None, None] ** 2)
+
+
+# (name, integrand, entries per value)
+SLICE_INTEGRANDS = [
+    ("scalar", _scalar_complex, 1),
+    ("real", lambda t: np.cos(3.0 * t) / (1.0 + t * t), 1),  # dgemv, not zgemv
+    ("width201", _wide_float, 201),
+    ("64x64", _matrix64, 4096),
+]
+
+
+def _slice_cases():
+    for name, f, width in SLICE_INTEGRANDS:
+        # a 64x64 value is 64 KB a point: an unknown width's first slice of
+        # 273 panels would hold 268 MB, so that case runs with its width only
+        for known in (None, width) if width < 4096 else (width,):
+            step = quadrature._slice_panels(known)
+            for n in sorted({max(step - 1, 1), step, step + 1, 2 * step + 1}):
+                yield pytest.param(f, known, n, id=f"{name}-{'known' if known else 'first'}-{n}")
+
+
+class TestPanelSlices:
+    """`_eval_panels` calls the integrand on slices of whole panels; the
+    result must equal the one-call evaluation exactly."""
+
+    @pytest.mark.parametrize("f,width,n", list(_slice_cases()))
+    def test_bit_identical_to_one_call(self, f, width, n):
+        lefts = np.linspace(-30.0, 30.0, n + 1)[:-1]
+        rights = lefts + 60.0 / n
+        kron, errs = _eval_panels(f, lefts, rights, width)
+        ref_kron, ref_errs = _eval_panels_one_call(f, lefts, rights)
+        assert kron.shape == ref_kron.shape and kron.dtype == ref_kron.dtype
+        assert np.array_equal(kron, ref_kron)
+        assert np.array_equal(errs, ref_errs)
+
+    def test_slice_sizes(self):
+        assert quadrature._slice_panels(None) == quadrature._slice_panels(1) == 272
+        assert quadrature._slice_panels(201) == 16  # 240 points, 48,240 entries
+        assert quadrature._slice_panels(2**16 // 30) == 2  # 30 points
+        assert quadrature._slice_panels(4096) == 1
+        assert quadrature._slice_panels(10**6) == 1  # never less than a panel
+
+    def test_non_finite_value_in_a_later_slice(self):
+        lefts = np.arange(600.0)
+
+        def f(t):
+            return np.where(t > 590.0, np.nan, 1.0 / (1.0 + t * t))
+
+        with pytest.raises(DepthExceeded, match="non-finite integrand value inside a panel"):
+            _eval_panels(f, lefts, lefts + 1.0, 1)
+
+    @pytest.mark.parametrize(
+        "f,a,b,cfg",
+        [
+            # every panel splits every round until depth 14: rounds of up to 8,192 panels
+            (lambda t: np.sin(1e12 * t), 0.0, 1.0, QuadratureConfig(max_depth=14)),
+            (
+                lambda t: np.sin(1e12 * t)[:, None] * np.linspace(0.1, 3.0, 201),
+                0.0,
+                1.0,
+                QuadratureConfig(max_depth=10),
+            ),
+            (_matrix64, -30.0, 30.0, CFG),
+        ],
+        ids=["scalar", "width201", "64x64"],
+    )
+    def test_every_call_after_the_first_is_bounded(self, f, a, b, cfg):
+        calls = []
+
+        def recorded(t):
+            out = np.asarray(f(t))
+            calls.append((len(t), out.size))
+            return out
+
+        res = integrate_interval(recorded, a, b, cfg, strict=False)
+        assert sum(points for points, _ in calls) == res.n_evals
+        assert len(calls) > 2
+        for points, entries in calls[1:]:
+            assert points <= 2**12 and entries <= 2**16, (points, entries)
+
+    def test_round_memory_is_bounded(self):
+        """One round of 1,420 panels (21,300 points) of a scalar complex
+        integrand with several temporaries: the one-call evaluation peaks at
+        about 5x the batch's complex values, the sliced one well under 2x."""
+        lefts = np.linspace(0.0, 1419.0, 1420)
+        rights = lefts + 1.0
+        values_nbytes = 15 * len(lefts) * 16
+        _eval_panels(_scalar_complex, lefts, rights, 1)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            _eval_panels(_scalar_complex, lefts, rights, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * values_nbytes, peak / values_nbytes
+
+
+def _effective_tail_reference(env, T):
+    """min(plain, IBP, corrected) with each bound evaluated on its own."""
+    plain = env.tail(T)
+    w = env.osc_freq
+    ibp = math.inf if w <= 0 else (env.bound(T) + 6.0 * env.tail(T) / T) / w
+    w = abs(env.single_freq)
+    corr = (
+        math.inf
+        if w <= 0
+        else (6.0 * env.bound(T) / T + 36.0 * env.tail(T) / T**2) / w**2
+    )
+    return min(plain, ibp, corr)
+
+
+def _cutoff_reference(env, eps, t_max=1e308):
+    """The cutoff search with all 80 bisection rounds."""
+    lo = max(env.t0, 1e-12)
+    if _effective_tail_reference(env, lo) <= eps:
+        return lo
+    hi = lo
+    for _ in range(220):
+        hi = min(hi * 2.0, t_max)
+        if _effective_tail_reference(env, hi) <= eps or hi >= t_max:
+            break
+    if _effective_tail_reference(env, hi) > eps:
+        return math.inf
+    for _ in range(80):
+        mid = math.sqrt(lo * hi)
+        if _effective_tail_reference(env, mid) <= eps:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+_BANDS = {"zero": (0.0, 0.0), "banded": (1.0, 3.0), "single": (2.0, 2.0), "negative": (-0.5, -0.5)}
+
+
+def _cutoff_envelopes():
+    for band, (lo, hi) in _BANDS.items():
+        kw = dict(freq_lo=lo, freq_hi=hi)
+        yield f"power-{band}", PowerEnvelope(p=2.5, c=3.0, t0=1.0, **kw)
+        yield f"exp-{band}", ExpEnvelope(a=0.7, c=2.0, **kw)
+        yield f"resolvent-{band}", ResolventEnvelope(m=1.5, shift=0.3, **kw)
+        yield f"stretched-{band}", StretchedExpEnvelope(alpha=0.5, rho=2.0, c=1.0, t0=0.5, **kw)
+        yield f"sum-{band}", SumEnvelope.of(
+            PowerEnvelope(p=3.0, c=1.0, t0=2.0, **kw), ExpEnvelope(a=1.0, c=5.0, **kw)
+        )
+
+
+class TestCutoff:
+    """`cutoff` leaves its bisection at the fixed point; T must equal the
+    80-round search's exactly."""
+
+    @pytest.mark.parametrize("env", [pytest.param(e, id=n) for n, e in _cutoff_envelopes()])
+    @pytest.mark.parametrize("eps", [1e2, 1e-3, 1.5e-8, 1e-14])
+    def test_matches_full_bisection(self, env, eps):
+        assert env.cutoff(eps) == _cutoff_reference(env, eps)
+        for T in (0.5, 3.0, 1e4):
+            assert env.effective_tail(T) == _effective_tail_reference(env, T)
+
+    @pytest.mark.parametrize("t_max", [1.0, 10.0, 1e3])
+    def test_t_max_cap_and_inf(self, t_max):
+        env = PowerEnvelope(p=1.5, c=1.0, t0=0.25)
+        for eps in (1e-1, 1e-2, 1e-6):
+            got = env.cutoff(eps, t_max)
+            assert got == _cutoff_reference(env, eps, t_max)
+        assert env.cutoff(1e-6, t_max) == math.inf
+
+    def test_reaches_the_fixed_point(self):
+        """The exit is taken: the search makes fewer effective_tail calls."""
+        env = ExpEnvelope(a=1.0, c=1.0)
+        calls = []
+
+        class Counted(ExpEnvelope):
+            def effective_tail(self, T):
+                calls.append(T)
+                return super().effective_tail(T)
+
+        T = Counted(a=1.0, c=1.0).cutoff(1e-9)
+        assert T == env.cutoff(1e-9) == _cutoff_reference(env, 1e-9)
+        # lo, the doublings, hi again, then one call per bisection round
+        doublings = next(k for k in range(1, len(calls)) if calls[k + 1] == calls[k])
+        assert 40 < len(calls) - (doublings + 2) < 80
