@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidParameter, NotDiagonalizable
-from .estimates import EstimateReport, majorant_integral
+from .estimates import EstimateReport, majorant_integral, require_positive
 from .functions import (
     AnalyticFunction,
     DecayProfile,
@@ -119,6 +119,7 @@ def check_band_operator(
     cfg: QuadratureConfig = DEFAULT_CONFIG,
 ) -> EstimateReport:
     """Spectral-band operator bound, Hilbert or sectorial flavour by profile."""
+    require_positive(eps=eps, sigma=sigma)
     rep = apply_calculus_report(A, f, cfg)
     lhs = _opnorm(rep.value)
     prof = A.profile(cfg)
@@ -155,6 +156,7 @@ def check_smoothed_window(
     cfg: QuadratureConfig = DEFAULT_CONFIG,
 ) -> EstimateReport:
     """||g(A) exp(-tau A)|| <= 2 K^2 (2 + log(1 + 1/(omega tau))/2) * left-line sup."""
+    require_positive(omega=omega, tau=tau)
     if not is_normal(A):
         raise InvalidParameter("smoothed-window bound is for the Hilbert model")
     if g.left_bound < omega:
@@ -183,6 +185,7 @@ def check_fractional_smoothing(
     cfg: QuadratureConfig = DEFAULT_CONFIG,
 ) -> EstimateReport:
     """||g(A) (lam+A)^(-alpha)|| <= (4 + 1/alpha) K^2 / m^alpha * left-line sup."""
+    require_positive(alpha=alpha, omega=omega)
     if not is_normal(A):
         raise InvalidParameter("fractional-smoothing bound is for the Hilbert model")
     if not A.diagonalizable:
@@ -215,6 +218,7 @@ def check_deriv_operator(
     cfg: QuadratureConfig = DEFAULT_CONFIG,
 ) -> EstimateReport:
     """||f'(A)|| <= 3 K^2 / omega * left-line sup of f."""
+    require_positive(omega=omega)
     if not is_normal(A):
         raise InvalidParameter("derivative-operator bound is for the Hilbert model")
     rep = apply_calculus_report(A, fprime, cfg)
@@ -322,6 +326,7 @@ def cayley_power_check(
     cfg: QuadratureConfig = DEFAULT_CONFIG,
 ) -> EstimateReport:
     """||V(A)^n|| <= 2 K^2 (3 + 2 log 2n) with V the Cayley transform."""
+    require_positive(n=n)
     if not is_normal(A):
         raise InvalidParameter("Cayley power bound is for the Hilbert model")
     eye = np.eye(A.n)
@@ -386,6 +391,9 @@ def convergence_demo(
 ) -> ConvergenceTable:
     """|| f(A/n) x - f(0) x || along n, plus the non-convergent stretched family
     f(n z) reported without any assertion."""
+    n_list = list(n_list)
+    if not n_list or min(n_list) < 1:
+        raise InvalidParameter(f"the convergence demo needs integers n >= 1, got {n_list}")
     x = np.asarray(x, dtype=complex)
     f0 = complex(f(BOUNDARY_OFFSET))
     fin = complex(f.infinity())

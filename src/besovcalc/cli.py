@@ -13,7 +13,7 @@ import numpy as np
 from .duality import pairing
 from .applications import convergence_demo
 from .errors import BesovCalcError
-from .functions import parse_function_spec
+from .functions import parse_function_spec, parse_number
 from .norms import b0_norm, b_norm, e0_norm, hinf_norm
 from .operators import apply_calculus_report, parse_operator_spec, profile
 from .quadrature import QuadratureConfig
@@ -214,7 +214,7 @@ def run(argv=None) -> int:
         if args.command == "demo":
             A = parse_operator_spec(args.A)
             f = parse_function_spec(args.f)
-            ns = [int(v) for v in args.n_list.split(",")]
+            ns = [parse_number(v, "--n-list entry", int) for v in args.n_list.split(",")]
             rng = np.random.default_rng(args.seed)
             x = rng.normal(size=A.n) + 1j * rng.normal(size=A.n)
             x /= np.linalg.norm(x)

@@ -47,6 +47,14 @@ __all__ = [
     "check_bernstein",
 ]
 
+
+def require_positive(**params: float) -> None:
+    """Reject the first parameter that is not > 0, by name."""
+    for name, value in params.items():
+        if not value > 0:
+            raise InvalidParameter(f"{name} must be positive, got {value!r}")
+
+
 @dataclass
 class EstimateReport:
     estimate_id: str
@@ -105,6 +113,7 @@ def check_deriv_bound(
 ) -> EstimateReport:
     """Derivative norm bound for functions holomorphic on Re z > -omega:
     ||f'||_B <= 3/(2 omega) * sup over that half-plane of |f|."""
+    require_positive(omega=omega)
     if f.left_bound < omega:
         raise InvalidParameter("f does not extend left far enough for this bound")
     lhs = b_norm(fprime, cfg)
@@ -136,6 +145,7 @@ def check_product_bound(
 ) -> EstimateReport:
     """Product bound: ||fg||_B <= ||f||_B ||g||_inf + (H-norm of g)/2 * weighted
     integral of the modulus profile of f."""
+    require_positive(omega=omega)
     if g.left_bound < omega:
         raise InvalidParameter("g does not extend left far enough for this bound")
     lhs = b_norm(mul(f, g), cfg)
@@ -161,8 +171,7 @@ def check_exp_window(
 ) -> EstimateReport:
     """Exponentially windowed bound: for f = e_tau * g with g holomorphic on
     Re z > -omega, ||f||_B <= e^(-omega tau) (2 + log(1 + 1/(tau omega))/2) * H-norm."""
-    if tau <= 0 or omega <= 0:
-        raise InvalidParameter("needs tau > 0 and omega > 0")
+    require_positive(tau=tau, omega=omega)
     if g.left_bound < omega:
         raise InvalidParameter("g does not extend left far enough for this bound")
     f = mul(exp_decay(tau), g)
@@ -198,6 +207,7 @@ def check_decay_majorant(
 ) -> EstimateReport:
     """Boundary-decay bound: ||f(.+omega)||_B0 <= 3 int h(t)/(omega+t) dt where
     h majorizes |f| far out on the boundary."""
+    require_positive(omega=omega)
     h.validate()
     ss = np.geomspace(0.1, 200.0, 40)
     fb = np.abs(f(BOUNDARY_OFFSET + 1j * ss))

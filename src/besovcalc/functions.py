@@ -40,7 +40,6 @@ __all__ = [
     "parse_complex",
     "parse_number",
     "SpecArgs",
-    "deriv_fallback",
     "cauchy_derivatives",
     "add",
     "mul",
@@ -207,7 +206,7 @@ class AnalyticFunction:
     """
 
     eval_fn: Callable[[np.ndarray], np.ndarray]
-    deriv_fn: Callable[[np.ndarray], np.ndarray] | None
+    deriv_fn: Callable[[np.ndarray], np.ndarray]
     profiles: Profiles
     value_at_infinity: complex | None = None
     class_flags: frozenset = frozenset()
@@ -215,18 +214,18 @@ class AnalyticFunction:
     left_bound: float = 0.0
     summands: tuple["AnalyticFunction", ...] | None = None
 
+    def __post_init__(self):
+        if not callable(self.deriv_fn):
+            raise InvalidParameter(f"{self.label} needs a callable deriv_fn")
+
     def __call__(self, z):
         scalar = np.isscalar(z)
         out = self.eval_fn(np.asarray(z, dtype=complex))
         return complex(out) if scalar and np.ndim(out) == 0 else out
 
-    def deriv(self, z, cfg: QuadratureConfig = DEFAULT_CONFIG):
+    def deriv(self, z):
         scalar = np.isscalar(z)
-        za = np.atleast_1d(np.asarray(z, dtype=complex))
-        if self.deriv_fn is not None:
-            out = self.deriv_fn(za)
-        else:
-            out = np.array([deriv_fallback(self, w, cfg) for w in za])
+        out = self.deriv_fn(np.atleast_1d(np.asarray(z, dtype=complex)))
         out = out.reshape(np.shape(np.asarray(z)))
         return complex(out) if scalar else out
 
@@ -251,7 +250,7 @@ class AnalyticFunction:
 
 
 # ---------------------------------------------------------------------------
-# Fallback differentiation (Cauchy circle, trapezoid with node doubling)
+# Cauchy-circle differentiation (trapezoid with node doubling)
 # ---------------------------------------------------------------------------
 
 
@@ -290,13 +289,6 @@ def cauchy_derivatives(
         prev = ders
         n *= 2
     raise NonConvergence("circle derivative did not stabilise after max doublings")
-
-
-def deriv_fallback(
-    f: AnalyticFunction, z: complex, cfg: QuadratureConfig = DEFAULT_CONFIG
-) -> complex:
-    """First derivative by the Cauchy-circle rule at radius Re z / 2."""
-    return complex(cauchy_derivatives(f, z, 1, cfg)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -847,11 +839,7 @@ def add(f: AnalyticFunction, g: AnalyticFunction) -> AnalyticFunction:
     )
     return AnalyticFunction(
         eval_fn=lambda z: f.eval_fn(z) + g.eval_fn(z),
-        deriv_fn=(
-            (lambda z: f.deriv_fn(z) + g.deriv_fn(z))
-            if f.deriv_fn is not None and g.deriv_fn is not None
-            else None
-        ),
+        deriv_fn=lambda z: f.deriv_fn(z) + g.deriv_fn(z),
         profiles=prof,
         value_at_infinity=fi + gi if fi is not None and gi is not None else None,
         class_flags=_flags_binary(
@@ -891,11 +879,7 @@ def mul(f: AnalyticFunction, g: AnalyticFunction) -> AnalyticFunction:
     )
     return AnalyticFunction(
         eval_fn=lambda z: f.eval_fn(z) * g.eval_fn(z),
-        deriv_fn=(
-            (lambda z: f.deriv_fn(z) * g.eval_fn(z) + f.eval_fn(z) * g.deriv_fn(z))
-            if f.deriv_fn is not None and g.deriv_fn is not None
-            else None
-        ),
+        deriv_fn=lambda z: f.deriv_fn(z) * g.eval_fn(z) + f.eval_fn(z) * g.deriv_fn(z),
         profiles=prof,
         value_at_infinity=fi * gi if fi is not None and gi is not None else None,
         class_flags=_flags_binary(
@@ -920,7 +904,7 @@ def scale(f: AnalyticFunction, c: complex) -> AnalyticFunction:
     return replace(
         f,
         eval_fn=lambda z: c * f.eval_fn(z),
-        deriv_fn=(lambda z: c * f.deriv_fn(z)) if f.deriv_fn is not None else None,
+        deriv_fn=lambda z: c * f.deriv_fn(z),
         profiles=prof,
         value_at_infinity=(
             c * f.value_at_infinity if f.value_at_infinity is not None else None
@@ -957,11 +941,7 @@ def shift(f: AnalyticFunction, a: complex) -> AnalyticFunction:
     return replace(
         f,
         eval_fn=lambda z: f.eval_fn(np.asarray(z, dtype=complex) + a),
-        deriv_fn=(
-            (lambda z: f.deriv_fn(np.asarray(z, dtype=complex) + a))
-            if f.deriv_fn is not None
-            else None
-        ),
+        deriv_fn=lambda z: f.deriv_fn(np.asarray(z, dtype=complex) + a),
         profiles=prof,
         class_flags=frozenset(flags),
         label=f"shift({f.label},{a})",
@@ -995,11 +975,7 @@ def dilate(f: AnalyticFunction, b: float) -> AnalyticFunction:
     return replace(
         f,
         eval_fn=lambda z: f.eval_fn(b * np.asarray(z, dtype=complex)),
-        deriv_fn=(
-            (lambda z: b * f.deriv_fn(b * np.asarray(z, dtype=complex)))
-            if f.deriv_fn is not None
-            else None
-        ),
+        deriv_fn=lambda z: b * f.deriv_fn(b * np.asarray(z, dtype=complex)),
         profiles=prof,
         class_flags=frozenset(flags),
         label=f"dilate({f.label},{b:g})",
@@ -1036,9 +1012,7 @@ def reciprocal(f: AnalyticFunction) -> AnalyticFunction:
     fi = f.value_at_infinity
     return AnalyticFunction(
         eval_fn=lambda z: 1.0 / f.eval_fn(z),
-        deriv_fn=(
-            (lambda z: -f.deriv_fn(z) / f.eval_fn(z) ** 2) if f.deriv_fn is not None else None
-        ),
+        deriv_fn=lambda z: -f.deriv_fn(z) / f.eval_fn(z) ** 2,
         profiles=prof,
         value_at_infinity=1.0 / fi if fi not in (None, 0) else None,
         label=f"(1/{f.label})",
@@ -1070,11 +1044,7 @@ def power(f: AnalyticFunction, beta: float) -> AnalyticFunction:
     fi = f.value_at_infinity
     return AnalyticFunction(
         eval_fn=lambda z: np.power(f.eval_fn(z), beta),
-        deriv_fn=(
-            (lambda z: beta * np.power(f.eval_fn(z), beta - 1.0) * f.deriv_fn(z))
-            if f.deriv_fn is not None
-            else None
-        ),
+        deriv_fn=lambda z: beta * np.power(f.eval_fn(z), beta - 1.0) * f.deriv_fn(z),
         profiles=prof,
         value_at_infinity=fi**beta if fi is not None and (fi != 0 or beta > 0) else None,
         label=f"({f.label}**{beta:g})",

@@ -4,7 +4,8 @@ Improper integrals require a declared decay envelope; the tail beyond the
 truncation point is bounded by the envelope's closed-form tail integral and
 charged to the reported error.  Integrands may be scalar-, vector- or
 matrix-valued; the values at the nodes of a panel batch are computed in
-vectorized calls of at most 2**12 points and 2**16 value entries each.
+vectorized calls of at most 2**12 points and 2**16 value entries each, and
+each panel is summed on its own, so no result depends on that slicing.
 """
 
 from __future__ import annotations
@@ -470,25 +471,18 @@ def _maxabs(x) -> float:
 # a slice always holds at least one whole panel.
 _SLICE_POINTS = 2**12
 _SLICE_ENTRIES = 2**16
-# numpy reduces scalar panels by a BLAS matrix-vector product, whose kernel
-# takes rows in blocks (4 for OpenBLAS on x86-64) and the leftover rows on
-# another path, and a lone panel by a dot product; each path can round the
-# last bit differently.  Slices of more than this many panels are multiples
-# of it, so every panel stays in its block position of a single call.
-_SLICE_ALIGN = 16
 
 
 def _slice_panels(width: int | None) -> int:
     """Panels per integrand call for values of `width` entries (None: unknown)."""
     points = _SLICE_POINTS if width is None else min(_SLICE_POINTS, _SLICE_ENTRIES // width)
-    panels = points // 15
-    return panels - panels % _SLICE_ALIGN if panels >= _SLICE_ALIGN else max(panels, 1)
+    return max(points // 15, 1)
 
 
 def _eval_panels(f, lefts, rights, width: int | None = None):
     """Return per-panel Kronrod values and |K15-G7| error estimates, calling f
-    on consecutive slices of whole panels (see `_slice_panels`).  The result
-    equals one call over the whole batch bit for bit."""
+    on consecutive slices of whole panels (see `_slice_panels`).  Each panel is
+    summed on its own, so the result does not depend on the slicing."""
     n = len(lefts)
     step = _slice_panels(width)
     if n <= step:
@@ -496,15 +490,10 @@ def _eval_panels(f, lefts, rights, width: int | None = None):
     kron, errs = [], []
     start = 0
     while start < n:
-        # near-equal slices, so the last one is never a lone scalar panel
-        rest = n - start
-        size = -(-rest // -(-rest // step))
-        if size < rest:
-            size = min(-(-size // _SLICE_ALIGN) * _SLICE_ALIGN, step)
-        k, e = _reduce_panels(f, lefts[start : start + size], rights[start : start + size])
+        k, e = _reduce_panels(f, lefts[start : start + step], rights[start : start + step])
         kron.append(k)
         errs.append(e)
-        start += size
+        start += step
         step = _slice_panels(k[0].size)
     return np.concatenate(kron), np.concatenate(errs)
 
@@ -518,12 +507,10 @@ def _reduce_panels(f, lefts, rights):
     vals = vals.reshape(pts.shape + vals.shape[1:])
     if not np.all(np.isfinite(vals)):
         raise DepthExceeded("non-finite integrand value inside a panel")
-    if vals.ndim == 2:
-        kron, gauss = vals @ _WK, vals @ _WG_FULL
-    else:
-        # one product against both rules; wide values are never copied
-        kg = _WKG @ vals.reshape(len(half), 15, -1)
-        kron, gauss = (kg[:, i].reshape((len(half),) + vals.shape[2:]) for i in (0, 1))
+    # one stacked product against both rules for every value shape: each
+    # panel's sums come from that panel alone, and wide values are never copied
+    kg = _WKG @ vals.reshape(len(half), 15, -1)
+    kron, gauss = (kg[:, i].reshape((len(half),) + vals.shape[2:]) for i in (0, 1))
     # the scaled arrays own their memory, so stored panels do not pin `kg`
     kron = kron * half.reshape((-1,) + (1,) * (kron.ndim - 1))
     gauss = gauss * half.reshape((-1,) + (1,) * (gauss.ndim - 1))

@@ -34,6 +34,7 @@ from .estimates import (
 from .functions import (
     BernsteinFunction,
     DecayProfile,
+    _parse_pair_list,
     mul,
     parse_complex,
     parse_function_spec,
@@ -80,9 +81,9 @@ def _bernstein_from(name: str) -> BernsteinFunction:
 
 def _run_band_embedding(p, cfg):
     eps, sigma = _real(p, "eps", 1.0), _real(p, "sigma", 4.0)
-    coeffs = p.get("coeffs")
-    if coeffs is None:
-        coeffs = [(eps, 1.0), (sigma, -1.0)]
+    coeffs = p.get("coeffs", [(eps, 1.0), (sigma, -1.0)])
+    if isinstance(coeffs, str):  # manifest text
+        coeffs = _parse_pair_list(coeffs)
     return check_band_embedding(coeffs, eps, sigma, cfg)
 
 

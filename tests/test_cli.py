@@ -3,6 +3,8 @@
 import json
 import math
 
+import pytest
+
 import besovcalc.suite as suite_mod
 from besovcalc.cli import run
 from besovcalc.estimates import EstimateReport
@@ -60,6 +62,14 @@ def test_demo_command(tmp_path, capsys):
     assert (tmp_path / "demo_curve.csv").exists()
     header = (tmp_path / "demo_curve.csv").read_text().splitlines()[0]
     assert header == "n,shrink,stretch"
+
+
+@pytest.mark.parametrize("n_list", ["0", "abc", "", "1,-4", "2.5"])
+def test_demo_bad_n_list_exit_code(n_list, capsys):
+    rc = run(["demo", "--A", "diag(1,2)", "--n-list", n_list])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error: ") and "Traceback" not in err
 
 
 SMALL_MANIFEST = """

@@ -13,13 +13,14 @@ from besovcalc.errors import (
     UnknownSpec,
 )
 from besovcalc.functions import (
+    AnalyticFunction,
     BernsteinFunction,
     HalfLineMeasure,
     add,
     band_function,
+    cauchy_derivatives,
     cayley_pow,
     const,
-    deriv_fallback,
     dilate,
     eta,
     exp_decay,
@@ -117,19 +118,19 @@ class TestCatalogValues:
 
 class TestDerivatives:
     def test_fallback_exp(self):
-        f = replace(exp_decay(1.0), deriv_fn=None)
-        assert deriv_fallback(f, 1.0, CFG) == pytest.approx(-math.exp(-1.0), abs=1e-10)
+        f = exp_decay(1.0)
+        assert cauchy_derivatives(f, 1.0, 1, CFG)[0] == pytest.approx(-math.exp(-1.0), abs=1e-10)
 
     def test_fallback_resolvent(self):
-        f = replace(resolvent(1.0), deriv_fn=None)
-        assert deriv_fallback(f, 1.0, CFG) == pytest.approx(-0.25, abs=1e-10)
+        f = resolvent(1.0)
+        assert cauchy_derivatives(f, 1.0, 1, CFG)[0] == pytest.approx(-0.25, abs=1e-10)
 
     def test_fallback_cayley_closed_form(self):
         # closed form for the derivative: 2n (z-1)^(n-1) / (z+1)^(n+1)
         n, z = 3, 2.0 + 1.0j
         exact = 2 * n * (z - 1.0) ** (n - 1) / (z + 1.0) ** (n + 1)
-        f = replace(cayley_pow(n), deriv_fn=None)
-        assert abs(deriv_fallback(f, z, CFG) - exact) < 1e-8
+        f = cayley_pow(n)
+        assert abs(cauchy_derivatives(f, z, 1, CFG)[0] - exact) < 1e-8
 
     def test_fallback_bound(self):
         # |f'(z)| <= sup on the circle / radius
@@ -138,16 +139,15 @@ class TestDerivatives:
         r = 0.5
         theta = np.linspace(0, 2 * math.pi, 512)
         circle_sup = float(np.max(np.abs(f(z + r * np.exp(1j * theta)))))
-        assert abs(deriv_fallback(replace(f, deriv_fn=None), z, CFG)) <= circle_sup / r + 1e-9
+        assert abs(cauchy_derivatives(f, z, 1, CFG)[0]) <= circle_sup / r + 1e-9
 
     def test_fallback_nonconvergence(self):
         bad = replace(
             exp_decay(1.0),
             eval_fn=lambda z: np.exp(1.0 / (np.asarray(z) - 0.5)),
-            deriv_fn=None,
         )
         with pytest.raises(NonConvergence):
-            deriv_fallback(bad, 1.0, CFG)
+            cauchy_derivatives(bad, 1.0, 1, CFG)
 
     def test_analytic_matches_fallback_on_catalog(self):
         rng = np.random.default_rng(11)
@@ -155,8 +155,16 @@ class TestDerivatives:
             for _ in range(3):
                 z = complex(rng.uniform(0.3, 4.0), rng.uniform(-3.0, 3.0))
                 direct = complex(f.deriv(z))
-                circle = deriv_fallback(replace(f, deriv_fn=None), z, CFG)
+                circle = cauchy_derivatives(f, z, 1, CFG)[0]
                 assert abs(direct - circle) <= 10 * CFG.rel_tol * (1 + abs(direct))
+
+    def test_deriv_fn_is_required(self):
+        with pytest.raises(InvalidParameter, match="deriv_fn"):
+            replace(exp_decay(1.0), deriv_fn=None)
+        with pytest.raises(InvalidParameter, match="deriv_fn"):
+            AnalyticFunction(
+                eval_fn=np.exp, deriv_fn=None, profiles=exp_decay(1.0).profiles
+            )
 
 
 class TestAlgebra:

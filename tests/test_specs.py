@@ -20,7 +20,8 @@ from besovcalc.functions import (
     resolvent,
 )
 from besovcalc.operators import jordan_operator, parse_operator_spec
-from besovcalc.suite import run_suite
+from besovcalc.quadrature import DEFAULT_CONFIG
+from besovcalc.suite import VALIDATORS, run_suite
 
 ZS = np.array([0.5, 1.0 + 2.0j, 3.0 - 0.5j])
 
@@ -195,6 +196,46 @@ def test_manifest_real_rejected(manifest, tmp_path, capsys):
     mf.write_text(manifest + "\n")
     assert run(["suite", "--manifest", str(mf), "--out", str(tmp_path)]) == 1
     assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "manifest,name",
+    [
+        ("deriv_bound omega=0", "omega"),
+        ("deriv_bound omega=-1", "omega"),
+        ("deriv_operator omega=0", "omega"),
+        ("deriv_operator omega=-1", "omega"),
+        ("smoothed_window omega=0", "omega"),
+        ("smoothed_window tau=0", "tau"),
+        ("smoothed_window omega=-1", "omega"),
+        ("fractional_smoothing alpha=0", "alpha"),
+        ("fractional_smoothing omega=0", "omega"),
+        ("fractional_smoothing alpha=-1", "alpha"),
+        ("decay_majorant omega=0", "omega"),
+        ("cayley_power n=0", "n"),
+        ("cayley_power n=-3", "n"),
+        ("product_bound omega=0", "omega"),
+        ("band_operator f=exp(a=1) eps=0", "eps"),
+    ],
+)
+def test_manifest_outside_hypotheses_rejected(manifest, name, tmp_path, capsys):
+    """A parameter outside its bound's hypotheses is bad input, not a division
+    by zero, a math domain error, a failed bound or a stalled quadrature."""
+    with pytest.raises(InvalidParameter, match=rf"^{name} must be positive"):
+        run_suite(manifest)
+    mf = tmp_path / "bad.suite"
+    mf.write_text(manifest + "\n")
+    assert run(["suite", "--manifest", str(mf), "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert f"{name} must be positive" in err and "Traceback" not in err
+
+
+def test_manifest_band_embedding_coeffs():
+    """Manifest coefficients are text, read by the band(...) spec's pair-list parser."""
+    (rep,) = run_suite("band_embedding eps=1 sigma=4 coeffs=[(1,1),(4,-1)]")
+    run_default, grid = VALIDATORS["band_embedding"]
+    ref = run_default(grid[0], DEFAULT_CONFIG)
+    assert (rep.lhs, rep.rhs) == (ref.lhs, ref.rhs)
 
 
 @pytest.mark.parametrize("text", ["inf", "-inf", "1+infi", "nan"])
