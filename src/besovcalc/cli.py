@@ -15,7 +15,7 @@ from .applications import convergence_demo
 from .errors import BesovCalcError
 from .functions import parse_function_spec, parse_number
 from .norms import b0_norm, b_norm, e0_norm, hinf_norm
-from .operators import apply_calculus_report, parse_operator_spec, profile
+from .operators import _SeededDraws, apply_calculus_report, parse_operator_spec, profile
 from .quadrature import QuadratureConfig
 from .report import curve_csv, json_document, reports_to_csv, reports_to_json
 from .suite import run_suite
@@ -215,9 +215,7 @@ def run(argv=None) -> int:
             A = parse_operator_spec(args.A)
             f = parse_function_spec(args.f)
             ns = [parse_number(v, "--n-list entry", int) for v in args.n_list.split(",")]
-            rng = np.random.default_rng(args.seed)
-            x = rng.normal(size=A.n) + 1j * rng.normal(size=A.n)
-            x /= np.linalg.norm(x)
+            x = _SeededDraws(args.seed).unit_columns(A.n, 1)[:, 0]
             table = convergence_demo(A, f, ns, x, cfg)
             for n, s, st in zip(table.n_values, table.shrink, table.stretch):
                 print(f"n={n:<6} shrink={s:.6e}  stretch={st:.6e}")

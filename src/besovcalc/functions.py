@@ -1084,13 +1084,14 @@ def _split_top(s: str, seps: str) -> list[str]:
     return [p.strip() for p in parts if p.strip()]
 
 
-def _parse_pair_list(text: str) -> list[tuple[float, complex]]:
+def _parse_pair_list(text: str) -> list[tuple[float, float | complex]]:
+    """(location, weight) pairs; a weight with no imaginary part is a float."""
     body = text.strip()
     if not (body.startswith("[") and body.endswith("]")):
         raise InvalidParameter(f"expected a [...] list, got {text!r}")
     items = _split_top(body[1:-1], ",")
     # items like "(0" "1)" got split if tuples are flat; re-pair by parentheses
-    pairs: list[tuple[float, complex]] = []
+    pairs: list[tuple[float, float | complex]] = []
     buf: list[str] = []
     for it in items:
         buf.append(it)
@@ -1102,9 +1103,9 @@ def _parse_pair_list(text: str) -> list[tuple[float, complex]]:
             nums = _split_top(inner, ",")
             if len(nums) != 2:
                 raise InvalidParameter(f"expected (location, weight) pairs in {text!r}")
-            pairs.append(
-                (parse_number(nums[0], "location", float), parse_number(nums[1], "weight"))
-            )
+            location = parse_number(nums[0], "location", float)
+            weight = parse_number(nums[1], "weight")
+            pairs.append((location, weight.real if weight.imag == 0 else weight))
             buf = []
     if buf:
         raise InvalidParameter(f"unbalanced tuple in {text!r}")
@@ -1147,10 +1148,14 @@ def _parse_args(body: str) -> tuple[list[str], dict[str, str]]:
 
 def parse_number(text: str, what: str, kind: type = complex):
     """A finite literal of `kind` (complex, float or int); `what` names it in errors."""
-    v = parse_complex(text)
-    if not cmath.isfinite(v) or (kind is not complex and v.imag != 0) or (
-        kind is int and not v.real.is_integer()
-    ):
+    try:
+        v = parse_complex(text)
+        ok = cmath.isfinite(v) and (kind is complex or v.imag == 0) and (
+            kind is not int or v.real.is_integer()
+        )
+    except InvalidParameter:
+        ok = False
+    if not ok:
         noun = {complex: "number", float: "real number", int: "integer"}[kind]
         raise InvalidParameter(f"{what} must be a finite {noun}, got {text!r}")
     return v if kind is complex else kind(v.real)

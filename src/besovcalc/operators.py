@@ -4,6 +4,7 @@ double-integral calculus, the Hille-Phillips route, and eigen oracles."""
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -67,6 +68,32 @@ _NORMAL_TOL = 1e-10
 _SPECTRAL_TOL = 1e-12
 # entries of the per-row intermediate of the profile's weak samples held at once
 _WEAK_BLOCK_ENTRIES = 2**13
+
+
+class _SeededDraws:
+    """Seeded standard-normal and uniform draws from the standard library's
+    Mersenne Twister, random.Random(seed), filled into arrays in row-major order."""
+
+    def __init__(self, seed: int):
+        # random.Random(-s) repeats the stream of Random(s)
+        if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+            raise InvalidParameter(f"seed must be an integer >= 0, got {seed!r}")
+        self._rng = random.Random(int(seed))
+
+    def normal(self, *shape: int) -> np.ndarray:
+        gauss = self._rng.gauss
+        return np.array([gauss(0.0, 1.0) for _ in range(math.prod(shape))]).reshape(shape)
+
+    def complex_normal(self, *shape: int) -> np.ndarray:
+        return self.normal(*shape) + 1j * self.normal(*shape)
+
+    def uniform(self, lo: float, hi: float, n: int) -> np.ndarray:
+        return np.array([self._rng.uniform(lo, hi) for _ in range(n)])
+
+    def unit_columns(self, n: int, npairs: int) -> np.ndarray:
+        """npairs complex normal columns of length n, each scaled to unit norm."""
+        x = self.complex_normal(n, npairs)
+        return x / np.linalg.norm(x, axis=0, keepdims=True)
 
 
 def _cluster(values: np.ndarray, tol: float) -> list[list[int]]:
@@ -495,38 +522,36 @@ def _gamma_inner(
     local = cfg.with_tolerances(abs_tol=eps, rel_tol=1e-6)
 
     spec = A.spectral()
-    if pairs is not None:
+    npairs = 0 if pairs is None else pairs[0].shape[1]
+    if npairs:
         xs, ys = pairs
-        # rows per block: the per-row intermediate is n*p wide, or p on the spectral path
         if spec is None:
             ys_conj = ys.conj()
-            width = A.n * xs.shape[1]
         else:
             # <Q D Q^H x, y> = D-weighted sum of (Q^H x) conj(Q^H y)
             qh = spec.q.conj().T
             weights = (qh @ xs) * (qh @ ys).conj()
-            width = xs.shape[1]
-        step = max(1, _WEAK_BLOCK_ENTRIES // width)
+    # rows per block: a dense row holds its n*n squared resolvent and its n*p weak
+    # product, a spectral row its p weak samples
+    width = A.n * max(A.n, npairs) if spec is None else max(npairs, 1)
+    step = max(1, _WEAK_BLOCK_ENTRIES // width)
 
     def integrand(betas):
         zs = alpha + 1j * np.asarray(betas, dtype=float)
-        if spec is None:
-            r2 = _resolvents_squared(A, zs)
-            opn = np.linalg.svd(r2, compute_uv=False)[:, 0]
-        else:
+        out = np.empty((len(zs), 1 + npairs))
+        if spec is not None:
             d = (zs[:, None] + spec.lam) ** -2
-            opn = np.abs(d).max(axis=1)
-        if pairs is None:
-            return opn
-        out = np.empty((len(zs), 1 + xs.shape[1]))
-        out[:, 0] = opn
+            out[:, 0] = np.abs(d).max(axis=1)
         for i in range(0, len(zs), step):
+            rows = slice(i, i + step)
             if spec is None:
-                w = ((r2[i : i + step] @ xs) * ys_conj).sum(axis=1)
-            else:
-                w = d[i : i + step] @ weights
-            np.abs(w, out=out[i : i + step, 1:])
-        return out
+                r2 = _resolvents_squared(A, zs[rows])
+                out[rows, 0] = np.linalg.svd(r2, compute_uv=False)[:, 0]
+                if npairs:
+                    np.abs(((r2 @ xs) * ys_conj).sum(axis=1), out=out[rows, 1:])
+            elif npairs:
+                np.abs(d[rows] @ weights, out=out[rows, 1:])
+        return out if npairs else out[:, 0]
 
     res = integrate_line(integrand, env, local, tail_tol=eps, strict=False)
     if pairs is None:
@@ -539,14 +564,12 @@ def profile(A: MatrixOperator, cfg: QuadratureConfig = DEFAULT_CONFIG, seed: int
     """Semigroup bound, sectoriality constant, and the gamma bracket."""
     if A.n == 0:
         raise InvalidParameter("the operator profile needs a matrix of size at least 1x1")
+    draws = _SeededDraws(seed)
+    npairs = 200
+    xs = draws.unit_columns(A.n, npairs)
+    ys = draws.unit_columns(A.n, npairs)
     K = _semigroup_sup(A)
     M = _sectoriality_sup(A)
-    rng = np.random.default_rng(seed)
-    npairs = 200
-    xs = rng.normal(size=(A.n, npairs)) + 1j * rng.normal(size=(A.n, npairs))
-    ys = rng.normal(size=(A.n, npairs)) + 1j * rng.normal(size=(A.n, npairs))
-    xs /= np.linalg.norm(xs, axis=0, keepdims=True)
-    ys /= np.linalg.norm(ys, axis=0, keepdims=True)
 
     alphas = 2.0 ** np.arange(-20.0, 21.0, 1.0)
     weak_alphas = set(np.arange(-20.0, 21.0, 2.0))
@@ -843,26 +866,38 @@ def format_matrix_text(m: np.ndarray) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _check_random_size(n: int) -> None:
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or not 0 <= n <= _MAX_DIM:
+        raise InvalidParameter(f"random operator size n must be an integer in [0, {_MAX_DIM}]")
+
+
 def random_normal_operator(
     n: int, seed: int, box: tuple[float, float, float, float] = (0.5, 5.0, -5.0, 5.0)
 ) -> MatrixOperator:
-    rng = np.random.default_rng(seed)
-    re = rng.uniform(box[0], box[1], n)
-    im = rng.uniform(box[2], box[3], n)
-    g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    q, _ = np.linalg.qr(g)
+    """Q diag(lam) Q^H with lam uniform in the box [re_min, re_max] x [im_min, im_max]
+    and Q the QR factor of a complex normal matrix."""
+    _check_random_size(n)
+    if not (box[0] <= box[1] and box[2] <= box[3]):
+        raise InvalidParameter(f"spectrum box needs min <= max on both axes, got {list(box)}")
+    draws = _SeededDraws(seed)
+    re = draws.uniform(box[0], box[1], n)
+    im = draws.uniform(box[2], box[3], n)
+    q, _ = np.linalg.qr(draws.complex_normal(n, n))
     a = q @ np.diag(re + 1j * im) @ q.conj().T
     return MatrixOperator(a, label=f"normal_random({n},seed={seed})")
 
 
 def random_sectorial_operator(n: int, seed: int, angle: float) -> MatrixOperator:
+    """V diag(lam) V^(-1) with |lam| log-uniform in [0.2, 8], arg lam uniform in
+    [-angle, angle], and V the identity plus 0.3 times a normal strict upper triangle."""
+    _check_random_size(n)
     if not 0 <= angle < math.pi / 2:
         raise InvalidParameter("sector half-angle must be in [0, pi/2)")
-    rng = np.random.default_rng(seed)
-    r = np.exp(rng.uniform(math.log(0.2), math.log(8.0), n))
-    phi = rng.uniform(-angle, angle, n)
+    draws = _SeededDraws(seed)
+    r = np.exp(draws.uniform(math.log(0.2), math.log(8.0), n))
+    phi = draws.uniform(-angle, angle, n)
     lam = r * np.exp(1j * phi)
-    v = np.eye(n) + 0.3 * np.triu(rng.normal(size=(n, n)), 1)
+    v = np.eye(n) + 0.3 * np.triu(draws.normal(n, n), 1)
     a = v @ np.diag(lam) @ np.linalg.inv(v)
     return MatrixOperator(a, label=f"sectorial_random({n},seed={seed})")
 

@@ -37,6 +37,7 @@ from besovcalc.norms import b_norm
 from besovcalc.operators import (
     MatrixOperator,
     _WEAK_BLOCK_ENTRIES,
+    _SeededDraws,
     _expm,
     _gamma_inner,
     _resolvents_squared,
@@ -289,6 +290,91 @@ def test_norms_and_pairings_do_not_import_numpy_random():
     assert done.returncode == 0, done.stderr
 
 
+def test_seeded_draws_do_not_import_numpy_random(tmp_path):
+    """Every seeded draw comes from random.Random: the profile's sample pairs, the
+    *_random operator specs, a manifest row built on one, and demo's start vector."""
+    manifest = tmp_path / "one.suite"
+    manifest.write_text("exp_stable_decay A=normal_random(2,seed=9)\n")
+    script = textwrap.dedent(
+        f"""
+        import sys
+        from besovcalc.cli import run
+        from besovcalc.functions import exp_decay
+        from besovcalc.operators import apply_calculus_report, parse_operator_spec, profile
+        for spec in ("normal_random(3,seed=5)", "sectorial_random(3,seed=3,angle=0.5)"):
+            A = parse_operator_spec(spec)
+            profile(A)
+            apply_calculus_report(A, exp_decay(1.0))
+        assert run(["suite", "--manifest", {str(manifest)!r}]) == 0
+        assert run(["demo", "--A", "diag(1,2)", "--n-list", "1,4"]) == 0
+        assert "numpy.random" not in sys.modules
+        """
+    )
+    src = os.path.dirname(os.path.dirname(besovcalc.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert done.returncode == 0, done.stderr
+
+
+class TestSeededDraws:
+    def test_same_seed_same_draws(self):
+        for make in (
+            lambda seed: random_normal_operator(4, seed).matrix,
+            lambda seed: random_sectorial_operator(4, seed, 0.5).matrix,
+            lambda seed: np.concatenate(_unit_pairs(3, seed=seed)),
+        ):
+            assert np.array_equal(make(7), make(7))
+            assert not np.allclose(make(7), make(8))
+
+    def test_pairs_are_unit_norm(self):
+        for n in (1, 3, 12):
+            for cols in _unit_pairs(n):
+                assert cols.shape == (n, 200)
+                assert np.allclose(np.linalg.norm(cols, axis=0), 1.0, rtol=0, atol=1e-14)
+
+    def test_stream_layout(self):
+        """Row-major fill from one random.Random(seed) stream."""
+        import random
+
+        rng = random.Random(5)
+        want = [rng.gauss(0.0, 1.0) for _ in range(6)]
+        assert np.array_equal(_SeededDraws(5).normal(2, 3), np.reshape(want, (2, 3)))
+        rng = random.Random(5)
+        want = [rng.uniform(1.0, 2.0) for _ in range(3)]
+        assert np.array_equal(_SeededDraws(5).uniform(1.0, 2.0, 3), want)
+
+    @pytest.mark.parametrize("seed", [-1, -42, 1.5, "3", True, None])
+    def test_bad_seed_rejected(self, seed):
+        """random.Random(-s) repeats the stream of Random(s): a negative seed
+        would silently alias another one."""
+        with pytest.raises(InvalidParameter, match="seed"):
+            _SeededDraws(seed)
+        with pytest.raises(InvalidParameter, match="seed"):
+            random_normal_operator(3, seed)
+        with pytest.raises(InvalidParameter, match="seed"):
+            random_sectorial_operator(3, seed, 0.3)
+        with pytest.raises(InvalidParameter, match="seed"):
+            profile(MatrixOperator(np.array([[1.0]])), CFG, seed=seed)
+
+    @pytest.mark.parametrize("n", [-1, -2, 65, 10**9, 2.0])
+    def test_bad_size_rejected(self, n):
+        with pytest.raises(InvalidParameter, match="size n"):
+            random_normal_operator(n, 1)
+        with pytest.raises(InvalidParameter, match="size n"):
+            random_sectorial_operator(n, 1, 0.3)
+
+    @pytest.mark.parametrize("box", [(5.0, 1.0, -1.0, 1.0), (0.5, 5.0, 1.0, -1.0)])
+    def test_inverted_box_rejected(self, box):
+        with pytest.raises(InvalidParameter, match="box"):
+            random_normal_operator(3, 1, box)
+
+    def test_empty_random_operators(self):
+        assert random_normal_operator(0, 1).n == 0
+        assert random_sectorial_operator(0, 1, 0.3).n == 0
+
+
 class TestAdmission:
     def test_left_halfplane_rejected(self):
         with pytest.raises(SpectrumError):
@@ -421,10 +507,8 @@ class TestSpectralPath:
 
 def _unit_pairs(n, npairs=200, seed=42):
     """Unit-norm sample pairs as `profile` draws them."""
-    rng = np.random.default_rng(seed)
-    xs = rng.normal(size=(n, npairs)) + 1j * rng.normal(size=(n, npairs))
-    ys = rng.normal(size=(n, npairs)) + 1j * rng.normal(size=(n, npairs))
-    return xs / np.linalg.norm(xs, axis=0), ys / np.linalg.norm(ys, axis=0)
+    draws = _SeededDraws(seed)
+    return draws.unit_columns(n, npairs), draws.unit_columns(n, npairs)
 
 
 class _Captured(Exception):
@@ -490,10 +574,13 @@ class TestWeakSamples:
             weak = np.abs(weak)
             assert float(np.max(np.abs(out[:, 1:] - weak))) <= 1e-13 * float(weak.max()), k
 
-    @pytest.mark.parametrize("path,n", [("dense", 3), ("spectral", 3), ("spectral", 12)])
+    @pytest.mark.parametrize(
+        "path,n", [("dense", 3), ("dense", 12), ("spectral", 3), ("spectral", 12)]
+    )
     def test_working_memory(self, path, n, monkeypatch):
         """One call at 570 points (38 panels) allocates at most twice its output;
-        a concatenated or one-shot weak block took three times or more."""
+        a concatenated or one-shot weak block, or squared resolvents built for
+        the whole call, took three times or more."""
         A = _weak_operator(path, n, monkeypatch)
         f = _weak_integrand(A, _unit_pairs(n))
         betas = np.linspace(-30.0, 30.0, 570)

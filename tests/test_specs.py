@@ -21,6 +21,7 @@ from besovcalc.functions import (
 )
 from besovcalc.operators import jordan_operator, parse_operator_spec
 from besovcalc.quadrature import DEFAULT_CONFIG
+from besovcalc.report import reports_to_csv
 from besovcalc.suite import VALIDATORS, run_suite
 
 ZS = np.array([0.5, 1.0 + 2.0j, 3.0 - 0.5j])
@@ -236,6 +237,45 @@ def test_manifest_band_embedding_coeffs():
     run_default, grid = VALIDATORS["band_embedding"]
     ref = run_default(grid[0], DEFAULT_CONFIG)
     assert (rep.lhs, rep.rhs) == (ref.lhs, ref.rhs)
+    # real weights are reported as reals, as the default grid's are
+    assert rep.params["coeffs"] == [[1.0, 1.0], [4.0, -1.0]]
+    assert reports_to_csv([rep]) == reports_to_csv([ref])
+
+
+@pytest.mark.parametrize(
+    "argv,name",
+    [
+        (["demo", "--A", "diag(1,2)", "--n-list", "abc"], "--n-list entry"),
+        (["demo", "--A", "diag(1,2)", "--n-list", "1,"], "--n-list entry"),
+        (["norm", "--f", "exp(a=abc)"], "exp 'a'"),
+        (["norm", "--f", "band(eps=1,sigma=4,coeffs=[(1,x)])"], "weight"),
+        (["profile", "--A", "normal_random(3,box=[1,2,q,1])"], "box"),
+    ],
+)
+def test_malformed_literal_names_parameter(argv, name, capsys):
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {name} must be a finite") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv,name",
+    [
+        (["profile", "--A", "diag(1)", "--seed", "-1"], "seed"),
+        (["demo", "--A", "diag(1,2)", "--seed", "-1"], "seed"),
+        (["profile", "--A", "normal_random(-1)"], "size n"),
+        (["profile", "--A", "normal_random(3,seed=-1)"], "seed"),
+        (["profile", "--A", "normal_random(3,box=[5,1,-1,1])"], "box"),
+        (["profile", "--A", "sectorial_random(-2,seed=1,angle=0.3)"], "size n"),
+        (["profile", "--A", "sectorial_random(3,seed=-1,angle=0.3)"], "seed"),
+    ],
+)
+def test_random_spec_rejections_name_parameter(argv, name, capsys):
+    """random.Random(-s) repeats the stream of Random(s), so a negative seed is
+    rejected, as are a negative size and an inverted spectrum box."""
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and name in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("text", ["inf", "-inf", "1+infi", "nan"])
