@@ -34,8 +34,6 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--tol", type=float, default=None, help="absolute tolerance override")
         p.add_argument("--out", default=None, help="output directory for JSON/CSV reports")
-        p.add_argument("--seed", type=int, default=42)
-        p.add_argument("--plot-data", action="store_true", dest="plot_data")
 
     p = sub.add_parser("norm", help="compute a function norm")
     p.add_argument("--f", required=True, help="function spec, e.g. cayley(n=1)")
@@ -55,16 +53,24 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("profile", help="semigroup/sectoriality/gamma profile")
     p.add_argument("--A", required=True)
     common(p)
+    p.add_argument("--seed", type=int, default=42, help="seed of the weak-sample vectors")
 
     p = sub.add_parser("suite", help="run bound validators from a manifest")
     p.add_argument("--manifest", default=None, help="manifest file (default: all)")
     common(p)
+    p.add_argument(
+        "--plot-data", action="store_true", dest="plot_data", help="also write suite_slack.csv"
+    )
 
     p = sub.add_parser("demo", help="strong-convergence demonstration")
     p.add_argument("--A", required=True)
     p.add_argument("--f", default="exp(a=1)")
     p.add_argument("--n-list", default="1,4,16,64", dest="n_list")
     common(p)
+    p.add_argument("--seed", type=int, default=42, help="seed of the start vector")
+    p.add_argument(
+        "--plot-data", action="store_true", dest="plot_data", help="also write demo_curve.csv"
+    )
     return ap
 
 

@@ -27,6 +27,7 @@ from .quadrature import (
     StretchedExpEnvelope,
     SumEnvelope,
     DEFAULT_CONFIG,
+    envelope_product,
 )
 
 __all__ = [
@@ -209,7 +210,6 @@ class AnalyticFunction:
     deriv_fn: Callable[[np.ndarray], np.ndarray]
     profiles: Profiles
     value_at_infinity: complex | None = None
-    class_flags: frozenset = frozenset()
     label: str = "f"
     left_bound: float = 0.0
     summands: tuple["AnalyticFunction", ...] | None = None
@@ -235,15 +235,6 @@ class AnalyticFunction:
             return self.value_at_infinity
         v1, v2 = complex(self(2.0**11)), complex(self(2.0**12))
         return 2 * v2 - v1  # first-order Richardson in 1/x
-
-    def has_flag(self, name: str) -> bool:
-        return any(f[0] == name for f in self.class_flags)
-
-    def flag(self, name: str):
-        for f in self.class_flags:
-            if f[0] == name:
-                return f
-        return None
 
     def relabel(self, label: str) -> "AnalyticFunction":
         return replace(self, label=label)
@@ -312,7 +303,6 @@ def const(c: complex) -> AnalyticFunction:
         deriv_fn=lambda z: np.zeros_like(z),
         profiles=prof,
         value_at_infinity=c,
-        class_flags=frozenset({("IN_LM",)}),
         label=f"const({c:g})" if c.imag == 0 else f"const({c})",
         left_bound=math.inf,
     )
@@ -338,7 +328,6 @@ def exp_decay(a: float) -> AnalyticFunction:
         deriv_fn=lambda z: -a * np.exp(-a * z),
         profiles=prof,
         value_at_infinity=0.0,
-        class_flags=frozenset({("IN_LM",), ("EXTENDS_LEFT", math.inf)}),
         label=f"exp(a={a:g})",
         left_bound=math.inf,
     )
@@ -366,15 +355,11 @@ def resolvent(a: complex) -> AnalyticFunction:
         window=max(8.0, 4.0 * c0),
         e0_upper=math.pi,
     )
-    flags = {("EXTENDS_LEFT", s)} if s > 0 else set()
-    if s > 0:
-        flags.add(("IN_LM",))
     return AnalyticFunction(
         eval_fn=lambda z: 1.0 / (z + a),
         deriv_fn=lambda z: -1.0 / (z + a) ** 2,
         profiles=prof,
         value_at_infinity=0.0,
-        class_flags=frozenset(flags),
         label=f"resolvent(a={a})",
         left_bound=s,
     )
@@ -405,7 +390,6 @@ def cayley_pow(n: int) -> AnalyticFunction:
         deriv_fn=dv,
         profiles=prof,
         value_at_infinity=1.0,
-        class_flags=frozenset({("IN_LM",), ("EXTENDS_LEFT", 1.0)}),
         label=f"cayley(n={n})",
         left_bound=1.0,
     )
@@ -474,7 +458,6 @@ def eta(delta: float = 1.0) -> AnalyticFunction:
         deriv_fn=_eta_deriv,
         profiles=prof,
         value_at_infinity=0.0,
-        class_flags=frozenset({("IN_LM",), ("EXTENDS_LEFT", math.inf)}),
         label="eta",
         left_bound=math.inf,
     )
@@ -509,7 +492,6 @@ def exp_inv_shift(t: float) -> AnalyticFunction:
         deriv_fn=dv,
         profiles=prof,
         value_at_infinity=1.0,
-        class_flags=frozenset({("IN_LM",), ("EXTENDS_LEFT", 1.0)}),
         label=f"expinv(t={t:g})",
         left_bound=1.0,
     )
@@ -538,7 +520,6 @@ def vitse_reg(t: float) -> AnalyticFunction:
         deriv_fn=dv,
         profiles=prof,
         value_at_infinity=1.0,
-        class_flags=frozenset({("IN_LM",)}),
         label=f"vitse(t={t:g})",
         left_bound=0.0,
     )
@@ -675,7 +656,6 @@ def laplace_transform(measure: HalfLineMeasure) -> AnalyticFunction:
         deriv_fn=dv,
         profiles=prof,
         value_at_infinity=measure.mass_at_zero(),
-        class_flags=frozenset({("IN_LM",)}),
         label="laplace(...)",
         left_bound=lb,
         summands=parts if len(parts) >= 2 else None,
@@ -692,10 +672,8 @@ def band_function(eps: float, sigma: float, coeffs=None) -> AnalyticFunction:
     if any(t < eps - 1e-12 or t > sigma + 1e-12 for t in taus):
         raise InvalidParameter("band rates must lie in [eps, sigma]")
     f = laplace_transform(HalfLineMeasure(atoms=tuple((t, complex(c)) for t, c in coeffs)))
-    flags = set(f.class_flags) | {("BAND", eps, sigma), ("EXTENDS_LEFT", math.inf)}
     return replace(
         f,
-        class_flags=frozenset(flags),
         label=f"band(eps={eps:g},sigma={sigma:g})",
         left_bound=math.inf,
     )
@@ -784,7 +762,6 @@ def bernstein_resolvent(
         deriv_fn=dv,
         profiles=prof,
         value_at_infinity=f_inf,
-        class_flags=frozenset(),
         label=f"bernstein_res(alpha={alpha:g},beta={beta:g})",
         left_bound=0.0,
     )
@@ -804,21 +781,6 @@ def _global_modulus_bound(f: AnalyticFunction) -> float | None:
 
 def _merge_left(f, g):
     return min(f.left_bound, g.left_bound)
-
-
-def _flags_binary(f, g, *, band_rule):
-    flags = set()
-    if f.has_flag("IN_LM") and g.has_flag("IN_LM"):
-        flags.add(("IN_LM",))
-    ef, eg = f.flag("EXTENDS_LEFT"), g.flag("EXTENDS_LEFT")
-    if ef and eg:
-        flags.add(("EXTENDS_LEFT", min(ef[1], eg[1])))
-    bf, bg = f.flag("BAND"), g.flag("BAND")
-    if bf and bg:
-        merged = band_rule(bf, bg)
-        if merged is not None:
-            flags.add(merged)
-    return frozenset(flags)
 
 
 def add(f: AnalyticFunction, g: AnalyticFunction) -> AnalyticFunction:
@@ -842,11 +804,6 @@ def add(f: AnalyticFunction, g: AnalyticFunction) -> AnalyticFunction:
         deriv_fn=lambda z: f.deriv_fn(z) + g.deriv_fn(z),
         profiles=prof,
         value_at_infinity=fi + gi if fi is not None and gi is not None else None,
-        class_flags=_flags_binary(
-            f,
-            g,
-            band_rule=lambda bf, bg: ("BAND", min(bf[1], bg[1]), max(bf[2], bg[2])),
-        ),
         label=f"({f.label}+{g.label})",
         left_bound=_merge_left(f, g),
         summands=(f.summands or (f,)) + (g.summands or (g,)),
@@ -854,8 +811,6 @@ def add(f: AnalyticFunction, g: AnalyticFunction) -> AnalyticFunction:
 
 
 def mul(f: AnalyticFunction, g: AnalyticFunction) -> AnalyticFunction:
-    from .quadrature import envelope_product
-
     fi, gi = f.value_at_infinity, g.value_at_infinity
     fp, gp = f.profiles, g.profiles
     prof = Profiles(
@@ -882,9 +837,6 @@ def mul(f: AnalyticFunction, g: AnalyticFunction) -> AnalyticFunction:
         deriv_fn=lambda z: f.deriv_fn(z) * g.eval_fn(z) + f.eval_fn(z) * g.deriv_fn(z),
         profiles=prof,
         value_at_infinity=fi * gi if fi is not None and gi is not None else None,
-        class_flags=_flags_binary(
-            f, g, band_rule=lambda bf, bg: ("BAND", bf[1] + bg[1], bf[2] + bg[2])
-        ),
         label=f"({f.label}*{g.label})",
         left_bound=_merge_left(f, g),
     )
@@ -931,19 +883,11 @@ def shift(f: AnalyticFunction, a: complex) -> AnalyticFunction:
         window=fp.window + 2 * off,
         e0_upper=fp.e0_upper,
     )
-    flags = {fl for fl in f.class_flags if fl[0] not in ("EXTENDS_LEFT", "BAND")}
-    ef = f.flag("EXTENDS_LEFT")
-    if ef:
-        flags.add(("EXTENDS_LEFT", ef[1] + a.real))
-    bf = f.flag("BAND")
-    if bf:
-        flags.add(bf)
     return replace(
         f,
         eval_fn=lambda z: f.eval_fn(np.asarray(z, dtype=complex) + a),
         deriv_fn=lambda z: f.deriv_fn(np.asarray(z, dtype=complex) + a),
         profiles=prof,
-        class_flags=frozenset(flags),
         label=f"shift({f.label},{a})",
         left_bound=f.left_bound + a.real,
         summands=(
@@ -965,19 +909,11 @@ def dilate(f: AnalyticFunction, b: float) -> AnalyticFunction:
         window=fp.window / b,
         e0_upper=fp.e0_upper,
     )
-    flags = {fl for fl in f.class_flags if fl[0] not in ("EXTENDS_LEFT", "BAND")}
-    ef = f.flag("EXTENDS_LEFT")
-    if ef:
-        flags.add(("EXTENDS_LEFT", ef[1] / b))
-    bf = f.flag("BAND")
-    if bf:
-        flags.add(("BAND", bf[1] * b, bf[2] * b))
     return replace(
         f,
         eval_fn=lambda z: f.eval_fn(b * np.asarray(z, dtype=complex)),
         deriv_fn=lambda z: b * f.deriv_fn(b * np.asarray(z, dtype=complex)),
         profiles=prof,
-        class_flags=frozenset(flags),
         label=f"dilate({f.label},{b:g})",
         left_bound=f.left_bound / b,
         summands=(

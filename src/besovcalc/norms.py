@@ -12,10 +12,11 @@ from .errors import DivergenceSuspicion, UnboundedSuspicion
 from .functions import AnalyticFunction
 from .quadrature import (
     DEFAULT_CONFIG,
+    DYADIC_GRID,
     PowerEnvelope,
     QuadratureConfig,
     SupResult,
-    golden_max,
+    dyadic_max,
     integrate_halfline,
     integrate_line,
     sup_on_vertical_line,
@@ -186,17 +187,7 @@ def e0_norm(f: AnalyticFunction, cfg: QuadratureConfig = DEFAULT_CONFIG) -> Norm
     """sup over x > 0 of x * integral over y of |f'(x+iy)|, on a geometric grid."""
     if complex(f.deriv(1.0 + 0j)) == 0 and complex(f.deriv(2.0 + 0.7j)) == 0:
         return NormReport(0.0, cfg.abs_tol, {"e0": 0.0}, True)
-    us = np.arange(-20.0, 20.5, 1.0)
-    vals = np.array([_e0_at(f, float(2.0**u), cfg) for u in us])
-    k = int(vals.argmax())
-    lo = us[max(k - 1, 0)]
-    hi = us[min(k + 1, len(us) - 1)]
-    u_best, v_best = golden_max(
-        lambda u: _e0_at(f, float(2.0**u), cfg), lo, hi, cfg.sup_refine_rounds
-    )
-    value = max(float(vals[k]), v_best)
+    vals = np.array([_e0_at(f, x, cfg) for x in DYADIC_GRID])
+    x_best, value = dyadic_max(lambda x: _e0_at(f, x, cfg), vals)
     err = max(cfg.abs_tol, cfg.rel_tol * value) + 4.0 * value / 2.0**20
-    report = NormReport(value, err, {"e0": value, "argmax_x": float(2.0**u_best)}, True)
-    if k in (0, len(us) - 1):
-        report.certified = bool(vals[k] <= 1.0000001 * value)
-    return report
+    return NormReport(value, err, {"e0": value, "argmax_x": x_best}, True)

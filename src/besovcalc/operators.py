@@ -28,9 +28,11 @@ from .functions import (
 )
 from .quadrature import (
     DEFAULT_CONFIG,
+    DYADIC_GRID,
     ExpEnvelope,
     PowerEnvelope,
     QuadratureConfig,
+    dyadic_max,
     envelope_product,
     golden_max,
     integrate_halfline,
@@ -124,7 +126,9 @@ class MatrixOperator:
     diagonalizable: bool = field(init=False, default=True)
     jordan_blocks: list[tuple[complex, int]] | None = field(init=False, default=None)
     norm2: float = field(init=False, default=0.0)
-    _profile_cache: "OperatorProfile | None" = field(init=False, default=None, repr=False)
+    _profile_cache: "tuple[QuadratureConfig, OperatorProfile] | None" = field(
+        init=False, default=None, repr=False
+    )
     _normal: bool | None = field(init=False, default=None, repr=False)
     _spectral_cache: "Spectral | bool | None" = field(init=False, default=None, repr=False)
 
@@ -187,9 +191,10 @@ class MatrixOperator:
         return float(np.min(self.eigenvalues.real)) if self.n else 0.0
 
     def profile(self, cfg: QuadratureConfig = DEFAULT_CONFIG) -> "OperatorProfile":
-        if self._profile_cache is None:
-            self._profile_cache = profile(self, cfg)
-        return self._profile_cache
+        """profile(self, cfg), computed again whenever cfg differs from the last call's."""
+        if self._profile_cache is None or self._profile_cache[0] != cfg:
+            self._profile_cache = (cfg, profile(self, cfg))
+        return self._profile_cache[1]
 
     def spectral(self) -> "Spectral | None":
         """The unitary diagonalisation when the matrix is normal and it is accurate
@@ -571,26 +576,17 @@ def profile(A: MatrixOperator, cfg: QuadratureConfig = DEFAULT_CONFIG, seed: int
     K = _semigroup_sup(A)
     M = _sectoriality_sup(A)
 
-    alphas = 2.0 ** np.arange(-20.0, 21.0, 1.0)
-    weak_alphas = set(np.arange(-20.0, 21.0, 2.0))
     weak_best = np.zeros(npairs)
     vals = []
-    for a in alphas:
-        if math.log2(a) in weak_alphas:
-            v, w = _gamma_inner(A, float(a), cfg, pairs=(xs, ys))
+    # weak samples at every second grid point: alpha = 2**-20, 2**-18, ...
+    for i, a in enumerate(DYADIC_GRID):
+        if i % 2 == 0:
+            v, w = _gamma_inner(A, a, cfg, pairs=(xs, ys))
             weak_best = np.maximum(weak_best, w)
         else:
-            v = _gamma_inner(A, float(a), cfg)
+            v = _gamma_inner(A, a, cfg)
         vals.append(v)
-    vals = np.array(vals)
-    k = int(vals.argmax())
-    u_best = math.log2(alphas[k])
-    lo = math.log2(alphas[max(k - 1, 0)])
-    hi = math.log2(alphas[min(k + 1, len(alphas) - 1)])
-    u_ref, v_ref = golden_max(
-        lambda u: _gamma_inner(A, float(2.0**u), cfg), lo, hi, cfg.sup_refine_rounds
-    )
-    sup_val = max(float(vals[k]), float(v_ref))
+    alpha_best, sup_val = dyadic_max(lambda a: _gamma_inner(A, a, cfg), np.array(vals))
     gamma_hat = (2.0 / math.pi) * sup_val
     gamma_weak = (2.0 / math.pi) * float(weak_best.max())
     return OperatorProfile(
@@ -598,7 +594,7 @@ def profile(A: MatrixOperator, cfg: QuadratureConfig = DEFAULT_CONFIG, seed: int
         M=M,
         gamma_hat=gamma_hat,
         gamma_weak_sample=gamma_weak,
-        gamma_argmax_alpha=float(2.0 ** (u_ref if v_ref >= vals[k] else u_best)),
+        gamma_argmax_alpha=alpha_best,
     )
 
 

@@ -11,7 +11,6 @@ each panel is summed on its own, so no result depends on that slicing.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
@@ -36,33 +35,21 @@ __all__ = [
     "integrate_line",
     "sup_on_vertical_line",
     "golden_max",
+    "DYADIC_GRID",
+    "dyadic_max",
 ]
 
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Tolerances and truncation controls shared by all integrals and suprema."""
+    """Absolute and relative tolerances shared by all integrals and suprema."""
 
     abs_tol: float = 1e-8
     rel_tol: float = 1e-7
-    max_depth: int = 40
-    line_trunc_factor: float = 1e3
-    sup_grid_points: int = 257
-    sup_refine_rounds: int = 30
 
     def __post_init__(self):
-        if not all(
-            math.isfinite(v) and v > 0
-            for v in (self.abs_tol, self.rel_tol, self.line_trunc_factor)
-        ):
-            raise InvalidParameter("tolerances and truncation factors must be finite and positive")
-        for name in ("max_depth", "sup_grid_points", "sup_refine_rounds"):
-            if not isinstance(getattr(self, name), numbers.Integral):
-                raise InvalidParameter(f"{name} must be an integer, got {getattr(self, name)!r}")
-        if self.max_depth < 10:
-            raise InvalidParameter("max_depth must be at least 10")
-        if self.sup_grid_points < 9 or self.sup_refine_rounds < 1:
-            raise InvalidParameter("supremum search parameters too small")
+        if not all(math.isfinite(v) and v > 0 for v in (self.abs_tol, self.rel_tol)):
+            raise InvalidParameter("tolerances must be finite and positive")
 
     def with_tolerances(self, abs_tol=None, rel_tol=None) -> "QuadratureConfig":
         return replace(
@@ -451,6 +438,8 @@ _WG_FULL[[9, 11, 13]] = _WG[::-1]
 _WKG = np.stack([_WK, _WG_FULL])
 
 _MAX_PANELS = 40000
+# bisection levels a panel may descend below its starting interval
+_MAX_DEPTH = 40
 
 
 @dataclass
@@ -545,14 +534,14 @@ def integrate_interval(
 
     # Sums run left to right (cumsum), not in numpy's pairwise order: an outer
     # rule's |K15-G7| turns last-bit changes of inner values into its error.
-    for _ in range(16 * cfg.max_depth):
+    for _ in range(16 * _MAX_DEPTH):
         total_val = np.cumsum(values, axis=0)[-1]
         total_err = float(np.cumsum(errs)[-1])
         tol = max(cfg.abs_tol, cfg.rel_tol * _maxabs(total_val))
         if total_err <= tol:
             break
         share = np.maximum(tol * (rights - lefts) / (b - a), tol / (4.0 * len(lefts)))
-        split = (errs > share) & (depth < cfg.max_depth)
+        split = (errs > share) & (depth < _MAX_DEPTH)
         l, r = lefts[split], rights[split]
         m = 0.5 * (l + r)
         if not split.any():
@@ -678,6 +667,11 @@ class SupResult:
 
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+# sup_on_vertical_line: grid points, the widest window as a multiple of the
+# first, and the golden-section rounds (shared with dyadic_max)
+_SUP_GRID_POINTS = 257
+_LINE_TRUNC_FACTOR = 1e3
+_SUP_REFINE_ROUNDS = 30
 
 
 def golden_max(phi: Callable[[float], float], lo: float, hi: float, rounds: int):
@@ -687,6 +681,24 @@ def golden_max(phi: Callable[[float], float], lo: float, hi: float, rounds: int)
         lambda u: np.array([phi(float(u[0]))]), np.array([lo]), np.array([hi]), rounds
     )
     return float(xs[0]), float(vs[0])
+
+
+# x = 2**u for u = -20, ..., 20: the grid of the suprema over x > 0
+_DYADIC_EXPONENTS = range(-20, 21)
+DYADIC_GRID = tuple(2.0**u for u in _DYADIC_EXPONENTS)
+
+
+def dyadic_max(g: Callable[[float], float], vals: np.ndarray) -> tuple[float, float]:
+    """Maximum over x > 0 of g, given its values `vals` on DYADIC_GRID: the top
+    grid value, refined by a golden-section search in u = log2 x between that
+    point's two neighbours.  Returns (x, g(x)) for the larger of the two."""
+    k = int(np.argmax(vals))
+    lo = float(_DYADIC_EXPONENTS[max(k - 1, 0)])
+    hi = float(_DYADIC_EXPONENTS[min(k + 1, len(vals) - 1)])
+    u, v = golden_max(lambda u: g(2.0**u), lo, hi, _SUP_REFINE_ROUNDS)
+    if v >= vals[k]:
+        return 2.0**u, v
+    return DYADIC_GRID[k], float(vals[k])
 
 
 def _golden_max_multi(phi_vec, los: np.ndarray, his: np.ndarray, rounds: int):
@@ -737,21 +749,21 @@ def sup_on_vertical_line(
     """
     scale = max(envelope.t0 if envelope is not None else 1.0, 1.0)
     Y = float(window) if window else 4.0 * scale
-    Y_cap = cfg.line_trunc_factor * max(scale, Y)
+    Y_cap = _LINE_TRUNC_FACTOR * max(scale, Y)
     decaying = envelope is not None and envelope.integrable
 
     grid = None
     vals = None
     for _ in range(64):
-        grid = np.linspace(-Y, Y, cfg.sup_grid_points)
+        grid = np.linspace(-Y, Y, _SUP_GRID_POINTS)
         vals = np.asarray(phi(grid), dtype=float)
         m = float(vals.max())
         need_extend = False
         if decaying and m > 0 and envelope.bound(Y) >= 0.5 * m and Y < Y_cap:
             need_extend = True
-        edge = cfg.sup_grid_points // 20
-        at_edge = vals.argmax() <= edge or vals.argmax() >= cfg.sup_grid_points - 1 - edge
-        rising = m > vals[cfg.sup_grid_points // 2] * (1.0 + 1e-12)
+        edge = _SUP_GRID_POINTS // 20
+        at_edge = vals.argmax() <= edge or vals.argmax() >= _SUP_GRID_POINTS - 1 - edge
+        rising = m > vals[_SUP_GRID_POINTS // 2] * (1.0 + 1e-12)
         if at_edge and rising and Y < Y_cap and m > 0:
             need_extend = True
         if not need_extend:
@@ -773,7 +785,7 @@ def sup_on_vertical_line(
     ok = his > los
     improved = 0.0
     if ok.any():
-        xs, vs = _golden_max_multi(phi, los[ok], his[ok], cfg.sup_refine_rounds)
+        xs, vs = _golden_max_multi(phi, los[ok], his[ok], _SUP_REFINE_ROUNDS)
         k = int(np.argmax(vs))
         if vs[k] > best_val:
             improved = float(vs[k]) - best_val

@@ -64,6 +64,17 @@ def test_demo_command(tmp_path, capsys):
     assert header == "n,shrink,stretch"
 
 
+def test_demo_seed_and_plot_data(tmp_path, capsys):
+    for seed in ("5", "6"):
+        argv = ["demo", "--A", "diag(1,2)", "--n-list", "1,8", "--out", str(tmp_path / seed)]
+        assert run(argv + ["--seed", seed, "--plot-data"]) == 0
+        assert (tmp_path / seed / "demo_curve.csv").exists()
+    capsys.readouterr()
+    # the seed picks the start vector
+    a, b = (json.loads((tmp_path / s / "demo.json").read_text()) for s in ("5", "6"))
+    assert a["result"]["shrink"] != b["result"]["shrink"]
+
+
 @pytest.mark.parametrize("n_list", ["0", "abc", "", "1,-4", "2.5"])
 def test_demo_bad_n_list_exit_code(n_list, capsys):
     rc = run(["demo", "--A", "diag(1,2)", "--n-list", n_list])
@@ -148,6 +159,33 @@ def test_empty_operator_apply_exit_code(capsys):
 def test_bad_manifest_exit_code(capsys):
     rc = run(["suite", "--manifest", "/nonexistent/path.suite"])
     assert rc == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["norm", "--f", "exp(a=1)", "--seed", "1"],
+        ["apply", "--A", "diag(1)", "--f", "exp(a=1)", "--seed", "7"],
+        ["suite", "--seed", "3"],
+        ["pair", "--g", "resolvent(a=1)", "--f", "const(3)", "--plot-data"],
+        ["profile", "--A", "diag(1)", "--plot-data"],
+    ],
+    ids=["norm-seed", "apply-seed", "suite-seed", "pair-plot-data", "profile-plot-data"],
+)
+def test_flag_on_a_command_that_ignores_it_exit_code(argv, capsys):
+    assert run(argv) == 1
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_profile_seed(tmp_path, capsys):
+    for seed in ("7", "8"):
+        argv = ["profile", "--A", "diag(1,2)", "--out", str(tmp_path / seed)]
+        assert run(argv + ["--seed", seed]) == 0
+    capsys.readouterr()
+    a, b = (json.loads((tmp_path / s / "profile.json").read_text()) for s in ("7", "8"))
+    # the seed picks the weak-sample vectors and nothing else
+    assert a["result"]["gamma_weak_sample"] != b["result"]["gamma_weak_sample"]
+    assert a["result"]["gamma_hat"] == b["result"]["gamma_hat"]
 
 
 def test_unknown_subcommand():

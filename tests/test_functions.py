@@ -82,7 +82,6 @@ class TestCatalogValues:
     def test_band(self):
         f = parse_function_spec("band(eps=1,sigma=4)")
         assert complex(f(1.0)) == pytest.approx(math.exp(-1.0) - math.exp(-4.0))
-        assert f.flag("BAND") == ("BAND", 1.0, 4.0)
 
     def test_expinv_vitse(self):
         assert complex(parse_function_spec("expinv(t=2)")(1.0)) == pytest.approx(

@@ -21,6 +21,7 @@ from besovcalc.functions import (
 )
 from besovcalc.norms import (
     BOUNDARY_OFFSET,
+    _e0_at,
     b0_norm,
     b_norm,
     e0_norm,
@@ -144,6 +145,17 @@ class TestE0:
         assert v2 == pytest.approx(v1 / 2.0, abs=2e-3)
         # rescaled resolvents keep the constant value
         assert e0_norm(resolvent(2.0), CFG).value == pytest.approx(math.pi, abs=1e-3)
+
+    @pytest.mark.parametrize(
+        "f",
+        # x * int |f'(x+iy)| dy: pi x / (x+1), largest at the grid's end 2**20,
+        # and 4 x / (x+1)**2, largest at the grid point x = 1
+        [resolvent(1.0), mul(resolvent(1.0), resolvent(1.0))],
+        ids=["resolvent", "resolvent_squared"],
+    )
+    def test_argmax_names_the_reported_value(self, f):
+        rep = e0_norm(f, CFG)
+        assert _e0_at(f, rep.pieces["argmax_x"], CFG) == rep.value
 
     def test_exp_not_in_dual_class(self):
         with pytest.raises(DivergenceSuspicion):

@@ -425,6 +425,26 @@ class TestProfile:
         p = profile(MatrixOperator(np.array([[lam]])), CFG)
         assert p.M == pytest.approx(abs(lam) / lam.real, abs=1e-5)
 
+    def test_cache_follows_the_config(self, monkeypatch):
+        calls = []
+
+        def counted(A, cfg):
+            calls.append(cfg)
+            return profile(A, cfg)
+
+        monkeypatch.setattr(operators, "profile", counted)
+        A = MatrixOperator(np.array([[1.0]]))
+        assert A._profile_cache is None
+        coarse = QuadratureConfig(abs_tol=1e-4)
+        p_coarse = A.profile(coarse)
+        p_default = A.profile()
+        # the default tolerance gives another gamma_hat, so a stale cache would show
+        assert p_default.gamma_hat != p_coarse.gamma_hat
+        assert p_default == profile(A, CFG)
+        # an equal config, even a new instance, reuses the cached profile
+        assert A.profile(QuadratureConfig()) is p_default
+        assert calls == [coarse, CFG]
+
     def test_empty_operator_rejected(self):
         # a 0x0 matrix is admitted (the _expm kernel takes it) but has no profile
         A = parse_operator_spec("diag()")
