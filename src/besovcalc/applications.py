@@ -165,7 +165,7 @@ def check_smoothed_window(
     rep = apply_calculus_report(A, f, cfg)
     lhs = _opnorm(rep.value)
     prof = A.profile(cfg)
-    g_left = left_line_sup(g, omega, cfg)
+    g_left = left_line_sup(g, omega)
     rhs = 2.0 * prof.K**2 * (2.0 + 0.5 * math.log1p(1.0 / (omega * tau))) * g_left
     return EstimateReport(
         "smoothed_window",
@@ -199,7 +199,7 @@ def check_fractional_smoothing(
     lhs = _opnorm(ga @ frac)
     prof = A.profile(cfg)
     m = min(omega, lam.real)
-    g_left = left_line_sup(g, omega, cfg)
+    g_left = left_line_sup(g, omega)
     rhs = (4.0 + 1.0 / alpha) * prof.K**2 / m**alpha * g_left
     return EstimateReport(
         "fractional_smoothing",
@@ -224,7 +224,7 @@ def check_deriv_operator(
     rep = apply_calculus_report(A, fprime, cfg)
     lhs = _opnorm(rep.value)
     prof = A.profile(cfg)
-    f_left = left_line_sup(f, omega, cfg)
+    f_left = left_line_sup(f, omega)
     rhs = 3.0 * prof.K**2 / omega * f_left
     return EstimateReport(
         "deriv_operator",

@@ -147,7 +147,7 @@ def run(argv=None) -> int:
             rep = apply_calculus_report(A, f, cfg)
             print(f"f(A) for f={args.f}, A={args.A}:")
             print(_fmt_matrix(rep.value))
-            print(f"error bound {rep.error:.2e}" + (" (extrapolated)" if rep.extrapolated else ""))
+            print(f"error bound {rep.error:.2e}")
             _write(
                 args.out,
                 "apply.json",
@@ -158,7 +158,6 @@ def run(argv=None) -> int:
                         "f": args.f,
                         "matrix": [[complex(v) for v in row] for row in rep.value],
                         "error": rep.error,
-                        "extrapolated": rep.extrapolated,
                     },
                 ),
             )

@@ -117,7 +117,7 @@ def check_deriv_bound(
     if f.left_bound < omega:
         raise InvalidParameter("f does not extend left far enough for this bound")
     lhs = b_norm(fprime, cfg)
-    sup_left = left_line_sup(f, omega, cfg)
+    sup_left = left_line_sup(f, omega)
     rhs = 1.5 / omega * sup_left
     return EstimateReport(
         "deriv_bound", {"omega": omega, "f": f.label}, lhs.value, rhs, lhs.error_bound
@@ -129,7 +129,7 @@ def _phi_over_weight(f: AnalyticFunction, omega: float, cfg: QuadratureConfig) -
 
     def integrand(xs):
         xs = [float(x) for x in np.asarray(xs, dtype=float)]
-        sups = [_line_sup(f, x, f.profiles.modulus_line(x), f, cfg).value for x in xs]
+        sups = [_line_sup(f, x, f.profiles.modulus_line(x), f).value for x in xs]
         return np.array([s / (omega + x) for s, x in zip(sups, xs)])
 
     env = envelope_product(f.profiles.modulus_outer, PowerEnvelope(p=1.0, c=1.0, t0=1.0))
@@ -150,7 +150,7 @@ def check_product_bound(
         raise InvalidParameter("g does not extend left far enough for this bound")
     lhs = b_norm(mul(f, g), cfg)
     g_inf = hinf_norm(g, cfg).value
-    g_left = left_line_sup(g, omega, cfg)
+    g_left = left_line_sup(g, omega)
     phi_int = _phi_over_weight(f, omega, cfg)
     rhs = b_norm(f, cfg).value * g_inf + 0.5 * g_left * phi_int
     return EstimateReport(
@@ -176,7 +176,7 @@ def check_exp_window(
         raise InvalidParameter("g does not extend left far enough for this bound")
     f = mul(exp_decay(tau), g)
     lhs = b_norm(f, cfg)
-    f_left = left_line_sup(f, omega, cfg)
+    f_left = left_line_sup(f, omega)
     rhs = math.exp(-omega * tau) * (2.0 + 0.5 * math.log1p(1.0 / (tau * omega))) * f_left
     return EstimateReport(
         "exp_window",

@@ -62,47 +62,45 @@ class NormReport:
         return self.value
 
 
-def _line_sup(h, x: float, env, f: AnalyticFunction, cfg: QuadratureConfig) -> SupResult:
+def _line_sup(h, x: float, env, f: AnalyticFunction) -> SupResult:
     """sup over y of |h(x+iy)|, with h = f or f.deriv and env its envelope on the line."""
 
     def phi(ys):
         return np.abs(h(x + 1j * np.asarray(ys, dtype=float)))
 
-    return sup_on_vertical_line(phi, env, cfg, window=f.profiles.window)
+    return sup_on_vertical_line(phi, env, window=f.profiles.window)
 
 
-def deriv_sup_at(f: AnalyticFunction, x: float, cfg: QuadratureConfig = DEFAULT_CONFIG):
+def deriv_sup_at(f: AnalyticFunction, x: float):
     """sup over y of |f'(x+iy)| with the function's declared line envelope."""
-    return _line_sup(f.deriv, x, f.profiles.deriv_line(x), f, cfg)
+    return _line_sup(f.deriv, x, f.profiles.deriv_line(x), f)
 
 
-def _modulus_sup(f: AnalyticFunction, x: float, cfg: QuadratureConfig) -> SupResult:
+def _modulus_sup(f: AnalyticFunction, x: float) -> SupResult:
     if x <= -f.left_bound:
         raise DivergenceSuspicion(
             f"line Re = {x} lies outside the declared analyticity strip"
         )
-    sup = _line_sup(f, x, f.profiles.modulus_line(max(x, BOUNDARY_OFFSET)), f, cfg)
+    sup = _line_sup(f, x, f.profiles.modulus_line(max(x, BOUNDARY_OFFSET)), f)
     if f.value_at_infinity is not None:
         sup.value = max(sup.value, abs(f.value_at_infinity))
     return sup
 
 
-def line_sup_modulus(
-    f: AnalyticFunction, x: float, cfg: QuadratureConfig = DEFAULT_CONFIG
-) -> float:
+def line_sup_modulus(f: AnalyticFunction, x: float) -> float:
     """sup over y of |f(x+iy)| on a vertical line with Re = x > -left_bound."""
-    return _modulus_sup(f, x, cfg).value
+    return _modulus_sup(f, x).value
 
 
-def left_line_sup(f: AnalyticFunction, omega: float, cfg: QuadratureConfig = DEFAULT_CONFIG):
+def left_line_sup(f: AnalyticFunction, omega: float):
     """sup of |f| on the line BOUNDARY_OFFSET inside the boundary Re z = -omega."""
-    return line_sup_modulus(f, -omega + BOUNDARY_OFFSET, cfg)
+    return line_sup_modulus(f, -omega + BOUNDARY_OFFSET)
 
 
 def hinf_norm(f: AnalyticFunction, cfg: QuadratureConfig = DEFAULT_CONFIG) -> NormReport:
     """Supremum norm, evaluated on the line Re z = BOUNDARY_OFFSET by the maximum
     principle; the offset is charged to the error as 2 * BOUNDARY_OFFSET * value."""
-    sup = _modulus_sup(f, BOUNDARY_OFFSET, cfg)
+    sup = _modulus_sup(f, BOUNDARY_OFFSET)
     value = sup.value
     xs = np.geomspace(1e-2, 1e3, 11)
     ys = np.linspace(-40.0, 40.0, 17)
@@ -138,7 +136,7 @@ def b0_norm(f: AnalyticFunction, cfg: QuadratureConfig = DEFAULT_CONFIG) -> Norm
     """Integral over x > 0 of the vertical-line supremum of |f'|."""
 
     def integrand(xs):
-        return np.array([deriv_sup_at(f, float(x), cfg).value for x in np.asarray(xs, dtype=float)])
+        return np.array([deriv_sup_at(f, float(x)).value for x in np.asarray(xs, dtype=float)])
 
     env = f.profiles.deriv_outer
     certified = True

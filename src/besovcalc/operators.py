@@ -38,6 +38,7 @@ from .quadrature import (
     integrate_halfline,
     integrate_interval,
     integrate_line,
+    pairing_integral,
 )
 
 __all__ = [
@@ -607,57 +608,7 @@ def profile(A: MatrixOperator, cfg: QuadratureConfig = DEFAULT_CONFIG, seed: int
 class ApplyReport:
     value: np.ndarray
     error: float
-    extrapolated: bool = False
     n_evals: int = 0
-
-
-def _apply_direct(
-    A: MatrixOperator, f: AnalyticFunction, cfg: QuadratureConfig, apply_tol: float
-) -> ApplyReport:
-    prof = A.profile(cfg)
-    gamma_scale = 0.5 * math.pi * prof.gamma_hat
-    env_outer = f.profiles.deriv_outer.scaled(gamma_scale)
-    if not env_outer.integrable:
-        raise IntegralNotNormConvergent(
-            "no integrable derivative envelope for the outer integral"
-        )
-    spec = A.spectral()
-    inner_err = [0.0]
-    n_evals = [0]
-
-    def inner(alpha: float) -> np.ndarray:
-        t0 = 2.0 * (alpha + A.norm2) + 1.0
-        env_r = PowerEnvelope(p=2.0, c=4.0, t0=t0)
-        env = envelope_product(env_r, f.profiles.deriv_line(alpha))
-        eps = apply_tol / (12.0 * (1.0 + alpha) ** 2)
-        local = cfg.with_tolerances(abs_tol=eps, rel_tol=1e-7)
-
-        def integrand(betas):
-            betas = np.asarray(betas, dtype=float)
-            fp = np.asarray(f.deriv(alpha + 1j * betas))
-            if spec is not None:
-                return (alpha - 1j * betas[:, None] + spec.lam) ** -2 * fp[:, None]
-            return _resolvents_squared(A, alpha - 1j * betas) * fp[:, None, None]
-
-        res = integrate_line(integrand, env, local, tail_tol=eps, strict=False)
-        inner_err[0] += alpha * res.error
-        n_evals[0] += res.n_evals
-        return res.value
-
-    def outer_integrand(alphas):
-        return np.array([a * inner(float(a)) for a in np.asarray(alphas, dtype=float)])
-
-    local_outer = cfg.with_tolerances(abs_tol=apply_tol / 4.0, rel_tol=1e-6)
-    res = integrate_halfline(
-        outer_integrand, env_outer, local_outer, tail_tol=apply_tol / 8.0, strict=False
-    )
-    integral = res.value if spec is None else (spec.q * res.value) @ spec.q.conj().T
-    value = f.infinity() * np.eye(A.n) - (2.0 / math.pi) * integral
-    # a unitary Q does not enlarge the max-entry error of diag(res.value)
-    err = (2.0 / math.pi) * (res.error + inner_err[0])
-    if spec is not None and spec.residual > 0.0:
-        err += spec.residual * _spectral_lipschitz(f, spec.lam)
-    return ApplyReport(value=value, error=err, n_evals=n_evals[0])
 
 
 def _spectral_lipschitz(f: AnalyticFunction, lam: np.ndarray) -> float:
@@ -684,30 +635,45 @@ def apply_calculus_report(
 ) -> ApplyReport:
     """f(A) = f(inf) I - (2/pi) * double integral of alpha (alpha-i beta+A)^(-2) f'.
 
-    Requires min Re spectrum > 0 or a finite sectoriality constant; otherwise
-    the operator is shifted right by eps = 1e-3, 1e-4 and the results are
-    Richardson-extrapolated back (flagged in the report).
-    """
+    Every admitted operator takes it directly, spectrum on iR included: admission
+    leaves only generators of bounded semigroups, which the calculus covers."""
     if f.summands is not None and len(f.summands) >= 2:
         # exact linear split; narrow frequency bands integrate much faster
         reports = [apply_calculus_report(A, s, cfg, apply_tol) for s in f.summands]
         return ApplyReport(
             value=sum(r.value for r in reports),
             error=sum(r.error for r in reports),
-            extrapolated=any(r.extrapolated for r in reports),
             n_evals=sum(r.n_evals for r in reports),
         )
-    scale = max(1.0, A.norm2)
-    if A.spectral_abscissa_min() > 1e-9 * scale or math.isfinite(A.profile(cfg).M):
-        return _apply_direct(A, f, cfg, apply_tol)
-    eps1, eps2 = 1e-3, 1e-4
-    a1 = MatrixOperator(A.matrix + eps1 * np.eye(A.n), label=f"{A.label}+{eps1:g}")
-    a2 = MatrixOperator(A.matrix + eps2 * np.eye(A.n), label=f"{A.label}+{eps2:g}")
-    r1 = _apply_direct(a1, f, cfg, apply_tol)
-    r2 = _apply_direct(a2, f, cfg, apply_tol)
-    value = (eps1 * r2.value - eps2 * r1.value) / (eps1 - eps2)
-    err = r1.error + r2.error + float(np.max(np.abs(r1.value - r2.value)))
-    return ApplyReport(value=value, error=err, extrapolated=True, n_evals=r1.n_evals + r2.n_evals)
+    env_outer = f.profiles.deriv_outer.scaled(0.5 * math.pi * A.profile(cfg).gamma_hat)
+    if not env_outer.integrable:
+        raise IntegralNotNormConvergent("no integrable derivative envelope for the outer integral")
+    spec = A.spectral()
+
+    def kernel(w):
+        if spec is None:
+            return _resolvents_squared(A, w)
+        return (w[:, None] + spec.lam) ** -2
+
+    def inner_envelope(alpha: float):
+        env_r = PowerEnvelope(p=2.0, c=4.0, t0=2.0 * (alpha + A.norm2) + 1.0)
+        return envelope_product(env_r, f.profiles.deriv_line(alpha))
+
+    def inner_cfg(alpha: float):
+        return cfg.with_tolerances(abs_tol=apply_tol / (12.0 * (1.0 + alpha) ** 2), rel_tol=1e-7)
+
+    res, inner_err, n_evals = pairing_integral(
+        kernel, f.deriv,
+        inner_envelope, inner_cfg,
+        env_outer, cfg.with_tolerances(abs_tol=apply_tol / 4.0, rel_tol=1e-6), apply_tol / 8.0,
+    )
+    integral = res.value if spec is None else (spec.q * res.value) @ spec.q.conj().T
+    value = f.infinity() * np.eye(A.n) - (2.0 / math.pi) * integral
+    # a unitary Q does not enlarge the max-entry error of diag(res.value)
+    err = (2.0 / math.pi) * (res.error + inner_err)
+    if spec is not None and spec.residual > 0.0:
+        err += spec.residual * _spectral_lipschitz(f, spec.lam)
+    return ApplyReport(value=value, error=err, n_evals=n_evals)
 
 
 def apply_calculus(

@@ -98,14 +98,15 @@ def test_criterion_03_reproducing_formula():
     ]
     res = np.linspace(0.1, 10.0, 5)
     ims = np.linspace(-10.0, 10.0, 5)
+    zs = np.array([complex(x, y) for x in res for y in ims])
     worst = 0.0
     worst_at = ""
     for f in catalog:
-        for x in res:
-            for y in ims:
-                r = reproduce_residual(f, complex(x, y), FAST)
-                if r > worst:
-                    worst, worst_at = r, f"{f.label} at {x:+.2f}{y:+.2f}i"
+        # one batched double integral answers the whole z-grid
+        r = reproduce_residual(f, zs, FAST)
+        k = int(np.argmax(r))
+        if r[k] > worst:
+            worst, worst_at = r[k], f"{f.label} at {zs[k].real:+.2f}{zs[k].imag:+.2f}i"
     _verdict(3, "reproducing residual < 1e-5 on the z-grid", worst < 1e-5,
              f"worst {worst:.2e} ({worst_at})")
 

@@ -26,6 +26,7 @@ def test_apply_command(capsys, tmp_path):
     assert rc == 0
     assert "3.678794e-01" in out
     doc = json.loads((tmp_path / "apply.json").read_text())
+    assert set(doc["result"]) == {"A", "f", "matrix", "error"}
     m = doc["result"]["matrix"]
     assert abs(m[0][0]["re"] - math.exp(-1.0)) < 1e-4
     assert abs(m[1][1]["re"] - math.exp(-2.0)) < 1e-4

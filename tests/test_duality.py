@@ -2,9 +2,11 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from besovcalc.duality import green_pairing, pairing, reproduce_residual
+from besovcalc.errors import InvalidParameter
 from besovcalc.functions import (
     add,
     band_function,
@@ -15,8 +17,10 @@ from besovcalc.functions import (
     resolvent,
     scale,
     shift,
+    vitse_reg,
 )
 from besovcalc.norms import b0_norm, e0_norm
+from besovcalc.operators import MatrixOperator, apply_calculus_report
 from besovcalc.quadrature import QuadratureConfig
 
 CFG = QuadratureConfig()
@@ -90,3 +94,33 @@ class TestGreenCrossCheck:
         direct = pairing(resolvent(1.0), cayley_pow(2), CFG).value
         green = green_pairing(resolvent(1.0), cayley_pow(2), CFG)
         assert abs(direct - green) < 1e-3
+
+
+class TestOneDoubleIntegral:
+    ZS = np.array([0.5 + 1.0j, 2.0, 1.0 - 3.0j, 5.0 + 2.0j])
+
+    @pytest.mark.parametrize("f", [exp_decay(1.0), cayley_pow(4)], ids=["exp", "cayley4"])
+    def test_calculus_diagonal_is_the_pairing(self, f):
+        # f(z) - f(inf) = (2/pi) <r_z, f>, once through the calculus on diag(z)
+        # and once through the pairing, each within its own reported bound
+        rep = apply_calculus_report(MatrixOperator(np.diag(self.ZS)), f, CFG)
+        for i, z in enumerate(self.ZS):
+            p = pairing(resolvent(z), f, CFG)
+            gap = abs(rep.value[i, i] - f.infinity() - (2.0 / math.pi) * p.value)
+            assert gap <= rep.error + (2.0 / math.pi) * p.error
+
+    @pytest.mark.parametrize(
+        "f", [exp_decay(1.0), cayley_pow(4), vitse_reg(1.0)], ids=["exp", "cayley4", "vitse1"]
+    )
+    def test_batched_residual_matches_single(self, f):
+        zs = np.array([0.1 - 10.0j, 0.5 + 1.0j, 2.0, 10.0 + 5.0j, 3.0 - 0.5j, 7.0 + 10.0j])
+        batch = reproduce_residual(f, zs, CFG)
+        single = [reproduce_residual(f, z, CFG) for z in zs]
+        assert all(type(r) is float for r in single)
+        assert batch.shape == zs.shape
+        assert np.max(np.abs(batch - single)) < 1e-6
+        assert np.max(batch) < 1e-5
+
+    def test_empty_z_rejected(self):
+        with pytest.raises(InvalidParameter):
+            reproduce_residual(exp_decay(1.0), np.array([]), CFG)

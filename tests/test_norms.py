@@ -53,7 +53,7 @@ class TestHinf:
     def test_dominates_boundary_line_sup(self, f):
         # the sup norm is the boundary-line supremum plus the interior cross-check
         rep = hinf_norm(f, CFG)
-        assert rep.value >= line_sup_modulus(f, BOUNDARY_OFFSET, CFG)
+        assert rep.value >= line_sup_modulus(f, BOUNDARY_OFFSET)
         assert rep.certified
 
     def test_interior_consistency(self):
@@ -200,11 +200,11 @@ class TestInequalities:
 
     def test_line_sup_left_of_axis(self):
         # |r_2| on the line Re = -1 peaks at 1/(2-1) = 1
-        assert line_sup_modulus(resolvent(2.0), -1.0 + 1e-6, CFG) == pytest.approx(
+        assert line_sup_modulus(resolvent(2.0), -1.0 + 1e-6) == pytest.approx(
             1.0, abs=1e-4
         )
-        assert left_line_sup(resolvent(2.0), 1.0, CFG) == line_sup_modulus(
-            resolvent(2.0), -1.0 + BOUNDARY_OFFSET, CFG
+        assert left_line_sup(resolvent(2.0), 1.0) == line_sup_modulus(
+            resolvent(2.0), -1.0 + BOUNDARY_OFFSET
         )
 
     def test_norm_report_json(self):

@@ -712,12 +712,23 @@ class TestApplyCalculus:
         right = apply_calculus(A, dilate(resolvent(1.0), b), CFG)
         assert np.max(np.abs(left - right)) < 1e-5
 
-    def test_extrapolated_path(self):
-        A = parse_operator_spec("diag(i,-i)")
-        rep = apply_calculus_report(A, exp_decay(1.0), CFG)
-        assert rep.extrapolated
-        oracle = oracle_apply(A, exp_decay(1.0), CFG)
-        assert np.max(np.abs(rep.value - oracle)) < 1e-4
+    @pytest.mark.parametrize(
+        "A,f",
+        [
+            (parse_operator_spec("diag(i,-i)"), exp_decay(1.0)),
+            (parse_operator_spec("diag(i,-i)"), eta()),
+            (parse_operator_spec("diag(2i,0.5)"), cayley_pow(1)),
+            # V diag(i,-i) V^-1 with V = [[1, 0.8], [0, 1]]: non-normal, spectrum on iR
+            (MatrixOperator(np.array([[1j, -1.6j], [0.0, -1j]])), exp_decay(1.0)),
+        ],
+        ids=["diag(i,-i)-exp", "diag(i,-i)-eta", "diag(2i,0.5)-cayley1", "nonnormal(i,-i)-exp"],
+    )
+    def test_imaginary_axis_spectrum(self, A, f):
+        # spectrum on iR takes the double integral directly, and its bound covers the gap
+        rep = apply_calculus_report(A, f, CFG)
+        gap = float(np.max(np.abs(rep.value - oracle_apply(A, f, CFG))))
+        assert gap < 1e-4
+        assert gap <= rep.error
 
     def test_weak_plancherel_bound(self):
         # for normal matrices: int |<(a+ib+A)^(-2) x, y>| db <= pi K^2 / a
