@@ -182,8 +182,9 @@ def _e0_at(f: AnalyticFunction, x: float, cfg: QuadratureConfig) -> float:
 
 
 def e0_norm(f: AnalyticFunction, cfg: QuadratureConfig = DEFAULT_CONFIG) -> NormReport:
-    """sup over x > 0 of x * integral over y of |f'(x+iy)|, on a geometric grid."""
-    if complex(f.deriv(1.0 + 0j)) == 0 and complex(f.deriv(2.0 + 0.7j)) == 0:
+    """sup over x > 0 of x * integral over y of |f'(x+iy)|, on a geometric grid;
+    0 without integrating when the profiles certify e0_upper = 0."""
+    if f.profiles.e0_upper == 0:
         return NormReport(0.0, cfg.abs_tol, {"e0": 0.0}, True)
     vals = np.array([_e0_at(f, x, cfg) for x in DYADIC_GRID])
     x_best, value = dyadic_max(lambda x: _e0_at(f, x, cfg), vals)

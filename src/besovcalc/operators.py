@@ -32,9 +32,9 @@ from .quadrature import (
     ExpEnvelope,
     PowerEnvelope,
     QuadratureConfig,
+    _refine_max,
     dyadic_max,
     envelope_product,
-    golden_max,
     integrate_halfline,
     integrate_interval,
     integrate_line,
@@ -226,13 +226,13 @@ class Spectral:
 
 
 def _diagonalise(A: MatrixOperator) -> Spectral | None:
-    """Q from the QR factor of the eigenvectors, lam the diagonal of Q^H A Q;
-    None unless A is normal and both ||offdiag(Q^H A Q)||_F and ||Q^H Q - I||_F
-    are <= 1e-12 max(1, ||A||_2)."""
-    if not is_normal(A):
+    """Q from the QR factor of the eigenvectors that admission stored, lam the
+    diagonal of Q^H A Q; None unless A is normal, its eigenvectors are stored,
+    and both ||offdiag(Q^H A Q)||_F and ||Q^H Q - I||_F are <= 1e-12 max(1, ||A||_2)."""
+    if not is_normal(A) or A.eigenvectors is None:
         return None
     a = A.matrix
-    q, _ = np.linalg.qr(np.linalg.eig(a)[1])
+    q, _ = np.linalg.qr(A.eigenvectors)
     t = q.conj().T @ a @ q
     lam = np.diagonal(t).copy()
     off = float(np.linalg.norm(t - np.diag(lam)))
@@ -449,15 +449,16 @@ def _semigroup_norms(A: MatrixOperator, ts: np.ndarray) -> np.ndarray:
 def _semigroup_sup(A: MatrixOperator) -> float:
     k_lo, k_hi = -12, 8
     best = 1.0
-    best_t = 0.0
+    top = None  # (log2 t, norms) of the grid that gave best
     prev_best = -1.0
     for _ in range(12):
-        ts = 2.0 ** np.arange(k_lo, k_hi, 0.25)
+        us = np.arange(k_lo, k_hi, 0.25)
+        ts = 2.0**us
         norms = _semigroup_norms(A, ts)
         cand = float(norms.max())
         if cand > best:
             best = cand
-            best_t = float(ts[int(norms.argmax())])
+            top = (us, norms)
         # settled when the top of the grid no longer contributes new growth
         tail_max = float(norms[ts >= ts[-1] / 16.0].max())
         if tail_max <= best * (1.0 + 1e-9) and cand <= prev_best * (1.0 + 1e-9):
@@ -468,15 +469,9 @@ def _semigroup_sup(A: MatrixOperator) -> float:
             if tail_max >= best * 0.999 and norms[-1] >= 0.999 * tail_max and best > 1e6:
                 raise ProfileDivergence("semigroup norm grid never settles")
             break
-    if best_t > 0:
-        _, v = golden_max(
-            lambda u: float(_semigroup_norms(A, np.array([math.exp(u)]))[0]),
-            math.log(best_t) - 0.3,
-            math.log(best_t) + 0.3,
-            40,
-        )
-        best = max(best, v)
-    return max(best, 1.0)
+    if top is not None:
+        best = _refine_max(lambda us: _semigroup_norms(A, 2.0**us), *top, 1)[1]
+    return best
 
 
 def _sectoriality_sup(A: MatrixOperator) -> float:
@@ -500,19 +495,9 @@ def _sectoriality_sup(A: MatrixOperator) -> float:
         out[off] = np.abs(y) * res_norm
         return out
 
-    def phi(y: float) -> float:
-        return float(phis(np.array([y]))[0])
-
-    ys = np.concatenate(
-        [-np.geomspace(1e-6, 1e3 * scale, 60)[::-1], [0.0], np.geomspace(1e-6, 1e3 * scale, 60)]
-    )
-    vals = phis(ys)
-    best = max(float(vals.max()), 1.0)
-    k = int(vals.argmax())
-    if 0 < k < len(ys) - 1 and ys[k - 1] < ys[k + 1]:
-        _, v = golden_max(phi, float(ys[k - 1]), float(ys[k + 1]), 48)
-        best = max(best, v)
-    return best
+    half = np.geomspace(1e-6, 1e3 * scale, 60)
+    ys = np.concatenate([-half[::-1], [0.0], half])
+    return max(_refine_max(phis, ys, phis(ys), 1)[1], 1.0)
 
 
 def _gamma_inner(

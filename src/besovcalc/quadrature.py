@@ -35,7 +35,6 @@ __all__ = [
     "integrate_line",
     "pairing_integral",
     "sup_on_vertical_line",
-    "golden_max",
     "DYADIC_GRID",
     "dyadic_max",
 ]
@@ -704,20 +703,40 @@ class SupResult:
 
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-# sup_on_vertical_line: grid points, the widest window as a multiple of the
-# first, and the golden-section rounds (shared with dyadic_max)
+# sup_on_vertical_line: grid points and the widest window as a multiple of the
+# first; every supremum refines its grid maximum by the same golden-section rounds
 _SUP_GRID_POINTS = 257
 _LINE_TRUNC_FACTOR = 1e3
 _SUP_REFINE_ROUNDS = 30
 
 
-def golden_max(phi: Callable[[float], float], lo: float, hi: float, rounds: int):
-    """Golden-section search for a maximum on [lo, hi]: one bracket of
-    `_golden_max_multi`, calling the scalar phi 2 + rounds times."""
-    xs, vs = _golden_max_multi(
-        lambda u: np.array([phi(float(u[0]))]), np.array([lo]), np.array([hi]), rounds
-    )
-    return float(xs[0]), float(vs[0])
+def _refine_max(phi_vec, grid, vals: np.ndarray, brackets: int) -> tuple[float, float, float]:
+    """Maximum of phi_vec given its values `vals` on the increasing points `grid`.
+
+    The top grid value is refined by `_SUP_REFINE_ROUNDS` golden-section rounds
+    run at once between the neighbours of the top grid point and of the next
+    largest points, up to `brackets` of them, no two adjacent.  A refined value
+    replaces the grid's only if it is larger.  Returns (location, value, gain),
+    gain being what the refinement added to the grid maximum.
+    """
+    k = int(vals.argmax())
+    chosen = [k]
+    for i in np.argsort(vals)[::-1]:
+        if len(chosen) >= brackets:
+            break
+        if all(abs(i - j) > 1 for j in chosen):
+            chosen.append(int(i))
+    last = len(vals) - 1
+    los = np.array([grid[max(i - 1, 0)] for i in chosen], dtype=float)
+    his = np.array([grid[min(i + 1, last)] for i in chosen], dtype=float)
+    ok = his > los
+    loc, best = float(grid[k]), float(vals[k])
+    if ok.any():
+        xs, vs = _golden_max_multi(phi_vec, los[ok], his[ok], _SUP_REFINE_ROUNDS)
+        j = int(np.argmax(vs))
+        if vs[j] > best:
+            return float(xs[j]), float(vs[j]), float(vs[j]) - best
+    return loc, best, 0.0
 
 
 # x = 2**u for u = -20, ..., 20: the grid of the suprema over x > 0
@@ -726,16 +745,12 @@ DYADIC_GRID = tuple(2.0**u for u in _DYADIC_EXPONENTS)
 
 
 def dyadic_max(g: Callable[[float], float], vals: np.ndarray) -> tuple[float, float]:
-    """Maximum over x > 0 of g, given its values `vals` on DYADIC_GRID: the top
-    grid value, refined by a golden-section search in u = log2 x between that
-    point's two neighbours.  Returns (x, g(x)) for the larger of the two."""
-    k = int(np.argmax(vals))
-    lo = float(_DYADIC_EXPONENTS[max(k - 1, 0)])
-    hi = float(_DYADIC_EXPONENTS[min(k + 1, len(vals) - 1)])
-    u, v = golden_max(lambda u: g(2.0**u), lo, hi, _SUP_REFINE_ROUNDS)
-    if v >= vals[k]:
-        return 2.0**u, v
-    return DYADIC_GRID[k], float(vals[k])
+    """Maximum over x > 0 of g, given its values `vals` on DYADIC_GRID, by
+    `_refine_max` with one bracket in u = log2 x.  Returns (x, g(x))."""
+    u, v, _ = _refine_max(
+        lambda us: np.array([g(2.0 ** float(u)) for u in us]), _DYADIC_EXPONENTS, vals, 1
+    )
+    return 2.0**u, v
 
 
 def _golden_max_multi(phi_vec, los: np.ndarray, his: np.ndarray, rounds: int):
@@ -807,25 +822,6 @@ def sup_on_vertical_line(
         Y = min(2.0 * Y, Y_cap)
     assert grid is not None and vals is not None
 
-    order = np.argsort(vals)[::-1]
-    chosen: list[int] = []
-    for i in order:
-        if all(abs(i - j) > 1 for j in chosen):
-            chosen.append(int(i))
-        if len(chosen) >= 5:
-            break
-    best_val = float(vals.max())
-    best_loc = float(grid[int(vals.argmax())])
-    los = np.array([grid[max(i - 1, 0)] for i in chosen])
-    his = np.array([grid[min(i + 1, len(grid) - 1)] for i in chosen])
-    ok = his > los
-    improved = 0.0
-    if ok.any():
-        xs, vs = _golden_max_multi(phi, los[ok], his[ok], _SUP_REFINE_ROUNDS)
-        k = int(np.argmax(vs))
-        if vs[k] > best_val:
-            improved = float(vs[k]) - best_val
-            best_val, best_loc = float(vs[k]), float(xs[k])
+    loc, val, gain = _refine_max(phi, grid, vals, 5)
     # refinement must not still be moving the estimate materially
-    stabilized = improved <= 0.02 * max(best_val, 1e-300)
-    return SupResult(best_val, best_loc, stabilized)
+    return SupResult(val, loc, gain <= 0.02 * max(val, 1e-300))

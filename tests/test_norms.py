@@ -8,6 +8,7 @@ import pytest
 
 from besovcalc.errors import DivergenceSuspicion, UnboundedSuspicion
 from besovcalc.functions import (
+    AnalyticFunction,
     Profiles,
     cayley_pow,
     const,
@@ -131,6 +132,29 @@ class TestE0:
 
     def test_const_zero(self):
         assert e0_norm(const(2.0), CFG).value == 0.0
+
+    def test_derivative_zero_at_two_points_is_not_zero(self):
+        # f'(z) = (z-1)(z-b)/(z+1)**4 vanishes at 1 and at b = 2+0.7i only;
+        # with w = z+1, f = -1/w + (3+b)/(2w^2) - 2(1+b)/(3w^3)
+        b = 2.0 + 0.7j
+        env = PowerEnvelope(p=2.0, c=2.0, t0=4.0)  # |f'| <= (1 + 3.1/|y|)/y^2
+        f = AnalyticFunction(
+            eval_fn=lambda z: -1 / (z + 1) + (3 + b) / (2 * (z + 1) ** 2)
+            - 2 * (1 + b) / (3 * (z + 1) ** 3),
+            deriv_fn=lambda z: (z - 1) * (z - b) / (z + 1) ** 4,
+            profiles=Profiles(
+                deriv_line=lambda x: env,
+                modulus_line=lambda x: ConstEnvelope(c=2.0),
+                deriv_outer=env,
+                modulus_outer=ConstEnvelope(c=2.0),
+            ),
+            value_at_infinity=0.0,
+            label="two_zero_deriv",
+        )
+        assert f.deriv(1.0) == 0 and f.deriv(b) == 0
+        at4 = _e0_at(f, 4.0, CFG)
+        assert at4 > 1.5
+        assert e0_norm(f, CFG).value >= at4
 
     def test_square_resolvent_h1_bound(self):
         # oracle bound: the H1 norm of g' = -2/(z+1)^3 is sup_x 2 * 2/(1+x)^2 = 4

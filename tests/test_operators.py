@@ -42,6 +42,7 @@ from besovcalc.operators import (
     _gamma_inner,
     _resolvents_squared,
     _sectoriality_sup,
+    _semigroup_sup,
     _spectral_lipschitz,
     apply_calculus,
     apply_calculus_report,
@@ -62,7 +63,7 @@ from besovcalc.operators import (
 from besovcalc.quadrature import (
     PowerEnvelope,
     QuadratureConfig,
-    golden_max,
+    _refine_max,
     integrate_line,
 )
 
@@ -415,6 +416,15 @@ class TestProfile:
             p = profile(parse_operator_spec(spec), CFG)
             assert p.gamma_hat >= 4.0 / math.e - 1e-6
 
+    @pytest.mark.parametrize("lam", [0.05, 0.1, 0.2, 0.3])
+    def test_jordan_semigroup_bound_closed_form(self, lam):
+        # ||exp(-tJ)|| = exp(-lam t) (t/2 + sqrt(1 + t^2/4)) = exp(s - 2 lam sinh s)
+        # with t = 2 sinh s, largest where cosh s = 1/(2 lam)
+        s = math.acosh(1.0 / (2.0 * lam))
+        exact = math.exp(s - 2.0 * lam * math.sinh(s))
+        assert exact > 1.0
+        assert _semigroup_sup(jordan_operator(lam, 2)) == pytest.approx(exact, rel=1e-12)
+
     def test_nonsectorial_imaginary(self):
         p = profile(parse_operator_spec("diag(i,-i)"), CFG)
         assert math.isinf(p.M)
@@ -638,11 +648,8 @@ def _sectoriality_loop(A):
     grid = np.geomspace(1e-6, 1e3 * scale, 60)
     ys = np.concatenate([-grid[::-1], [0.0], grid])
     vals = np.array([phi(y) for y in ys])
-    best = max(float(vals.max()), 1.0)
-    k = int(vals.argmax())
-    if 0 < k < len(ys) - 1:
-        best = max(best, golden_max(phi, float(ys[k - 1]), float(ys[k + 1]), 48)[1])
-    return best
+    refined = _refine_max(lambda us: np.array([phi(float(u)) for u in us]), ys, vals, 1)[1]
+    return max(refined, 1.0)
 
 
 @pytest.mark.parametrize("seed", [1, 3, 8])

@@ -7,7 +7,7 @@ import tracemalloc
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from besovcalc.errors import DepthExceeded, EnvelopeViolated, InvalidParameter
@@ -22,7 +22,6 @@ from besovcalc.quadrature import (
     envelope_product,
     integrate_halfline,
     integrate_interval,
-    golden_max,
     integrate_line,
     sup_on_vertical_line,
 )
@@ -32,9 +31,11 @@ from besovcalc.quadrature import (
     _WG_FULL,
     _WK,
     QuadResult,
+    _SUP_REFINE_ROUNDS,
     _eval_panels,
     _golden_max_multi,
     _maxabs,
+    _refine_max,
 )
 
 CFG = QuadratureConfig()
@@ -252,19 +253,89 @@ class TestSupremum:
     )
     @pytest.mark.parametrize("rounds", [1, 7, 30])
     def test_golden_max_is_one_bracket(self, phi, lo, hi, rounds):
+        """One bracket of `_golden_max_multi` is the scalar golden-section search:
+        the same points and values, and 2 + rounds evaluations."""
+        r = (math.sqrt(5.0) - 1.0) / 2.0
+        a, b = lo, hi
+        c, d = b - r * (b - a), a + r * (b - a)
+        fc, fd = phi(c), phi(d)
+        for _ in range(rounds):
+            if fc >= fd:
+                b, d, fd = d, c, fc
+                c = b - r * (b - a)
+                fc = phi(c)
+            else:
+                a, c, fc = c, d, fd
+                d = a + r * (b - a)
+                fd = phi(d)
+        calls = []
+
+        def counted(us):
+            calls.append(len(us))
+            return np.array([phi(float(u)) for u in us])
+
+        xs, vs = _golden_max_multi(counted, np.array([lo]), np.array([hi]), rounds)
+        assert calls == [1] * (2 + rounds)
+        assert (xs[0], vs[0]) == ((c, fc) if fc >= fd else (d, fd))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(st.floats(-3.0, 3.0), min_size=3, max_size=3),
+        st.integers(3, 60),
+        st.sampled_from([1, 5]),
+    )
+    def test_refine_max_bounds_the_grid(self, coef, n, brackets):
+        a, b, c = coef
+
+        def phi(u):
+            return np.cos(a * u) + b * np.sin(c * u + 1.0)
+
         calls = []
 
         def counted(u):
-            calls.append(u)
+            calls.append(len(u))
             return phi(u)
 
-        got = golden_max(counted, lo, hi, rounds)
-        assert len(calls) == 2 + rounds
-        assert all(type(u) is float for u in calls)
-        xs, vs = _golden_max_multi(
-            lambda us: np.array([phi(u) for u in us]), np.array([lo]), np.array([hi]), rounds
-        )
-        assert got == (xs[0], vs[0])
+        grid = np.linspace(-2.0, 3.0, n)
+        vals = phi(grid)
+        k = int(vals.argmax())
+        loc, value, gain = _refine_max(counted, grid, vals, brackets)
+        assert value >= vals.max()
+        assert gain == value - vals.max()
+        assert value == pytest.approx(phi(np.array([loc]))[0], rel=1e-12, abs=1e-15)
+        assert len(calls) == 2 + _SUP_REFINE_ROUNDS
+        if brackets == 1:
+            assert grid[max(k - 1, 0)] <= loc <= grid[min(k + 1, n - 1)]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(st.floats(0.5, 0.9), min_size=5, max_size=5),
+        st.lists(st.floats(-0.5, 0.5), min_size=5, max_size=5),
+        st.integers(0, 4),
+    )
+    # the tallest bump midway between grid points, where the grid reads 0.37
+    @example(heights=[0.9] * 5, offsets=[0.5, 0.0, 0.0, 0.0, 0.0], top=0)
+    def test_refine_max_five_brackets_find_the_tallest_bump(self, heights, offsets, top):
+        """Five narrow bumps, one per ten grid cells, the one at `top` of height 1:
+        each bump's top grid point is among the five brackets, so the tallest
+        peak is found even when it lies between two grid points and a lower
+        bump sits on one."""
+        heights[top] = 1.0
+        centres = [5.0 + 10.0 * i + o for i, o in enumerate(offsets)]
+
+        def phi(u):
+            u = np.asarray(u, dtype=float)
+            return sum(h * np.exp(-(((u - c) / 0.5) ** 2)) for h, c in zip(heights, centres))
+
+        grid = np.arange(50.0)
+        loc, value, _ = _refine_max(phi, grid, phi(grid), 5)
+        assert value == pytest.approx(1.0, rel=1e-9)
+        assert abs(loc - centres[top]) < 1e-3
+
+    def test_refine_max_keeps_the_grid_point_on_a_tie(self):
+        grid = np.linspace(0.0, 1.0, 9)
+        loc, value, gain = _refine_max(np.ones_like, grid, np.ones(9), 5)
+        assert (loc, value, gain) == (0.0, 1.0, 0.0)
 
 
 class TestEnvelopes:
