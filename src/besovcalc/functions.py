@@ -9,6 +9,7 @@ envelopes in x for the line suprema of |f| and |f'|.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import re
 from dataclasses import dataclass, replace
@@ -106,9 +107,6 @@ class HalfLineMeasure:
                 _, coeff, a, b = self.density
                 tv += abs(coeff) * (b - a)
         return tv
-
-    def mass_at_zero(self) -> complex:
-        return sum(c for t, c in self.atoms if t == 0.0)
 
 
 @dataclass(frozen=True)
@@ -525,7 +523,16 @@ def vitse_reg(t: float) -> AnalyticFunction:
     )
 
 
-def _laplace_summands(atoms, dens) -> tuple["AnalyticFunction", ...]:
+def laplace_transform(measure: HalfLineMeasure) -> AnalyticFunction:
+    """Laplace transform of a bounded measure: the sum of its parts.
+
+    The parts are a constant for the atoms at 0, one exponential per atom at
+    t > 0 and a resolvent or dilated eta part for the density; f is their sum
+    and keeps them as summands.  Only two profile facts come from the whole
+    measure: the supremum window, which must resolve the beat of the nearest
+    two rates, and the global modulus bound, its total variation.
+    """
+    atoms = tuple((float(t), complex(c)) for t, c in measure.atoms)
     parts: list[AnalyticFunction] = []
     zero_mass = sum(c for t, c in atoms if t == 0.0)
     if zero_mass != 0:
@@ -533,6 +540,7 @@ def _laplace_summands(atoms, dens) -> tuple["AnalyticFunction", ...]:
     for t, c in atoms:
         if t > 0 and c != 0:
             parts.append(scale(exp_decay(t), c))
+    dens = measure.density
     if dens is not None:
         if dens[0] == "exp":
             _, coeff, rate = dens
@@ -542,124 +550,15 @@ def _laplace_summands(atoms, dens) -> tuple["AnalyticFunction", ...]:
             w = b - a
             core = dilate(eta(), w) if a == 0 else mul(exp_decay(a), dilate(eta(), w))
             parts.append(scale(core, coeff * w))
-    return tuple(parts)
-
-
-def laplace_transform(measure: HalfLineMeasure) -> AnalyticFunction:
-    """Laplace transform of a bounded measure: atoms plus optional density."""
-    atoms = tuple((float(t), complex(c)) for t, c in measure.atoms)
-    dens = measure.density
-
-    def ev(z):
-        out = np.zeros_like(z)
-        for t, c in atoms:
-            out = out + c * np.exp(-t * z)
-        if dens is not None:
-            if dens[0] == "exp":
-                _, coeff, rate = dens
-                out = out + coeff / (z + rate)
-            else:
-                _, coeff, a, b = dens
-                w = b - a
-                out = out + coeff * w * np.exp(-a * z) * _eta_eval(w * z)
-        return out
-
-    def dv(z):
-        out = np.zeros_like(z)
-        for t, c in atoms:
-            out = out - c * t * np.exp(-t * z)
-        if dens is not None:
-            if dens[0] == "exp":
-                _, coeff, rate = dens
-                out = out - coeff / (z + rate) ** 2
-            else:
-                _, coeff, a, b = dens
-                w = b - a
-                e = np.exp(-a * z)
-                out = out + coeff * w * e * (-a * _eta_eval(w * z) + w * _eta_deriv(w * z))
-        return out
-
-    pos_taus = sorted(t for t, c in atoms if t > 0 and c != 0)
-    freq_hi = -pos_taus[0] if pos_taus else 0.0
-    freq_lo = -pos_taus[-1] if pos_taus else 0.0
-
-    def dl(x):
-        parts = []
-        amp = sum(abs(c) * t * math.exp(-t * x) for t, c in atoms)
-        if amp > 0:
-            parts.append(ConstEnvelope(c=amp, freq_lo=freq_lo, freq_hi=freq_hi))
-        if dens is not None:
-            if dens[0] == "exp":
-                _, coeff, rate = dens
-                parts.append(ResolventEnvelope(m=abs(coeff), shift=x + rate))
-            else:
-                _, coeff, a, b = dens
-                parts.append(
-                    SumEnvelope.of(
-                        PowerEnvelope(p=2.0, c=2.0 * abs(coeff), t0=max(2 * (b + x), 2.0)),
-                        PowerEnvelope(
-                            p=1.0,
-                            c=abs(coeff) * (math.exp(-a * x) + math.exp(-b * x)),
-                            t0=max(2 * (b + x), 2.0),
-                            freq_lo=-b,
-                            freq_hi=-a,
-                        ),
-                    )
-                )
-        return SumEnvelope.of(*parts) if parts else _ZERO_ENV
-
-    def ml(x):
-        amp = sum(abs(c) * math.exp(-t * x) for t, c in atoms)
-        lo = freq_lo
-        hi = freq_hi
-        if dens is not None or any(t == 0.0 and c != 0 for t, c in atoms):
-            hi = 0.0
-            if dens is not None and dens[0] == "lebesgue":
-                lo = min(lo, -dens[3])
-        return ConstEnvelope(
-            c=amp + (measure.total_variation() - sum(abs(c) for _, c in atoms)),
-            freq_lo=lo,
-            freq_hi=hi,
-        )
-
-    outer_parts = []
-    if pos_taus:
-        amp = sum(abs(c) * t for t, c in atoms if t > 0)
-        outer_parts.append(ExpEnvelope(a=pos_taus[0], c=amp))
-    if dens is not None:
-        if dens[0] == "exp":
-            outer_parts.append(PowerEnvelope(p=2.0, c=abs(dens[1]), t0=1e-6))
-        else:
-            _, coeff, a, b = dens
-            if a > 0:
-                outer_parts.append(ExpEnvelope(a=a, c=abs(coeff) * b * (b - a)))
-            else:
-                outer_parts.append(PowerEnvelope(p=2.0, c=abs(coeff), t0=1e-6))
-    deriv_outer = SumEnvelope.of(*outer_parts) if outer_parts else _ZERO_ENV
-
-    min_scale = pos_taus[0] if pos_taus else 1.0
-    gaps = [b - a for a, b in zip(pos_taus, pos_taus[1:]) if b > a]
-    beat = min(gaps) if gaps else min_scale
-    lb = math.inf
-    if dens is not None and dens[0] == "exp":
-        lb = dens[2]
-    prof = Profiles(
-        deriv_line=dl,
-        modulus_line=ml,
-        deriv_outer=deriv_outer,
+    f = functools.reduce(add, parts) if parts else const(0.0)
+    taus = sorted(t for t, c in atoms if t > 0 and c != 0)
+    beat = min([taus[0]] + [b - a for a, b in zip(taus, taus[1:]) if b > a]) if taus else 1.0
+    prof = replace(
+        f.profiles,
+        window=max(8.0, 3.0 * 2.0 * math.pi / beat),
         modulus_outer=ConstEnvelope(c=measure.total_variation()),
-        window=max(8.0, 3.0 * 2.0 * math.pi / min(min_scale, beat)),
     )
-    parts = _laplace_summands(atoms, dens)
-    return AnalyticFunction(
-        eval_fn=ev,
-        deriv_fn=dv,
-        profiles=prof,
-        value_at_infinity=measure.mass_at_zero(),
-        label="laplace(...)",
-        left_bound=lb,
-        summands=parts if len(parts) >= 2 else None,
-    )
+    return replace(f, profiles=prof, label="laplace(...)")
 
 
 def band_function(eps: float, sigma: float, coeffs=None) -> AnalyticFunction:
@@ -672,11 +571,7 @@ def band_function(eps: float, sigma: float, coeffs=None) -> AnalyticFunction:
     if any(t < eps - 1e-12 or t > sigma + 1e-12 for t in taus):
         raise InvalidParameter("band rates must lie in [eps, sigma]")
     f = laplace_transform(HalfLineMeasure(atoms=tuple((t, complex(c)) for t, c in coeffs)))
-    return replace(
-        f,
-        label=f"band(eps={eps:g},sigma={sigma:g})",
-        left_bound=math.inf,
-    )
+    return f.relabel(f"band(eps={eps:g},sigma={sigma:g})")
 
 
 def bernstein_resolvent(

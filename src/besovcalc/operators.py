@@ -451,10 +451,12 @@ def _semigroup_sup(A: MatrixOperator) -> float:
     best = 1.0
     top = None  # (log2 t, norms) of the grid that gave best
     prev_best = -1.0
+    us, norms = np.empty(0), np.empty(0)  # each round appends [k_lo, k_hi)
     for _ in range(12):
-        us = np.arange(k_lo, k_hi, 0.25)
+        new = np.arange(k_lo, k_hi, 0.25)
+        us = np.concatenate([us, new])
+        norms = np.concatenate([norms, _semigroup_norms(A, 2.0**new)])
         ts = 2.0**us
-        norms = _semigroup_norms(A, ts)
         cand = float(norms.max())
         if cand > best:
             best = cand
@@ -464,7 +466,7 @@ def _semigroup_sup(A: MatrixOperator) -> float:
         if tail_max <= best * (1.0 + 1e-9) and cand <= prev_best * (1.0 + 1e-9):
             break
         prev_best = cand
-        k_hi += 6
+        k_lo, k_hi = k_hi, k_hi + 6
         if k_hi > 44:
             if tail_max >= best * 0.999 and norms[-1] >= 0.999 * tail_max and best > 1e6:
                 raise ProfileDivergence("semigroup norm grid never settles")

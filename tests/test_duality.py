@@ -8,12 +8,14 @@ import pytest
 from besovcalc.duality import green_pairing, pairing, reproduce_residual
 from besovcalc.errors import InvalidParameter
 from besovcalc.functions import (
+    HalfLineMeasure,
     add,
     band_function,
     cayley_pow,
     const,
     eta,
     exp_decay,
+    laplace_transform,
     resolvent,
     scale,
     shift,
@@ -41,6 +43,15 @@ class TestPairingValues:
         # <r_a, r_b> = (pi/2) r_b(a), here a=2, b=1
         got = pairing(resolvent(2.0), resolvent(1.0), CFG)
         assert abs(got.value - math.pi / 6.0) < 1e-6
+
+    def test_laplace_kernel_is_certified(self):
+        # g = 1 - 2 r_1 has the closed-form weight e0_upper = 2 pi, so the error
+        # is certified; <g, e_1> = -2 (pi/2) e^(-1) by the reproducing identity
+        g = laplace_transform(HalfLineMeasure(atoms=((0.0, 1.0),), density=("exp", -2.0, 1.0)))
+        assert g.profiles.e0_upper == pytest.approx(2.0 * math.pi)
+        got = pairing(g, exp_decay(1.0), CFG)
+        assert got.error < 1e-5
+        assert got.error >= abs(got.value + math.pi / math.e)
 
     def test_bilinearity(self):
         g = resolvent(1.0)

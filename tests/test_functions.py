@@ -16,6 +16,7 @@ from besovcalc.functions import (
     AnalyticFunction,
     BernsteinFunction,
     HalfLineMeasure,
+    _global_modulus_bound,
     add,
     band_function,
     cauchy_derivatives,
@@ -25,6 +26,7 @@ from besovcalc.functions import (
     eta,
     exp_decay,
     exp_inv_shift,
+    laplace_transform,
     mul,
     parse_complex,
     parse_function_spec,
@@ -218,11 +220,56 @@ class TestAlgebra:
         assert complex(p.deriv(z)) == pytest.approx(expect, rel=1e-12)
 
     def test_summands_sum_exactly(self):
-        f = band_function(1.0, 4.0, [(1.0, 1.0), (2.0, 0.5), (4.0, -1.0)])
+        coeffs = [(1.0, 1.0), (2.0, 0.5), (4.0, -1.0)]
+        f = band_function(1.0, 4.0, coeffs)
         assert f.summands is not None and len(f.summands) == 3
         zs = np.array([0.5, 1.0 + 2.0j])
         total = sum(np.asarray(s(zs)) for s in f.summands)
-        assert np.allclose(total, f(zs), atol=1e-15)
+        expect = sum(c * np.exp(-t * zs) for t, c in coeffs)
+        assert np.allclose(total, expect, atol=1e-15)
+        assert np.allclose(f(zs), expect, atol=1e-15)
+
+
+class TestLaplaceTransform:
+    # 0.1 lies inside the series radius |w z| < 0.25 of both lebesgue widths
+    ZS = np.array([0.1, 0.7 + 2.0j, 3.0 - 1.5j])
+
+    @pytest.mark.parametrize(
+        "density, value, deriv",
+        [
+            (("exp", -2.0, 1.5), lambda z: -2.0 / (z + 1.5), lambda z: 2.0 / (z + 1.5) ** 2),
+            (
+                ("lebesgue", 3.0, 0.0, 1.0),
+                lambda z: 3.0 * (1.0 - np.exp(-z)) / z,
+                lambda z: 3.0 * (np.exp(-z) / z - (1.0 - np.exp(-z)) / z**2),
+            ),
+            (
+                ("lebesgue", 3.0, 0.5, 2.0),
+                lambda z: 3.0 * (np.exp(-0.5 * z) - np.exp(-2.0 * z)) / z,
+                lambda z: 3.0 * (
+                    (-0.5 * np.exp(-0.5 * z) + 2.0 * np.exp(-2.0 * z)) / z
+                    - (np.exp(-0.5 * z) - np.exp(-2.0 * z)) / z**2
+                ),
+            ),
+        ],
+    )
+    def test_density_closed_forms(self, density, value, deriv):
+        f = laplace_transform(HalfLineMeasure(density=density))
+        assert np.allclose(f(self.ZS), value(self.ZS), rtol=1e-12, atol=0)
+        assert np.allclose(f.deriv(self.ZS), deriv(self.ZS), rtol=1e-10, atol=0)
+
+    def test_empty_measure_is_zero(self):
+        f = laplace_transform(HalfLineMeasure())
+        assert np.all(f(self.ZS) == 0) and np.all(f.deriv(self.ZS) == 0)
+        assert f.value_at_infinity == 0 and f.profiles.e0_upper == 0.0
+
+    def test_window_resolves_the_beat_of_nearby_rates(self):
+        f = laplace_transform(HalfLineMeasure(atoms=((1.0, 1.0), (1.1, -1.0))))
+        assert f.profiles.window == pytest.approx(6.0 * math.pi / 0.1, rel=1e-12)
+
+    def test_global_modulus_bound_is_total_variation(self):
+        mu = HalfLineMeasure(atoms=((0.0, 1.0), (2.0, -0.5j)), density=("lebesgue", -3.0, 1.0, 2.0))
+        assert _global_modulus_bound(laplace_transform(mu)) == mu.total_variation() == 4.5
 
 
 class TestInvariantsAndFlags:

@@ -425,6 +425,19 @@ class TestProfile:
         assert exact > 1.0
         assert _semigroup_sup(jordan_operator(lam, 2)) == pytest.approx(exact, rel=1e-12)
 
+    def test_semigroup_settling_evaluates_only_new_points(self, monkeypatch):
+        # the first round covers log2 t in [-12, 8), the second appends [8, 14)
+        sizes = []
+        norms = operators._semigroup_norms
+
+        def recording(A, ts):
+            sizes.append(len(ts))
+            return norms(A, ts)
+
+        monkeypatch.setattr(operators, "_semigroup_norms", recording)
+        assert _semigroup_sup(parse_operator_spec("sectorial_random(4,seed=3)")) == 1.0
+        assert sizes == [80, 24]
+
     def test_nonsectorial_imaginary(self):
         p = profile(parse_operator_spec("diag(i,-i)"), CFG)
         assert math.isinf(p.M)
