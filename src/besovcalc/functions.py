@@ -950,7 +950,7 @@ def _parse_density(text: str):
     coeff = 1.0 + 0j
     if "*" in s:
         pre, s = s.split("*", 1)
-        coeff = parse_complex(pre)
+        coeff = parse_number(pre, "density coefficient")
     args = SpecArgs(s, "density")
     if args.name == "exp":
         density = ("exp", coeff, args.number("rate", 0, 1.0, kind=float))

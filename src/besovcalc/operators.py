@@ -10,7 +10,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
-    IntegralNotNormConvergent,
     InvalidParameter,
     NotDiagonalizable,
     ProfileDivergence,
@@ -18,6 +17,7 @@ from .errors import (
     SpectrumError,
     UnknownSpec,
 )
+from .duality import kernel_pairing
 from .functions import (
     AnalyticFunction,
     HalfLineMeasure,
@@ -34,11 +34,9 @@ from .quadrature import (
     QuadratureConfig,
     _refine_max,
     dyadic_max,
-    envelope_product,
     integrate_halfline,
     integrate_interval,
     integrate_line,
-    pairing_integral,
 )
 
 __all__ = [
@@ -71,6 +69,8 @@ _NORMAL_TOL = 1e-10
 _SPECTRAL_TOL = 1e-12
 # entries of the per-row intermediate of the profile's weak samples held at once
 _WEAK_BLOCK_ENTRIES = 2**13
+# the calculus's absolute error target; its inner, outer and tail tolerances are shares of it
+_APPLY_TOL = 1e-5
 
 
 class _SeededDraws:
@@ -502,6 +502,11 @@ def _sectoriality_sup(A: MatrixOperator) -> float:
     return max(_refine_max(phis, ys, phis(ys), 1)[1], 1.0)
 
 
+def _kernel_line(A: MatrixOperator, alpha: float) -> PowerEnvelope:
+    """Envelope of ||(alpha + i beta + A)^(-2)|| in beta: 4/beta^2 past 2(alpha + ||A||) + 1."""
+    return PowerEnvelope(p=2.0, c=4.0, t0=2.0 * (alpha + A.norm2) + 1.0)
+
+
 def _gamma_inner(
     A: MatrixOperator,
     alpha: float,
@@ -509,8 +514,7 @@ def _gamma_inner(
     pairs: tuple[np.ndarray, np.ndarray] | None = None,
 ):
     """alpha * int over beta of ||(alpha+i beta+A)^(-2)|| (and weak samples)."""
-    t0 = 2.0 * (alpha + A.norm2) + 1.0
-    env = PowerEnvelope(p=2.0, c=4.0, t0=t0)
+    env = _kernel_line(A, alpha)
     eps = max(cfg.abs_tol, 5e-8) / max(alpha, 1.0)
     local = cfg.with_tolerances(abs_tol=eps, rel_tol=1e-6)
 
@@ -618,23 +622,13 @@ def apply_calculus_report(
     A: MatrixOperator,
     f: AnalyticFunction,
     cfg: QuadratureConfig = DEFAULT_CONFIG,
-    apply_tol: float = 1e-5,
 ) -> ApplyReport:
     """f(A) = f(inf) I - (2/pi) * double integral of alpha (alpha-i beta+A)^(-2) f'.
 
-    Every admitted operator takes it directly, spectrum on iR included: admission
-    leaves only generators of bounded semigroups, which the calculus covers."""
-    if f.summands is not None and len(f.summands) >= 2:
-        # exact linear split; narrow frequency bands integrate much faster
-        reports = [apply_calculus_report(A, s, cfg, apply_tol) for s in f.summands]
-        return ApplyReport(
-            value=sum(r.value for r in reports),
-            error=sum(r.error for r in reports),
-            n_evals=sum(r.n_evals for r in reports),
-        )
-    env_outer = f.profiles.deriv_outer.scaled(0.5 * math.pi * A.profile(cfg).gamma_hat)
-    if not env_outer.integrable:
-        raise IntegralNotNormConvergent("no integrable derivative envelope for the outer integral")
+    The double integral is the kernel pairing of f with (w + A)^(-2), whose weight
+    is (pi/2) gamma_hat.  Every admitted operator takes it directly, spectrum on iR
+    included: admission leaves only generators of bounded semigroups, which the
+    calculus covers."""
     spec = A.spectral()
 
     def kernel(w):
@@ -642,34 +636,29 @@ def apply_calculus_report(
             return _resolvents_squared(A, w)
         return (w[:, None] + spec.lam) ** -2
 
-    def inner_envelope(alpha: float):
-        env_r = PowerEnvelope(p=2.0, c=4.0, t0=2.0 * (alpha + A.norm2) + 1.0)
-        return envelope_product(env_r, f.profiles.deriv_line(alpha))
-
     def inner_cfg(alpha: float):
-        return cfg.with_tolerances(abs_tol=apply_tol / (12.0 * (1.0 + alpha) ** 2), rel_tol=1e-7)
+        return cfg.with_tolerances(abs_tol=_APPLY_TOL / (12.0 * (1.0 + alpha) ** 2), rel_tol=1e-7)
 
-    res, inner_err, n_evals = pairing_integral(
-        kernel, f.deriv,
-        inner_envelope, inner_cfg,
-        env_outer, cfg.with_tolerances(abs_tol=apply_tol / 4.0, rel_tol=1e-6), apply_tol / 8.0,
+    weight = 0.5 * math.pi * A.profile(cfg).gamma_hat
+    p = kernel_pairing(
+        kernel, lambda alpha: _kernel_line(A, alpha), weight, True, f,
+        inner_cfg, cfg.with_tolerances(abs_tol=_APPLY_TOL / 4.0, rel_tol=1e-6), _APPLY_TOL / 8.0,
     )
-    integral = res.value if spec is None else (spec.q * res.value) @ spec.q.conj().T
+    integral = p.value if spec is None else (spec.q * p.value) @ spec.q.conj().T
     value = f.infinity() * np.eye(A.n) - (2.0 / math.pi) * integral
-    # a unitary Q does not enlarge the max-entry error of diag(res.value)
-    err = (2.0 / math.pi) * (res.error + inner_err)
+    # a unitary Q does not enlarge the max-entry error of diag(p.value)
+    err = (2.0 / math.pi) * p.error
     if spec is not None and spec.residual > 0.0:
         err += spec.residual * _spectral_lipschitz(f, spec.lam)
-    return ApplyReport(value=value, error=err, n_evals=n_evals)
+    return ApplyReport(value=value, error=err, n_evals=p.n_evals)
 
 
 def apply_calculus(
     A: MatrixOperator,
     f: AnalyticFunction,
     cfg: QuadratureConfig = DEFAULT_CONFIG,
-    apply_tol: float = 1e-5,
 ) -> np.ndarray:
-    return apply_calculus_report(A, f, cfg, apply_tol).value
+    return apply_calculus_report(A, f, cfg).value
 
 
 def hp_apply(

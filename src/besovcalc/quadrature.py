@@ -33,7 +33,6 @@ __all__ = [
     "integrate_interval",
     "integrate_halfline",
     "integrate_line",
-    "pairing_integral",
     "sup_on_vertical_line",
     "DYADIC_GRID",
     "dyadic_max",
@@ -651,42 +650,6 @@ def integrate_line(
     return _integrate_truncated(f, envelope, cfg, 2, tail_tol, strict)
 
 
-def pairing_integral(
-    kernel: Callable[[np.ndarray], np.ndarray],
-    deriv: Callable[[np.ndarray], np.ndarray],
-    inner_envelope: Callable[[float], DecayEnvelope],
-    inner_cfg: Callable[[float], QuadratureConfig],
-    outer_envelope: DecayEnvelope,
-    outer_cfg: QuadratureConfig,
-    tail_tol: float,
-) -> tuple[QuadResult, float, int]:
-    """int_0^inf x int_R K(x-iy) f'(x+iy) dy dx, with K = kernel(x - iy) one scalar, vector
-    or matrix per point and f' = deriv.  The inner integral at x runs on inner_envelope(x)
-    under inner_cfg(x), whose abs_tol is also its tail tolerance; the outer one has tail
-    tolerance tail_tol, and neither is strict.  Returns the outer result, the sum of
-    x * (inner error) over every inner integral run, and the number of inner points."""
-    inner_err, n_evals = 0.0, 0
-
-    def inner(x: float):
-        nonlocal inner_err, n_evals
-
-        def integrand(ys):
-            k = kernel(x - 1j * ys)
-            return k * deriv(x + 1j * ys).reshape((-1,) + (1,) * (k.ndim - 1))
-
-        cfg = inner_cfg(x)
-        res = integrate_line(integrand, inner_envelope(x), cfg, tail_tol=cfg.abs_tol, strict=False)
-        inner_err += x * res.error
-        n_evals += res.n_evals
-        return x * res.value
-
-    def outer(xs):
-        return np.array([inner(float(x)) for x in xs])
-
-    res = integrate_halfline(outer, outer_envelope, outer_cfg, tail_tol=tail_tol, strict=False)
-    return res, inner_err, n_evals
-
-
 # ---------------------------------------------------------------------------
 # Suprema along vertical lines
 # ---------------------------------------------------------------------------
@@ -788,9 +751,9 @@ def _golden_max_multi(phi_vec, los: np.ndarray, his: np.ndarray, rounds: int):
 
 def sup_on_vertical_line(
     phi: Callable[[np.ndarray], np.ndarray],
-    envelope: DecayEnvelope | None,
+    envelope: DecayEnvelope,
     *,
-    window: float | None = None,
+    window: float,
 ) -> SupResult:
     """Estimate sup over the real line of a nonnegative function.
 
@@ -798,10 +761,9 @@ def sup_on_vertical_line(
     golden-section refinement around the top grid cells.  The returned value
     is a certified lower estimate of the supremum.
     """
-    scale = max(envelope.t0 if envelope is not None else 1.0, 1.0)
-    Y = float(window) if window else 4.0 * scale
-    Y_cap = _LINE_TRUNC_FACTOR * max(scale, Y)
-    decaying = envelope is not None and envelope.integrable
+    Y = float(window)
+    Y_cap = _LINE_TRUNC_FACTOR * max(envelope.t0, 1.0, Y)
+    decaying = envelope.integrable
 
     grid = None
     vals = None

@@ -1,12 +1,13 @@
 """Duality pairing and the reproducing identity."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from besovcalc.duality import green_pairing, pairing, reproduce_residual
-from besovcalc.errors import InvalidParameter
+from besovcalc.errors import IntegralNotNormConvergent, InvalidParameter
 from besovcalc.functions import (
     HalfLineMeasure,
     add,
@@ -23,7 +24,7 @@ from besovcalc.functions import (
 )
 from besovcalc.norms import b0_norm, e0_norm
 from besovcalc.operators import MatrixOperator, apply_calculus_report
-from besovcalc.quadrature import QuadratureConfig
+from besovcalc.quadrature import ConstEnvelope, QuadratureConfig
 
 CFG = QuadratureConfig()
 
@@ -110,7 +111,9 @@ class TestGreenCrossCheck:
 class TestOneDoubleIntegral:
     ZS = np.array([0.5 + 1.0j, 2.0, 1.0 - 3.0j, 5.0 + 2.0j])
 
-    @pytest.mark.parametrize("f", [exp_decay(1.0), cayley_pow(4)], ids=["exp", "cayley4"])
+    @pytest.mark.parametrize(
+        "f", [exp_decay(1.0), cayley_pow(4), band_function(1.0, 4.0)], ids=["exp", "cayley4", "band"]
+    )
     def test_calculus_diagonal_is_the_pairing(self, f):
         # f(z) - f(inf) = (2/pi) <r_z, f>, once through the calculus on diag(z)
         # and once through the pairing, each within its own reported bound
@@ -135,3 +138,27 @@ class TestOneDoubleIntegral:
     def test_empty_z_rejected(self):
         with pytest.raises(InvalidParameter):
             reproduce_residual(exp_decay(1.0), np.array([]), CFG)
+
+    def test_summand_evals_add_up(self):
+        f = band_function(1.0, 4.0)
+        assert f.summands is not None and len(f.summands) >= 2
+        g = resolvent(1.0 + 1.0j)
+        whole = pairing(g, f, CFG)
+        parts = [pairing(g, s, CFG) for s in f.summands]
+        assert whole.n_evals == sum(p.n_evals for p in parts) > 0
+        assert whole.value == sum(p.value for p in parts)
+
+    def test_one_integrability_error(self):
+        # pairing, the batched residual and the calculus reject a non-integrable
+        # outer envelope alike
+        base = exp_decay(1.0)
+        bad = dataclasses.replace(
+            base,
+            profiles=dataclasses.replace(base.profiles, deriv_outer=ConstEnvelope(c=1.0)),
+        )
+        with pytest.raises(IntegralNotNormConvergent):
+            pairing(resolvent(1.0), bad, CFG)
+        with pytest.raises(IntegralNotNormConvergent):
+            reproduce_residual(bad, self.ZS, CFG)
+        with pytest.raises(IntegralNotNormConvergent):
+            apply_calculus_report(MatrixOperator(np.diag([1.0, 2.0])), bad, CFG)

@@ -210,6 +210,7 @@ class TestSupremum:
         sup = sup_on_vertical_line(
             lambda y: 1.0 / (4.0 + np.asarray(y, dtype=float) ** 2),
             ResolventEnvelope(m=1.0, shift=2.0),
+            window=4.0,
         )
         assert sup.value == pytest.approx(0.25, abs=1e-10)
         assert abs(sup.location) < 1e-6
@@ -228,17 +229,19 @@ class TestSupremum:
             w = (z - 1.0) / (z + 1.0)
             return np.abs(2.0 * n * w ** (n - 1) / (z + 1.0) ** 2)
 
-        sup = sup_on_vertical_line(phi, ResolventEnvelope(m=2.0 * n, shift=x + 1.0))
+        sup = sup_on_vertical_line(phi, ResolventEnvelope(m=2.0 * n, shift=x + 1.0), window=4.0)
         assert sup.value == pytest.approx(oracle, abs=1e-6)
 
     def test_monotone_under_domination(self):
         s1 = sup_on_vertical_line(
             lambda y: 1.0 / (4.0 + np.asarray(y, dtype=float) ** 2),
             ResolventEnvelope(m=1.0, shift=2.0),
+            window=4.0,
         )
         s2 = sup_on_vertical_line(
             lambda y: 1.0 / (1.0 + np.asarray(y, dtype=float) ** 2),
             ResolventEnvelope(m=1.0, shift=1.0),
+            window=4.0,
         )
         assert s1.value <= s2.value + CFG.abs_tol
 

@@ -115,6 +115,9 @@ BAD_FUNCTIONS = [
     "laplace(density=exp(2,rate=2))",
     "laplace(density=lebesgue(0,1,2))",
     "laplace(density=gauss(1))",
+    "laplace(density=nan*exp(1))",
+    "laplace(density=inf*exp(1))",
+    "laplace(density=inf*lebesgue(0,1))",
     "laplace(atoms=[(nan,1)])",
     "laplace(atoms=[(1i,1)])",
     "band(eps=1,sigma=4,coeffs=[(1,nan)])",
