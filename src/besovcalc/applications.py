@@ -27,6 +27,7 @@ from .operators import (
     MatrixOperator,
     apply_calculus,
     apply_calculus_report,
+    gamma_weak_sample,
     is_normal,
     semigroup,
 )
@@ -107,7 +108,7 @@ def check_sectorial_gamma(
         prof.gamma_hat,
         rhs,
         1e-6 * prof.gamma_hat,
-        info={"gamma_weak_sample": prof.gamma_weak_sample},
+        info={"gamma_weak_sample": gamma_weak_sample(A, cfg)},
     )
 
 

@@ -47,6 +47,7 @@ __all__ = [
     "resolvent_matrix",
     "semigroup",
     "profile",
+    "gamma_weak_sample",
     "apply_calculus",
     "apply_calculus_report",
     "hp_apply",
@@ -67,7 +68,7 @@ _NORMAL_TOL = 1e-10
 # the unitary diagonalisation of a normal A is used when both of its residuals
 # are <= _SPECTRAL_TOL * max(1, ||A||_2)
 _SPECTRAL_TOL = 1e-12
-# entries of the per-row intermediate of the profile's weak samples held at once
+# entries of the per-row intermediates of the gamma and weak-sample integrands held at once
 _WEAK_BLOCK_ENTRIES = 2**13
 # the calculus's absolute error target; its inner, outer and tail tolerances are shares of it
 _APPLY_TOL = 1e-5
@@ -249,8 +250,6 @@ class OperatorProfile:
     K: float
     M: float
     gamma_hat: float
-    gamma_weak_sample: float
-    gamma_argmax_alpha: float = 1.0
 
 
 def resolvent_matrix(A: MatrixOperator, z: complex) -> np.ndarray:
@@ -427,7 +426,7 @@ def semigroup(A: MatrixOperator, t) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Operator profile: K, M, gamma bracket
+# Operator profile: K, M, gamma_hat, and the weak gamma sample
 # ---------------------------------------------------------------------------
 
 
@@ -507,87 +506,79 @@ def _kernel_line(A: MatrixOperator, alpha: float) -> PowerEnvelope:
     return PowerEnvelope(p=2.0, c=4.0, t0=2.0 * (alpha + A.norm2) + 1.0)
 
 
-def _gamma_inner(
-    A: MatrixOperator,
-    alpha: float,
-    cfg: QuadratureConfig,
-    pairs: tuple[np.ndarray, np.ndarray] | None = None,
-):
-    """alpha * int over beta of ||(alpha+i beta+A)^(-2)|| (and weak samples)."""
-    env = _kernel_line(A, alpha)
+def _kernel_line_integral(A: MatrixOperator, alpha: float, cfg: QuadratureConfig, integrand):
+    """alpha * int over beta of integrand(alpha + i beta), the norm of
+    (alpha + i beta + A)^(-2) or weak samples of it, under `_kernel_line`."""
     eps = max(cfg.abs_tol, 5e-8) / max(alpha, 1.0)
     local = cfg.with_tolerances(abs_tol=eps, rel_tol=1e-6)
+    res = integrate_line(
+        lambda betas: integrand(alpha + 1j * np.asarray(betas, dtype=float)),
+        _kernel_line(A, alpha), local, tail_tol=eps, strict=False
+    )
+    return alpha * np.real(res.value)
 
+
+def _gamma_inner(A: MatrixOperator, alpha: float, cfg: QuadratureConfig) -> float:
+    """alpha * int over beta of ||(alpha+i beta+A)^(-2)||."""
     spec = A.spectral()
-    npairs = 0 if pairs is None else pairs[0].shape[1]
-    if npairs:
-        xs, ys = pairs
-        if spec is None:
-            ys_conj = ys.conj()
-        else:
-            # <Q D Q^H x, y> = D-weighted sum of (Q^H x) conj(Q^H y)
-            qh = spec.q.conj().T
-            weights = (qh @ xs) * (qh @ ys).conj()
-    # rows per block: a dense row holds its n*n squared resolvent and its n*p weak
-    # product, a spectral row its p weak samples
-    width = A.n * max(A.n, npairs) if spec is None else max(npairs, 1)
-    step = max(1, _WEAK_BLOCK_ENTRIES // width)
+    step = max(1, _WEAK_BLOCK_ENTRIES // A.n**2)
 
-    def integrand(betas):
-        zs = alpha + 1j * np.asarray(betas, dtype=float)
-        out = np.empty((len(zs), 1 + npairs))
+    def integrand(zs):
         if spec is not None:
-            d = (zs[:, None] + spec.lam) ** -2
-            out[:, 0] = np.abs(d).max(axis=1)
+            return np.abs((zs[:, None] + spec.lam) ** -2).max(axis=1)
+        out = np.empty(len(zs))
+        for i in range(0, len(zs), step):
+            r2 = _resolvents_squared(A, zs[i : i + step])
+            out[i : i + step] = np.linalg.svd(r2, compute_uv=False)[:, 0]
+        return out
+
+    return float(_kernel_line_integral(A, alpha, cfg, integrand))
+
+
+def profile(A: MatrixOperator, cfg: QuadratureConfig = DEFAULT_CONFIG) -> OperatorProfile:
+    """K, M, and gamma_hat = (2/pi) sup over alpha > 0 of `_gamma_inner`."""
+    if A.n == 0:
+        raise InvalidParameter("the operator profile needs a matrix of size at least 1x1")
+    K = _semigroup_sup(A)
+    M = _sectoriality_sup(A)
+    vals = np.array([_gamma_inner(A, a, cfg) for a in DYADIC_GRID])
+    _, sup_val = dyadic_max(lambda a: _gamma_inner(A, a, cfg), vals)
+    return OperatorProfile(K=K, M=M, gamma_hat=(2.0 / math.pi) * sup_val)
+
+
+def gamma_weak_sample(
+    A: MatrixOperator, cfg: QuadratureConfig = DEFAULT_CONFIG, seed: int = 42
+) -> float:
+    """(2/pi) max of alpha * int over beta of |<(alpha+i beta+A)^(-2) x, y>| over
+    200 seeded unit pairs (x, y) and alpha in DYADIC_GRID[::2]: a lower sample
+    of gamma_hat."""
+    if A.n == 0:
+        raise InvalidParameter("the weak gamma sample needs a matrix of size at least 1x1")
+    draws = _SeededDraws(seed)
+    npairs = 200
+    xs, ys = draws.unit_columns(A.n, npairs), draws.unit_columns(A.n, npairs)
+    ys_conj = ys.conj()
+    spec = A.spectral()
+    if spec is not None:
+        # <Q D Q^H x, y> = D-weighted sum of (Q^H x) conj(Q^H y)
+        qh = spec.q.conj().T
+        weights = (qh @ xs) * (qh @ ys).conj()
+    # rows per block: a dense row holds its n*p weak product, a spectral row its p samples
+    step = max(1, _WEAK_BLOCK_ENTRIES // (npairs * (A.n if spec is None else 1)))
+
+    def integrand(zs):
+        out = np.empty((len(zs), npairs))
         for i in range(0, len(zs), step):
             rows = slice(i, i + step)
             if spec is None:
-                r2 = _resolvents_squared(A, zs[rows])
-                out[rows, 0] = np.linalg.svd(r2, compute_uv=False)[:, 0]
-                if npairs:
-                    np.abs(((r2 @ xs) * ys_conj).sum(axis=1), out=out[rows, 1:])
-            elif npairs:
-                np.abs(d[rows] @ weights, out=out[rows, 1:])
-        return out if npairs else out[:, 0]
+                prod = (_resolvents_squared(A, zs[rows]) @ xs) * ys_conj
+                np.abs(prod.sum(axis=1), out=out[rows])
+            else:
+                np.abs(((zs[rows, None] + spec.lam) ** -2) @ weights, out=out[rows])
+        return out
 
-    res = integrate_line(integrand, env, local, tail_tol=eps, strict=False)
-    if pairs is None:
-        return alpha * float(np.real(res.value))
-    vals = alpha * np.real(res.value)
-    return float(vals[0]), vals[1:]
-
-
-def profile(A: MatrixOperator, cfg: QuadratureConfig = DEFAULT_CONFIG, seed: int = 42):
-    """Semigroup bound, sectoriality constant, and the gamma bracket."""
-    if A.n == 0:
-        raise InvalidParameter("the operator profile needs a matrix of size at least 1x1")
-    draws = _SeededDraws(seed)
-    npairs = 200
-    xs = draws.unit_columns(A.n, npairs)
-    ys = draws.unit_columns(A.n, npairs)
-    K = _semigroup_sup(A)
-    M = _sectoriality_sup(A)
-
-    weak_best = np.zeros(npairs)
-    vals = []
-    # weak samples at every second grid point: alpha = 2**-20, 2**-18, ...
-    for i, a in enumerate(DYADIC_GRID):
-        if i % 2 == 0:
-            v, w = _gamma_inner(A, a, cfg, pairs=(xs, ys))
-            weak_best = np.maximum(weak_best, w)
-        else:
-            v = _gamma_inner(A, a, cfg)
-        vals.append(v)
-    alpha_best, sup_val = dyadic_max(lambda a: _gamma_inner(A, a, cfg), np.array(vals))
-    gamma_hat = (2.0 / math.pi) * sup_val
-    gamma_weak = (2.0 / math.pi) * float(weak_best.max())
-    return OperatorProfile(
-        K=K,
-        M=M,
-        gamma_hat=gamma_hat,
-        gamma_weak_sample=gamma_weak,
-        gamma_argmax_alpha=alpha_best,
-    )
+    best = max(float(_kernel_line_integral(A, a, cfg, integrand).max()) for a in DYADIC_GRID[::2])
+    return (2.0 / math.pi) * best
 
 
 # ---------------------------------------------------------------------------
@@ -784,7 +775,7 @@ def read_matrix_text(text: str, label: str = "A") -> MatrixOperator:
     lines = [ln for ln in text.strip().splitlines() if ln.strip()]
     if not lines:
         raise InvalidParameter("empty matrix text")
-    n = int(lines[0].strip())
+    n = parse_number(lines[0], "matrix size", int)
     if len(lines) != n + 1:
         raise InvalidParameter(f"expected {n} rows, found {len(lines) - 1}")
     rows = []

@@ -36,7 +36,6 @@ from .functions import (
     DecayProfile,
     _parse_pair_list,
     mul,
-    parse_complex,
     parse_function_spec,
     parse_number,
     resolvent,
@@ -124,7 +123,7 @@ def _run_cayley(p, cfg):
 
 def _run_bernstein(p, cfg):
     fb = _bernstein_from(p.get("fb", "linear"))
-    lam = parse_complex(str(p.get("lambda", "1")))
+    lam = parse_number(str(p.get("lambda", "1")), "bernstein_resolvent lambda")
     return check_bernstein(
         fb,
         _real(p, "alpha", 0.5),
@@ -165,7 +164,7 @@ def _run_fractional(p, cfg):
     return check_fractional_smoothing(
         A,
         g,
-        parse_complex(str(p.get("lambda", "1"))),
+        parse_number(str(p.get("lambda", "1")), "fractional_smoothing lambda"),
         _real(p, "alpha", 1.0),
         _real(p, "omega", 1.0),
         cfg,

@@ -162,6 +162,25 @@ def test_bad_manifest_exit_code(capsys):
     assert rc == 1
 
 
+@pytest.mark.parametrize("family", ["fractional_smoothing", "bernstein_resolvent"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_manifest_lambda_exit_code(family, value, tmp_path, capsys):
+    mf = tmp_path / "one.suite"
+    mf.write_text(f"{family} lambda={value}\n")
+    assert run(["suite", "--manifest", str(mf)]) == 1
+    err = capsys.readouterr().err
+    assert f"{family} lambda" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("first", ["x", "2.5"])
+def test_bad_matrix_file_size_exit_code(first, tmp_path, capsys):
+    path = tmp_path / "m.txt"
+    path.write_text(f"{first}\n1+0i 0+0i\n0+0i 2+0i\n")
+    assert run(["profile", "--A", f"file:{path}"]) == 1
+    err = capsys.readouterr().err
+    assert "matrix size" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -47,6 +47,7 @@ from besovcalc.operators import (
     apply_calculus,
     apply_calculus_report,
     format_matrix_text,
+    gamma_weak_sample,
     hp_apply,
     jordan_operator,
     oracle_apply,
@@ -61,6 +62,7 @@ from besovcalc.operators import (
     semigroup_reconstruct_check,
 )
 from besovcalc.quadrature import (
+    DYADIC_GRID,
     PowerEnvelope,
     QuadratureConfig,
     _refine_max,
@@ -268,8 +270,8 @@ def test_runtime_does_not_import_scipy():
 
 
 def test_norms_and_pairings_do_not_import_numpy_random():
-    """numpy.random costs about 6 MB of resident memory; only the profile's
-    sample pairs and the *_random operator specs need it."""
+    """numpy.random costs about 6 MB of resident memory, and nothing in besovcalc
+    needs it: every seeded draw comes from random.Random (next test)."""
     script = textwrap.dedent(
         """
         import sys
@@ -292,7 +294,7 @@ def test_norms_and_pairings_do_not_import_numpy_random():
 
 
 def test_seeded_draws_do_not_import_numpy_random(tmp_path):
-    """Every seeded draw comes from random.Random: the profile's sample pairs, the
+    """Every seeded draw comes from random.Random: the weak gamma sample's pairs, the
     *_random operator specs, a manifest row built on one, and demo's start vector."""
     manifest = tmp_path / "one.suite"
     manifest.write_text("exp_stable_decay A=normal_random(2,seed=9)\n")
@@ -301,10 +303,13 @@ def test_seeded_draws_do_not_import_numpy_random(tmp_path):
         import sys
         from besovcalc.cli import run
         from besovcalc.functions import exp_decay
-        from besovcalc.operators import apply_calculus_report, parse_operator_spec, profile
+        from besovcalc.operators import (
+            apply_calculus_report, gamma_weak_sample, parse_operator_spec, profile,
+        )
         for spec in ("normal_random(3,seed=5)", "sectorial_random(3,seed=3,angle=0.5)"):
             A = parse_operator_spec(spec)
             profile(A)
+            gamma_weak_sample(A)
             apply_calculus_report(A, exp_decay(1.0))
         assert run(["suite", "--manifest", {str(manifest)!r}]) == 0
         assert run(["demo", "--A", "diag(1,2)", "--n-list", "1,4"]) == 0
@@ -357,7 +362,7 @@ class TestSeededDraws:
         with pytest.raises(InvalidParameter, match="seed"):
             random_sectorial_operator(3, seed, 0.3)
         with pytest.raises(InvalidParameter, match="seed"):
-            profile(MatrixOperator(np.array([[1.0]])), CFG, seed=seed)
+            gamma_weak_sample(MatrixOperator(np.array([[1.0]])), CFG, seed=seed)
 
     @pytest.mark.parametrize("n", [-1, -2, 65, 10**9, 2.0])
     def test_bad_size_rejected(self, n):
@@ -404,12 +409,13 @@ class TestAdmission:
 
 class TestProfile:
     def test_scalar_one(self):
-        p = profile(MatrixOperator(np.array([[1.0]])), CFG)
+        A = MatrixOperator(np.array([[1.0]]))
+        p = profile(A, CFG)
         assert p.K == pytest.approx(1.0, abs=1e-9)
         assert p.M == pytest.approx(1.0, abs=1e-6)
         # oracle: alpha * int d beta / ((alpha+1)^2 + beta^2) = pi alpha/(alpha+1) -> pi
         assert p.gamma_hat == pytest.approx(2.0, abs=1e-3)
-        assert p.gamma_weak_sample <= p.gamma_hat + 1e-9
+        assert gamma_weak_sample(A, CFG) <= p.gamma_hat + 1e-9
 
     def test_gamma_floor(self):
         for spec in ["diag(1)", "diag(1,2)", "diag(i,-i)"]:
@@ -475,7 +481,38 @@ class TestProfile:
         with pytest.raises(InvalidParameter):
             profile(A, CFG)
         with pytest.raises(InvalidParameter):
+            gamma_weak_sample(A, CFG)
+        with pytest.raises(InvalidParameter):
             apply_calculus_report(A, exp_decay(1.0), CFG)
+
+    def test_profile_and_calculus_draw_nothing(self, monkeypatch):
+        """Only gamma_weak_sample draws sample pairs."""
+        ops = [MatrixOperator(np.diag([1.0, 2.0])), jordan_operator(1.0, 2)]
+
+        def no_draws(seed):
+            raise AssertionError("profile or calculus drew sample pairs")
+
+        monkeypatch.setattr(operators, "_SeededDraws", no_draws)
+        for A in ops:
+            profile(A, CFG)
+            apply_calculus_report(A, exp_decay(1.0), CFG)
+
+    @pytest.mark.parametrize(
+        "spec",
+        ["normal_random(12,seed=3)", "sectorial_random(3,seed=4,angle=0.5)", "jordan(1,2)"],
+    )
+    def test_profile_working_memory(self, spec):
+        """One profile on the spectral (n = 12) or the dense path holds under
+        0.5 MB of traced allocations; with the weak-sample columns in the gamma
+        integrand it held 1.2-1.3 MB."""
+        A = parse_operator_spec(spec)
+        tracemalloc.start()
+        try:
+            profile(A, CFG)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5e6, peak
 
 
 # normal operators that take the spectral path, as (id, matrix)
@@ -502,9 +539,13 @@ class TestSpectralPath:
         spec = A.spectral()
         assert spec is not None
         assert spec.residual <= 1e-12 * max(1.0, A.norm2)
-        fast, dense = profile(A, CFG), profile(_dense_twin(matrix, monkeypatch), CFG)
-        for key in ("K", "M", "gamma_hat", "gamma_weak_sample"):
+        B = _dense_twin(matrix, monkeypatch)
+        fast, dense = profile(A, CFG), profile(B, CFG)
+        for key in ("K", "M", "gamma_hat"):
             assert getattr(fast, key) == pytest.approx(getattr(dense, key), rel=1e-10), key
+        weak = gamma_weak_sample(A, CFG)
+        assert weak == pytest.approx(gamma_weak_sample(B, CFG), rel=1e-10)
+        assert weak <= fast.gamma_hat + 1e-9
 
     @pytest.mark.parametrize("name,matrix", NORMAL_CASES, ids=[c[0] for c in NORMAL_CASES])
     def test_apply_matches_dense(self, name, matrix, monkeypatch):
@@ -549,7 +590,7 @@ class TestSpectralPath:
 
 
 def _unit_pairs(n, npairs=200, seed=42):
-    """Unit-norm sample pairs as `profile` draws them."""
+    """Unit-norm sample pairs as `gamma_weak_sample` draws them."""
     draws = _SeededDraws(seed)
     return draws.unit_columns(n, npairs), draws.unit_columns(n, npairs)
 
@@ -558,8 +599,8 @@ class _Captured(Exception):
     pass
 
 
-def _weak_integrand(A, pairs, alpha=0.5):
-    """The integrand that _gamma_inner hands to integrate_line for weak samples."""
+def _line_integrand(call):
+    """The first integrand that call() hands to integrate_line, in beta."""
     got = []
 
     def capture(f, *args, **kwargs):
@@ -569,8 +610,13 @@ def _weak_integrand(A, pairs, alpha=0.5):
     with pytest.MonkeyPatch.context() as m:
         m.setattr(operators, "integrate_line", capture)
         with pytest.raises(_Captured):
-            _gamma_inner(A, alpha, CFG, pairs=pairs)
+            call()
     return got[0]
+
+
+def _weak_integrand(A):
+    """The integrand of gamma_weak_sample at its first alpha, DYADIC_GRID[0]."""
+    return _line_integrand(lambda: gamma_weak_sample(A, CFG))
 
 
 def _weak_operator(path, n, monkeypatch):
@@ -602,20 +648,25 @@ class TestWeakSamples:
     @pytest.mark.parametrize("n", [1, 3, 12])
     @pytest.mark.parametrize("path", ["spectral", "dense"])
     def test_blocks_match_one_shot(self, path, n, monkeypatch):
+        """The row-blocked integrands of gamma_weak_sample and _gamma_inner agree
+        with one-shot ones, at the weak blocks' edges and across several gamma
+        blocks (dense, n = 12)."""
         A = _weak_operator(path, n, monkeypatch)
         pairs = _unit_pairs(n)
-        f = _weak_integrand(A, pairs)
+        alpha = DYADIC_GRID[0]
+        f = _weak_integrand(A)
+        g = _line_integrand(lambda: _gamma_inner(A, alpha, CFG))
         width = pairs[0].shape[1] * (n if path == "dense" else 1)
         step = _WEAK_BLOCK_ENTRIES // width
         betas_all = np.linspace(-30.0, 30.0, 570)
         for k in (1, step - 1, step, step + 1, 570):
             betas = betas_all[:k]
             out = f(betas)
-            opn, weak = _weak_reference(A, 0.5, betas, pairs)
-            assert out.shape == (k, 1 + pairs[0].shape[1])
-            assert np.array_equal(out[:, 0], opn)
+            opn, weak = _weak_reference(A, alpha, betas, pairs)
+            assert out.shape == (k, pairs[0].shape[1])
+            assert np.array_equal(g(betas), opn)
             weak = np.abs(weak)
-            assert float(np.max(np.abs(out[:, 1:] - weak))) <= 1e-13 * float(weak.max()), k
+            assert float(np.max(np.abs(out - weak))) <= 1e-13 * float(weak.max()), k
 
     @pytest.mark.parametrize(
         "path,n", [("dense", 3), ("dense", 12), ("spectral", 3), ("spectral", 12)]
@@ -625,7 +676,7 @@ class TestWeakSamples:
         a concatenated or one-shot weak block, or squared resolvents built for
         the whole call, took three times or more."""
         A = _weak_operator(path, n, monkeypatch)
-        f = _weak_integrand(A, _unit_pairs(n))
+        f = _weak_integrand(A)
         betas = np.linspace(-30.0, 30.0, 570)
         out = f(betas)
         tracemalloc.start()
