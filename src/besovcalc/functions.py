@@ -331,11 +331,17 @@ def exp_decay(a: float) -> AnalyticFunction:
     )
 
 
+# |a| above this makes (z + a)**2 overflow, or its reciprocal leave the normal floats
+_MAX_POLE = 1e150
+
+
 def resolvent(a: complex) -> AnalyticFunction:
     """r_a(z) = (z + a)^(-1) for a in the closed right half-plane."""
     a = complex(a)
     if not cmath.isfinite(a):
         raise InvalidParameter("resolvent catalog member needs a finite a")
+    if abs(a) > _MAX_POLE:
+        raise InvalidParameter(f"resolvent catalog member needs |a| <= {_MAX_POLE:g}, got a = {a}")
     if a.real < 0:
         raise InvalidParameter("resolvent catalog member needs Re a >= 0")
     if a == 0:

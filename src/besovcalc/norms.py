@@ -12,13 +12,11 @@ from .errors import DivergenceSuspicion, UnboundedSuspicion
 from .functions import AnalyticFunction
 from .quadrature import (
     DEFAULT_CONFIG,
-    DYADIC_GRID,
     PowerEnvelope,
     QuadratureConfig,
     SupResult,
-    dyadic_max,
     integrate_halfline,
-    integrate_line,
+    kernel_weight,
     sup_on_vertical_line,
 )
 
@@ -160,31 +158,22 @@ def b_norm(f: AnalyticFunction, cfg: QuadratureConfig = DEFAULT_CONFIG) -> NormR
     )
 
 
-def _e0_at(f: AnalyticFunction, x: float, cfg: QuadratureConfig) -> float:
-    env = f.profiles.deriv_line(x)
-    if not env.integrable:
-        raise DivergenceSuspicion(
-            "vertical-line integral of |f'| has no integrable envelope; "
-            "the function is not in the dual class"
-        )
-
-    def integrand(ys):
-        return np.abs(f.deriv(x + 1j * np.asarray(ys, dtype=float)))
-
-    # the x-multiplier amplifies absolute errors, so tighten with 1/x
-    local = cfg.with_tolerances(abs_tol=cfg.abs_tol / max(x, 1.0))
-    res = integrate_line(
-        integrand, env, local, tail_tol=max(cfg.abs_tol, 1e-9) / max(x, 1.0), strict=False
-    )
-    return x * float(np.real(res.value))
-
-
 def e0_norm(f: AnalyticFunction, cfg: QuadratureConfig = DEFAULT_CONFIG) -> NormReport:
-    """sup over x > 0 of x * integral over y of |f'(x+iy)|, on a geometric grid;
-    0 without integrating when the profiles certify e0_upper = 0."""
+    """sup over x > 0 of x * integral over y of |f'(x+iy)|, the `kernel_weight` of
+    f'; 0 without integrating when the profiles certify e0_upper = 0.  Not
+    certified when the maximum sits at an unsettled end of the grid."""
     if f.profiles.e0_upper == 0:
         return NormReport(0.0, cfg.abs_tol, {"e0": 0.0}, True)
-    vals = np.array([_e0_at(f, x, cfg) for x in DYADIC_GRID])
-    x_best, value = dyadic_max(lambda x: _e0_at(f, x, cfg), vals)
+
+    def deriv_line(x):
+        env = f.profiles.deriv_line(x)
+        if not env.integrable:
+            raise DivergenceSuspicion(
+                "vertical-line integral of |f'| has no integrable envelope; "
+                "the function is not in the dual class"
+            )
+        return env
+
+    x_best, value, settled = kernel_weight(lambda w: np.abs(f.deriv(w)), deriv_line, cfg)
     err = max(cfg.abs_tol, cfg.rel_tol * value) + 4.0 * value / 2.0**20
-    return NormReport(value, err, {"e0": value, "argmax_x": x_best}, True)
+    return NormReport(value, err, {"e0": value, "argmax_x": x_best}, settled)

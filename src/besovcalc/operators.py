@@ -33,10 +33,11 @@ from .quadrature import (
     PowerEnvelope,
     QuadratureConfig,
     _refine_max,
-    dyadic_max,
     integrate_halfline,
     integrate_interval,
     integrate_line,
+    kernel_weight,
+    line_weight,
 )
 
 __all__ = [
@@ -62,6 +63,8 @@ __all__ = [
 ]
 
 _MAX_DIM = 64
+# ||A||_2 above this makes A A^H overflow, or (z + A)^(-2) leave the normal floats
+_MAX_NORM = 1e150
 _EIG_TOL = 1e-7
 # ||A A^H - A^H A||_F <= _NORMAL_TOL * max(1, ||A||_2^2) makes A normal
 _NORMAL_TOL = 1e-10
@@ -144,6 +147,10 @@ class MatrixOperator:
             raise InvalidParameter(f"matrix size capped at {_MAX_DIM}x{_MAX_DIM}")
         self.matrix = a
         self.norm2 = float(np.linalg.norm(a, 2)) if a.size else 0.0
+        if self.norm2 > _MAX_NORM:
+            raise InvalidParameter(
+                f"operator {self.label} has norm {self.norm2:.3g}, above {_MAX_NORM:g}"
+            )
         scale = max(1.0, self.norm2)
         lam, vecs = np.linalg.eig(a)
         if np.any(lam.real < -1e-9 * scale):
@@ -506,24 +513,21 @@ def _kernel_line(A: MatrixOperator, alpha: float) -> PowerEnvelope:
     return PowerEnvelope(p=2.0, c=4.0, t0=2.0 * (alpha + A.norm2) + 1.0)
 
 
-def _kernel_line_integral(A: MatrixOperator, alpha: float, cfg: QuadratureConfig, integrand):
-    """alpha * int over beta of integrand(alpha + i beta), the norm of
-    (alpha + i beta + A)^(-2) or weak samples of it, under `_kernel_line`."""
-    eps = max(cfg.abs_tol, 5e-8) / max(alpha, 1.0)
-    local = cfg.with_tolerances(abs_tol=eps, rel_tol=1e-6)
-    res = integrate_line(
-        lambda betas: integrand(alpha + 1j * np.asarray(betas, dtype=float)),
-        _kernel_line(A, alpha), local, tail_tol=eps, strict=False
-    )
-    return alpha * np.real(res.value)
+def _weight_cfg(cfg: QuadratureConfig) -> QuadratureConfig:
+    """The tolerances of the profile's kernel weights: abs_tol at least 5e-8, rel_tol 1e-6."""
+    return cfg.with_tolerances(abs_tol=max(cfg.abs_tol, 5e-8), rel_tol=1e-6)
 
 
-def _gamma_inner(A: MatrixOperator, alpha: float, cfg: QuadratureConfig) -> float:
-    """alpha * int over beta of ||(alpha+i beta+A)^(-2)||."""
+def profile(A: MatrixOperator, cfg: QuadratureConfig = DEFAULT_CONFIG) -> OperatorProfile:
+    """K, M, and gamma_hat = (2/pi) times the `kernel_weight` of (w + A)^(-2)."""
+    if A.n == 0:
+        raise InvalidParameter("the operator profile needs a matrix of size at least 1x1")
+    K = _semigroup_sup(A)
+    M = _sectoriality_sup(A)
     spec = A.spectral()
     step = max(1, _WEAK_BLOCK_ENTRIES // A.n**2)
 
-    def integrand(zs):
+    def kernel_norm(zs):
         if spec is not None:
             return np.abs((zs[:, None] + spec.lam) ** -2).max(axis=1)
         out = np.empty(len(zs))
@@ -532,18 +536,8 @@ def _gamma_inner(A: MatrixOperator, alpha: float, cfg: QuadratureConfig) -> floa
             out[i : i + step] = np.linalg.svd(r2, compute_uv=False)[:, 0]
         return out
 
-    return float(_kernel_line_integral(A, alpha, cfg, integrand))
-
-
-def profile(A: MatrixOperator, cfg: QuadratureConfig = DEFAULT_CONFIG) -> OperatorProfile:
-    """K, M, and gamma_hat = (2/pi) sup over alpha > 0 of `_gamma_inner`."""
-    if A.n == 0:
-        raise InvalidParameter("the operator profile needs a matrix of size at least 1x1")
-    K = _semigroup_sup(A)
-    M = _sectoriality_sup(A)
-    vals = np.array([_gamma_inner(A, a, cfg) for a in DYADIC_GRID])
-    _, sup_val = dyadic_max(lambda a: _gamma_inner(A, a, cfg), vals)
-    return OperatorProfile(K=K, M=M, gamma_hat=(2.0 / math.pi) * sup_val)
+    _, weight, _ = kernel_weight(kernel_norm, lambda a: _kernel_line(A, a), _weight_cfg(cfg))
+    return OperatorProfile(K=K, M=M, gamma_hat=(2.0 / math.pi) * weight)
 
 
 def gamma_weak_sample(
@@ -577,7 +571,10 @@ def gamma_weak_sample(
                 np.abs(((zs[rows, None] + spec.lam) ** -2) @ weights, out=out[rows])
         return out
 
-    best = max(float(_kernel_line_integral(A, a, cfg, integrand).max()) for a in DYADIC_GRID[::2])
+    wcfg = _weight_cfg(cfg)
+    best = max(
+        float(line_weight(integrand, _kernel_line(A, a), a, wcfg).max()) for a in DYADIC_GRID[::2]
+    )
     return (2.0 / math.pi) * best
 
 

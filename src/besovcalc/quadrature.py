@@ -35,7 +35,8 @@ __all__ = [
     "integrate_line",
     "sup_on_vertical_line",
     "DYADIC_GRID",
-    "dyadic_max",
+    "line_weight",
+    "kernel_weight",
 ]
 
 
@@ -274,7 +275,7 @@ class ResolventEnvelope(DecayEnvelope):
             raise InvalidParameter("resolvent envelope needs shift > 0")
 
     def bound(self, t):
-        return self.m / (self.shift**2 + t * t)
+        return self.m / (self.shift * self.shift + t * t)
 
     def tail(self, T):
         return (self.m / self.shift) * (math.pi / 2 - math.atan(T / self.shift))
@@ -707,13 +708,36 @@ _DYADIC_EXPONENTS = range(-20, 21)
 DYADIC_GRID = tuple(2.0**u for u in _DYADIC_EXPONENTS)
 
 
-def dyadic_max(g: Callable[[float], float], vals: np.ndarray) -> tuple[float, float]:
-    """Maximum over x > 0 of g, given its values `vals` on DYADIC_GRID, by
-    `_refine_max` with one bracket in u = log2 x.  Returns (x, g(x))."""
-    u, v, _ = _refine_max(
+def line_weight(h, env: DecayEnvelope, x: float, cfg: QuadratureConfig):
+    """x * Re int h(x + iy) dy under env.  The factor x amplifies absolute errors, so
+    the absolute and tail tolerances, the tail's at least 1e-9, shrink by 1/max(x, 1)."""
+    shrink = max(x, 1.0)
+    res = integrate_line(
+        lambda ys: h(x + 1j * np.asarray(ys, dtype=float)), env,
+        cfg.with_tolerances(abs_tol=cfg.abs_tol / shrink),
+        tail_tol=max(cfg.abs_tol, 1e-9) / shrink, strict=False,
+    )
+    return x * np.real(res.value)
+
+
+def kernel_weight(h, kernel_line, cfg: QuadratureConfig) -> tuple[float, float, bool]:
+    """sup over x > 0 of `line_weight` for the norm h of a kernel with envelope
+    kernel_line(x) on the line Re = x: DYADIC_GRID refined by `_refine_max` with one
+    bracket in u = log2 x.  Returns (x, value, settled); settled is False when the
+    grid maximum sits at an end of the grid and the step to it from its neighbour
+    exceeds the edge allowance 4 * value / 2**20."""
+
+    def g(x: float) -> float:
+        return float(line_weight(h, kernel_line(x), x, cfg))
+
+    vals = np.array([g(x) for x in DYADIC_GRID])
+    u, value, _ = _refine_max(
         lambda us: np.array([g(2.0 ** float(u)) for u in us]), _DYADIC_EXPONENTS, vals, 1
     )
-    return 2.0**u, v
+    k = int(vals.argmax())
+    step = vals[k] - vals[1 if k == 0 else -2]
+    settled = 0 < k < len(vals) - 1 or step <= 4.0 * value / 2.0**20
+    return 2.0**u, value, bool(settled)
 
 
 def _golden_max_multi(phi_vec, los: np.ndarray, his: np.ndarray, rounds: int):

@@ -182,6 +182,21 @@ def test_bad_matrix_file_size_exit_code(first, tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "argv,named",
+    [
+        (["norm", "--kind", "e0", "--f", "resolvent(a=1e160)"], "resolvent"),
+        (["profile", "--A", "diag(1e160)"], "diag(1e160)"),
+        (["apply", "--A", "diag(1e160)", "--f", "cayley(n=1)"], "diag(1e160)"),
+    ],
+    ids=["e0-resolvent", "profile", "apply"],
+)
+def test_input_whose_square_overflows_exit_code(argv, named, capsys):
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["norm", "--f", "exp(a=1)", "--seed", "1"],

@@ -22,7 +22,6 @@ from besovcalc.functions import (
 )
 from besovcalc.norms import (
     BOUNDARY_OFFSET,
-    _e0_at,
     b0_norm,
     b_norm,
     e0_norm,
@@ -30,9 +29,14 @@ from besovcalc.norms import (
     left_line_sup,
     line_sup_modulus,
 )
-from besovcalc.quadrature import ConstEnvelope, PowerEnvelope, QuadratureConfig
+from besovcalc.quadrature import ConstEnvelope, PowerEnvelope, QuadratureConfig, line_weight
 
 CFG = QuadratureConfig()
+
+
+def _weight_at(f, x):
+    """x * integral over y of |f'(x+iy)|, the line weight that e0_norm maximises."""
+    return float(line_weight(lambda w: np.abs(f.deriv(w)), f.profiles.deriv_line(x), x, CFG))
 
 
 class TestHinf:
@@ -152,7 +156,7 @@ class TestE0:
             label="two_zero_deriv",
         )
         assert f.deriv(1.0) == 0 and f.deriv(b) == 0
-        at4 = _e0_at(f, 4.0, CFG)
+        at4 = _weight_at(f, 4.0)
         assert at4 > 1.5
         assert e0_norm(f, CFG).value >= at4
 
@@ -179,7 +183,30 @@ class TestE0:
     )
     def test_argmax_names_the_reported_value(self, f):
         rep = e0_norm(f, CFG)
-        assert _e0_at(f, rep.pieces["argmax_x"], CFG) == rep.value
+        assert _weight_at(f, rep.pieces["argmax_x"]) == rep.value
+
+    @pytest.mark.parametrize(
+        "f,exact",
+        [
+            (resolvent(1e3), math.pi),
+            (resolvent(1e7), math.pi),
+            (dilate(resolvent(1.0), 1e-8), math.pi * 1e8),
+        ],
+        ids=["resolvent_1e3", "resolvent_1e7", "dilated_resolvent"],
+    )
+    def test_unsettled_grid_edge_is_not_certified(self, f, exact):
+        """pi x / (x + a) still climbs at the grid's end 2**20 when a >= 1e3: the
+        value misses its bound, so the report must not claim certification."""
+        rep = e0_norm(f, CFG)
+        assert rep.pieces["argmax_x"] == 2.0**20
+        assert abs(rep.value - exact) > rep.error_bound
+        assert not rep.certified
+
+    @pytest.mark.parametrize("a", [1.0, 1j, 1 + 2j, 1e-9], ids=["1", "i", "1+2i", "1e-9"])
+    def test_settled_resolvents_stay_certified(self, a):
+        rep = e0_norm(resolvent(a), CFG)
+        assert abs(rep.value - math.pi) <= rep.error_bound
+        assert rep.certified
 
     def test_exp_not_in_dual_class(self):
         with pytest.raises(DivergenceSuspicion):

@@ -32,14 +32,13 @@ from besovcalc.functions import (
     shift,
     vitse_reg,
 )
-from besovcalc import operators
+from besovcalc import operators, quadrature
 from besovcalc.norms import b_norm
 from besovcalc.operators import (
     MatrixOperator,
     _WEAK_BLOCK_ENTRIES,
     _SeededDraws,
     _expm,
-    _gamma_inner,
     _resolvents_squared,
     _sectoriality_sup,
     _semigroup_sup,
@@ -600,7 +599,8 @@ class _Captured(Exception):
 
 
 def _line_integrand(call):
-    """The first integrand that call() hands to integrate_line, in beta."""
+    """The first integrand that call() hands to integrate_line, in beta; the
+    kernel weights integrate in `quadrature.line_weight`."""
     got = []
 
     def capture(f, *args, **kwargs):
@@ -608,7 +608,7 @@ def _line_integrand(call):
         raise _Captured
 
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(operators, "integrate_line", capture)
+        m.setattr(quadrature, "integrate_line", capture)
         with pytest.raises(_Captured):
             call()
     return got[0]
@@ -648,14 +648,14 @@ class TestWeakSamples:
     @pytest.mark.parametrize("n", [1, 3, 12])
     @pytest.mark.parametrize("path", ["spectral", "dense"])
     def test_blocks_match_one_shot(self, path, n, monkeypatch):
-        """The row-blocked integrands of gamma_weak_sample and _gamma_inner agree
+        """The row-blocked integrands of gamma_weak_sample and profile agree
         with one-shot ones, at the weak blocks' edges and across several gamma
         blocks (dense, n = 12)."""
         A = _weak_operator(path, n, monkeypatch)
         pairs = _unit_pairs(n)
         alpha = DYADIC_GRID[0]
         f = _weak_integrand(A)
-        g = _line_integrand(lambda: _gamma_inner(A, alpha, CFG))
+        g = _line_integrand(lambda: profile(A, CFG))
         width = pairs[0].shape[1] * (n if path == "dense" else 1)
         step = _WEAK_BLOCK_ENTRIES // width
         betas_all = np.linspace(-30.0, 30.0, 570)

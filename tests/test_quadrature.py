@@ -23,6 +23,7 @@ from besovcalc.quadrature import (
     integrate_halfline,
     integrate_interval,
     integrate_line,
+    kernel_weight,
     sup_on_vertical_line,
 )
 from besovcalc import quadrature
@@ -31,6 +32,7 @@ from besovcalc.quadrature import (
     _WG_FULL,
     _WK,
     QuadResult,
+    _INVPHI,
     _SUP_REFINE_ROUNDS,
     _eval_panels,
     _golden_max_multi,
@@ -339,6 +341,33 @@ class TestSupremum:
         grid = np.linspace(0.0, 1.0, 9)
         loc, value, gain = _refine_max(np.ones_like, grid, np.ones(9), 5)
         assert (loc, value, gain) == (0.0, 1.0, 0.0)
+
+
+class TestKernelWeight:
+    """kernel_weight of h(w) = |w + s|^-p, whose line weights are closed forms."""
+
+    def test_interior_maximum(self):
+        # x * int |x + 1 + iy|^-3 dy = 2x / (x + 1)^2, largest (1/2) at the grid point x = 1
+        x, value, settled = kernel_weight(
+            lambda w: np.abs(w + 1.0) ** -3.0, lambda x: PowerEnvelope(p=3.0, c=1.0), CFG
+        )
+        # the golden-section refinement may keep a point of its last bracket, about
+        # 2 * 0.618**30 wide in log2 x, whose rounding lifts it past the grid value
+        assert abs(math.log2(x)) <= 2.0 * _INVPHI**_SUP_REFINE_ROUNDS
+        assert abs(value - 0.5) <= max(CFG.abs_tol, CFG.rel_tol * 0.5)
+        assert settled
+
+    @pytest.mark.parametrize("s,settled", [(1.0, True), (1e3, False)])
+    def test_edge_maximum(self, s, settled):
+        # x * int |x + s + iy|^-2 dy = pi x / (x + s), largest at the grid end 2**20; its
+        # last grid step, pi s / 2**20 to first order, is below the allowance 4 value / 2**20
+        # at s = 1, where the value is then within the allowance of the supremum pi
+        x, value, flag = kernel_weight(
+            lambda w: np.abs(w + s) ** -2.0, lambda x: ResolventEnvelope(m=1.0, shift=x + s), CFG
+        )
+        assert x == 2.0**20 and flag == settled
+        assert abs(value - math.pi * x / (x + s)) <= max(CFG.abs_tol, CFG.rel_tol * value)
+        assert (math.pi - value <= 4.0 * value / 2.0**20) == settled
 
 
 class TestEnvelopes:
