@@ -113,7 +113,8 @@ def run(argv=None) -> int:
             f = parse_function_spec(args.f)
             kind = {"b": b_norm, "b0": b0_norm, "hinf": hinf_norm, "e0": e0_norm}[args.kind]
             rep = kind(f, cfg)
-            print(f"{args.kind}-norm[{args.f}] = {rep.value:.6f} +- {rep.error_bound:.2e}")
+            mark = "" if rep.certified else " (not certified)"
+            print(f"{args.kind}-norm[{args.f}] = {rep.value:.6f} +- {rep.error_bound:.2e}{mark}")
             _write(
                 args.out,
                 "norm.json",
@@ -174,7 +175,8 @@ def run(argv=None) -> int:
             prof, weak = profile(A, cfg), gamma_weak_sample(A, cfg, seed=args.seed)
             print(
                 f"K = {prof.K:.6f}  M = {prof.M:.6f}  "
-                f"gamma in [{weak:.6f}, {prof.gamma_hat:.6f}]"
+                f"gamma in [{weak:.6f}, {prof.gamma_hat:.6f}]  "
+                f"gamma settled = {prof.gamma_settled}"
             )
             _write(
                 args.out,
@@ -186,6 +188,7 @@ def run(argv=None) -> int:
                         "K": prof.K,
                         "M": prof.M if math.isfinite(prof.M) else "inf",
                         "gamma_hat": prof.gamma_hat,
+                        "gamma_settled": prof.gamma_settled,
                         "gamma_weak_sample": weak,
                     },
                 ),

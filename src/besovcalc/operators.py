@@ -71,7 +71,7 @@ _NORMAL_TOL = 1e-10
 # the unitary diagonalisation of a normal A is used when both of its residuals
 # are <= _SPECTRAL_TOL * max(1, ||A||_2)
 _SPECTRAL_TOL = 1e-12
-# entries of the per-row intermediates of the gamma and weak-sample integrands held at once
+# entries of the per-row intermediates of the M, gamma and weak-sample integrands held at once
 _WEAK_BLOCK_ENTRIES = 2**13
 # the calculus's absolute error target; its inner, outer and tail tolerances are shares of it
 _APPLY_TOL = 1e-5
@@ -257,6 +257,8 @@ class OperatorProfile:
     K: float
     M: float
     gamma_hat: float
+    # False when gamma_hat's alpha grid still rose at its end (see `kernel_weight`)
+    gamma_settled: bool
 
 
 def resolvent_matrix(A: MatrixOperator, z: complex) -> np.ndarray:
@@ -272,12 +274,24 @@ def resolvent_matrix(A: MatrixOperator, z: complex) -> np.ndarray:
     return x
 
 
+def _resolvents(A: MatrixOperator, zs: np.ndarray) -> np.ndarray:
+    """Batched (z_k I + A)^(-1)."""
+    eye = np.eye(A.n, dtype=complex)
+    return np.linalg.inv(zs[:, None, None] * eye[None, :, :] + A.matrix[None, :, :])
+
+
 def _resolvents_squared(A: MatrixOperator, zs: np.ndarray) -> np.ndarray:
     """Batched (z_k I + A)^(-2)."""
-    eye = np.eye(A.n, dtype=complex)
-    mats = zs[:, None, None] * eye[None, :, :] + A.matrix[None, :, :]
-    inv = np.linalg.inv(mats)
-    return np.matmul(inv, inv, out=mats)
+    return np.linalg.matrix_power(_resolvents(A, zs), 2)
+
+
+def _top_singular_values(A: MatrixOperator, zs: np.ndarray, batch) -> np.ndarray:
+    """||batch(A, zs)[k]||_2 for each z_k, in row blocks of at most 2^13 matrix entries."""
+    out = np.empty(len(zs))
+    step = max(1, _WEAK_BLOCK_ENTRIES // A.n**2)
+    for i in range(0, len(zs), step):
+        out[i : i + step] = np.linalg.svd(batch(A, zs[i : i + step]), compute_uv=False)[:, 0]
+    return out
 
 
 # Degree-13 Pade coefficients and the scaled-norm threshold of
@@ -438,21 +452,20 @@ def semigroup(A: MatrixOperator, t) -> np.ndarray:
 
 
 def _semigroup_norms(A: MatrixOperator, ts: np.ndarray) -> np.ndarray:
-    """||exp(-t A)|| for each t of a 1-D array; max_i |exp(-t lam_i)| when A is normal."""
-    spec = A.spectral()
-    if spec is None:
-        vals = semigroup(A, ts)
-    else:
-        with np.errstate(over="ignore"):
-            vals = np.exp(-ts[:, None] * spec.lam)
+    """||exp(-t A)|| for each t of a 1-D array."""
+    vals = semigroup(A, ts)
     if not np.all(np.isfinite(vals)):
         raise ProfileDivergence("semigroup norm overflows on the settling grid; operator rejected")
-    if spec is None:
-        return np.linalg.norm(vals, 2, axis=(1, 2))
-    return np.abs(vals).max(axis=1)
+    return np.linalg.norm(vals, 2, axis=(1, 2))
 
 
 def _semigroup_sup(A: MatrixOperator) -> float:
+    """sup over t >= 0 of ||exp(-t A)||: 1 on the spectral path, else a search over t."""
+    spec = A.spectral()
+    if spec is not None:
+        if np.any(spec.lam.real < -1e-9 * max(1.0, A.norm2)):
+            raise ProfileDivergence("eigenvalue in the open left half-plane; operator rejected")
+        return 1.0
     k_lo, k_hi = -12, 8
     best = 1.0
     top = None  # (log2 t, norms) of the grid that gave best
@@ -483,28 +496,22 @@ def _semigroup_sup(A: MatrixOperator) -> float:
 
 
 def _sectoriality_sup(A: MatrixOperator) -> float:
+    """max(1, sup over real y of |y| ||(iy + A)^(-1)||): a closed form on the spectral path."""
     lam = A.eigenvalues
     scale = max(1.0, A.norm2)
     if np.any((np.abs(lam.real) <= 1e-9 * scale) & (np.abs(lam) > 1e-9 * scale)):
         return math.inf
-
     spec = A.spectral()
+    if spec is not None:
+        # sup over y of |y| / |iy + lam| is |lam| / Re lam
+        big = np.abs(spec.lam) > 1e-9 * scale
+        return max(1.0, float((np.abs(spec.lam[big]) / spec.lam.real[big]).max(initial=1.0)))
 
     def phis(ys: np.ndarray) -> np.ndarray:
-        """|y| ||(iy + A)^(-1)|| for each y."""
-        out = np.full(ys.shape, 0.0 if np.min(np.abs(lam)) > 1e-9 else 1.0)
-        off = np.abs(ys) > 1e-30
-        y = ys[off]
-        if spec is not None:
-            res_norm = 1.0 / np.abs(1j * y[:, None] + spec.lam).min(axis=1)
-        else:
-            inv = np.linalg.inv(1j * y[:, None, None] * np.eye(A.n) + A.matrix)
-            res_norm = np.linalg.norm(inv, 2, axis=(1, 2))
-        out[off] = np.abs(y) * res_norm
-        return out
+        return np.abs(ys) * _top_singular_values(A, 1j * ys, _resolvents)
 
     half = np.geomspace(1e-6, 1e3 * scale, 60)
-    ys = np.concatenate([-half[::-1], [0.0], half])
+    ys = np.concatenate([-half[::-1], half])
     return max(_refine_max(phis, ys, phis(ys), 1)[1], 1.0)
 
 
@@ -525,19 +532,14 @@ def profile(A: MatrixOperator, cfg: QuadratureConfig = DEFAULT_CONFIG) -> Operat
     K = _semigroup_sup(A)
     M = _sectoriality_sup(A)
     spec = A.spectral()
-    step = max(1, _WEAK_BLOCK_ENTRIES // A.n**2)
 
     def kernel_norm(zs):
         if spec is not None:
             return np.abs((zs[:, None] + spec.lam) ** -2).max(axis=1)
-        out = np.empty(len(zs))
-        for i in range(0, len(zs), step):
-            r2 = _resolvents_squared(A, zs[i : i + step])
-            out[i : i + step] = np.linalg.svd(r2, compute_uv=False)[:, 0]
-        return out
+        return _top_singular_values(A, zs, _resolvents_squared)
 
-    _, weight, _ = kernel_weight(kernel_norm, lambda a: _kernel_line(A, a), _weight_cfg(cfg))
-    return OperatorProfile(K=K, M=M, gamma_hat=(2.0 / math.pi) * weight)
+    _, weight, settled = kernel_weight(kernel_norm, lambda a: _kernel_line(A, a), _weight_cfg(cfg))
+    return OperatorProfile(K=K, M=M, gamma_hat=(2.0 / math.pi) * weight, gamma_settled=settled)
 
 
 def gamma_weak_sample(

@@ -38,6 +38,20 @@ def test_profile_command(capsys):
     assert rc == 0 and "K = 1.0" in out
 
 
+@pytest.mark.parametrize("a,certified", [("1e7", False), ("1", True)])
+def test_norm_marks_an_uncertified_value(a, certified, capsys):
+    # e0 of resolvent(a=1e7) reads 0.298156 where the exact value is pi
+    assert run(["norm", "--kind", "e0", "--f", f"resolvent(a={a})"]) == 0
+    assert ("(not certified)" in capsys.readouterr().out) is not certified
+
+
+def test_profile_reports_gamma_settled(capsys, tmp_path):
+    assert run(["profile", "--A", "diag(1e6)", "--out", str(tmp_path)]) == 0
+    assert "gamma settled = False" in capsys.readouterr().out
+    doc = json.loads((tmp_path / "profile.json").read_text())
+    assert doc["result"]["gamma_settled"] is False
+
+
 def test_pair_command(capsys):
     rc = run(["pair", "--g", "resolvent(a=1)", "--f", "const(3)"])
     assert rc == 0

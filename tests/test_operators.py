@@ -443,6 +443,14 @@ class TestProfile:
         assert _semigroup_sup(parse_operator_spec("sectorial_random(4,seed=3)")) == 1.0
         assert sizes == [80, 24]
 
+    def test_gamma_settled_flag(self):
+        """At scale 1e6 gamma_hat's alpha grid ends before the maximum: 1.0237
+        against the exact 2 of a positive diagonal, and the profile says so."""
+        p = profile(parse_operator_spec("diag(1e6)"), CFG)
+        assert not p.gamma_settled
+        assert p.gamma_hat == pytest.approx(1.0237, abs=1e-4)
+        assert profile(parse_operator_spec("diag(1,2)"), CFG).gamma_settled
+
     def test_nonsectorial_imaginary(self):
         p = profile(parse_operator_spec("diag(i,-i)"), CFG)
         assert math.isinf(p.M)
@@ -721,6 +729,41 @@ def test_dense_sectoriality_grid_matches_loop(seed):
     A = random_sectorial_operator(4, seed, 0.5236)
     assert A.spectral() is None
     assert _sectoriality_sup(A) == pytest.approx(_sectoriality_loop(A), rel=1e-12)
+
+
+def test_dense_sectoriality_working_memory():
+    """The M grid inverts its points in row blocks of 2^13 entries, two 64x64
+    matrices here; inverting all 120 grid points at once peaked at 15.9 MB."""
+    A = random_sectorial_operator(64, 3, 0.5)
+    tracemalloc.start()
+    try:
+        value = _sectoriality_sup(A)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert value == 18.204837302013463
+    assert peak < 1e6, peak
+
+
+@pytest.mark.parametrize(
+    "spec",
+    ["diag(1,2)", "diag(i,-i,1)", "diag(0,1)", "normal_random(3,seed=9)",
+     "normal_random(12,seed=3)"],
+)
+def test_spectral_profile_closed_forms(spec, monkeypatch):
+    """On the spectral path K = 1 and M = max(1, max |lam| / Re lam) exactly, with
+    no semigroup norm computed."""
+    A = parse_operator_spec(spec)
+    assert A.spectral() is not None
+    dense_m = math.inf if spec == "diag(i,-i,1)" else _sectoriality_loop(A)
+
+    def disabled(*args):
+        raise AssertionError("a semigroup norm search ran on the spectral path")
+
+    monkeypatch.setattr(operators, "_semigroup_norms", disabled)
+    p = profile(A, CFG)
+    assert p.K == 1.0
+    assert p.M == pytest.approx(dense_m, rel=1e-12)
 
 
 class TestApplyCalculus:
