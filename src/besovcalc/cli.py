@@ -154,7 +154,8 @@ def run(argv=None) -> int:
             rep = apply_calculus_report(A, f, cfg)
             print(f"f(A) for f={args.f}, A={args.A}:")
             print(_fmt_matrix(rep.value))
-            print(f"error bound {rep.error:.2e}")
+            mark = "" if rep.certified else " (not certified)"
+            print(f"error bound {rep.error:.2e}{mark}")
             _write(
                 args.out,
                 "apply.json",
@@ -165,6 +166,7 @@ def run(argv=None) -> int:
                         "f": args.f,
                         "matrix": [[complex(v) for v in row] for row in rep.value],
                         "error": rep.error,
+                        "certified": rep.certified,
                     },
                 ),
             )

@@ -95,7 +95,7 @@ def check_band_embedding(
     full norm <= sup norm * (1 + 2 log(1 + 2 sigma/eps))."""
     f = band_function(eps, sigma, coeffs)
     lhs = b_norm(f, cfg)
-    rhs = hinf_norm(f, cfg).value * (1.0 + 2.0 * math.log(1.0 + 2.0 * sigma / eps))
+    rhs = lhs.pieces["hinf"] * (1.0 + 2.0 * math.log(1.0 + 2.0 * sigma / eps))
     return EstimateReport(
         "band_embedding",
         {"eps": eps, "sigma": sigma, "coeffs": list(map(list, coeffs))},

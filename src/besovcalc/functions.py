@@ -74,7 +74,7 @@ class HalfLineMeasure:
 
     density is None or a tuple:
       ("exp", coeff, rate)        coeff * exp(-rate*t) dt on [0, inf), rate > 0
-      ("lebesgue", coeff, a, b)   coeff * dt on [a, b]
+      ("lebesgue", coeff, a, b)   coeff * dt on [a, b], b finite
     """
 
     atoms: tuple[tuple[float, complex], ...] = ()
@@ -92,8 +92,8 @@ class HalfLineMeasure:
                     raise InvalidParameter("exponential density needs rate > 0")
             elif kind == "lebesgue":
                 _, _, a, b = self.density
-                if not 0 <= a < b:
-                    raise InvalidParameter("lebesgue density needs 0 <= a < b")
+                if not 0 <= a < b < math.inf:
+                    raise InvalidParameter("lebesgue density needs 0 <= a < b < inf")
             else:
                 raise InvalidParameter(f"unknown density kind {kind!r}")
 

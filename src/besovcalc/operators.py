@@ -29,12 +29,9 @@ from .functions import (
 from .quadrature import (
     DEFAULT_CONFIG,
     DYADIC_GRID,
-    ExpEnvelope,
     PowerEnvelope,
     QuadratureConfig,
     _refine_max,
-    integrate_halfline,
-    integrate_interval,
     integrate_line,
     kernel_weight,
     line_weight,
@@ -263,6 +260,8 @@ class OperatorProfile:
 
 def resolvent_matrix(A: MatrixOperator, z: complex) -> np.ndarray:
     """(zI + A)^(-1) by LU solve with a residual check."""
+    if A.n == 0:
+        raise InvalidParameter("the resolvent needs a matrix of size at least 1x1")
     z = complex(z)
     if np.min(np.abs(z + A.eigenvalues)) <= 1e-12 * max(1.0, abs(z), A.norm2):
         raise SingularShift(f"-z = {-z} meets the spectrum")
@@ -589,6 +588,8 @@ def gamma_weak_sample(
 class ApplyReport:
     value: np.ndarray
     error: float
+    # False when the profile's gamma_hat, the bound's upper weight, is not settled
+    certified: bool
     n_evals: int = 0
 
 
@@ -629,7 +630,8 @@ def apply_calculus_report(
     def inner_cfg(alpha: float):
         return cfg.with_tolerances(abs_tol=_APPLY_TOL / (12.0 * (1.0 + alpha) ** 2), rel_tol=1e-7)
 
-    weight = 0.5 * math.pi * A.profile(cfg).gamma_hat
+    prof = A.profile(cfg)
+    weight = 0.5 * math.pi * prof.gamma_hat
     p = kernel_pairing(
         kernel, lambda alpha: _kernel_line(A, alpha), weight, True, f,
         inner_cfg, cfg.with_tolerances(abs_tol=_APPLY_TOL / 4.0, rel_tol=1e-6), _APPLY_TOL / 8.0,
@@ -640,7 +642,7 @@ def apply_calculus_report(
     err = (2.0 / math.pi) * p.error
     if spec is not None and spec.residual > 0.0:
         err += spec.residual * _spectral_lipschitz(f, spec.lam)
-    return ApplyReport(value=value, error=err, n_evals=p.n_evals)
+    return ApplyReport(value=value, error=err, certified=prof.gamma_settled, n_evals=p.n_evals)
 
 
 def apply_calculus(
@@ -651,37 +653,27 @@ def apply_calculus(
     return apply_calculus_report(A, f, cfg).value
 
 
-def hp_apply(
-    A: MatrixOperator, mu: HalfLineMeasure, cfg: QuadratureConfig = DEFAULT_CONFIG
-) -> np.ndarray:
-    """sum c_k exp(-t_k A) + int exp(-t A) density(t) dt."""
+def hp_apply(A: MatrixOperator, mu: HalfLineMeasure) -> np.ndarray:
+    """sum c_k exp(-t_k A) + int exp(-t A) density(t) dt, in closed form.
+
+    c exp(-rate t) dt gives c (rate + A)^(-1); c dt on [a, b] gives c (Phi(b) - Phi(a)),
+    where Phi(t) = int_0^t exp(-s A) ds is the upper-right block of
+    exp(t [[-A, I], [0, 0]]) (Van Loan 1978), which needs no inverse of A."""
     out = np.zeros((A.n, A.n), dtype=complex)
     for t, c in mu.atoms:
         out += c * semigroup(A, t)
-    if mu.density is not None:
-        K = A.profile(cfg).K
-
-        def integrand(ts):
-            ts = np.asarray(ts, dtype=float)
-            return dens_val(ts)[:, None, None] * semigroup(A, ts)
-
-        if mu.density[0] == "exp":
-            _, coeff, rate = mu.density
-
-            def dens_val(ts):
-                return coeff * np.exp(-rate * ts)
-
-            env = ExpEnvelope(a=rate, c=abs(coeff) * K)
-            res = integrate_halfline(integrand, env, cfg, strict=False)
-        else:
-            _, coeff, a, b = mu.density
-
-            def dens_val(ts):
-                return np.full(ts.shape, coeff)
-
-            res = integrate_interval(integrand, a, b, cfg)
-        out += res.value
-    return out
+    if mu.density is None:
+        return out
+    if mu.density[0] == "exp":
+        _, coeff, rate = mu.density
+        return out + coeff * resolvent_matrix(A, rate)
+    _, coeff, a, b = mu.density
+    n = A.n
+    block = np.zeros((2 * n, 2 * n), dtype=complex)
+    block[:n, :n] = -A.matrix
+    block[:n, n:] = np.eye(n)
+    phi = _expm(np.array([a, b])[:, None, None] * block)[:, :n, n:]
+    return out + coeff * (phi[1] - phi[0])
 
 
 def oracle_apply(

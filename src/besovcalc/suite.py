@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 
@@ -224,7 +225,10 @@ VALIDATORS = {
     ),
     "exp_window": (
         _run_exp_window,
-        [{"tau": 1.0, "omega": 1.0}, {"tau": 0.5, "omega": 1.0}],
+        [
+            {"g": "resolvent(a=2)", "tau": 1.0, "omega": 1.0},
+            {"g": "resolvent(a=2)", "tau": 0.5, "omega": 1.0},
+        ],
     ),
     "decay_majorant": (_run_decay_majorant, [{"omega": 0.5}, {"omega": 1.0}]),
     "expinv_exact": (_run_expinv, [{"t": t} for t in (0.25, 1.0, 4.0, 100.0)]),
@@ -252,26 +256,38 @@ VALIDATORS = {
     "band_operator": (
         _run_band_operator,
         [
-            {"A": "diag(1,2)", "eps": 1.0, "sigma": 4.0},
-            {"A": "sectorial_random(4,seed=3,angle=0.5236)", "eps": 1.0, "sigma": 4.0},
-            {"A": "normal_random(3,seed=11)", "eps": 1.0, "sigma": 2.0},
+            {"A": "diag(1,2)", "eps": 1.0, "sigma": 4.0, "f": "band(eps=1,sigma=4)"},
+            {
+                "A": "sectorial_random(4,seed=3,angle=0.5236)",
+                "eps": 1.0,
+                "sigma": 4.0,
+                "f": "band(eps=1,sigma=4)",
+            },
+            {"A": "normal_random(3,seed=11)", "eps": 1.0, "sigma": 2.0, "f": "band(eps=1,sigma=2)"},
         ],
     ),
     "smoothed_window": (
         _run_smoothed_window,
         [
-            {"omega": o, "tau": t}
+            {"A": "diag(1,2)", "g": "resolvent(a=2)", "omega": o, "tau": t}
             for o in (0.1, 1.0)
             for t in (0.1, 1.0)
         ],
     ),
     "fractional_smoothing": (
         _run_fractional,
-        [{"alpha": a, "omega": 1.0, "lambda": "1"} for a in (0.5, 1.0, 2.0)],
+        [
+            {"A": "diag(1,2)", "g": "resolvent(a=2)", "alpha": a, "omega": 1.0, "lambda": "1"}
+            for a in (0.5, 1.0, 2.0)
+        ],
     ),
     "deriv_operator": (
         _run_deriv_operator,
-        [{"a": 2.0, "omega": 1.0}, {"a": 3.0, "omega": 1.5}, {"a": 2.0, "omega": 0.5}],
+        [
+            {"A": "diag(1,2)", "a": 2.0, "omega": 1.0},
+            {"A": "diag(1,2)", "a": 3.0, "omega": 1.5},
+            {"A": "diag(1,2)", "a": 2.0, "omega": 0.5},
+        ],
     ),
     "exp_stable_decay": (
         _run_exp_stable,
@@ -305,6 +321,10 @@ VALIDATORS = {
 }
 
 
+# the validator id, an optional `:` after it, and the key=value tokens
+_MANIFEST_LINE = re.compile(r"([^\s:]*)\s*:?(.*)")
+
+
 def default_manifest() -> str:
     lines = ["# one validator per line: id [param=value ...]; '|' separates grid values"]
     for name in VALIDATORS:
@@ -313,24 +333,32 @@ def default_manifest() -> str:
 
 
 def parse_manifest(text: str) -> list[tuple[str, list[dict]]]:
-    """Each line: `validator_id key=v1|v2 key2=w`; grids are cartesian products."""
+    """Each line: `validator_id[:] key=v1|v2 key2=w`; grids are cartesian products.
+
+    Only a `:` right after the id separates, so a value such as `A=file:m.txt`
+    keeps its own.  A validator takes exactly the keys its default grid names."""
     jobs: list[tuple[str, list[dict]]] = []
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        parts = line.replace(":", " ").split()
-        name = parts[0]
+        name, rest = _MANIFEST_LINE.fullmatch(line).groups()
         if name not in VALIDATORS:
             raise UnknownSpec(f"unknown validator {name!r} in manifest")
-        if len(parts) == 1:
-            jobs.append((name, VALIDATORS[name][1]))
+        default, tokens = VALIDATORS[name][1], rest.split()
+        if not tokens:
+            jobs.append((name, default))
             continue
+        keys = set().union(*default)
         grid: list[dict] = [{}]
-        for tok in parts[1:]:
+        for tok in tokens:
             if "=" not in tok:
                 raise InvalidParameter(f"bad manifest token {tok!r}")
             k, v = tok.split("=", 1)
+            if k not in keys:
+                raise InvalidParameter(
+                    f"{name} takes no parameter {k!r} (it takes {', '.join(sorted(keys))})"
+                )
             options = v.split("|")
             grid = [dict(g, **{k: opt}) for g in grid for opt in options]
         jobs.append((name, grid))

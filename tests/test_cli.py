@@ -26,7 +26,8 @@ def test_apply_command(capsys, tmp_path):
     assert rc == 0
     assert "3.678794e-01" in out
     doc = json.loads((tmp_path / "apply.json").read_text())
-    assert set(doc["result"]) == {"A", "f", "matrix", "error"}
+    assert set(doc["result"]) == {"A", "f", "matrix", "error", "certified"}
+    assert doc["result"]["certified"] is True and "not certified" not in out
     m = doc["result"]["matrix"]
     assert abs(m[0][0]["re"] - math.exp(-1.0)) < 1e-4
     assert abs(m[1][1]["re"] - math.exp(-2.0)) < 1e-4
@@ -50,6 +51,12 @@ def test_profile_reports_gamma_settled(capsys, tmp_path):
     assert "gamma settled = False" in capsys.readouterr().out
     doc = json.loads((tmp_path / "profile.json").read_text())
     assert doc["result"]["gamma_settled"] is False
+
+
+def test_apply_marks_an_uncertified_bound(capsys, tmp_path):
+    assert run(["apply", "--A", "diag(1e6)", "--f", "cayley(n=1)", "--out", str(tmp_path)]) == 0
+    assert "(not certified)" in capsys.readouterr().out
+    assert json.loads((tmp_path / "apply.json").read_text())["result"]["certified"] is False
 
 
 def test_pair_command(capsys):

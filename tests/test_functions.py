@@ -296,6 +296,9 @@ class TestInvariantsAndFlags:
         assert mu.total_variation() == pytest.approx(1.0 + 2.0 + 0.25)
         with pytest.raises(InvalidParameter):
             HalfLineMeasure(atoms=((-1.0, 1.0),))
+        # a bounded measure: coeff * dt needs a finite end
+        with pytest.raises(InvalidParameter, match="b < inf"):
+            HalfLineMeasure(density=("lebesgue", 1.0, 0.0, math.inf))
 
     def test_bernstein_monotonicity(self):
         fb = BernsteinFunction(a=0.1, b=0.5, jumps=((1.0, 2.0),))

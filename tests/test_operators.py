@@ -767,6 +767,14 @@ def test_spectral_profile_closed_forms(spec, monkeypatch):
 
 
 class TestApplyCalculus:
+    @pytest.mark.parametrize("spec,certified", [("diag(1e6)", False), ("diag(1,2)", True)])
+    def test_certified_follows_gamma_settled(self, spec, certified):
+        """The bound's weight (pi/2) gamma_hat is an upper weight only once gamma_hat
+        settles; diag(1e6) reads 1.0237 against an exact 2."""
+        A = parse_operator_spec(spec)
+        rep = apply_calculus_report(A, cayley_pow(1), CFG)
+        assert rep.certified is certified is A.profile(CFG).gamma_settled
+
     def test_scalar_resolvent(self):
         A = MatrixOperator(np.array([[2.0]]))
         val = apply_calculus(A, resolvent(1.0), CFG)
@@ -868,27 +876,68 @@ class TestApplyCalculus:
             assert float(np.real(val.value)) <= math.pi * K**2 / alpha + 1e-4
 
 
+HP_OPERATORS = [
+    "diag(1,2)",
+    "diag(0,1)",
+    "jordan(lambda=1,m=2)",
+    "sectorial_random(4,seed=3,angle=0.5)",
+    "diag(i,-i,1)",
+]
+HP_MEASURES = [
+    HalfLineMeasure(atoms=((0.0, 1.0),), density=("exp", -2.0, 1.0)),
+    HalfLineMeasure(density=("lebesgue", 1.0, 0.0, 1.0)),
+    HalfLineMeasure(density=("lebesgue", 2.0, 0.5, 3.0)),
+    HalfLineMeasure(atoms=((1.0, 0.5),), density=("exp", 1.5, 0.3)),
+]
+
+
 class TestHPApply:
+    @pytest.mark.parametrize("mu", HP_MEASURES, ids=["cayley", "unit-box", "box", "exp-atom"])
+    @pytest.mark.parametrize("spec", HP_OPERATORS)
+    def test_matches_oracle(self, spec, mu):
+        """Closed-form densities: the resolvent for exp, Van Loan's block for
+        lebesgue, which diag(0,1) (singular A) and the Jordan block also take."""
+        A = parse_operator_spec(spec)
+        gap = np.max(np.abs(hp_apply(A, mu) - oracle_apply(A, laplace_transform(mu), CFG)))
+        assert gap < 1e-13
+
+    def test_needs_no_profile(self, monkeypatch):
+        def no_profile(*args, **kwargs):
+            raise AssertionError("hp_apply profiled the operator")
+
+        monkeypatch.setattr(operators, "profile", no_profile)
+        A = parse_operator_spec("sectorial_random(4,seed=3,angle=0.5)")
+        for mu in HP_MEASURES:
+            hp_apply(A, mu)
+        assert A._profile_cache is None
+
+    def test_empty_operator(self):
+        """A 0x0 operator has a 0x0 integral, and no resolvent to take."""
+        A = MatrixOperator(np.zeros((0, 0)))
+        assert hp_apply(A, HP_MEASURES[1]).shape == (0, 0)
+        with pytest.raises(InvalidParameter, match="1x1"):
+            hp_apply(A, HP_MEASURES[0])
+
     def test_delta_zero(self):
         A = parse_operator_spec("diag(1,2)")
-        assert np.allclose(hp_apply(A, HalfLineMeasure(atoms=((0.0, 1.0),)), CFG), np.eye(2))
+        assert np.allclose(hp_apply(A, HalfLineMeasure(atoms=((0.0, 1.0),))), np.eye(2))
 
     def test_cayley_measure(self):
         A = parse_operator_spec("diag(1,2)")
         mu = HalfLineMeasure(atoms=((0.0, 1.0),), density=("exp", -2.0, 1.0))
-        got = hp_apply(A, mu, CFG)
+        got = hp_apply(A, mu)
         assert np.max(np.abs(got - np.diag([0.0, 1.0 / 3.0]))) < 1e-8
 
     def test_lebesgue(self):
         A = MatrixOperator(np.array([[1.0]]))
         mu = HalfLineMeasure(density=("lebesgue", 1.0, 0.0, 1.0))
-        assert hp_apply(A, mu, CFG)[0, 0] == pytest.approx(1.0 - math.exp(-1.0), abs=1e-10)
+        assert hp_apply(A, mu)[0, 0] == pytest.approx(1.0 - math.exp(-1.0), abs=1e-10)
 
     def test_compatibility_with_calculus(self):
         A = parse_operator_spec("diag(1,2)")
         mu = HalfLineMeasure(atoms=((0.0, 1.0), (1.0, 0.5)), density=("exp", -2.0, 1.0))
         f = laplace_transform(mu)
-        gap = np.max(np.abs(apply_calculus(A, f, CFG) - hp_apply(A, mu, CFG)))
+        gap = np.max(np.abs(apply_calculus(A, f, CFG) - hp_apply(A, mu)))
         assert gap < 1e-4
 
 

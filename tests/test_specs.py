@@ -22,7 +22,7 @@ from besovcalc.functions import (
 from besovcalc.operators import jordan_operator, parse_operator_spec
 from besovcalc.quadrature import DEFAULT_CONFIG
 from besovcalc.report import reports_to_csv
-from besovcalc.suite import VALIDATORS, run_suite
+from besovcalc.suite import VALIDATORS, parse_manifest, run_suite
 
 ZS = np.array([0.5, 1.0 + 2.0j, 3.0 - 0.5j])
 
@@ -243,6 +243,53 @@ def test_manifest_band_embedding_coeffs():
     # real weights are reported as reals, as the default grid's are
     assert rep.params["coeffs"] == [[1.0, 1.0], [4.0, -1.0]]
     assert reports_to_csv([rep]) == reports_to_csv([ref])
+
+
+@pytest.mark.parametrize("name", list(VALIDATORS))
+def test_manifest_unknown_key_rejected(name):
+    with pytest.raises(InvalidParameter, match=rf"^{name} takes no parameter 'bogus'"):
+        parse_manifest(f"{name} bogus=1")
+
+
+@pytest.mark.parametrize(
+    "line", ["cayley_norm N=8", "expinv_exact tt=4", "deriv_operator a=2 omega=1 Omega=1"]
+)
+def test_manifest_unknown_key_exit_code(line, tmp_path, capsys):
+    """A misspelt or miscased key is an error before any validator runs, not a
+    silent run at the default value."""
+    mf = tmp_path / "bad.suite"
+    mf.write_text(line + "\n")
+    assert run(["suite", "--manifest", str(mf), "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert "takes no parameter" in err and "Traceback" not in err
+    assert not (tmp_path / "suite.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "name,key,value",
+    [
+        ("exp_window", "g", "resolvent(a=2)"),
+        ("band_operator", "f", "band(eps=1,sigma=4)"),
+        ("smoothed_window", "A", "diag(1,2)"),
+        ("smoothed_window", "g", "resolvent(a=2)"),
+        ("fractional_smoothing", "A", "diag(1,2)"),
+        ("fractional_smoothing", "g", "resolvent(a=2)"),
+        ("deriv_operator", "A", "diag(1,2)"),
+        ("deriv_operator", "a", "2"),
+    ],
+)
+def test_manifest_runner_keys_accepted(name, key, value):
+    assert parse_manifest(f"{name} {key}={value}") == [(name, [{key: value}])]
+
+
+def test_manifest_colon_separates_only_after_the_id(tmp_path):
+    for line in ("cayley_norm: n=2", "cayley_norm:n=2", "cayley_norm : n=2", "cayley_norm n=2"):
+        assert parse_manifest(line) == [("cayley_norm", [{"n": "2"}])]
+    m = tmp_path / "m.txt"
+    m.write_text("1\n1\n")
+    (rep,) = run_suite(f"sectorial_gamma A=file:{m}")
+    (ref,) = run_suite("sectorial_gamma A=diag(1)")
+    assert (rep.lhs, rep.rhs) == (ref.lhs, ref.rhs)
 
 
 @pytest.mark.parametrize(
