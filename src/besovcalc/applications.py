@@ -25,6 +25,7 @@ from .functions import (
 from .norms import BOUNDARY_OFFSET, b_norm, hinf_norm, left_line_sup
 from .operators import (
     MatrixOperator,
+    _semigroup_sup,
     apply_calculus,
     apply_calculus_report,
     gamma_weak_sample,
@@ -293,7 +294,6 @@ def inverse_generator_constant(
     """Measured constant in ||exp(-t A^(-1))|| <= C_A (1 + log(1+t)); reported only."""
     if np.min(np.abs(A.eigenvalues)) <= 1e-12:
         raise InvalidParameter("operator must be invertible")
-    prof = A.profile(cfg)
     a_inv = np.linalg.inv(A.matrix)
     inv_op = MatrixOperator(a_inv, label=f"{A.label}^-1")
     norms = np.linalg.norm(semigroup(inv_op, ts), 2, axis=(1, 2))
@@ -302,7 +302,7 @@ def inverse_generator_constant(
     envelope_const = max(
         b_norm(vitse_reg(t), cfg).value / (1.0 + math.log1p(t)) for t in (1.0, 16.0)
     )
-    c_a = 2.0 * envelope_const * prof.K**2 * _opnorm(
+    c_a = 2.0 * envelope_const * _semigroup_sup(A) ** 2 * _opnorm(
         (np.eye(A.n) + a_inv) @ (np.eye(A.n) + a_inv)
     )
     return {"measured": c_meas, "predicted": c_a, "values": vals}

@@ -711,7 +711,10 @@ def oracle_apply(
         fl = complex(f(lam))
         J[pos, pos] = fl
         if m > 1:
-            ders = cauchy_derivatives(f, lam, m - 1, cfg)
+            # f' in closed form; the Cauchy circle only for orders 2..m-1
+            ders = [f.deriv(lam)]
+            if m > 2:
+                ders.extend(cauchy_derivatives(f, lam, m - 1, cfg)[1:])
             for j in range(1, m):
                 coef = ders[j - 1] / math.factorial(j)
                 for i in range(m - j):

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from besovcalc import operators
 from besovcalc.applications import (
     cayley_power_check,
     check_band_operator,
@@ -137,6 +138,28 @@ class TestInverseGenerator:
     def test_constant_reported(self):
         out = inverse_generator_constant(DIAG12, (1.0, 4.0, 16.0), CFG)
         assert out["measured"] > 0 and out["predicted"] > 0
+
+    @pytest.mark.parametrize(
+        "spec,predicted,measured",
+        [
+            ("diag(1,2)", 11.74701499081648, 0.3582267783194406),
+            ("sectorial_random(4,seed=3,angle=0.5)", 29.298690601406683, 0.35980246764054347),
+            ("jordan(0.2,2)", 3280.5095058776096, 0.09964742872922096),  # K = 1.916...
+        ],
+    )
+    def test_constant_needs_only_k(self, monkeypatch, spec, predicted, measured):
+        """K alone enters the predicted constant, so the operator is never profiled;
+        the numbers are those the whole profile gave."""
+
+        def no_profile(*args, **kwargs):
+            raise AssertionError("inverse_generator_constant profiled the operator")
+
+        monkeypatch.setattr(operators, "profile", no_profile)
+        A = parse_operator_spec(spec)
+        out = inverse_generator_constant(A)
+        assert out["predicted"] == predicted and out["measured"] == measured
+        assert list(out["values"]) == [1.0, 4.0, 16.0, 64.0]
+        assert A._profile_cache is None
 
 
 class TestCayleyPowers:

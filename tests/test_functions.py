@@ -159,6 +159,35 @@ class TestDerivatives:
                 circle = cauchy_derivatives(f, z, 1, CFG)[0]
                 assert abs(direct - circle) <= 10 * CFG.rel_tol * (1 + abs(direct))
 
+    @pytest.mark.parametrize("z", [1.0, 0.5 + 2.0j, 3.0 - 1.0j])
+    @pytest.mark.parametrize("f", [exp_decay(1.0), resolvent(1 + 2j), cayley_pow(2)])
+    def test_direct_sums_match_fft(self, f, z):
+        """The direct trapezoid sums equal the FFT of the circle samples, read at
+        orders 1..3, under the same doubling and stopping test."""
+
+        def fft_derivatives(order):
+            r, prev, n = 0.5 * z.real, None, 64
+            while True:
+                theta = 2.0 * np.pi * np.arange(n) / n
+                coeffs = np.fft.fft(f.eval_fn(z + r * np.exp(1j * theta))) / n
+                ders = np.array(
+                    [coeffs[j] * math.factorial(j) / r**j for j in range(1, order + 1)]
+                )
+                if prev is not None:
+                    ref = np.maximum(np.abs(ders), 1e-300)
+                    if np.all(np.abs(ders - prev) <= CFG.rel_tol * ref + CFG.abs_tol):
+                        return ders
+                prev, n = ders, 2 * n
+
+        z = complex(z)
+        # |f| <= 1 on the half-plane, so j!/r^j bounds f^(j): the floor for a
+        # derivative that vanishes (cayley_pow(2)' at z = 1)
+        floor = 1e-15 * np.array([math.factorial(j) / (0.5 * z.real) ** j for j in (1, 2, 3)])
+        for order in (1, 2, 3):
+            got, ref = cauchy_derivatives(f, z, order, CFG), fft_derivatives(order)
+            assert got.shape == (order,)
+            assert np.all(np.abs(got - ref) <= 1e-12 * np.abs(ref) + floor[:order]), (got, ref)
+
     def test_deriv_fn_is_required(self):
         with pytest.raises(InvalidParameter, match="deriv_fn"):
             replace(exp_decay(1.0), deriv_fn=None)

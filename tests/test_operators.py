@@ -26,6 +26,7 @@ from besovcalc.functions import (
     dilate,
     eta,
     exp_decay,
+    exp_inv_shift,
     laplace_transform,
     mul,
     resolvent,
@@ -282,6 +283,31 @@ def test_norms_and_pairings_do_not_import_numpy_random():
         b_norm(exp_decay(1.0))
         pairing(resolvent(2.0), exp_decay(1.0))
         assert "numpy.random" not in sys.modules
+        """
+    )
+    src = os.path.dirname(os.path.dirname(besovcalc.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert done.returncode == 0, done.stderr
+
+
+def test_jordan_oracle_does_not_import_numpy_fft():
+    """The Jordan-block oracle takes f' in closed form and its higher Taylor
+    coefficients from direct trapezoid sums on a circle, so numpy.fft and its
+    extension module never load."""
+    script = textwrap.dedent(
+        """
+        import sys
+        import besovcalc
+        import besovcalc.cli
+        from besovcalc.functions import cauchy_derivatives, exp_decay, resolvent
+        from besovcalc.operators import jordan_operator, oracle_apply
+        oracle_apply(jordan_operator(1.0, 2), exp_decay(1.0))
+        oracle_apply(jordan_operator(2.0, 3), resolvent(1.0))
+        cauchy_derivatives(exp_decay(1.0), 1.0, 3)
+        assert "numpy.fft" not in sys.modules
         """
     )
     src = os.path.dirname(os.path.dirname(besovcalc.__file__))
@@ -961,6 +987,18 @@ class TestOracle:
             [[1 / 3, -1 / 9, 1 / 27], [0, 1 / 3, -1 / 9], [0, 0, 1 / 3]]
         )
         assert np.max(np.abs(got - expect)) < 1e-8
+
+    @pytest.mark.parametrize("lam", [1.0, 0.5 + 2.0j, 3.0 - 1.0j])
+    def test_jordan_first_order_closed_form(self, lam):
+        """On a 2x2 block, f(J) = f(lam) I + f'(lam) N with f' from f.deriv."""
+        A = jordan_operator(lam, 2)
+        nil = A.matrix - lam * np.eye(2)
+        # the function list of criterion 04
+        for f in [
+            exp_decay(1.0), resolvent(1.5), cayley_pow(2), eta(), exp_inv_shift(1.0), vitse_reg(2.0)
+        ]:
+            expect = f(lam) * np.eye(2) + f.deriv(lam) * nil
+            assert np.max(np.abs(oracle_apply(A, f, CFG) - expect)) < 1e-13, f.label
 
     def test_random_normal_eta(self):
         A = random_normal_operator(4, seed=17)
