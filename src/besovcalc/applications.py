@@ -28,6 +28,7 @@ from .operators import (
     _semigroup_sup,
     apply_calculus,
     apply_calculus_report,
+    gamma_hat,
     gamma_weak_sample,
     is_normal,
     semigroup,
@@ -78,13 +79,10 @@ def stability_constants(A: MatrixOperator) -> tuple[float, float]:
 def check_hilbert_calc_bound(
     A: MatrixOperator, f: AnalyticFunction, cfg: QuadratureConfig = DEFAULT_CONFIG
 ) -> EstimateReport:
-    """Hilbert-model bound for normal matrices: ||f(A)|| <= 2 K^2 ||f||_B."""
-    if not is_normal(A):
-        raise InvalidParameter("the Hilbert-model bound applies to normal matrices")
+    """||f(A)|| <= 2 K^2 ||f||_B for any bounded semigroup; K is a lower estimate if not exact."""
     rep = apply_calculus_report(A, f, cfg)
     lhs = _opnorm(rep.value)
-    prof = A.profile(cfg)
-    rhs = 2.0 * prof.K**2 * b_norm(f, cfg).value
+    rhs = 2.0 * A.profile().K ** 2 * b_norm(f, cfg).value
     return EstimateReport(
         "hilbert_calc_bound",
         {"A": A.label, "f": f.label},
@@ -99,16 +97,17 @@ def check_sectorial_gamma(
 ) -> EstimateReport:
     """gamma bracket against the sectoriality constant:
     gamma_hat <= 8 (2 + log 2) M (log M + 1)."""
-    prof = A.profile(cfg)
-    if not math.isfinite(prof.M):
+    M = A.profile().M
+    if not math.isfinite(M):
         raise InvalidParameter("operator is not sectorial; no finite constant")
-    rhs = 8.0 * (2.0 + math.log(2.0)) * prof.M * (math.log(prof.M) + 1.0)
+    rhs = 8.0 * (2.0 + math.log(2.0)) * M * (math.log(M) + 1.0)
+    gamma = gamma_hat(A, cfg)[0]
     return EstimateReport(
         "sectorial_gamma",
-        {"A": A.label, "M": prof.M},
-        prof.gamma_hat,
+        {"A": A.label, "M": M},
+        gamma,
         rhs,
-        1e-6 * prof.gamma_hat,
+        1e-6 * gamma,
         info={"gamma_weak_sample": gamma_weak_sample(A, cfg)},
     )
 
@@ -124,7 +123,7 @@ def check_band_operator(
     require_positive(eps=eps, sigma=sigma)
     rep = apply_calculus_report(A, f, cfg)
     lhs = _opnorm(rep.value)
-    prof = A.profile(cfg)
+    prof = A.profile()
     f_inf = hinf_norm(f, cfg).value
     if is_normal(A):
         rhs = 2.0 * prof.K**2 * (1.0 + 2.0 * math.log(1.0 + 2.0 * sigma / eps)) * f_inf
@@ -157,18 +156,16 @@ def check_smoothed_window(
     tau: float,
     cfg: QuadratureConfig = DEFAULT_CONFIG,
 ) -> EstimateReport:
-    """||g(A) exp(-tau A)|| <= 2 K^2 (2 + log(1 + 1/(omega tau))/2) * left-line sup."""
+    """||g(A) exp(-tau A)|| <= 2 K^2 (2 + log(1 + 1/(omega tau))/2) * left-line sup, for any
+    bounded semigroup; K is a lower estimate if not exact."""
     require_positive(omega=omega, tau=tau)
-    if not is_normal(A):
-        raise InvalidParameter("smoothed-window bound is for the Hilbert model")
     if g.left_bound < omega:
         raise InvalidParameter("g does not extend left far enough")
     f = mul(g, exp_decay(tau))
     rep = apply_calculus_report(A, f, cfg)
     lhs = _opnorm(rep.value)
-    prof = A.profile(cfg)
     g_left = left_line_sup(g, omega)
-    rhs = 2.0 * prof.K**2 * (2.0 + 0.5 * math.log1p(1.0 / (omega * tau))) * g_left
+    rhs = 2.0 * A.profile().K ** 2 * (2.0 + 0.5 * math.log1p(1.0 / (omega * tau))) * g_left
     return EstimateReport(
         "smoothed_window",
         {"A": A.label, "g": g.label, "omega": omega, "tau": tau},
@@ -199,10 +196,9 @@ def check_fractional_smoothing(
     v = A.eigenvectors
     frac = v @ np.diag((lam + A.eigenvalues) ** (-alpha)) @ np.linalg.inv(v)
     lhs = _opnorm(ga @ frac)
-    prof = A.profile(cfg)
     m = min(omega, lam.real)
     g_left = left_line_sup(g, omega)
-    rhs = (4.0 + 1.0 / alpha) * prof.K**2 / m**alpha * g_left
+    rhs = (4.0 + 1.0 / alpha) * A.profile().K ** 2 / m**alpha * g_left
     return EstimateReport(
         "fractional_smoothing",
         {"A": A.label, "g": g.label, "lambda": str(lam), "alpha": alpha, "omega": omega},
@@ -219,15 +215,12 @@ def check_deriv_operator(
     omega: float,
     cfg: QuadratureConfig = DEFAULT_CONFIG,
 ) -> EstimateReport:
-    """||f'(A)|| <= 3 K^2 / omega * left-line sup of f."""
+    """||f'(A)|| <= 3 K^2 / omega * left-line sup of f; K is a lower estimate if not exact."""
     require_positive(omega=omega)
-    if not is_normal(A):
-        raise InvalidParameter("derivative-operator bound is for the Hilbert model")
     rep = apply_calculus_report(A, fprime, cfg)
     lhs = _opnorm(rep.value)
-    prof = A.profile(cfg)
     f_left = left_line_sup(f, omega)
-    rhs = 3.0 * prof.K**2 / omega * f_left
+    rhs = 3.0 * A.profile().K ** 2 / omega * f_left
     return EstimateReport(
         "deriv_operator",
         {"A": A.label, "f": f.label, "omega": omega},
@@ -302,7 +295,7 @@ def inverse_generator_constant(
     envelope_const = max(
         b_norm(vitse_reg(t), cfg).value / (1.0 + math.log1p(t)) for t in (1.0, 16.0)
     )
-    c_a = 2.0 * envelope_const * _semigroup_sup(A) ** 2 * _opnorm(
+    c_a = 2.0 * envelope_const * _semigroup_sup(A)[0] ** 2 * _opnorm(
         (np.eye(A.n) + a_inv) @ (np.eye(A.n) + a_inv)
     )
     return {"measured": c_meas, "predicted": c_a, "values": vals}
@@ -326,18 +319,15 @@ def cayley_power_check(
     n: int,
     cfg: QuadratureConfig = DEFAULT_CONFIG,
 ) -> EstimateReport:
-    """||V(A)^n|| <= 2 K^2 (3 + 2 log 2n) with V the Cayley transform."""
+    """Cayley powers: ||V(A)^n|| <= 2 K^2 (3 + 2 log 2n); K is a lower estimate if not exact."""
     require_positive(n=n)
-    if not is_normal(A):
-        raise InvalidParameter("Cayley power bound is for the Hilbert model")
     eye = np.eye(A.n)
     v = (A.matrix - eye) @ np.linalg.inv(A.matrix + eye)
     pw = eye.astype(complex)
     for _ in range(n):
         pw = pw @ v
     lhs = _opnorm(pw)
-    prof = A.profile(cfg)
-    rhs = 2.0 * prof.K**2 * (3.0 + 2.0 * math.log(2.0 * n))
+    rhs = 2.0 * A.profile().K ** 2 * (3.0 + 2.0 * math.log(2.0 * n))
     via_calc = apply_calculus(A, cayley_pow(n), cfg)
     info = {"calculus_gap": float(np.max(np.abs(via_calc - pw)))}
     return EstimateReport(
@@ -368,7 +358,7 @@ def spectral_mapping_check(
     return {
         "inclusion_defect": incl,
         "hausdorff": haus,
-        "sectorial": math.isfinite(A.profile(cfg).M),
+        "sectorial": math.isfinite(A.profile().M),
     }
 
 

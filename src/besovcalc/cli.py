@@ -18,6 +18,7 @@ from .norms import b0_norm, b_norm, e0_norm, hinf_norm
 from .operators import (
     _SeededDraws,
     apply_calculus_report,
+    gamma_hat,
     gamma_weak_sample,
     parse_operator_spec,
     profile,
@@ -174,11 +175,11 @@ def run(argv=None) -> int:
 
         if args.command == "profile":
             A = parse_operator_spec(args.A)
-            prof, weak = profile(A, cfg), gamma_weak_sample(A, cfg, seed=args.seed)
+            prof, (gamma, settled) = profile(A), gamma_hat(A, cfg)
+            weak = gamma_weak_sample(A, cfg, seed=args.seed)
             print(
                 f"K = {prof.K:.6f}  M = {prof.M:.6f}  "
-                f"gamma in [{weak:.6f}, {prof.gamma_hat:.6f}]  "
-                f"gamma settled = {prof.gamma_settled}"
+                f"gamma in [{weak:.6f}, {gamma:.6f}]  gamma settled = {settled}"
             )
             _write(
                 args.out,
@@ -189,8 +190,8 @@ def run(argv=None) -> int:
                         "A": args.A,
                         "K": prof.K,
                         "M": prof.M if math.isfinite(prof.M) else "inf",
-                        "gamma_hat": prof.gamma_hat,
-                        "gamma_settled": prof.gamma_settled,
+                        "gamma_hat": gamma,
+                        "gamma_settled": settled,
                         "gamma_weak_sample": weak,
                     },
                 ),

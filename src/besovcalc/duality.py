@@ -66,7 +66,7 @@ def kernel_pairing(
 ) -> PairingResult:
     """int_0^inf x int_R K(x-iy) f'(x+iy) dy dx: the pairing of f with the g whose g' = K =
     kernel, one scalar, vector or matrix per point.  kernel_line(x) bounds |K(x+iy)| in y;
-    weight bounds sup_x x int ||K(x+iy)|| dy and scales f's outer envelope, and without a
+    weight bounds sup_x x int |K(x+iy)| dy per entry and scales f's outer envelope; without a
     certified weight the error is at least a quarter of the value.  The inner integral at x
     runs under inner_cfg(x), whose abs_tol is also its tail tolerance, the outer one under
     outer_cfg and tail_tol; neither is strict.  Summands of f pair one by one.  The error

@@ -45,6 +45,7 @@ __all__ = [
     "resolvent_matrix",
     "semigroup",
     "profile",
+    "gamma_hat",
     "gamma_weak_sample",
     "apply_calculus",
     "apply_calculus_report",
@@ -128,9 +129,7 @@ class MatrixOperator:
     diagonalizable: bool = field(init=False, default=True)
     jordan_blocks: list[tuple[complex, int]] | None = field(init=False, default=None)
     norm2: float = field(init=False, default=0.0)
-    _profile_cache: "tuple[QuadratureConfig, OperatorProfile] | None" = field(
-        init=False, default=None, repr=False
-    )
+    _profile_cache: "OperatorProfile | None" = field(init=False, default=None, repr=False)
     _normal: bool | None = field(init=False, default=None, repr=False)
     _spectral_cache: "Spectral | bool | None" = field(init=False, default=None, repr=False)
 
@@ -196,11 +195,11 @@ class MatrixOperator:
     def spectral_abscissa_min(self) -> float:
         return float(np.min(self.eigenvalues.real)) if self.n else 0.0
 
-    def profile(self, cfg: QuadratureConfig = DEFAULT_CONFIG) -> "OperatorProfile":
-        """profile(self, cfg), computed again whenever cfg differs from the last call's."""
-        if self._profile_cache is None or self._profile_cache[0] != cfg:
-            self._profile_cache = (cfg, profile(self, cfg))
-        return self._profile_cache[1]
+    def profile(self) -> "OperatorProfile":
+        """profile(self), computed on first use."""
+        if self._profile_cache is None:
+            self._profile_cache = profile(self)
+        return self._profile_cache
 
     def spectral(self) -> "Spectral | None":
         """The unitary diagonalisation when the matrix is normal and it is accurate
@@ -253,9 +252,7 @@ def _diagonalise(A: MatrixOperator) -> Spectral | None:
 class OperatorProfile:
     K: float
     M: float
-    gamma_hat: float
-    # False when gamma_hat's alpha grid still rose at its end (see `kernel_weight`)
-    gamma_settled: bool
+    K_exact: bool
 
 
 def resolvent_matrix(A: MatrixOperator, z: complex) -> np.ndarray:
@@ -446,7 +443,7 @@ def semigroup(A: MatrixOperator, t) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Operator profile: K, M, gamma_hat, and the weak gamma sample
+# Operator profile: K and M; gamma_hat and the weak gamma sample
 # ---------------------------------------------------------------------------
 
 
@@ -458,13 +455,18 @@ def _semigroup_norms(A: MatrixOperator, ts: np.ndarray) -> np.ndarray:
     return np.linalg.norm(vals, 2, axis=(1, 2))
 
 
-def _semigroup_sup(A: MatrixOperator) -> float:
-    """sup over t >= 0 of ||exp(-t A)||: 1 on the spectral path, else a search over t."""
+def _semigroup_sup(A: MatrixOperator) -> tuple[float, bool]:
+    """(K, exact), K = sup over t >= 0 of ||exp(-t A)||: exactly 1 on the spectral path and
+    when the least computed eigenvalue of (A + A^H)/2 is >= 4 n eps ||A||_2 (Lumer-Phillips;
+    Bauer-Fike with condition number 1), else a lower estimate from a search over t."""
     spec = A.spectral()
     if spec is not None:
         if np.any(spec.lam.real < -1e-9 * max(1.0, A.norm2)):
             raise ProfileDivergence("eigenvalue in the open left half-plane; operator rejected")
-        return 1.0
+        return 1.0, True
+    herm = 0.5 * (A.matrix + A.matrix.conj().T)
+    if np.linalg.eigvals(herm).real.min() >= 4.0 * A.n * np.finfo(float).eps * A.norm2:
+        return 1.0, True
     k_lo, k_hi = -12, 8
     best = 1.0
     top = None  # (log2 t, norms) of the grid that gave best
@@ -491,7 +493,7 @@ def _semigroup_sup(A: MatrixOperator) -> float:
             break
     if top is not None:
         best = _refine_max(lambda us: _semigroup_norms(A, 2.0**us), *top, 1)[1]
-    return best
+    return best, False
 
 
 def _sectoriality_sup(A: MatrixOperator) -> float:
@@ -524,12 +526,18 @@ def _weight_cfg(cfg: QuadratureConfig) -> QuadratureConfig:
     return cfg.with_tolerances(abs_tol=max(cfg.abs_tol, 5e-8), rel_tol=1e-6)
 
 
-def profile(A: MatrixOperator, cfg: QuadratureConfig = DEFAULT_CONFIG) -> OperatorProfile:
-    """K, M, and gamma_hat = (2/pi) times the `kernel_weight` of (w + A)^(-2)."""
+def profile(A: MatrixOperator) -> OperatorProfile:
+    """K, M, and K_exact: False when K is the search's lower estimate (see `_semigroup_sup`)."""
     if A.n == 0:
         raise InvalidParameter("the operator profile needs a matrix of size at least 1x1")
-    K = _semigroup_sup(A)
-    M = _sectoriality_sup(A)
+    K, exact = _semigroup_sup(A)
+    return OperatorProfile(K=K, M=_sectoriality_sup(A), K_exact=exact)
+
+
+def gamma_hat(A: MatrixOperator, cfg: QuadratureConfig = DEFAULT_CONFIG) -> tuple[float, bool]:
+    """(2/pi) times the `kernel_weight` of (w + A)^(-2), and whether that settled."""
+    if A.n == 0:
+        raise InvalidParameter("gamma_hat needs a matrix of size at least 1x1")
     spec = A.spectral()
 
     def kernel_norm(zs):
@@ -538,7 +546,7 @@ def profile(A: MatrixOperator, cfg: QuadratureConfig = DEFAULT_CONFIG) -> Operat
         return _top_singular_values(A, zs, _resolvents_squared)
 
     _, weight, settled = kernel_weight(kernel_norm, lambda a: _kernel_line(A, a), _weight_cfg(cfg))
-    return OperatorProfile(K=K, M=M, gamma_hat=(2.0 / math.pi) * weight, gamma_settled=settled)
+    return (2.0 / math.pi) * weight, settled
 
 
 def gamma_weak_sample(
@@ -588,7 +596,7 @@ def gamma_weak_sample(
 class ApplyReport:
     value: np.ndarray
     error: float
-    # False when the profile's gamma_hat, the bound's upper weight, is not settled
+    # False when K is not exact, so that the bound's weight pi K^2 may be too small
     certified: bool
     n_evals: int = 0
 
@@ -616,10 +624,10 @@ def apply_calculus_report(
 ) -> ApplyReport:
     """f(A) = f(inf) I - (2/pi) * double integral of alpha (alpha-i beta+A)^(-2) f'.
 
-    The double integral is the kernel pairing of f with (w + A)^(-2), whose weight
-    is (pi/2) gamma_hat.  Every admitted operator takes it directly, spectrum on iR
-    included: admission leaves only generators of bounded semigroups, which the
-    calculus covers."""
+    The double integral is the kernel pairing of f with (w + A)^(-2), whose weight pi K^2
+    is Plancherel's bound on alpha * int |<(alpha+i beta+A)^(-2) x, y>| d beta, x and y unit
+    vectors.  Every admitted operator takes it directly, spectrum on iR included: admission
+    leaves only generators of bounded semigroups, which the calculus covers."""
     spec = A.spectral()
 
     def kernel(w):
@@ -630,10 +638,9 @@ def apply_calculus_report(
     def inner_cfg(alpha: float):
         return cfg.with_tolerances(abs_tol=_APPLY_TOL / (12.0 * (1.0 + alpha) ** 2), rel_tol=1e-7)
 
-    prof = A.profile(cfg)
-    weight = 0.5 * math.pi * prof.gamma_hat
+    prof = A.profile()
     p = kernel_pairing(
-        kernel, lambda alpha: _kernel_line(A, alpha), weight, True, f,
+        kernel, lambda alpha: _kernel_line(A, alpha), math.pi * prof.K**2, True, f,
         inner_cfg, cfg.with_tolerances(abs_tol=_APPLY_TOL / 4.0, rel_tol=1e-6), _APPLY_TOL / 8.0,
     )
     integral = p.value if spec is None else (spec.q * p.value) @ spec.q.conj().T
@@ -642,7 +649,7 @@ def apply_calculus_report(
     err = (2.0 / math.pi) * p.error
     if spec is not None and spec.residual > 0.0:
         err += spec.residual * _spectral_lipschitz(f, spec.lam)
-    return ApplyReport(value=value, error=err, certified=prof.gamma_settled, n_evals=p.n_evals)
+    return ApplyReport(value=value, error=err, certified=prof.K_exact, n_evals=p.n_evals)
 
 
 def apply_calculus(

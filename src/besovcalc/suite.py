@@ -247,6 +247,8 @@ VALIDATORS = {
         [
             {"A": "diag(1,2)", "f": "exp(a=1)"},
             {"A": "normal_random(3,seed=5)", "f": "cayley(n=4)"},
+            {"A": "jordan(lambda=1,m=2)", "f": "exp(a=1)"},
+            {"A": "jordan(lambda=0.1,m=2)", "f": "exp(a=1)"},
         ],
     ),
     "sectorial_gamma": (

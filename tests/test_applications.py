@@ -23,7 +23,6 @@ from besovcalc.applications import (
     spectral_mapping_check,
     stability_constants,
 )
-from besovcalc.errors import InvalidParameter
 from besovcalc.functions import (
     DecayProfile,
     band_function,
@@ -61,9 +60,25 @@ class TestHilbertAndSectorial:
     def test_hilbert_bound(self):
         assert check_hilbert_calc_bound(DIAG12, exp_decay(1.0), CFG).passed
 
-    def test_hilbert_requires_normal(self):
-        with pytest.raises(InvalidParameter):
-            check_hilbert_calc_bound(jordan_operator(1.0, 2), exp_decay(1.0), CFG)
+    def test_hilbert_validators_take_non_normal(self):
+        """The Hilbert-space bounds hold for every bounded semigroup: accretive
+        operators (K = 1 exact) and ones whose K comes from the search."""
+        fp = scale(mul(resolvent(2.0), resolvent(2.0)), -1.0)
+        for spec in (
+            "jordan(lambda=1,m=2)",
+            "sectorial_random(4,seed=3,angle=0.5236)",
+            "jordan(lambda=0.1,m=2)",
+            "sectorial_random(6,seed=1,angle=1.3)",
+        ):
+            A = parse_operator_spec(spec)
+            assert not is_normal(A)
+            reports = [
+                check_hilbert_calc_bound(A, exp_decay(1.0), CFG),
+                check_smoothed_window(A, resolvent(2.0), 1.0, 1.0, CFG),
+                check_deriv_operator(A, resolvent(2.0), fp, 1.0, CFG),
+                cayley_power_check(A, 16, CFG),
+            ]
+            assert all(r.passed for r in reports), spec
 
     def test_sectorial_gamma(self):
         A = random_sectorial_operator(4, 3, math.pi / 6)

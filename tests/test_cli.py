@@ -54,7 +54,8 @@ def test_profile_reports_gamma_settled(capsys, tmp_path):
 
 
 def test_apply_marks_an_uncertified_bound(capsys, tmp_path):
-    assert run(["apply", "--A", "diag(1e6)", "--f", "cayley(n=1)", "--out", str(tmp_path)]) == 0
+    argv = ["apply", "--A", "jordan(lambda=0.1,m=2)", "--f", "cayley(n=1)", "--out", str(tmp_path)]
+    assert run(argv) == 0
     assert "(not certified)" in capsys.readouterr().out
     assert json.loads((tmp_path / "apply.json").read_text())["result"]["certified"] is False
 

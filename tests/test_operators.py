@@ -47,6 +47,7 @@ from besovcalc.operators import (
     apply_calculus,
     apply_calculus_report,
     format_matrix_text,
+    gamma_hat,
     gamma_weak_sample,
     hp_apply,
     jordan_operator,
@@ -420,7 +421,7 @@ class TestAdmission:
     def test_imaginary_semisimple_accepted(self):
         A = parse_operator_spec("diag(i,-i)")
         assert A.diagonalizable
-        assert profile(A, CFG).K == pytest.approx(1.0, abs=1e-9)
+        assert profile(A).K == pytest.approx(1.0, abs=1e-9)
 
     def test_defective_positive_accepted(self):
         A = MatrixOperator(np.array([[1.0, 1.0], [0.0, 1.0]]))
@@ -435,17 +436,17 @@ class TestAdmission:
 class TestProfile:
     def test_scalar_one(self):
         A = MatrixOperator(np.array([[1.0]]))
-        p = profile(A, CFG)
+        p = profile(A)
         assert p.K == pytest.approx(1.0, abs=1e-9)
         assert p.M == pytest.approx(1.0, abs=1e-6)
         # oracle: alpha * int d beta / ((alpha+1)^2 + beta^2) = pi alpha/(alpha+1) -> pi
-        assert p.gamma_hat == pytest.approx(2.0, abs=1e-3)
-        assert gamma_weak_sample(A, CFG) <= p.gamma_hat + 1e-9
+        gamma = gamma_hat(A, CFG)[0]
+        assert gamma == pytest.approx(2.0, abs=1e-3)
+        assert gamma_weak_sample(A, CFG) <= gamma + 1e-9
 
     def test_gamma_floor(self):
         for spec in ["diag(1)", "diag(1,2)", "diag(i,-i)"]:
-            p = profile(parse_operator_spec(spec), CFG)
-            assert p.gamma_hat >= 4.0 / math.e - 1e-6
+            assert gamma_hat(parse_operator_spec(spec), CFG)[0] >= 4.0 / math.e - 1e-6
 
     @pytest.mark.parametrize("lam", [0.05, 0.1, 0.2, 0.3])
     def test_jordan_semigroup_bound_closed_form(self, lam):
@@ -454,10 +455,11 @@ class TestProfile:
         s = math.acosh(1.0 / (2.0 * lam))
         exact = math.exp(s - 2.0 * lam * math.sinh(s))
         assert exact > 1.0
-        assert _semigroup_sup(jordan_operator(lam, 2)) == pytest.approx(exact, rel=1e-12)
+        assert _semigroup_sup(jordan_operator(lam, 2)) == (pytest.approx(exact, rel=1e-12), False)
 
     def test_semigroup_settling_evaluates_only_new_points(self, monkeypatch):
-        # the first round covers log2 t in [-12, 8), the second appends [8, 14)
+        # the first round covers log2 t in [-12, 8), the second appends [8, 14);
+        # then the golden-section refinement takes one point a round
         sizes = []
         norms = operators._semigroup_norms
 
@@ -466,53 +468,52 @@ class TestProfile:
             return norms(A, ts)
 
         monkeypatch.setattr(operators, "_semigroup_norms", recording)
-        assert _semigroup_sup(parse_operator_spec("sectorial_random(4,seed=3)")) == 1.0
-        assert sizes == [80, 24]
+        # (A + A^H)/2 has least eigenvalue -0.4, so K comes from the search
+        K, exact = _semigroup_sup(parse_operator_spec("jordan(lambda=0.1,m=2)"))
+        assert K > 1.0 and not exact
+        assert sizes == [80, 24] + [1] * 32
 
     def test_gamma_settled_flag(self):
         """At scale 1e6 gamma_hat's alpha grid ends before the maximum: 1.0237
-        against the exact 2 of a positive diagonal, and the profile says so."""
-        p = profile(parse_operator_spec("diag(1e6)"), CFG)
-        assert not p.gamma_settled
-        assert p.gamma_hat == pytest.approx(1.0237, abs=1e-4)
-        assert profile(parse_operator_spec("diag(1,2)"), CFG).gamma_settled
+        against the exact 2 of a positive diagonal, and gamma_hat says so."""
+        gamma, settled = gamma_hat(parse_operator_spec("diag(1e6)"), CFG)
+        assert not settled
+        assert gamma == pytest.approx(1.0237, abs=1e-4)
+        assert gamma_hat(parse_operator_spec("diag(1,2)"), CFG)[1]
 
     def test_nonsectorial_imaginary(self):
-        p = profile(parse_operator_spec("diag(i,-i)"), CFG)
+        p = profile(parse_operator_spec("diag(i,-i)"))
         assert math.isinf(p.M)
 
     def test_sectoriality_complex_eigenvalue(self):
         # oracle for diagonal operators: sup |z/(z+lam)| = |lam| / Re lam
         lam = 1.0 + 2.0j
-        p = profile(MatrixOperator(np.array([[lam]])), CFG)
+        p = profile(MatrixOperator(np.array([[lam]])))
         assert p.M == pytest.approx(abs(lam) / lam.real, abs=1e-5)
 
-    def test_cache_follows_the_config(self, monkeypatch):
+    def test_cache_is_computed_once(self, monkeypatch):
+        """K and M read no quadrature config, so the cache has no key."""
         calls = []
 
-        def counted(A, cfg):
-            calls.append(cfg)
-            return profile(A, cfg)
+        def counted(A):
+            calls.append(A.label)
+            return profile(A)
 
         monkeypatch.setattr(operators, "profile", counted)
         A = MatrixOperator(np.array([[1.0]]))
         assert A._profile_cache is None
-        coarse = QuadratureConfig(abs_tol=1e-4)
-        p_coarse = A.profile(coarse)
-        p_default = A.profile()
-        # the default tolerance gives another gamma_hat, so a stale cache would show
-        assert p_default.gamma_hat != p_coarse.gamma_hat
-        assert p_default == profile(A, CFG)
-        # an equal config, even a new instance, reuses the cached profile
-        assert A.profile(QuadratureConfig()) is p_default
-        assert calls == [coarse, CFG]
+        first = A.profile()
+        assert A.profile() is first and first == profile(A)
+        assert calls == ["A"]
 
     def test_empty_operator_rejected(self):
         # a 0x0 matrix is admitted (the _expm kernel takes it) but has no profile
         A = parse_operator_spec("diag()")
         assert A.n == 0
         with pytest.raises(InvalidParameter):
-            profile(A, CFG)
+            profile(A)
+        with pytest.raises(InvalidParameter):
+            gamma_hat(A, CFG)
         with pytest.raises(InvalidParameter):
             gamma_weak_sample(A, CFG)
         with pytest.raises(InvalidParameter):
@@ -527,7 +528,8 @@ class TestProfile:
 
         monkeypatch.setattr(operators, "_SeededDraws", no_draws)
         for A in ops:
-            profile(A, CFG)
+            profile(A)
+            gamma_hat(A, CFG)
             apply_calculus_report(A, exp_decay(1.0), CFG)
 
     @pytest.mark.parametrize(
@@ -535,13 +537,14 @@ class TestProfile:
         ["normal_random(12,seed=3)", "sectorial_random(3,seed=4,angle=0.5)", "jordan(1,2)"],
     )
     def test_profile_working_memory(self, spec):
-        """One profile on the spectral (n = 12) or the dense path holds under
-        0.5 MB of traced allocations; with the weak-sample columns in the gamma
-        integrand it held 1.2-1.3 MB."""
+        """One profile and gamma_hat on the spectral (n = 12) or the dense path hold
+        under 0.5 MB of traced allocations; with the weak-sample columns in the gamma
+        integrand they held 1.2-1.3 MB."""
         A = parse_operator_spec(spec)
         tracemalloc.start()
         try:
-            profile(A, CFG)
+            profile(A)
+            gamma_hat(A, CFG)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -573,12 +576,14 @@ class TestSpectralPath:
         assert spec is not None
         assert spec.residual <= 1e-12 * max(1.0, A.norm2)
         B = _dense_twin(matrix, monkeypatch)
-        fast, dense = profile(A, CFG), profile(B, CFG)
-        for key in ("K", "M", "gamma_hat"):
+        fast, dense = profile(A), profile(B)
+        for key in ("K", "M"):
             assert getattr(fast, key) == pytest.approx(getattr(dense, key), rel=1e-10), key
+        gamma = gamma_hat(A, CFG)[0]
+        assert gamma == pytest.approx(gamma_hat(B, CFG)[0], rel=1e-10)
         weak = gamma_weak_sample(A, CFG)
         assert weak == pytest.approx(gamma_weak_sample(B, CFG), rel=1e-10)
-        assert weak <= fast.gamma_hat + 1e-9
+        assert weak <= gamma + 1e-9
 
     @pytest.mark.parametrize("name,matrix", NORMAL_CASES, ids=[c[0] for c in NORMAL_CASES])
     def test_apply_matches_dense(self, name, matrix, monkeypatch):
@@ -682,14 +687,14 @@ class TestWeakSamples:
     @pytest.mark.parametrize("n", [1, 3, 12])
     @pytest.mark.parametrize("path", ["spectral", "dense"])
     def test_blocks_match_one_shot(self, path, n, monkeypatch):
-        """The row-blocked integrands of gamma_weak_sample and profile agree
+        """The row-blocked integrands of gamma_weak_sample and gamma_hat agree
         with one-shot ones, at the weak blocks' edges and across several gamma
         blocks (dense, n = 12)."""
         A = _weak_operator(path, n, monkeypatch)
         pairs = _unit_pairs(n)
         alpha = DYADIC_GRID[0]
         f = _weak_integrand(A)
-        g = _line_integrand(lambda: profile(A, CFG))
+        g = _line_integrand(lambda: gamma_hat(A, CFG))
         width = pairs[0].shape[1] * (n if path == "dense" else 1)
         step = _WEAK_BLOCK_ENTRIES // width
         betas_all = np.linspace(-30.0, 30.0, 570)
@@ -787,19 +792,41 @@ def test_spectral_profile_closed_forms(spec, monkeypatch):
         raise AssertionError("a semigroup norm search ran on the spectral path")
 
     monkeypatch.setattr(operators, "_semigroup_norms", disabled)
-    p = profile(A, CFG)
+    p = profile(A)
     assert p.K == 1.0
     assert p.M == pytest.approx(dense_m, rel=1e-12)
 
 
 class TestApplyCalculus:
-    @pytest.mark.parametrize("spec,certified", [("diag(1e6)", False), ("diag(1,2)", True)])
-    def test_certified_follows_gamma_settled(self, spec, certified):
-        """The bound's weight (pi/2) gamma_hat is an upper weight only once gamma_hat
-        settles; diag(1e6) reads 1.0237 against an exact 2."""
+    @pytest.mark.parametrize("spec,settled", [("diag(1e6)", False), ("diag(1,2)", True)])
+    def test_certified_follows_gamma_settled(self, spec, settled):
+        """Certification no longer follows gamma_hat's settled flag but K_exact: on a
+        positive diagonal K = 1 exactly, so diag(1e6), whose gamma_hat grid ends
+        below the exact 2, is certified as diag(1,2) is, and covers its oracle gap."""
         A = parse_operator_spec(spec)
-        rep = apply_calculus_report(A, cayley_pow(1), CFG)
-        assert rep.certified is certified is A.profile(CFG).gamma_settled
+        f = cayley_pow(1)
+        rep = apply_calculus_report(A, f, CFG)
+        assert gamma_hat(A, CFG)[1] is settled
+        assert rep.certified and A.profile().K_exact
+        assert float(np.max(np.abs(rep.value - oracle_apply(A, f, CFG)))) <= rep.error
+
+    def test_certified_follows_k_exact(self, monkeypatch):
+        """The bound's weight pi K^2 is an upper weight when K is exact.  The
+        accretive jordan(1,2) needs neither a semigroup norm nor gamma_hat; and
+        jordan(0.1,2) takes K from the search, so it is not certified."""
+        f = cayley_pow(1)
+
+        def disabled(*args):
+            raise AssertionError("the calculus computed a semigroup norm or gamma_hat")
+
+        with monkeypatch.context() as m:
+            for name in ("_semigroup_norms", "gamma_hat", "kernel_weight"):
+                m.setattr(operators, name, disabled)
+            assert apply_calculus_report(jordan_operator(1.0, 2), f, CFG).certified
+        A = jordan_operator(0.1, 2)
+        rep = apply_calculus_report(A, f, CFG)
+        assert not rep.certified and not A.profile().K_exact
+        assert float(np.max(np.abs(rep.value - oracle_apply(A, f, CFG)))) <= rep.error
 
     def test_scalar_resolvent(self):
         A = MatrixOperator(np.array([[2.0]]))
@@ -834,7 +861,7 @@ class TestApplyCalculus:
         A = random_normal_operator(3, seed=4)
         f = cayley_pow(2)
         norm_fa = np.linalg.norm(apply_calculus(A, f, CFG), 2)
-        assert norm_fa <= profile(A, CFG).gamma_hat * b_norm(f, CFG).value + 1e-4
+        assert norm_fa <= gamma_hat(A, CFG)[0] * b_norm(f, CFG).value + 1e-4
 
     def test_eigenvector_rule(self):
         A = random_normal_operator(4, seed=8)
@@ -881,7 +908,7 @@ class TestApplyCalculus:
     def test_weak_plancherel_bound(self):
         # for normal matrices: int |<(a+ib+A)^(-2) x, y>| db <= pi K^2 / a
         A = random_normal_operator(3, seed=21)
-        K = profile(A, CFG).K
+        K = profile(A).K
         rng = np.random.default_rng(0)
         x = rng.normal(size=3) + 1j * rng.normal(size=3)
         y = rng.normal(size=3) + 1j * rng.normal(size=3)
@@ -900,6 +927,26 @@ class TestApplyCalculus:
             env = PowerEnvelope(p=2.0, c=4.0, t0=2.0 * (alpha + A.norm2) + 1.0)
             val = integrate_line(integrand, env, CFG, tail_tol=1e-7, strict=False)
             assert float(np.real(val.value)) <= math.pi * K**2 / alpha + 1e-4
+        # every bounded semigroup, entrywise: the calculus's weight pi K^2, with K exact
+        # for jordan(1,2) and a search's estimate for jordan(0.1,2)
+        for lam in (1.0, 0.1):
+            B = jordan_operator(lam, 2)
+            K = profile(B).K
+            for alpha in (2.0**-6, 0.5, 2.0, 2.0**6):
+
+                def entries(betas):
+                    return np.abs(_resolvents_squared(B, alpha + 1j * betas).reshape(-1, 4))
+
+                env = PowerEnvelope(p=2.0, c=4.0, t0=2.0 * (alpha + B.norm2) + 1.0)
+                val = integrate_line(entries, env, CFG, tail_tol=1e-7, strict=False)
+                top = alpha * float(np.real(val.value).max())
+                assert top <= math.pi * K**2 + 1e-4, (lam, alpha)
+
+    @pytest.mark.parametrize("spec", ["jordan(lambda=0.1,m=2)", "diag(i,-i,1)"])
+    def test_weak_sample_below_two_k_squared(self, spec):
+        """(2/pi) alpha int |<(alpha+i beta+A)^(-2) x, y>| d beta <= 2 K^2 for unit x, y."""
+        A = parse_operator_spec(spec)
+        assert gamma_weak_sample(A, CFG) <= 2.0 * profile(A).K ** 2
 
 
 HP_OPERATORS = [
@@ -1056,7 +1103,7 @@ class TestIO:
         assert A.n == 4 and A.diagonalizable
         B = parse_operator_spec("sectorial_random(4,seed=3,angle=0.5)")
         assert B.n == 4
-        assert math.isfinite(profile(B, CFG).M)
+        assert math.isfinite(profile(B).M)
 
     def test_seeded_reproducibility(self):
         a = random_normal_operator(4, seed=9).matrix
@@ -1081,7 +1128,7 @@ class TestErrorPaths:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             with pytest.raises(ProfileDivergence):
-                profile(A, CFG)
+                profile(A)
 
     def test_integral_not_norm_convergent(self):
         from dataclasses import replace as dreplace
