@@ -38,8 +38,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--tol", type=float, default=None, help="absolute tolerance override")
+    def common(p, tol=True):
+        if tol:  # apply and demo run the calculus, whose tolerances are fixed
+            p.add_argument("--tol", type=float, default=None, help="absolute tolerance override")
         p.add_argument("--out", default=None, help="output directory for JSON/CSV reports")
 
     p = sub.add_parser("norm", help="compute a function norm")
@@ -55,7 +56,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("apply", help="apply a function to an operator")
     p.add_argument("--A", required=True, help="operator spec or file:PATH")
     p.add_argument("--f", required=True)
-    common(p)
+    common(p, tol=False)
 
     p = sub.add_parser("profile", help="semigroup/sectoriality/gamma profile")
     p.add_argument("--A", required=True)
@@ -73,7 +74,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--A", required=True)
     p.add_argument("--f", default="exp(a=1)")
     p.add_argument("--n-list", default="1,4,16,64", dest="n_list")
-    common(p)
+    common(p, tol=False)
     p.add_argument("--seed", type=int, default=42, help="seed of the start vector")
     p.add_argument(
         "--plot-data", action="store_true", dest="plot_data", help="also write demo_curve.csv"
@@ -83,7 +84,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _config(args) -> QuadratureConfig:
     cfg = QuadratureConfig()
-    if args.tol is not None:
+    if getattr(args, "tol", None) is not None:
         cfg = cfg.with_tolerances(abs_tol=args.tol, rel_tol=max(args.tol * 10, 1e-12))
     return cfg
 
@@ -152,7 +153,7 @@ def run(argv=None) -> int:
         if args.command == "apply":
             A = parse_operator_spec(args.A)
             f = parse_function_spec(args.f)
-            rep = apply_calculus_report(A, f, cfg)
+            rep = apply_calculus_report(A, f)
             print(f"f(A) for f={args.f}, A={args.A}:")
             print(_fmt_matrix(rep.value))
             mark = "" if rep.certified else " (not certified)"
@@ -233,7 +234,7 @@ def run(argv=None) -> int:
             f = parse_function_spec(args.f)
             ns = [parse_number(v, "--n-list entry", int) for v in args.n_list.split(",")]
             x = _SeededDraws(args.seed).unit_columns(A.n, 1)[:, 0]
-            table = convergence_demo(A, f, ns, x, cfg)
+            table = convergence_demo(A, f, ns, x)
             for n, s, st in zip(table.n_values, table.shrink, table.stretch):
                 print(f"n={n:<6} shrink={s:.6e}  stretch={st:.6e}")
             print(f"decrease factor {table.decrease_factor:.2f}")

@@ -44,14 +44,8 @@ def pairing(
     g's closed form e0_upper, else 1.25 e0_norm(g), and then not certified."""
     e0 = g.profiles.e0_upper
     weight = e0 if e0 is not None else 1.25 * e0_norm(g, cfg).value
-    p = kernel_pairing(g.deriv, g.profiles.deriv_line, weight, e0 is not None, f, *_schedule(cfg))
+    p = kernel_pairing(g.deriv, g.profiles.deriv_line, weight, e0 is not None, f, cfg)
     return PairingResult(complex(p.value), p.error, p.n_evals)
-
-
-def _schedule(cfg: QuadratureConfig):
-    """The inner tolerances, outer config and outer tail tolerance of the scalar pairings."""
-    base = max(cfg.abs_tol, 1e-9)
-    return lambda x: cfg.with_tolerances(abs_tol=base / (1.0 + x) ** 2), cfg, base
 
 
 def kernel_pairing(
@@ -60,21 +54,20 @@ def kernel_pairing(
     weight: float,
     certified: bool,
     f: AnalyticFunction,
-    inner_cfg: Callable[[float], QuadratureConfig],
-    outer_cfg: QuadratureConfig,
-    tail_tol: float,
+    cfg: QuadratureConfig,
 ) -> PairingResult:
     """int_0^inf x int_R K(x-iy) f'(x+iy) dy dx: the pairing of f with the g whose g' = K =
     kernel, one scalar, vector or matrix per point.  kernel_line(x) bounds |K(x+iy)| in y;
     weight bounds sup_x x int |K(x+iy)| dy per entry and scales f's outer envelope; without a
-    certified weight the error is at least a quarter of the value.  The inner integral at x
-    runs under inner_cfg(x), whose abs_tol is also its tail tolerance, the outer one under
-    outer_cfg and tail_tol; neither is strict.  Summands of f pair one by one.  The error
-    adds x * (inner error) over every inner run; n_evals counts the inner points."""
+    certified weight the error is at least a quarter of the value.  The outer integral runs
+    under cfg, the inner one at x under abs_tol/(1+x)^2 and cfg's rel_tol; each truncated
+    integral spends its abs_tol on its tails, and neither is strict.  Summands of f pair one
+    by one.  The error adds x * (inner error) over every inner run; n_evals counts the inner
+    points."""
     if f.summands is not None and len(f.summands) >= 2:
         # exact linear split; narrow frequency bands integrate much faster
         g = (kernel, kernel_line, weight, certified)
-        parts = [kernel_pairing(*g, s, inner_cfg, outer_cfg, tail_tol) for s in f.summands]
+        parts = [kernel_pairing(*g, s, cfg) for s in f.summands]
         return PairingResult(
             sum(p.value for p in parts), sum(p.error for p in parts), sum(p.n_evals for p in parts)
         )
@@ -93,8 +86,8 @@ def kernel_pairing(
             k = kernel(x - 1j * ys)
             return k * f.deriv(x + 1j * ys).reshape((-1,) + (1,) * (k.ndim - 1))
 
-        cfg = inner_cfg(x)
-        res = integrate_line(integrand, env, cfg, tail_tol=cfg.abs_tol, strict=False)
+        tol = cfg.abs_tol / (1.0 + x) ** 2
+        res = integrate_line(integrand, env, cfg.with_tolerances(abs_tol=tol), strict=False)
         inner_err += x * res.error
         n_evals += res.n_evals
         return x * res.value
@@ -102,7 +95,7 @@ def kernel_pairing(
     def outer(xs):
         return np.array([inner(float(x)) for x in xs])
 
-    res = integrate_halfline(outer, outer_env, outer_cfg, tail_tol=tail_tol, strict=False)
+    res = integrate_halfline(outer, outer_env, cfg, strict=False)
     err = res.error + inner_err
     if not certified:
         err = max(err, 0.25 * abs(res.value))
@@ -124,7 +117,7 @@ def reproduce_residual(f: AnalyticFunction, z, cfg: QuadratureConfig = DEFAULT_C
     def kernel(w):
         return -1.0 / (w[:, None] + zs) ** 2
 
-    p = kernel_pairing(kernel, bound.deriv_line, bound.e0_upper, True, f, *_schedule(cfg))
+    p = kernel_pairing(kernel, bound.deriv_line, bound.e0_upper, True, f, cfg)
     out = np.abs(f(zs) - f.infinity() - (2.0 / math.pi) * p.value).reshape(np.shape(z))
     return float(out) if out.ndim == 0 else out
 

@@ -132,7 +132,7 @@ def _phi_over_weight(f: AnalyticFunction, omega: float, cfg: QuadratureConfig) -
         return np.array([line_sup_modulus(f, float(x)) for x in xs]) / (omega + xs)
 
     env = envelope_product(f.profiles.modulus_outer, PowerEnvelope(p=1.0, c=1.0, t0=1.0))
-    res = integrate_halfline(integrand, env, cfg, tail_tol=1e-8)
+    res = integrate_halfline(integrand, env, cfg)
     return float(np.real(res.value))
 
 
@@ -194,7 +194,7 @@ def majorant_integral(h: DecayProfile, omega: float, cfg: QuadratureConfig) -> f
         return np.asarray(h.h(ts), dtype=float) / (omega + ts)
 
     env = envelope_product(h.envelope, ConstEnvelope(c=1.0 / omega))
-    res = integrate_halfline(integrand, env, cfg, tail_tol=1e-9)
+    res = integrate_halfline(integrand, env, cfg)
     return float(np.real(res.value))
 
 

@@ -142,7 +142,7 @@ def b0_norm(f: AnalyticFunction, cfg: QuadratureConfig = DEFAULT_CONFIG) -> Norm
         xs = np.geomspace(8.0, 4096.0, 10)
         env = fitted_power_envelope(xs, integrand(xs), "outer integrand")
         certified = False
-    res = integrate_halfline(integrand, env, cfg, tail_tol=max(cfg.abs_tol, 1e-9))
+    res = integrate_halfline(integrand, env, cfg)
     value = float(np.real(res.value))
     return NormReport(value, res.error, {"b0": value, "tail": res.tail_error}, certified)
 

@@ -71,8 +71,8 @@ _NORMAL_TOL = 1e-10
 _SPECTRAL_TOL = 1e-12
 # entries of the per-row intermediates of the M, gamma and weak-sample integrands held at once
 _WEAK_BLOCK_ENTRIES = 2**13
-# the calculus's absolute error target; its inner, outer and tail tolerances are shares of it
-_APPLY_TOL = 1e-5
+# the calculus's one quadrature config: kernel_pairing derives the inner tolerances from it
+_APPLY_CFG = QuadratureConfig(abs_tol=1e-5 / 12.0, rel_tol=1e-7)
 
 
 class _SeededDraws:
@@ -627,7 +627,8 @@ def apply_calculus_report(
     The double integral is the kernel pairing of f with (w + A)^(-2), whose weight pi K^2
     is Plancherel's bound on alpha * int |<(alpha+i beta+A)^(-2) x, y>| d beta, x and y unit
     vectors.  Every admitted operator takes it directly, spectrum on iR included: admission
-    leaves only generators of bounded semigroups, which the calculus covers."""
+    leaves only generators of bounded semigroups, which the calculus covers.  The pairing runs
+    under _APPLY_CFG whatever cfg is given."""
     spec = A.spectral()
 
     def kernel(w):
@@ -635,13 +636,9 @@ def apply_calculus_report(
             return _resolvents_squared(A, w)
         return (w[:, None] + spec.lam) ** -2
 
-    def inner_cfg(alpha: float):
-        return cfg.with_tolerances(abs_tol=_APPLY_TOL / (12.0 * (1.0 + alpha) ** 2), rel_tol=1e-7)
-
     prof = A.profile()
     p = kernel_pairing(
-        kernel, lambda alpha: _kernel_line(A, alpha), math.pi * prof.K**2, True, f,
-        inner_cfg, cfg.with_tolerances(abs_tol=_APPLY_TOL / 4.0, rel_tol=1e-6), _APPLY_TOL / 8.0,
+        kernel, lambda alpha: _kernel_line(A, alpha), math.pi * prof.K**2, True, f, _APPLY_CFG
     )
     integral = p.value if spec is None else (spec.q * p.value) @ spec.q.conj().T
     value = f.infinity() * np.eye(A.n) - (2.0 / math.pi) * integral
@@ -760,7 +757,7 @@ def semigroup_reconstruct_check(
     env = PowerEnvelope(
         p=2.0, c=amp, t0=2.0 * (alpha + A.norm2) + 1.0, freq_lo=t, freq_hi=t
     )
-    res = integrate_line(integrand, env, cfg, tail_tol=1e-8, strict=False)
+    res = integrate_line(integrand, env, cfg, strict=False)
     lhs = complex(res.value) / (2.0 * math.pi * t)
     rhs = complex(xstar.conj() @ (semigroup(A, t) @ x))
     return abs(lhs - rhs)

@@ -123,14 +123,6 @@ class DecayEnvelope:
     def effective_tail(self, T: float) -> float:
         return min(self.tail_bounds(T))
 
-    def tail_mode(self, T: float) -> str:
-        plain, ibp, corr = self.tail_bounds(T)
-        if corr <= min(plain, ibp):
-            return "corrected"
-        if ibp <= plain:
-            return "ibp"
-        return "plain"
-
     def cutoff(self, eps: float, t_max: float = 1e308) -> float:
         """Smallest T >= t0 with effective_tail(T) <= eps, by bisection on log T."""
         lo = max(self.t0, 1e-12)
@@ -602,13 +594,12 @@ def _dyadic_breakpoints(a: float, b: float, scale: float) -> list[float]:
     return pts
 
 
-def _integrate_truncated(f, envelope, cfg, tails, tail_tol, strict) -> QuadResult:
+def _integrate_truncated(f, envelope, cfg, tails, strict) -> QuadResult:
     """Integrate f over [0, inf) (tails=1) or the whole line (tails=2); the tail
-    budget (tail_tol, else abs_tol/2) is split equally between the tails."""
+    budget, cfg.abs_tol, is split equally between the tails."""
     if not envelope.integrable:
         raise InvalidParameter("integration to infinity requires an integrable envelope")
-    budget = 0.5 * cfg.abs_tol if tail_tol is None else tail_tol
-    T = envelope.cutoff(budget / tails)
+    T = envelope.cutoff(cfg.abs_tol / tails)
     if not math.isfinite(T):
         raise InvalidParameter("envelope tail never reaches the requested tolerance")
     T = max(T, envelope.t0 * 1.5 + 1e-9, 1.0)
@@ -619,11 +610,12 @@ def _integrate_truncated(f, envelope, cfg, tails, tail_tol, strict) -> QuadResul
     for sign in (1.0, -1.0)[:tails]:
         _check_envelope(f, envelope, T, sign)
     value = res.value
-    if envelope.tail_mode(T) == "corrected":
+    plain, ibp, corr = envelope.tail_bounds(T)
+    if corr <= min(plain, ibp):
         ends = np.asarray(f(np.array([-T, T] if tails == 2 else [T])))
         jump = ends[0] - ends[1] if tails == 2 else -ends[0]
         value = value + jump / (1j * envelope.single_freq)
-    tail = tails * envelope.effective_tail(T)
+    tail = tails * min(plain, ibp, corr)
     return QuadResult(value, res.error + tail, res.n_evals, res.converged, tail)
 
 
@@ -632,11 +624,10 @@ def integrate_halfline(
     envelope: DecayEnvelope,
     cfg: QuadratureConfig = DEFAULT_CONFIG,
     *,
-    tail_tol: float | None = None,
     strict: bool = True,
 ) -> QuadResult:
     """Integrate f over [0, inf) with envelope-certified truncation."""
-    return _integrate_truncated(f, envelope, cfg, 1, tail_tol, strict)
+    return _integrate_truncated(f, envelope, cfg, 1, strict)
 
 
 def integrate_line(
@@ -644,11 +635,10 @@ def integrate_line(
     envelope: DecayEnvelope,
     cfg: QuadratureConfig = DEFAULT_CONFIG,
     *,
-    tail_tol: float | None = None,
     strict: bool = True,
 ) -> QuadResult:
     """Integrate f over the whole line; the envelope bounds both tails in |t|."""
-    return _integrate_truncated(f, envelope, cfg, 2, tail_tol, strict)
+    return _integrate_truncated(f, envelope, cfg, 2, strict)
 
 
 # ---------------------------------------------------------------------------
@@ -710,12 +700,11 @@ DYADIC_GRID = tuple(2.0**u for u in _DYADIC_EXPONENTS)
 
 def line_weight(h, env: DecayEnvelope, x: float, cfg: QuadratureConfig):
     """x * Re int h(x + iy) dy under env.  The factor x amplifies absolute errors, so
-    the absolute and tail tolerances, the tail's at least 1e-9, shrink by 1/max(x, 1)."""
+    the absolute tolerance, which is also the tail's, shrinks by 1/max(x, 1)."""
     shrink = max(x, 1.0)
     res = integrate_line(
         lambda ys: h(x + 1j * np.asarray(ys, dtype=float)), env,
-        cfg.with_tolerances(abs_tol=cfg.abs_tol / shrink),
-        tail_tol=max(cfg.abs_tol, 1e-9) / shrink, strict=False,
+        cfg.with_tolerances(abs_tol=cfg.abs_tol / shrink), strict=False,
     )
     return x * np.real(res.value)
 

@@ -40,6 +40,13 @@ class TestPairingValues:
         assert abs(got.value - expect) < 1e-6
         assert abs(got.value - expect) <= got.error + 1e-12
 
+    def test_tolerance_below_1e9_is_honoured(self):
+        # every stage's tolerance, tails included, follows the config's abs_tol
+        cfg = QuadratureConfig(abs_tol=1e-11, rel_tol=1e-10)
+        got = pairing(resolvent(1.0), exp_decay(1.0), cfg)
+        assert got.error < 1e-9
+        assert abs(got.value - 0.5 * math.pi * math.exp(-1.0)) <= got.error
+
     def test_resolvent_pair(self):
         # <r_a, r_b> = (pi/2) r_b(a), here a=2, b=1
         got = pairing(resolvent(2.0), resolvent(1.0), CFG)

@@ -828,6 +828,17 @@ class TestApplyCalculus:
         assert not rep.certified and not A.profile().K_exact
         assert float(np.max(np.abs(rep.value - oracle_apply(A, f, CFG)))) <= rep.error
 
+    @pytest.mark.parametrize("spec", ["diag(1,2)", "jordan(lambda=1,m=2)"])
+    def test_config_is_not_read(self, spec):
+        """The calculus runs under one fixed config, whatever config it is given."""
+        A, f = parse_operator_spec(spec), exp_decay(1.0)
+        loose = apply_calculus_report(A, f, QuadratureConfig(abs_tol=1e-3, rel_tol=1e-3))
+        default = apply_calculus_report(A, f)
+        assert np.array_equal(loose.value, default.value)
+        assert (loose.error, loose.certified, loose.n_evals) == (
+            default.error, default.certified, default.n_evals
+        )
+
     def test_scalar_resolvent(self):
         A = MatrixOperator(np.array([[2.0]]))
         val = apply_calculus(A, resolvent(1.0), CFG)
@@ -925,7 +936,7 @@ class TestApplyCalculus:
                 return np.abs(np.einsum("kij,j,i->k", r2, x, y.conj()))
 
             env = PowerEnvelope(p=2.0, c=4.0, t0=2.0 * (alpha + A.norm2) + 1.0)
-            val = integrate_line(integrand, env, CFG, tail_tol=1e-7, strict=False)
+            val = integrate_line(integrand, env, CFG, strict=False)
             assert float(np.real(val.value)) <= math.pi * K**2 / alpha + 1e-4
         # every bounded semigroup, entrywise: the calculus's weight pi K^2, with K exact
         # for jordan(1,2) and a search's estimate for jordan(0.1,2)
@@ -938,7 +949,7 @@ class TestApplyCalculus:
                     return np.abs(_resolvents_squared(B, alpha + 1j * betas).reshape(-1, 4))
 
                 env = PowerEnvelope(p=2.0, c=4.0, t0=2.0 * (alpha + B.norm2) + 1.0)
-                val = integrate_line(entries, env, CFG, tail_tol=1e-7, strict=False)
+                val = integrate_line(entries, env, CFG, strict=False)
                 top = alpha * float(np.real(val.value).max())
                 assert top <= math.pi * K**2 + 1e-4, (lam, alpha)
 

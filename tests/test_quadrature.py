@@ -141,6 +141,31 @@ def test_line_battery(name, f, env, exact):
     assert abs(res.value - exact) < 1e-6
 
 
+# (envelope, half-line integrand and value, line integrand and value)
+TAIL_BUDGET_CASES = [
+    (PowerEnvelope(p=3.0, c=1.0), lambda t: (1.0 + t) ** -3, 0.5,
+     lambda t: (1.0 + t * t) ** -2, 0.5 * math.pi),
+    (ResolventEnvelope(m=1.0, shift=1.0), lambda t: 1.0 / (1.0 + t * t), 0.5 * math.pi,
+     lambda t: 1.0 / (1.0 + t * t), math.pi),
+    (ExpEnvelope(a=1.0, c=2.0), lambda t: np.exp(-t), 1.0,
+     lambda t: 1.0 / np.cosh(t), math.pi),
+]
+
+
+@pytest.mark.parametrize("abs_tol", [1e-6, 1e-10])
+@pytest.mark.parametrize(
+    "env,half,half_exact,line,line_exact", TAIL_BUDGET_CASES, ids=["power", "resolvent", "exp"]
+)
+def test_tails_spend_abs_tol(env, half, half_exact, line, line_exact, abs_tol):
+    cfg = QuadratureConfig(abs_tol=abs_tol, rel_tol=1e-7)
+    for res, exact in (
+        (integrate_halfline(half, env, cfg), half_exact),
+        (integrate_line(line, env, cfg), line_exact),
+    ):
+        assert 0.0 < res.tail_error <= cfg.abs_tol
+        assert abs(res.value - exact) <= res.error + 1e-15
+
+
 def test_oscillatory_correction_multiple_frequencies():
     # int exp(i w t) / (1+t^2) dt = pi exp(-w); mixed band disables the
     # single-frequency shortcut but the IBP bound must still hold
@@ -152,7 +177,7 @@ def test_oscillatory_correction_multiple_frequencies():
         ResolventEnvelope(m=1.0, shift=1.0, freq_lo=3.0, freq_hi=3.0),
     )
     exact = math.pi * (math.exp(-1.0) + math.exp(-3.0))
-    res = integrate_line(f, env, CFG, tail_tol=1e-7)
+    res = integrate_line(f, env, CFG)
     assert abs(res.value - exact) <= res.error + 1e-12
 
 
