@@ -33,7 +33,6 @@ from .functions import (
     exp_decay,
     exp_inv_shift,
     laplace_transform,
-    make_catalog,
     mul,
     parse_function_spec,
     power,

@@ -1,6 +1,9 @@
 """Operator-level bound validators: norm estimates for functions of matrix
 semigroup generators, inverse-generator growth, Cayley power growth, spectral
-mapping, and the strong-convergence demonstration."""
+mapping, and the strong-convergence demonstration.
+
+The calculus runs under its own fixed config, so a validator's cfg reaches only
+the norms on its right-hand side."""
 
 from __future__ import annotations
 
@@ -80,7 +83,7 @@ def check_hilbert_calc_bound(
     A: MatrixOperator, f: AnalyticFunction, cfg: QuadratureConfig = DEFAULT_CONFIG
 ) -> EstimateReport:
     """||f(A)|| <= 2 K^2 ||f||_B for any bounded semigroup; K is a lower estimate if not exact."""
-    rep = apply_calculus_report(A, f, cfg)
+    rep = apply_calculus_report(A, f)
     lhs = _opnorm(rep.value)
     rhs = 2.0 * A.profile().K ** 2 * b_norm(f, cfg).value
     return EstimateReport(
@@ -121,7 +124,7 @@ def check_band_operator(
 ) -> EstimateReport:
     """Spectral-band operator bound, Hilbert or sectorial flavour by profile."""
     require_positive(eps=eps, sigma=sigma)
-    rep = apply_calculus_report(A, f, cfg)
+    rep = apply_calculus_report(A, f)
     lhs = _opnorm(rep.value)
     prof = A.profile()
     f_inf = hinf_norm(f, cfg).value
@@ -154,7 +157,6 @@ def check_smoothed_window(
     g: AnalyticFunction,
     omega: float,
     tau: float,
-    cfg: QuadratureConfig = DEFAULT_CONFIG,
 ) -> EstimateReport:
     """||g(A) exp(-tau A)|| <= 2 K^2 (2 + log(1 + 1/(omega tau))/2) * left-line sup, for any
     bounded semigroup; K is a lower estimate if not exact."""
@@ -162,7 +164,7 @@ def check_smoothed_window(
     if g.left_bound < omega:
         raise InvalidParameter("g does not extend left far enough")
     f = mul(g, exp_decay(tau))
-    rep = apply_calculus_report(A, f, cfg)
+    rep = apply_calculus_report(A, f)
     lhs = _opnorm(rep.value)
     g_left = left_line_sup(g, omega)
     rhs = 2.0 * A.profile().K ** 2 * (2.0 + 0.5 * math.log1p(1.0 / (omega * tau))) * g_left
@@ -181,7 +183,6 @@ def check_fractional_smoothing(
     lam: complex,
     alpha: float,
     omega: float,
-    cfg: QuadratureConfig = DEFAULT_CONFIG,
 ) -> EstimateReport:
     """||g(A) (lam+A)^(-alpha)|| <= (4 + 1/alpha) K^2 / m^alpha * left-line sup."""
     require_positive(alpha=alpha, omega=omega)
@@ -192,7 +193,7 @@ def check_fractional_smoothing(
     lam = complex(lam)
     if lam.real <= 0:
         raise InvalidParameter("needs Re lambda > 0")
-    ga = apply_calculus(A, g, cfg)
+    ga = apply_calculus(A, g)
     v = A.eigenvectors
     frac = v @ np.diag((lam + A.eigenvalues) ** (-alpha)) @ np.linalg.inv(v)
     lhs = _opnorm(ga @ frac)
@@ -213,11 +214,10 @@ def check_deriv_operator(
     f: AnalyticFunction,
     fprime: AnalyticFunction,
     omega: float,
-    cfg: QuadratureConfig = DEFAULT_CONFIG,
 ) -> EstimateReport:
     """||f'(A)|| <= 3 K^2 / omega * left-line sup of f; K is a lower estimate if not exact."""
     require_positive(omega=omega)
-    rep = apply_calculus_report(A, fprime, cfg)
+    rep = apply_calculus_report(A, fprime)
     lhs = _opnorm(rep.value)
     f_left = left_line_sup(f, omega)
     rhs = 3.0 * A.profile().K ** 2 / omega * f_left
@@ -242,7 +242,7 @@ def check_exp_stable_decay(
     M, omega = stability_constants(A)
     shifted = MatrixOperator(A.matrix - omega * np.eye(A.n), label=f"{A.label}-{omega:.3g}")
     g = shift(f, omega)
-    rep = apply_calculus_report(shifted, g, cfg)
+    rep = apply_calculus_report(shifted, g)
     lhs = _opnorm(rep.value)
     rhs = 6.0 * M**2 * majorant_integral(h, omega, cfg)
     return EstimateReport(
@@ -254,9 +254,7 @@ def check_exp_stable_decay(
     )
 
 
-def inverse_generator_check(
-    A: MatrixOperator, t: float, cfg: QuadratureConfig = DEFAULT_CONFIG
-) -> EstimateReport:
+def inverse_generator_check(A: MatrixOperator, t: float) -> EstimateReport:
     """Growth of exp(-t A^(-1)) for exponentially stable A:
     <= 2 M^2 (2 - e^(-t/omega)) for t <= omega, logarithmic beyond."""
     if t <= 0:
@@ -301,24 +299,18 @@ def inverse_generator_constant(
     return {"measured": c_meas, "predicted": c_a, "values": vals}
 
 
-def inverse_generator_consistency(
-    A: MatrixOperator, t: float, cfg: QuadratureConfig = DEFAULT_CONFIG
-) -> float:
+def inverse_generator_consistency(A: MatrixOperator, t: float) -> float:
     """Direct exp(-t A^(-1)) against the calculus route through exp(-t/(z+1))
     applied to A - I, valid when min Re spectrum >= 1."""
     if A.spectral_abscissa_min() < 1.0 - 1e-9:
         raise InvalidParameter("normalisation requires min Re spectrum >= 1")
     shifted = MatrixOperator(A.matrix - np.eye(A.n), label=f"{A.label}-1")
-    via_calc = apply_calculus(shifted, exp_inv_shift(t), cfg)
+    via_calc = apply_calculus(shifted, exp_inv_shift(t))
     direct = semigroup(MatrixOperator(np.linalg.inv(A.matrix), label="inv"), t)
     return float(np.max(np.abs(via_calc - direct)))
 
 
-def cayley_power_check(
-    A: MatrixOperator,
-    n: int,
-    cfg: QuadratureConfig = DEFAULT_CONFIG,
-) -> EstimateReport:
+def cayley_power_check(A: MatrixOperator, n: int) -> EstimateReport:
     """Cayley powers: ||V(A)^n|| <= 2 K^2 (3 + 2 log 2n); K is a lower estimate if not exact."""
     require_positive(n=n)
     eye = np.eye(A.n)
@@ -328,22 +320,20 @@ def cayley_power_check(
         pw = pw @ v
     lhs = _opnorm(pw)
     rhs = 2.0 * A.profile().K ** 2 * (3.0 + 2.0 * math.log(2.0 * n))
-    via_calc = apply_calculus(A, cayley_pow(n), cfg)
+    via_calc = apply_calculus(A, cayley_pow(n))
     info = {"calculus_gap": float(np.max(np.abs(via_calc - pw)))}
     return EstimateReport(
         "cayley_power", {"A": A.label, "n": n}, lhs, rhs, 1e-10, info=info
     )
 
 
-def spectral_mapping_check(
-    A: MatrixOperator, f: AnalyticFunction, cfg: QuadratureConfig = DEFAULT_CONFIG
-) -> dict:
+def spectral_mapping_check(A: MatrixOperator, f: AnalyticFunction) -> dict:
     """Eigenvalues of f(A) against f of the spectrum.
 
     Returns the inclusion defect (one direction, always expected small) and
     the Hausdorff distance (two-sided, asserted only for sectorial operators).
     """
-    fa = apply_calculus(A, f, cfg)
+    fa = apply_calculus(A, f)
     spec_fa = np.linalg.eigvals(fa)
     f_spec = np.asarray(f(A.eigenvalues))
     f_inf = complex(f.infinity())
@@ -378,7 +368,6 @@ def convergence_demo(
     f: AnalyticFunction,
     n_list,
     x: np.ndarray,
-    cfg: QuadratureConfig = DEFAULT_CONFIG,
 ) -> ConvergenceTable:
     """|| f(A/n) x - f(0) x || along n, plus the non-convergent stretched family
     f(n z) reported without any assertion."""
@@ -390,8 +379,8 @@ def convergence_demo(
     fin = complex(f.infinity())
     shrink, stretchv = [], []
     for n in n_list:
-        val = apply_calculus(A, dilate(f, 1.0 / n), cfg) @ x
+        val = apply_calculus(A, dilate(f, 1.0 / n)) @ x
         shrink.append(float(np.linalg.norm(val - f0 * x)))
-        sval = apply_calculus(A, dilate(f, float(n)), cfg) @ x
+        sval = apply_calculus(A, dilate(f, float(n))) @ x
         stretchv.append(float(np.linalg.norm(sval - fin * x)))
     return ConvergenceTable(list(n_list), shrink, stretchv)

@@ -37,7 +37,6 @@ __all__ = [
     "DecayProfile",
     "BernsteinFunction",
     "Profiles",
-    "make_catalog",
     "parse_function_spec",
     "parse_complex",
     "parse_number",
@@ -184,7 +183,9 @@ class Profiles:
     deriv_line(x) bounds y -> |f'(x+iy)|; modulus_line(x) bounds y -> |f(x+iy)|;
     deriv_outer bounds x -> sup_y |f'(x+iy)|; modulus_outer bounds the modulus
     supremum.  window is an initial half-width for supremum grids; e0_upper,
-    when set, certifies sup_x x * int |f'(x+iy)| dy <= e0_upper.
+    when set, certifies sup_x x * int |f'(x+iy)| dy <= e0_upper.  sampled marks
+    envelopes whose constants come from samples of f, not from a proof, so a
+    norm built on them is not certified.
     """
 
     deriv_line: Callable[[float], DecayEnvelope]
@@ -193,6 +194,7 @@ class Profiles:
     modulus_outer: DecayEnvelope
     window: float = 8.0
     e0_upper: float | None = None
+    sampled: bool = False
 
 
 @dataclass(frozen=True)
@@ -700,6 +702,7 @@ def add(f: AnalyticFunction, g: AnalyticFunction) -> AnalyticFunction:
             if f.profiles.e0_upper is not None and g.profiles.e0_upper is not None
             else None
         ),
+        sampled=f.profiles.sampled or g.profiles.sampled,
     )
     return AnalyticFunction(
         eval_fn=lambda z: f.eval_fn(z) + g.eval_fn(z),
@@ -733,6 +736,7 @@ def mul(f: AnalyticFunction, g: AnalyticFunction) -> AnalyticFunction:
             not in (fp.e0_upper, gp.e0_upper, _global_modulus_bound(f), _global_modulus_bound(g))
             else None
         ),
+        sampled=fp.sampled or gp.sampled,
     )
     return AnalyticFunction(
         eval_fn=lambda z: f.eval_fn(z) * g.eval_fn(z),
@@ -754,6 +758,7 @@ def scale(f: AnalyticFunction, c: complex) -> AnalyticFunction:
         modulus_outer=fp.modulus_outer.scaled(abs(c)),
         window=fp.window,
         e0_upper=fp.e0_upper * abs(c) if fp.e0_upper is not None else None,
+        sampled=fp.sampled,
     )
     return replace(
         f,
@@ -784,6 +789,7 @@ def shift(f: AnalyticFunction, a: complex) -> AnalyticFunction:
         modulus_outer=fp.modulus_outer,
         window=fp.window + 2 * off,
         e0_upper=fp.e0_upper,
+        sampled=fp.sampled,
     )
     return replace(
         f,
@@ -810,6 +816,7 @@ def dilate(f: AnalyticFunction, b: float) -> AnalyticFunction:
         modulus_outer=fp.modulus_outer.dilated_arg(b),
         window=fp.window / b,
         e0_upper=fp.e0_upper,
+        sampled=fp.sampled,
     )
     return replace(
         f,
@@ -846,6 +853,7 @@ def reciprocal(f: AnalyticFunction) -> AnalyticFunction:
         deriv_outer=fp.deriv_outer.scaled(1.0 / m**2),
         modulus_outer=ConstEnvelope(c=1.0 / m),
         window=fp.window,
+        sampled=True,
     )
     fi = f.value_at_infinity
     return AnalyticFunction(
@@ -878,6 +886,7 @@ def power(f: AnalyticFunction, beta: float) -> AnalyticFunction:
         deriv_outer=fp.deriv_outer.scaled(amp),
         modulus_outer=ConstEnvelope(c=big**beta if beta >= 0 else m**beta),
         window=fp.window,
+        sampled=True,
     )
     fi = f.value_at_infinity
     return AnalyticFunction(
@@ -1043,13 +1052,6 @@ class SpecArgs:
         surplus = [p for i, p in enumerate(self.positional) if i not in self._read_pos]
         if surplus:
             raise InvalidParameter(f"{self.name} spec has surplus argument(s) {surplus}")
-
-
-def make_catalog(spec) -> AnalyticFunction:
-    """Build a catalog function from a spec string or return it unchanged."""
-    if isinstance(spec, AnalyticFunction):
-        return spec
-    return parse_function_spec(str(spec))
 
 
 def parse_function_spec(text: str) -> AnalyticFunction:

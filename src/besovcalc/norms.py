@@ -97,7 +97,8 @@ def left_line_sup(f: AnalyticFunction, omega: float):
 
 def hinf_norm(f: AnalyticFunction, cfg: QuadratureConfig = DEFAULT_CONFIG) -> NormReport:
     """Supremum norm, evaluated on the line Re z = BOUNDARY_OFFSET by the maximum
-    principle; the offset is charged to the error as 2 * BOUNDARY_OFFSET * value."""
+    principle; the offset is charged to the error as 2 * BOUNDARY_OFFSET * value.
+    Not certified when the search does not stabilise or f's envelopes are sampled."""
     sup = _modulus_sup(f, BOUNDARY_OFFSET)
     value = sup.value
     xs = np.geomspace(1e-2, 1e3, 11)
@@ -109,7 +110,8 @@ def hinf_norm(f: AnalyticFunction, cfg: QuadratureConfig = DEFAULT_CONFIG) -> No
         )
     value = max(value, interior)
     err = max(cfg.abs_tol, 2.0 * BOUNDARY_OFFSET * value)
-    return NormReport(value, err, {"hinf": value}, certified=sup.stabilized)
+    certified = sup.stabilized and not f.profiles.sampled
+    return NormReport(value, err, {"hinf": value}, certified=certified)
 
 
 def fitted_power_envelope(ts: np.ndarray, vals: np.ndarray, what: str) -> PowerEnvelope:
@@ -131,13 +133,14 @@ def fitted_power_envelope(ts: np.ndarray, vals: np.ndarray, what: str) -> PowerE
 
 
 def b0_norm(f: AnalyticFunction, cfg: QuadratureConfig = DEFAULT_CONFIG) -> NormReport:
-    """Integral over x > 0 of the vertical-line supremum of |f'|."""
+    """Integral over x > 0 of the vertical-line supremum of |f'|; not certified
+    when its outer envelope is fitted or f's envelopes are sampled."""
 
     def integrand(xs):
         return np.array([deriv_sup_at(f, float(x)).value for x in np.asarray(xs, dtype=float)])
 
     env = f.profiles.deriv_outer
-    certified = True
+    certified = not f.profiles.sampled
     if not env.integrable:
         xs = np.geomspace(8.0, 4096.0, 10)
         env = fitted_power_envelope(xs, integrand(xs), "outer integrand")
@@ -161,7 +164,8 @@ def b_norm(f: AnalyticFunction, cfg: QuadratureConfig = DEFAULT_CONFIG) -> NormR
 def e0_norm(f: AnalyticFunction, cfg: QuadratureConfig = DEFAULT_CONFIG) -> NormReport:
     """sup over x > 0 of x * integral over y of |f'(x+iy)|, the `kernel_weight` of
     f'; 0 without integrating when the profiles certify e0_upper = 0.  Not
-    certified when the maximum sits at an unsettled end of the grid."""
+    certified when the maximum sits at an unsettled end of the grid, or when f's
+    envelopes are sampled."""
     if f.profiles.e0_upper == 0:
         return NormReport(0.0, cfg.abs_tol, {"e0": 0.0}, True)
 
@@ -176,4 +180,5 @@ def e0_norm(f: AnalyticFunction, cfg: QuadratureConfig = DEFAULT_CONFIG) -> Norm
 
     x_best, value, settled = kernel_weight(lambda w: np.abs(f.deriv(w)), deriv_line, cfg)
     err = max(cfg.abs_tol, cfg.rel_tol * value) + 4.0 * value / 2.0**20
-    return NormReport(value, err, {"e0": value, "argmax_x": x_best}, settled)
+    certified = settled and not f.profiles.sampled
+    return NormReport(value, err, {"e0": value, "argmax_x": x_best}, certified)

@@ -627,8 +627,9 @@ def apply_calculus_report(
     The double integral is the kernel pairing of f with (w + A)^(-2), whose weight pi K^2
     is Plancherel's bound on alpha * int |<(alpha+i beta+A)^(-2) x, y>| d beta, x and y unit
     vectors.  Every admitted operator takes it directly, spectrum on iR included: admission
-    leaves only generators of bounded semigroups, which the calculus covers.  The pairing runs
-    under _APPLY_CFG whatever cfg is given."""
+    leaves only generators of bounded semigroups, which the calculus covers.  The pairing always
+    runs under _APPLY_CFG; cfg is accepted and not read, because the benchmark's calculus
+    workload (perfbench/workloads.py) passes a config positionally."""
     spec = A.spectral()
 
     def kernel(w):
@@ -649,12 +650,8 @@ def apply_calculus_report(
     return ApplyReport(value=value, error=err, certified=prof.K_exact, n_evals=p.n_evals)
 
 
-def apply_calculus(
-    A: MatrixOperator,
-    f: AnalyticFunction,
-    cfg: QuadratureConfig = DEFAULT_CONFIG,
-) -> np.ndarray:
-    return apply_calculus_report(A, f, cfg).value
+def apply_calculus(A: MatrixOperator, f: AnalyticFunction) -> np.ndarray:
+    return apply_calculus_report(A, f).value
 
 
 def hp_apply(A: MatrixOperator, mu: HalfLineMeasure) -> np.ndarray:

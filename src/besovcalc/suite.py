@@ -156,7 +156,7 @@ def _run_band_operator(p, cfg):
 def _run_smoothed_window(p, cfg):
     A = parse_operator_spec(p.get("A", "diag(1,2)"))
     g = parse_function_spec(p.get("g", "resolvent(a=2)"))
-    return check_smoothed_window(A, g, _real(p, "omega", 1.0), _real(p, "tau", 1.0), cfg)
+    return check_smoothed_window(A, g, _real(p, "omega", 1.0), _real(p, "tau", 1.0))
 
 
 def _run_fractional(p, cfg):
@@ -168,7 +168,6 @@ def _run_fractional(p, cfg):
         parse_number(str(p.get("lambda", "1")), "fractional_smoothing lambda"),
         _real(p, "alpha", 1.0),
         _real(p, "omega", 1.0),
-        cfg,
     )
 
 
@@ -176,7 +175,7 @@ def _run_deriv_operator(p, cfg):
     A = parse_operator_spec(p.get("A", "diag(1,2)"))
     a = _real(p, "a", 2.0)
     return check_deriv_operator(
-        A, resolvent(a), _neg_deriv_of_resolvent(a), _real(p, "omega", 1.0), cfg
+        A, resolvent(a), _neg_deriv_of_resolvent(a), _real(p, "omega", 1.0)
     )
 
 
@@ -187,18 +186,18 @@ def _run_exp_stable(p, cfg):
 
 def _run_inverse_generator(p, cfg):
     A = parse_operator_spec(p.get("A", "diag(1,4)"))
-    return inverse_generator_check(A, _real(p, "t", 10.0), cfg)
+    return inverse_generator_check(A, _real(p, "t", 10.0))
 
 
 def _run_cayley_power(p, cfg):
     A = parse_operator_spec(p.get("A", "diag(1,2)"))
-    return cayley_power_check(A, parse_number(str(p.get("n", 16)), "cayley_power n", int), cfg)
+    return cayley_power_check(A, parse_number(str(p.get("n", 16)), "cayley_power n", int))
 
 
 def _run_spectral_mapping(p, cfg):
     A = parse_operator_spec(p.get("A", "diag(1,2)"))
     f = parse_function_spec(p.get("f", "cayley(n=1)"))
-    res = spectral_mapping_check(A, f, cfg)
+    res = spectral_mapping_check(A, f)
     lhs = res["hausdorff"] if res["sectorial"] else res["inclusion_defect"]
     return EstimateReport(
         "spectral_mapping",
@@ -210,6 +209,8 @@ def _run_spectral_mapping(p, cfg):
     )
 
 
+# id -> (runner, default grid).  Every runner takes (params, cfg); those of the calculus-only
+# families leave cfg unread, because the calculus runs under its own fixed config.
 VALIDATORS = {
     "band_embedding": (
         _run_band_embedding,

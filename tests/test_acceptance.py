@@ -135,7 +135,7 @@ def test_criterion_04_oracle_equivalence():
     for k in range(20):
         A = _random_diagonalizable(k)
         for f in fs:
-            gap = float(np.max(np.abs(apply_calculus(A, f, CFG) - oracle_apply(A, f, CFG))))
+            gap = float(np.max(np.abs(apply_calculus(A, f) - oracle_apply(A, f, CFG))))
             if gap > worst:
                 worst, worst_at = gap, f"{A.label} / {f.label}"
     _verdict(4, "calculus vs eigen-oracle < 1e-4 on 20 x 6 grid", worst < 1e-4,
@@ -152,7 +152,7 @@ def test_criterion_05_hp_compatibility():
     worst = 0.0
     for mu in measures:
         f = laplace_transform(mu)
-        gap = float(np.max(np.abs(apply_calculus(A, f, CFG) - hp_apply(A, mu))))
+        gap = float(np.max(np.abs(apply_calculus(A, f) - hp_apply(A, mu))))
         worst = max(worst, gap)
     _verdict(5, "Laplace-transform route matches semigroup route < 1e-4", worst < 1e-4,
              f"worst {worst:.2e}")
@@ -170,9 +170,9 @@ def test_criterion_06_homomorphism():
     for k in range(10):
         A = random_normal_operator(2 + (k % 3), seed=300 + k)
         f, g = pairs[k % len(pairs)]
-        fa = apply_calculus(A, f, CFG)
-        ga = apply_calculus(A, g, CFG)
-        fga = apply_calculus(A, mul(f, g), CFG)
+        fa = apply_calculus(A, f)
+        ga = apply_calculus(A, g)
+        fga = apply_calculus(A, mul(f, g))
         worst = max(worst, float(np.max(np.abs(fga - fa @ ga))))
     _verdict(6, "product defect < 1e-4 on 10 random triples", worst < 1e-4,
              f"worst {worst:.2e}")
@@ -224,7 +224,7 @@ def test_criterion_09_spectral_mapping():
         (parse_operator_spec("diag(1,2)"), cayley_pow(1)),
         (random_sectorial_operator(4, 3, math.pi / 6), eta()),
     ]:
-        res = spectral_mapping_check(A, f, CFG)
+        res = spectral_mapping_check(A, f)
         sect_ok = sect_ok and res["sectorial"] and res["hausdorff"] < 1e-4
         worst = max(worst, res["hausdorff"])
     incl_ok = True
@@ -232,7 +232,7 @@ def test_criterion_09_spectral_mapping():
         (jordan_operator(1.0, 2), exp_decay(1.0)),
         (parse_operator_spec("diag(i,-i)"), exp_decay(1.0)),
     ]:
-        res = spectral_mapping_check(A, f, CFG)
+        res = spectral_mapping_check(A, f)
         incl_ok = incl_ok and res["inclusion_defect"] < 1e-4
         worst = max(worst, res["inclusion_defect"])
     _verdict(9, "spectral mapping/inclusion within 1e-4", sect_ok and incl_ok,
@@ -251,7 +251,7 @@ def test_criterion_10_convergence_demo():
         rng = np.random.default_rng(77)
         x = rng.normal(size=A.n) + 1j * rng.normal(size=A.n)
         x /= np.linalg.norm(x)
-        tab = convergence_demo(A, exp_decay(1.0), [1, 4, 16, 64], x, CFG)
+        tab = convergence_demo(A, exp_decay(1.0), [1, 4, 16, 64], x)
         ok = ok and tab.decrease_factor >= 10.0
         detail.append(f"{A.label}: x{tab.decrease_factor:.0f}")
     _verdict(10, "shrinking family decays 10x from n=1 to n=64", ok, "; ".join(detail))

@@ -40,6 +40,8 @@ from besovcalc.operators import (
     semigroup,
 )
 from besovcalc.quadrature import QuadratureConfig, ResolventEnvelope
+from besovcalc.report import reports_to_json
+from besovcalc.suite import run_suite
 
 CFG = QuadratureConfig()
 DIAG12 = parse_operator_spec("diag(1,2)")
@@ -74,9 +76,9 @@ class TestHilbertAndSectorial:
             assert not is_normal(A)
             reports = [
                 check_hilbert_calc_bound(A, exp_decay(1.0), CFG),
-                check_smoothed_window(A, resolvent(2.0), 1.0, 1.0, CFG),
-                check_deriv_operator(A, resolvent(2.0), fp, 1.0, CFG),
-                cayley_power_check(A, 16, CFG),
+                check_smoothed_window(A, resolvent(2.0), 1.0, 1.0),
+                check_deriv_operator(A, resolvent(2.0), fp, 1.0),
+                cayley_power_check(A, 16),
             ]
             assert all(r.passed for r in reports), spec
 
@@ -113,17 +115,15 @@ class TestCorollaryGrids:
 
     @pytest.mark.parametrize("omega,tau", [(0.1, 0.1), (0.1, 1.0), (1.0, 0.1), (1.0, 1.0)])
     def test_smoothed_window_grid(self, omega, tau):
-        assert check_smoothed_window(DIAG12, resolvent(2.0), omega, tau, CFG).passed
+        assert check_smoothed_window(DIAG12, resolvent(2.0), omega, tau).passed
 
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
     def test_fractional_grid(self, alpha):
-        assert check_fractional_smoothing(
-            DIAG12, resolvent(2.0), 1.0, alpha, 1.0, CFG
-        ).passed
+        assert check_fractional_smoothing(DIAG12, resolvent(2.0), 1.0, alpha, 1.0).passed
 
     def test_deriv_operator(self):
         fp = scale(mul(resolvent(2.0), resolvent(2.0)), -1.0)
-        assert check_deriv_operator(DIAG12, resolvent(2.0), fp, 1.0, CFG).passed
+        assert check_deriv_operator(DIAG12, resolvent(2.0), fp, 1.0).passed
 
     def test_exp_stable_decay(self):
         f = mul(resolvent(1.0), resolvent(1.0))
@@ -134,20 +134,20 @@ class TestInverseGenerator:
     def test_scalar_closed_form(self):
         # lhs = exp(-t/omega) for A = [[omega]]
         A = MatrixOperator(np.array([[2.0]]))
-        r = inverse_generator_check(A, 1.0, CFG)
+        r = inverse_generator_check(A, 1.0)
         assert r.lhs == pytest.approx(math.exp(-0.5), abs=1e-10)
         assert r.passed
 
     def test_diag_large_t(self):
-        assert inverse_generator_check(parse_operator_spec("diag(1,4)"), 10.0, CFG).passed
+        assert inverse_generator_check(parse_operator_spec("diag(1,4)"), 10.0).passed
 
     def test_small_t_limit(self):
-        r = inverse_generator_check(DIAG12, 1e-3, CFG)
+        r = inverse_generator_check(DIAG12, 1e-3)
         assert r.lhs == pytest.approx(1.0, abs=1e-2)
         assert r.passed
 
     def test_consistency_with_calculus(self):
-        gap = inverse_generator_consistency(parse_operator_spec("diag(1,4)"), 2.0, CFG)
+        gap = inverse_generator_consistency(parse_operator_spec("diag(1,4)"), 2.0)
         assert gap < 1e-4
 
     def test_constant_reported(self):
@@ -180,36 +180,36 @@ class TestInverseGenerator:
 class TestCayleyPowers:
     @pytest.mark.parametrize("spec,n", [("diag(1,2)", 1), ("diag(1,2)", 16)])
     def test_normal_contraction(self, spec, n):
-        r = cayley_power_check(parse_operator_spec(spec), n, CFG)
+        r = cayley_power_check(parse_operator_spec(spec), n)
         assert r.passed
         assert r.lhs <= 1.0 + 1e-9
         assert r.info["calculus_gap"] < 1e-4
 
     def test_unitary_spectrum(self):
         A = parse_operator_spec("diag(i,-i,1)")
-        r = cayley_power_check(A, 8, CFG)
+        r = cayley_power_check(A, 8)
         assert r.passed and r.lhs == pytest.approx(1.0, abs=1e-9)
 
 
 class TestSpectralMapping:
     def test_diag_cayley(self):
-        res = spectral_mapping_check(DIAG12, cayley_pow(1), CFG)
+        res = spectral_mapping_check(DIAG12, cayley_pow(1))
         assert res["sectorial"] and res["hausdorff"] < 1e-4
 
     def test_jordan_exp(self):
-        res = spectral_mapping_check(jordan_operator(1.0, 2), exp_decay(1.0), CFG)
+        res = spectral_mapping_check(jordan_operator(1.0, 2), exp_decay(1.0))
         assert res["hausdorff"] < 1e-4
 
     def test_sectorial_eta(self):
         from besovcalc.functions import eta
 
         A = random_sectorial_operator(4, 3, math.pi / 6)
-        res = spectral_mapping_check(A, eta(), CFG)
+        res = spectral_mapping_check(A, eta())
         assert res["sectorial"] and res["hausdorff"] < 1e-4
 
     def test_inclusion_nonsectorial(self):
         A = parse_operator_spec("diag(i,-i)")
-        res = spectral_mapping_check(A, exp_decay(1.0), CFG)
+        res = spectral_mapping_check(A, exp_decay(1.0))
         assert not res["sectorial"]
         assert res["inclusion_defect"] < 1e-4
 
@@ -217,7 +217,7 @@ class TestSpectralMapping:
 class TestConvergence:
     def test_exp_family_decreases(self):
         x = np.ones(2) / math.sqrt(2.0)
-        tab = convergence_demo(DIAG12, exp_decay(1.0), [1, 4, 16, 64], x, CFG)
+        tab = convergence_demo(DIAG12, exp_decay(1.0), [1, 4, 16, 64], x)
         assert all(b < a for a, b in zip(tab.shrink, tab.shrink[1:]))
         assert tab.decrease_factor >= 10.0
 
@@ -225,12 +225,34 @@ class TestConvergence:
         from besovcalc.functions import const
 
         x = np.array([1.0, 0.0])
-        tab = convergence_demo(DIAG12, const(2.0), [1, 4], x, CFG)
+        tab = convergence_demo(DIAG12, const(2.0), [1, 4], x)
         assert max(tab.shrink) < 1e-8
 
     def test_stretched_family_no_convergence(self):
         # spectrum on the imaginary axis: |exp(-n i y)| = 1, no strong limit
         A = parse_operator_spec("diag(i,-i)")
         x = np.array([1.0, 1.0]) / math.sqrt(2.0)
-        tab = convergence_demo(A, exp_decay(1.0), [1, 4], x, CFG)
+        tab = convergence_demo(A, exp_decay(1.0), [1, 4], x)
         assert min(tab.stretch) > 0.5  # stays far from f(infinity) = 0
+
+
+def test_suite_config_reaches_only_the_calculus_validators_rhs():
+    """The calculus runs under its own config, so a loose suite config moves no lhs
+    of the nine calculus families, and no field at all of the seven whose rhs holds
+    no config-dependent norm."""
+    rhs_fixed = [
+        "band_operator",
+        "smoothed_window",
+        "fractional_smoothing",
+        "deriv_operator",
+        "inverse_generator",
+        "cayley_power",
+        "spectral_mapping",
+    ]
+    manifest = "\n".join(["hilbert_calc_bound", "exp_stable_decay", *rhs_fixed])
+    default = reports_to_json(run_suite(manifest))
+    loose = reports_to_json(run_suite(manifest, QuadratureConfig(abs_tol=1e-5, rel_tol=1e-4)))
+    assert [r["lhs"].hex() for r in loose] == [r["lhs"].hex() for r in default]
+    fixed = [(d, l) for d, l in zip(default, loose) if d["estimate_id"] in rhs_fixed]
+    assert len(fixed) == 23
+    assert all(d == l for d, l in fixed)

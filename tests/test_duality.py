@@ -124,7 +124,7 @@ class TestOneDoubleIntegral:
     def test_calculus_diagonal_is_the_pairing(self, f):
         # f(z) - f(inf) = (2/pi) <r_z, f>, once through the calculus on diag(z)
         # and once through the pairing, each within its own reported bound
-        rep = apply_calculus_report(MatrixOperator(np.diag(self.ZS)), f, CFG)
+        rep = apply_calculus_report(MatrixOperator(np.diag(self.ZS)), f)
         for i, z in enumerate(self.ZS):
             p = pairing(resolvent(z), f, CFG)
             gap = abs(rep.value[i, i] - f.infinity() - (2.0 / math.pi) * p.value)
@@ -168,4 +168,4 @@ class TestOneDoubleIntegral:
         with pytest.raises(IntegralNotNormConvergent):
             reproduce_residual(bad, self.ZS, CFG)
         with pytest.raises(IntegralNotNormConvergent):
-            apply_calculus_report(MatrixOperator(np.diag([1.0, 2.0])), bad, CFG)
+            apply_calculus_report(MatrixOperator(np.diag([1.0, 2.0])), bad)

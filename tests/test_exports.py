@@ -1,4 +1,5 @@
-"""Every exported name resolves, so deleting code cannot leave a stale export."""
+"""Every exported name resolves, so deleting code cannot leave a stale export, and
+every parameter is read, so no argument looks like a setting that changes nothing."""
 
 import ast
 import importlib
@@ -32,3 +33,57 @@ def test_package_names_resolve_and_are_public():
         for alias in node.names:
             assert hasattr(besovcalc, alias.asname or alias.name)
             assert public is None or alias.name in public, f"{node.module}.{alias.name}"
+
+
+def _unread_parameters():
+    """(module, class, function, parameter) for each parameter of a `def` in the
+    package that its body never reads; class is None outside a class body."""
+    found = []
+    for path in sorted(pathlib.Path(besovcalc.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        owner = {
+            id(item): node.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ClassDef)
+            for item in node.body
+        }
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            args = node.args
+            params = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
+            params += [a.arg for a in (args.vararg, args.kwarg) if a is not None]
+            read = {
+                n.id
+                for stmt in node.body
+                for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+            }
+            cls = owner.get(id(node))
+            found += [(path.stem, cls, node.name, p) for p in params if p not in read]
+    return found
+
+
+def test_every_parameter_is_read():
+    """A parameter that no code path reads looks like a setting and changes nothing."""
+    from besovcalc import quadrature
+    from besovcalc.suite import VALIDATORS
+
+    envelopes = {
+        name
+        for name, obj in vars(quadrature).items()
+        if isinstance(obj, type) and issubclass(obj, quadrature.DecayEnvelope)
+    }
+    runners = {runner.__name__ for runner, _ in VALIDATORS.values()}
+
+    def exempt(module, cls, func, param):
+        # DecayEnvelope's stubs and their overrides keep the signature their callers use
+        if module == "quadrature" and cls in envelopes and func in vars(quadrature.DecayEnvelope):
+            return True
+        # perfbench/workloads.py passes the calculus a config positionally
+        if (module, cls, func, param) == ("operators", None, "apply_calculus_report", "cfg"):
+            return True
+        # run_suite and perfbench call every registered runner as runner(params, cfg)
+        return module == "suite" and cls is None and func in runners and param == "cfg"
+
+    assert [p for p in _unread_parameters() if not exempt(*p)] == []

@@ -10,6 +10,7 @@ from besovcalc.errors import DivergenceSuspicion, UnboundedSuspicion
 from besovcalc.functions import (
     AnalyticFunction,
     Profiles,
+    add,
     cayley_pow,
     const,
     dilate,
@@ -17,7 +18,10 @@ from besovcalc.functions import (
     exp_decay,
     exp_inv_shift,
     mul,
+    power,
+    reciprocal,
     resolvent,
+    scale,
     shift,
 )
 from besovcalc.norms import (
@@ -211,6 +215,28 @@ class TestE0:
     def test_exp_not_in_dual_class(self):
         with pytest.raises(DivergenceSuspicion):
             e0_norm(exp_decay(1.0), CFG)
+
+
+class TestSampledEnvelopes:
+    """power and reciprocal read their envelope constants off samples of f, so no norm
+    built on them is certified; a combinator keeps the mark."""
+
+    F = add(resolvent(1.0), const(1.0))
+
+    @pytest.mark.parametrize(
+        "norm", [hinf_norm, b0_norm, b_norm, e0_norm], ids=["hinf", "b0", "b", "e0"]
+    )
+    @pytest.mark.parametrize(
+        "g",
+        [power(F, 0.5), reciprocal(F), scale(reciprocal(F), 2.0)],
+        ids=["power", "reciprocal", "scaled_reciprocal"],
+    )
+    def test_sampled_is_not_certified(self, g, norm):
+        assert not norm(g, CFG).certified
+
+    @pytest.mark.parametrize("norm", [b_norm, e0_norm], ids=["b", "e0"])
+    def test_proven_envelopes_stay_certified(self, norm):
+        assert norm(mul(resolvent(1.0), resolvent(2.0)), CFG).certified
 
 
 class TestInequalities:

@@ -517,7 +517,7 @@ class TestProfile:
         with pytest.raises(InvalidParameter):
             gamma_weak_sample(A, CFG)
         with pytest.raises(InvalidParameter):
-            apply_calculus_report(A, exp_decay(1.0), CFG)
+            apply_calculus_report(A, exp_decay(1.0))
 
     def test_profile_and_calculus_draw_nothing(self, monkeypatch):
         """Only gamma_weak_sample draws sample pairs."""
@@ -530,7 +530,7 @@ class TestProfile:
         for A in ops:
             profile(A)
             gamma_hat(A, CFG)
-            apply_calculus_report(A, exp_decay(1.0), CFG)
+            apply_calculus_report(A, exp_decay(1.0))
 
     @pytest.mark.parametrize(
         "spec",
@@ -590,8 +590,8 @@ class TestSpectralPath:
         A, B = MatrixOperator(matrix), _dense_twin(matrix, monkeypatch)
         fs = [resolvent(1.5)] if A.n > 3 else [resolvent(1.5), exp_decay(1.0), cayley_pow(2)]
         for f in fs:
-            fast = apply_calculus_report(A, f, CFG)
-            dense = apply_calculus_report(B, f, CFG)
+            fast = apply_calculus_report(A, f)
+            dense = apply_calculus_report(B, f)
             gap = float(np.max(np.abs(fast.value - dense.value)))
             assert gap <= fast.error + dense.error, f.label
             assert float(np.max(np.abs(fast.value - oracle_apply(A, f)))) <= fast.error
@@ -613,10 +613,10 @@ class TestSpectralPath:
     def test_residual_charged_to_error(self):
         A = MatrixOperator(np.diag([1.0, 2.0]))
         f = resolvent(1.0)
-        base = apply_calculus_report(A, f, CFG).error
+        base = apply_calculus_report(A, f).error
         A.spectral().residual = 1e-3
         # max |f[lam_i, lam_j]| = |f'(1)| = 1/4 for r_1 on {1, 2}
-        assert apply_calculus_report(A, f, CFG).error == pytest.approx(base + 0.25e-3, rel=1e-9)
+        assert apply_calculus_report(A, f).error == pytest.approx(base + 0.25e-3, rel=1e-9)
 
     def test_lipschitz_closed_form(self):
         # r_1 on {1, 2}: f'(1) = -1/4, f'(2) = -1/9, f[1, 2] = -1/6
@@ -805,7 +805,7 @@ class TestApplyCalculus:
         below the exact 2, is certified as diag(1,2) is, and covers its oracle gap."""
         A = parse_operator_spec(spec)
         f = cayley_pow(1)
-        rep = apply_calculus_report(A, f, CFG)
+        rep = apply_calculus_report(A, f)
         assert gamma_hat(A, CFG)[1] is settled
         assert rep.certified and A.profile().K_exact
         assert float(np.max(np.abs(rep.value - oracle_apply(A, f, CFG)))) <= rep.error
@@ -822,9 +822,9 @@ class TestApplyCalculus:
         with monkeypatch.context() as m:
             for name in ("_semigroup_norms", "gamma_hat", "kernel_weight"):
                 m.setattr(operators, name, disabled)
-            assert apply_calculus_report(jordan_operator(1.0, 2), f, CFG).certified
+            assert apply_calculus_report(jordan_operator(1.0, 2), f).certified
         A = jordan_operator(0.1, 2)
-        rep = apply_calculus_report(A, f, CFG)
+        rep = apply_calculus_report(A, f)
         assert not rep.certified and not A.profile().K_exact
         assert float(np.max(np.abs(rep.value - oracle_apply(A, f, CFG)))) <= rep.error
 
@@ -841,61 +841,59 @@ class TestApplyCalculus:
 
     def test_scalar_resolvent(self):
         A = MatrixOperator(np.array([[2.0]]))
-        val = apply_calculus(A, resolvent(1.0), CFG)
+        val = apply_calculus(A, resolvent(1.0))
         assert abs(val[0, 0] - 1.0 / 3.0) < 1e-5
 
     def test_diag_exponential(self):
         A = parse_operator_spec("diag(1,2)")
-        val = apply_calculus(A, exp_decay(1.0), CFG)
+        val = apply_calculus(A, exp_decay(1.0))
         assert np.max(np.abs(val - np.diag([math.exp(-1.0), math.exp(-2.0)]))) < 1e-5
 
     def test_jordan_cayley_square(self):
         A = jordan_operator(1.0, 2)
-        val = apply_calculus(A, cayley_pow(2), CFG)
+        val = apply_calculus(A, cayley_pow(2))
         v = (A.matrix - np.eye(2)) @ np.linalg.inv(A.matrix + np.eye(2))
         assert np.max(np.abs(val - v @ v)) < 1e-4
 
     def test_oracle_equivalence_random(self):
         A = random_normal_operator(5, seed=13)
         for f in [exp_decay(1.0), resolvent(1.5), vitse_reg(1.0)]:
-            gap = np.max(np.abs(apply_calculus(A, f, CFG) - oracle_apply(A, f, CFG)))
+            gap = np.max(np.abs(apply_calculus(A, f) - oracle_apply(A, f, CFG)))
             assert gap < 1e-4
 
     def test_homomorphism(self):
         A = parse_operator_spec("diag(1,2)")
         f, g = exp_decay(1.0), resolvent(1.0)
-        left = apply_calculus(A, mul(f, g), CFG)
-        right = apply_calculus(A, f, CFG) @ apply_calculus(A, g, CFG)
+        left = apply_calculus(A, mul(f, g))
+        right = apply_calculus(A, f) @ apply_calculus(A, g)
         assert np.max(np.abs(left - right)) < 1e-4
 
     def test_calculus_bound(self):
         A = random_normal_operator(3, seed=4)
         f = cayley_pow(2)
-        norm_fa = np.linalg.norm(apply_calculus(A, f, CFG), 2)
+        norm_fa = np.linalg.norm(apply_calculus(A, f), 2)
         assert norm_fa <= gamma_hat(A, CFG)[0] * b_norm(f, CFG).value + 1e-4
 
     def test_eigenvector_rule(self):
         A = random_normal_operator(4, seed=8)
         lam, v = np.linalg.eig(A.matrix)
         f = exp_decay(1.0)
-        fa = apply_calculus(A, f, CFG)
+        fa = apply_calculus(A, f)
         x = v[:, 1]
         assert np.linalg.norm(fa @ x - complex(f(lam[1])) * x) < 1e-5
 
     def test_shift_law(self):
         A = parse_operator_spec("diag(1,2)")
         a = 0.5
-        left = apply_calculus(
-            MatrixOperator(A.matrix + a * np.eye(2)), resolvent(1.0), CFG
-        )
-        right = apply_calculus(A, shift(resolvent(1.0), a), CFG)
+        left = apply_calculus(MatrixOperator(A.matrix + a * np.eye(2)), resolvent(1.0))
+        right = apply_calculus(A, shift(resolvent(1.0), a))
         assert np.max(np.abs(left - right)) < 1e-5
 
     def test_dilation_law(self):
         A = parse_operator_spec("diag(1,2)")
         b = 2.0
-        left = apply_calculus(MatrixOperator(b * A.matrix), resolvent(1.0), CFG)
-        right = apply_calculus(A, dilate(resolvent(1.0), b), CFG)
+        left = apply_calculus(MatrixOperator(b * A.matrix), resolvent(1.0))
+        right = apply_calculus(A, dilate(resolvent(1.0), b))
         assert np.max(np.abs(left - right)) < 1e-5
 
     @pytest.mark.parametrize(
@@ -911,7 +909,7 @@ class TestApplyCalculus:
     )
     def test_imaginary_axis_spectrum(self, A, f):
         # spectrum on iR takes the double integral directly, and its bound covers the gap
-        rep = apply_calculus_report(A, f, CFG)
+        rep = apply_calculus_report(A, f)
         gap = float(np.max(np.abs(rep.value - oracle_apply(A, f, CFG))))
         assert gap < 1e-4
         assert gap <= rep.error
@@ -1021,7 +1019,7 @@ class TestHPApply:
         A = parse_operator_spec("diag(1,2)")
         mu = HalfLineMeasure(atoms=((0.0, 1.0), (1.0, 0.5)), density=("exp", -2.0, 1.0))
         f = laplace_transform(mu)
-        gap = np.max(np.abs(apply_calculus(A, f, CFG) - hp_apply(A, mu)))
+        gap = np.max(np.abs(apply_calculus(A, f) - hp_apply(A, mu)))
         assert gap < 1e-4
 
 
@@ -1157,4 +1155,4 @@ class TestErrorPaths:
         )
         bad = dreplace(base, profiles=prof)
         with pytest.raises(IntegralNotNormConvergent):
-            apply_calculus(MatrixOperator(np.array([[1.0]])), bad, CFG)
+            apply_calculus(MatrixOperator(np.array([[1.0]])), bad)
