@@ -120,14 +120,13 @@ def check_band_operator(
     f: AnalyticFunction,
     eps: float,
     sigma: float,
-    cfg: QuadratureConfig = DEFAULT_CONFIG,
 ) -> EstimateReport:
     """Spectral-band operator bound, Hilbert or sectorial flavour by profile."""
     require_positive(eps=eps, sigma=sigma)
     rep = apply_calculus_report(A, f)
     lhs = _opnorm(rep.value)
     prof = A.profile()
-    f_inf = hinf_norm(f, cfg).value
+    f_inf = hinf_norm(f).value
     if is_normal(A):
         rhs = 2.0 * prof.K**2 * (1.0 + 2.0 * math.log(1.0 + 2.0 * sigma / eps)) * f_inf
         variant = "normal"

@@ -596,7 +596,8 @@ def gamma_weak_sample(
 class ApplyReport:
     value: np.ndarray
     error: float
-    # False when K is not exact, so that the bound's weight pi K^2 may be too small
+    # False when K is not exact, so that the bound's weight pi K^2 may be too small, or when
+    # f's envelopes are sampled
     certified: bool
     n_evals: int = 0
 
@@ -647,7 +648,7 @@ def apply_calculus_report(
     err = (2.0 / math.pi) * p.error
     if spec is not None and spec.residual > 0.0:
         err += spec.residual * _spectral_lipschitz(f, spec.lam)
-    return ApplyReport(value=value, error=err, certified=prof.K_exact, n_evals=p.n_evals)
+    return ApplyReport(value=value, error=err, certified=prof.K_exact and not f.profiles.sampled, n_evals=p.n_evals)
 
 
 def apply_calculus(A: MatrixOperator, f: AnalyticFunction) -> np.ndarray:

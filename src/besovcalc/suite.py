@@ -150,7 +150,7 @@ def _run_band_operator(p, cfg):
     eps, sigma = _real(p, "eps", 1.0), _real(p, "sigma", 4.0)
     A = parse_operator_spec(p.get("A", "diag(1,2)"))
     f = parse_function_spec(p.get("f", f"band(eps={eps:g},sigma={sigma:g})"))
-    return check_band_operator(A, f, eps, sigma, cfg)
+    return check_band_operator(A, f, eps, sigma)
 
 
 def _run_smoothed_window(p, cfg):

@@ -33,6 +33,7 @@ from besovcalc.norms import (
     left_line_sup,
     line_sup_modulus,
 )
+from besovcalc.operators import apply_calculus_report, parse_operator_spec
 from besovcalc.quadrature import ConstEnvelope, PowerEnvelope, QuadratureConfig, line_weight
 
 CFG = QuadratureConfig()
@@ -237,6 +238,11 @@ class TestSampledEnvelopes:
     @pytest.mark.parametrize("norm", [b_norm, e0_norm], ids=["b", "e0"])
     def test_proven_envelopes_stay_certified(self, norm):
         assert norm(mul(resolvent(1.0), resolvent(2.0)), CFG).certified
+
+    def test_calculus_error_bound_is_not_certified(self):
+        A = parse_operator_spec("diag(1,2)")
+        assert not apply_calculus_report(A, power(self.F, 0.5)).certified
+        assert apply_calculus_report(A, mul(resolvent(1.0), resolvent(2.0))).certified
 
 
 class TestInequalities:
