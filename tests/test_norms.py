@@ -218,14 +218,21 @@ class TestE0:
             e0_norm(exp_decay(1.0), CFG)
 
 
+def _calculus(f, cfg):
+    # the calculus's error bound reads f's envelopes; it runs under its own config
+    return apply_calculus_report(parse_operator_spec("diag(1,2)"), f)
+
+
 class TestSampledEnvelopes:
     """power and reciprocal read their envelope constants off samples of f, so no norm
-    built on them is certified; a combinator keeps the mark."""
+    or calculus bound built on them is certified; a combinator keeps the mark."""
 
     F = add(resolvent(1.0), const(1.0))
 
     @pytest.mark.parametrize(
-        "norm", [hinf_norm, b0_norm, b_norm, e0_norm], ids=["hinf", "b0", "b", "e0"]
+        "norm",
+        [hinf_norm, b0_norm, b_norm, e0_norm, _calculus],
+        ids=["hinf", "b0", "b", "e0", "calculus"],
     )
     @pytest.mark.parametrize(
         "g",
@@ -235,14 +242,9 @@ class TestSampledEnvelopes:
     def test_sampled_is_not_certified(self, g, norm):
         assert not norm(g, CFG).certified
 
-    @pytest.mark.parametrize("norm", [b_norm, e0_norm], ids=["b", "e0"])
+    @pytest.mark.parametrize("norm", [b_norm, e0_norm, _calculus], ids=["b", "e0", "calculus"])
     def test_proven_envelopes_stay_certified(self, norm):
         assert norm(mul(resolvent(1.0), resolvent(2.0)), CFG).certified
-
-    def test_calculus_error_bound_is_not_certified(self):
-        A = parse_operator_spec("diag(1,2)")
-        assert not apply_calculus_report(A, power(self.F, 0.5)).certified
-        assert apply_calculus_report(A, mul(resolvent(1.0), resolvent(2.0))).certified
 
 
 class TestInequalities:
