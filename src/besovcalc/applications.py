@@ -25,7 +25,7 @@ from .functions import (
     shift,
     vitse_reg,
 )
-from .norms import BOUNDARY_OFFSET, b_norm, hinf_norm, left_line_sup
+from .norms import BOUNDARY_OFFSET, b_norm, fitted_slope, hinf_norm, left_line_sup
 from .operators import (
     MatrixOperator,
     _semigroup_sup,
@@ -71,8 +71,7 @@ def stability_constants(A: MatrixOperator) -> tuple[float, float]:
         raise InvalidParameter("exponential-stability fit needs min Re spectrum > 0")
     ts = np.geomspace(0.05, max(4.0 / w_spec, 1.0), 40)
     norms = np.linalg.norm(semigroup(A, ts), 2, axis=(1, 2))
-    slope, intercept = np.polyfit(ts, np.log(norms), 1)
-    omega = min(-slope, w_spec) * 0.999
+    omega = min(-fitted_slope(ts, np.log(norms)), w_spec) * 0.999
     if omega <= 0:
         omega = 0.5 * w_spec
     M = max(1.0, float(np.max(norms * np.exp(omega * ts)))) * 1.001
@@ -95,23 +94,21 @@ def check_hilbert_calc_bound(
     )
 
 
-def check_sectorial_gamma(
-    A: MatrixOperator, cfg: QuadratureConfig = DEFAULT_CONFIG
-) -> EstimateReport:
+def check_sectorial_gamma(A: MatrixOperator) -> EstimateReport:
     """gamma bracket against the sectoriality constant:
     gamma_hat <= 8 (2 + log 2) M (log M + 1)."""
     M = A.profile().M
     if not math.isfinite(M):
         raise InvalidParameter("operator is not sectorial; no finite constant")
     rhs = 8.0 * (2.0 + math.log(2.0)) * M * (math.log(M) + 1.0)
-    gamma = gamma_hat(A, cfg)[0]
+    gamma = gamma_hat(A)[0]
     return EstimateReport(
         "sectorial_gamma",
         {"A": A.label, "M": M},
         gamma,
         rhs,
         1e-6 * gamma,
-        info={"gamma_weak_sample": gamma_weak_sample(A, cfg)},
+        info={"gamma_weak_sample": gamma_weak_sample(A)},
     )
 
 

@@ -39,7 +39,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     def common(p, tol=True):
-        if tol:  # apply and demo run the calculus, whose tolerances are fixed
+        if tol:  # apply, profile and demo run under fixed tolerances
             p.add_argument("--tol", type=float, default=None, help="absolute tolerance override")
         p.add_argument("--out", default=None, help="output directory for JSON/CSV reports")
 
@@ -60,7 +60,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("profile", help="semigroup/sectoriality/gamma profile")
     p.add_argument("--A", required=True)
-    common(p)
+    common(p, tol=False)
     p.add_argument("--seed", type=int, default=42, help="seed of the weak-sample vectors")
 
     p = sub.add_parser("suite", help="run bound validators from a manifest")
@@ -176,8 +176,8 @@ def run(argv=None) -> int:
 
         if args.command == "profile":
             A = parse_operator_spec(args.A)
-            prof, (gamma, settled) = profile(A), gamma_hat(A, cfg)
-            weak = gamma_weak_sample(A, cfg, seed=args.seed)
+            prof, (gamma, settled) = profile(A), gamma_hat(A)
+            weak = gamma_weak_sample(A, seed=args.seed)
             print(
                 f"K = {prof.K:.6f}  M = {prof.M:.6f}  "
                 f"gamma in [{weak:.6f}, {gamma:.6f}]  gamma settled = {settled}"

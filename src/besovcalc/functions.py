@@ -67,6 +67,12 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
+def _require_finite(what: str, *values) -> None:
+    """Raise InvalidParameter unless every numeric parameter of `what` is finite."""
+    if not all(cmath.isfinite(complex(v)) for v in values):
+        raise InvalidParameter(f"{what} needs finite parameters")
+
+
 @dataclass(frozen=True)
 class HalfLineMeasure:
     """Bounded measure on [0, inf): point atoms plus an optional named density.
@@ -95,6 +101,9 @@ class HalfLineMeasure:
                     raise InvalidParameter("lebesgue density needs 0 <= a < b < inf")
             else:
                 raise InvalidParameter(f"unknown density kind {kind!r}")
+        _require_finite("measure", *(v for atom in self.atoms for v in atom))
+        if self.density is not None:
+            _require_finite("measure density", *self.density[1:])
 
     def total_variation(self) -> float:
         tv = sum(abs(c) for _, c in self.atoms)
@@ -133,6 +142,7 @@ class BernsteinFunction:
     jumps: tuple[tuple[float, float], ...] = ()
 
     def __post_init__(self):
+        _require_finite("Bernstein function", self.a, self.b, *(v for j in self.jumps for v in j))
         if self.a < 0 or self.b < 0:
             raise InvalidParameter("Bernstein function needs a, b >= 0")
         for s, c in self.jumps:
@@ -291,6 +301,7 @@ _ZERO_ENV = PowerEnvelope(p=2.0, c=0.0)
 
 
 def const(c: complex) -> AnalyticFunction:
+    _require_finite("const", c)
     c = complex(c)
     prof = Profiles(
         deriv_line=lambda x: _ZERO_ENV,
@@ -441,6 +452,7 @@ def _eta_deriv(z):
 
 def eta(delta: float = 1.0) -> AnalyticFunction:
     """(1 - exp(-z))/z, the Laplace transform of Lebesgue measure on [0, 1]."""
+    _require_finite("eta", delta)
 
     def dl(x):
         return SumEnvelope.of(
@@ -477,6 +489,7 @@ def eta(delta: float = 1.0) -> AnalyticFunction:
 
 def exp_inv_shift(t: float) -> AnalyticFunction:
     """exp(-t/(z+1)), t > 0."""
+    _require_finite("exp_inv_shift", t)
     if t <= 0:
         raise InvalidParameter("exp_inv_shift needs t > 0")
 
@@ -506,6 +519,7 @@ def exp_inv_shift(t: float) -> AnalyticFunction:
 
 def vitse_reg(t: float) -> AnalyticFunction:
     """(z/(z+1))^2 exp(-t/z), t > 0; the regularised inverse-exponential."""
+    _require_finite("vitse_reg", t)
     if t <= 0:
         raise InvalidParameter("vitse_reg needs t > 0")
 
@@ -572,6 +586,7 @@ def laplace_transform(measure: HalfLineMeasure) -> AnalyticFunction:
 
 def band_function(eps: float, sigma: float, coeffs=None) -> AnalyticFunction:
     """Finite exponential sum with rates in [eps, sigma]: sum c_j exp(-tau_j z)."""
+    _require_finite("band", eps, sigma)
     if not 0 < eps < sigma:
         raise InvalidParameter("band needs 0 < eps < sigma")
     if coeffs is None:
@@ -587,6 +602,7 @@ def bernstein_resolvent(
     fb: BernsteinFunction, alpha: float, beta: float, theta: float, lam: complex
 ) -> AnalyticFunction:
     """(lam + fb(z^alpha)^beta)^(-1) on the half-plane."""
+    _require_finite("bernstein_resolvent", alpha, beta, theta, lam)
     if not 0 < alpha < 1:
         raise InvalidParameter("needs alpha in (0, 1)")
     if not 1 < beta <= 1.0 / alpha + 1e-12:
@@ -749,6 +765,7 @@ def mul(f: AnalyticFunction, g: AnalyticFunction) -> AnalyticFunction:
 
 
 def scale(f: AnalyticFunction, c: complex) -> AnalyticFunction:
+    _require_finite("scale", c)
     c = complex(c)
     fp = f.profiles
     prof = Profiles(
@@ -777,6 +794,7 @@ def scale(f: AnalyticFunction, c: complex) -> AnalyticFunction:
 
 def shift(f: AnalyticFunction, a: complex) -> AnalyticFunction:
     """z -> f(z + a) for Re a >= 0."""
+    _require_finite("shift", a)
     a = complex(a)
     if a.real < 0:
         raise InvalidParameter("shift needs Re a >= 0")
@@ -806,6 +824,7 @@ def shift(f: AnalyticFunction, a: complex) -> AnalyticFunction:
 
 def dilate(f: AnalyticFunction, b: float) -> AnalyticFunction:
     """z -> f(b z) for b > 0."""
+    _require_finite("dilate", b)
     if b <= 0:
         raise InvalidParameter("dilate needs b > 0")
     fp = f.profiles
@@ -868,6 +887,7 @@ def reciprocal(f: AnalyticFunction) -> AnalyticFunction:
 
 def power(f: AnalyticFunction, beta: float) -> AnalyticFunction:
     """f**beta (principal branch); range must avoid the negative real axis."""
+    _require_finite("power", beta)
     vals = _sample_grid(f)
     args = np.angle(vals[np.abs(vals) > 0])
     if args.size and np.max(np.abs(args)) > math.pi - 0.05:

@@ -30,6 +30,7 @@ __all__ = [
     "deriv_sup_at",
     "line_sup_modulus",
     "left_line_sup",
+    "fitted_slope",
     "fitted_power_envelope",
 ]
 
@@ -114,6 +115,13 @@ def hinf_norm(f: AnalyticFunction, cfg: QuadratureConfig = DEFAULT_CONFIG) -> No
     return NormReport(value, err, {"hinf": value}, certified=certified)
 
 
+def fitted_slope(x: np.ndarray, y: np.ndarray) -> float:
+    """Least-squares slope sum (x - mean x)(y - mean y) / sum (x - mean x)^2 of the
+    line through the points (x, y), in closed form."""
+    dx = x - x.mean()
+    return float(dx @ (y - y.mean()) / (dx @ dx))
+
+
 def fitted_power_envelope(ts: np.ndarray, vals: np.ndarray, what: str) -> PowerEnvelope:
     """Power-law fit c * t^-p of sampled decay beyond ts[0], with a safety factor.
 
@@ -123,7 +131,7 @@ def fitted_power_envelope(ts: np.ndarray, vals: np.ndarray, what: str) -> PowerE
     good = vals > 1e-250
     if good.sum() < 4:
         return PowerEnvelope(p=2.0, c=1e-250, t0=float(ts[0]))
-    p = -np.polyfit(np.log(ts[good]), np.log(vals[good]), 1)[0]
+    p = -fitted_slope(np.log(ts[good]), np.log(vals[good]))
     if p <= 1.05:
         raise DivergenceSuspicion(
             f"{what} decays like t^-{p:.3f}; its integral looks divergent"

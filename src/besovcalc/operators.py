@@ -521,9 +521,8 @@ def _kernel_line(A: MatrixOperator, alpha: float) -> PowerEnvelope:
     return PowerEnvelope(p=2.0, c=4.0, t0=2.0 * (alpha + A.norm2) + 1.0)
 
 
-def _weight_cfg(cfg: QuadratureConfig) -> QuadratureConfig:
-    """The tolerances of the profile's kernel weights: abs_tol at least 5e-8, rel_tol 1e-6."""
-    return cfg.with_tolerances(abs_tol=max(cfg.abs_tol, 5e-8), rel_tol=1e-6)
+# the tolerances of gamma_hat's and gamma_weak_sample's kernel weights
+_WEIGHT_CFG = QuadratureConfig(abs_tol=5e-8, rel_tol=1e-6)
 
 
 def profile(A: MatrixOperator) -> OperatorProfile:
@@ -534,7 +533,7 @@ def profile(A: MatrixOperator) -> OperatorProfile:
     return OperatorProfile(K=K, M=_sectoriality_sup(A), K_exact=exact)
 
 
-def gamma_hat(A: MatrixOperator, cfg: QuadratureConfig = DEFAULT_CONFIG) -> tuple[float, bool]:
+def gamma_hat(A: MatrixOperator) -> tuple[float, bool]:
     """(2/pi) times the `kernel_weight` of (w + A)^(-2), and whether that settled."""
     if A.n == 0:
         raise InvalidParameter("gamma_hat needs a matrix of size at least 1x1")
@@ -545,13 +544,11 @@ def gamma_hat(A: MatrixOperator, cfg: QuadratureConfig = DEFAULT_CONFIG) -> tupl
             return np.abs((zs[:, None] + spec.lam) ** -2).max(axis=1)
         return _top_singular_values(A, zs, _resolvents_squared)
 
-    _, weight, settled = kernel_weight(kernel_norm, lambda a: _kernel_line(A, a), _weight_cfg(cfg))
+    _, weight, settled = kernel_weight(kernel_norm, lambda a: _kernel_line(A, a), _WEIGHT_CFG)
     return (2.0 / math.pi) * weight, settled
 
 
-def gamma_weak_sample(
-    A: MatrixOperator, cfg: QuadratureConfig = DEFAULT_CONFIG, seed: int = 42
-) -> float:
+def gamma_weak_sample(A: MatrixOperator, seed: int = 42) -> float:
     """(2/pi) max of alpha * int over beta of |<(alpha+i beta+A)^(-2) x, y>| over
     200 seeded unit pairs (x, y) and alpha in DYADIC_GRID[::2]: a lower sample
     of gamma_hat."""
@@ -580,9 +577,9 @@ def gamma_weak_sample(
                 np.abs(((zs[rows, None] + spec.lam) ** -2) @ weights, out=out[rows])
         return out
 
-    wcfg = _weight_cfg(cfg)
     best = max(
-        float(line_weight(integrand, _kernel_line(A, a), a, wcfg).max()) for a in DYADIC_GRID[::2]
+        float(line_weight(integrand, _kernel_line(A, a), a, _WEIGHT_CFG).max())
+        for a in DYADIC_GRID[::2]
     )
     return (2.0 / math.pi) * best
 

@@ -783,6 +783,8 @@ def sup_on_vertical_line(
     for _ in range(64):
         grid = np.linspace(-Y, Y, _SUP_GRID_POINTS)
         vals = np.asarray(phi(grid), dtype=float)
+        if not np.all(np.isfinite(vals)):
+            raise DepthExceeded("non-finite value on the vertical-line grid")
         m = float(vals.max())
         need_extend = False
         if decaying and m > 0 and envelope.bound(Y) >= 0.5 * m and Y < Y_cap:

@@ -143,7 +143,7 @@ def _run_hilbert_bound(p, cfg):
 
 def _run_sectorial_gamma(p, cfg):
     A = parse_operator_spec(p.get("A", "diag(1)"))
-    return check_sectorial_gamma(A, cfg)
+    return check_sectorial_gamma(A)
 
 
 def _run_band_operator(p, cfg):

@@ -32,6 +32,7 @@ from besovcalc.functions import (
     resolvent,
     scale,
 )
+from besovcalc.norms import fitted_power_envelope
 from besovcalc.operators import (
     MatrixOperator,
     jordan_operator,
@@ -82,7 +83,7 @@ class TestHilbertAndSectorial:
 
     def test_sectorial_gamma(self):
         A = random_sectorial_operator(4, 3, math.pi / 6)
-        assert check_sectorial_gamma(A, CFG).passed
+        assert check_sectorial_gamma(A).passed
 
     def test_stability_constants_conservative(self):
         M, omega = stability_constants(DIAG12)
@@ -91,6 +92,38 @@ class TestHilbertAndSectorial:
             assert np.linalg.norm(semigroup(DIAG12, t), 2) <= M * math.exp(-omega * t) * (
                 1.0 + 1e-9
             )
+
+    @pytest.mark.parametrize(
+        "spec,M,omega",
+        [
+            ("diag(1,2)", "0x1.004189374bc6ap+0", "0x1.ff7ced916872bp-1"),
+            ("diag(2,3,5)", "0x1.004189374bc6ap+0", "0x1.ff7ced916872bp+0"),
+        ],
+    )
+    def test_stability_constants_pinned(self, spec, M, omega):
+        assert stability_constants(parse_operator_spec(spec)) == (
+            float.fromhex(M),
+            float.fromhex(omega),
+        )
+
+    def test_fits_need_no_least_squares_solver(self, monkeypatch):
+        """Both slope fits are closed-form: neither reaches np.polyfit or lstsq."""
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a slope fit called a least-squares solver")
+
+        monkeypatch.setattr(np, "polyfit", refuse)
+        monkeypatch.setattr(np.linalg, "lstsq", refuse)
+        for spec in (
+            "diag(1,2)",
+            "normal_random(3,seed=9)",
+            "sectorial_random(4,seed=3,angle=0.5236)",
+        ):
+            M, omega = stability_constants(parse_operator_spec(spec))
+            assert M >= 1.0 and omega > 0
+        ts = np.geomspace(8.0, 4096.0, 10)
+        env = fitted_power_envelope(ts, 3.0 * ts**-2.5, "power law")
+        assert env.p == pytest.approx(0.9 * 2.5, rel=1e-12)
 
 
 class TestCorollaryGrids:

@@ -228,10 +228,11 @@ def test_input_whose_square_overflows_exit_code(argv, named, capsys):
         ["profile", "--A", "diag(1)", "--plot-data"],
         ["apply", "--A", "diag(1,2)", "--f", "exp(a=1)", "--tol", "1e-3"],
         ["demo", "--A", "diag(1,2)", "--n-list", "1,4", "--tol", "1e-3"],
+        ["profile", "--A", "diag(1)", "--tol", "1e-3"],
     ],
     ids=[
         "norm-seed", "apply-seed", "suite-seed", "pair-plot-data", "profile-plot-data",
-        "apply-tol", "demo-tol",
+        "apply-tol", "demo-tol", "profile-tol",
     ],
 )
 def test_flag_on_a_command_that_ignores_it_exit_code(argv, capsys):

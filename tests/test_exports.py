@@ -87,3 +87,19 @@ def test_every_parameter_is_read():
         return module == "suite" and cls is None and func in runners and param == "cfg"
 
     assert [p for p in _unread_parameters() if not exempt(*p)] == []
+
+
+def test_least_squares_solver_only_in_the_jordan_oracle():
+    """Slope fits are closed-form (`norms.fitted_slope`), so `polyfit` and `lstsq`
+    occur only in the Jordan chain of `operators.oracle_apply`."""
+    found = set()
+    for path in sorted(pathlib.Path(besovcalc.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for top in tree.body:
+            owner = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else None
+            for n in ast.walk(top):
+                # attribute, bare name, imported alias or def of that name
+                name = next((getattr(n, k) for k in ("attr", "id", "name") if hasattr(n, k)), None)
+                if isinstance(name, str) and name.rsplit(".", 1)[-1] in ("polyfit", "lstsq"):
+                    found.add((path.stem, owner, name))
+    assert found == {("operators", "oracle_apply", "lstsq")}

@@ -19,6 +19,7 @@ from besovcalc.functions import (
     _global_modulus_bound,
     add,
     band_function,
+    bernstein_resolvent,
     cauchy_derivatives,
     cayley_pow,
     const,
@@ -299,6 +300,44 @@ class TestLaplaceTransform:
     def test_global_modulus_bound_is_total_variation(self):
         mu = HalfLineMeasure(atoms=((0.0, 1.0), (2.0, -0.5j)), density=("lebesgue", -3.0, 1.0, 2.0))
         assert _global_modulus_bound(laplace_transform(mu)) == mu.total_variation() == 4.5
+
+
+NAN, INF = math.nan, math.inf
+
+
+class TestNonFiniteParameters:
+    """A NaN or infinite parameter is rejected where the function is built, so no
+    norm, pairing or calculus reports a NaN or a wrong certified number."""
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: const(NAN),
+            lambda: const(INF),
+            lambda: eta(NAN),
+            lambda: exp_inv_shift(NAN),
+            lambda: exp_inv_shift(INF),
+            lambda: vitse_reg(NAN),
+            lambda: scale(exp_decay(1.0), NAN),
+            lambda: shift(exp_decay(1.0), NAN),
+            lambda: shift(exp_decay(1.0), INF),
+            lambda: dilate(exp_decay(1.0), NAN),
+            lambda: power(add(resolvent(1.0), const(1.0)), NAN),
+            lambda: band_function(1.0, INF, [(1.0, 1.0)]),
+            lambda: laplace_transform(HalfLineMeasure(atoms=((1.0, NAN),))),
+            lambda: laplace_transform(HalfLineMeasure(density=("exp", 1.0, INF))),
+            lambda: bernstein_resolvent(BernsteinFunction(b=1.0), 0.5, 2.0, math.pi / 4, NAN),
+            lambda: BernsteinFunction(a=NAN, b=1.0),
+        ],
+        ids=[
+            "const-nan", "const-inf", "eta", "exp_inv_shift-nan", "exp_inv_shift-inf",
+            "vitse_reg", "scale", "shift-nan", "shift-inf", "dilate", "power", "band",
+            "laplace-weight", "laplace-rate", "bernstein_resolvent-lam", "bernstein-a",
+        ],
+    )
+    def test_rejected(self, build):
+        with pytest.raises(InvalidParameter, match="finite"):
+            build()
 
 
 class TestInvariantsAndFlags:

@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from besovcalc.errors import DivergenceSuspicion, UnboundedSuspicion
+from besovcalc.errors import DepthExceeded, DivergenceSuspicion, UnboundedSuspicion
 from besovcalc.functions import (
     AnalyticFunction,
     Profiles,
@@ -29,11 +29,12 @@ from besovcalc.norms import (
     b0_norm,
     b_norm,
     e0_norm,
+    fitted_slope,
     hinf_norm,
     left_line_sup,
     line_sup_modulus,
 )
-from besovcalc.operators import apply_calculus_report, parse_operator_spec
+from besovcalc.operators import apply_calculus_report, parse_operator_spec, semigroup
 from besovcalc.quadrature import ConstEnvelope, PowerEnvelope, QuadratureConfig, line_weight
 
 CFG = QuadratureConfig()
@@ -79,6 +80,24 @@ class TestHinf:
             value_at_infinity=None,
         )
         with pytest.raises(UnboundedSuspicion):
+            hinf_norm(bad, CFG)
+
+    def test_non_finite_values_raise(self):
+        """A hand-built function that evaluates to NaN has no norm to report."""
+        env = ConstEnvelope(c=1.0)
+        bad = AnalyticFunction(
+            eval_fn=lambda z: np.full(np.shape(z), np.nan, dtype=complex),
+            deriv_fn=lambda z: np.zeros(np.shape(z), dtype=complex),
+            profiles=Profiles(
+                deriv_line=lambda x: env,
+                modulus_line=lambda x: env,
+                deriv_outer=env,
+                modulus_outer=env,
+            ),
+            value_at_infinity=None,
+            label="nan",
+        )
+        with pytest.raises(DepthExceeded):
             hinf_norm(bad, CFG)
 
 
@@ -132,6 +151,27 @@ class TestB0AndB:
         )
         with pytest.raises(DivergenceSuspicion):
             b0_norm(slow, CFG)
+
+
+class TestFittedSlope:
+    @pytest.mark.parametrize("n", [2, 5, 40, 400])
+    def test_agrees_with_polyfit_on_seeded_data(self, n):
+        rng = np.random.default_rng(24 + n)
+        x = rng.uniform(-3.0, 7.0, n)
+        y = -2.5 * x + 1.0 + rng.normal(0.0, 0.3, n)
+        assert fitted_slope(x, y) == pytest.approx(np.polyfit(x, y, 1)[0], rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "spec",
+        ["diag(1,2)", "normal_random(3,seed=9)", "sectorial_random(4,seed=3,angle=0.5236)",
+         "jordan(1,2)"],
+    )
+    def test_agrees_with_polyfit_on_the_stability_grid(self, spec):
+        """The time grid and log semigroup norms that `stability_constants` fits."""
+        A = parse_operator_spec(spec)
+        ts = np.geomspace(0.05, max(4.0 / A.spectral_abscissa_min(), 1.0), 40)
+        y = np.log(np.linalg.norm(semigroup(A, ts), 2, axis=(1, 2)))
+        assert fitted_slope(ts, y) == pytest.approx(np.polyfit(ts, y, 1)[0], rel=1e-12)
 
 
 class TestE0:

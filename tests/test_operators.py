@@ -388,7 +388,7 @@ class TestSeededDraws:
         with pytest.raises(InvalidParameter, match="seed"):
             random_sectorial_operator(3, seed, 0.3)
         with pytest.raises(InvalidParameter, match="seed"):
-            gamma_weak_sample(MatrixOperator(np.array([[1.0]])), CFG, seed=seed)
+            gamma_weak_sample(MatrixOperator(np.array([[1.0]])), seed=seed)
 
     @pytest.mark.parametrize("n", [-1, -2, 65, 10**9, 2.0])
     def test_bad_size_rejected(self, n):
@@ -440,13 +440,13 @@ class TestProfile:
         assert p.K == pytest.approx(1.0, abs=1e-9)
         assert p.M == pytest.approx(1.0, abs=1e-6)
         # oracle: alpha * int d beta / ((alpha+1)^2 + beta^2) = pi alpha/(alpha+1) -> pi
-        gamma = gamma_hat(A, CFG)[0]
+        gamma = gamma_hat(A)[0]
         assert gamma == pytest.approx(2.0, abs=1e-3)
-        assert gamma_weak_sample(A, CFG) <= gamma + 1e-9
+        assert gamma_weak_sample(A) <= gamma + 1e-9
 
     def test_gamma_floor(self):
         for spec in ["diag(1)", "diag(1,2)", "diag(i,-i)"]:
-            assert gamma_hat(parse_operator_spec(spec), CFG)[0] >= 4.0 / math.e - 1e-6
+            assert gamma_hat(parse_operator_spec(spec))[0] >= 4.0 / math.e - 1e-6
 
     @pytest.mark.parametrize("lam", [0.05, 0.1, 0.2, 0.3])
     def test_jordan_semigroup_bound_closed_form(self, lam):
@@ -476,10 +476,10 @@ class TestProfile:
     def test_gamma_settled_flag(self):
         """At scale 1e6 gamma_hat's alpha grid ends before the maximum: 1.0237
         against the exact 2 of a positive diagonal, and gamma_hat says so."""
-        gamma, settled = gamma_hat(parse_operator_spec("diag(1e6)"), CFG)
+        gamma, settled = gamma_hat(parse_operator_spec("diag(1e6)"))
         assert not settled
         assert gamma == pytest.approx(1.0237, abs=1e-4)
-        assert gamma_hat(parse_operator_spec("diag(1,2)"), CFG)[1]
+        assert gamma_hat(parse_operator_spec("diag(1,2)"))[1]
 
     def test_nonsectorial_imaginary(self):
         p = profile(parse_operator_spec("diag(i,-i)"))
@@ -513,9 +513,9 @@ class TestProfile:
         with pytest.raises(InvalidParameter):
             profile(A)
         with pytest.raises(InvalidParameter):
-            gamma_hat(A, CFG)
+            gamma_hat(A)
         with pytest.raises(InvalidParameter):
-            gamma_weak_sample(A, CFG)
+            gamma_weak_sample(A)
         with pytest.raises(InvalidParameter):
             apply_calculus_report(A, exp_decay(1.0))
 
@@ -529,7 +529,7 @@ class TestProfile:
         monkeypatch.setattr(operators, "_SeededDraws", no_draws)
         for A in ops:
             profile(A)
-            gamma_hat(A, CFG)
+            gamma_hat(A)
             apply_calculus_report(A, exp_decay(1.0))
 
     @pytest.mark.parametrize(
@@ -544,7 +544,7 @@ class TestProfile:
         tracemalloc.start()
         try:
             profile(A)
-            gamma_hat(A, CFG)
+            gamma_hat(A)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -579,10 +579,10 @@ class TestSpectralPath:
         fast, dense = profile(A), profile(B)
         for key in ("K", "M"):
             assert getattr(fast, key) == pytest.approx(getattr(dense, key), rel=1e-10), key
-        gamma = gamma_hat(A, CFG)[0]
-        assert gamma == pytest.approx(gamma_hat(B, CFG)[0], rel=1e-10)
-        weak = gamma_weak_sample(A, CFG)
-        assert weak == pytest.approx(gamma_weak_sample(B, CFG), rel=1e-10)
+        gamma = gamma_hat(A)[0]
+        assert gamma == pytest.approx(gamma_hat(B)[0], rel=1e-10)
+        weak = gamma_weak_sample(A)
+        assert weak == pytest.approx(gamma_weak_sample(B), rel=1e-10)
         assert weak <= gamma + 1e-9
 
     @pytest.mark.parametrize("name,matrix", NORMAL_CASES, ids=[c[0] for c in NORMAL_CASES])
@@ -655,7 +655,7 @@ def _line_integrand(call):
 
 def _weak_integrand(A):
     """The integrand of gamma_weak_sample at its first alpha, DYADIC_GRID[0]."""
-    return _line_integrand(lambda: gamma_weak_sample(A, CFG))
+    return _line_integrand(lambda: gamma_weak_sample(A))
 
 
 def _weak_operator(path, n, monkeypatch):
@@ -694,7 +694,7 @@ class TestWeakSamples:
         pairs = _unit_pairs(n)
         alpha = DYADIC_GRID[0]
         f = _weak_integrand(A)
-        g = _line_integrand(lambda: gamma_hat(A, CFG))
+        g = _line_integrand(lambda: gamma_hat(A))
         width = pairs[0].shape[1] * (n if path == "dense" else 1)
         step = _WEAK_BLOCK_ENTRIES // width
         betas_all = np.linspace(-30.0, 30.0, 570)
@@ -806,7 +806,7 @@ class TestApplyCalculus:
         A = parse_operator_spec(spec)
         f = cayley_pow(1)
         rep = apply_calculus_report(A, f)
-        assert gamma_hat(A, CFG)[1] is settled
+        assert gamma_hat(A)[1] is settled
         assert rep.certified and A.profile().K_exact
         assert float(np.max(np.abs(rep.value - oracle_apply(A, f, CFG)))) <= rep.error
 
@@ -872,7 +872,7 @@ class TestApplyCalculus:
         A = random_normal_operator(3, seed=4)
         f = cayley_pow(2)
         norm_fa = np.linalg.norm(apply_calculus(A, f), 2)
-        assert norm_fa <= gamma_hat(A, CFG)[0] * b_norm(f, CFG).value + 1e-4
+        assert norm_fa <= gamma_hat(A)[0] * b_norm(f, CFG).value + 1e-4
 
     def test_eigenvector_rule(self):
         A = random_normal_operator(4, seed=8)
@@ -955,7 +955,7 @@ class TestApplyCalculus:
     def test_weak_sample_below_two_k_squared(self, spec):
         """(2/pi) alpha int |<(alpha+i beta+A)^(-2) x, y>| d beta <= 2 K^2 for unit x, y."""
         A = parse_operator_spec(spec)
-        assert gamma_weak_sample(A, CFG) <= 2.0 * profile(A).K ** 2
+        assert gamma_weak_sample(A) <= 2.0 * profile(A).K ** 2
 
 
 HP_OPERATORS = [
