@@ -102,8 +102,6 @@ class HalfLineMeasure:
             else:
                 raise InvalidParameter(f"unknown density kind {kind!r}")
         _require_finite("measure", *(v for atom in self.atoms for v in atom))
-        if self.density is not None:
-            _require_finite("measure density", *self.density[1:])
 
     def total_variation(self) -> float:
         tv = sum(abs(c) for _, c in self.atoms)
@@ -452,7 +450,6 @@ def _eta_deriv(z):
 
 def eta(delta: float = 1.0) -> AnalyticFunction:
     """(1 - exp(-z))/z, the Laplace transform of Lebesgue measure on [0, 1]."""
-    _require_finite("eta", delta)
 
     def dl(x):
         return SumEnvelope.of(
@@ -602,7 +599,7 @@ def bernstein_resolvent(
     fb: BernsteinFunction, alpha: float, beta: float, theta: float, lam: complex
 ) -> AnalyticFunction:
     """(lam + fb(z^alpha)^beta)^(-1) on the half-plane."""
-    _require_finite("bernstein_resolvent", alpha, beta, theta, lam)
+    _require_finite("bernstein_resolvent", lam)
     if not 0 < alpha < 1:
         raise InvalidParameter("needs alpha in (0, 1)")
     if not 1 < beta <= 1.0 / alpha + 1e-12:

@@ -32,7 +32,6 @@ from besovcalc.functions import (
     resolvent,
     scale,
 )
-from besovcalc.norms import fitted_power_envelope
 from besovcalc.operators import (
     MatrixOperator,
     jordan_operator,
@@ -105,25 +104,6 @@ class TestHilbertAndSectorial:
             float.fromhex(M),
             float.fromhex(omega),
         )
-
-    def test_fits_need_no_least_squares_solver(self, monkeypatch):
-        """Both slope fits are closed-form: neither reaches np.polyfit or lstsq."""
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("a slope fit called a least-squares solver")
-
-        monkeypatch.setattr(np, "polyfit", refuse)
-        monkeypatch.setattr(np.linalg, "lstsq", refuse)
-        for spec in (
-            "diag(1,2)",
-            "normal_random(3,seed=9)",
-            "sectorial_random(4,seed=3,angle=0.5236)",
-        ):
-            M, omega = stability_constants(parse_operator_spec(spec))
-            assert M >= 1.0 and omega > 0
-        ts = np.geomspace(8.0, 4096.0, 10)
-        env = fitted_power_envelope(ts, 3.0 * ts**-2.5, "power law")
-        assert env.p == pytest.approx(0.9 * 2.5, rel=1e-12)
 
 
 class TestCorollaryGrids:

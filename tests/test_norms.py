@@ -29,6 +29,7 @@ from besovcalc.norms import (
     b0_norm,
     b_norm,
     e0_norm,
+    fitted_power_envelope,
     fitted_slope,
     hinf_norm,
     left_line_sup,
@@ -172,6 +173,12 @@ class TestFittedSlope:
         ts = np.geomspace(0.05, max(4.0 / A.spectral_abscissa_min(), 1.0), 40)
         y = np.log(np.linalg.norm(semigroup(A, ts), 2, axis=(1, 2)))
         assert fitted_slope(ts, y) == pytest.approx(np.polyfit(ts, y, 1)[0], rel=1e-12)
+
+    def test_power_envelope_recovers_a_power_law(self):
+        """`fitted_power_envelope` reads the exponent off the fitted log-log slope."""
+        ts = np.geomspace(8.0, 4096.0, 10)
+        env = fitted_power_envelope(ts, 3.0 * ts**-2.5, "power law")
+        assert env.p == pytest.approx(0.9 * 2.5, rel=1e-12)
 
 
 class TestE0:
