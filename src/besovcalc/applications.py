@@ -157,12 +157,10 @@ def check_smoothed_window(
     """||g(A) exp(-tau A)|| <= 2 K^2 (2 + log(1 + 1/(omega tau))/2) * left-line sup, for any
     bounded semigroup; K is a lower estimate if not exact."""
     require_positive(omega=omega, tau=tau)
-    if g.left_bound < omega:
-        raise InvalidParameter("g does not extend left far enough")
+    g_left = left_line_sup(g, omega)
     f = mul(g, exp_decay(tau))
     rep = apply_calculus_report(A, f)
     lhs = _opnorm(rep.value)
-    g_left = left_line_sup(g, omega)
     rhs = 2.0 * A.profile().K ** 2 * (2.0 + 0.5 * math.log1p(1.0 / (omega * tau))) * g_left
     return EstimateReport(
         "smoothed_window",
@@ -189,12 +187,12 @@ def check_fractional_smoothing(
     lam = complex(lam)
     if lam.real <= 0:
         raise InvalidParameter("needs Re lambda > 0")
+    g_left = left_line_sup(g, omega)
     ga = apply_calculus(A, g)
     v = A.eigenvectors
     frac = v @ np.diag((lam + A.eigenvalues) ** (-alpha)) @ np.linalg.inv(v)
     lhs = _opnorm(ga @ frac)
     m = min(omega, lam.real)
-    g_left = left_line_sup(g, omega)
     rhs = (4.0 + 1.0 / alpha) * A.profile().K ** 2 / m**alpha * g_left
     return EstimateReport(
         "fractional_smoothing",
@@ -213,9 +211,9 @@ def check_deriv_operator(
 ) -> EstimateReport:
     """||f'(A)|| <= 3 K^2 / omega * left-line sup of f; K is a lower estimate if not exact."""
     require_positive(omega=omega)
+    f_left = left_line_sup(f, omega)
     rep = apply_calculus_report(A, fprime)
     lhs = _opnorm(rep.value)
-    f_left = left_line_sup(f, omega)
     rhs = 3.0 * A.profile().K ** 2 / omega * f_left
     return EstimateReport(
         "deriv_operator",
@@ -253,8 +251,7 @@ def check_exp_stable_decay(
 def inverse_generator_check(A: MatrixOperator, t: float) -> EstimateReport:
     """Growth of exp(-t A^(-1)) for exponentially stable A:
     <= 2 M^2 (2 - e^(-t/omega)) for t <= omega, logarithmic beyond."""
-    if t <= 0:
-        raise InvalidParameter("needs t > 0")
+    require_positive(t=t)
     if np.min(np.abs(A.eigenvalues)) <= 1e-12:
         raise InvalidParameter("operator must be invertible")
     M, omega = stability_constants(A)

@@ -114,10 +114,8 @@ def check_deriv_bound(
     """Derivative norm bound for functions holomorphic on Re z > -omega:
     ||f'||_B <= 3/(2 omega) * sup over that half-plane of |f|."""
     require_positive(omega=omega)
-    if f.left_bound < omega:
-        raise InvalidParameter("f does not extend left far enough for this bound")
-    lhs = b_norm(fprime, cfg)
     sup_left = left_line_sup(f, omega)
+    lhs = b_norm(fprime, cfg)
     rhs = 1.5 / omega * sup_left
     return EstimateReport(
         "deriv_bound", {"omega": omega, "f": f.label}, lhs.value, rhs, lhs.error_bound
@@ -145,11 +143,9 @@ def check_product_bound(
     """Product bound: ||fg||_B <= ||f||_B ||g||_inf + (H-norm of g)/2 * weighted
     integral of the modulus profile of f."""
     require_positive(omega=omega)
-    if g.left_bound < omega:
-        raise InvalidParameter("g does not extend left far enough for this bound")
+    g_left = left_line_sup(g, omega)
     lhs = b_norm(mul(f, g), cfg)
     g_inf = hinf_norm(g, cfg).value
-    g_left = left_line_sup(g, omega)
     phi_int = _phi_over_weight(f, omega, cfg)
     rhs = b_norm(f, cfg).value * g_inf + 0.5 * g_left * phi_int
     return EstimateReport(
@@ -171,11 +167,9 @@ def check_exp_window(
     """Exponentially windowed bound: for f = e_tau * g with g holomorphic on
     Re z > -omega, ||f||_B <= e^(-omega tau) (2 + log(1 + 1/(tau omega))/2) * H-norm."""
     require_positive(tau=tau, omega=omega)
-    if g.left_bound < omega:
-        raise InvalidParameter("g does not extend left far enough for this bound")
     f = mul(exp_decay(tau), g)
-    lhs = b_norm(f, cfg)
     f_left = left_line_sup(f, omega)
+    lhs = b_norm(f, cfg)
     rhs = math.exp(-omega * tau) * (2.0 + 0.5 * math.log1p(1.0 / (tau * omega))) * f_left
     return EstimateReport(
         "exp_window",
@@ -228,8 +222,7 @@ def check_decay_majorant(
 def exact_expinv_norm(t: float) -> float:
     """Closed-form norm of exp(-t/(z+1)): 2 - e^(-t) for t <= 1, else
     2 - e^(-1) + e^(-1) log t."""
-    if t <= 0:
-        raise InvalidParameter("needs t > 0")
+    require_positive(t=t)
     if t <= 1.0:
         return 2.0 - math.exp(-t)
     return 2.0 - math.exp(-1.0) + math.exp(-1.0) * math.log(t)

@@ -765,14 +765,13 @@ def scale(f: AnalyticFunction, c: complex) -> AnalyticFunction:
     _require_finite("scale", c)
     c = complex(c)
     fp = f.profiles
-    prof = Profiles(
+    prof = replace(
+        fp,
         deriv_line=lambda x: fp.deriv_line(x).scaled(abs(c)),
         modulus_line=lambda x: fp.modulus_line(x).scaled(abs(c)),
         deriv_outer=fp.deriv_outer.scaled(abs(c)),
         modulus_outer=fp.modulus_outer.scaled(abs(c)),
-        window=fp.window,
         e0_upper=fp.e0_upper * abs(c) if fp.e0_upper is not None else None,
-        sampled=fp.sampled,
     )
     return replace(
         f,
@@ -797,14 +796,11 @@ def shift(f: AnalyticFunction, a: complex) -> AnalyticFunction:
         raise InvalidParameter("shift needs Re a >= 0")
     fp = f.profiles
     off = abs(a.imag)
-    prof = Profiles(
+    prof = replace(
+        fp,
         deriv_line=lambda x: fp.deriv_line(x + a.real).off_center(off),
         modulus_line=lambda x: fp.modulus_line(x + a.real).off_center(off),
-        deriv_outer=fp.deriv_outer,
-        modulus_outer=fp.modulus_outer,
         window=fp.window + 2 * off,
-        e0_upper=fp.e0_upper,
-        sampled=fp.sampled,
     )
     return replace(
         f,
@@ -825,14 +821,13 @@ def dilate(f: AnalyticFunction, b: float) -> AnalyticFunction:
     if b <= 0:
         raise InvalidParameter("dilate needs b > 0")
     fp = f.profiles
-    prof = Profiles(
+    prof = replace(
+        fp,
         deriv_line=lambda x: fp.deriv_line(b * x).dilated_arg(b).scaled(b),
         modulus_line=lambda x: fp.modulus_line(b * x).dilated_arg(b),
         deriv_outer=fp.deriv_outer.dilated_arg(b).scaled(b),
         modulus_outer=fp.modulus_outer.dilated_arg(b),
         window=fp.window / b,
-        e0_upper=fp.e0_upper,
-        sampled=fp.sampled,
     )
     return replace(
         f,
@@ -855,62 +850,48 @@ def _sample_grid(f: AnalyticFunction) -> np.ndarray:
 
 
 def reciprocal(f: AnalyticFunction) -> AnalyticFunction:
-    """1/f; requires |f| bounded away from zero on a sample grid."""
-    vals = _sample_grid(f)
-    m = float(np.min(np.abs(vals)))
-    if f.value_at_infinity is not None:
-        m = min(m, abs(f.value_at_infinity))
-    if m <= 1e-9:
-        raise RangeViolation(f"reciprocal needs |f| >= m > 0; sampled minimum {m:.3e}")
-    fp = f.profiles
-    prof = Profiles(
-        deriv_line=lambda x: fp.deriv_line(x).scaled(1.0 / m**2),
-        modulus_line=lambda x: ConstEnvelope(c=1.0 / m),
-        deriv_outer=fp.deriv_outer.scaled(1.0 / m**2),
-        modulus_outer=ConstEnvelope(c=1.0 / m),
-        window=fp.window,
-        sampled=True,
-    )
-    fi = f.value_at_infinity
-    return AnalyticFunction(
-        eval_fn=lambda z: 1.0 / f.eval_fn(z),
-        deriv_fn=lambda z: -f.deriv_fn(z) / f.eval_fn(z) ** 2,
-        profiles=prof,
-        value_at_infinity=1.0 / fi if fi not in (None, 0) else None,
-        label=f"(1/{f.label})",
-        left_bound=0.0,
-    )
+    """1/f as power(f, -1): |f| must stay away from zero on its samples and at infinity."""
+    return power(f, -1.0).relabel(f"(1/{f.label})")
 
 
 def power(f: AnalyticFunction, beta: float) -> AnalyticFunction:
-    """f**beta (principal branch); range must avoid the negative real axis."""
+    """f**beta (principal branch), with envelope constants read off samples of f.
+
+    A non-integer beta needs the sampled range inside the slit plane; beta < 1
+    needs |f| >= m > 0, where m is the least of the sampled |f| and |f(inf)|.
+    """
     _require_finite("power", beta)
     vals = _sample_grid(f)
-    args = np.angle(vals[np.abs(vals) > 0])
-    if args.size and np.max(np.abs(args)) > math.pi - 0.05:
-        raise RangeViolation("power needs the sampled range inside the slit plane")
+    if not float(beta).is_integer():
+        args = np.angle(vals[np.abs(vals) > 0])
+        if args.size and np.max(np.abs(args)) > math.pi - 0.05:
+            raise RangeViolation("power needs the sampled range inside the slit plane")
     m = float(np.min(np.abs(vals)))
+    fi = f.value_at_infinity
+    if fi is not None:
+        m = min(m, abs(fi))
     if beta < 1 and m <= 1e-9:
-        raise RangeViolation("fractional power needs |f| bounded away from zero")
+        raise RangeViolation(f"power {beta:g} needs |f| >= m > 0; sampled minimum {m:.3e}")
     big = _global_modulus_bound(f)
     if big is None:
         big = float(np.max(np.abs(vals))) * 2.0
     amp = abs(beta) * (big ** (beta - 1.0) if beta >= 1 else m ** (beta - 1.0))
+    bound = ConstEnvelope(c=big**beta if beta >= 0 else m**beta)
     fp = f.profiles
-    prof = Profiles(
+    prof = replace(
+        fp,
         deriv_line=lambda x: fp.deriv_line(x).scaled(amp),
-        modulus_line=lambda x: ConstEnvelope(c=big**beta if beta >= 0 else m**beta),
+        modulus_line=lambda x: bound,
         deriv_outer=fp.deriv_outer.scaled(amp),
-        modulus_outer=ConstEnvelope(c=big**beta if beta >= 0 else m**beta),
-        window=fp.window,
+        modulus_outer=bound,
+        e0_upper=None,
         sampled=True,
     )
-    fi = f.value_at_infinity
     return AnalyticFunction(
         eval_fn=lambda z: np.power(f.eval_fn(z), beta),
         deriv_fn=lambda z: beta * np.power(f.eval_fn(z), beta - 1.0) * f.deriv_fn(z),
         profiles=prof,
-        value_at_infinity=fi**beta if fi is not None and (fi != 0 or beta > 0) else None,
+        value_at_infinity=fi**beta if fi is not None else None,
         label=f"({f.label}**{beta:g})",
         left_bound=0.0,
     )
@@ -953,26 +934,18 @@ def _parse_pair_list(text: str) -> list[tuple[float, float | complex]]:
     body = text.strip()
     if not (body.startswith("[") and body.endswith("]")):
         raise InvalidParameter(f"expected a [...] list, got {text!r}")
-    items = _split_top(body[1:-1], ",")
-    # items like "(0" "1)" got split if tuples are flat; re-pair by parentheses
     pairs: list[tuple[float, float | complex]] = []
-    buf: list[str] = []
-    for it in items:
-        buf.append(it)
-        joined = ",".join(buf)
-        if joined.count("(") == joined.count(")"):
-            inner = joined.strip()
-            if inner.startswith("(") and inner.endswith(")"):
-                inner = inner[1:-1]
-            nums = _split_top(inner, ",")
-            if len(nums) != 2:
-                raise InvalidParameter(f"expected (location, weight) pairs in {text!r}")
-            location = parse_number(nums[0], "location", float)
-            weight = parse_number(nums[1], "weight")
-            pairs.append((location, weight.real if weight.imag == 0 else weight))
-            buf = []
-    if buf:
-        raise InvalidParameter(f"unbalanced tuple in {text!r}")
+    for item in _split_top(body[1:-1], ","):
+        if item.count("(") != item.count(")"):
+            raise InvalidParameter(f"unbalanced tuple in {text!r}")
+        if item.startswith("(") and item.endswith(")"):
+            item = item[1:-1]
+        nums = _split_top(item, ",")
+        if len(nums) != 2:
+            raise InvalidParameter(f"expected (location, weight) pairs in {text!r}")
+        location = parse_number(nums[0], "location", float)
+        weight = parse_number(nums[1], "weight")
+        pairs.append((location, weight.real if weight.imag == 0 else weight))
     return pairs
 
 

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DivergenceSuspicion, UnboundedSuspicion
+from .errors import DivergenceSuspicion, InvalidParameter, UnboundedSuspicion
 from .functions import AnalyticFunction
 from .quadrature import (
     DEFAULT_CONFIG,
@@ -92,7 +92,10 @@ def line_sup_modulus(f: AnalyticFunction, x: float) -> float:
 
 
 def left_line_sup(f: AnalyticFunction, omega: float):
-    """sup of |f| on the line BOUNDARY_OFFSET inside the boundary Re z = -omega."""
+    """sup of |f| on the line BOUNDARY_OFFSET inside the boundary Re z = -omega, for
+    omega <= left_bound: every bound that reads it needs f holomorphic on Re z > -omega."""
+    if f.left_bound < omega:
+        raise InvalidParameter(f"{f.label} is holomorphic only on Re z > {-f.left_bound:g}")
     return line_sup_modulus(f, -omega + BOUNDARY_OFFSET)
 
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from besovcalc import operators
+from besovcalc.errors import InvalidParameter
 from besovcalc.applications import (
     cayley_power_check,
     check_band_operator,
@@ -156,6 +157,11 @@ class TestInverseGenerator:
         r = inverse_generator_check(DIAG12, 1e-3)
         assert r.lhs == pytest.approx(1.0, abs=1e-2)
         assert r.passed
+
+    @pytest.mark.parametrize("t", [0.0, math.nan])
+    def test_non_positive_t_rejected(self, t):
+        with pytest.raises(InvalidParameter, match="t must be positive"):
+            inverse_generator_check(DIAG12, t)
 
     def test_consistency_with_calculus(self):
         gap = inverse_generator_consistency(parse_operator_spec("diag(1,4)"), 2.0)

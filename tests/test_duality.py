@@ -81,6 +81,14 @@ class TestPairingValues:
         val = abs(pairing(g, f, CFG).value)
         assert val <= e0_norm(g, CFG).value * b0_norm(f, CFG).value + 1e-6
 
+    def test_uncertified_weight_floors_the_error(self):
+        # cayley(n=1) has no closed-form e0_upper, so its weight 1.25 e0_norm is not
+        # certified and the error is at least a quarter of the value;
+        # <chi_1, r_1> = (pi/2) (chi_1(1) - chi_1(inf)) = -pi/2
+        got = pairing(cayley_pow(1), resolvent(1.0), CFG)
+        assert got.error == 0.25 * abs(got.value)
+        assert abs(got.value + math.pi / 2.0) < 1e-6
+
 
 class TestReproducing:
     def test_exp_at_one(self):

@@ -249,6 +249,33 @@ class TestAlgebra:
         expect = 0.5 * complex(f(z)) ** (-0.5) * complex(f.deriv(z))
         assert complex(p.deriv(z)) == pytest.approx(expect, rel=1e-12)
 
+    @pytest.mark.parametrize("beta", [-1.0, 0.5])
+    def test_power_counts_the_value_at_infinity(self, beta):
+        # |r_1| -> 0 at infinity: r_1**-1 = z + 1 is unbounded, and r_1**0.5 has no
+        # derivative bound m**(beta-1) with m > 0
+        with pytest.raises(RangeViolation, match="needs \\|f\\| >= m > 0"):
+            power(resolvent(1.0), beta)
+
+    def test_integer_power_needs_no_slit_plane(self):
+        # the range of cayley(n=1) is the unit disc, across the negative axis
+        zs = np.array([0.01 + 0.0j, 0.3 - 2.0j, 1.0 + 0.5j, 5.0 + 40.0j])
+        with pytest.raises(RangeViolation, match="slit plane"):
+            power(cayley_pow(1), 0.5)
+        p, c = power(cayley_pow(1), 2), cayley_pow(2)
+        assert np.allclose(p(zs), c(zs), rtol=1e-15, atol=1e-15)
+        assert np.allclose(p.deriv(zs), c.deriv(zs), rtol=1e-14, atol=1e-15)
+        assert p.value_at_infinity == c.value_at_infinity == 1.0
+
+    def test_reciprocal_is_the_power_minus_one(self):
+        f = add(const(2.0), resolvent(1.0 + 1.0j))
+        r = reciprocal(f)
+        rng = np.random.default_rng(7)
+        zs = rng.uniform(1e-3, 1e3, 200) + 1j * rng.uniform(-60.0, 60.0, 200)
+        assert np.array_equal(r(zs), 1.0 / f(zs))
+        assert np.allclose(r.deriv(zs), -f.deriv(zs) / f(zs) ** 2, rtol=1e-15, atol=0.0)
+        assert r.label == f"(1/{f.label})"
+        assert r.value_at_infinity == 0.5 and r.profiles.sampled
+
     def test_summands_sum_exactly(self):
         coeffs = [(1.0, 1.0), (2.0, 0.5), (4.0, -1.0)]
         f = band_function(1.0, 4.0, coeffs)
@@ -381,6 +408,13 @@ class TestInvariantsAndFlags:
     def test_eta_dilated_spec(self):
         f = parse_function_spec("eta(delta=0.5)")
         assert complex(f(2.0)) == pytest.approx(complex(eta()(1.0)))
+
+    def test_infinity_extrapolates_far_samples(self):
+        # first-order Richardson in 1/x on r_1 leaves 2/(2^12+1) - 1/(2^11+1) ~ 1.2e-7
+        f = replace(resolvent(1.0), value_at_infinity=None)
+        expect = 2.0 / (2.0**12 + 1.0) - 1.0 / (2.0**11 + 1.0)
+        assert f.infinity() == pytest.approx(expect, rel=1e-9)
+        assert abs(f.infinity()) < 1.2e-7
 
     def test_left_bound_tracking(self):
         assert resolvent(2.0).left_bound == 2.0

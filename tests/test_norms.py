@@ -6,11 +6,24 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from besovcalc.errors import DepthExceeded, DivergenceSuspicion, UnboundedSuspicion
+from besovcalc.applications import (
+    check_deriv_operator,
+    check_fractional_smoothing,
+    check_smoothed_window,
+)
+from besovcalc.errors import (
+    DepthExceeded,
+    DivergenceSuspicion,
+    InvalidParameter,
+    UnboundedSuspicion,
+)
+from besovcalc.estimates import check_deriv_bound, check_exp_window, check_product_bound
 from besovcalc.functions import (
     AnalyticFunction,
+    BernsteinFunction,
     Profiles,
     add,
+    bernstein_resolvent,
     cayley_pow,
     const,
     dilate,
@@ -36,7 +49,13 @@ from besovcalc.norms import (
     line_sup_modulus,
 )
 from besovcalc.operators import apply_calculus_report, parse_operator_spec, semigroup
-from besovcalc.quadrature import ConstEnvelope, PowerEnvelope, QuadratureConfig, line_weight
+from besovcalc.quadrature import (
+    ConstEnvelope,
+    PowerEnvelope,
+    QuadratureConfig,
+    StretchedExpEnvelope,
+    line_weight,
+)
 
 CFG = QuadratureConfig()
 
@@ -152,6 +171,48 @@ class TestB0AndB:
         )
         with pytest.raises(DivergenceSuspicion):
             b0_norm(slow, CFG)
+
+    def test_fitted_outer_envelope_is_not_certified(self):
+        # sup_y |r_1'(x+iy)| = (x+1)^-2 integrates to 1; a declared 1/x outer envelope is
+        # not integrable, so b0_norm fits one to samples and withholds certification
+        f = resolvent(1.0)
+        f = replace(f, profiles=replace(f.profiles, deriv_outer=PowerEnvelope(p=1.0)))
+        rep = b0_norm(f, CFG)
+        assert rep.value == pytest.approx(1.0, abs=1e-6)
+        assert not rep.certified
+
+
+class TestStretchedExpEnvelopes:
+    """The Bernstein resolvent with one jump has a stretched-exponential outer envelope,
+    which scale, dilate and mul must carry with certified constants."""
+
+    H = bernstein_resolvent(BernsteinFunction(jumps=((1.0, 1.0),)), 0.5, 2.0, math.pi / 4, 1.0)
+
+    @pytest.fixture(scope="class")
+    def base(self):
+        return b_norm(self.H, CFG)
+
+    def test_scale(self, base):
+        g = scale(self.H, 2.0)
+        assert isinstance(g.profiles.deriv_outer, StretchedExpEnvelope)
+        rep = b_norm(g, CFG)
+        assert rep.certified
+        assert rep.value == pytest.approx(2.0 * base.value, rel=1e-12)
+
+    def test_dilate(self, base):
+        g = dilate(self.H, 2.0)
+        assert isinstance(g.profiles.deriv_outer, StretchedExpEnvelope)
+        rep = b_norm(g, CFG)
+        assert rep.certified
+        assert abs(rep.value - base.value) <= rep.error_bound + base.error_bound
+
+    def test_mul_stays_certified(self, base):
+        g = mul(self.H, resolvent(1.0))
+        assert any(isinstance(p, StretchedExpEnvelope) for p in g.profiles.deriv_outer.parts)
+        rep = b_norm(g, CFG)
+        assert rep.certified
+        # ||r_1||_B = 2, and the norm is submultiplicative
+        assert rep.value <= 2.0 * base.value + rep.error_bound
 
 
 class TestFittedSlope:
@@ -283,8 +344,14 @@ class TestSampledEnvelopes:
     )
     @pytest.mark.parametrize(
         "g",
-        [power(F, 0.5), reciprocal(F), scale(reciprocal(F), 2.0)],
-        ids=["power", "reciprocal", "scaled_reciprocal"],
+        [
+            power(F, 0.5),
+            reciprocal(F),
+            scale(reciprocal(F), 2.0),
+            shift(power(F, 0.5), 1.0 + 1.0j),
+            dilate(reciprocal(F), 2.0),
+        ],
+        ids=["power", "reciprocal", "scaled_reciprocal", "shifted_power", "dilated_reciprocal"],
     )
     def test_sampled_is_not_certified(self, g, norm):
         assert not norm(g, CFG).certified
@@ -339,7 +406,49 @@ class TestInequalities:
             resolvent(2.0), -1.0 + BOUNDARY_OFFSET
         )
 
+    def test_line_sup_outside_the_strip(self):
+        with pytest.raises(DivergenceSuspicion, match="analyticity strip"):
+            line_sup_modulus(resolvent(1.0), -2.0)
+
     def test_norm_report_json(self):
         rep = hinf_norm(exp_decay(1.0), CFG)
         text = rep.to_json()
         assert '"value"' in text and '"certified"' in text
+
+
+# r_2 is holomorphic on Re z > -2; omega a hair beyond 2 leaves the line Re z = -omega +
+# BOUNDARY_OFFSET inside that strip, yet every bound below needs all of Re z > -omega
+_OMEGA = 2.0000005
+_DIAG12 = parse_operator_spec("diag(1,2)")
+_R2_PRIME = scale(mul(resolvent(2.0), resolvent(2.0)), -1.0)
+
+
+class TestStripPrecondition:
+    """left_line_sup holds the one check omega <= left_bound for every bound that reads it."""
+
+    @pytest.mark.parametrize(
+        "check",
+        [
+            lambda: check_deriv_bound(resolvent(2.0), _R2_PRIME, _OMEGA, CFG),
+            lambda: check_product_bound(exp_decay(1.0), resolvent(2.0), _OMEGA, CFG),
+            lambda: check_exp_window(resolvent(2.0), 1.0, _OMEGA, CFG),
+            lambda: check_smoothed_window(_DIAG12, resolvent(2.0), _OMEGA, 1.0),
+            lambda: check_fractional_smoothing(_DIAG12, resolvent(2.0), 1.0, 0.5, _OMEGA),
+            lambda: check_deriv_operator(_DIAG12, resolvent(2.0), _R2_PRIME, _OMEGA),
+        ],
+        ids=[
+            "deriv_bound",
+            "product_bound",
+            "exp_window",
+            "smoothed_window",
+            "fractional_smoothing",
+            "deriv_operator",
+        ],
+    )
+    def test_omega_beyond_left_bound_rejected(self, check):
+        with pytest.raises(InvalidParameter, match="holomorphic only on Re z > -2"):
+            check()
+
+    def test_left_line_sup_names_the_strip(self):
+        with pytest.raises(InvalidParameter, match=r"holomorphic only on Re z > -2$"):
+            left_line_sup(resolvent(2.0), 3.0)

@@ -1088,6 +1088,12 @@ class TestReconstruction:
             y /= np.linalg.norm(y)
             assert semigroup_reconstruct_check(A, 0.7, x, y, CFG) < 1e-5
 
+    @pytest.mark.parametrize("t", [0.0, math.nan])
+    def test_non_positive_t_rejected(self, t):
+        A = MatrixOperator(np.array([[1.0]]))
+        with pytest.raises(InvalidParameter, match="t must be positive"):
+            semigroup_reconstruct_check(A, t, np.array([1.0]), np.array([1.0]), CFG)
+
 
 class TestIO:
     def test_round_trip(self):

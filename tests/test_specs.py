@@ -154,6 +154,14 @@ def test_bad_operator_spec_rejected(spec, capsys):
     assert "error" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "spec", ["laplace(atoms=[(0,1])", "band(eps=1,sigma=4,coeffs=[(1,1),(4,-1])"]
+)
+def test_unbalanced_pair_list_rejected(spec):
+    with pytest.raises(InvalidParameter, match="unbalanced tuple"):
+        parse_function_spec(spec)
+
+
 def test_bare_names():
     assert parse_function_spec("eta").label == parse_function_spec("eta()").label
     with pytest.raises(UnknownSpec):
