@@ -43,7 +43,7 @@ from .functions import (
     vitse_reg,
 )
 from .norms import NormReport, b0_norm, b_norm, e0_norm, hinf_norm
-from .duality import green_pairing, pairing, reproduce_residual
+from .duality import pairing, reproduce_residual
 from .operators import (
     MatrixOperator,
     OperatorProfile,

@@ -11,7 +11,7 @@ import numpy as np
 
 from .errors import IntegralNotNormConvergent, InvalidParameter
 from .functions import AnalyticFunction, resolvent
-from .norms import BOUNDARY_OFFSET, e0_norm, fitted_power_envelope
+from .norms import BOUNDARY_OFFSET, e0_norm
 from .quadrature import (
     DEFAULT_CONFIG,
     DecayEnvelope,
@@ -21,7 +21,7 @@ from .quadrature import (
     integrate_line,
 )
 
-__all__ = ["PairingResult", "kernel_pairing", "pairing", "reproduce_residual", "green_pairing"]
+__all__ = ["PairingResult", "kernel_pairing", "pairing", "reproduce_residual"]
 
 @dataclass
 class PairingResult:
@@ -121,30 +121,3 @@ def reproduce_residual(f: AnalyticFunction, z, cfg: QuadratureConfig = DEFAULT_C
     out = np.abs(f(zs) - f.infinity() - (2.0 / math.pi) * p.value).reshape(np.shape(z))
     return float(out) if out.ndim == 0 else out
 
-
-def green_pairing(
-    g: AnalyticFunction, f: AnalyticFunction, cfg: QuadratureConfig = DEFAULT_CONFIG
-) -> complex:
-    """Boundary cross-check (1/4) * int g(-iy) (f(iy) - f(inf)) dy.
-
-    Valid for pairs whose boundary product decays integrably; constants are
-    removed first since the pairing annihilates them.
-    """
-    gi = complex(g.infinity())
-    fi = complex(f.infinity())
-    x0 = BOUNDARY_OFFSET
-
-    def integrand(ys):
-        ys = np.asarray(ys, dtype=float)
-        return (g(x0 - 1j * ys) - gi) * (f(x0 + 1j * ys) - fi)
-
-    env = envelope_product(
-        g.profiles.modulus_line(x0).conjugated(), f.profiles.modulus_line(x0)
-    )
-    if not env.integrable:
-        # diagnostic route only: fit the observed boundary decay with margin
-        ts = np.geomspace(32.0, 4096.0, 8)
-        vals = np.abs(integrand(ts)) + np.abs(integrand(-ts))
-        env = fitted_power_envelope(ts, vals, "boundary product")
-    res = integrate_line(integrand, env, cfg, strict=False)
-    return 0.25 * complex(res.value)

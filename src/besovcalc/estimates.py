@@ -49,9 +49,9 @@ __all__ = [
 
 
 def require_positive(**params: float) -> None:
-    """Reject the first parameter that is not > 0, by name."""
+    """Reject the first parameter that is not a finite number > 0, by name."""
     for name, value in params.items():
-        if not value > 0:
+        if not 0 < value < math.inf:
             raise InvalidParameter(f"{name} must be positive, got {value!r}")
 
 

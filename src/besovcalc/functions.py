@@ -238,11 +238,10 @@ class AnalyticFunction:
         return complex(out) if scalar else out
 
     def infinity(self) -> complex:
-        """f(infinity), estimated from far samples when not supplied."""
-        if self.value_at_infinity is not None:
-            return self.value_at_infinity
-        v1, v2 = complex(self(2.0**11)), complex(self(2.0**12))
-        return 2 * v2 - v1  # first-order Richardson in 1/x
+        """f(infinity), as declared by the constructor."""
+        if self.value_at_infinity is None:
+            raise InvalidParameter(f"{self.label} declares no value at infinity")
+        return self.value_at_infinity
 
     def relabel(self, label: str) -> "AnalyticFunction":
         return replace(self, label=label)
@@ -400,6 +399,8 @@ def cayley_pow(n: int) -> AnalyticFunction:
         deriv_outer=PowerEnvelope(p=2.0, c=2.0 * n, t0=2.0 * n),
         modulus_outer=ConstEnvelope(c=1.0),
         window=max(8.0, 2.0 * n),
+        # |chi_n'(z)| <= 2n/|z+1|^2, so x int |chi_n'(x+iy)| dy <= 2n pi x/(x+1)
+        e0_upper=2.0 * n * math.pi,
     )
     return AnalyticFunction(
         eval_fn=ev,

@@ -12,7 +12,6 @@ from .errors import DivergenceSuspicion, InvalidParameter, UnboundedSuspicion
 from .functions import AnalyticFunction
 from .quadrature import (
     DEFAULT_CONFIG,
-    PowerEnvelope,
     QuadratureConfig,
     SupResult,
     integrate_halfline,
@@ -31,7 +30,6 @@ __all__ = [
     "line_sup_modulus",
     "left_line_sup",
     "fitted_slope",
-    "fitted_power_envelope",
 ]
 
 # Boundary lines Re z = -omega (omega = 0 for the imaginary axis) are sampled
@@ -125,39 +123,18 @@ def fitted_slope(x: np.ndarray, y: np.ndarray) -> float:
     return float(dx @ (y - y.mean()) / (dx @ dx))
 
 
-def fitted_power_envelope(ts: np.ndarray, vals: np.ndarray, what: str) -> PowerEnvelope:
-    """Power-law fit c * t^-p of sampled decay beyond ts[0], with a safety factor.
-
-    For integrands with no integrable certified envelope; a result built on it
-    is not certified.
-    """
-    good = vals > 1e-250
-    if good.sum() < 4:
-        return PowerEnvelope(p=2.0, c=1e-250, t0=float(ts[0]))
-    p = -fitted_slope(np.log(ts[good]), np.log(vals[good]))
-    if p <= 1.05:
-        raise DivergenceSuspicion(
-            f"{what} decays like t^-{p:.3f}; its integral looks divergent"
-        )
-    p_safe = max(1.05, 0.9 * p)
-    return PowerEnvelope(p=p_safe, c=10.0 * float(np.max(vals * ts**p_safe)), t0=float(ts[0]))
-
-
 def b0_norm(f: AnalyticFunction, cfg: QuadratureConfig = DEFAULT_CONFIG) -> NormReport:
-    """Integral over x > 0 of the vertical-line supremum of |f'|; not certified
-    when its outer envelope is fitted or f's envelopes are sampled."""
+    """Integral over x > 0 of the vertical-line supremum of |f'|, truncated by f's
+    declared outer envelope; not certified when f's envelopes are sampled."""
+    if not f.profiles.deriv_outer.integrable:
+        raise DivergenceSuspicion(f"{f.label} declares no integrable outer envelope for |f'|")
 
     def integrand(xs):
         return np.array([deriv_sup_at(f, float(x)).value for x in np.asarray(xs, dtype=float)])
 
-    env = f.profiles.deriv_outer
-    certified = not f.profiles.sampled
-    if not env.integrable:
-        xs = np.geomspace(8.0, 4096.0, 10)
-        env = fitted_power_envelope(xs, integrand(xs), "outer integrand")
-        certified = False
-    res = integrate_halfline(integrand, env, cfg)
+    res = integrate_halfline(integrand, f.profiles.deriv_outer, cfg)
     value = float(np.real(res.value))
+    certified = not f.profiles.sampled
     return NormReport(value, res.error, {"b0": value, "tail": res.tail_error}, certified)
 
 

@@ -736,7 +736,7 @@ def semigroup_reconstruct_check(
     Evaluates (1/(2 pi t)) int <(alpha+i beta+A)^(-2) x, x*> e^((alpha+i beta)t) d beta
     at alpha = 1/t and compares with <exp(-tA) x, x*>.
     """
-    if not t > 0:
+    if not 0 < t < math.inf:
         raise InvalidParameter(f"t must be positive, got {t!r}")
     x = np.asarray(x, dtype=complex)
     xstar = np.asarray(xstar, dtype=complex)

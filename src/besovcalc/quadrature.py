@@ -123,15 +123,16 @@ class DecayEnvelope:
     def effective_tail(self, T: float) -> float:
         return min(self.tail_bounds(T))
 
-    def cutoff(self, eps: float, t_max: float = 1e308) -> float:
-        """Smallest T >= t0 with effective_tail(T) <= eps, by bisection on log T."""
+    def cutoff(self, eps: float) -> float:
+        """Smallest T >= t0 with effective_tail(T) <= eps, by bisection on log T;
+        inf when no T up to 1e308 qualifies."""
         lo = max(self.t0, 1e-12)
         if self.effective_tail(lo) <= eps:
             return lo
         hi = lo
         for _ in range(220):
-            hi = min(hi * 2.0, t_max)
-            if self.effective_tail(hi) <= eps or hi >= t_max:
+            hi = min(hi * 2.0, 1e308)
+            if self.effective_tail(hi) <= eps or hi >= 1e308:
                 break
         if self.effective_tail(hi) > eps:
             return math.inf

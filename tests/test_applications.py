@@ -158,7 +158,7 @@ class TestInverseGenerator:
         assert r.lhs == pytest.approx(1.0, abs=1e-2)
         assert r.passed
 
-    @pytest.mark.parametrize("t", [0.0, math.nan])
+    @pytest.mark.parametrize("t", [0.0, math.nan, math.inf])
     def test_non_positive_t_rejected(self, t):
         with pytest.raises(InvalidParameter, match="t must be positive"):
             inverse_generator_check(DIAG12, t)

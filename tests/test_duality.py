@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from besovcalc.duality import green_pairing, pairing, reproduce_residual
+from besovcalc.duality import pairing, reproduce_residual
 from besovcalc.errors import IntegralNotNormConvergent, InvalidParameter
 from besovcalc.functions import (
     HalfLineMeasure,
@@ -16,17 +16,31 @@ from besovcalc.functions import (
     const,
     eta,
     exp_decay,
+    exp_inv_shift,
     laplace_transform,
     resolvent,
     scale,
     shift,
     vitse_reg,
 )
-from besovcalc.norms import b0_norm, e0_norm
+from besovcalc.norms import BOUNDARY_OFFSET, b0_norm, e0_norm
 from besovcalc.operators import MatrixOperator, apply_calculus_report
-from besovcalc.quadrature import ConstEnvelope, QuadratureConfig
+from besovcalc.quadrature import ConstEnvelope, PowerEnvelope, QuadratureConfig, integrate_line
 
 CFG = QuadratureConfig()
+
+
+def green_pairing(g, f, env) -> complex:
+    """Reference value of <g, f> from its boundary form
+    (1/4) int (g(x0 - iy) - g(inf)) (f(x0 + iy) - f(inf)) dy on the line x0 = BOUNDARY_OFFSET;
+    env must bound the product's modulus on that line."""
+    gi, fi = g.infinity(), f.infinity()
+    x0 = BOUNDARY_OFFSET
+
+    def integrand(ys):
+        return (g(x0 - 1j * ys) - gi) * (f(x0 + 1j * ys) - fi)
+
+    return 0.25 * complex(integrate_line(integrand, env, CFG).value)
 
 
 class TestPairingValues:
@@ -82,12 +96,26 @@ class TestPairingValues:
         assert val <= e0_norm(g, CFG).value * b0_norm(f, CFG).value + 1e-6
 
     def test_uncertified_weight_floors_the_error(self):
-        # cayley(n=1) has no closed-form e0_upper, so its weight 1.25 e0_norm is not
+        # exp(-1/(z+1)) has no closed-form e0_upper, so its weight 1.25 e0_norm is not
         # certified and the error is at least a quarter of the value;
-        # <chi_1, r_1> = (pi/2) (chi_1(1) - chi_1(inf)) = -pi/2
-        got = pairing(cayley_pow(1), resolvent(1.0), CFG)
+        # <g, r_1> = (pi/2) (g(1) - g(inf)) = (pi/2) (e^(-1/2) - 1)
+        got = pairing(exp_inv_shift(1.0), resolvent(1.0), CFG)
         assert got.error == 0.25 * abs(got.value)
-        assert abs(got.value + math.pi / 2.0) < 1e-6
+        assert abs(got.value - 0.5 * math.pi * (math.exp(-0.5) - 1.0)) < 1e-6
+
+    @pytest.mark.parametrize("n", [1, 2, 8])
+    def test_cayley_weight_is_closed_form(self, n):
+        # |chi_n'(z)| <= 2n/|z+1|^2 gives x int |chi_n'(x+iy)| dy <= 2n pi x/(x+1) < 2n pi
+        g = cayley_pow(n)
+        assert g.profiles.e0_upper == 2.0 * n * math.pi
+        rep = e0_norm(g, CFG)
+        assert rep.value <= g.profiles.e0_upper + rep.error_bound
+
+    def test_cayley_pairing_is_certified(self):
+        # <chi_1, r_1> = (pi/2) (chi_1(1) - chi_1(inf)) = -pi/2, weighted by e0_upper = 2 pi
+        got = pairing(cayley_pow(1), resolvent(1.0), CFG)
+        assert got.error < 1e-5
+        assert abs(got.value + math.pi / 2.0) <= got.error
 
 
 class TestReproducing:
@@ -113,13 +141,14 @@ class TestReproducing:
 
 class TestGreenCrossCheck:
     def test_resolvent_pair(self):
-        got = green_pairing(resolvent(2.0), resolvent(1.0), CFG)
+        # |r_2(x0 - iy) r_1(x0 + iy)| <= 1/y^2
+        got = green_pairing(resolvent(2.0), resolvent(1.0), PowerEnvelope(p=2.0, c=1.0))
         assert abs(got - math.pi / 6.0) < 1e-4
 
     def test_cayley_pair_after_centering(self):
-        # constants are removed, so the boundary product decays integrably
+        # chi^2 - 1 = -4z/(z+1)^2, so |r_1(x0 - iy)| |chi^2 - 1|(x0 + iy) <= 4/y^2
         direct = pairing(resolvent(1.0), cayley_pow(2), CFG).value
-        green = green_pairing(resolvent(1.0), cayley_pow(2), CFG)
+        green = green_pairing(resolvent(1.0), cayley_pow(2), PowerEnvelope(p=2.0, c=4.0))
         assert abs(direct - green) < 1e-3
 
 

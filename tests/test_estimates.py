@@ -108,7 +108,7 @@ class TestExpinvExact:
     def test_small_t_limit(self):
         assert exact_expinv_norm(1e-9) == pytest.approx(1.0, abs=1e-8)
 
-    @pytest.mark.parametrize("t", [0.0, -1.0, math.nan])
+    @pytest.mark.parametrize("t", [0.0, -1.0, math.nan, math.inf])
     def test_non_positive_t_rejected(self, t):
         with pytest.raises(InvalidParameter, match="t must be positive"):
             exact_expinv_norm(t)

@@ -409,12 +409,11 @@ class TestInvariantsAndFlags:
         f = parse_function_spec("eta(delta=0.5)")
         assert complex(f(2.0)) == pytest.approx(complex(eta()(1.0)))
 
-    def test_infinity_extrapolates_far_samples(self):
-        # first-order Richardson in 1/x on r_1 leaves 2/(2^12+1) - 1/(2^11+1) ~ 1.2e-7
+    def test_infinity_needs_a_declared_value(self):
+        # no estimate from far samples: it would carry an error nothing charges
         f = replace(resolvent(1.0), value_at_infinity=None)
-        expect = 2.0 / (2.0**12 + 1.0) - 1.0 / (2.0**11 + 1.0)
-        assert f.infinity() == pytest.approx(expect, rel=1e-9)
-        assert abs(f.infinity()) < 1.2e-7
+        with pytest.raises(InvalidParameter, match="declares no value at infinity"):
+            f.infinity()
 
     def test_left_bound_tracking(self):
         assert resolvent(2.0).left_bound == 2.0

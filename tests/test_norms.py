@@ -15,6 +15,7 @@ from besovcalc.errors import (
     DepthExceeded,
     DivergenceSuspicion,
     InvalidParameter,
+    RangeViolation,
     UnboundedSuspicion,
 )
 from besovcalc.estimates import check_deriv_bound, check_exp_window, check_product_bound
@@ -31,6 +32,7 @@ from besovcalc.functions import (
     exp_decay,
     exp_inv_shift,
     mul,
+    parse_function_spec,
     power,
     reciprocal,
     resolvent,
@@ -42,7 +44,6 @@ from besovcalc.norms import (
     b0_norm,
     b_norm,
     e0_norm,
-    fitted_power_envelope,
     fitted_slope,
     hinf_norm,
     left_line_sup,
@@ -172,14 +173,55 @@ class TestB0AndB:
         with pytest.raises(DivergenceSuspicion):
             b0_norm(slow, CFG)
 
-    def test_fitted_outer_envelope_is_not_certified(self):
-        # sup_y |r_1'(x+iy)| = (x+1)^-2 integrates to 1; a declared 1/x outer envelope is
-        # not integrable, so b0_norm fits one to samples and withholds certification
+    def test_non_integrable_outer_envelope_is_rejected(self):
+        # sup_y |r_1'(x+iy)| = (x+1)^-2 integrates to 1, but b0_norm truncates only by
+        # the declared outer envelope, and a 1/x one bounds no tail
         f = resolvent(1.0)
         f = replace(f, profiles=replace(f.profiles, deriv_outer=PowerEnvelope(p=1.0)))
-        rep = b0_norm(f, CFG)
-        assert rep.value == pytest.approx(1.0, abs=1e-6)
-        assert not rep.certified
+        with pytest.raises(DivergenceSuspicion, match=r"^resolvent\(a=\(1\+0j\)\) declares no"):
+            b0_norm(f, CFG)
+
+
+# one spec per family of the function grammar, Bernstein resolvents with each part of the
+# Bernstein function and Laplace transforms with each density
+_SPEC_FAMILIES = [
+    "const(c=2)",
+    "exp(a=1)",
+    "resolvent(a=1)",
+    "resolvent(a=1+2i)",
+    "cayley(n=3)",
+    "eta(delta=0.5)",
+    "expinv(t=2)",
+    "vitse(t=10)",
+    "laplace(atoms=[(0,1),(1,-2)];density=-2*exp)",
+    "laplace(atoms=[(0.5,1)];density=3*lebesgue(a=0.5,b=2))",
+    "band(eps=1,sigma=4;coeffs=[(1,1),(4,-1)])",
+    "bernstein_res(a=1;alpha=0.5,beta=2,theta=0.785,lambda=1)",
+    "bernstein_res(b=1;alpha=0.5,beta=2,theta=0.785,lambda=1)",
+    "bernstein_res(atoms=[(1,1)];alpha=0.5,beta=2,theta=0.785,lambda=1)",
+]
+
+
+class TestDeclaredOuterEnvelopes:
+    """b0_norm truncates only by the declared outer envelope of |f'|, so every function
+    the spec grammar and the algebra build must declare an integrable one."""
+
+    @pytest.fixture(scope="class")
+    def family(self):
+        return [parse_function_spec(s) for s in _SPEC_FAMILIES]
+
+    @pytest.mark.parametrize("i", range(len(_SPEC_FAMILIES)), ids=_SPEC_FAMILIES)
+    def test_family_and_its_combinations(self, family, i):
+        f = family[i]
+        built = [f, scale(f, 2.0 - 1.0j), shift(f, 0.5 + 1.0j), dilate(f, 3.0)]
+        built += [add(f, g) for g in family] + [mul(f, g) for g in family]
+        for beta in (-1.0, 0.5, 2.0):
+            try:
+                built.append(power(f, beta))
+            except RangeViolation:
+                pass
+        for h in built:
+            assert h.profiles.deriv_outer.integrable, h.label
 
 
 class TestStretchedExpEnvelopes:
@@ -234,12 +276,6 @@ class TestFittedSlope:
         ts = np.geomspace(0.05, max(4.0 / A.spectral_abscissa_min(), 1.0), 40)
         y = np.log(np.linalg.norm(semigroup(A, ts), 2, axis=(1, 2)))
         assert fitted_slope(ts, y) == pytest.approx(np.polyfit(ts, y, 1)[0], rel=1e-12)
-
-    def test_power_envelope_recovers_a_power_law(self):
-        """`fitted_power_envelope` reads the exponent off the fitted log-log slope."""
-        ts = np.geomspace(8.0, 4096.0, 10)
-        env = fitted_power_envelope(ts, 3.0 * ts**-2.5, "power law")
-        assert env.p == pytest.approx(0.9 * 2.5, rel=1e-12)
 
 
 class TestE0:

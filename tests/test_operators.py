@@ -1088,7 +1088,7 @@ class TestReconstruction:
             y /= np.linalg.norm(y)
             assert semigroup_reconstruct_check(A, 0.7, x, y, CFG) < 1e-5
 
-    @pytest.mark.parametrize("t", [0.0, math.nan])
+    @pytest.mark.parametrize("t", [0.0, math.nan, math.inf])
     def test_non_positive_t_rejected(self, t):
         A = MatrixOperator(np.array([[1.0]]))
         with pytest.raises(InvalidParameter, match="t must be positive"):
