@@ -880,11 +880,16 @@ class TestCutoff:
         for T in (0.5, 3.0, 1e4):
             assert env.effective_tail(T) == _effective_tail_reference(env, T)
 
-    def test_inf_when_no_cutoff_qualifies(self):
-        # the tail 2/sqrt(T) stays above 1e-300 for every T up to 1e308
+    @pytest.mark.parametrize("t_max", [1.0, 10.0, 1e3])
+    def test_t_max_cap_and_inf(self, t_max):
+        """The tail bound at t_max caps the cutoff at t_max; a tail that no T
+        up to 1e308 reaches gives inf."""
         env = PowerEnvelope(p=1.5, c=1.0, t0=0.25)
         for eps in (1e-1, 1e-2, 1e-6):
             assert env.cutoff(eps) == _cutoff_reference(env, eps) < math.inf
+        eps = env.effective_tail(t_max)
+        assert env.cutoff(eps) == _cutoff_reference(env, eps) <= t_max
+        # the tail 2/sqrt(T) stays above 1e-300 for every T up to 1e308
         assert env.cutoff(1e-300) == _cutoff_reference(env, 1e-300) == math.inf
 
     def test_reaches_the_fixed_point(self):
