@@ -28,6 +28,8 @@ class PairingResult:
     value: complex
     error: float
     n_evals: int = 0
+    # False when an inner or the outer integral stopped short of its tolerance
+    converged: bool = True
 
     def __complex__(self):
         return self.value
@@ -45,7 +47,7 @@ def pairing(
     e0 = g.profiles.e0_upper
     weight = e0 if e0 is not None else 1.25 * e0_norm(g, cfg).value
     p = kernel_pairing(g.deriv, g.profiles.deriv_line, weight, e0 is not None, f, cfg)
-    return PairingResult(complex(p.value), p.error, p.n_evals)
+    return PairingResult(complex(p.value), p.error, p.n_evals, p.converged)
 
 
 def kernel_pairing(
@@ -61,23 +63,24 @@ def kernel_pairing(
     weight bounds sup_x x int |K(x+iy)| dy per entry and scales f's outer envelope; without a
     certified weight the error is at least a quarter of the value.  The outer integral runs
     under cfg, the inner one at x under abs_tol/(1+x)^2 and cfg's rel_tol; each truncated
-    integral spends its abs_tol on its tails, and neither is strict.  Summands of f pair one
-    by one.  The error adds x * (inner error) over every inner run; n_evals counts the inner
-    points."""
+    integral spends its abs_tol on its tails, and neither is strict, so converged records
+    whether all of them converged.  Summands of f pair one by one.  The error adds
+    x * (inner error) over every inner run; n_evals counts the inner points."""
     if f.summands is not None and len(f.summands) >= 2:
         # exact linear split; narrow frequency bands integrate much faster
         g = (kernel, kernel_line, weight, certified)
         parts = [kernel_pairing(*g, s, cfg) for s in f.summands]
         return PairingResult(
-            sum(p.value for p in parts), sum(p.error for p in parts), sum(p.n_evals for p in parts)
+            sum(p.value for p in parts), sum(p.error for p in parts), sum(p.n_evals for p in parts),
+            all(p.converged for p in parts),
         )
     outer_env = f.profiles.deriv_outer.scaled(weight)
     if not outer_env.integrable:
         raise IntegralNotNormConvergent("pairing outer integrand has no integrable envelope")
-    inner_err, n_evals = 0.0, 0
+    inner_err, n_evals, converged = 0.0, 0, True
 
     def inner(x: float):
-        nonlocal inner_err, n_evals
+        nonlocal inner_err, n_evals, converged
         env = envelope_product(kernel_line(x).conjugated(), f.profiles.deriv_line(x))
         if not env.integrable:
             raise IntegralNotNormConvergent("pairing integrand has no integrable line envelope")
@@ -90,6 +93,7 @@ def kernel_pairing(
         res = integrate_line(integrand, env, cfg.with_tolerances(abs_tol=tol), strict=False)
         inner_err += x * res.error
         n_evals += res.n_evals
+        converged = converged and res.converged
         return x * res.value
 
     def outer(xs):
@@ -99,7 +103,7 @@ def kernel_pairing(
     err = res.error + inner_err
     if not certified:
         err = max(err, 0.25 * abs(res.value))
-    return PairingResult(res.value, err, n_evals)
+    return PairingResult(res.value, err, n_evals, converged and res.converged)
 
 
 def reproduce_residual(f: AnalyticFunction, z, cfg: QuadratureConfig = DEFAULT_CONFIG):

@@ -22,7 +22,7 @@ from .functions import (
     shift,
     vitse_reg,
 )
-from .norms import BOUNDARY_OFFSET, b0_norm, b_norm, hinf_norm, left_line_sup, line_sup_modulus
+from .norms import BOUNDARY_OFFSET, b0_norm, b_norm, hinf_norm, left_line_sup, line_sup
 from .quadrature import (
     DEFAULT_CONFIG,
     ConstEnvelope,
@@ -126,8 +126,7 @@ def _phi_over_weight(f: AnalyticFunction, omega: float, cfg: QuadratureConfig) -
     """int over x > 0 of sup_y |f(x+iy)| / (omega + x)."""
 
     def integrand(xs):
-        xs = np.asarray(xs, dtype=float)
-        return np.array([line_sup_modulus(f, float(x)) for x in xs]) / (omega + xs)
+        return line_sup(f, xs).value / (omega + xs)
 
     env = envelope_product(f.profiles.modulus_outer, PowerEnvelope(p=1.0, c=1.0, t0=1.0))
     res = integrate_halfline(integrand, env, cfg)

@@ -26,8 +26,7 @@ __all__ = [
     "b0_norm",
     "b_norm",
     "e0_norm",
-    "deriv_sup_at",
-    "line_sup_modulus",
+    "line_sup",
     "left_line_sup",
     "fitted_slope",
 ]
@@ -59,50 +58,38 @@ class NormReport:
         return self.value
 
 
-def _line_sup(h, x: float, env, f: AnalyticFunction) -> SupResult:
-    """sup over y of |h(x+iy)|, with h = f or f.deriv and env its envelope on the line."""
-
-    def phi(ys):
-        return np.abs(h(x + 1j * np.asarray(ys, dtype=float)))
-
-    return sup_on_vertical_line(phi, env, window=f.profiles.window)
-
-
-def deriv_sup_at(f: AnalyticFunction, x: float):
-    """sup over y of |f'(x+iy)| with the function's declared line envelope."""
-    return _line_sup(f.deriv, x, f.profiles.deriv_line(x), f)
-
-
-def _modulus_sup(f: AnalyticFunction, x: float) -> SupResult:
-    if x <= -f.left_bound:
+def line_sup(f: AnalyticFunction, xs, deriv: bool = False) -> SupResult:
+    """sup over y of |f(x+iy)|, or of |f'(x+iy)| when deriv, on each line Re = x of xs, in
+    one search under f's declared line envelopes.  The modulus needs x > -left_bound on
+    every line, and is at least |f(inf)|."""
+    if deriv:
+        return sup_on_vertical_line(f.deriv, f.profiles.deriv_line, xs, window=f.profiles.window)
+    if np.min(xs) <= -f.left_bound:
         raise DivergenceSuspicion(
-            f"line Re = {x} lies outside the declared analyticity strip"
+            f"line Re = {np.min(xs)} lies outside the declared analyticity strip"
         )
-    sup = _line_sup(f, x, f.profiles.modulus_line(max(x, BOUNDARY_OFFSET)), f)
+    sup = sup_on_vertical_line(
+        f, lambda x: f.profiles.modulus_line(max(x, BOUNDARY_OFFSET)), xs, window=f.profiles.window
+    )
     if f.value_at_infinity is not None:
-        sup.value = max(sup.value, abs(f.value_at_infinity))
+        sup.value = np.maximum(sup.value, abs(f.value_at_infinity))
     return sup
 
 
-def line_sup_modulus(f: AnalyticFunction, x: float) -> float:
-    """sup over y of |f(x+iy)| on a vertical line with Re = x > -left_bound."""
-    return _modulus_sup(f, x).value
-
-
-def left_line_sup(f: AnalyticFunction, omega: float):
+def left_line_sup(f: AnalyticFunction, omega: float) -> float:
     """sup of |f| on the line BOUNDARY_OFFSET inside the boundary Re z = -omega, for
     omega <= left_bound: every bound that reads it needs f holomorphic on Re z > -omega."""
     if f.left_bound < omega:
         raise InvalidParameter(f"{f.label} is holomorphic only on Re z > {-f.left_bound:g}")
-    return line_sup_modulus(f, -omega + BOUNDARY_OFFSET)
+    return float(line_sup(f, -omega + BOUNDARY_OFFSET).value[0])
 
 
 def hinf_norm(f: AnalyticFunction, cfg: QuadratureConfig = DEFAULT_CONFIG) -> NormReport:
     """Supremum norm, evaluated on the line Re z = BOUNDARY_OFFSET by the maximum
     principle; the offset is charged to the error as 2 * BOUNDARY_OFFSET * value.
     Not certified when the search does not stabilise or f's envelopes are sampled."""
-    sup = _modulus_sup(f, BOUNDARY_OFFSET)
-    value = sup.value
+    sup = line_sup(f, BOUNDARY_OFFSET)
+    value = float(sup.value[0])
     xs = np.geomspace(1e-2, 1e3, 11)
     ys = np.linspace(-40.0, 40.0, 17)
     interior = float(np.max(np.abs(f((xs[:, None] + 1j * ys[None, :]).ravel()))))
@@ -124,17 +111,21 @@ def fitted_slope(x: np.ndarray, y: np.ndarray) -> float:
 
 
 def b0_norm(f: AnalyticFunction, cfg: QuadratureConfig = DEFAULT_CONFIG) -> NormReport:
-    """Integral over x > 0 of the vertical-line supremum of |f'|, truncated by f's
-    declared outer envelope; not certified when f's envelopes are sampled."""
+    """Integral over x > 0 of the vertical-line supremum of |f'|, one `line_sup` over the
+    nodes of each outer evaluation, truncated by f's declared outer envelope.  Not
+    certified when a search does not stabilise or f's envelopes are sampled."""
     if not f.profiles.deriv_outer.integrable:
         raise DivergenceSuspicion(f"{f.label} declares no integrable outer envelope for |f'|")
+    stabilized = []
 
     def integrand(xs):
-        return np.array([deriv_sup_at(f, float(x)).value for x in np.asarray(xs, dtype=float)])
+        sup = line_sup(f, xs, deriv=True)
+        stabilized.append(sup.stabilized)
+        return sup.value
 
     res = integrate_halfline(integrand, f.profiles.deriv_outer, cfg)
     value = float(np.real(res.value))
-    certified = not f.profiles.sampled
+    certified = all(stabilized) and not f.profiles.sampled
     return NormReport(value, res.error, {"b0": value, "tail": res.tail_error}, certified)
 
 

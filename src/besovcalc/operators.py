@@ -31,6 +31,7 @@ from .quadrature import (
     DYADIC_GRID,
     PowerEnvelope,
     QuadratureConfig,
+    _bracket_row,
     _refine_max,
     integrate_line,
     kernel_weight,
@@ -492,7 +493,8 @@ def _semigroup_sup(A: MatrixOperator) -> tuple[float, bool]:
                 raise ProfileDivergence("semigroup norm grid never settles")
             break
     if top is not None:
-        best = _refine_max(lambda us: _semigroup_norms(A, 2.0**us), *top, 1)[1]
+        refined = _refine_max(lambda us, _: _semigroup_norms(A, 2.0**us), _bracket_row(*top, 1))
+        best = float(refined[0, 1])
     return best, False
 
 
@@ -513,7 +515,7 @@ def _sectoriality_sup(A: MatrixOperator) -> float:
 
     half = np.geomspace(1e-6, 1e3 * scale, 60)
     ys = np.concatenate([-half[::-1], half])
-    return max(_refine_max(phis, ys, phis(ys), 1)[1], 1.0)
+    return max(float(_refine_max(lambda us, _: phis(us), _bracket_row(ys, phis(ys), 1))[0, 1]), 1.0)
 
 
 def _kernel_line(A: MatrixOperator, alpha: float) -> PowerEnvelope:
@@ -578,7 +580,7 @@ def gamma_weak_sample(A: MatrixOperator, seed: int = 42) -> float:
         return out
 
     best = max(
-        float(line_weight(integrand, _kernel_line(A, a), a, _WEIGHT_CFG).max())
+        float(line_weight(integrand, _kernel_line(A, a), a, _WEIGHT_CFG)[0].max())
         for a in DYADIC_GRID[::2]
     )
     return (2.0 / math.pi) * best
@@ -593,8 +595,8 @@ def gamma_weak_sample(A: MatrixOperator, seed: int = 42) -> float:
 class ApplyReport:
     value: np.ndarray
     error: float
-    # False when K is not exact, so that the bound's weight pi K^2 may be too small, or when
-    # f's envelopes are sampled
+    # False when K is not exact, so that the bound's weight pi K^2 may be too small, when
+    # f's envelopes are sampled, or when the pairing did not converge
     certified: bool
     n_evals: int = 0
 
@@ -645,7 +647,8 @@ def apply_calculus_report(
     err = (2.0 / math.pi) * p.error
     if spec is not None and spec.residual > 0.0:
         err += spec.residual * _spectral_lipschitz(f, spec.lam)
-    return ApplyReport(value=value, error=err, certified=prof.K_exact and not f.profiles.sampled, n_evals=p.n_evals)
+    certified = prof.K_exact and not f.profiles.sampled and p.converged
+    return ApplyReport(value=value, error=err, certified=certified, n_evals=p.n_evals)
 
 
 def apply_calculus(A: MatrixOperator, f: AnalyticFunction) -> np.ndarray:

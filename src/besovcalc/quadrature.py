@@ -649,12 +649,11 @@ def integrate_line(
 
 @dataclass
 class SupResult:
-    value: float
-    location: float
-    stabilized: bool = True
+    """One value and location per vertical line; stabilized when every line's search is."""
 
-    def __float__(self):
-        return self.value
+    value: np.ndarray
+    location: np.ndarray
+    stabilized: bool = True
 
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -665,15 +664,10 @@ _LINE_TRUNC_FACTOR = 1e3
 _SUP_REFINE_ROUNDS = 30
 
 
-def _refine_max(phi_vec, grid, vals: np.ndarray, brackets: int) -> tuple[float, float, float]:
-    """Maximum of phi_vec given its values `vals` on the increasing points `grid`.
-
-    The top grid value is refined by `_SUP_REFINE_ROUNDS` golden-section rounds
-    run at once between the neighbours of the top grid point and of the next
-    largest points, up to `brackets` of them, no two adjacent.  A refined value
-    replaces the grid's only if it is larger.  Returns (location, value, gain),
-    gain being what the refinement added to the grid maximum.
-    """
+def _bracket_row(grid, vals: np.ndarray, brackets: int) -> np.ndarray:
+    """A row of `_refine_max`: the top of the values `vals` on the increasing `grid`, then
+    the ends of the brackets between the neighbours of the top point and of the next
+    largest points, up to `brackets` of them, no two adjacent; NaN past the last."""
     k = int(vals.argmax())
     chosen = [k]
     for i in np.argsort(vals)[::-1]:
@@ -682,16 +676,32 @@ def _refine_max(phi_vec, grid, vals: np.ndarray, brackets: int) -> tuple[float, 
         if all(abs(i - j) > 1 for j in chosen):
             chosen.append(int(i))
     last = len(vals) - 1
-    los = np.array([grid[max(i - 1, 0)] for i in chosen], dtype=float)
-    his = np.array([grid[min(i + 1, last)] for i in chosen], dtype=float)
+    row = np.full((brackets + 1, 2), np.nan)
+    row[0] = grid[k], vals[k]
+    for n, i in enumerate(chosen, 1):
+        row[n] = grid[max(i - 1, 0)], grid[min(i + 1, last)]
+    return row.ravel()
+
+
+def _refine_max(phi, rows: np.ndarray) -> np.ndarray:
+    """Refine one `_bracket_row`, or a stack of them, of the functions phi(., i), row i
+    of each; phi(points, owners) evaluates phi(., owners[k]) at points[k].  One
+    `_golden_max_multi` runs `_SUP_REFINE_ROUNDS` rounds on every bracket of every row,
+    and a row's best refined value replaces its top only if larger.  Returns a row
+    (location, value, gain) per row, gain being what the refinement added to the top."""
+    rows = np.atleast_2d(rows)
+    los, his = rows[:, 2::2], rows[:, 3::2]
     ok = his > los
-    loc, best = float(grid[k]), float(vals[k])
+    out = np.column_stack([rows[:, :2], np.zeros(len(rows))])
     if ok.any():
-        xs, vs = _golden_max_multi(phi_vec, los[ok], his[ok], _SUP_REFINE_ROUNDS)
-        j = int(np.argmax(vs))
-        if vs[j] > best:
-            return float(xs[j]), float(vs[j]), float(vs[j]) - best
-    return loc, best, 0.0
+        owners = np.nonzero(ok)[0]
+        xs, vs = _golden_max_multi(lambda ps: phi(ps, owners), los[ok], his[ok], _SUP_REFINE_ROUNDS)
+        at, best = np.full(ok.shape, np.nan), np.full(ok.shape, -np.inf)
+        at[ok], best[ok] = xs, vs
+        i, j = np.arange(len(rows)), best.argmax(axis=1)
+        up = best[i, j] > out[:, 1]
+        out[up] = np.column_stack([at[i, j], best[i, j], best[i, j] - out[:, 1]])[up]
+    return out
 
 
 # x = 2**u for u = -20, ..., 20: the grid of the suprema over x > 0
@@ -700,34 +710,36 @@ DYADIC_GRID = tuple(2.0**u for u in _DYADIC_EXPONENTS)
 
 
 def line_weight(h, env: DecayEnvelope, x: float, cfg: QuadratureConfig):
-    """x * Re int h(x + iy) dy under env.  The factor x amplifies absolute errors, so
-    the absolute tolerance, which is also the tail's, shrinks by 1/max(x, 1)."""
+    """x * Re int h(x + iy) dy under env, and whether it converged.  The factor x amplifies
+    absolute errors, so the absolute tolerance, also the tail's, shrinks by 1/max(x, 1)."""
     shrink = max(x, 1.0)
     res = integrate_line(
         lambda ys: h(x + 1j * np.asarray(ys, dtype=float)), env,
         cfg.with_tolerances(abs_tol=cfg.abs_tol / shrink), strict=False,
     )
-    return x * np.real(res.value)
+    return x * np.real(res.value), res.converged
 
 
 def kernel_weight(h, kernel_line, cfg: QuadratureConfig) -> tuple[float, float, bool]:
     """sup over x > 0 of `line_weight` for the norm h of a kernel with envelope
     kernel_line(x) on the line Re = x: DYADIC_GRID refined by `_refine_max` with one
-    bracket in u = log2 x.  Returns (x, value, settled); settled is False when the
-    grid maximum sits at an end of the grid and the step to it from its neighbour
-    exceeds the edge allowance 4 * value / 2**20."""
+    bracket in u = log2 x.  Returns (x, value, settled); settled is False when a line
+    weight did not converge, or the grid maximum sits at an end of the grid and the step
+    to it from its neighbour exceeds the edge allowance 4 * value / 2**20."""
+    converged = []
 
     def g(x: float) -> float:
-        return float(line_weight(h, kernel_line(x), x, cfg))
+        value, ok = line_weight(h, kernel_line(x), x, cfg)
+        converged.append(ok)
+        return float(value)
 
     vals = np.array([g(x) for x in DYADIC_GRID])
-    u, value, _ = _refine_max(
-        lambda us: np.array([g(2.0 ** float(u)) for u in us]), _DYADIC_EXPONENTS, vals, 1
-    )
+    row = _bracket_row(_DYADIC_EXPONENTS, vals, 1)
+    u, value, _ = _refine_max(lambda us, _: np.array([g(2.0 ** float(u)) for u in us]), row)[0]
     k = int(vals.argmax())
     step = vals[k] - vals[1 if k == 0 else -2]
-    settled = 0 < k < len(vals) - 1 or step <= 4.0 * value / 2.0**20
-    return 2.0**u, value, bool(settled)
+    settled = all(converged) and (0 < k < len(vals) - 1 or step <= 4.0 * value / 2.0**20)
+    return 2.0 ** float(u), float(value), bool(settled)
 
 
 def _golden_max_multi(phi_vec, los: np.ndarray, his: np.ndarray, rounds: int):
@@ -763,43 +775,31 @@ def _golden_max_multi(phi_vec, los: np.ndarray, his: np.ndarray, rounds: int):
     return xs, vs
 
 
-def sup_on_vertical_line(
-    phi: Callable[[np.ndarray], np.ndarray],
-    envelope: DecayEnvelope,
-    *,
-    window: float,
-) -> SupResult:
-    """Estimate sup over the real line of a nonnegative function.
-
-    Coarse symmetric grid, envelope-driven window extension, then
-    golden-section refinement around the top grid cells.  The returned value
-    is a certified lower estimate of the supremum.
-    """
-    Y = float(window)
-    Y_cap = _LINE_TRUNC_FACTOR * max(envelope.t0, 1.0, Y)
-    decaying = envelope.integrable
-
-    grid = None
-    vals = None
-    for _ in range(64):
-        grid = np.linspace(-Y, Y, _SUP_GRID_POINTS)
-        vals = np.asarray(phi(grid), dtype=float)
-        if not np.all(np.isfinite(vals)):
-            raise DepthExceeded("non-finite value on the vertical-line grid")
-        m = float(vals.max())
-        need_extend = False
-        if decaying and m > 0 and envelope.bound(Y) >= 0.5 * m and Y < Y_cap:
-            need_extend = True
-        edge = _SUP_GRID_POINTS // 20
-        at_edge = vals.argmax() <= edge or vals.argmax() >= _SUP_GRID_POINTS - 1 - edge
-        rising = m > vals[_SUP_GRID_POINTS // 2] * (1.0 + 1e-12)
-        if at_edge and rising and Y < Y_cap and m > 0:
-            need_extend = True
-        if not need_extend:
-            break
-        Y = min(2.0 * Y, Y_cap)
-    assert grid is not None and vals is not None
-
-    loc, val, gain = _refine_max(phi, grid, vals, 5)
-    # refinement must not still be moving the estimate materially
-    return SupResult(val, loc, gain <= 0.02 * max(val, 1e-300))
+def sup_on_vertical_line(h, line_envelope, xs, *, window: float) -> SupResult:
+    """Lower estimates of sup over real y of |h(x + iy)| on each line Re = x of xs, where
+    line_envelope(x) bounds |h| on the line.  Each line's grid widens while the envelope or
+    a maximum rising at its edge says the peak may lie outside, and the line keeps only its
+    top and five brackets; one `_refine_max` refines the brackets of every line.  The
+    result is stabilized when no refinement moved its line's estimate by more than 2%."""
+    xs = np.asarray(xs, dtype=float).reshape(-1)
+    rows = np.empty((len(xs), 12))  # one `_bracket_row` of five brackets per line
+    edge = _SUP_GRID_POINTS // 20
+    for i, x in enumerate(map(float, xs)):
+        envelope = line_envelope(x)
+        Y = float(window)
+        Y_cap = _LINE_TRUNC_FACTOR * max(envelope.t0, 1.0, Y)
+        for _ in range(64):
+            grid = np.linspace(-Y, Y, _SUP_GRID_POINTS)
+            vals = np.abs(h(x + 1j * grid))
+            if not np.all(np.isfinite(vals)):
+                raise DepthExceeded("non-finite value on the vertical-line grid")
+            m, k = float(vals.max()), vals.argmax()
+            wide = envelope.integrable and envelope.bound(Y) >= 0.5 * m
+            at_edge = k <= edge or k >= _SUP_GRID_POINTS - 1 - edge
+            rising = m > vals[_SUP_GRID_POINTS // 2] * (1.0 + 1e-12)
+            if not (Y < Y_cap and m > 0 and (wide or (at_edge and rising))):
+                break
+            Y = min(2.0 * Y, Y_cap)
+        rows[i] = _bracket_row(grid, vals, 5)
+    loc, val, gain = _refine_max(lambda ys, owners: np.abs(h(xs[owners] + 1j * ys)), rows).T
+    return SupResult(val, loc, bool(np.all(gain <= 0.02 * np.maximum(val, 1e-300))))

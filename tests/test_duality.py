@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from besovcalc import quadrature
 from besovcalc.duality import pairing, reproduce_residual
 from besovcalc.errors import IntegralNotNormConvergent, InvalidParameter
 from besovcalc.functions import (
@@ -24,7 +25,12 @@ from besovcalc.functions import (
     vitse_reg,
 )
 from besovcalc.norms import BOUNDARY_OFFSET, b0_norm, e0_norm
-from besovcalc.operators import MatrixOperator, apply_calculus_report
+from besovcalc.operators import (
+    MatrixOperator,
+    apply_calculus_report,
+    gamma_hat,
+    random_sectorial_operator,
+)
 from besovcalc.quadrature import ConstEnvelope, PowerEnvelope, QuadratureConfig, integrate_line
 
 CFG = QuadratureConfig()
@@ -206,3 +212,26 @@ class TestOneDoubleIntegral:
             reproduce_residual(bad, self.ZS, CFG)
         with pytest.raises(IntegralNotNormConvergent):
             apply_calculus_report(MatrixOperator(np.diag([1.0, 2.0])), bad)
+
+
+class TestNestedConvergence:
+    """The non-strict integrals under pairing, the calculus and the kernel weight report
+    when they stop short of their tolerance; a panel budget of 5 stops them."""
+
+    CHECKS = {
+        "pairing": lambda: pairing(resolvent(2.0), resolvent(1.0), CFG).converged,
+        "apply": lambda: apply_calculus_report(
+            MatrixOperator(np.diag([1.0, 2.0])), resolvent(1.0)
+        ).certified,
+        "e0": lambda: e0_norm(resolvent(1.0), CFG).certified,
+        "gamma_hat": lambda: gamma_hat(random_sectorial_operator(3, 1, 0.5))[1],
+    }
+
+    @pytest.mark.parametrize("name", CHECKS)
+    def test_converged_by_default(self, name):
+        assert self.CHECKS[name]() is True
+
+    @pytest.mark.parametrize("name", CHECKS)
+    def test_exhausted_panel_budget_is_reported(self, name, monkeypatch):
+        monkeypatch.setattr(quadrature, "_MAX_PANELS", 5)
+        assert self.CHECKS[name]() is False

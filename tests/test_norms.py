@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from besovcalc import norms
 from besovcalc.applications import (
     check_deriv_operator,
     check_fractional_smoothing,
@@ -24,6 +25,7 @@ from besovcalc.functions import (
     BernsteinFunction,
     Profiles,
     add,
+    band_function,
     bernstein_resolvent,
     cayley_pow,
     const,
@@ -38,6 +40,7 @@ from besovcalc.functions import (
     resolvent,
     scale,
     shift,
+    vitse_reg,
 )
 from besovcalc.norms import (
     BOUNDARY_OFFSET,
@@ -47,7 +50,7 @@ from besovcalc.norms import (
     fitted_slope,
     hinf_norm,
     left_line_sup,
-    line_sup_modulus,
+    line_sup,
 )
 from besovcalc.operators import apply_calculus_report, parse_operator_spec, semigroup
 from besovcalc.quadrature import (
@@ -63,7 +66,7 @@ CFG = QuadratureConfig()
 
 def _weight_at(f, x):
     """x * integral over y of |f'(x+iy)|, the line weight that e0_norm maximises."""
-    return float(line_weight(lambda w: np.abs(f.deriv(w)), f.profiles.deriv_line(x), x, CFG))
+    return float(line_weight(lambda w: np.abs(f.deriv(w)), f.profiles.deriv_line(x), x, CFG)[0])
 
 
 class TestHinf:
@@ -85,7 +88,7 @@ class TestHinf:
     def test_dominates_boundary_line_sup(self, f):
         # the sup norm is the boundary-line supremum plus the interior cross-check
         rep = hinf_norm(f, CFG)
-        assert rep.value >= line_sup_modulus(f, BOUNDARY_OFFSET)
+        assert rep.value >= line_sup(f, BOUNDARY_OFFSET).value[0]
         assert rep.certified
 
     def test_interior_consistency(self):
@@ -152,6 +155,21 @@ class TestB0AndB:
         assert b_norm(exp_inv_shift(1.0), CFG).value == pytest.approx(
             2.0 - math.exp(-1.0), abs=1e-4
         )
+
+    def test_unstabilised_search_is_not_certified(self, monkeypatch):
+        # b0_norm certifies only when every supremum search it integrates stabilised
+        f = resolvent(1.0)
+        plain = b0_norm(f, CFG)
+        assert plain.certified
+        search = norms.sup_on_vertical_line
+        monkeypatch.setattr(
+            norms,
+            "sup_on_vertical_line",
+            lambda *args, **kw: replace(search(*args, **kw), stabilized=False),
+        )
+        rep = b0_norm(f, CFG)
+        assert not rep.certified
+        assert rep.value == plain.value
 
     def test_divergence_suspicion(self):
         # a function whose derivative-sup decays only like 1/x
@@ -435,21 +453,50 @@ class TestInequalities:
 
     def test_line_sup_left_of_axis(self):
         # |r_2| on the line Re = -1 peaks at 1/(2-1) = 1
-        assert line_sup_modulus(resolvent(2.0), -1.0 + 1e-6) == pytest.approx(
-            1.0, abs=1e-4
-        )
-        assert left_line_sup(resolvent(2.0), 1.0) == line_sup_modulus(
-            resolvent(2.0), -1.0 + BOUNDARY_OFFSET
+        assert line_sup(resolvent(2.0), -1.0 + 1e-6).value[0] == pytest.approx(1.0, abs=1e-4)
+        assert (
+            left_line_sup(resolvent(2.0), 1.0)
+            == line_sup(resolvent(2.0), -1.0 + BOUNDARY_OFFSET).value[0]
         )
 
     def test_line_sup_outside_the_strip(self):
         with pytest.raises(DivergenceSuspicion, match="analyticity strip"):
-            line_sup_modulus(resolvent(1.0), -2.0)
+            line_sup(resolvent(1.0), -2.0)
 
     def test_norm_report_json(self):
         rep = hinf_norm(exp_decay(1.0), CFG)
         text = rep.to_json()
         assert '"value"' in text and '"certified"' in text
+
+
+class TestBatchedLineSup:
+    """One search over many lines returns, for each line, exactly what a search over that
+    line alone returns: each line's grid, brackets and golden-section rounds are its own."""
+
+    XS = [2.0**u for u in (-20, -5, 0, 3, 20)]
+
+    @pytest.mark.parametrize(
+        "f",
+        [
+            resolvent(1.0 + 2.0j),
+            cayley_pow(4),
+            # at x = 1e-3 its peak is narrower than a grid cell
+            vitse_reg(100.0),
+            band_function(1.0, 4.0),
+            bernstein_resolvent(
+                BernsteinFunction(a=0.1, b=0.5, jumps=((2.0, 0.5),)), 0.4, 2.0, math.pi / 8,
+                2.0 + 0.5j,
+            ),
+        ],
+        ids=["resolvent", "cayley4", "vitse100", "band", "bernstein_mixed"],
+    )
+    @pytest.mark.parametrize("deriv", [False, True], ids=["modulus", "deriv"])
+    def test_rows_are_independent(self, f, deriv):
+        batch = line_sup(f, self.XS, deriv)
+        singles = [line_sup(f, x, deriv) for x in self.XS]
+        assert [v.hex() for v in batch.value] == [s.value[0].hex() for s in singles]
+        assert [v.hex() for v in batch.location] == [s.location[0].hex() for s in singles]
+        assert batch.stabilized == all(s.stabilized for s in singles)
 
 
 # r_2 is holomorphic on Re z > -2; omega a hair beyond 2 leaves the line Re z = -omega +

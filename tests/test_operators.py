@@ -66,6 +66,7 @@ from besovcalc.quadrature import (
     DYADIC_GRID,
     PowerEnvelope,
     QuadratureConfig,
+    _bracket_row,
     _refine_max,
     integrate_line,
 )
@@ -751,7 +752,9 @@ def _sectoriality_loop(A):
     grid = np.geomspace(1e-6, 1e3 * scale, 60)
     ys = np.concatenate([-grid[::-1], [0.0], grid])
     vals = np.array([phi(y) for y in ys])
-    refined = _refine_max(lambda us: np.array([phi(float(u)) for u in us]), ys, vals, 1)[1]
+    refined = _refine_max(
+        lambda us, _: np.array([phi(float(u)) for u in us]), _bracket_row(ys, vals, 1)
+    )[0, 1]
     return max(refined, 1.0)
 
 

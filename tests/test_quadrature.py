@@ -34,6 +34,7 @@ from besovcalc.quadrature import (
     QuadResult,
     _INVPHI,
     _SUP_REFINE_ROUNDS,
+    _bracket_row,
     _eval_panels,
     _golden_max_multi,
     _maxabs,
@@ -227,20 +228,22 @@ class TestSupremum:
     def test_constant_modulus(self):
         # |exp(-(1+iy))| is constant in y
         sup = sup_on_vertical_line(
-            lambda y: np.full_like(np.asarray(y, dtype=float), math.exp(-1.0)),
-            ConstEnvelope(c=math.exp(-1.0)),
+            lambda z: np.full_like(z.imag, math.exp(-1.0)),
+            lambda x: ConstEnvelope(c=math.exp(-1.0)),
+            [1.0],
             window=10.0,
         )
-        assert sup.value == pytest.approx(math.exp(-1.0), abs=1e-12)
+        assert sup.value[0] == pytest.approx(math.exp(-1.0), abs=1e-12)
 
     def test_resolvent_peak(self):
         sup = sup_on_vertical_line(
-            lambda y: 1.0 / (4.0 + np.asarray(y, dtype=float) ** 2),
-            ResolventEnvelope(m=1.0, shift=2.0),
+            lambda z: 1.0 / (4.0 + z.imag**2),
+            lambda x: ResolventEnvelope(m=1.0, shift=2.0),
+            [0.0],
             window=4.0,
         )
-        assert sup.value == pytest.approx(0.25, abs=1e-10)
-        assert abs(sup.location) < 1e-6
+        assert sup.value[0] == pytest.approx(0.25, abs=1e-10)
+        assert abs(sup.location[0]) < 1e-6
 
     def test_cayley_case_split(self):
         # oracle: on the middle range the supremum of |f_n'| along the line
@@ -251,26 +254,29 @@ class TestSupremum:
         assert a_n < x < b_n
         oracle = n * (n - 1.0) ** ((n - 1) / 2.0) / (n + 1.0) ** ((n + 1) / 2.0) / x
 
-        def phi(ys):
-            z = x + 1j * np.asarray(ys, dtype=float)
+        def deriv(z):
             w = (z - 1.0) / (z + 1.0)
-            return np.abs(2.0 * n * w ** (n - 1) / (z + 1.0) ** 2)
+            return 2.0 * n * w ** (n - 1) / (z + 1.0) ** 2
 
-        sup = sup_on_vertical_line(phi, ResolventEnvelope(m=2.0 * n, shift=x + 1.0), window=4.0)
-        assert sup.value == pytest.approx(oracle, abs=1e-6)
+        sup = sup_on_vertical_line(
+            deriv, lambda x: ResolventEnvelope(m=2.0 * n, shift=x + 1.0), [x], window=4.0
+        )
+        assert sup.value[0] == pytest.approx(oracle, abs=1e-6)
 
     def test_monotone_under_domination(self):
         s1 = sup_on_vertical_line(
-            lambda y: 1.0 / (4.0 + np.asarray(y, dtype=float) ** 2),
-            ResolventEnvelope(m=1.0, shift=2.0),
+            lambda z: 1.0 / (4.0 + z.imag**2),
+            lambda x: ResolventEnvelope(m=1.0, shift=2.0),
+            [0.0],
             window=4.0,
         )
         s2 = sup_on_vertical_line(
-            lambda y: 1.0 / (1.0 + np.asarray(y, dtype=float) ** 2),
-            ResolventEnvelope(m=1.0, shift=1.0),
+            lambda z: 1.0 / (1.0 + z.imag**2),
+            lambda x: ResolventEnvelope(m=1.0, shift=1.0),
+            [0.0],
             window=4.0,
         )
-        assert s1.value <= s2.value + CFG.abs_tol
+        assert s1.value[0] <= s2.value[0] + CFG.abs_tol
 
     @pytest.mark.parametrize(
         "phi,lo,hi",
@@ -329,7 +335,9 @@ class TestSupremum:
         grid = np.linspace(-2.0, 3.0, n)
         vals = phi(grid)
         k = int(vals.argmax())
-        loc, value, gain = _refine_max(counted, grid, vals, brackets)
+        loc, value, gain = _refine_max(
+            lambda u, _: counted(u), _bracket_row(grid, vals, brackets)
+        )[0]
         assert value >= vals.max()
         assert gain == value - vals.max()
         assert value == pytest.approx(phi(np.array([loc]))[0], rel=1e-12, abs=1e-15)
@@ -358,13 +366,14 @@ class TestSupremum:
             return sum(h * np.exp(-(((u - c) / 0.5) ** 2)) for h, c in zip(heights, centres))
 
         grid = np.arange(50.0)
-        loc, value, _ = _refine_max(phi, grid, phi(grid), 5)
+        loc, value, _ = _refine_max(lambda u, _: phi(u), _bracket_row(grid, phi(grid), 5))[0]
         assert value == pytest.approx(1.0, rel=1e-9)
         assert abs(loc - centres[top]) < 1e-3
 
     def test_refine_max_keeps_the_grid_point_on_a_tie(self):
         grid = np.linspace(0.0, 1.0, 9)
-        loc, value, gain = _refine_max(np.ones_like, grid, np.ones(9), 5)
+        row = _bracket_row(grid, np.ones(9), 5)
+        loc, value, gain = _refine_max(lambda u, _: np.ones_like(u), row)[0]
         assert (loc, value, gain) == (0.0, 1.0, 0.0)
 
 
