@@ -7,6 +7,7 @@ import argparse
 import math
 import os
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -117,29 +118,17 @@ def run(argv=None) -> int:
             rep = kind(f, cfg)
             mark = "" if rep.certified else " (not certified)"
             print(f"{args.kind}-norm[{args.f}] = {rep.value:.6f} +- {rep.error_bound:.2e}{mark}")
-            _write(
-                args.out,
-                "norm.json",
-                json_document(
-                    "norm",
-                    {
-                        "f": args.f,
-                        "kind": args.kind,
-                        "value": rep.value,
-                        "error_bound": rep.error_bound,
-                        "pieces": rep.pieces,
-                        "certified": rep.certified,
-                    },
-                ),
-            )
+            doc = {"f": args.f, "kind": args.kind, **asdict(rep)}
+            _write(args.out, "norm.json", json_document("norm", doc))
             return 0
 
         if args.command == "pair":
             g = parse_function_spec(args.g)
             f = parse_function_spec(args.f)
             res = pairing(g, f, cfg)
+            mark = "" if res.converged else " (not converged)"
             print(f"<{args.g}, {args.f}> = {res.value.real:.8f}{res.value.imag:+.8f}i "
-                  f"+- {res.error:.2e}")
+                  f"+- {res.error:.2e}{mark}")
             _write(
                 args.out,
                 "pair.json",

@@ -4,7 +4,7 @@ vertical-line dual, and the reproducing identity built on it."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import replace
 from typing import Callable
 
 import numpy as np
@@ -15,39 +15,31 @@ from .norms import BOUNDARY_OFFSET, e0_norm
 from .quadrature import (
     DEFAULT_CONFIG,
     DecayEnvelope,
+    QuadResult,
     QuadratureConfig,
     envelope_product,
     integrate_halfline,
     integrate_line,
 )
 
-__all__ = ["PairingResult", "kernel_pairing", "pairing", "reproduce_residual"]
-
-@dataclass
-class PairingResult:
-    value: complex
-    error: float
-    n_evals: int = 0
-    # False when an inner or the outer integral stopped short of its tolerance
-    converged: bool = True
-
-    def __complex__(self):
-        return self.value
+__all__ = ["kernel_pairing", "pairing", "reproduce_residual"]
 
 
 def pairing(
     g: AnalyticFunction,
     f: AnalyticFunction,
     cfg: QuadratureConfig = DEFAULT_CONFIG,
-) -> PairingResult:
+) -> QuadResult:
     """Iterated integral of x * g'(x-iy) f'(x+iy) over y in R, then x > 0.
 
     The outer envelope is weighted by a bound on sup_x x * int |g'(x+iy)| dy:
-    g's closed form e0_upper, else 1.25 e0_norm(g), and then not certified."""
+    g's closed form e0_upper, else 1.25 e0_norm(g).  Without that closed form, or when
+    f's envelopes are sampled, the error is at least a quarter of the value."""
     e0 = g.profiles.e0_upper
     weight = e0 if e0 is not None else 1.25 * e0_norm(g, cfg).value
-    p = kernel_pairing(g.deriv, g.profiles.deriv_line, weight, e0 is not None, f, cfg)
-    return PairingResult(complex(p.value), p.error, p.n_evals, p.converged)
+    certified = e0 is not None and not f.profiles.sampled
+    p = kernel_pairing(g.deriv, g.profiles.deriv_line, weight, certified, f, cfg)
+    return replace(p, value=complex(p.value))
 
 
 def kernel_pairing(
@@ -57,7 +49,7 @@ def kernel_pairing(
     certified: bool,
     f: AnalyticFunction,
     cfg: QuadratureConfig,
-) -> PairingResult:
+) -> QuadResult:
     """int_0^inf x int_R K(x-iy) f'(x+iy) dy dx: the pairing of f with the g whose g' = K =
     kernel, one scalar, vector or matrix per point.  kernel_line(x) bounds |K(x+iy)| in y;
     weight bounds sup_x x int |K(x+iy)| dy per entry and scales f's outer envelope; without a
@@ -65,14 +57,15 @@ def kernel_pairing(
     under cfg, the inner one at x under abs_tol/(1+x)^2 and cfg's rel_tol; each truncated
     integral spends its abs_tol on its tails, and neither is strict, so converged records
     whether all of them converged.  Summands of f pair one by one.  The error adds
-    x * (inner error) over every inner run; n_evals counts the inner points."""
+    x * (inner error) over every inner run; n_evals counts the inner points and tail_error
+    is the outer integral's tail charge."""
     if f.summands is not None and len(f.summands) >= 2:
         # exact linear split; narrow frequency bands integrate much faster
         g = (kernel, kernel_line, weight, certified)
         parts = [kernel_pairing(*g, s, cfg) for s in f.summands]
-        return PairingResult(
+        return QuadResult(
             sum(p.value for p in parts), sum(p.error for p in parts), sum(p.n_evals for p in parts),
-            all(p.converged for p in parts),
+            all(p.converged for p in parts), sum(p.tail_error for p in parts),
         )
     outer_env = f.profiles.deriv_outer.scaled(weight)
     if not outer_env.integrable:
@@ -103,7 +96,7 @@ def kernel_pairing(
     err = res.error + inner_err
     if not certified:
         err = max(err, 0.25 * abs(res.value))
-    return PairingResult(res.value, err, n_evals, converged and res.converged)
+    return QuadResult(res.value, err, n_evals, converged and res.converged, res.tail_error)
 
 
 def reproduce_residual(f: AnalyticFunction, z, cfg: QuadratureConfig = DEFAULT_CONFIG):

@@ -77,16 +77,6 @@ class EstimateReport:
     def passed(self) -> bool:
         return bool(self.lhs <= self.rhs + self.lhs_error + 1e-7 * (1.0 + abs(self.rhs)))
 
-    def row(self) -> dict:
-        return {
-            "estimate_id": self.estimate_id,
-            "params": self.params,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "slack": self.slack,
-            "pass": self.passed,
-        }
-
 
 def check_band_embedding(
     coeffs, eps: float, sigma: float, cfg: QuadratureConfig = DEFAULT_CONFIG

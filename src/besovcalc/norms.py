@@ -3,7 +3,6 @@ vertical-line seminorm paired with it."""
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -12,6 +11,7 @@ from .errors import DivergenceSuspicion, InvalidParameter, UnboundedSuspicion
 from .functions import AnalyticFunction
 from .quadrature import (
     DEFAULT_CONFIG,
+    EDGE_ALLOWANCE,
     QuadratureConfig,
     SupResult,
     integrate_halfline,
@@ -42,20 +42,6 @@ class NormReport:
     error_bound: float
     pieces: dict = field(default_factory=dict)
     certified: bool = True
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "value": self.value,
-                "error_bound": self.error_bound,
-                "pieces": self.pieces,
-                "certified": self.certified,
-            },
-            sort_keys=True,
-        )
-
-    def __float__(self):
-        return self.value
 
 
 def line_sup(f: AnalyticFunction, xs, deriv: bool = False) -> SupResult:
@@ -158,6 +144,6 @@ def e0_norm(f: AnalyticFunction, cfg: QuadratureConfig = DEFAULT_CONFIG) -> Norm
         return env
 
     x_best, value, settled = kernel_weight(lambda w: np.abs(f.deriv(w)), deriv_line, cfg)
-    err = max(cfg.abs_tol, cfg.rel_tol * value) + 4.0 * value / 2.0**20
+    err = max(cfg.abs_tol, cfg.rel_tol * value) + EDGE_ALLOWANCE * value
     certified = settled and not f.profiles.sampled
     return NormReport(value, err, {"e0": value, "argmax_x": x_best}, certified)

@@ -35,6 +35,7 @@ __all__ = [
     "integrate_line",
     "sup_on_vertical_line",
     "DYADIC_GRID",
+    "EDGE_ALLOWANCE",
     "line_weight",
     "kernel_weight",
 ]
@@ -707,6 +708,8 @@ def _refine_max(phi, rows: np.ndarray) -> np.ndarray:
 # x = 2**u for u = -20, ..., 20: the grid of the suprema over x > 0
 _DYADIC_EXPONENTS = range(-20, 21)
 DYADIC_GRID = tuple(2.0**u for u in _DYADIC_EXPONENTS)
+# relative step into a grid end that `kernel_weight` still calls settled; e0_norm charges it
+EDGE_ALLOWANCE = 2.0**-18
 
 
 def line_weight(h, env: DecayEnvelope, x: float, cfg: QuadratureConfig):
@@ -725,7 +728,7 @@ def kernel_weight(h, kernel_line, cfg: QuadratureConfig) -> tuple[float, float, 
     kernel_line(x) on the line Re = x: DYADIC_GRID refined by `_refine_max` with one
     bracket in u = log2 x.  Returns (x, value, settled); settled is False when a line
     weight did not converge, or the grid maximum sits at an end of the grid and the step
-    to it from its neighbour exceeds the edge allowance 4 * value / 2**20."""
+    to it from its neighbour exceeds EDGE_ALLOWANCE * value."""
     converged = []
 
     def g(x: float) -> float:
@@ -738,7 +741,7 @@ def kernel_weight(h, kernel_line, cfg: QuadratureConfig) -> tuple[float, float, 
     u, value, _ = _refine_max(lambda us, _: np.array([g(2.0 ** float(u)) for u in us]), row)[0]
     k = int(vals.argmax())
     step = vals[k] - vals[1 if k == 0 else -2]
-    settled = all(converged) and (0 < k < len(vals) - 1 or step <= 4.0 * value / 2.0**20)
+    settled = all(converged) and (0 < k < len(vals) - 1 or step <= EDGE_ALLOWANCE * value)
     return 2.0 ** float(u), float(value), bool(settled)
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+from dataclasses import asdict
 from typing import Iterable
 
 from .estimates import EstimateReport
@@ -32,21 +33,8 @@ def json_document(command: str, payload) -> str:
 
 
 def reports_to_json(reports: Iterable[EstimateReport]) -> list[dict]:
-    out = []
-    for r in reports:
-        out.append(
-            {
-                "estimate_id": r.estimate_id,
-                "params": _jsonable(r.params),
-                "lhs": r.lhs,
-                "lhs_error": r.lhs_error,
-                "rhs": r.rhs,
-                "slack": r.slack,
-                "pass": r.passed,
-                "info": _jsonable(r.info),
-            }
-        )
-    return out
+    """One row per report: its fields, its slack and whether it passed."""
+    return [_jsonable({**asdict(r), "slack": r.slack, "pass": r.passed}) for r in reports]
 
 
 def _fmt(v) -> str:

@@ -6,6 +6,7 @@ import math
 import pytest
 
 import besovcalc.suite as suite_mod
+from besovcalc import quadrature
 from besovcalc.cli import run
 from besovcalc.estimates import EstimateReport
 
@@ -64,6 +65,25 @@ def test_pair_command(capsys):
     rc = run(["pair", "--g", "resolvent(a=1)", "--f", "const(3)"])
     assert rc == 0
     assert "0.00000000" in capsys.readouterr().out
+
+
+def test_norm_json_fields(capsys, tmp_path):
+    assert run(["norm", "--kind", "hinf", "--f", "exp(a=1)", "--out", str(tmp_path)]) == 0
+    doc = json.loads((tmp_path / "norm.json").read_text())
+    assert set(doc["result"]) == {"f", "kind", "value", "error_bound", "pieces", "certified"}
+    assert doc["result"]["kind"] == "hinf" and doc["result"]["certified"] is True
+
+
+@pytest.mark.parametrize("panels,converged", [(None, True), (5, False)])
+def test_pair_marks_an_unconverged_pairing(panels, converged, capsys, tmp_path, monkeypatch):
+    # a budget of 5 panels stops the pairing's integrals short of their tolerance
+    if panels is not None:
+        monkeypatch.setattr(quadrature, "_MAX_PANELS", panels)
+    argv = ["pair", "--g", "resolvent(a=1)", "--f", "exp(a=1)", "--out", str(tmp_path)]
+    assert run(argv) == 0
+    assert ("(not converged)" in capsys.readouterr().out) is not converged
+    doc = json.loads((tmp_path / "pair.json").read_text())
+    assert set(doc["result"]) == {"g", "f", "value", "error"}
 
 
 def test_demo_command(tmp_path, capsys):

@@ -19,6 +19,7 @@ from besovcalc.functions import (
     exp_decay,
     exp_inv_shift,
     laplace_transform,
+    power,
     resolvent,
     scale,
     shift,
@@ -109,6 +110,15 @@ class TestPairingValues:
         assert got.error == 0.25 * abs(got.value)
         assert abs(got.value - 0.5 * math.pi * (math.exp(-0.5) - 1.0)) < 1e-6
 
+    def test_sampled_f_floors_the_error(self):
+        # r_1^2 reads its envelopes off samples, so even the closed-form weight of r_1 does
+        # not certify the pairing; <r_1, r_1^2> = (pi/2) (r_1(1)^2 - 0) = pi/8
+        f = power(resolvent(1.0), 2)
+        assert f.profiles.sampled
+        got = pairing(resolvent(1.0), f, CFG)
+        assert got.error == 0.25 * abs(got.value)
+        assert abs(got.value - math.pi / 8.0) < 1e-6
+
     @pytest.mark.parametrize("n", [1, 2, 8])
     def test_cayley_weight_is_closed_form(self, n):
         # |chi_n'(z)| <= 2n/|z+1|^2 gives x int |chi_n'(x+iy)| dy <= 2n pi x/(x+1) < 2n pi
@@ -197,6 +207,7 @@ class TestOneDoubleIntegral:
         parts = [pairing(g, s, CFG) for s in f.summands]
         assert whole.n_evals == sum(p.n_evals for p in parts) > 0
         assert whole.value == sum(p.value for p in parts)
+        assert whole.tail_error == sum(p.tail_error for p in parts) > 0
 
     def test_one_integrability_error(self):
         # pairing, the batched residual and the calculus reject a non-integrable

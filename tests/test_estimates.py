@@ -27,6 +27,7 @@ from besovcalc.functions import (
     scale,
 )
 from besovcalc.quadrature import QuadratureConfig, ResolventEnvelope
+from besovcalc.report import reports_to_json
 
 CFG = QuadratureConfig()
 
@@ -182,6 +183,6 @@ class TestBernstein:
 
     def test_report_row(self):
         r = check_cayley(1, CFG)
-        row = r.row()
+        row = reports_to_json([r])[0]
         assert row["pass"] is True and row["estimate_id"] == "cayley_norm"
         assert row["slack"] == pytest.approx(r.rhs - r.lhs)

@@ -463,11 +463,6 @@ class TestInequalities:
         with pytest.raises(DivergenceSuspicion, match="analyticity strip"):
             line_sup(resolvent(1.0), -2.0)
 
-    def test_norm_report_json(self):
-        rep = hinf_norm(exp_decay(1.0), CFG)
-        text = rep.to_json()
-        assert '"value"' in text and '"certified"' in text
-
 
 class TestBatchedLineSup:
     """One search over many lines returns, for each line, exactly what a search over that
