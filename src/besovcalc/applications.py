@@ -28,6 +28,7 @@ from .functions import (
 from .norms import BOUNDARY_OFFSET, b_norm, fitted_slope, hinf_norm, left_line_sup
 from .operators import (
     MatrixOperator,
+    _as_vector,
     _semigroup_sup,
     apply_calculus,
     apply_calculus_report,
@@ -306,6 +307,7 @@ def inverse_generator_consistency(A: MatrixOperator, t: float) -> float:
 def cayley_power_check(A: MatrixOperator, n: int) -> EstimateReport:
     """Cayley powers: ||V(A)^n|| <= 2 K^2 (3 + 2 log 2n); K is a lower estimate if not exact."""
     require_positive(n=n)
+    chi = cayley_pow(n)
     eye = np.eye(A.n)
     v = (A.matrix - eye) @ np.linalg.inv(A.matrix + eye)
     pw = eye.astype(complex)
@@ -313,7 +315,7 @@ def cayley_power_check(A: MatrixOperator, n: int) -> EstimateReport:
         pw = pw @ v
     lhs = _opnorm(pw)
     rhs = 2.0 * A.profile().K ** 2 * (3.0 + 2.0 * math.log(2.0 * n))
-    via_calc = apply_calculus(A, cayley_pow(n))
+    via_calc = apply_calculus(A, chi)
     info = {"calculus_gap": float(np.max(np.abs(via_calc - pw)))}
     return EstimateReport(
         "cayley_power", {"A": A.label, "n": n}, lhs, rhs, 1e-10, info=info
@@ -365,9 +367,11 @@ def convergence_demo(
     """|| f(A/n) x - f(0) x || along n, plus the non-convergent stretched family
     f(n z) reported without any assertion."""
     n_list = list(n_list)
-    if not n_list or min(n_list) < 1:
+    if not n_list or any(
+        isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1 for n in n_list
+    ):
         raise InvalidParameter(f"the convergence demo needs integers n >= 1, got {n_list}")
-    x = np.asarray(x, dtype=complex)
+    x = _as_vector(x, A.n, "x")
     f0 = complex(f(BOUNDARY_OFFSET))
     fin = complex(f.infinity())
     shrink, stretchv = [], []

@@ -17,17 +17,15 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import InvalidParameter, NonConvergence, RangeViolation, UnknownSpec
+from .errors import InvalidParameter, RangeViolation, UnknownSpec
 from .quadrature import (
     ConstEnvelope,
     DecayEnvelope,
     ExpEnvelope,
     PowerEnvelope,
-    QuadratureConfig,
     ResolventEnvelope,
     StretchedExpEnvelope,
     SumEnvelope,
-    DEFAULT_CONFIG,
     envelope_product,
 )
 
@@ -41,7 +39,6 @@ __all__ = [
     "parse_complex",
     "parse_number",
     "SpecArgs",
-    "cauchy_derivatives",
     "add",
     "mul",
     "scale",
@@ -248,49 +245,6 @@ class AnalyticFunction:
 
 
 # ---------------------------------------------------------------------------
-# Cauchy-circle differentiation (trapezoid with node doubling)
-# ---------------------------------------------------------------------------
-
-
-def cauchy_derivatives(
-    f: AnalyticFunction | Callable,
-    z: complex,
-    order: int,
-    cfg: QuadratureConfig = DEFAULT_CONFIG,
-) -> np.ndarray:
-    """Derivatives f^(1..order)(z) from trapezoid sums on a circle of radius Re z / 2.
-
-    Each Taylor coefficient c_j = f^(j)(z) r^j / j! is the mean of
-    f(z + r e^(i theta)) e^(-i j theta) over the nodes, summed directly for
-    j = 1..order.  Node count starts at 64 and doubles until the relative
-    change of every requested derivative drops below the configured tolerance.
-    """
-    z = complex(z)
-    if z.real <= 0:
-        raise InvalidParameter("Cauchy-circle differentiation needs Re z > 0")
-    r = 0.5 * z.real
-    base = f.eval_fn if isinstance(f, AnalyticFunction) else f
-    prev = None
-    n = 64
-    for _ in range(12):
-        theta = 2.0 * np.pi * np.arange(n) / n
-        w = np.exp(1j * theta)
-        vals = np.asarray(base(z + r * w))
-        if not np.all(np.isfinite(vals)):
-            raise NonConvergence("non-finite samples on the differentiation circle")
-        js = np.arange(1, order + 1)
-        coeffs = np.mean(vals * np.exp(-1j * np.outer(js, theta)), axis=1)
-        ders = np.array([coeffs[j - 1] * math.factorial(j) / r**j for j in js])
-        if prev is not None:
-            scale_ref = np.maximum(np.abs(ders), 1e-300)
-            if np.all(np.abs(ders - prev) <= cfg.rel_tol * scale_ref + cfg.abs_tol):
-                return ders
-        prev = ders
-        n *= 2
-    raise NonConvergence("circle derivative did not stabilise after max doublings")
-
-
-# ---------------------------------------------------------------------------
 # Catalog members
 # ---------------------------------------------------------------------------
 
@@ -382,8 +336,8 @@ def resolvent(a: complex) -> AnalyticFunction:
 
 def cayley_pow(n: int) -> AnalyticFunction:
     """((z-1)/(z+1))^n, n >= 1."""
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise InvalidParameter("cayley power needs integer n >= 1")
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+        raise InvalidParameter(f"cayley power needs integer n >= 1, got {n!r}")
     n = int(n)
 
     def ev(z):

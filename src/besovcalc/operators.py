@@ -11,7 +11,7 @@ import numpy as np
 
 from .errors import (
     InvalidParameter,
-    NotDiagonalizable,
+    NonConvergence,
     ProfileDivergence,
     SingularShift,
     SpectrumError,
@@ -22,7 +22,6 @@ from .functions import (
     AnalyticFunction,
     HalfLineMeasure,
     SpecArgs,
-    cauchy_derivatives,
     parse_complex,
     parse_number,
 )
@@ -65,6 +64,8 @@ _MAX_DIM = 64
 # ||A||_2 above this makes A A^H overflow, or (z + A)^(-2) leave the normal floats
 _MAX_NORM = 1e150
 _EIG_TOL = 1e-7
+# the oracle's circle rule doubles its 64 nodes at most this often
+_CIRCLE_DOUBLINGS = 12
 # ||A A^H - A^H A||_F <= _NORMAL_TOL * max(1, ||A||_2^2) makes A normal
 _NORMAL_TOL = 1e-10
 # the unitary diagonalisation of a normal A is used when both of its residuals
@@ -119,8 +120,9 @@ def _cluster(values: np.ndarray, tol: float) -> list[list[int]]:
 class MatrixOperator:
     """Dense square matrix with spectrum in the closed right half-plane.
 
-    Purely imaginary eigenvalues must be semisimple; defective matrices are
-    admitted only when every eigenvalue carries a single Jordan block.
+    Purely imaginary eigenvalues must be semisimple; any Jordan structure is
+    admitted off the imaginary axis.  `clusters` lists each eigenvalue cluster's
+    center and whether it is semisimple.
     """
 
     matrix: np.ndarray
@@ -128,7 +130,7 @@ class MatrixOperator:
     eigenvalues: np.ndarray = field(init=False)
     eigenvectors: np.ndarray | None = field(init=False, default=None)
     diagonalizable: bool = field(init=False, default=True)
-    jordan_blocks: list[tuple[complex, int]] | None = field(init=False, default=None)
+    clusters: list[tuple[complex, bool]] = field(init=False)
     norm2: float = field(init=False, default=0.0)
     _profile_cache: "OperatorProfile | None" = field(init=False, default=None, repr=False)
     _normal: bool | None = field(init=False, default=None, repr=False)
@@ -154,40 +156,24 @@ class MatrixOperator:
             bad = lam[lam.real < -1e-9 * scale][0]
             raise SpectrumError(f"eigenvalue {bad} lies in the open left half-plane")
         self.eigenvalues = lam
-        groups = _cluster(lam, _EIG_TOL * scale)
-        blocks: list[tuple[complex, int]] = []
-        semisimple = True
-        single_blocks = True
-        for gr in groups:
+        tol = _EIG_TOL * scale
+        self.clusters = []
+        for gr in _cluster(lam, tol):
             lam0 = complex(np.mean(lam[gr]))
-            alg = len(gr)
-            if alg == 1:
-                blocks.append((lam0, 1))
-                continue
-            geo = a.shape[0] - np.linalg.matrix_rank(
-                a - lam0 * np.eye(a.shape[0]), tol=1e-8 * scale
+            # the rank takes the clustering tolerance, so a cluster's own spread does
+            # not read as a missing eigenvector
+            semisimple = len(gr) == 1 or bool(
+                np.linalg.matrix_rank(a - lam0 * np.eye(len(a)), tol=tol) == len(a) - len(gr)
             )
-            if geo == alg:
-                blocks.append((lam0, 1))
-                continue
-            semisimple = False
-            if abs(lam0.real) <= 1e-9 * scale:
+            if not semisimple and abs(lam0.real) <= 1e-9 * scale:
                 raise SpectrumError(
                     f"non-semisimple eigenvalue {lam0} on the imaginary axis: "
                     "the semigroup would be unbounded"
                 )
-            if geo == 1:
-                blocks.append((lam0, alg))
-            else:
-                single_blocks = False
-        self.diagonalizable = semisimple
-        if semisimple:
+            self.clusters.append((lam0, semisimple))
+        self.diagonalizable = all(ss for _, ss in self.clusters)
+        if self.diagonalizable:
             self.eigenvectors = vecs
-            self.jordan_blocks = [(complex(v), 1) for v in lam]
-        elif single_blocks:
-            self.jordan_blocks = blocks
-        else:
-            self.jordan_blocks = None
 
     @property
     def n(self) -> int:
@@ -681,50 +667,56 @@ def hp_apply(A: MatrixOperator, mu: HalfLineMeasure) -> np.ndarray:
 def oracle_apply(
     A: MatrixOperator, f: AnalyticFunction, cfg: QuadratureConfig = DEFAULT_CONFIG
 ) -> np.ndarray:
-    """Ground truth from the eigendecomposition or single-Jordan-block Taylor form."""
+    """Ground truth: V diag(f(lam)) V^(-1) for diagonalizable A.  Otherwise the sum over
+    eigenvalue clusters c of (1/(2 pi i)) * integral of w(z) (z - A)^(-1) dz on a circle
+    around c (Higham, Functions of Matrices, SIAM 2008, ch. 1), with w = f on a defective
+    cluster and w = f(c), which gives f(c) times the spectral projector, on a semisimple one.
+
+    The radius is half of the distance to the nearest other cluster, or of max(1, ||A||_2)
+    for a lone one; a defective cluster's circle also keeps to Re z >= 0 and to half the distance
+    to f's boundary.  Each trapezoid sum starts at 64 nodes and doubles them until two sums
+    agree within cfg entrywise (Trefethen & Weideman, SIAM Review 56, 2014)."""
     if A.diagonalizable:
         fl = np.asarray(f(A.eigenvalues))
         v = A.eigenvectors
         return v @ np.diag(fl) @ np.linalg.inv(v)
-    if A.jordan_blocks is None:
-        raise NotDiagonalizable(
-            "oracle supports diagonalizable matrices or one Jordan block per eigenvalue"
-        )
-    p_cols = []
-    blocks = []
-    n = A.n
-    for lam, m in A.jordan_blocks:
-        base = A.matrix - lam * np.eye(n)
-        # Jordan chain: kernel vector, then iterated preimages
-        _, s, vh = np.linalg.svd(base)
-        v1 = vh[-1].conj()
-        chain = [v1]
-        for _ in range(m - 1):
-            w, *_ = np.linalg.lstsq(base, chain[-1], rcond=None)
-            chain.append(w)
-        p_cols.extend(chain)
-        blocks.append((lam, m))
-    P = np.array(p_cols).T
-    if np.linalg.cond(P) > 1e12:
-        raise NotDiagonalizable("Jordan chain basis is numerically singular")
-    J = np.zeros((n, n), dtype=complex)
-    pos = 0
-    for lam, m in blocks:
-        fl = complex(f(lam))
-        J[pos, pos] = fl
-        if m > 1:
-            # f' in closed form; the Cauchy circle only for orders 2..m-1
-            ders = [f.deriv(lam)]
-            if m > 2:
-                ders.extend(cauchy_derivatives(f, lam, m - 1, cfg)[1:])
-            for j in range(1, m):
-                coef = ders[j - 1] / math.factorial(j)
-                for i in range(m - j):
-                    J[pos + i, pos + i + j] = coef
-            for i in range(1, m):
-                J[pos + i, pos + i] = fl
-        pos += m
-    return P @ J @ np.linalg.inv(P)
+    centers = np.array([c for c, _ in A.clusters])
+    step = max(1, _EXPM_BATCH_ENTRIES // A.n**2)
+    out = np.zeros((A.n, A.n), dtype=complex)
+    for c, semisimple in A.clusters:
+        gaps = np.abs(centers - c)
+        r = 0.5 * (gaps[gaps > 0].min() if len(centers) > 1 else max(1.0, A.norm2))
+        if not semisimple:
+            r = min(r, c.real, 0.5 * (c.real + f.left_bound))
+        nodes, prev = 64, None
+        for _ in range(_CIRCLE_DOUBLINGS):
+            u = np.exp(2j * np.pi * np.arange(nodes) / nodes)
+            z = c + r * u
+            # dz / (2 pi i) = r u d theta / (2 pi)
+            wts = np.asarray(f(c) if semisimple else f(z)) * r * u / nodes
+            if not np.all(np.isfinite(wts)):
+                raise NonConvergence(f"non-finite samples on the oracle's circle around {c}")
+            total = -sum(
+                np.einsum("k,kij->ij", wts[i : i + step], _resolvents(A, -z[i : i + step]))
+                for i in range(0, nodes, step)
+            )
+            if prev is not None and np.max(np.abs(total - prev)) <= (
+                cfg.rel_tol * np.max(np.abs(total)) + cfg.abs_tol
+            ):
+                break
+            prev, nodes = total, 2 * nodes
+        else:
+            raise NonConvergence(f"the oracle's circle integral around {c} did not settle")
+        out += total
+    return out
+
+
+def _as_vector(v, n: int, name: str) -> np.ndarray:
+    """v as a complex vector, which must have length n."""
+    v = np.asarray(v, dtype=complex)
+    if v.shape != (n,):
+        raise InvalidParameter(f"{name} must be a vector of length {n}, got shape {v.shape}")
+    return v
 
 
 def semigroup_reconstruct_check(
@@ -741,8 +733,8 @@ def semigroup_reconstruct_check(
     """
     if not 0 < t < math.inf:
         raise InvalidParameter(f"t must be positive, got {t!r}")
-    x = np.asarray(x, dtype=complex)
-    xstar = np.asarray(xstar, dtype=complex)
+    x = _as_vector(x, A.n, "x")
+    xstar = _as_vector(xstar, A.n, "xstar")
     alpha = 1.0 / t
 
     def integrand(betas):

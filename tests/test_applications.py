@@ -207,6 +207,11 @@ class TestCayleyPowers:
         r = cayley_power_check(A, 8)
         assert r.passed and r.lhs == pytest.approx(1.0, abs=1e-9)
 
+    @pytest.mark.parametrize("n", [2.5, True])
+    def test_non_integer_power_rejected(self, n):
+        with pytest.raises(InvalidParameter, match="integer n >= 1"):
+            cayley_power_check(DIAG12, n)
+
 
 class TestSpectralMapping:
     def test_diag_cayley(self):
@@ -244,6 +249,15 @@ class TestConvergence:
         x = np.array([1.0, 0.0])
         tab = convergence_demo(DIAG12, const(2.0), [1, 4], x)
         assert max(tab.shrink) < 1e-8
+
+    @pytest.mark.parametrize("n_list", [[2.5], [1, True], [0]])
+    def test_non_integer_n_rejected(self, n_list):
+        with pytest.raises(InvalidParameter, match="integers n >= 1"):
+            convergence_demo(DIAG12, exp_decay(1.0), n_list, np.ones(2))
+
+    def test_vector_length_checked(self):
+        with pytest.raises(InvalidParameter, match="x must be a vector of length 2"):
+            convergence_demo(DIAG12, exp_decay(1.0), [1], np.ones(3))
 
     def test_stretched_family_no_convergence(self):
         # spectrum on the imaginary axis: |exp(-n i y)| = 1, no strong limit

@@ -90,8 +90,8 @@ def test_every_parameter_is_read():
 
 
 def test_least_squares_solver_only_in_the_jordan_oracle():
-    """Slope fits are closed-form (`norms.fitted_slope`), so `polyfit` and `lstsq`
-    occur only in the Jordan chain of `operators.oracle_apply`."""
+    """Slope fits are closed-form (`norms.fitted_slope`) and the oracle takes
+    defective operators by circle integrals, so `polyfit` and `lstsq` occur nowhere."""
     found = set()
     for path in sorted(pathlib.Path(besovcalc.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text())
@@ -102,4 +102,4 @@ def test_least_squares_solver_only_in_the_jordan_oracle():
                 name = next((getattr(n, k) for k in ("attr", "id", "name") if hasattr(n, k)), None)
                 if isinstance(name, str) and name.rsplit(".", 1)[-1] in ("polyfit", "lstsq"):
                     found.add((path.stem, owner, name))
-    assert found == {("operators", "oracle_apply", "lstsq")}
+    assert found == set()

@@ -20,7 +20,6 @@ from besovcalc.functions import (
     add,
     band_function,
     bernstein_resolvent,
-    cauchy_derivatives,
     cayley_pow,
     const,
     dilate,
@@ -38,6 +37,7 @@ from besovcalc.functions import (
     shift,
     vitse_reg,
 )
+from besovcalc.operators import jordan_operator, oracle_apply
 from besovcalc.quadrature import QuadratureConfig
 
 CFG = QuadratureConfig()
@@ -118,38 +118,40 @@ class TestCatalogValues:
         assert parse_complex("i") == 1j
 
 
+def _circle_deriv(f, z):
+    """f'(z) as the (0, 1) entry of the oracle's f(J) on the 2x2 Jordan block at z,
+    which the oracle takes by a trapezoid-rule circle integral."""
+    return oracle_apply(jordan_operator(z, 2), f, CFG)[0, 1]
+
+
 class TestDerivatives:
     def test_fallback_exp(self):
         f = exp_decay(1.0)
-        assert cauchy_derivatives(f, 1.0, 1, CFG)[0] == pytest.approx(-math.exp(-1.0), abs=1e-10)
+        assert _circle_deriv(f, 1.0) == pytest.approx(-math.exp(-1.0), abs=1e-10)
 
     def test_fallback_resolvent(self):
         f = resolvent(1.0)
-        assert cauchy_derivatives(f, 1.0, 1, CFG)[0] == pytest.approx(-0.25, abs=1e-10)
+        assert _circle_deriv(f, 1.0) == pytest.approx(-0.25, abs=1e-10)
 
     def test_fallback_cayley_closed_form(self):
         # closed form for the derivative: 2n (z-1)^(n-1) / (z+1)^(n+1)
         n, z = 3, 2.0 + 1.0j
         exact = 2 * n * (z - 1.0) ** (n - 1) / (z + 1.0) ** (n + 1)
         f = cayley_pow(n)
-        assert abs(cauchy_derivatives(f, z, 1, CFG)[0] - exact) < 1e-8
-
-    def test_fallback_bound(self):
-        # |f'(z)| <= sup on the circle / radius
-        f = exp_decay(2.0)
-        z = 1.0 + 0.5j
-        r = 0.5
-        theta = np.linspace(0, 2 * math.pi, 512)
-        circle_sup = float(np.max(np.abs(f(z + r * np.exp(1j * theta)))))
-        assert abs(cauchy_derivatives(f, z, 1, CFG)[0]) <= circle_sup / r + 1e-9
+        assert abs(_circle_deriv(f, z) - exact) < 1e-8
 
     def test_fallback_nonconvergence(self):
+        nan = replace(exp_decay(1.0), eval_fn=lambda z: np.full(np.shape(z), np.nan))
+        with pytest.raises(NonConvergence, match="non-finite"):
+            _circle_deriv(nan, 1.0)
+        # left_bound 0 gives the circle radius 1/2, through the essential singularity at 1/2
         bad = replace(
             exp_decay(1.0),
             eval_fn=lambda z: np.exp(1.0 / (np.asarray(z) - 0.5)),
+            left_bound=0.0,
         )
-        with pytest.raises(NonConvergence):
-            cauchy_derivatives(bad, 1.0, 1, CFG)
+        with pytest.raises(NonConvergence, match="did not settle"):
+            _circle_deriv(bad, 1.0)
 
     def test_analytic_matches_fallback_on_catalog(self):
         rng = np.random.default_rng(11)
@@ -157,37 +159,44 @@ class TestDerivatives:
             for _ in range(3):
                 z = complex(rng.uniform(0.3, 4.0), rng.uniform(-3.0, 3.0))
                 direct = complex(f.deriv(z))
-                circle = cauchy_derivatives(f, z, 1, CFG)[0]
+                circle = _circle_deriv(f, z)
                 assert abs(direct - circle) <= 10 * CFG.rel_tol * (1 + abs(direct))
 
     @pytest.mark.parametrize("z", [1.0, 0.5 + 2.0j, 3.0 - 1.0j])
     @pytest.mark.parametrize("f", [exp_decay(1.0), resolvent(1 + 2j), cayley_pow(2)])
     def test_direct_sums_match_fft(self, f, z):
-        """The direct trapezoid sums equal the FFT of the circle samples, read at
-        orders 1..3, under the same doubling and stopping test."""
+        """The oracle's direct trapezoid sums on the 4x4 Jordan block at z hold
+        f^(j)(z)/j! on the j-th superdiagonal.  At orders 1..3 they match the closed
+        forms, and the FFT of f's samples on the circle of radius Re z / 2."""
+        z, js = complex(z), np.arange(1, 4)
+        fact = np.array([math.factorial(j) for j in js])
 
-        def fft_derivatives(order):
+        def fft_derivatives():
             r, prev, n = 0.5 * z.real, None, 64
             while True:
                 theta = 2.0 * np.pi * np.arange(n) / n
                 coeffs = np.fft.fft(f.eval_fn(z + r * np.exp(1j * theta))) / n
-                ders = np.array(
-                    [coeffs[j] * math.factorial(j) / r**j for j in range(1, order + 1)]
-                )
+                ders = coeffs[js] * fact / r**js
                 if prev is not None:
                     ref = np.maximum(np.abs(ders), 1e-300)
                     if np.all(np.abs(ders - prev) <= CFG.rel_tol * ref + CFG.abs_tol):
                         return ders
                 prev, n = ders, 2 * n
 
-        z = complex(z)
+        # e^(-z), 1/(a+z), and ((z-1)/(z+1))^2 = 1 - 4/(z+1) + 4/(z+1)^2
+        w = z + 1.0
+        exact = {
+            "exp(a=1)": (-1.0) ** js * np.exp(-z),
+            "resolvent(a=(1+2j))": (-1.0) ** js * fact / (1 + 2j + z) ** (js + 1),
+            "cayley(n=2)": (-1.0) ** js * fact * (4.0 * (js + 1) / w - 4.0) / w ** (js + 1),
+        }[f.label]
+        got = oracle_apply(jordan_operator(z, 4), f, CFG)[0, js] * fact
         # |f| <= 1 on the half-plane, so j!/r^j bounds f^(j): the floor for a
         # derivative that vanishes (cayley_pow(2)' at z = 1)
-        floor = 1e-15 * np.array([math.factorial(j) / (0.5 * z.real) ** j for j in (1, 2, 3)])
-        for order in (1, 2, 3):
-            got, ref = cauchy_derivatives(f, z, order, CFG), fft_derivatives(order)
-            assert got.shape == (order,)
-            assert np.all(np.abs(got - ref) <= 1e-12 * np.abs(ref) + floor[:order]), (got, ref)
+        floor = 1e-15 * fact / (0.5 * z.real) ** js
+        assert np.all(np.abs(got - exact) <= 1e-13 * np.abs(exact) + floor), (got, exact)
+        ref = fft_derivatives()
+        assert np.all(np.abs(got - ref) <= 1e-12 * np.abs(ref) + floor), (got, ref)
 
     def test_deriv_fn_is_required(self):
         with pytest.raises(InvalidParameter, match="deriv_fn"):

@@ -16,7 +16,7 @@ import besovcalc
 
 from besovcalc.errors import (
     InvalidParameter,
-    NotDiagonalizable,
+    NonConvergence,
     SingularShift,
     SpectrumError,
 )
@@ -244,21 +244,24 @@ class TestBadInput:
 
 
 def test_runtime_does_not_import_scipy():
-    """numpy is the only runtime dependency: profile, the calculus and the
-    Hille-Phillips route never load scipy."""
+    """numpy is the only runtime dependency: profile, the calculus, the
+    Hille-Phillips route and the oracle never load scipy."""
     script = textwrap.dedent(
         """
         import sys
         import besovcalc
         import besovcalc.cli
+        import numpy as np
         from besovcalc.functions import HalfLineMeasure, exp_decay
         from besovcalc.operators import (
-            apply_calculus_report, hp_apply, jordan_operator, parse_operator_spec, profile,
+            MatrixOperator, apply_calculus_report, hp_apply, jordan_operator, oracle_apply,
+            parse_operator_spec, profile,
         )
         A = parse_operator_spec("diag(1,2)")
         profile(A)
         apply_calculus_report(A, exp_decay(1.0))
         hp_apply(jordan_operator(1.0, 2), HalfLineMeasure(density=("exp", -2.0, 1.0)))
+        oracle_apply(MatrixOperator(np.eye(4) + np.diag([1.0, 0.0, 1.0], 1)), exp_decay(1.0))
         loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
         assert not loaded, loaded
         """
@@ -296,19 +299,19 @@ def test_norms_and_pairings_do_not_import_numpy_random():
 
 
 def test_jordan_oracle_does_not_import_numpy_fft():
-    """The Jordan-block oracle takes f' in closed form and its higher Taylor
-    coefficients from direct trapezoid sums on a circle, so numpy.fft and its
-    extension module never load."""
+    """The oracle takes a defective operator by direct trapezoid sums on circles,
+    so numpy.fft and its extension module never load."""
     script = textwrap.dedent(
         """
         import sys
+        import numpy as np
         import besovcalc
         import besovcalc.cli
-        from besovcalc.functions import cauchy_derivatives, exp_decay, resolvent
-        from besovcalc.operators import jordan_operator, oracle_apply
+        from besovcalc.functions import exp_decay, resolvent
+        from besovcalc.operators import MatrixOperator, jordan_operator, oracle_apply
         oracle_apply(jordan_operator(1.0, 2), exp_decay(1.0))
         oracle_apply(jordan_operator(2.0, 3), resolvent(1.0))
-        cauchy_derivatives(exp_decay(1.0), 1.0, 3)
+        oracle_apply(MatrixOperator(np.eye(4) + np.diag([1.0, 0.0, 1.0], 1)), exp_decay(1.0))
         assert "numpy.fft" not in sys.modules
         """
     )
@@ -427,7 +430,16 @@ class TestAdmission:
     def test_defective_positive_accepted(self):
         A = MatrixOperator(np.array([[1.0, 1.0], [0.0, 1.0]]))
         assert not A.diagonalizable
-        assert A.jordan_blocks == [(pytest.approx(1.0), 2)]
+        assert A.clusters == [(pytest.approx(1.0), False)]
+
+    def test_close_semisimple_eigenvalues_diagonalizable(self):
+        """Eigenvalues 2e-7 apart form one cluster, and its rank test takes the
+        clustering tolerance, so a diagonal matrix keeps its eigenvectors."""
+        A = MatrixOperator(np.diag([1.0, 1.0 + 2e-7, 3.0]))
+        assert A.diagonalizable and A.clusters[0] == (pytest.approx(1.0 + 1e-7), True)
+        assert A.spectral() is not None
+        expect = np.diag(np.exp(-np.array([1.0, 1.0 + 2e-7, 3.0])))
+        assert np.max(np.abs(oracle_apply(A, exp_decay(1.0), CFG) - expect)) < 1e-15
 
     def test_size_cap(self):
         with pytest.raises(InvalidParameter):
@@ -1026,6 +1038,12 @@ class TestHPApply:
         assert gap < 1e-4
 
 
+# the function list of criterion 04
+_CRITERION_04_FUNCTIONS = [
+    exp_decay(1.0), resolvent(1.5), cayley_pow(2), eta(), exp_inv_shift(1.0), vitse_reg(2.0)
+]
+
+
 class TestOracle:
     def test_diag_cayley(self):
         A = parse_operator_spec("diag(1,2)")
@@ -1052,10 +1070,7 @@ class TestOracle:
         """On a 2x2 block, f(J) = f(lam) I + f'(lam) N with f' from f.deriv."""
         A = jordan_operator(lam, 2)
         nil = A.matrix - lam * np.eye(2)
-        # the function list of criterion 04
-        for f in [
-            exp_decay(1.0), resolvent(1.5), cayley_pow(2), eta(), exp_inv_shift(1.0), vitse_reg(2.0)
-        ]:
+        for f in _CRITERION_04_FUNCTIONS:
             expect = f(lam) * np.eye(2) + f.deriv(lam) * nil
             assert np.max(np.abs(oracle_apply(A, f, CFG) - expect)) < 1e-13, f.label
 
@@ -1065,13 +1080,63 @@ class TestOracle:
         expect = v @ np.diag(np.asarray(eta()(lam))) @ np.linalg.inv(v)
         assert np.max(np.abs(oracle_apply(A, eta(), CFG) - expect)) < 1e-8
 
-    def test_two_blocks_rejected(self):
-        m = np.zeros((4, 4), dtype=complex)
-        m[0, 0] = m[1, 1] = m[2, 2] = m[3, 3] = 1.0
-        m[0, 1] = m[2, 3] = 1.0
-        A = MatrixOperator(m)
-        with pytest.raises(NotDiagonalizable):
-            oracle_apply(A, exp_decay(1.0), CFG)
+    def test_jordan_first_order_near_imaginary_axis(self):
+        """At Re lam = 1e-3 the circle's radius is at most 5e-4, and the 2x2 block
+        still matches f(lam) I + f'(lam) N within 1e-12."""
+        lam = 1e-3
+        A = jordan_operator(lam, 2)
+        nil = A.matrix - lam * np.eye(2)
+        for f in _CRITERION_04_FUNCTIONS:
+            expect = f(lam) * np.eye(2) + f.deriv(lam) * nil
+            assert np.max(np.abs(oracle_apply(A, f, CFG) - expect)) < 1e-12, f.label
+
+    def test_two_blocks_closed_form(self):
+        """Two 2x2 blocks at 1: f(A) = f(1) I + f'(1) N."""
+        nil = np.diag([1.0, 0.0, 1.0], 1)
+        A = MatrixOperator(np.eye(4) + nil)
+        for f in _CRITERION_04_FUNCTIONS:
+            expect = f(1.0) * np.eye(4) + f.deriv(1.0) * nil
+            assert np.max(np.abs(oracle_apply(A, f, CFG) - expect)) < 1e-13, f.label
+
+    def test_block_beside_double_semisimple_eigenvalue(self):
+        """diag(J_2(2), 1, 1): one defective and one semisimple double eigenvalue."""
+        A = MatrixOperator(np.diag([2.0, 2.0, 1.0, 1.0]) + np.diag([1.0, 0.0, 0.0], 1))
+        assert A.clusters == [(1.0, True), (2.0, False)]
+        for f in _CRITERION_04_FUNCTIONS:
+            expect = np.diag([f(2.0), f(2.0), f(1.0), f(1.0)])
+            expect[0, 1] = f.deriv(2.0)
+            assert np.max(np.abs(oracle_apply(A, f, CFG) - expect)) < 1e-13, f.label
+
+    def test_random_jordan_structures(self):
+        """Up to three blocks of size <= 3 at two eigenvalues, under unit
+        upper-triangular similarities S with cond(S) <= 1e3, against S f(J) S^(-1)
+        with f(J) from closed-form derivatives."""
+        derivs = [
+            (exp_decay(1.0), lambda lam, j: (-1) ** j * np.exp(-lam)),
+            (resolvent(1.5), lambda lam, j: (-1) ** j * math.factorial(j) / (1.5 + lam) ** (j + 1)),
+        ]
+        rng = np.random.default_rng(29)
+        for _ in range(300):
+            sizes = rng.integers(1, 4, size=rng.integers(1, 4))
+            pool = rng.uniform(0.5, 3.0, 2) + 1j * rng.uniform(-2.0, 2.0, 2)
+            lams = pool[rng.integers(0, 2, size=len(sizes))]
+            n = int(sizes.sum())
+            s = np.eye(n) + 0.5 * np.triu(rng.normal(size=(n, n)), 1)
+            while np.linalg.cond(s) > 1e3:
+                s = np.eye(n) + 0.5 * np.triu(rng.normal(size=(n, n)), 1)
+            starts = np.cumsum(sizes) - sizes
+            jm = np.zeros((n, n), dtype=complex)
+            for lam, m, p in zip(lams, sizes, starts):
+                jm[p : p + m, p : p + m] = lam * np.eye(m) + np.eye(m, k=1)
+            A = MatrixOperator(s @ jm @ np.linalg.inv(s))
+            for f, der in derivs:
+                fj = np.zeros((n, n), dtype=complex)
+                for lam, m, p in zip(lams, sizes, starts):
+                    for j in range(m):
+                        fj[p : p + m, p : p + m] += der(lam, j) / math.factorial(j) * np.eye(m, k=j)
+                expect = s @ fj @ np.linalg.inv(s)
+                gap = np.max(np.abs(oracle_apply(A, f, CFG) - expect))
+                assert gap <= 1e-12 * np.max(np.abs(expect)), (sizes, lams, f.label)
 
 
 class TestReconstruction:
@@ -1090,6 +1155,13 @@ class TestReconstruction:
             x /= np.linalg.norm(x)
             y /= np.linalg.norm(y)
             assert semigroup_reconstruct_check(A, 0.7, x, y, CFG) < 1e-5
+
+    def test_vector_lengths_checked(self):
+        A = parse_operator_spec("diag(1,3)")
+        with pytest.raises(InvalidParameter, match="x must be a vector of length 2"):
+            semigroup_reconstruct_check(A, 1.0, np.ones(3), np.ones(2), CFG)
+        with pytest.raises(InvalidParameter, match="xstar must be a vector of length 2"):
+            semigroup_reconstruct_check(A, 1.0, np.ones(2), np.ones(3), CFG)
 
     @pytest.mark.parametrize("t", [0.0, math.nan, math.inf])
     def test_non_positive_t_rejected(self, t):
