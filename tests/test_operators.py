@@ -1065,30 +1065,22 @@ class TestOracle:
         )
         assert np.max(np.abs(got - expect)) < 1e-8
 
-    @pytest.mark.parametrize("lam", [1.0, 0.5 + 2.0j, 3.0 - 1.0j])
+    @pytest.mark.parametrize("lam", [1.0, 0.5 + 2.0j, 3.0 - 1.0j, 1e-3])
     def test_jordan_first_order_closed_form(self, lam):
-        """On a 2x2 block, f(J) = f(lam) I + f'(lam) N with f' from f.deriv."""
+        """On a 2x2 block, f(J) = f(lam) I + f'(lam) N with f' from f.deriv.  At
+        Re lam = 1e-3 the circle's radius is at most 5e-4 and the gate is 1e-12."""
         A = jordan_operator(lam, 2)
         nil = A.matrix - lam * np.eye(2)
         for f in _CRITERION_04_FUNCTIONS:
             expect = f(lam) * np.eye(2) + f.deriv(lam) * nil
-            assert np.max(np.abs(oracle_apply(A, f, CFG) - expect)) < 1e-13, f.label
+            gap = np.max(np.abs(oracle_apply(A, f, CFG) - expect))
+            assert gap < (1e-12 if lam == 1e-3 else 1e-13), f.label
 
     def test_random_normal_eta(self):
         A = random_normal_operator(4, seed=17)
         lam, v = np.linalg.eig(A.matrix)
         expect = v @ np.diag(np.asarray(eta()(lam))) @ np.linalg.inv(v)
         assert np.max(np.abs(oracle_apply(A, eta(), CFG) - expect)) < 1e-8
-
-    def test_jordan_first_order_near_imaginary_axis(self):
-        """At Re lam = 1e-3 the circle's radius is at most 5e-4, and the 2x2 block
-        still matches f(lam) I + f'(lam) N within 1e-12."""
-        lam = 1e-3
-        A = jordan_operator(lam, 2)
-        nil = A.matrix - lam * np.eye(2)
-        for f in _CRITERION_04_FUNCTIONS:
-            expect = f(lam) * np.eye(2) + f.deriv(lam) * nil
-            assert np.max(np.abs(oracle_apply(A, f, CFG) - expect)) < 1e-12, f.label
 
     def test_two_blocks_closed_form(self):
         """Two 2x2 blocks at 1: f(A) = f(1) I + f'(1) N."""
