@@ -17,6 +17,7 @@ from .estimates import EstimateReport, majorant_integral, require_positive
 from .functions import (
     AnalyticFunction,
     DecayProfile,
+    _is_int_in,
     cayley_pow,
     dilate,
     exp_decay,
@@ -249,15 +250,20 @@ def check_exp_stable_decay(
     )
 
 
+def _inverse_generator(A: MatrixOperator) -> MatrixOperator:
+    """A^(-1) as an operator; InvalidParameter unless A is invertible."""
+    if np.min(np.abs(A.eigenvalues)) <= 1e-12:
+        raise InvalidParameter("operator must be invertible")
+    return MatrixOperator(np.linalg.inv(A.matrix), label=f"{A.label}^-1")
+
+
 def inverse_generator_check(A: MatrixOperator, t: float) -> EstimateReport:
     """Growth of exp(-t A^(-1)) for exponentially stable A:
     <= 2 M^2 (2 - e^(-t/omega)) for t <= omega, logarithmic beyond."""
     require_positive(t=t)
-    if np.min(np.abs(A.eigenvalues)) <= 1e-12:
-        raise InvalidParameter("operator must be invertible")
+    inv_op = _inverse_generator(A)
     M, omega = stability_constants(A)
-    a_inv = np.linalg.inv(A.matrix)
-    lhs = _opnorm(semigroup(MatrixOperator(a_inv, label=f"{A.label}^-1"), t))
+    lhs = _opnorm(semigroup(inv_op, t))
     if t <= omega:
         rhs = 2.0 * M**2 * (2.0 - math.exp(-t / omega))
     else:
@@ -277,10 +283,7 @@ def inverse_generator_constant(
     cfg: QuadratureConfig = DEFAULT_CONFIG,
 ) -> dict:
     """Measured constant in ||exp(-t A^(-1))|| <= C_A (1 + log(1+t)); reported only."""
-    if np.min(np.abs(A.eigenvalues)) <= 1e-12:
-        raise InvalidParameter("operator must be invertible")
-    a_inv = np.linalg.inv(A.matrix)
-    inv_op = MatrixOperator(a_inv, label=f"{A.label}^-1")
+    inv_op = _inverse_generator(A)
     norms = np.linalg.norm(semigroup(inv_op, ts), 2, axis=(1, 2))
     vals = {float(t): float(v) for t, v in zip(ts, norms)}
     c_meas = max(v / (1.0 + math.log1p(t)) for t, v in vals.items())
@@ -288,7 +291,7 @@ def inverse_generator_constant(
         b_norm(vitse_reg(t), cfg).value / (1.0 + math.log1p(t)) for t in (1.0, 16.0)
     )
     c_a = 2.0 * envelope_const * _semigroup_sup(A)[0] ** 2 * _opnorm(
-        (np.eye(A.n) + a_inv) @ (np.eye(A.n) + a_inv)
+        (np.eye(A.n) + inv_op.matrix) @ (np.eye(A.n) + inv_op.matrix)
     )
     return {"measured": c_meas, "predicted": c_a, "values": vals}
 
@@ -300,7 +303,7 @@ def inverse_generator_consistency(A: MatrixOperator, t: float) -> float:
         raise InvalidParameter("normalisation requires min Re spectrum >= 1")
     shifted = MatrixOperator(A.matrix - np.eye(A.n), label=f"{A.label}-1")
     via_calc = apply_calculus(shifted, exp_inv_shift(t))
-    direct = semigroup(MatrixOperator(np.linalg.inv(A.matrix), label="inv"), t)
+    direct = semigroup(_inverse_generator(A), t)
     return float(np.max(np.abs(via_calc - direct)))
 
 
@@ -367,9 +370,7 @@ def convergence_demo(
     """|| f(A/n) x - f(0) x || along n, plus the non-convergent stretched family
     f(n z) reported without any assertion."""
     n_list = list(n_list)
-    if not n_list or any(
-        isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1 for n in n_list
-    ):
+    if not n_list or not all(_is_int_in(n, 1) for n in n_list):
         raise InvalidParameter(f"the convergence demo needs integers n >= 1, got {n_list}")
     x = _as_vector(x, A.n, "x")
     f0 = complex(f(BOUNDARY_OFFSET))

@@ -110,6 +110,7 @@ def run(argv=None) -> int:
         args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
+    code, files = 0, []
     try:
         cfg = _config(args)
         if args.command == "norm":
@@ -119,27 +120,17 @@ def run(argv=None) -> int:
             mark = "" if rep.certified else " (not certified)"
             print(f"{args.kind}-norm[{args.f}] = {rep.value:.6f} +- {rep.error_bound:.2e}{mark}")
             doc = {"f": args.f, "kind": args.kind, **asdict(rep)}
-            _write(args.out, "norm.json", json_document("norm", doc))
-            return 0
 
-        if args.command == "pair":
+        elif args.command == "pair":
             g = parse_function_spec(args.g)
             f = parse_function_spec(args.f)
             res = pairing(g, f, cfg)
             mark = "" if res.converged else " (not converged)"
             print(f"<{args.g}, {args.f}> = {res.value.real:.8f}{res.value.imag:+.8f}i "
                   f"+- {res.error:.2e}{mark}")
-            _write(
-                args.out,
-                "pair.json",
-                json_document(
-                    "pair",
-                    {"g": args.g, "f": args.f, "value": res.value, "error": res.error},
-                ),
-            )
-            return 0
+            doc = {"g": args.g, "f": args.f, "value": res.value, "error": res.error}
 
-        if args.command == "apply":
+        elif args.command == "apply":
             A = parse_operator_spec(args.A)
             f = parse_function_spec(args.f)
             rep = apply_calculus_report(A, f)
@@ -147,23 +138,15 @@ def run(argv=None) -> int:
             print(_fmt_matrix(rep.value))
             mark = "" if rep.certified else " (not certified)"
             print(f"error bound {rep.error:.2e}{mark}")
-            _write(
-                args.out,
-                "apply.json",
-                json_document(
-                    "apply",
-                    {
-                        "A": args.A,
-                        "f": args.f,
-                        "matrix": [[complex(v) for v in row] for row in rep.value],
-                        "error": rep.error,
-                        "certified": rep.certified,
-                    },
-                ),
-            )
-            return 0
+            doc = {
+                "A": args.A,
+                "f": args.f,
+                "matrix": [[complex(v) for v in row] for row in rep.value],
+                "error": rep.error,
+                "certified": rep.certified,
+            }
 
-        if args.command == "profile":
+        elif args.command == "profile":
             A = parse_operator_spec(args.A)
             prof, (gamma, settled) = profile(A), gamma_hat(A)
             weak = gamma_weak_sample(A, seed=args.seed)
@@ -171,24 +154,16 @@ def run(argv=None) -> int:
                 f"K = {prof.K:.6f}  M = {prof.M:.6f}  "
                 f"gamma in [{weak:.6f}, {gamma:.6f}]  gamma settled = {settled}"
             )
-            _write(
-                args.out,
-                "profile.json",
-                json_document(
-                    "profile",
-                    {
-                        "A": args.A,
-                        "K": prof.K,
-                        "M": prof.M if math.isfinite(prof.M) else "inf",
-                        "gamma_hat": gamma,
-                        "gamma_settled": settled,
-                        "gamma_weak_sample": weak,
-                    },
-                ),
-            )
-            return 0
+            doc = {
+                "A": args.A,
+                "K": prof.K,
+                "M": prof.M if math.isfinite(prof.M) else "inf",
+                "gamma_hat": gamma,
+                "gamma_settled": settled,
+                "gamma_weak_sample": weak,
+            }
 
-        if args.command == "suite":
+        elif args.command == "suite":
             manifest = None
             if args.manifest:
                 with open(args.manifest, "r", encoding="utf-8") as fh:
@@ -200,25 +175,20 @@ def run(argv=None) -> int:
                     f"{status}  {r.estimate_id:<22} lhs={r.lhs:.6g} rhs={r.rhs:.6g} "
                     f"slack={r.slack:.4g}"
                 )
-            _write(args.out, "suite.json", json_document("suite", reports_to_json(reports)))
-            _write(args.out, "suite.csv", reports_to_csv(reports))
+            doc = reports_to_json(reports)
+            files = [("suite.csv", reports_to_csv(reports))]
             if args.plot_data:
-                _write(
-                    args.out,
-                    "suite_slack.csv",
-                    curve_csv(
-                        {
-                            "index": list(range(len(reports))),
-                            "lhs": [r.lhs for r in reports],
-                            "rhs": [r.rhs for r in reports],
-                        }
-                    ),
-                )
+                slack = {
+                    "index": list(range(len(reports))),
+                    "lhs": [r.lhs for r in reports],
+                    "rhs": [r.rhs for r in reports],
+                }
+                files.append(("suite_slack.csv", curve_csv(slack)))
             n_fail = sum(not r.passed for r in reports)
             print(f"{len(reports) - n_fail}/{len(reports)} validators passed")
-            return 2 if n_fail else 0
+            code = 2 if n_fail else 0
 
-        if args.command == "demo":
+        else:  # demo
             A = parse_operator_spec(args.A)
             f = parse_function_spec(args.f)
             ns = [parse_number(v, "--n-list entry", int) for v in args.n_list.split(",")]
@@ -227,36 +197,21 @@ def run(argv=None) -> int:
             for n, s, st in zip(table.n_values, table.shrink, table.stretch):
                 print(f"n={n:<6} shrink={s:.6e}  stretch={st:.6e}")
             print(f"decrease factor {table.decrease_factor:.2f}")
-            _write(
-                args.out,
-                "demo.json",
-                json_document(
-                    "demo",
-                    {
-                        "A": args.A,
-                        "f": args.f,
-                        "n": table.n_values,
-                        "shrink": table.shrink,
-                        "stretch": table.stretch,
-                    },
-                ),
-            )
+            curve = {"n": table.n_values, "shrink": table.shrink, "stretch": table.stretch}
+            doc = {"A": args.A, "f": args.f, **curve}
             if args.plot_data:
-                _write(
-                    args.out,
-                    "demo_curve.csv",
-                    curve_csv(
-                        {"n": table.n_values, "shrink": table.shrink, "stretch": table.stretch}
-                    ),
-                )
-            return 0
+                files = [("demo_curve.csv", curve_csv(curve))]
+
+        _write(args.out, f"{args.command}.json", json_document(args.command, doc))
+        for name, text in files:
+            _write(args.out, name, text)
     except BesovCalcError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return 1
-    return 1
+    return code
 
 
 def main() -> None:

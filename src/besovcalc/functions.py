@@ -70,6 +70,11 @@ def _require_finite(what: str, *values) -> None:
         raise InvalidParameter(f"{what} needs finite parameters")
 
 
+def _is_int_in(v, lo: int, hi: float = math.inf) -> bool:
+    """Whether v is an int or numpy integer, not a bool, with lo <= v <= hi."""
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool) and lo <= v <= hi
+
+
 @dataclass(frozen=True)
 class HalfLineMeasure:
     """Bounded measure on [0, inf): point atoms plus an optional named density.
@@ -336,7 +341,7 @@ def resolvent(a: complex) -> AnalyticFunction:
 
 def cayley_pow(n: int) -> AnalyticFunction:
     """((z-1)/(z+1))^n, n >= 1."""
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+    if not _is_int_in(n, 1):
         raise InvalidParameter(f"cayley power needs integer n >= 1, got {n!r}")
     n = int(n)
 

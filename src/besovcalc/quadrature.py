@@ -133,9 +133,10 @@ class DecayEnvelope:
         hi = lo
         for _ in range(220):
             hi = min(hi * 2.0, 1e308)
-            if self.effective_tail(hi) <= eps or hi >= 1e308:
+            tail = self.effective_tail(hi)
+            if tail <= eps or hi >= 1e308:
                 break
-        if self.effective_tail(hi) > eps:
+        if tail > eps:
             return math.inf
         for _ in range(80):
             mid = math.sqrt(lo * hi)

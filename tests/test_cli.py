@@ -51,6 +51,9 @@ def test_profile_reports_gamma_settled(capsys, tmp_path):
     assert run(["profile", "--A", "diag(1e6)", "--out", str(tmp_path)]) == 0
     assert "gamma settled = False" in capsys.readouterr().out
     doc = json.loads((tmp_path / "profile.json").read_text())
+    assert set(doc["result"]) == {
+        "A", "K", "M", "gamma_hat", "gamma_settled", "gamma_weak_sample"
+    }
     assert doc["result"]["gamma_settled"] is False
 
 
@@ -105,6 +108,9 @@ def test_demo_command(tmp_path, capsys):
     assert (tmp_path / "demo_curve.csv").exists()
     header = (tmp_path / "demo_curve.csv").read_text().splitlines()[0]
     assert header == "n,shrink,stretch"
+    doc = json.loads((tmp_path / "demo.json").read_text())
+    assert set(doc["result"]) == {"A", "f", "n", "shrink", "stretch"}
+    assert doc["result"]["n"] == [1, 8]
 
 
 def test_demo_seed_and_plot_data(tmp_path, capsys):
@@ -150,6 +156,31 @@ def test_suite_small_manifest(tmp_path, capsys):
     assert all(row["pass"] for row in doc["result"])
 
 
+@pytest.mark.parametrize(
+    "argv,extras",
+    [
+        (["norm", "--f", "cayley(n=1)"], set()),
+        (["pair", "--g", "resolvent(a=1)", "--f", "const(3)"], set()),
+        (["apply", "--A", "diag(1,2)", "--f", "exp(a=1)"], set()),
+        (["profile", "--A", "diag(1)"], set()),
+        (["suite", "--plot-data"], {"suite.csv", "suite_slack.csv"}),
+        (["demo", "--A", "diag(1,2)", "--n-list", "1,8", "--plot-data"], {"demo_curve.csv"}),
+    ],
+    ids=["norm", "pair", "apply", "profile", "suite", "demo"],
+)
+def test_out_holds_the_document_and_its_extras(argv, extras, tmp_path, capsys):
+    """Each command writes <command>.json, plus its CSV files, and nothing else."""
+    if argv[0] == "suite":
+        mf = tmp_path / "small.suite"
+        mf.write_text(SMALL_MANIFEST)
+        argv = argv + ["--manifest", str(mf)]
+    assert run(argv + ["--out", str(tmp_path / "out")]) == 0
+    capsys.readouterr()
+    assert {p.name for p in (tmp_path / "out").iterdir()} == {f"{argv[0]}.json"} | extras
+    doc = json.loads((tmp_path / "out" / f"{argv[0]}.json").read_text())
+    assert doc["schema"] == "besov-calc/1" and doc["command"] == argv[0]
+
+
 def test_suite_determinism(tmp_path):
     mf = tmp_path / "small.suite"
     mf.write_text(SMALL_MANIFEST)
@@ -168,10 +199,14 @@ def test_suite_failure_exit_code(tmp_path, monkeypatch, capsys):
     monkeypatch.setitem(suite_mod.VALIDATORS, "cayley_norm", (failing, [{"n": 1}]))
     mf = tmp_path / "fail.suite"
     mf.write_text("cayley_norm n=1\n")
-    rc = run(["suite", "--manifest", str(mf), "--out", str(tmp_path)])
+    rc = run(["suite", "--manifest", str(mf), "--out", str(tmp_path / "out")])
     out = capsys.readouterr().out
     assert rc == 2
-    assert "FAIL" in out
+    assert "FAIL" in out and "0/1 validators passed" in out
+    # a failing validator still gets its reports written
+    doc = json.loads((tmp_path / "out" / "suite.json").read_text())
+    assert [row["pass"] for row in doc["result"]] == [False]
+    assert (tmp_path / "out" / "suite.csv").read_text().splitlines()[1].endswith(",False")
 
 
 def test_bad_function_spec_exit_code(capsys):

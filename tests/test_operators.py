@@ -7,6 +7,7 @@ import subprocess
 import sys
 import textwrap
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -233,6 +234,11 @@ class TestBadInput:
         A = parse_operator_spec("diag(1,2)")
         with pytest.raises(InvalidParameter):
             semigroup(A, t)
+
+    @pytest.mark.parametrize("m", [True, 0, 1.0, 2.5])
+    def test_jordan_size_must_be_a_positive_integer(self, m):
+        with pytest.raises(InvalidParameter, match="integer m >= 1"):
+            jordan_operator(1.0, m)
 
     def test_time_array_shape(self):
         A = parse_operator_spec("diag(1,2)")
@@ -1075,6 +1081,21 @@ class TestOracle:
             expect = f(lam) * np.eye(2) + f.deriv(lam) * nil
             gap = np.max(np.abs(oracle_apply(A, f, CFG) - expect))
             assert gap < (1e-12 if lam == 1e-3 else 1e-13), f.label
+
+    def test_noisy_circle_gives_up_early(self):
+        """A 3-block at Re lam = 1e-6: rounding noise keeps the circle sums apart, and
+        the oracle stops after 5 sums, where doubling to the cap took 12."""
+        f = exp_decay(1.0)
+        sizes = []
+
+        def counted(z):
+            sizes.append(z.size)
+            return f.eval_fn(z)
+
+        with pytest.raises(NonConvergence, match="did not settle"):
+            oracle_apply(jordan_operator(1e-6, 3), replace(f, eval_fn=counted), CFG)
+        assert sizes == [64 << k for k in range(5)]
+        assert len(sizes) < operators._CIRCLE_DOUBLINGS
 
     def test_random_normal_eta(self):
         A = random_normal_operator(4, seed=17)

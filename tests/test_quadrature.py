@@ -902,7 +902,8 @@ class TestCutoff:
         assert env.cutoff(1e-300) == _cutoff_reference(env, 1e-300) == math.inf
 
     def test_reaches_the_fixed_point(self):
-        """The exit is taken: the search makes fewer effective_tail calls."""
+        """The exit is taken: the search makes fewer effective_tail calls, and
+        evaluates no T twice."""
         env = ExpEnvelope(a=1.0, c=1.0)
         calls = []
 
@@ -913,6 +914,7 @@ class TestCutoff:
 
         T = Counted(a=1.0, c=1.0).cutoff(1e-9)
         assert T == env.cutoff(1e-9) == _cutoff_reference(env, 1e-9)
-        # lo, the doublings, hi again, then one call per bisection round
-        doublings = next(k for k in range(1, len(calls)) if calls[k + 1] == calls[k])
-        assert 40 < len(calls) - (doublings + 2) < 80
+        assert len(set(calls)) == len(calls)
+        # lo and the rising doublings, then one call per bisection round
+        first_mid = next(k for k in range(1, len(calls)) if calls[k] < calls[k - 1])
+        assert 40 < len(calls) - first_mid < 80
