@@ -195,7 +195,10 @@ class Profiles:
     supremum.  window is an initial half-width for supremum grids; e0_upper,
     when set, certifies sup_x x * int |f'(x+iy)| dy <= e0_upper.  sampled marks
     envelopes whose constants come from samples of f, not from a proof, so a
-    norm built on them is not certified.
+    norm built on them is not certified.  pole_radius, when set, is an R with every
+    singularity of f' in |u| <= R and |f'(u)| = O(|u|^-2) beyond it, so a pairing with f
+    as its kernel may take its inner integrals on a contour (`duality._inner_integral`);
+    only `resolvent` declares it, and only `scale` keeps it.
     """
 
     deriv_line: Callable[[float], DecayEnvelope]
@@ -205,6 +208,7 @@ class Profiles:
     window: float = 8.0
     e0_upper: float | None = None
     sampled: bool = False
+    pole_radius: float | None = None
 
 
 @dataclass(frozen=True)
@@ -328,6 +332,7 @@ def resolvent(a: complex) -> AnalyticFunction:
         modulus_outer=PowerEnvelope(p=1.0, c=1.0, t0=1e-6),
         window=max(8.0, 4.0 * c0),
         e0_upper=math.pi,
+        pole_radius=abs(a),
     )
     return AnalyticFunction(
         eval_fn=lambda z: 1.0 / (z + a),
@@ -537,6 +542,7 @@ def laplace_transform(measure: HalfLineMeasure) -> AnalyticFunction:
         f.profiles,
         window=max(8.0, 3.0 * 2.0 * math.pi / beat),
         modulus_outer=ConstEnvelope(c=measure.total_variation()),
+        pole_radius=None,
     )
     return replace(f, profiles=prof, label="laplace(...)")
 
@@ -761,6 +767,7 @@ def shift(f: AnalyticFunction, a: complex) -> AnalyticFunction:
         deriv_line=lambda x: fp.deriv_line(x + a.real).off_center(off),
         modulus_line=lambda x: fp.modulus_line(x + a.real).off_center(off),
         window=fp.window + 2 * off,
+        pole_radius=None,
     )
     return replace(
         f,
@@ -788,6 +795,7 @@ def dilate(f: AnalyticFunction, b: float) -> AnalyticFunction:
         deriv_outer=fp.deriv_outer.dilated_arg(b).scaled(b),
         modulus_outer=fp.modulus_outer.dilated_arg(b),
         window=fp.window / b,
+        pole_radius=None,
     )
     return replace(
         f,
@@ -846,6 +854,7 @@ def power(f: AnalyticFunction, beta: float) -> AnalyticFunction:
         modulus_outer=bound,
         e0_upper=None,
         sampled=True,
+        pole_radius=None,
     )
     return AnalyticFunction(
         eval_fn=lambda z: np.power(f.eval_fn(z), beta),

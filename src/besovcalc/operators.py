@@ -614,9 +614,11 @@ def apply_calculus_report(
     The double integral is the kernel pairing of f with (w + A)^(-2), whose weight pi K^2
     is Plancherel's bound on alpha * int |<(alpha+i beta+A)^(-2) x, y>| d beta, x and y unit
     vectors.  Every admitted operator takes it directly, spectrum on iR included: admission
-    leaves only generators of bounded semigroups, which the calculus covers.  The pairing always
-    runs under _APPLY_CFG; cfg is accepted and not read, because the benchmark's calculus
-    workload (perfbench/workloads.py) passes a config positionally."""
+    leaves only generators of bounded semigroups, which the calculus covers.  The kernel's
+    poles -lam all lie in |u| <= ||A||_2, on the dense and the spectral path alike, so every
+    inner integral runs on the contour of `duality._inner_integral` with R = ||A||_2.  The
+    pairing always runs under _APPLY_CFG; cfg is accepted and not read, because the
+    benchmark's calculus workload (perfbench/workloads.py) passes a config positionally."""
     spec = A.spectral()
 
     def kernel(w):
@@ -625,9 +627,7 @@ def apply_calculus_report(
         return (w[:, None] + spec.lam) ** -2
 
     prof = A.profile()
-    p = kernel_pairing(
-        kernel, lambda alpha: _kernel_line(A, alpha), math.pi * prof.K**2, True, f, _APPLY_CFG
-    )
+    p = kernel_pairing(kernel, A.norm2, None, math.pi * prof.K**2, True, f, _APPLY_CFG)
     integral = p.value if spec is None else (spec.q * p.value) @ spec.q.conj().T
     value = f.infinity() * np.eye(A.n) - (2.0 / math.pi) * integral
     # a unitary Q does not enlarge the max-entry error of diag(p.value)

@@ -6,19 +6,24 @@ import math
 import numpy as np
 import pytest
 
-from besovcalc import quadrature
+from besovcalc import duality, quadrature
 from besovcalc.duality import pairing, reproduce_residual
 from besovcalc.errors import IntegralNotNormConvergent, InvalidParameter
 from besovcalc.functions import (
+    BernsteinFunction,
     HalfLineMeasure,
     add,
     band_function,
+    bernstein_resolvent,
     cayley_pow,
     const,
+    dilate,
     eta,
     exp_decay,
     exp_inv_shift,
     laplace_transform,
+    mul,
+    parse_function_spec,
     power,
     resolvent,
     scale,
@@ -35,6 +40,26 @@ from besovcalc.operators import (
 from besovcalc.quadrature import ConstEnvelope, PowerEnvelope, QuadratureConfig, integrate_line
 
 CFG = QuadratureConfig()
+FAST = CFG.with_tolerances(abs_tol=3e-8, rel_tol=1e-7)
+
+
+def criterion_03_catalog():
+    """The 13 functions of acceptance criterion 03."""
+    return [
+        const(2.0),
+        exp_decay(1.0),
+        resolvent(1.0),
+        resolvent(1 + 2j),
+        cayley_pow(1),
+        cayley_pow(4),
+        eta(),
+        parse_function_spec("eta(delta=0.5)"),
+        exp_inv_shift(1.0),
+        vitse_reg(1.0),
+        laplace_transform(HalfLineMeasure(atoms=((0.0, 1.0),), density=("exp", -2.0, 1.0))),
+        band_function(1.0, 4.0),
+        bernstein_resolvent(BernsteinFunction(b=1.0), 0.5, 2.0, math.pi / 4, 1.0),
+    ]
 
 
 def green_pairing(g, f, env) -> complex:
@@ -199,6 +224,11 @@ class TestOneDoubleIntegral:
         with pytest.raises(InvalidParameter):
             reproduce_residual(exp_decay(1.0), np.array([]), CFG)
 
+    @pytest.mark.parametrize("z", [math.nan, complex(1.0, math.inf)])
+    def test_non_finite_z_rejected(self, z):
+        with pytest.raises(InvalidParameter):
+            reproduce_residual(exp_decay(1.0), np.array([2.0, z]), CFG)
+
     def test_summand_evals_add_up(self):
         f = band_function(1.0, 4.0)
         assert f.summands is not None and len(f.summands) >= 2
@@ -246,3 +276,78 @@ class TestNestedConvergence:
     def test_exhausted_panel_budget_is_reported(self, name, monkeypatch):
         monkeypatch.setattr(quadrature, "_MAX_PANELS", 5)
         assert self.CHECKS[name]() is False
+
+
+def _cayley_second_derivative(n):
+    def f2(w):
+        c, c1, c2 = (w - 1) / (w + 1), 2 / (w + 1) ** 2, -4 / (w + 1) ** 3
+        return n * (n - 1) * c ** (n - 2) * c1**2 + n * c ** (n - 1) * c2
+
+    return f2
+
+
+class TestContour:
+    """Inner integrals of a kernel with declared poles run on a segment plus two
+    horizontal rays; every other kernel stays on the vertical line."""
+
+    # (f, f'') in closed form
+    FAMILIES = {
+        "exp1": (exp_decay(1.0), lambda w: np.exp(-w)),
+        "exp4": (exp_decay(4.0), lambda w: 16.0 * np.exp(-4.0 * w)),
+        "resolvent1": (resolvent(1.0), lambda w: 2.0 / (w + 1.0) ** 3),
+        "resolvent1+2i": (resolvent(1 + 2j), lambda w: 2.0 / (w + 1 + 2j) ** 3),
+        "cayley1": (cayley_pow(1), _cayley_second_derivative(1)),
+        "cayley4": (cayley_pow(4), _cayley_second_derivative(4)),
+    }
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("z", [5.0, 2 - 7j, 0.3 + 2j])
+    def test_each_node_within_its_charge(self, family, z):
+        # residue at w = 2x + z: int r_z'(x - iy) f'(x + iy) dy = 2 pi f''(2x + z)
+        f, f2 = self.FAMILIES[family]
+        g = resolvent(z)
+        for x in (1e-6, 1e-3, 0.1, 1.0, 10.0, 100.0):
+            charge = CFG.abs_tol / (1.0 + x) ** 2
+            res = duality._inner_integral(g.deriv, g.profiles.pole_radius, None, f, x, charge)
+            assert res.converged and res.error <= charge
+            assert abs(res.value - 2.0 * math.pi * f2(2.0 * x + z)) <= charge
+
+    def test_contour_agrees_with_line(self):
+        # the same kernel r_(1+20i)', once with declared poles and once through shift,
+        # which declares none and so keeps the line
+        line_g, contour_g = shift(resolvent(1.0), 20j), resolvent(1 + 20j)
+        assert line_g.profiles.pole_radius is None
+        for f in criterion_03_catalog():
+            a, b = pairing(line_g, f, FAST), pairing(contour_g, f, FAST)
+            assert abs(a.value - b.value) <= a.error + b.error, f.label
+
+    @pytest.mark.parametrize("tol", [3e-7, 3e-8])
+    def test_reported_error_covers_the_reproducing_gap(self, tol):
+        # <r_z, f> = (pi/2) (f(z) - f(inf)); at z = 5 the node sum of the line path
+        # reported less than the actual error
+        cfg = QuadratureConfig(abs_tol=tol, rel_tol=1e-7)
+        for z in (5.0, 0.3 + 2j, 2 - 7j, 9 + 0.5j):
+            g = resolvent(z)
+            for f in criterion_03_catalog():
+                p = pairing(g, f, cfg)
+                gap = abs(p.value - 0.5 * math.pi * (f(z) - f.infinity()))
+                assert gap <= p.error, f"{f.label} at z = {z}"
+
+    def test_pole_radius_rule(self):
+        # only resolvent declares it and only scale keeps it: every other combinator
+        # moves or hides the poles, or leaves f' without O(|u|^-2) decay
+        r = resolvent(3 + 4j)
+        assert r.profiles.pole_radius == 5.0
+        assert scale(r, 2 - 1j).profiles.pole_radius == 5.0
+        others = [
+            shift(r, 1.0),
+            dilate(r, 2.0),
+            power(r, 2),
+            add(r, r),
+            mul(r, r),
+            laplace_transform(HalfLineMeasure(density=("exp", 1.0, 2.0))),
+            exp_decay(1.0),
+            cayley_pow(2),
+            const(1.0),
+        ]
+        assert [g.label for g in others if g.profiles.pole_radius is not None] == []
