@@ -11,17 +11,18 @@ import numpy as np
 
 from .errors import IntegralNotNormConvergent, InvalidParameter
 from .functions import AnalyticFunction
-from .norms import BOUNDARY_OFFSET, e0_norm
+from .norms import BOUNDARY_OFFSET
 from .quadrature import (
     DEFAULT_CONFIG,
     DecayEnvelope,
+    PowerEnvelope,
     QuadResult,
     QuadratureConfig,
+    StretchedExpEnvelope,
+    SumEnvelope,
     envelope_product,
-    integrate_halfline,
     integrate_interval,
     integrate_line,
-    truncation_point,
 )
 
 __all__ = ["kernel_pairing", "pairing", "reproduce_residual"]
@@ -34,14 +35,14 @@ def pairing(
 ) -> QuadResult:
     """Iterated integral of x * g'(x-iy) f'(x+iy) over y in R, then x > 0.
 
-    The outer envelope is weighted by a bound on sup_x x * int |g'(x+iy)| dy:
-    g's closed form e0_upper, else 1.25 e0_norm(g).  Without that closed form, or when
-    f's envelopes are sampled, the error is at least a quarter of the value.  A g that
-    declares a pole_radius takes its inner integrals on the contour of `_inner_integral`."""
+    It is certified when g declares the closed-form bound e0_upper on
+    sup_x x * int |g'(x+iy)| dy, which makes the outer integrand decay like f's outer
+    envelope, and f's envelopes are not sampled; otherwise the error is at least a quarter
+    of the value.  A g that declares a pole_radius takes its inner integrals on the
+    contour of `_inner_integral`."""
     gp = g.profiles
-    weight = gp.e0_upper if gp.e0_upper is not None else 1.25 * e0_norm(g, cfg).value
     certified = gp.e0_upper is not None and not f.profiles.sampled
-    p = kernel_pairing(g.deriv, gp.pole_radius, gp.deriv_line, weight, certified, f, cfg)
+    p = kernel_pairing(g.deriv, gp.pole_radius, gp.deriv_line, certified, f, cfg)
     return replace(p, value=complex(p.value))
 
 
@@ -49,63 +50,84 @@ def pairing(
 _NO_REL_TOL = math.ulp(0.0)
 
 
+def _decay_power(env: DecayEnvelope) -> float:
+    """The slowest power decay of env, capped at 2: a sum's slowest part; exponential and
+    resolvent shapes count as 2, and t^(alpha-1) exp(-rho t^alpha) as 1 + alpha, whose map
+    x^alpha ~ 1/(1-u) makes it decay like an exponential in 1/(1-u)."""
+    if isinstance(env, SumEnvelope):
+        return min(map(_decay_power, env.parts), default=2.0)
+    if isinstance(env, StretchedExpEnvelope):
+        return 1.0 + env.alpha
+    return min(env.p, 2.0) if isinstance(env, PowerEnvelope) else 2.0
+
+
 def kernel_pairing(
     kernel: Callable[[np.ndarray], np.ndarray],
     pole_radius: float | None,
     kernel_line: Callable[[float], DecayEnvelope] | None,
-    weight: float,
     certified: bool,
     f: AnalyticFunction,
     cfg: QuadratureConfig,
 ) -> QuadResult:
     """int_0^inf x int_R K(x-iy) f'(x+iy) dy dx: the pairing of f with the g whose g' = K =
-    kernel, one scalar, vector or matrix per point.  weight bounds sup_x x int |K(x+iy)| dy
-    per entry and scales f's outer envelope; without a certified weight the error is at
-    least a quarter of the value.  With a pole_radius R, every singularity of K lies in
-    |u| <= R and ||K(u)|| = O(|u|^-2), and the inner integrals run on a contour; without one,
-    kernel_line(x) bounds |K(x+iy)| in y and they run on the line (see `_inner_integral`).
-    The outer integral runs under cfg and spends its abs_tol on its tail; the inner integral
-    at x runs under abs_tol tol(x) = cfg.abs_tol/(1+x)^2 alone.  Neither is strict, so
-    converged records whether all of them converged.  Summands of f pair one by one.
+    kernel, one scalar, vector or matrix per point.  certified says that a closed-form bound
+    on sup_x x int |K(x+iy)| dy makes the outer integrand decay like f's outer envelope;
+    without it the error is at least a quarter of the value.  With a pole_radius R, every
+    singularity of K lies in |u| <= R and ||K(u)|| = O(|u|^-2), and the inner integrals run
+    on a contour; without one, kernel_line(x) bounds |K(x+iy)| in y and they run on the
+    line (see `_inner_integral`).  Summands of f pair one by one.
 
-    A converged inner integral errs by at most tol(x) on the contour, and by 2 tol(x) on the
-    line, whose truncated tails take a second tol(x).  The outer rule's weights are positive,
-    so the inner stage adds at most the integral of x times that over [0, T], T the outer
-    cutoff (`truncation_point`): abs_tol (ln(1+T) + 1/(1+T) - 1) on the contour, twice that
-    on the line.  n_evals counts the inner points and tail_error is the outer tail charge."""
+    The outer integral has no cutoff: with p = `_decay_power` of f's outer envelope,
+    k = 1/(p-1) and S = 1 + t0 + R (R = 0 on the line), x = S ((1-u)^-k - 1) maps u in
+    [0, 1) onto the half-line and a decay x^-p onto a bounded integrand at u = 1 (QUADPACK's
+    QAGI step), which one `integrate_interval` run takes under cfg.  The inner integral at
+    x runs under abs_tol tol(x) = cfg.abs_tol/(1+x)^(1+p) alone.  Neither is strict, so
+    converged records whether all of them converged.  A node whose dx/du or tol(x) leaves
+    the normal floats raises InvalidParameter: f' then decays too slowly for the map.
+
+    A converged inner integral errs by at most tol(x) on the contour, and by 2 tol(x) on
+    the line, whose truncated tails take a second tol(x).  The outer rule's weights are
+    positive, so the inner stage adds at most int_0^inf x tol(x) dx = abs_tol/(p(p-1)) on
+    the contour, twice that on the line.  n_evals counts the inner points; tail_error is 0."""
     if f.summands is not None and len(f.summands) >= 2:
         # exact linear split; narrow frequency bands integrate much faster
-        g = (kernel, pole_radius, kernel_line, weight, certified)
+        g = (kernel, pole_radius, kernel_line, certified)
         parts = [kernel_pairing(*g, s, cfg) for s in f.summands]
         return QuadResult(
             sum(p.value for p in parts), sum(p.error for p in parts), sum(p.n_evals for p in parts),
-            all(p.converged for p in parts), sum(p.tail_error for p in parts),
+            all(p.converged for p in parts),
         )
-    outer_env = f.profiles.deriv_outer.scaled(weight)
-    if not outer_env.integrable:
+    env = f.profiles.deriv_outer
+    if not env.integrable:
         raise IntegralNotNormConvergent("pairing outer integrand has no integrable envelope")
+    p = _decay_power(env)
+    k = 1.0 / (p - 1.0)
+    S = 1.0 + env.t0 + (pole_radius or 0.0)
     n_evals, converged = 0, True
 
-    def inner(x: float):
+    def inner(x: float, dx: float):
         nonlocal n_evals, converged
-        tol = cfg.abs_tol / (1.0 + x) ** 2
+        tol = cfg.abs_tol * math.exp(-(1.0 + p) * math.log1p(x))
+        if not (math.isfinite(dx) and tol >= np.finfo(float).tiny):
+            raise InvalidParameter(
+                f"pairing outer map overflows: f' decays like x^-{p:g}, too slowly for it"
+            )
         res = _inner_integral(kernel, pole_radius, kernel_line, f, x, tol)
         n_evals += res.n_evals
         converged = converged and res.converged
-        return x * res.value
+        return (x * dx) * res.value
 
-    def outer(xs):
-        return np.array([inner(float(x)) for x in xs])
+    def outer(us):
+        logs = -k * np.log1p(-us)  # ln (1-u)^-k
+        with np.errstate(over="ignore"):
+            xs, dxs = S * np.expm1(logs), S * k * np.exp(logs) / (1.0 - us)
+        return np.array([inner(float(x), float(dx)) for x, dx in zip(xs, dxs)])
 
-    res = integrate_halfline(outer, outer_env, cfg, strict=False)
-    T = truncation_point(outer_env, cfg, 1)
-    inner_err = (1.0 if pole_radius is not None else 2.0) * cfg.abs_tol * (
-        math.log1p(T) + 1.0 / (1.0 + T) - 1.0
-    )
-    err = res.error + inner_err
+    res = integrate_interval(outer, 0.0, 1.0, cfg, strict=False)
+    err = res.error + (1.0 if pole_radius is not None else 2.0) * cfg.abs_tol / (p * (p - 1.0))
     if not certified:
         err = max(err, 0.25 * abs(res.value))
-    return QuadResult(res.value, err, n_evals, converged and res.converged, res.tail_error)
+    return QuadResult(res.value, err, n_evals, converged and res.converged)
 
 
 def _inner_integral(
@@ -156,8 +178,10 @@ def reproduce_residual(f: AnalyticFunction, z, cfg: QuadratureConfig = DEFAULT_C
     """|f(z) - f(inf) - (2/pi) <r_z, f>| with the boundary-offset convention, for
     one z (a float) or an array of z (an array of its shape).  All z share one
     double integral over the vector of their kernels r_z'(w) = -(w + z)^(-2),
-    each of closed-form weight e0_upper = pi, whose poles all lie in |w| <= max |z|,
-    so every inner integral runs on the contour of `_inner_integral`."""
+    each of closed-form weight e0_upper = pi, so certified, whose poles all lie in
+    |w| <= max |z|, so every inner integral runs on the contour of `_inner_integral`.
+    The outer integral runs on `kernel_pairing`'s map of [0, 1) onto the half-line, with
+    no cutoff, so no tail of it is left out of the residual."""
     zs = np.array(z, dtype=complex).reshape(-1)
     if zs.size == 0:
         raise InvalidParameter("reproduce_residual needs at least one z")
@@ -168,6 +192,6 @@ def reproduce_residual(f: AnalyticFunction, z, cfg: QuadratureConfig = DEFAULT_C
     def kernel(w):
         return -1.0 / (w[:, None] + zs) ** 2
 
-    p = kernel_pairing(kernel, float(np.abs(zs).max()), None, math.pi, True, f, cfg)
+    p = kernel_pairing(kernel, float(np.abs(zs).max()), None, True, f, cfg)
     out = np.abs(f(zs) - f.infinity() - (2.0 / math.pi) * p.value).reshape(np.shape(z))
     return float(out) if out.ndim == 0 else out

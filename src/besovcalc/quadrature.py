@@ -33,7 +33,6 @@ __all__ = [
     "integrate_interval",
     "integrate_halfline",
     "integrate_line",
-    "truncation_point",
     "sup_on_vertical_line",
     "DYADIC_GRID",
     "EDGE_ALLOWANCE",
@@ -598,21 +597,15 @@ def _dyadic_breakpoints(a: float, b: float, scale: float) -> list[float]:
     return pts
 
 
-def truncation_point(envelope: DecayEnvelope, cfg: QuadratureConfig, tails: int) -> float:
-    """The T at which `integrate_halfline` (tails=1) and `integrate_line` (tails=2) truncate:
-    where each tail fits in cfg.abs_tol / tails, and at least 1.5 t0 and 1."""
+def _integrate_truncated(f, envelope, cfg, tails, strict) -> QuadResult:
+    """Integrate f over [0, inf) (tails=1) or the whole line (tails=2), truncated where
+    each tail fits in cfg.abs_tol / tails, and at least at 1.5 t0 and 1."""
     if not envelope.integrable:
         raise InvalidParameter("integration to infinity requires an integrable envelope")
     T = envelope.cutoff(cfg.abs_tol / tails)
     if not math.isfinite(T):
         raise InvalidParameter("envelope tail never reaches the requested tolerance")
-    return max(T, envelope.t0 * 1.5 + 1e-9, 1.0)
-
-
-def _integrate_truncated(f, envelope, cfg, tails, strict) -> QuadResult:
-    """Integrate f over [0, inf) (tails=1) or the whole line (tails=2); the tail
-    budget, cfg.abs_tol, is split equally between the tails."""
-    T = truncation_point(envelope, cfg, tails)
+    T = max(T, envelope.t0 * 1.5 + 1e-9, 1.0)
     bp = _dyadic_breakpoints(0.0, T, max(envelope.t0, 1.0) / 4.0)
     if tails == 2:  # integrate_interval sorts and deduplicates breakpoints
         bp += [0.0, *(-x for x in bp)]

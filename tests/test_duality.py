@@ -2,13 +2,14 @@
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from besovcalc import duality, quadrature
 from besovcalc.duality import pairing, reproduce_residual
-from besovcalc.errors import IntegralNotNormConvergent, InvalidParameter
+from besovcalc.errors import BesovCalcError, IntegralNotNormConvergent, InvalidParameter
 from besovcalc.functions import (
     BernsteinFunction,
     HalfLineMeasure,
@@ -128,8 +129,8 @@ class TestPairingValues:
         assert val <= e0_norm(g, CFG).value * b0_norm(f, CFG).value + 1e-6
 
     def test_uncertified_weight_floors_the_error(self):
-        # exp(-1/(z+1)) has no closed-form e0_upper, so its weight 1.25 e0_norm is not
-        # certified and the error is at least a quarter of the value;
+        # exp(-1/(z+1)) has no closed-form e0_upper, so nothing bounds its outer integrand
+        # by f's envelope, and the error is at least a quarter of the value;
         # <g, r_1> = (pi/2) (g(1) - g(inf)) = (pi/2) (e^(-1/2) - 1)
         got = pairing(exp_inv_shift(1.0), resolvent(1.0), CFG)
         assert got.error == 0.25 * abs(got.value)
@@ -237,7 +238,9 @@ class TestOneDoubleIntegral:
         parts = [pairing(g, s, CFG) for s in f.summands]
         assert whole.n_evals == sum(p.n_evals for p in parts) > 0
         assert whole.value == sum(p.value for p in parts)
-        assert whole.tail_error == sum(p.tail_error for p in parts) > 0
+        assert whole.error == sum(p.error for p in parts)
+        # the outer integral runs on a map of [0, 1) and leaves no tail
+        assert whole.tail_error == 0.0 and all(p.tail_error == 0.0 for p in parts)
 
     def test_one_integrability_error(self):
         # pairing, the batched residual and the calculus reject a non-integrable
@@ -351,3 +354,60 @@ class TestContour:
             const(1.0),
         ]
         assert [g.label for g in others if g.profiles.pole_radius is not None] == []
+
+
+class TestMappedOuter:
+    """The outer integral runs on x = S ((1-u)^-k - 1) over u in [0, 1), with k matched to
+    f's outer envelope: no cutoff, and so no tail left out of the value."""
+
+    def test_reproducing_residual_has_no_tail_bias(self):
+        # a cutoff at the envelope's tail left out (2/pi) abs_tol/2 = 9.54e-9 here
+        for f in criterion_03_catalog():
+            assert reproduce_residual(f, 5.0, FAST) < 1e-9, f.label
+
+    @pytest.mark.parametrize("alpha_beta", [0.1, 0.3, 0.6])
+    def test_slow_power_decay(self, alpha_beta):
+        # f' decays like x^-(1 + alpha beta); <r_z, f> = (pi/2) (f(z) - f(inf))
+        f = bernstein_resolvent(BernsteinFunction(b=1.0), alpha_beta / 2.0, 2.0, math.pi / 4, 1.0)
+        assert f.profiles.deriv_outer.p == pytest.approx(1.0 + alpha_beta)
+        z = 2.0 + 1.0j
+        got = pairing(resolvent(z), f, CFG)
+        assert got.converged and got.error < 1e-6
+        assert abs(got.value - 0.5 * math.pi * (f(z) - f.infinity())) <= got.error
+
+    @pytest.mark.parametrize("alpha", [0.5, 0.1, 0.05])
+    def test_stretched_exponential_decay(self, alpha):
+        # f' has the envelope t^(alpha-1) exp(-rho t^alpha), which maps as the power 1 + alpha;
+        # mapped as power 2, its tail lay beyond the floats near u = 1, and alpha = 0.1 took
+        # 1.55M inner points
+        fb = BernsteinFunction(jumps=((1.0, 1.0),))
+        f = bernstein_resolvent(fb, alpha, 1.0 / alpha, math.pi / 4, 1.0)
+        z = 2.0 + 1.0j
+        got = pairing(resolvent(z), f, CFG)
+        assert got.converged and got.n_evals < 100_000
+        assert abs(got.value - 0.5 * math.pi * (f(z) - f.infinity())) <= got.error
+
+    def test_too_slow_decay_raises(self):
+        # at x^-1.01 the map's (1-u)^-100 leaves the floats at the first panel's last node
+        f = bernstein_resolvent(BernsteinFunction(b=1.0), 0.005, 2.0, math.pi / 4, 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(BesovCalcError):
+                pairing(resolvent(2.0 + 1.0j), f, CFG)
+
+    def test_no_cutoff_search(self, monkeypatch):
+        A = MatrixOperator(np.diag([1.0, 2.0 + 1.0j]))
+        A.profile()  # its kernel weight truncates line integrals; the calculus does not
+        calls = []
+        cutoff = quadrature.DecayEnvelope.cutoff
+
+        def counted(env, eps):
+            calls.append(eps)
+            return cutoff(env, eps)
+
+        monkeypatch.setattr(quadrature.DecayEnvelope, "cutoff", counted)
+        for f in criterion_03_catalog():
+            reproduce_residual(f, TestOneDoubleIntegral.ZS, FAST)
+            pairing(resolvent(1.0 + 1.0j), f, FAST)
+            apply_calculus_report(A, f)
+        assert calls == []

@@ -978,6 +978,18 @@ class TestApplyCalculus:
         A = parse_operator_spec(spec)
         assert gamma_weak_sample(A) <= 2.0 * profile(A).K ** 2
 
+    @pytest.mark.parametrize(
+        "f",
+        [resolvent(1.5), cayley_pow(2), eta(), exp_inv_shift(1.0), vitse_reg(2.0)],
+        ids=lambda f: f.label,
+    )
+    def test_no_outer_tail_bias(self, f):
+        """For large alpha the kernel tends to (alpha + i beta)^(-2) I, so an outer cutoff
+        left out the same multiple of I for every A and f: +-2.65e-7 under the calculus's
+        config, even on the 1x1 operator [[2]].  The mapped outer integral has no cutoff."""
+        rep = apply_calculus_report(MatrixOperator([[2.0]]), f)
+        assert abs(rep.value[0, 0] - complex(f(2.0))) < 1e-10
+
 
 HP_OPERATORS = [
     "diag(1,2)",
@@ -1083,8 +1095,9 @@ class TestOracle:
             assert gap < (1e-12 if lam == 1e-3 else 1e-13), f.label
 
     def test_noisy_circle_gives_up_early(self):
-        """A 3-block at Re lam = 1e-6: rounding noise keeps the circle sums apart, and
-        the oracle stops after 5 sums, where doubling to the cap took 12."""
+        """A 3-block at Re lam = 1e-6: the circle's radius is 1e-6, so the terms of each
+        sum reach 1e12 and their rounding noise, about 2e-4, exceeds the tolerance of
+        1.1e-7.  The oracle stops after its first sum, where doubling to the cap took 12."""
         f = exp_decay(1.0)
         sizes = []
 
@@ -1092,10 +1105,26 @@ class TestOracle:
             sizes.append(z.size)
             return f.eval_fn(z)
 
-        with pytest.raises(NonConvergence, match="did not settle"):
+        with pytest.raises(NonConvergence, match="did not settle: its rounding noise"):
             oracle_apply(jordan_operator(1e-6, 3), replace(f, eval_fn=counted), CFG)
-        assert sizes == [64 << k for k in range(5)]
-        assert len(sizes) < operators._CIRCLE_DOUBLINGS
+        assert sizes == [64]
+
+    def test_alternating_noise_gives_up_after_one_sum(self, monkeypatch):
+        """A 4-block at 1e-6 + 1i: the differences of its circle sums never fail to halve
+        twice in a row, and all 12 sums, up to 131,072 nodes, ran before the oracle gave
+        up.  Its noise estimate, about 2e2, stops it after the first sum of 64 nodes, one
+        batch of resolvents."""
+        calls = []
+
+        def counted(A, zs):
+            calls.append(zs.size)
+            return resolvents(A, zs)
+
+        resolvents = operators._resolvents
+        monkeypatch.setattr(operators, "_resolvents", counted)
+        with pytest.raises(NonConvergence, match="did not settle: its rounding noise"):
+            oracle_apply(jordan_operator(1e-6 + 1.0j, 4), exp_decay(1.0), CFG)
+        assert calls == [64]
 
     def test_random_normal_eta(self):
         A = random_normal_operator(4, seed=17)
