@@ -15,6 +15,7 @@ from .norms import BOUNDARY_OFFSET
 from .quadrature import (
     DEFAULT_CONFIG,
     DecayEnvelope,
+    ExpEnvelope,
     PowerEnvelope,
     QuadResult,
     QuadratureConfig,
@@ -48,6 +49,12 @@ def pairing(
 
 # QuadratureConfig rejects rel_tol = 0; at this one an inner integral's abs_tol alone decides
 _NO_REL_TOL = math.ulp(0.0)
+# The outer integral on the contour runs this far below the config's tolerances, within
+# this many panels (see `kernel_pairing`)
+_OUTER_MARGIN = 1e-3
+_OUTER_PANELS = 256
+# An exponentially decaying f's inner tolerances fall with it down to this share
+_INNER_FLOOR = 1e-4
 
 
 def _decay_power(env: DecayEnvelope) -> float:
@@ -59,6 +66,14 @@ def _decay_power(env: DecayEnvelope) -> float:
     if isinstance(env, StretchedExpEnvelope):
         return 1.0 + env.alpha
     return min(env.p, 2.0) if isinstance(env, PowerEnvelope) else 2.0
+
+
+def _decay_rate(env: DecayEnvelope) -> float:
+    """The slowest exponential rate a of env's decay exp(-a t): a sum's slowest part, and 0
+    when any part decays like a power or a stretched exponential."""
+    if isinstance(env, SumEnvelope):
+        return min(map(_decay_rate, env.parts), default=0.0)
+    return env.a if isinstance(env, ExpEnvelope) else 0.0
 
 
 def kernel_pairing(
@@ -80,14 +95,27 @@ def kernel_pairing(
     The outer integral has no cutoff: with p = `_decay_power` of f's outer envelope,
     k = 1/(p-1) and S = 1 + t0 + R (R = 0 on the line), x = S ((1-u)^-k - 1) maps u in
     [0, 1) onto the half-line and a decay x^-p onto a bounded integrand at u = 1 (QUADPACK's
-    QAGI step), which one `integrate_interval` run takes under cfg.  The inner integral at
-    x runs under abs_tol tol(x) = cfg.abs_tol/(1+x)^(1+p) alone.  Neither is strict, so
-    converged records whether all of them converged.  A node whose dx/du or tol(x) leaves
-    the normal floats raises InvalidParameter: f' then decays too slowly for the map.
+    QAGI step), which one `integrate_interval` run takes.  The inner integral at x runs
+    under abs_tol alone, tol(x) = cfg.abs_tol/(1+x)^(1+p).  On the line, whose inner
+    integrals cut tails that err by up to tol(x), the outer run takes cfg.  On the contour,
+    whose inner integrals end far below tol(x), it takes cfg's tolerances times
+    _OUTER_MARGIN within _OUTER_PANELS panels: at cfg's own tolerances the rule stops
+    wherever its panels first meet them, from just under them to eight orders below, so
+    the error moved by orders of magnitude with z or A; a thousand times below them, the
+    pairings of criteria 03 and 04 end at their rounding floor.  No run is strict;
+    converged records whether every inner integral converged and the outer one met cfg.
+    A node whose dx/du or tol(x) leaves the normal floats raises InvalidParameter: f' then
+    decays too slowly for the map.
+
+    Where f' decays like exp(-a x) (a = `_decay_rate` > 0), the outer integrand is a bump
+    of width about 1/a, so S is at most 1/a, which keeps the bump off the end u = 0.  Such
+    an inner integral's integrand falls below a power-law tol(x) at moderate x, where the
+    rule accepts whatever its first panels give; so tol(x) also carries the factor
+    max(exp(-a x), _INNER_FLOOR).
 
     A converged inner integral errs by at most tol(x) on the contour, and by 2 tol(x) on
     the line, whose truncated tails take a second tol(x).  The outer rule's weights are
-    positive, so the inner stage adds at most int_0^inf x tol(x) dx = abs_tol/(p(p-1)) on
+    positive, so the inner stage adds at most int_0^inf x tol(x) dx <= abs_tol/(p(p-1)) on
     the contour, twice that on the line.  n_evals counts the inner points; tail_error is 0."""
     if f.summands is not None and len(f.summands) >= 2:
         # exact linear split; narrow frequency bands integrate much faster
@@ -100,14 +128,17 @@ def kernel_pairing(
     env = f.profiles.deriv_outer
     if not env.integrable:
         raise IntegralNotNormConvergent("pairing outer integrand has no integrable envelope")
-    p = _decay_power(env)
+    p, a = _decay_power(env), _decay_rate(env)
     k = 1.0 / (p - 1.0)
     S = 1.0 + env.t0 + (pole_radius or 0.0)
+    if a > 0.0:
+        S = min(S, 1.0 / a)
     n_evals, converged = 0, True
 
     def inner(x: float, dx: float):
         nonlocal n_evals, converged
         tol = cfg.abs_tol * math.exp(-(1.0 + p) * math.log1p(x))
+        tol *= max(math.exp(-a * x), _INNER_FLOOR)
         if not (math.isfinite(dx) and tol >= np.finfo(float).tiny):
             raise InvalidParameter(
                 f"pairing outer map overflows: f' decays like x^-{p:g}, too slowly for it"
@@ -123,11 +154,20 @@ def kernel_pairing(
             xs, dxs = S * np.expm1(logs), S * k * np.exp(logs) / (1.0 - us)
         return np.array([inner(float(x), float(dx)) for x, dx in zip(xs, dxs)])
 
-    res = integrate_interval(outer, 0.0, 1.0, cfg, strict=False)
+    if pole_radius is None:
+        res = integrate_interval(outer, 0.0, 1.0, cfg, strict=False)
+    else:
+        margin = cfg.with_tolerances(
+            abs_tol=cfg.abs_tol * _OUTER_MARGIN, rel_tol=cfg.rel_tol * _OUTER_MARGIN
+        )
+        res = integrate_interval(
+            outer, 0.0, 1.0, margin, strict=False, max_panels=_OUTER_PANELS
+        )
+    met = res.error <= max(cfg.abs_tol, cfg.rel_tol * float(np.max(np.abs(res.value))))
     err = res.error + (1.0 if pole_radius is not None else 2.0) * cfg.abs_tol / (p * (p - 1.0))
     if not certified:
         err = max(err, 0.25 * abs(res.value))
-    return QuadResult(res.value, err, n_evals, converged and res.converged)
+    return QuadResult(res.value, err, n_evals, converged and met)
 
 
 def _inner_integral(

@@ -511,10 +511,12 @@ def integrate_interval(
     *,
     breakpoints: Sequence[float] | None = None,
     strict: bool = True,
+    max_panels: int | None = None,
 ) -> QuadResult:
     """Adaptive Gauss-Kronrod integration of a vectorized integrand over [a, b].
 
     The reported error bounds max(abs_tol, rel_tol*|result|) on success.
+    max_panels lowers the panel budget _MAX_PANELS for this run.
     Panel state is five arrays: kept panels first, then each split's children.
     """
     if not (a < b):
@@ -526,6 +528,7 @@ def integrate_interval(
     width = values[0].size
     depth = np.zeros(len(lefts), dtype=int)
     n_evals = 15 * len(lefts)
+    budget = _MAX_PANELS if max_panels is None else min(max_panels, _MAX_PANELS)
 
     # Sums run left to right (cumsum), not in numpy's pairwise order: an outer
     # rule's |K15-G7| turns last-bit changes of inner values into its error.
@@ -541,7 +544,7 @@ def integrate_interval(
         m = 0.5 * (l + r)
         if not split.any():
             failure = f"adaptive bisection stalled: error {total_err:.3e} > tol {tol:.3e}"
-        elif len(lefts) + len(l) > _MAX_PANELS:
+        elif len(lefts) + len(l) > budget:
             failure = "panel budget exhausted"
         elif np.any((m <= l) | (m >= r)):
             failure = "panel width underflow"

@@ -395,6 +395,28 @@ class TestMappedOuter:
             with pytest.raises(BesovCalcError):
                 pairing(resolvent(2.0 + 1.0j), f, CFG)
 
+    @pytest.mark.parametrize("z", [9.5259 + 5.8434j, 3.3696 - 3.9752j, 5.0])
+    def test_exponential_summand_at_the_rounding_floor(self, z):
+        # with the outer run at the config's own tolerances, the inner integrals of
+        # exp(-4w) taken on size, and S = 1 + |z|, these read 8.2e-10, 3.1e-10 and 4.9e-11
+        assert reproduce_residual(band_function(1.0, 4.0), z, FAST) < 1e-14
+
+    def test_outer_margin_within_its_panels(self, monkeypatch):
+        # inner values whose noise lies above the outer run's margin stop it at
+        # _OUTER_PANELS panels, not at the engine's budget of 40,000; each split evaluates
+        # both halves, so 256 panels cost at most 511 panel evaluations
+        inner, xs = duality._inner_integral, []
+
+        def noisy(kernel, pole_radius, kernel_line, f, x, tol):
+            xs.append(x)
+            res = inner(kernel, pole_radius, kernel_line, f, x, tol)
+            return dataclasses.replace(res, value=res.value + 1e-6 * math.sin(1e4 * x) / (1 + x) ** 3)
+
+        monkeypatch.setattr(duality, "_inner_integral", noisy)
+        got = pairing(resolvent(2.0), resolvent(1.0), FAST)
+        assert 15 * duality._OUTER_PANELS < len(xs) <= 15 * (2 * duality._OUTER_PANELS - 1)
+        assert abs(got.value - math.pi / 6.0) <= got.error
+
     def test_no_cutoff_search(self, monkeypatch):
         A = MatrixOperator(np.diag([1.0, 2.0 + 1.0j]))
         A.profile()  # its kernel weight truncates line integrals; the calculus does not

@@ -990,6 +990,16 @@ class TestApplyCalculus:
         rep = apply_calculus_report(MatrixOperator([[2.0]]), f)
         assert abs(rep.value[0, 0] - complex(f(2.0))) < 1e-10
 
+    def test_outer_margin_reaches_the_oracle_floor(self):
+        """Criterion 04's worst item: with the outer integral run at the calculus config's
+        own tolerances this gap was 1.50e-12, set by where the rule's panels fell."""
+        rng = np.random.default_rng(2011)
+        lam = rng.uniform(0.5, 5.0, 6) + 1j * rng.uniform(-5.0, 5.0, 6)
+        v = np.eye(6) + 0.25 * np.triu(rng.normal(size=(6, 6)), 1)
+        A = MatrixOperator(v @ np.diag(lam) @ np.linalg.inv(v))
+        f = exp_inv_shift(1.0)
+        assert np.max(np.abs(apply_calculus_report(A, f).value - oracle_apply(A, f))) < 1e-13
+
 
 HP_OPERATORS = [
     "diag(1,2)",

@@ -655,6 +655,14 @@ class TestArrayEngine:
         res = integrate_interval(f, a, b, cfg, breakpoints=bp, strict=False)
         assert not res.converged
 
+    def test_max_panels_lowers_the_budget(self):
+        _, f, a, b, bp, cfg, _ = next(c for c in ENGINE_CASES if c[0] == "budget")
+        with pytest.raises(DepthExceeded, match="panel budget exhausted"):
+            integrate_interval(f, a, b, cfg, max_panels=8)
+        res = integrate_interval(f, a, b, cfg, strict=False, max_panels=8)
+        # 1 panel, then 2, 4 and 8 after three rounds of splits; the fourth would make 16
+        assert not res.converged and res.n_evals == 15 * (1 + 2 + 4 + 8)
+
 
 def _eval_panels_one_call(f, lefts, rights):
     """Every panel of a batch in one call of f: the reference the sliced
