@@ -15,13 +15,12 @@ from .norms import BOUNDARY_OFFSET
 from .quadrature import (
     DEFAULT_CONFIG,
     DecayEnvelope,
-    ExpEnvelope,
-    PowerEnvelope,
     QuadResult,
     QuadratureConfig,
-    StretchedExpEnvelope,
-    SumEnvelope,
+    _decay_power,
+    _decay_rate,
     envelope_product,
+    halfline_map,
     integrate_interval,
     integrate_line,
 )
@@ -42,9 +41,11 @@ def pairing(
     of the value.  A g that declares a pole_radius takes its inner integrals on the
     contour of `_inner_integral`."""
     gp = g.profiles
-    certified = gp.e0_upper is not None and not f.profiles.sampled
-    p = kernel_pairing(g.deriv, gp.pole_radius, gp.deriv_line, certified, f, cfg)
-    return replace(p, value=complex(p.value))
+    p = kernel_pairing(g.deriv, gp.pole_radius, gp.deriv_line, f, cfg)
+    err = p.error
+    if gp.e0_upper is None or f.profiles.sampled:
+        err = max(err, 0.25 * abs(p.value))
+    return replace(p, value=complex(p.value), error=err)
 
 
 # QuadratureConfig rejects rel_tol = 0; at this one an inner integral's abs_tol alone decides
@@ -57,91 +58,55 @@ _OUTER_PANELS = 256
 _INNER_FLOOR = 1e-4
 
 
-def _decay_power(env: DecayEnvelope) -> float:
-    """The slowest power decay of env, capped at 2: a sum's slowest part; exponential and
-    resolvent shapes count as 2, and t^(alpha-1) exp(-rho t^alpha) as 1 + alpha, whose map
-    x^alpha ~ 1/(1-u) makes it decay like an exponential in 1/(1-u)."""
-    if isinstance(env, SumEnvelope):
-        return min(map(_decay_power, env.parts), default=2.0)
-    if isinstance(env, StretchedExpEnvelope):
-        return 1.0 + env.alpha
-    return min(env.p, 2.0) if isinstance(env, PowerEnvelope) else 2.0
-
-
-def _decay_rate(env: DecayEnvelope) -> float:
-    """The slowest exponential rate a of env's decay exp(-a t): a sum's slowest part, and 0
-    when any part decays like a power or a stretched exponential."""
-    if isinstance(env, SumEnvelope):
-        return min(map(_decay_rate, env.parts), default=0.0)
-    return env.a if isinstance(env, ExpEnvelope) else 0.0
-
-
 def kernel_pairing(
     kernel: Callable[[np.ndarray], np.ndarray],
     pole_radius: float | None,
     kernel_line: Callable[[float], DecayEnvelope] | None,
-    certified: bool,
     f: AnalyticFunction,
     cfg: QuadratureConfig,
 ) -> QuadResult:
     """int_0^inf x int_R K(x-iy) f'(x+iy) dy dx: the pairing of f with the g whose g' = K =
-    kernel, one scalar, vector or matrix per point.  certified says that a closed-form bound
-    on sup_x x int |K(x+iy)| dy makes the outer integrand decay like f's outer envelope;
-    without it the error is at least a quarter of the value.  With a pole_radius R, every
+    kernel, one scalar, vector or matrix per point.  With a pole_radius R, every
     singularity of K lies in |u| <= R and ||K(u)|| = O(|u|^-2), and the inner integrals run
     on a contour; without one, kernel_line(x) bounds |K(x+iy)| in y and they run on the
-    line (see `_inner_integral`).  Summands of f pair one by one.
+    line, one per summand of f (see `_inner_integral`).
 
-    The outer integral has no cutoff: with p = `_decay_power` of f's outer envelope,
-    k = 1/(p-1) and S = 1 + t0 + R (R = 0 on the line), x = S ((1-u)^-k - 1) maps u in
-    [0, 1) onto the half-line and a decay x^-p onto a bounded integrand at u = 1 (QUADPACK's
-    QAGI step), which one `integrate_interval` run takes.  The inner integral at x runs
-    under abs_tol alone, tol(x) = cfg.abs_tol/(1+x)^(1+p).  On the line, whose inner
-    integrals cut tails that err by up to tol(x), the outer run takes cfg.  On the contour,
-    whose inner integrals end far below tol(x), it takes cfg's tolerances times
-    _OUTER_MARGIN within _OUTER_PANELS panels: at cfg's own tolerances the rule stops
-    wherever its panels first meet them, from just under them to eight orders below, so
-    the error moved by orders of magnitude with z or A; a thousand times below them, the
-    pairings of criteria 03 and 04 end at their rounding floor.  No run is strict;
-    converged records whether every inner integral converged and the outer one met cfg.
-    A node whose dx/du or tol(x) leaves the normal floats raises InvalidParameter: f' then
-    decays too slowly for the map.
+    The outer integral has no cutoff: one `integrate_interval` run over [0, 1) takes it on
+    `quadrature.halfline_map` of f's outer envelope with reach R (0 on the line).  The
+    inner integral at x runs under abs_tol alone, tol(x) = cfg.abs_tol/(1+x)^(1+p), p the
+    envelope's `_decay_power`.  On the line, whose inner integrals cut tails that err by up
+    to tol(x), the outer run takes cfg.  On the contour, whose inner integrals end far
+    below tol(x), it takes cfg's tolerances times _OUTER_MARGIN within _OUTER_PANELS
+    panels: at cfg's own tolerances the rule stops wherever its panels first meet them,
+    from just under them to eight orders below, so the error moved by orders of magnitude
+    with z or A; a thousand times below them, the pairings of criteria 03 and 04 end at
+    their rounding floor.  No run is strict; converged records whether every inner
+    integral converged and the outer one met cfg.  A node whose tol(x) leaves the normal
+    floats raises InvalidParameter: f' then decays too slowly for the map.
 
-    Where f' decays like exp(-a x) (a = `_decay_rate` > 0), the outer integrand is a bump
-    of width about 1/a, so S is at most 1/a, which keeps the bump off the end u = 0.  Such
-    an inner integral's integrand falls below a power-law tol(x) at moderate x, where the
-    rule accepts whatever its first panels give; so tol(x) also carries the factor
-    max(exp(-a x), _INNER_FLOOR).
+    Where f' decays like exp(-a x) (a = `_decay_rate` > 0), an inner integral's integrand
+    falls below a power-law tol(x) at moderate x, where the rule accepts whatever its first
+    panels give; so tol(x) also carries the factor max(exp(-a x), _INNER_FLOOR).
 
-    A converged inner integral errs by at most tol(x) on the contour, and by 2 tol(x) on
-    the line, whose truncated tails take a second tol(x).  The outer rule's weights are
-    positive, so the inner stage adds at most int_0^inf x tol(x) dx <= abs_tol/(p(p-1)) on
-    the contour, twice that on the line.  n_evals counts the inner points; tail_error is 0."""
-    if f.summands is not None and len(f.summands) >= 2:
-        # exact linear split; narrow frequency bands integrate much faster
-        g = (kernel, pole_radius, kernel_line, certified)
-        parts = [kernel_pairing(*g, s, cfg) for s in f.summands]
-        return QuadResult(
-            sum(p.value for p in parts), sum(p.error for p in parts), sum(p.n_evals for p in parts),
-            all(p.converged for p in parts),
-        )
+    A converged inner integral errs by at most tol(x) on the contour, and by 2N tol(x) on
+    the line, where each of f's N summands truncates tails that take a second tol(x).  The
+    outer rule's weights are positive, so the inner stage adds at most
+    int_0^inf x tol(x) dx <= abs_tol/(p(p-1)) on the contour, 2N times that on the line.
+    n_evals counts the inner points."""
     env = f.profiles.deriv_outer
     if not env.integrable:
         raise IntegralNotNormConvergent("pairing outer integrand has no integrable envelope")
     p, a = _decay_power(env), _decay_rate(env)
-    k = 1.0 / (p - 1.0)
-    S = 1.0 + env.t0 + (pole_radius or 0.0)
-    if a > 0.0:
-        S = min(S, 1.0 / a)
+    to_halfline = halfline_map(env, pole_radius or 0.0)
     n_evals, converged = 0, True
 
     def inner(x: float, dx: float):
         nonlocal n_evals, converged
         tol = cfg.abs_tol * math.exp(-(1.0 + p) * math.log1p(x))
         tol *= max(math.exp(-a * x), _INNER_FLOOR)
-        if not (math.isfinite(dx) and tol >= np.finfo(float).tiny):
+        if not tol >= np.finfo(float).tiny:
             raise InvalidParameter(
-                f"pairing outer map overflows: f' decays like x^-{p:g}, too slowly for it"
+                f"pairing inner tolerance underflows: f' decays like x^-{p:g}, too slowly"
             )
         res = _inner_integral(kernel, pole_radius, kernel_line, f, x, tol)
         n_evals += res.n_evals
@@ -149,13 +114,12 @@ def kernel_pairing(
         return (x * dx) * res.value
 
     def outer(us):
-        logs = -k * np.log1p(-us)  # ln (1-u)^-k
-        with np.errstate(over="ignore"):
-            xs, dxs = S * np.expm1(logs), S * k * np.exp(logs) / (1.0 - us)
+        xs, dxs = to_halfline(us)
         return np.array([inner(float(x), float(dx)) for x, dx in zip(xs, dxs)])
 
     if pole_radius is None:
         res = integrate_interval(outer, 0.0, 1.0, cfg, strict=False)
+        charge = 2.0 * len(f.summands or (f,))
     else:
         margin = cfg.with_tolerances(
             abs_tol=cfg.abs_tol * _OUTER_MARGIN, rel_tol=cfg.rel_tol * _OUTER_MARGIN
@@ -163,10 +127,9 @@ def kernel_pairing(
         res = integrate_interval(
             outer, 0.0, 1.0, margin, strict=False, max_panels=_OUTER_PANELS
         )
+        charge = 1.0
     met = res.error <= max(cfg.abs_tol, cfg.rel_tol * float(np.max(np.abs(res.value))))
-    err = res.error + (1.0 if pole_radius is not None else 2.0) * cfg.abs_tol / (p * (p - 1.0))
-    if not certified:
-        err = max(err, 0.25 * abs(res.value))
+    err = res.error + charge * cfg.abs_tol / (p * (p - 1.0))
     return QuadResult(res.value, err, n_evals, converged and met)
 
 
@@ -180,25 +143,26 @@ def _inner_integral(
 ) -> QuadResult:
     """int_R K(x-iy) f'(x+iy) dy under abs_tol tol alone, not strict.
 
-    Without a pole_radius it runs on the line Re w = x under the product of kernel_line(x)
-    and f's line envelope.  With one, R (see `kernel_pairing`), Cauchy's theorem moves the
-    line's tails |y| >= T' onto the horizontal rays w = x +- iT' + s, s >= 0, which pass no
-    pole for T' = 2R + 1 + x, and on which oscillating factors such as exp(-tau w) decay.
-    One `integrate_interval` run over v in [-2, 2], with breakpoints -1, 0 and 1, takes the
+    Without a pole_radius it runs on the line Re w = x, as the sum over the summands s of f
+    (f itself when it has none) of one `integrate_line` under the product of kernel_line(x)
+    and s's line envelope: a summand's narrow frequency band integrates much faster than
+    the whole's.  With one, R (see `kernel_pairing`), Cauchy's theorem moves the line's
+    tails |y| >= T' onto the horizontal rays w = x +- iT' + s, s >= 0, which pass no pole
+    for T' = 2R + 1 + x, and on which oscillating factors such as exp(-tau w) decay.  One
+    `integrate_interval` run over v in [-2, 2], with breakpoints -1, 0 and 1, takes the
     segment y = T' v for |v| <= 1, weight T', and the rays for |v| in (1, 2), with
     s = L u/(1-u), u = |v| - 1, L = 2x + 3R + 2 and weight +-(1/i) L/(1-u)^2.  The contour
     has no tails to truncate."""
     cfg = QuadratureConfig(abs_tol=tol, rel_tol=_NO_REL_TOL)
     if pole_radius is None:
-        env = envelope_product(kernel_line(x).conjugated(), f.profiles.deriv_line(x))
-        if not env.integrable:
-            raise IntegralNotNormConvergent("pairing integrand has no integrable line envelope")
-
-        def on_line(ys):
-            k = kernel(x - 1j * ys)
-            return k * f.deriv(x + 1j * ys).reshape((-1,) + (1,) * (k.ndim - 1))
-
-        return integrate_line(on_line, env, cfg, strict=False)
+        line = kernel_line(x).conjugated()
+        first, *rest = (_line_integral(kernel, line, s, x, cfg) for s in f.summands or (f,))
+        return QuadResult(
+            sum((r.value for r in rest), first.value),
+            sum((r.error for r in rest), first.error),
+            sum((r.n_evals for r in rest), first.n_evals),
+            first.converged and all(r.converged for r in rest),
+        )
     top = 2.0 * pole_radius + 1.0 + x  # T'
     scale = 2.0 * x + 3.0 * pole_radius + 2.0  # L
 
@@ -212,6 +176,19 @@ def _inner_integral(
     return integrate_interval(
         on_contour, -2.0, 2.0, cfg, breakpoints=(-1.0, 0.0, 1.0), strict=False
     )
+
+
+def _line_integral(kernel, line: DecayEnvelope, s: AnalyticFunction, x: float, cfg):
+    """int_R K(x-iy) s'(x+iy) dy on the line Re w = x, where line bounds |K(x-iy)| in y."""
+    env = envelope_product(line, s.profiles.deriv_line(x))
+    if not env.integrable:
+        raise IntegralNotNormConvergent("pairing integrand has no integrable line envelope")
+
+    def on_line(ys):
+        k = kernel(x - 1j * ys)
+        return k * s.deriv(x + 1j * ys).reshape((-1,) + (1,) * (k.ndim - 1))
+
+    return integrate_line(on_line, env, cfg, strict=False)
 
 
 def reproduce_residual(f: AnalyticFunction, z, cfg: QuadratureConfig = DEFAULT_CONFIG):
@@ -232,6 +209,6 @@ def reproduce_residual(f: AnalyticFunction, z, cfg: QuadratureConfig = DEFAULT_C
     def kernel(w):
         return -1.0 / (w[:, None] + zs) ** 2
 
-    p = kernel_pairing(kernel, float(np.abs(zs).max()), None, True, f, cfg)
+    p = kernel_pairing(kernel, float(np.abs(zs).max()), None, f, cfg)
     out = np.abs(f(zs) - f.infinity() - (2.0 / math.pi) * p.value).reshape(np.shape(z))
     return float(out) if out.ndim == 0 else out

@@ -98,8 +98,9 @@ def fitted_slope(x: np.ndarray, y: np.ndarray) -> float:
 
 def b0_norm(f: AnalyticFunction, cfg: QuadratureConfig = DEFAULT_CONFIG) -> NormReport:
     """Integral over x > 0 of the vertical-line supremum of |f'|, one `line_sup` over the
-    nodes of each outer evaluation, truncated by f's declared outer envelope.  Not
-    certified when a search does not stabilise or f's envelopes are sampled."""
+    nodes of each outer evaluation, on `integrate_halfline`'s map of f's declared outer
+    envelope.  Not certified when a search does not stabilise or f's envelopes are
+    sampled."""
     if not f.profiles.deriv_outer.integrable:
         raise DivergenceSuspicion(f"{f.label} declares no integrable outer envelope for |f'|")
     stabilized = []
@@ -112,7 +113,7 @@ def b0_norm(f: AnalyticFunction, cfg: QuadratureConfig = DEFAULT_CONFIG) -> Norm
     res = integrate_halfline(integrand, f.profiles.deriv_outer, cfg)
     value = float(np.real(res.value))
     certified = all(stabilized) and not f.profiles.sampled
-    return NormReport(value, res.error, {"b0": value, "tail": res.tail_error}, certified)
+    return NormReport(value, res.error, {"b0": value}, certified)
 
 
 def b_norm(f: AnalyticFunction, cfg: QuadratureConfig = DEFAULT_CONFIG) -> NormReport:

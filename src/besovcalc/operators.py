@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -629,7 +629,7 @@ def apply_calculus_report(
         return (w[:, None] + spec.lam) ** -2
 
     prof = A.profile()
-    p = kernel_pairing(kernel, A.norm2, None, True, f, _APPLY_CFG)
+    p = kernel_pairing(kernel, A.norm2, None, f, _APPLY_CFG)
     integral = p.value if spec is None else (spec.q * p.value) @ spec.q.conj().T
     value = f.infinity() * np.eye(A.n) - (2.0 / math.pi) * integral
     # a unitary Q does not enlarge the max-entry error of diag(p.value)
@@ -757,10 +757,9 @@ def semigroup_reconstruct_check(
         vals = np.einsum("kij,j,i->k", r2, x, xstar.conj())
         return vals * np.exp((alpha + 1j * betas) * t)
 
-    amp = 4.0 * math.e * float(np.linalg.norm(x) * np.linalg.norm(xstar))
-    env = PowerEnvelope(
-        p=2.0, c=amp, t0=2.0 * (alpha + A.norm2) + 1.0, freq_lo=t, freq_hi=t
-    )
+    # |e^((alpha+i beta)t)| = e on the line, and the kernel's envelope is `_kernel_line`
+    amp = math.e * float(np.linalg.norm(x) * np.linalg.norm(xstar))
+    env = replace(_kernel_line(A, alpha).scaled(amp), freq_lo=t, freq_hi=t)
     res = integrate_line(integrand, env, cfg, strict=False)
     lhs = complex(res.value) / (2.0 * math.pi * t)
     rhs = complex(xstar.conj() @ (semigroup(A, t) @ x))

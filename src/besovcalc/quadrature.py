@@ -1,8 +1,10 @@
 """Adaptive 1-D quadrature over finite, half-line and full-line domains.
 
-Improper integrals require a declared decay envelope; the tail beyond the
-truncation point is bounded by the envelope's closed-form tail integral and
-charged to the reported error.  Integrands may be scalar-, vector- or
+Improper integrals require a declared decay envelope.  A half-line integral
+runs on a map of [0, 1) onto [0, inf) matched to the envelope's decay, with no
+cutoff and no tail; a line integral is truncated where the envelope's
+closed-form tail bound meets the tolerance, and that bound is charged to the
+reported error.  Integrands may be scalar-, vector- or
 matrix-valued; the values at the nodes of a panel batch are computed in
 vectorized calls of at most 2**12 points and 2**16 value entries each, and
 each panel is summed on its own, so no result depends on that slicing.
@@ -31,6 +33,7 @@ __all__ = [
     "QuadResult",
     "SupResult",
     "integrate_interval",
+    "halfline_map",
     "integrate_halfline",
     "integrate_line",
     "sup_on_vertical_line",
@@ -72,7 +75,7 @@ DEFAULT_CONFIG = QuadratureConfig()
 # |h''| <= 36*bound/t**2 beyond t0 (the shape of rational-in-t amplitudes).
 # Integration by parts then certifies the tail bounds below; for a single
 # nonzero frequency the leading boundary term is computable from the
-# integrand itself and integrate_line/halfline add it as a tail correction.
+# integrand itself and integrate_line adds it as a tail correction.
 _H1_FACTOR = 6.0
 _H2_FACTOR = 36.0
 
@@ -443,7 +446,6 @@ class QuadResult:
     error: float
     n_evals: int = 0
     converged: bool = True
-    tail_error: float = 0.0
 
 
 def _maxabs(x) -> float:
@@ -600,29 +602,68 @@ def _dyadic_breakpoints(a: float, b: float, scale: float) -> list[float]:
     return pts
 
 
-def _integrate_truncated(f, envelope, cfg, tails, strict) -> QuadResult:
-    """Integrate f over [0, inf) (tails=1) or the whole line (tails=2), truncated where
-    each tail fits in cfg.abs_tol / tails, and at least at 1.5 t0 and 1."""
+def _truncation_point(envelope: DecayEnvelope, eps: float) -> float:
+    """The cutoff where envelope's tail fits in eps, and at least 1.5 t0 and 1."""
     if not envelope.integrable:
         raise InvalidParameter("integration to infinity requires an integrable envelope")
-    T = envelope.cutoff(cfg.abs_tol / tails)
+    T = envelope.cutoff(eps)
     if not math.isfinite(T):
         raise InvalidParameter("envelope tail never reaches the requested tolerance")
-    T = max(T, envelope.t0 * 1.5 + 1e-9, 1.0)
-    bp = _dyadic_breakpoints(0.0, T, max(envelope.t0, 1.0) / 4.0)
-    if tails == 2:  # integrate_interval sorts and deduplicates breakpoints
-        bp += [0.0, *(-x for x in bp)]
-    res = integrate_interval(f, -T if tails == 2 else 0.0, T, cfg, breakpoints=bp, strict=strict)
-    for sign in (1.0, -1.0)[:tails]:
-        _check_envelope(f, envelope, T, sign)
-    value = res.value
-    plain, ibp, corr = envelope.tail_bounds(T)
-    if corr <= min(plain, ibp):
-        ends = np.asarray(f(np.array([-T, T] if tails == 2 else [T])))
-        jump = ends[0] - ends[1] if tails == 2 else -ends[0]
-        value = value + jump / (1j * envelope.single_freq)
-    tail = tails * min(plain, ibp, corr)
-    return QuadResult(value, res.error + tail, res.n_evals, res.converged, tail)
+    return max(T, envelope.t0 * 1.5 + 1e-9, 1.0)
+
+
+def _decay_power(env: DecayEnvelope) -> float:
+    """The slowest power decay of env, capped at 2: a sum's slowest part; exponential and
+    resolvent shapes count as 2, and t^(alpha-1) exp(-rho t^alpha) as 1 + alpha, whose map
+    x^alpha ~ 1/(1-u) makes it decay like an exponential in 1/(1-u)."""
+    if isinstance(env, SumEnvelope):
+        return min(map(_decay_power, env.parts), default=2.0)
+    if isinstance(env, StretchedExpEnvelope):
+        return 1.0 + env.alpha
+    return min(env.p, 2.0) if isinstance(env, PowerEnvelope) else 2.0
+
+
+def _decay_rate(env: DecayEnvelope) -> float:
+    """The slowest exponential rate a of env's decay exp(-a t): a sum's slowest part, and 0
+    when any part decays like a power or a stretched exponential."""
+    if isinstance(env, SumEnvelope):
+        return min(map(_decay_rate, env.parts), default=0.0)
+    return env.a if isinstance(env, ExpEnvelope) else 0.0
+
+
+def halfline_map(env: DecayEnvelope, reach: float) -> Callable[[np.ndarray], tuple]:
+    """The map of u in [0, 1) onto the half-line for integrands under env: a function of
+    the nodes u that returns x and dx/du there.
+
+    With p = `_decay_power` of env, k = 1/(p-1) and S = 1 + t0 + reach,
+    x = S ((1-u)^-k - 1) maps a decay x^-p onto a bounded integrand at u = 1 (QUADPACK's
+    QAGI step), so one `integrate_interval` run over [0, 1) takes the whole half-line with
+    no cutoff.  Where env decays like exp(-a x) (a = `_decay_rate` > 0), the integrand is a
+    bump of width about 1/a, so S is at most 1/a, which keeps the bump off the end u = 0.
+    A node whose dx/du leaves the floats raises InvalidParameter: env then decays too
+    slowly for the map."""
+    p, a = _decay_power(env), _decay_rate(env)
+    k = 1.0 / (p - 1.0)
+    S = 1.0 + env.t0 + reach
+    if a > 0.0:
+        S = min(S, 1.0 / a)
+
+    def nodes(us):
+        logs = -k * np.log1p(-us)  # ln (1-u)^-k
+        with np.errstate(over="ignore"):
+            xs, dxs = S * np.expm1(logs), S * k * np.exp(logs) / (1.0 - us)
+        if not np.all(np.isfinite(dxs)):
+            raise InvalidParameter(
+                f"half-line map overflows: a decay like x^-{p:g} is too slow for it"
+            )
+        return xs, dxs
+
+    return nodes
+
+
+# integrate_halfline's breakpoints u = 4^-j, j = 1..8: an integrable singularity at x = 0,
+# such as x^(alpha-1), would use up _MAX_DEPTH levels from the single panel [0, 1)
+_HALFLINE_BREAKPOINTS = tuple(4.0**-j for j in range(1, 9))
 
 
 def integrate_halfline(
@@ -632,8 +673,26 @@ def integrate_halfline(
     *,
     strict: bool = True,
 ) -> QuadResult:
-    """Integrate f over [0, inf) with envelope-certified truncation."""
-    return _integrate_truncated(f, envelope, cfg, 1, strict)
+    """Integrate f over [0, inf) in one `integrate_interval` run on `halfline_map` of the
+    envelope, with breakpoints graded toward u = 0: no cutoff and no tail.  The envelope
+    must be integrable, with a tail that reaches cfg.abs_tol at a cutoff T, and f must stay
+    under it at four points beyond T, checked first.  An oscillating envelope (nonzero
+    frequency band) is rejected: no caller in the package integrates one over the half-line,
+    and the map has no rule for it."""
+    if envelope.freq_lo != 0.0 or envelope.freq_hi != 0.0:
+        raise InvalidParameter("integrate_halfline takes no oscillating envelope")
+    # an integrand above the envelope can make the mapped one non-integrable at u = 1
+    _check_envelope(f, envelope, _truncation_point(envelope, cfg.abs_tol))
+    to_halfline = halfline_map(envelope, 0.0)
+
+    def mapped(us):
+        xs, dxs = to_halfline(us)
+        vals = np.asarray(f(xs))
+        return vals * dxs.reshape((-1,) + (1,) * (vals.ndim - 1))
+
+    return integrate_interval(
+        mapped, 0.0, 1.0, cfg, breakpoints=_HALFLINE_BREAKPOINTS, strict=strict
+    )
 
 
 def integrate_line(
@@ -643,8 +702,21 @@ def integrate_line(
     *,
     strict: bool = True,
 ) -> QuadResult:
-    """Integrate f over the whole line; the envelope bounds both tails in |t|."""
-    return _integrate_truncated(f, envelope, cfg, 2, strict)
+    """Integrate f over the whole line, truncated where each tail in |t| fits in
+    cfg.abs_tol / 2, and at least at 1.5 t0 and 1; the envelope bounds both tails, and
+    their bound is charged to the error."""
+    T = _truncation_point(envelope, cfg.abs_tol / 2)
+    bp = _dyadic_breakpoints(0.0, T, max(envelope.t0, 1.0) / 4.0)
+    bp += [0.0, *(-x for x in bp)]  # integrate_interval sorts and deduplicates breakpoints
+    res = integrate_interval(f, -T, T, cfg, breakpoints=bp, strict=strict)
+    for sign in (1.0, -1.0):
+        _check_envelope(f, envelope, T, sign)
+    value = res.value
+    plain, ibp, corr = envelope.tail_bounds(T)
+    if corr <= min(plain, ibp):
+        ends = np.asarray(f(np.array([-T, T])))
+        value = value + (ends[0] - ends[1]) / (1j * envelope.single_freq)
+    return QuadResult(value, res.error + 2 * min(plain, ibp, corr), res.n_evals, res.converged)
 
 
 # ---------------------------------------------------------------------------

@@ -230,18 +230,42 @@ class TestOneDoubleIntegral:
         with pytest.raises(InvalidParameter):
             reproduce_residual(exp_decay(1.0), np.array([2.0, z]), CFG)
 
-    def test_summand_evals_add_up(self):
+    def test_summand_evals_add_up(self, monkeypatch):
+        """A sum pairs in one outer run.  On the line each outer node sums one line
+        integral per summand, whose points make up n_evals; on the contour f' is taken
+        whole, and the charge is one abs_tol/(p(p-1)), not one per summand."""
         f = band_function(1.0, 4.0)
-        assert f.summands is not None and len(f.summands) >= 2
-        g = resolvent(1.0 + 1.0j)
-        whole = pairing(g, f, CFG)
-        parts = [pairing(g, s, CFG) for s in f.summands]
-        assert whole.n_evals == sum(p.n_evals for p in parts) > 0
-        assert whole.value == sum(p.value for p in parts)
-        assert whole.error == sum(p.error for p in parts)
-        # the outer integral runs on a map of [0, 1) and leaves no tail
-        assert whole.tail_error == 0.0 and all(p.tail_error == 0.0 for p in parts)
+        assert f.summands is not None and len(f.summands) == 2
+        outer_runs, outer_nodes, line_evals = [], [], []
+        interval, line = duality.integrate_interval, duality.integrate_line
 
+        def counted_interval(g, a, b, *args, **kwargs):
+            outer_runs.append((a, b) == (0.0, 1.0))
+
+            def counted(us):
+                outer_nodes.append(len(us))
+                return g(us)
+
+            return interval(counted, a, b, *args, **kwargs)
+
+        def counted_line(*args, **kwargs):
+            res = line(*args, **kwargs)
+            line_evals.append(res.n_evals)
+            return res
+
+        monkeypatch.setattr(duality, "integrate_interval", counted_interval)
+        monkeypatch.setattr(duality, "integrate_line", counted_line)
+        g = dilate(resolvent(1.0), 2.0)  # declares no poles, so it stays on the line
+        on_line = pairing(g, f, FAST)
+        assert sum(outer_runs) == 1 and on_line.converged
+        assert on_line.n_evals == sum(line_evals) > 0
+        assert len(line_evals) == 2 * sum(outer_nodes)
+        outer_runs.clear()
+        z = 1.0 + 1.0j
+        whole = pairing(resolvent(z), f, CFG)
+        assert sum(outer_runs) == 1
+        assert abs(whole.value - 0.5 * math.pi * (f(z) - f.infinity())) <= whole.error
+        assert whole.error < 1e-8
     def test_one_integrability_error(self):
         # pairing, the batched residual and the calculus reject a non-integrable
         # outer envelope alike

@@ -19,7 +19,12 @@ from besovcalc.errors import (
     RangeViolation,
     UnboundedSuspicion,
 )
-from besovcalc.estimates import check_deriv_bound, check_exp_window, check_product_bound
+from besovcalc.estimates import (
+    check_deriv_bound,
+    check_exp_window,
+    check_product_bound,
+    exact_expinv_norm,
+)
 from besovcalc.functions import (
     AnalyticFunction,
     BernsteinFunction,
@@ -155,6 +160,28 @@ class TestB0AndB:
         assert b_norm(exp_inv_shift(1.0), CFG).value == pytest.approx(
             2.0 - math.exp(-1.0), abs=1e-4
         )
+
+    @pytest.mark.parametrize("t", [0.25, 1.0, 4.0, 100.0])
+    def test_expinv_without_tail_bias(self, t):
+        # the outer integral runs on a map of [0, 1) with no cutoff, so no tail of the
+        # envelope (1e-8 here) is left out; for t > 1, sup_y |f'| jumps in its second
+        # derivative at x = t - 1, and the rule stops at the config's tolerance there
+        rep = b_norm(exp_inv_shift(t), CFG)
+        gap = abs(rep.value - exact_expinv_norm(t))
+        assert gap <= rep.error_bound
+        assert gap < (1e-12 if t <= 1.0 else 1e-8)
+
+    def test_b0_scale_of_a_fast_exponential(self):
+        # sup_y |e_a'(x+iy)| = a exp(-a x) integrates to 1 at every a; a cutoff at
+        # max(T, 1) left it all out at a = 1e5
+        rep = b0_norm(exp_decay(1e5), CFG)
+        assert rep.certified and abs(rep.value - 1.0) <= rep.error_bound
+        assert abs(rep.value - 1.0) < 1e-12
+
+    def test_b_norm_of_a_far_resolvent(self):
+        # ||r_a||_B = 2/a for real a
+        rep = b_norm(resolvent(1e4), CFG)
+        assert abs(rep.value - 2e-4) < 1e-12 and abs(rep.value - 2e-4) <= rep.error_bound
 
     def test_unstabilised_search_is_not_certified(self, monkeypatch):
         # b0_norm certifies only when every supremum search it integrates stabilised

@@ -87,14 +87,6 @@ HALFLINE_BATTERY = [
     ("lorentz", lambda t: 1.0 / (4.0 + t**2), ResolventEnvelope(m=1.0, shift=2.0), math.pi / 4),
     ("damped_cos", lambda t: np.exp(-t) * np.cos(t), ExpEnvelope(a=1.0, c=1.0), 0.5),
     ("inv_square", lambda t: (1.0 + t) ** -2, PowerEnvelope(p=2.0, c=1.0, t0=1.0), 1.0),
-    (
-        # one nonzero frequency: the only case that takes the corrected tail,
-        # e^{-2i} E_2(-2i) by u = 1 + t
-        "fourier_inv_square",
-        lambda t: np.exp(2.0j * t) / (1.0 + t) ** 2,
-        PowerEnvelope(p=2.0, c=1.0, t0=1.0, freq_lo=2.0, freq_hi=2.0),
-        complex(mpmath.exp(-2j) * mpmath.expint(2, -2j)),
-    ),
 ]
 
 LINE_BATTERY = [
@@ -142,6 +134,27 @@ def test_line_battery(name, f, env, exact):
     assert abs(res.value - exact) < 1e-6
 
 
+# int_0^inf x^s/(1+x)^p dx = B(s+1, p-s-1) under PowerEnvelope(p-s): s < 0 puts an
+# integrable singularity at x = 0, which the map's graded breakpoints take
+@pytest.mark.parametrize("q", [1.2, 1.5, 2.0, 3.0])
+@pytest.mark.parametrize("s", [-0.6, -0.3, 0.0, 0.5, 1.0])
+def test_halfline_beta_battery(s, q):
+    exact = float(mpmath.beta(s + 1.0, q - 1.0))
+    res = integrate_halfline(lambda x: x**s / (1.0 + x) ** (s + q), PowerEnvelope(p=q), CFG)
+    assert abs(res.value - exact) <= res.error + 1e-13 * (1.0 + abs(exact))
+    assert abs(res.value - exact) < 1e-6
+    if s >= 0.0:
+        # the single-panel rule at its rounding floor, where a cutoff left the tail out
+        assert res.n_evals == 135 and abs(res.value - exact) < 1e-10
+
+
+def test_oscillating_envelope_rejected():
+    # the map has no rule for a frequency band; such an integral belongs on the line
+    env = PowerEnvelope(p=2.0, c=1.0, t0=1.0, freq_lo=2.0, freq_hi=2.0)
+    with pytest.raises(InvalidParameter, match="oscillating"):
+        integrate_halfline(lambda t: np.exp(2.0j * t) / (1.0 + t) ** 2, env, CFG)
+
+
 # (envelope, half-line integrand and value, line integrand and value)
 TAIL_BUDGET_CASES = [
     (PowerEnvelope(p=3.0, c=1.0), lambda t: (1.0 + t) ** -3, 0.5,
@@ -158,13 +171,15 @@ TAIL_BUDGET_CASES = [
     "env,half,half_exact,line,line_exact", TAIL_BUDGET_CASES, ids=["power", "resolvent", "exp"]
 )
 def test_tails_spend_abs_tol(env, half, half_exact, line, line_exact, abs_tol):
+    """The line's two truncated tails add at most abs_tol to its error; the half-line's map
+    leaves no tail, so its value is not biased by one."""
     cfg = QuadratureConfig(abs_tol=abs_tol, rel_tol=1e-7)
-    for res, exact in (
-        (integrate_halfline(half, env, cfg), half_exact),
-        (integrate_line(line, env, cfg), line_exact),
-    ):
-        assert 0.0 < res.tail_error <= cfg.abs_tol
-        assert abs(res.value - exact) <= res.error + 1e-15
+    res = integrate_line(line, env, cfg)
+    assert abs(res.value - line_exact) <= res.error + 1e-15
+    assert res.error <= max(cfg.abs_tol, cfg.rel_tol * abs(res.value)) + cfg.abs_tol
+    res = integrate_halfline(half, env, cfg)
+    assert abs(res.value - half_exact) <= res.error + 1e-15
+    assert abs(res.value - half_exact) < 1e-3 * cfg.abs_tol
 
 
 def test_oscillatory_correction_multiple_frequencies():
@@ -828,12 +843,7 @@ class TestPanelSlices:
         res = integrate_line(recorded, env, CFG)
         assert max(calls) <= 105 and len(calls) > 10
         assert np.asarray(res.value).tobytes() == np.asarray(ref.value).tobytes()
-        assert (res.error, res.n_evals, res.converged, res.tail_error) == (
-            ref.error,
-            ref.n_evals,
-            ref.converged,
-            ref.tail_error,
-        )
+        assert (res.error, res.n_evals, res.converged) == (ref.error, ref.n_evals, ref.converged)
 
 
 def _effective_tail_reference(env, T):
