@@ -14,15 +14,12 @@ from .functions import AnalyticFunction
 from .norms import BOUNDARY_OFFSET
 from .quadrature import (
     DEFAULT_CONFIG,
-    DecayEnvelope,
     QuadResult,
     QuadratureConfig,
     _decay_power,
     _decay_rate,
-    envelope_product,
     halfline_map,
     integrate_interval,
-    integrate_line,
 )
 
 __all__ = ["kernel_pairing", "pairing", "reproduce_residual"]
@@ -35,13 +32,22 @@ def pairing(
 ) -> QuadResult:
     """Iterated integral of x * g'(x-iy) f'(x+iy) over y in R, then x > 0.
 
-    It is certified when g declares the closed-form bound e0_upper on
-    sup_x x * int |g'(x+iy)| dy, which makes the outer integrand decay like f's outer
-    envelope, and f's envelopes are not sampled; otherwise the error is at least a quarter
-    of the value.  A g that declares a pole_radius takes its inner integrals on the
-    contour of `_inner_integral`."""
+    y -> -y turns it into <f, g>, so the kernel is g' when g declares a pole_radius and f'
+    otherwise, and every inner integral runs on the contour of `_inner_integral`; a pair
+    of which neither declares one raises IntegralNotNormConvergent.  It is certified when
+    the kernel's function declares the closed-form bound e0_upper on
+    sup_x x * int |g'(x+iy)| dy, which makes the outer integrand decay like the other's
+    outer envelope, and the other's envelopes are not sampled; otherwise the error is at
+    least a quarter of the value."""
+    if g.profiles.pole_radius is None:
+        if f.profiles.pole_radius is None:
+            raise IntegralNotNormConvergent(
+                f"pairing <{g.label}, {f.label}>: neither argument declares a pole radius, "
+                "so neither is a kernel of the dual class"
+            )
+        g, f = f, g
     gp = g.profiles
-    p = kernel_pairing(g.deriv, gp.pole_radius, gp.deriv_line, f, cfg)
+    p = kernel_pairing(g.deriv, gp.pole_radius, f, cfg)
     err = p.error
     if gp.e0_upper is None or f.profiles.sampled:
         err = max(err, 0.25 * abs(p.value))
@@ -50,8 +56,8 @@ def pairing(
 
 # QuadratureConfig rejects rel_tol = 0; at this one an inner integral's abs_tol alone decides
 _NO_REL_TOL = math.ulp(0.0)
-# The outer integral on the contour runs this far below the config's tolerances, within
-# this many panels (see `kernel_pairing`)
+# The outer integral runs this far below the config's tolerances, within this many panels
+# (see `kernel_pairing`)
 _OUTER_MARGIN = 1e-3
 _OUTER_PANELS = 256
 # An exponentially decaying f's inner tolerances fall with it down to this share
@@ -60,44 +66,39 @@ _INNER_FLOOR = 1e-4
 
 def kernel_pairing(
     kernel: Callable[[np.ndarray], np.ndarray],
-    pole_radius: float | None,
-    kernel_line: Callable[[float], DecayEnvelope] | None,
+    pole_radius: float,
     f: AnalyticFunction,
     cfg: QuadratureConfig,
 ) -> QuadResult:
     """int_0^inf x int_R K(x-iy) f'(x+iy) dy dx: the pairing of f with the g whose g' = K =
-    kernel, one scalar, vector or matrix per point.  With a pole_radius R, every
-    singularity of K lies in |u| <= R and ||K(u)|| = O(|u|^-2), and the inner integrals run
-    on a contour; without one, kernel_line(x) bounds |K(x+iy)| in y and they run on the
-    line, one per summand of f (see `_inner_integral`).
+    kernel, one scalar, vector or matrix per point.  Every singularity of K lies in
+    |u| <= R = pole_radius and ||K(u)|| = O(|u|^-2), so the inner integrals run on a
+    contour (see `_inner_integral`).
 
     The outer integral has no cutoff: one `integrate_interval` run over [0, 1) takes it on
-    `quadrature.halfline_map` of f's outer envelope with reach R (0 on the line).  The
-    inner integral at x runs under abs_tol alone, tol(x) = cfg.abs_tol/(1+x)^(1+p), p the
-    envelope's `_decay_power`.  On the line, whose inner integrals cut tails that err by up
-    to tol(x), the outer run takes cfg.  On the contour, whose inner integrals end far
-    below tol(x), it takes cfg's tolerances times _OUTER_MARGIN within _OUTER_PANELS
-    panels: at cfg's own tolerances the rule stops wherever its panels first meet them,
-    from just under them to eight orders below, so the error moved by orders of magnitude
-    with z or A; a thousand times below them, the pairings of criteria 03 and 04 end at
-    their rounding floor.  No run is strict; converged records whether every inner
-    integral converged and the outer one met cfg.  A node whose tol(x) leaves the normal
-    floats raises InvalidParameter: f' then decays too slowly for the map.
+    `quadrature.halfline_map` of f's outer envelope with reach R.  The inner integral at x
+    runs under abs_tol alone, tol(x) = cfg.abs_tol/(1+x)^(1+p), p the envelope's
+    `_decay_power`, and ends far below it, since the contour has no tails.  The outer run
+    takes cfg's tolerances times _OUTER_MARGIN within _OUTER_PANELS panels: at cfg's own
+    tolerances the rule stops wherever its panels first meet them, from just under them to
+    eight orders below, so the error moved by orders of magnitude with z or A; a thousand
+    times below them, the pairings of criteria 03 and 04 end at their rounding floor.  No
+    run is strict; converged records whether every inner integral converged and the outer
+    one met cfg.  A node whose tol(x) leaves the normal floats raises InvalidParameter:
+    f' then decays too slowly for the map.
 
     Where f' decays like exp(-a x) (a = `_decay_rate` > 0), an inner integral's integrand
     falls below a power-law tol(x) at moderate x, where the rule accepts whatever its first
     panels give; so tol(x) also carries the factor max(exp(-a x), _INNER_FLOOR).
 
-    A converged inner integral errs by at most tol(x) on the contour, and by 2N tol(x) on
-    the line, where each of f's N summands truncates tails that take a second tol(x).  The
-    outer rule's weights are positive, so the inner stage adds at most
-    int_0^inf x tol(x) dx <= abs_tol/(p(p-1)) on the contour, 2N times that on the line.
+    A converged inner integral errs by at most tol(x).  The outer rule's weights are
+    positive, so the inner stage adds at most int_0^inf x tol(x) dx <= abs_tol/(p(p-1)).
     n_evals counts the inner points."""
     env = f.profiles.deriv_outer
     if not env.integrable:
         raise IntegralNotNormConvergent("pairing outer integrand has no integrable envelope")
     p, a = _decay_power(env), _decay_rate(env)
-    to_halfline = halfline_map(env, pole_radius or 0.0)
+    to_halfline = halfline_map(env, pole_radius)
     n_evals, converged = 0, True
 
     def inner(x: float, dx: float):
@@ -108,7 +109,7 @@ def kernel_pairing(
             raise InvalidParameter(
                 f"pairing inner tolerance underflows: f' decays like x^-{p:g}, too slowly"
             )
-        res = _inner_integral(kernel, pole_radius, kernel_line, f, x, tol)
+        res = _inner_integral(kernel, pole_radius, f, x, tol)
         n_evals += res.n_evals
         converged = converged and res.converged
         return (x * dx) * res.value
@@ -117,52 +118,32 @@ def kernel_pairing(
         xs, dxs = to_halfline(us)
         return np.array([inner(float(x), float(dx)) for x, dx in zip(xs, dxs)])
 
-    if pole_radius is None:
-        res = integrate_interval(outer, 0.0, 1.0, cfg, strict=False)
-        charge = 2.0 * len(f.summands or (f,))
-    else:
-        margin = cfg.with_tolerances(
-            abs_tol=cfg.abs_tol * _OUTER_MARGIN, rel_tol=cfg.rel_tol * _OUTER_MARGIN
-        )
-        res = integrate_interval(
-            outer, 0.0, 1.0, margin, strict=False, max_panels=_OUTER_PANELS
-        )
-        charge = 1.0
+    margin = cfg.with_tolerances(
+        abs_tol=cfg.abs_tol * _OUTER_MARGIN, rel_tol=cfg.rel_tol * _OUTER_MARGIN
+    )
+    res = integrate_interval(outer, 0.0, 1.0, margin, strict=False, max_panels=_OUTER_PANELS)
     met = res.error <= max(cfg.abs_tol, cfg.rel_tol * float(np.max(np.abs(res.value))))
-    err = res.error + charge * cfg.abs_tol / (p * (p - 1.0))
+    err = res.error + cfg.abs_tol / (p * (p - 1.0))
     return QuadResult(res.value, err, n_evals, converged and met)
 
 
 def _inner_integral(
     kernel: Callable[[np.ndarray], np.ndarray],
-    pole_radius: float | None,
-    kernel_line: Callable[[float], DecayEnvelope] | None,
+    pole_radius: float,
     f: AnalyticFunction,
     x: float,
     tol: float,
 ) -> QuadResult:
-    """int_R K(x-iy) f'(x+iy) dy under abs_tol tol alone, not strict.
+    """int_R K(x-iy) f'(x+iy) dy under abs_tol tol alone, not strict, on a contour.
 
-    Without a pole_radius it runs on the line Re w = x, as the sum over the summands s of f
-    (f itself when it has none) of one `integrate_line` under the product of kernel_line(x)
-    and s's line envelope: a summand's narrow frequency band integrates much faster than
-    the whole's.  With one, R (see `kernel_pairing`), Cauchy's theorem moves the line's
-    tails |y| >= T' onto the horizontal rays w = x +- iT' + s, s >= 0, which pass no pole
-    for T' = 2R + 1 + x, and on which oscillating factors such as exp(-tau w) decay.  One
+    With R = pole_radius (see `kernel_pairing`), Cauchy's theorem moves the line's tails
+    |y| >= T' onto the horizontal rays w = x +- iT' + s, s >= 0, which pass no pole for
+    T' = 2R + 1 + x, and on which oscillating factors such as exp(-tau w) decay.  One
     `integrate_interval` run over v in [-2, 2], with breakpoints -1, 0 and 1, takes the
     segment y = T' v for |v| <= 1, weight T', and the rays for |v| in (1, 2), with
     s = L u/(1-u), u = |v| - 1, L = 2x + 3R + 2 and weight +-(1/i) L/(1-u)^2.  The contour
-    has no tails to truncate."""
+    has no tails to truncate, and f' is taken whole."""
     cfg = QuadratureConfig(abs_tol=tol, rel_tol=_NO_REL_TOL)
-    if pole_radius is None:
-        line = kernel_line(x).conjugated()
-        first, *rest = (_line_integral(kernel, line, s, x, cfg) for s in f.summands or (f,))
-        return QuadResult(
-            sum((r.value for r in rest), first.value),
-            sum((r.error for r in rest), first.error),
-            sum((r.n_evals for r in rest), first.n_evals),
-            first.converged and all(r.converged for r in rest),
-        )
     top = 2.0 * pole_radius + 1.0 + x  # T'
     scale = 2.0 * x + 3.0 * pole_radius + 2.0  # L
 
@@ -176,19 +157,6 @@ def _inner_integral(
     return integrate_interval(
         on_contour, -2.0, 2.0, cfg, breakpoints=(-1.0, 0.0, 1.0), strict=False
     )
-
-
-def _line_integral(kernel, line: DecayEnvelope, s: AnalyticFunction, x: float, cfg):
-    """int_R K(x-iy) s'(x+iy) dy on the line Re w = x, where line bounds |K(x-iy)| in y."""
-    env = envelope_product(line, s.profiles.deriv_line(x))
-    if not env.integrable:
-        raise IntegralNotNormConvergent("pairing integrand has no integrable line envelope")
-
-    def on_line(ys):
-        k = kernel(x - 1j * ys)
-        return k * s.deriv(x + 1j * ys).reshape((-1,) + (1,) * (k.ndim - 1))
-
-    return integrate_line(on_line, env, cfg, strict=False)
 
 
 def reproduce_residual(f: AnalyticFunction, z, cfg: QuadratureConfig = DEFAULT_CONFIG):
@@ -209,6 +177,6 @@ def reproduce_residual(f: AnalyticFunction, z, cfg: QuadratureConfig = DEFAULT_C
     def kernel(w):
         return -1.0 / (w[:, None] + zs) ** 2
 
-    p = kernel_pairing(kernel, float(np.abs(zs).max()), None, f, cfg)
+    p = kernel_pairing(kernel, float(np.abs(zs).max()), f, cfg)
     out = np.abs(f(zs) - f.infinity() - (2.0 / math.pi) * p.value).reshape(np.shape(z))
     return float(out) if out.ndim == 0 else out

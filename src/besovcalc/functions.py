@@ -197,8 +197,11 @@ class Profiles:
     envelopes whose constants come from samples of f, not from a proof, so a
     norm built on them is not certified.  pole_radius, when set, is an R with every
     singularity of f' in |u| <= R and |f'(u)| = O(|u|^-2) beyond it, so a pairing with f
-    as its kernel may take its inner integrals on a contour (`duality._inner_integral`);
-    only `resolvent` declares it, and only `scale` keeps it.
+    as its kernel takes its inner integrals on a contour (`duality._inner_integral`).
+    `const`, `resolvent`, `cayley_pow`, `exp_inv_shift` and `vitse_reg` declare it;
+    `scale` keeps it, `shift(f, a)` adds |a|, `dilate(f, b)` divides it by b, `add` and
+    `mul` take the larger of two set radii, `laplace_transform` keeps its sum's, and
+    `power` drops it.  Every function that declares e0_upper also declares a pole_radius.
     """
 
     deriv_line: Callable[[float], DecayEnvelope]
@@ -213,12 +216,7 @@ class Profiles:
 
 @dataclass(frozen=True)
 class AnalyticFunction:
-    """A holomorphic function on Re z > -left_bound with metadata for quadrature.
-
-    summands, when present, give an exact decomposition f = sum of parts whose
-    envelopes have narrower frequency bands; linear operations (the pairing and
-    the operator calculus) may integrate the parts separately.
-    """
+    """A holomorphic function on Re z > -left_bound with metadata for quadrature."""
 
     eval_fn: Callable[[np.ndarray], np.ndarray]
     deriv_fn: Callable[[np.ndarray], np.ndarray]
@@ -226,7 +224,6 @@ class AnalyticFunction:
     value_at_infinity: complex | None = None
     label: str = "f"
     left_bound: float = 0.0
-    summands: tuple["AnalyticFunction", ...] | None = None
 
     def __post_init__(self):
         if not callable(self.deriv_fn):
@@ -269,6 +266,7 @@ def const(c: complex) -> AnalyticFunction:
         deriv_outer=_ZERO_ENV,
         modulus_outer=ConstEnvelope(c=abs(c)),
         e0_upper=0.0,
+        pole_radius=0.0,
     )
     return AnalyticFunction(
         eval_fn=lambda z: np.full_like(z, c),
@@ -289,8 +287,8 @@ def exp_decay(a: float) -> AnalyticFunction:
     if a == 0:
         return const(1.0)
     prof = Profiles(
-        deriv_line=lambda x: ConstEnvelope(c=a * math.exp(-a * x), freq_lo=-a, freq_hi=-a),
-        modulus_line=lambda x: ConstEnvelope(c=math.exp(-a * x), freq_lo=-a, freq_hi=-a),
+        deriv_line=lambda x: ConstEnvelope(c=a * math.exp(-a * x)),
+        modulus_line=lambda x: ConstEnvelope(c=math.exp(-a * x)),
         deriv_outer=ExpEnvelope(a=a, c=a),
         modulus_outer=ExpEnvelope(a=a, c=1.0),
         window=3.0 * 2.0 * math.pi / a,
@@ -365,6 +363,7 @@ def cayley_pow(n: int) -> AnalyticFunction:
         window=max(8.0, 2.0 * n),
         # |chi_n'(z)| <= 2n/|z+1|^2, so x int |chi_n'(x+iy)| dy <= 2n pi x/(x+1)
         e0_upper=2.0 * n * math.pi,
+        pole_radius=1.0,
     )
     return AnalyticFunction(
         eval_fn=ev,
@@ -419,17 +418,12 @@ def eta(delta: float = 1.0) -> AnalyticFunction:
     def dl(x):
         return SumEnvelope.of(
             PowerEnvelope(p=2.0, c=2.0, t0=max(2.0 * (1.0 + x), 2.0)),
-            PowerEnvelope(
-                p=1.0, c=math.exp(-x), t0=max(2.0 * (1.0 + x), 2.0), freq_lo=-1.0, freq_hi=-1.0
-            ),
+            PowerEnvelope(p=1.0, c=math.exp(-x), t0=max(2.0 * (1.0 + x), 2.0)),
         )
 
     prof = Profiles(
         deriv_line=dl,
-        # frequency content spans [-1, 0]: never a single-frequency factor
-        modulus_line=lambda x: PowerEnvelope(
-            p=1.0, c=2.0, t0=max(x, 1.0), freq_lo=-1.0, freq_hi=0.0
-        ),
+        modulus_line=lambda x: PowerEnvelope(p=1.0, c=2.0, t0=max(x, 1.0)),
         deriv_outer=PowerEnvelope(p=2.0, c=1.0, t0=1.0),
         modulus_outer=PowerEnvelope(p=1.0, c=1.0, t0=1e-6),
         window=24.0,
@@ -461,13 +455,14 @@ def exp_inv_shift(t: float) -> AnalyticFunction:
     def dv(z):
         return t * np.exp(-t / (z + 1.0)) / (z + 1.0) ** 2
 
-    # t0 >= t/6 keeps the phase of exp(-t/(z+1)) inside the slow-variation
-    # contract assumed by oscillatory tail corrections in products
+    # t0 >= t/6 widens the supremum grid's cap (`sup_on_vertical_line`) with t; the only
+    # singularity, at z = -1, gives the pole radius 1
     prof = Profiles(
         deriv_line=lambda x: ResolventEnvelope(m=t, shift=x + 1.0, t0=t / 6.0),
         modulus_line=lambda x: ConstEnvelope(c=1.0, t0=t / 6.0),
         deriv_outer=PowerEnvelope(p=2.0, c=t, t0=1.0),
         modulus_outer=ConstEnvelope(c=1.0),
+        pole_radius=1.0,
     )
     return AnalyticFunction(
         eval_fn=ev,
@@ -491,12 +486,15 @@ def vitse_reg(t: float) -> AnalyticFunction:
     def dv(z):
         return (t + (t + 2.0) * z) / (1.0 + z) ** 3 * np.exp(-t / z)
 
+    # as in exp_inv_shift, t0 >= t/6 widens the supremum grid's cap; the singularities,
+    # at z = 0 and z = -1, give the pole radius 1
     prof = Profiles(
         deriv_line=lambda x: ResolventEnvelope(m=t + 2.0, shift=x + 1.0, t0=t / 6.0),
         modulus_line=lambda x: ConstEnvelope(c=1.0, t0=t / 6.0),
         deriv_outer=PowerEnvelope(p=2.0, c=t + 2.0, t0=1.0),
         modulus_outer=ConstEnvelope(c=1.0),
         window=max(8.0, 4.0 * math.sqrt(t)),
+        pole_radius=1.0,
     )
     return AnalyticFunction(
         eval_fn=ev,
@@ -512,9 +510,9 @@ def laplace_transform(measure: HalfLineMeasure) -> AnalyticFunction:
     """Laplace transform of a bounded measure: the sum of its parts.
 
     The parts are a constant for the atoms at 0, one exponential per atom at
-    t > 0 and a resolvent or dilated eta part for the density; f is their sum
-    and keeps them as summands.  Only two profile facts come from the whole
-    measure: the supremum window, which must resolve the beat of the nearest
+    t > 0 and a resolvent or dilated eta part for the density; f is their sum,
+    whose e0_upper and pole_radius it keeps.  Only two profile facts come from the
+    whole measure: the supremum window, which must resolve the beat of the nearest
     two rates, and the global modulus bound, its total variation.
     """
     atoms = tuple((float(t), complex(c)) for t, c in measure.atoms)
@@ -542,7 +540,6 @@ def laplace_transform(measure: HalfLineMeasure) -> AnalyticFunction:
         f.profiles,
         window=max(8.0, 3.0 * 2.0 * math.pi / beat),
         modulus_outer=ConstEnvelope(c=measure.total_variation()),
-        pole_radius=None,
     )
     return replace(f, profiles=prof, label="laplace(...)")
 
@@ -624,19 +621,9 @@ def bernstein_resolvent(
     else:
         return const(1.0 / (lam + fb.a**beta))
 
-    # the degenerate band [-eps, 0] marks sub-linear phase content: products
-    # never qualify for single-frequency tail corrections
     prof = Profiles(
-        deriv_line=lambda x: PowerEnvelope(
-            p=1.0 - alpha,
-            c=s_bound(x) + 1e-300,
-            t0=max(x, 1.0),
-            freq_lo=-1e-9,
-            freq_hi=0.0,
-        ),
-        modulus_line=lambda x: ConstEnvelope(
-            c=1.0 / (kappa * abs(lam)), freq_lo=-1e-9, freq_hi=0.0
-        ),
+        deriv_line=lambda x: PowerEnvelope(p=1.0 - alpha, c=s_bound(x) + 1e-300, t0=max(x, 1.0)),
+        modulus_line=lambda x: ConstEnvelope(c=1.0 / (kappa * abs(lam))),
         deriv_outer=deriv_outer,
         modulus_outer=ConstEnvelope(c=1.0 / (kappa * abs(lam))),
     )
@@ -666,6 +653,13 @@ def _merge_left(f, g):
     return min(f.left_bound, g.left_bound)
 
 
+def _merge_radius(fp: Profiles, gp: Profiles) -> float | None:
+    """The pole radius of a sum or product: the larger of two set radii, else None."""
+    if fp.pole_radius is None or gp.pole_radius is None:
+        return None
+    return max(fp.pole_radius, gp.pole_radius)
+
+
 def add(f: AnalyticFunction, g: AnalyticFunction) -> AnalyticFunction:
     fi, gi = f.value_at_infinity, g.value_at_infinity
     prof = Profiles(
@@ -682,6 +676,7 @@ def add(f: AnalyticFunction, g: AnalyticFunction) -> AnalyticFunction:
             else None
         ),
         sampled=f.profiles.sampled or g.profiles.sampled,
+        pole_radius=_merge_radius(f.profiles, g.profiles),
     )
     return AnalyticFunction(
         eval_fn=lambda z: f.eval_fn(z) + g.eval_fn(z),
@@ -690,7 +685,6 @@ def add(f: AnalyticFunction, g: AnalyticFunction) -> AnalyticFunction:
         value_at_infinity=fi + gi if fi is not None and gi is not None else None,
         label=f"({f.label}+{g.label})",
         left_bound=_merge_left(f, g),
-        summands=(f.summands or (f,)) + (g.summands or (g,)),
     )
 
 
@@ -716,6 +710,7 @@ def mul(f: AnalyticFunction, g: AnalyticFunction) -> AnalyticFunction:
             else None
         ),
         sampled=fp.sampled or gp.sampled,
+        pole_radius=_merge_radius(fp, gp),
     )
     return AnalyticFunction(
         eval_fn=lambda z: f.eval_fn(z) * g.eval_fn(z),
@@ -748,9 +743,6 @@ def scale(f: AnalyticFunction, c: complex) -> AnalyticFunction:
             c * f.value_at_infinity if f.value_at_infinity is not None else None
         ),
         label=f"({c}*{f.label})",
-        summands=(
-            tuple(scale(s, c) for s in f.summands) if f.summands is not None else None
-        ),
     )
 
 
@@ -767,7 +759,7 @@ def shift(f: AnalyticFunction, a: complex) -> AnalyticFunction:
         deriv_line=lambda x: fp.deriv_line(x + a.real).off_center(off),
         modulus_line=lambda x: fp.modulus_line(x + a.real).off_center(off),
         window=fp.window + 2 * off,
-        pole_radius=None,
+        pole_radius=fp.pole_radius + abs(a) if fp.pole_radius is not None else None,
     )
     return replace(
         f,
@@ -776,9 +768,6 @@ def shift(f: AnalyticFunction, a: complex) -> AnalyticFunction:
         profiles=prof,
         label=f"shift({f.label},{a})",
         left_bound=f.left_bound + a.real,
-        summands=(
-            tuple(shift(s, a) for s in f.summands) if f.summands is not None else None
-        ),
     )
 
 
@@ -795,7 +784,9 @@ def dilate(f: AnalyticFunction, b: float) -> AnalyticFunction:
         deriv_outer=fp.deriv_outer.dilated_arg(b).scaled(b),
         modulus_outer=fp.modulus_outer.dilated_arg(b),
         window=fp.window / b,
-        pole_radius=None,
+        # x int |b f'(b(x+iy))| dy = (bx) int |f'(bx+iy')| dy' / b
+        e0_upper=fp.e0_upper / b if fp.e0_upper is not None else None,
+        pole_radius=fp.pole_radius / b if fp.pole_radius is not None else None,
     )
     return replace(
         f,
@@ -804,9 +795,6 @@ def dilate(f: AnalyticFunction, b: float) -> AnalyticFunction:
         profiles=prof,
         label=f"dilate({f.label},{b:g})",
         left_bound=f.left_bound / b,
-        summands=(
-            tuple(dilate(s, b) for s in f.summands) if f.summands is not None else None
-        ),
     )
 
 

@@ -629,7 +629,7 @@ def apply_calculus_report(
         return (w[:, None] + spec.lam) ** -2
 
     prof = A.profile()
-    p = kernel_pairing(kernel, A.norm2, None, f, _APPLY_CFG)
+    p = kernel_pairing(kernel, A.norm2, f, _APPLY_CFG)
     integral = p.value if spec is None else (spec.q * p.value) @ spec.q.conj().T
     value = f.infinity() * np.eye(A.n) - (2.0 / math.pi) * integral
     # a unitary Q does not enlarge the max-entry error of diag(p.value)

@@ -175,10 +175,6 @@ class DecayEnvelope:
             freq_hi=self.freq_hi,
         )
 
-    def conjugated(self) -> "DecayEnvelope":
-        """Envelope of t -> conj(f(conj-reflected)) use: frequencies negate."""
-        return replace(self, freq_lo=-self.freq_hi, freq_hi=-self.freq_lo)
-
     @property
     def integrable(self) -> bool:
         return True
@@ -345,10 +341,6 @@ class SumEnvelope(DecayEnvelope):
     def off_center(self, c):
         out = replace(self, parts=tuple(p.off_center(c) for p in self.parts))
         return replace(out, t0=max(2.0 * c, 2.0 * self.t0, 1e-9))
-
-    def conjugated(self):
-        out = replace(self, parts=tuple(p.conjugated() for p in self.parts))
-        return replace(out, freq_lo=-self.freq_hi, freq_hi=-self.freq_lo)
 
     @property
     def integrable(self):
@@ -670,11 +662,9 @@ def integrate_halfline(
     f,
     envelope: DecayEnvelope,
     cfg: QuadratureConfig = DEFAULT_CONFIG,
-    *,
-    strict: bool = True,
 ) -> QuadResult:
-    """Integrate f over [0, inf) in one `integrate_interval` run on `halfline_map` of the
-    envelope, with breakpoints graded toward u = 0: no cutoff and no tail.  The envelope
+    """Integrate f over [0, inf) in one strict `integrate_interval` run on `halfline_map` of
+    the envelope, with breakpoints graded toward u = 0: no cutoff and no tail.  The envelope
     must be integrable, with a tail that reaches cfg.abs_tol at a cutoff T, and f must stay
     under it at four points beyond T, checked first.  An oscillating envelope (nonzero
     frequency band) is rejected: no caller in the package integrates one over the half-line,
@@ -690,9 +680,7 @@ def integrate_halfline(
         vals = np.asarray(f(xs))
         return vals * dxs.reshape((-1,) + (1,) * (vals.ndim - 1))
 
-    return integrate_interval(
-        mapped, 0.0, 1.0, cfg, breakpoints=_HALFLINE_BREAKPOINTS, strict=strict
-    )
+    return integrate_interval(mapped, 0.0, 1.0, cfg, breakpoints=_HALFLINE_BREAKPOINTS)
 
 
 def integrate_line(
@@ -790,10 +778,13 @@ EDGE_ALLOWANCE = 2.0**-18
 
 def line_weight(h, env: DecayEnvelope, x: float, cfg: QuadratureConfig):
     """x * Re int h(x + iy) dy under env, and whether it converged.  The factor x amplifies
-    absolute errors, so the absolute tolerance, also the tail's, shrinks by 1/max(x, 1)."""
+    absolute errors, so the absolute tolerance, also the tail's, shrinks by 1/max(x, 1).
+    h is a modulus or a norm, which does not oscillate, so env's frequency band is cleared:
+    its integration-by-parts and corrected tails hold only for an oscillating integrand."""
     shrink = max(x, 1.0)
+    plain = replace(env, freq_lo=0.0, freq_hi=0.0)
     res = integrate_line(
-        lambda ys: h(x + 1j * np.asarray(ys, dtype=float)), env,
+        lambda ys: h(x + 1j * np.asarray(ys, dtype=float)), plain,
         cfg.with_tolerances(abs_tol=cfg.abs_tol / shrink), strict=False,
     )
     return x * np.real(res.value), res.converged

@@ -6,8 +6,11 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from besovcalc import duality, quadrature
+from besovcalc.cli import run
 from besovcalc.duality import pairing, reproduce_residual
 from besovcalc.errors import BesovCalcError, IntegralNotNormConvergent, InvalidParameter
 from besovcalc.functions import (
@@ -159,6 +162,20 @@ class TestPairingValues:
         assert got.error < 1e-5
         assert abs(got.value + math.pi / 2.0) <= got.error
 
+    def test_kernel_swaps_to_the_argument_with_a_pole_radius(self):
+        # exp(-z) declares no pole radius, so <e_1, r_1> = <r_1, e_1> takes r_1' as its kernel
+        # and the closed-form weight pi certifies it
+        assert exp_decay(1.0).profiles.pole_radius is None
+        got = pairing(exp_decay(1.0), resolvent(1.0), CFG)
+        assert got.converged and got.error < 1e-6
+        assert abs(got.value - 0.5 * math.pi * math.exp(-1.0)) <= got.error
+
+    def test_no_pole_radius_on_either_side_is_rejected(self, capsys):
+        with pytest.raises(IntegralNotNormConvergent):
+            pairing(eta(), eta(), CFG)
+        assert run(["pair", "--g", "eta", "--f", "eta"]) == 1
+        assert "pole radius" in capsys.readouterr().err
+
 
 class TestReproducing:
     def test_exp_at_one(self):
@@ -231,41 +248,29 @@ class TestOneDoubleIntegral:
             reproduce_residual(exp_decay(1.0), np.array([2.0, z]), CFG)
 
     def test_summand_evals_add_up(self, monkeypatch):
-        """A sum pairs in one outer run.  On the line each outer node sums one line
-        integral per summand, whose points make up n_evals; on the contour f' is taken
-        whole, and the charge is one abs_tol/(p(p-1)), not one per summand."""
+        """A sum pairs in one outer run, with f' taken whole on the contour: n_evals is the
+        sum of the inner runs' points, and the charge is one abs_tol/(p(p-1)), not one per
+        summand."""
         f = band_function(1.0, 4.0)
-        assert f.summands is not None and len(f.summands) == 2
-        outer_runs, outer_nodes, line_evals = [], [], []
-        interval, line = duality.integrate_interval, duality.integrate_line
+        outer_runs, inner_evals = [], []
+        interval = duality.integrate_interval
 
         def counted_interval(g, a, b, *args, **kwargs):
-            outer_runs.append((a, b) == (0.0, 1.0))
-
-            def counted(us):
-                outer_nodes.append(len(us))
-                return g(us)
-
-            return interval(counted, a, b, *args, **kwargs)
-
-        def counted_line(*args, **kwargs):
-            res = line(*args, **kwargs)
-            line_evals.append(res.n_evals)
+            res = interval(g, a, b, *args, **kwargs)
+            if (a, b) == (0.0, 1.0):
+                outer_runs.append(res.n_evals)
+            else:
+                inner_evals.append(res.n_evals)
             return res
 
         monkeypatch.setattr(duality, "integrate_interval", counted_interval)
-        monkeypatch.setattr(duality, "integrate_line", counted_line)
-        g = dilate(resolvent(1.0), 2.0)  # declares no poles, so it stays on the line
-        on_line = pairing(g, f, FAST)
-        assert sum(outer_runs) == 1 and on_line.converged
-        assert on_line.n_evals == sum(line_evals) > 0
-        assert len(line_evals) == 2 * sum(outer_nodes)
-        outer_runs.clear()
         z = 1.0 + 1.0j
         whole = pairing(resolvent(z), f, CFG)
-        assert sum(outer_runs) == 1
+        assert len(outer_runs) == 1 and len(inner_evals) == outer_runs[0]
+        assert whole.n_evals == sum(inner_evals)
         assert abs(whole.value - 0.5 * math.pi * (f(z) - f.infinity())) <= whole.error
         assert whole.error < 1e-8
+
     def test_one_integrability_error(self):
         # pairing, the batched residual and the calculus reject a non-integrable
         # outer envelope alike
@@ -314,8 +319,8 @@ def _cayley_second_derivative(n):
 
 
 class TestContour:
-    """Inner integrals of a kernel with declared poles run on a segment plus two
-    horizontal rays; every other kernel stays on the vertical line."""
+    """Every inner integral runs on a segment plus two horizontal rays, placed by the
+    kernel's pole radius."""
 
     # (f, f'') in closed form
     FAMILIES = {
@@ -335,18 +340,20 @@ class TestContour:
         g = resolvent(z)
         for x in (1e-6, 1e-3, 0.1, 1.0, 10.0, 100.0):
             charge = CFG.abs_tol / (1.0 + x) ** 2
-            res = duality._inner_integral(g.deriv, g.profiles.pole_radius, None, f, x, charge)
+            res = duality._inner_integral(g.deriv, g.profiles.pole_radius, f, x, charge)
             assert res.converged and res.error <= charge
             assert abs(res.value - 2.0 * math.pi * f2(2.0 * x + z)) <= charge
 
-    def test_contour_agrees_with_line(self):
-        # the same kernel r_(1+20i)', once with declared poles and once through shift,
-        # which declares none and so keeps the line
-        line_g, contour_g = shift(resolvent(1.0), 20j), resolvent(1 + 20j)
-        assert line_g.profiles.pole_radius is None
+    def test_contour_does_not_depend_on_the_radius(self):
+        # the same kernel r_(1+20i)', declared through shift with R = 1 + 20 and directly
+        # with R = |1 + 20i|, which places the contour's segment and rays differently
+        shifted, direct = shift(resolvent(1.0), 20j), resolvent(1 + 20j)
+        assert shifted.profiles.pole_radius == 21.0
+        assert direct.profiles.pole_radius == pytest.approx(20.025, abs=1e-3)
         for f in criterion_03_catalog():
-            a, b = pairing(line_g, f, FAST), pairing(contour_g, f, FAST)
+            a, b = pairing(shifted, f, FAST), pairing(direct, f, FAST)
             assert abs(a.value - b.value) <= a.error + b.error, f.label
+            assert abs(a.value - b.value) < 1e-12, f.label
 
     @pytest.mark.parametrize("tol", [3e-7, 3e-8])
     def test_reported_error_covers_the_reproducing_gap(self, tol):
@@ -361,23 +368,95 @@ class TestContour:
                 assert gap <= p.error, f"{f.label} at z = {z}"
 
     def test_pole_radius_rule(self):
-        # only resolvent declares it and only scale keeps it: every other combinator
-        # moves or hides the poles, or leaves f' without O(|u|^-2) decay
+        # every singularity of f' in |u| <= R and f' = O(|u|^-2): the catalog's rational and
+        # inverse-exponential members declare R, the combinators carry it, and functions
+        # built on exp(-tau z) or z^alpha, and every power, declare none
         r = resolvent(3 + 4j)
         assert r.profiles.pole_radius == 5.0
-        assert scale(r, 2 - 1j).profiles.pole_radius == 5.0
+        declared = {
+            "const": (const(1.0), 0.0),
+            "cayley": (cayley_pow(2), 1.0),
+            "expinv": (exp_inv_shift(2.0), 1.0),
+            "vitse": (vitse_reg(2.0), 1.0),
+            "scale": (scale(r, 2 - 1j), 5.0),
+            "shift": (shift(r, 3 + 4j), 10.0),
+            "dilate": (dilate(r, 2.0), 2.5),
+            "add": (add(r, resolvent(1.0)), 5.0),
+            "mul": (mul(cayley_pow(1), r), 5.0),
+            "laplace": (laplace_transform(HalfLineMeasure(density=("exp", 1.0, 2.0))), 2.0),
+        }
+        for name, (g, radius) in declared.items():
+            assert g.profiles.pole_radius == radius, name
         others = [
-            shift(r, 1.0),
-            dilate(r, 2.0),
             power(r, 2),
-            add(r, r),
-            mul(r, r),
-            laplace_transform(HalfLineMeasure(density=("exp", 1.0, 2.0))),
+            add(r, exp_decay(1.0)),
+            mul(eta(), r),
+            laplace_transform(HalfLineMeasure(atoms=((1.0, 1.0),), density=("exp", 1.0, 2.0))),
             exp_decay(1.0),
-            cayley_pow(2),
-            const(1.0),
+            eta(),
+            band_function(1.0, 4.0),
+            bernstein_resolvent(BernsteinFunction(b=1.0), 0.5, 2.0, math.pi / 4, 1.0),
         ]
         assert [g.label for g in others if g.profiles.pole_radius is not None] == []
+
+
+def _radius_carrying(a: complex, b: float):
+    """The constructions that declare a pole radius, with shift a and dilation b."""
+    r1 = resolvent(1.0)
+    return [
+        cayley_pow(2),
+        exp_inv_shift(1.0),
+        vitse_reg(1.0),
+        shift(r1, a),
+        dilate(r1, b),
+        shift(dilate(cayley_pow(1), b), a),
+        dilate(shift(exp_inv_shift(1.0), a), b),
+        add(shift(r1, a), resolvent(2.0 + 1.0j)),
+        mul(dilate(r1, b), resolvent(2.0)),
+        scale(vitse_reg(2.0), 1.5 - 0.5j),
+        const(2.0),
+        laplace_transform(HalfLineMeasure(atoms=((0.0, 1.0),), density=("exp", -2.0, 1.0))),
+    ]
+
+
+SHIFTS = st.complex_numbers(max_magnitude=3.0).map(lambda a: complex(abs(a.real), a.imag))
+DILATIONS = st.floats(0.25, 4.0)
+
+
+class TestDualClass:
+    """Every function that declares e0_upper also declares a pole radius, and every pairing
+    with one of them as its kernel runs on the contour."""
+
+    @settings(max_examples=8, deadline=None)
+    @given(a=SHIFTS, b=DILATIONS)
+    def test_symmetric_reproducing_identity(self, a, b):
+        # <g, r_z> = <r_z, g> = (pi/2) (g(z) - g(inf)), to rounding on the contour
+        for g in _radius_carrying(a, b):
+            for z in (5.0, 0.3 + 2j):
+                p = pairing(g, resolvent(z), CFG)
+                gap = abs(p.value - 0.5 * math.pi * (g(z) - g.infinity()))
+                assert gap <= p.error and gap < 1e-12, f"{g.label} at z = {z}"
+
+    @settings(max_examples=20, deadline=None)
+    @given(a=SHIFTS, b=DILATIONS)
+    def test_e0_upper_implies_a_pole_radius(self, a, b):
+        for g in _radius_carrying(a, b) + criterion_03_catalog():
+            assert g.profiles.e0_upper is None or g.profiles.pole_radius is not None, g.label
+
+    def test_no_line_integral(self, monkeypatch):
+        calls = []
+        line = quadrature.integrate_line
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return line(*args, **kwargs)
+
+        monkeypatch.setattr(quadrature, "integrate_line", counted)
+        assert not hasattr(duality, "integrate_line")
+        for g in _radius_carrying(1.0 + 2.0j, 0.5):
+            pairing(g, resolvent(0.3 + 2j), FAST)
+            pairing(exp_decay(1.0), g, FAST)
+        assert calls == []
 
 
 class TestMappedOuter:
@@ -431,9 +510,9 @@ class TestMappedOuter:
         # both halves, so 256 panels cost at most 511 panel evaluations
         inner, xs = duality._inner_integral, []
 
-        def noisy(kernel, pole_radius, kernel_line, f, x, tol):
+        def noisy(kernel, pole_radius, f, x, tol):
             xs.append(x)
-            res = inner(kernel, pole_radius, kernel_line, f, x, tol)
+            res = inner(kernel, pole_radius, f, x, tol)
             return dataclasses.replace(res, value=res.value + 1e-6 * math.sin(1e4 * x) / (1 + x) ** 3)
 
         monkeypatch.setattr(duality, "_inner_integral", noisy)
@@ -452,8 +531,15 @@ class TestMappedOuter:
             return cutoff(env, eps)
 
         monkeypatch.setattr(quadrature.DecayEnvelope, "cutoff", counted)
+        kernels = [
+            resolvent(1.0 + 1.0j),
+            cayley_pow(2),
+            shift(resolvent(1.0), 1.0 + 2.0j),
+            dilate(resolvent(1.0), 2.0),
+        ]
         for f in criterion_03_catalog():
             reproduce_residual(f, TestOneDoubleIntegral.ZS, FAST)
-            pairing(resolvent(1.0 + 1.0j), f, FAST)
+            for g in kernels:
+                pairing(g, f, FAST)
             apply_calculus_report(A, f)
         assert calls == []

@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.integrate
 
 from besovcalc import norms
 from besovcalc.applications import (
@@ -405,6 +406,35 @@ class TestE0:
     def test_exp_not_in_dual_class(self):
         with pytest.raises(DivergenceSuspicion):
             e0_norm(exp_decay(1.0), CFG)
+
+    def test_modulus_takes_no_oscillatory_tail(self):
+        # |f'| does not oscillate, so a frequency band on its envelope must not shorten the
+        # line by an integration-by-parts tail
+        f = mul(exp_decay(1.0), mul(resolvent(1.0), resolvent(1.0)))
+        rep = e0_norm(f, CFG)
+        x = rep.pieces["argmax_x"]
+
+        def modulus(w):
+            return np.abs(f.deriv(w))
+
+        env = f.profiles.deriv_line(x)
+        banded = replace(env, freq_lo=-1.0, freq_hi=-1.0)
+        assert line_weight(modulus, banded, x, CFG) == line_weight(modulus, env, x, CFG)
+        # f has real coefficients, so |f'(x - iy)| = |f'(x + iy)|
+        half, err = scipy.integrate.quad(
+            lambda y: abs(f.deriv(complex(x, y))), 0.0, math.inf, epsabs=1e-13, epsrel=1e-13
+        )
+        assert err < 1e-9
+        assert abs(rep.value - 2.0 * x * half) <= rep.error_bound
+
+    @pytest.mark.parametrize("b", [0.1, 0.5, 4.0])
+    @pytest.mark.parametrize("g", [resolvent(1.0), cayley_pow(2)], ids=["resolvent", "cayley2"])
+    def test_dilated_e0_upper_bounds_the_norm(self, g, b):
+        # e0 scales by 1/b under z -> bz, and so does the declared bound
+        f = dilate(g, b)
+        assert f.profiles.e0_upper == pytest.approx(g.profiles.e0_upper / b)
+        rep = e0_norm(f, CFG)
+        assert f.profiles.e0_upper >= rep.value - rep.error_bound
 
 
 def _calculus(f, cfg):
