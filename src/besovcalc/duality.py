@@ -19,6 +19,7 @@ from .quadrature import (
     _decay_power,
     _decay_rate,
     halfline_map,
+    integrate_contour,
     integrate_interval,
 )
 
@@ -32,26 +33,33 @@ def pairing(
 ) -> QuadResult:
     """Iterated integral of x * g'(x-iy) f'(x+iy) over y in R, then x > 0.
 
-    y -> -y turns it into <f, g>, so the kernel is g' when g declares a pole_radius and f'
-    otherwise, and every inner integral runs on the contour of `_inner_integral`; a pair
+    y -> -y turns it into <f, g>, so the kernel is g' or f', whichever declares a
+    pole_radius, and every inner integral runs on the contour of `_inner_integral`; when
+    both declare one, the kernel is the one that declares e0_upper, g on a tie, and a pair
     of which neither declares one raises IntegralNotNormConvergent.  It is certified when
     the kernel's function declares the closed-form bound e0_upper on
     sup_x x * int |g'(x+iy)| dy, which makes the outer integrand decay like the other's
     outer envelope, and the other's envelopes are not sampled; otherwise the error is at
     least a quarter of the value."""
-    if g.profiles.pole_radius is None:
-        if f.profiles.pole_radius is None:
-            raise IntegralNotNormConvergent(
-                f"pairing <{g.label}, {f.label}>: neither argument declares a pole radius, "
-                "so neither is a kernel of the dual class"
-            )
+    if _kernel_rank(f) > _kernel_rank(g):
         g, f = f, g
+    if g.profiles.pole_radius is None:
+        raise IntegralNotNormConvergent(
+            f"pairing <{g.label}, {f.label}>: neither argument declares a pole radius, "
+            "so neither is a kernel of the dual class"
+        )
     gp = g.profiles
     p = kernel_pairing(g.deriv, gp.pole_radius, f, cfg)
     err = p.error
     if gp.e0_upper is None or f.profiles.sampled:
         err = max(err, 0.25 * abs(p.value))
     return replace(p, value=complex(p.value), error=err)
+
+
+def _kernel_rank(h: AnalyticFunction) -> tuple[bool, bool]:
+    """How well h' serves as `pairing`'s kernel: it needs a pole radius, and e0_upper
+    certifies the pairing (every function that declares e0_upper declares a radius)."""
+    return h.profiles.pole_radius is not None, h.profiles.e0_upper is not None
 
 
 # QuadratureConfig rejects rel_tol = 0; at this one an inner integral's abs_tol alone decides
@@ -134,29 +142,17 @@ def _inner_integral(
     x: float,
     tol: float,
 ) -> QuadResult:
-    """int_R K(x-iy) f'(x+iy) dy under abs_tol tol alone, not strict, on a contour.
-
-    With R = pole_radius (see `kernel_pairing`), Cauchy's theorem moves the line's tails
-    |y| >= T' onto the horizontal rays w = x +- iT' + s, s >= 0, which pass no pole for
-    T' = 2R + 1 + x, and on which oscillating factors such as exp(-tau w) decay.  One
-    `integrate_interval` run over v in [-2, 2], with breakpoints -1, 0 and 1, takes the
-    segment y = T' v for |v| <= 1, weight T', and the rays for |v| in (1, 2), with
-    s = L u/(1-u), u = |v| - 1, L = 2x + 3R + 2 and weight +-(1/i) L/(1-u)^2.  The contour
-    has no tails to truncate, and f' is taken whole."""
+    """int_R K(x-iy) f'(x+iy) dy under abs_tol tol alone, on `quadrature.integrate_contour`
+    with its rays to the right, where oscillating factors such as exp(-tau w) decay.  Every
+    singularity of K(2x - w) lies in |Im w| <= R = pole_radius (see `kernel_pairing`), and
+    f' is analytic for Re w > 0 and taken whole."""
     cfg = QuadratureConfig(abs_tol=tol, rel_tol=_NO_REL_TOL)
-    top = 2.0 * pole_radius + 1.0 + x  # T'
-    scale = 2.0 * x + 3.0 * pole_radius + 2.0  # L
 
-    def on_contour(vs):
-        u = np.maximum(np.abs(vs) - 1.0, 0.0)
-        w = x + 1j * top * np.clip(vs, -1.0, 1.0) + scale * u / (1.0 - u)
-        dw = np.where(u > 0.0, -1j * np.sign(vs) * scale / (1.0 - u) ** 2, top)
+    def on_contour(w, dw):
         k = kernel(2.0 * x - w)
         return k * (dw * f.deriv(w)).reshape((-1,) + (1,) * (k.ndim - 1))
 
-    return integrate_interval(
-        on_contour, -2.0, 2.0, cfg, breakpoints=(-1.0, 0.0, 1.0), strict=False
-    )
+    return integrate_contour(on_contour, x, pole_radius, 1.0, cfg)
 
 
 def reproduce_residual(f: AnalyticFunction, z, cfg: QuadratureConfig = DEFAULT_CONFIG):

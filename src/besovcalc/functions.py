@@ -201,7 +201,8 @@ class Profiles:
     `const`, `resolvent`, `cayley_pow`, `exp_inv_shift` and `vitse_reg` declare it;
     `scale` keeps it, `shift(f, a)` adds |a|, `dilate(f, b)` divides it by b, `add` and
     `mul` take the larger of two set radii, `laplace_transform` keeps its sum's, and
-    `power` drops it.  Every function that declares e0_upper also declares a pole_radius.
+    `power` keeps it for integer exponents >= 1 and drops it for any other.  Every function
+    that declares e0_upper also declares a pole_radius.
     """
 
     deriv_line: Callable[[float], DecayEnvelope]
@@ -842,7 +843,9 @@ def power(f: AnalyticFunction, beta: float) -> AnalyticFunction:
         modulus_outer=bound,
         e0_upper=None,
         sampled=True,
-        pole_radius=None,
+        # (f^n)' = n f^(n-1) f' keeps the singularities and the decay of f'; zeros of f, or
+        # the branch cut, can lie anywhere outside |u| <= R for any other power
+        pole_radius=fp.pole_radius if float(beta).is_integer() and beta >= 1 else None,
     )
     return AnalyticFunction(
         eval_fn=lambda z: np.power(f.eval_fn(z), beta),

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -33,7 +33,7 @@ from .quadrature import (
     QuadratureConfig,
     _bracket_row,
     _refine_max,
-    integrate_line,
+    integrate_contour,
     kernel_weight,
     line_weight,
 )
@@ -726,10 +726,12 @@ def oracle_apply(
 
 
 def _as_vector(v, n: int, name: str) -> np.ndarray:
-    """v as a complex vector, which must have length n."""
+    """v as a complex vector, which must have length n and finite entries."""
     v = np.asarray(v, dtype=complex)
     if v.shape != (n,):
         raise InvalidParameter(f"{name} must be a vector of length {n}, got shape {v.shape}")
+    if not np.all(np.isfinite(v)):
+        raise InvalidParameter(f"{name} must be finite")
     return v
 
 
@@ -743,24 +745,21 @@ def semigroup_reconstruct_check(
     """Residual of the weak semigroup reconstruction from the squared resolvent.
 
     Evaluates (1/(2 pi t)) int <(alpha+i beta+A)^(-2) x, x*> e^((alpha+i beta)t) d beta
-    at alpha = 1/t and compares with <exp(-tA) x, x*>.
+    at alpha = 1/t and compares with <exp(-tA) x, x*>.  The integral runs, in
+    lambda = alpha + i beta, on `quadrature.integrate_contour` with its rays to the left,
+    where e^(lambda t) decays; every pole of (lambda + A)^(-2) lies in |lambda| <= ||A||_2,
+    the contour's radius.
     """
     if not 0 < t < math.inf:
         raise InvalidParameter(f"t must be positive, got {t!r}")
     x = _as_vector(x, A.n, "x")
     xstar = _as_vector(xstar, A.n, "xstar")
-    alpha = 1.0 / t
 
-    def integrand(betas):
-        betas = np.asarray(betas, dtype=float)
-        r2 = _resolvents_squared(A, alpha + 1j * betas)
-        vals = np.einsum("kij,j,i->k", r2, x, xstar.conj())
-        return vals * np.exp((alpha + 1j * betas) * t)
+    def integrand(lams, dbetas):
+        r2 = _resolvents_squared(A, lams)
+        return np.einsum("kij,j,i->k", r2, x, xstar.conj()) * np.exp(lams * t) * dbetas
 
-    # |e^((alpha+i beta)t)| = e on the line, and the kernel's envelope is `_kernel_line`
-    amp = math.e * float(np.linalg.norm(x) * np.linalg.norm(xstar))
-    env = replace(_kernel_line(A, alpha).scaled(amp), freq_lo=t, freq_hi=t)
-    res = integrate_line(integrand, env, cfg, strict=False)
+    res = integrate_contour(integrand, 1.0 / t, A.norm2, -1.0, cfg)
     lhs = complex(res.value) / (2.0 * math.pi * t)
     rhs = complex(xstar.conj() @ (semigroup(A, t) @ x))
     return abs(lhs - rhs)

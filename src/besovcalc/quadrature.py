@@ -1,12 +1,13 @@
 """Adaptive 1-D quadrature over finite, half-line and full-line domains.
 
-Improper integrals require a declared decay envelope.  A half-line integral
-runs on a map of [0, 1) onto [0, inf) matched to the envelope's decay, with no
-cutoff and no tail; a line integral is truncated where the envelope's
+Improper integrals require a declared decay envelope or a contour.  A half-line
+integral runs on a map of [0, 1) onto [0, inf) matched to the envelope's decay,
+with no cutoff and no tail; a line integral is truncated where the envelope's
 closed-form tail bound meets the tolerance, and that bound is charged to the
-reported error.  Integrands may be scalar-, vector- or
-matrix-valued; the values at the nodes of a panel batch are computed in
-vectorized calls of at most 2**12 points and 2**16 value entries each, and
+reported error; a line integral of an integrand analytic off the line runs on a
+segment plus two horizontal rays, with no tail.  Integrands may be scalar-,
+vector- or matrix-valued; the values at the nodes of a panel batch are computed
+in vectorized calls of at most 2**12 points and 2**16 value entries each, and
 each panel is summed on its own, so no result depends on that slicing.
 """
 
@@ -36,6 +37,7 @@ __all__ = [
     "halfline_map",
     "integrate_halfline",
     "integrate_line",
+    "integrate_contour",
     "sup_on_vertical_line",
     "DYADIC_GRID",
     "EDGE_ALLOWANCE",
@@ -70,23 +72,11 @@ DEFAULT_CONFIG = QuadratureConfig()
 # Decay envelopes
 # ---------------------------------------------------------------------------
 
-# Oscillatory integrands are declared as sums of components h(t)*exp(i*phi*t),
-# phi in [freq_lo, freq_hi], with |h| <= bound, |h'| <= 6*bound/t and
-# |h''| <= 36*bound/t**2 beyond t0 (the shape of rational-in-t amplitudes).
-# Integration by parts then certifies the tail bounds below; for a single
-# nonzero frequency the leading boundary term is computable from the
-# integrand itself and integrate_line adds it as a tail correction.
-_H1_FACTOR = 6.0
-_H2_FACTOR = 36.0
-
-
 @dataclass(frozen=True)
 class DecayEnvelope:
     """Upper bound for |integrand(t)| valid for |t| >= t0, with closed-form tail."""
 
     t0: float = 0.0
-    freq_lo: float = 0.0
-    freq_hi: float = 0.0
 
     def bound(self, t: float) -> float:
         raise NotImplementedError
@@ -95,48 +85,16 @@ class DecayEnvelope:
         """Closed form of the tail integral of the bound over [T, inf)."""
         raise NotImplementedError
 
-    @property
-    def osc_freq(self) -> float:
-        """Distance of the frequency band from zero; 0 disables IBP bounds."""
-        if self.freq_lo <= 0.0 <= self.freq_hi:
-            return 0.0
-        return min(abs(self.freq_lo), abs(self.freq_hi))
-
-    @property
-    def single_freq(self) -> float:
-        """The signed frequency when the band is one nonzero point, else 0."""
-        if self.freq_lo == self.freq_hi and self.freq_lo != 0.0:
-            return self.freq_lo
-        return 0.0
-
-    def tail_bounds(self, T: float) -> tuple[float, float, float]:
-        """The plain, integration-by-parts and corrected tail bounds at T (inf
-        where the frequency band disables one), from one tail(T) and at most
-        one bound(T)."""
-        plain = self.tail(T)
-        w = self.osc_freq
-        if w <= 0:
-            return plain, math.inf, math.inf
-        b = self.bound(T)
-        ibp = (b + _H1_FACTOR * plain / T) / w
-        w = abs(self.single_freq)
-        if w <= 0:
-            return plain, ibp, math.inf
-        return plain, ibp, (_H1_FACTOR * b / T + _H2_FACTOR * plain / T**2) / w**2
-
-    def effective_tail(self, T: float) -> float:
-        return min(self.tail_bounds(T))
-
     def cutoff(self, eps: float) -> float:
-        """Smallest T >= t0 with effective_tail(T) <= eps, by bisection on log T;
+        """Smallest T >= t0 with tail(T) <= eps, by bisection on log T;
         inf when no T up to 1e308 qualifies."""
         lo = max(self.t0, 1e-12)
-        if self.effective_tail(lo) <= eps:
+        if self.tail(lo) <= eps:
             return lo
         hi = lo
         for _ in range(220):
             hi = min(hi * 2.0, 1e308)
-            tail = self.effective_tail(hi)
+            tail = self.tail(hi)
             if tail <= eps or hi >= 1e308:
                 break
         if tail > eps:
@@ -145,7 +103,7 @@ class DecayEnvelope:
             mid = math.sqrt(lo * hi)
             if mid == lo or mid == hi:
                 break  # fixed point: neither end can move again
-            if self.effective_tail(mid) <= eps:
+            if self.tail(mid) <= eps:
                 hi = mid
             else:
                 lo = mid
@@ -155,25 +113,18 @@ class DecayEnvelope:
         raise NotImplementedError
 
     def _arg_scaled(self, b: float) -> "DecayEnvelope":
-        """Shape change for t -> bound(b*t), without frequency/t0 bookkeeping."""
+        """Shape change for t -> bound(b*t), without t0 bookkeeping."""
         raise NotImplementedError
 
     def dilated_arg(self, b: float) -> "DecayEnvelope":
         """Envelope for t -> f(b*t) given |f| <= bound."""
-        out = self._arg_scaled(b)
-        return replace(out, t0=self.t0 / b, freq_lo=self.freq_lo * b, freq_hi=self.freq_hi * b)
+        return replace(self._arg_scaled(b), t0=self.t0 / b)
 
     def off_center(self, c: float) -> "DecayEnvelope":
         """Valid envelope when the integrand's symmetry center moved by <= c."""
         if c == 0:
             return self
-        out = self._arg_scaled(0.5)
-        return replace(
-            out,
-            t0=max(2.0 * c, 2.0 * self.t0, 1e-9),
-            freq_lo=self.freq_lo,
-            freq_hi=self.freq_hi,
-        )
+        return replace(self._arg_scaled(0.5), t0=max(2.0 * c, 2.0 * self.t0, 1e-9))
 
     @property
     def integrable(self) -> bool:
@@ -321,10 +272,7 @@ class SumEnvelope(DecayEnvelope):
                 flat.extend(p.parts)
             else:
                 flat.append(p)
-        t0 = max((p.t0 for p in flat), default=0.0)
-        lo = min((p.freq_lo for p in flat), default=0.0)
-        hi = max((p.freq_hi for p in flat), default=0.0)
-        return SumEnvelope(t0=t0, freq_lo=lo, freq_hi=hi, parts=tuple(flat))
+        return SumEnvelope(t0=max((p.t0 for p in flat), default=0.0), parts=tuple(flat))
 
     def bound(self, t):
         return sum(p.bound(t) for p in self.parts)
@@ -351,12 +299,9 @@ def envelope_product(e1: DecayEnvelope, e2: DecayEnvelope) -> DecayEnvelope:
     """Envelope for a product of integrands bounded by e1 and e2.
 
     Resolvent shapes are conservatively widened to power-2 decay; exponential
-    factors absorb the other factor's value at the joint t0.  Frequency bands
-    add (product of phases).
+    factors absorb the other factor's value at the joint t0.
     """
     t0 = max(e1.t0, e2.t0, 1e-12)
-    lo = e1.freq_lo + e2.freq_lo
-    hi = e1.freq_hi + e2.freq_hi
 
     def as_power(e: DecayEnvelope):
         if isinstance(e, PowerEnvelope):
@@ -371,21 +316,21 @@ def envelope_product(e1: DecayEnvelope, e2: DecayEnvelope) -> DecayEnvelope:
         return SumEnvelope.of(*(envelope_product(e1, p) for p in e2.parts))
     if isinstance(e1, ConstEnvelope):
         out = e2.scaled(e1.c)
-        return replace(out, t0=max(t0, out.t0), freq_lo=lo, freq_hi=hi)
+        return replace(out, t0=max(t0, out.t0))
     if isinstance(e2, ConstEnvelope):
         out = e1.scaled(e2.c)
-        return replace(out, t0=max(t0, out.t0), freq_lo=lo, freq_hi=hi)
+        return replace(out, t0=max(t0, out.t0))
     if isinstance(e1, ExpEnvelope):
-        return ExpEnvelope(t0=t0, freq_lo=lo, freq_hi=hi, a=e1.a, c=e1.c * e2.bound(t0))
+        return ExpEnvelope(t0=t0, a=e1.a, c=e1.c * e2.bound(t0))
     if isinstance(e2, ExpEnvelope):
-        return ExpEnvelope(t0=t0, freq_lo=lo, freq_hi=hi, a=e2.a, c=e2.c * e1.bound(t0))
+        return ExpEnvelope(t0=t0, a=e2.a, c=e2.c * e1.bound(t0))
     p1, p2 = as_power(e1), as_power(e2)
     if p1 and p2:
-        return PowerEnvelope(t0=t0, freq_lo=lo, freq_hi=hi, p=p1[0] + p2[0], c=p1[1] * p2[1])
+        return PowerEnvelope(t0=t0, p=p1[0] + p2[0], c=p1[1] * p2[1])
     if isinstance(e1, StretchedExpEnvelope):
-        return replace(e1, t0=t0, freq_lo=lo, freq_hi=hi, c=e1.c * e2.bound(t0))
+        return replace(e1, t0=t0, c=e1.c * e2.bound(t0))
     if isinstance(e2, StretchedExpEnvelope):
-        return replace(e2, t0=t0, freq_lo=lo, freq_hi=hi, c=e2.c * e1.bound(t0))
+        return replace(e2, t0=t0, c=e2.c * e1.bound(t0))
     raise InvalidParameter(f"no product rule for {type(e1).__name__} x {type(e2).__name__}")
 
 
@@ -666,11 +611,7 @@ def integrate_halfline(
     """Integrate f over [0, inf) in one strict `integrate_interval` run on `halfline_map` of
     the envelope, with breakpoints graded toward u = 0: no cutoff and no tail.  The envelope
     must be integrable, with a tail that reaches cfg.abs_tol at a cutoff T, and f must stay
-    under it at four points beyond T, checked first.  An oscillating envelope (nonzero
-    frequency band) is rejected: no caller in the package integrates one over the half-line,
-    and the map has no rule for it."""
-    if envelope.freq_lo != 0.0 or envelope.freq_hi != 0.0:
-        raise InvalidParameter("integrate_halfline takes no oscillating envelope")
+    under it at four points beyond T, checked first."""
     # an integrand above the envelope can make the mapped one non-integrable at u = 1
     _check_envelope(f, envelope, _truncation_point(envelope, cfg.abs_tol))
     to_halfline = halfline_map(envelope, 0.0)
@@ -699,12 +640,37 @@ def integrate_line(
     res = integrate_interval(f, -T, T, cfg, breakpoints=bp, strict=strict)
     for sign in (1.0, -1.0):
         _check_envelope(f, envelope, T, sign)
-    value = res.value
-    plain, ibp, corr = envelope.tail_bounds(T)
-    if corr <= min(plain, ibp):
-        ends = np.asarray(f(np.array([-T, T])))
-        value = value + (ends[0] - ends[1]) / (1j * envelope.single_freq)
-    return QuadResult(value, res.error + 2 * min(plain, ibp, corr), res.n_evals, res.converged)
+    return QuadResult(res.value, res.error + 2 * envelope.tail(T), res.n_evals, res.converged)
+
+
+def integrate_contour(
+    f, x: float, radius: float, direction: float, cfg: QuadratureConfig
+) -> QuadResult:
+    """int_R h(x + iy) dy, x > 0, on a contour of no tails, in one `integrate_interval` run
+    over v in [-2, 2] with breakpoints -1, 0 and 1, not strict.  |v| <= 1 takes the segment
+    w = x + iT'v, dy/dv = T'; |v| in (1, 2) takes the horizontal rays
+    w = x +- iT' + direction s, s = L u/(1-u), u = |v| - 1, with
+    dy/dv = -direction (i sign v) L/(1-u)^2, where T' = 2R + 1 + x, R = radius, and
+    L = 2x + 3R + 2.  f(w, dy) returns h(w) times the weights dy/dv at the nodes w.
+
+    By Cauchy's theorem the contour gives the line's integral when every singularity of h
+    on the rays' side of the line lies in |Im w| <= R < T', and h is small enough there
+    that the arcs joining the line's tails to the rays at infinity vanish: direction 1
+    sends the rays to the right, where factors such as exp(-tau w) decay, and -1 to the
+    left, where factors such as exp(w t) do."""
+    top = 2.0 * radius + 1.0 + x  # T'
+    scale = 2.0 * x + 3.0 * radius + 2.0  # L
+    ray = -1j * direction
+
+    def on_contour(vs):
+        u = np.maximum(np.abs(vs) - 1.0, 0.0)
+        w = x + 1j * top * np.clip(vs, -1.0, 1.0) + direction * (scale * u / (1.0 - u))
+        dy = np.where(u > 0.0, ray * np.sign(vs) * scale / (1.0 - u) ** 2, top)
+        return f(w, dy)
+
+    return integrate_interval(
+        on_contour, -2.0, 2.0, cfg, breakpoints=(-1.0, 0.0, 1.0), strict=False
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -778,13 +744,10 @@ EDGE_ALLOWANCE = 2.0**-18
 
 def line_weight(h, env: DecayEnvelope, x: float, cfg: QuadratureConfig):
     """x * Re int h(x + iy) dy under env, and whether it converged.  The factor x amplifies
-    absolute errors, so the absolute tolerance, also the tail's, shrinks by 1/max(x, 1).
-    h is a modulus or a norm, which does not oscillate, so env's frequency band is cleared:
-    its integration-by-parts and corrected tails hold only for an oscillating integrand."""
+    absolute errors, so the absolute tolerance, also the tail's, shrinks by 1/max(x, 1)."""
     shrink = max(x, 1.0)
-    plain = replace(env, freq_lo=0.0, freq_hi=0.0)
     res = integrate_line(
-        lambda ys: h(x + 1j * np.asarray(ys, dtype=float)), plain,
+        lambda ys: h(x + 1j * np.asarray(ys, dtype=float)), env,
         cfg.with_tolerances(abs_tol=cfg.abs_tol / shrink), strict=False,
     )
     return x * np.real(res.value), res.converged

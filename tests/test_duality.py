@@ -132,12 +132,13 @@ class TestPairingValues:
         assert val <= e0_norm(g, CFG).value * b0_norm(f, CFG).value + 1e-6
 
     def test_uncertified_weight_floors_the_error(self):
-        # exp(-1/(z+1)) has no closed-form e0_upper, so nothing bounds its outer integrand
-        # by f's envelope, and the error is at least a quarter of the value;
-        # <g, r_1> = (pi/2) (g(1) - g(inf)) = (pi/2) (e^(-1/2) - 1)
-        got = pairing(exp_inv_shift(1.0), resolvent(1.0), CFG)
+        # r_1^2 has a pole radius but no closed-form e0_upper, and e_1 no radius, so r_1^2 is
+        # the kernel and nothing bounds its outer integrand by f's envelope: the error is at
+        # least a quarter of the value; r_1^2 = -d/dz r_z at z = 1, so
+        # <r_1^2, e_1> = -(pi/2) e_1'(1) = (pi/2) e^(-1)
+        got = pairing(power(resolvent(1.0), 2), exp_decay(1.0), CFG)
         assert got.error == 0.25 * abs(got.value)
-        assert abs(got.value - 0.5 * math.pi * (math.exp(-0.5) - 1.0)) < 1e-6
+        assert abs(got.value - 0.5 * math.pi * math.exp(-1.0)) < 1e-6
 
     def test_sampled_f_floors_the_error(self):
         # r_1^2 reads its envelopes off samples, so even the closed-form weight of r_1 does
@@ -169,6 +170,24 @@ class TestPairingValues:
         got = pairing(exp_decay(1.0), resolvent(1.0), CFG)
         assert got.converged and got.error < 1e-6
         assert abs(got.value - 0.5 * math.pi * math.exp(-1.0)) <= got.error
+
+    def test_kernel_is_the_argument_that_certifies(self):
+        # exp_inv_shift(1) declares a pole radius but no e0_upper, and r_2 declares both, so
+        # either order takes r_2' as its kernel, certified by its closed-form weight pi
+        g, f = exp_inv_shift(1.0), resolvent(2.0)
+        assert g.profiles.pole_radius is not None and g.profiles.e0_upper is None
+        one, other = pairing(g, f, CFG), pairing(f, g, CFG)
+        assert abs(one.value - other.value) < 1e-12
+        assert one.error < 1e-7 and other.error < 1e-7
+        assert abs(one.value - 0.5 * math.pi * (g(2.0) - g.infinity())) <= one.error
+
+    def test_integer_power_pairs_like_the_product(self):
+        # (r_1^2)' = 2 r_1 r_1' keeps r_1's pole radius, so r_1^2 is a kernel like r_1 * r_1
+        r = resolvent(1.0)
+        got = pairing(power(r, 2), eta(), CFG)
+        ref = pairing(mul(r, r), eta(), CFG)
+        assert abs(got.value - ref.value) < 1e-12
+        assert abs(ref.value - 0.4150689770) < 1e-9
 
     def test_no_pole_radius_on_either_side_is_rejected(self, capsys):
         with pytest.raises(IntegralNotNormConvergent):
@@ -263,7 +282,9 @@ class TestOneDoubleIntegral:
                 inner_evals.append(res.n_evals)
             return res
 
+        # the outer run is duality's, and the inner runs are `integrate_contour`'s
         monkeypatch.setattr(duality, "integrate_interval", counted_interval)
+        monkeypatch.setattr(quadrature, "integrate_interval", counted_interval)
         z = 1.0 + 1.0j
         whole = pairing(resolvent(z), f, CFG)
         assert len(outer_runs) == 1 and len(inner_evals) == outer_runs[0]
@@ -369,8 +390,9 @@ class TestContour:
 
     def test_pole_radius_rule(self):
         # every singularity of f' in |u| <= R and f' = O(|u|^-2): the catalog's rational and
-        # inverse-exponential members declare R, the combinators carry it, and functions
-        # built on exp(-tau z) or z^alpha, and every power, declare none
+        # inverse-exponential members declare R, the combinators carry it, integer powers
+        # >= 1 included, and functions built on exp(-tau z) or z^alpha, and every other
+        # power, declare none
         r = resolvent(3 + 4j)
         assert r.profiles.pole_radius == 5.0
         declared = {
@@ -383,12 +405,17 @@ class TestContour:
             "dilate": (dilate(r, 2.0), 2.5),
             "add": (add(r, resolvent(1.0)), 5.0),
             "mul": (mul(cayley_pow(1), r), 5.0),
+            "square": (power(r, 2), 5.0),
+            "first power": (power(r, 1), 5.0),
             "laplace": (laplace_transform(HalfLineMeasure(density=("exp", 1.0, 2.0))), 2.0),
         }
         for name, (g, radius) in declared.items():
             assert g.profiles.pole_radius == radius, name
+        away_from_zero = add(r, const(1.0))
         others = [
-            power(r, 2),
+            power(away_from_zero, -1),
+            power(away_from_zero, 0.5),
+            power(r, 2.5),
             add(r, exp_decay(1.0)),
             mul(eta(), r),
             laplace_transform(HalfLineMeasure(atoms=((1.0, 1.0),), density=("exp", 1.0, 2.0))),

@@ -1215,6 +1215,29 @@ class TestReconstruction:
         with pytest.raises(InvalidParameter, match="xstar must be a vector of length 2"):
             semigroup_reconstruct_check(A, 1.0, np.ones(2), np.ones(3), CFG)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_non_finite_vectors_rejected(self, bad):
+        A = MatrixOperator(np.array([[1.0]]))
+        with pytest.raises(InvalidParameter, match="x must be finite"):
+            semigroup_reconstruct_check(A, 1.0, np.array([bad]), np.array([1.0]), CFG)
+        with pytest.raises(InvalidParameter, match="xstar must be finite"):
+            semigroup_reconstruct_check(A, 1.0, np.array([1.0]), np.array([bad]), CFG)
+
+    @pytest.mark.parametrize("t", [0.05, 20.0])
+    @pytest.mark.parametrize(
+        "spec", ["jordan(lambda=1e-6+1j,m=3)", "sectorial_random(6,seed=1,angle=1.2)"]
+    )
+    def test_non_normal_operators(self, spec, t):
+        # a pole of order six at distance 1/t = 0.05 from the line, for the Jordan block at
+        # t = 20, and a spread non-normal spectrum, both on the segment-plus-rays contour
+        A = parse_operator_spec(spec)
+        rng = np.random.default_rng(11)
+        x = rng.normal(size=A.n) + 1j * rng.normal(size=A.n)
+        y = rng.normal(size=A.n) + 1j * rng.normal(size=A.n)
+        x /= np.linalg.norm(x)
+        y /= np.linalg.norm(y)
+        assert semigroup_reconstruct_check(A, t, x, y, CFG) < 1e-10
+
     @pytest.mark.parametrize("t", [0.0, math.nan, math.inf])
     def test_non_positive_t_rejected(self, t):
         A = MatrixOperator(np.array([[1.0]]))

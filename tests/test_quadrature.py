@@ -1,5 +1,5 @@
 """Quadrature engine tests: a closed-form battery with error-bound domination,
-certified truncation, oscillatory tails, and supremum search."""
+certified truncation, contours, and supremum search."""
 
 import math
 import tracemalloc
@@ -21,6 +21,7 @@ from besovcalc.quadrature import (
     SumEnvelope,
     envelope_product,
     integrate_halfline,
+    integrate_contour,
     integrate_interval,
     integrate_line,
     kernel_weight,
@@ -98,12 +99,6 @@ LINE_BATTERY = [
         math.sqrt(math.pi),
     ),
     (
-        "fourier_lorentz",
-        lambda t: np.exp(2.0j * t) / (1.0 + t**2),
-        ResolventEnvelope(m=1.0, shift=1.0, freq_lo=2.0, freq_hi=2.0),
-        math.pi * math.exp(-2.0),
-    ),
-    (
         "double_lorentz",
         lambda t: 1.0 / ((1.0 + t**2) * (4.0 + t**2)),
         PowerEnvelope(p=4.0, c=1.0, t0=2.0),
@@ -148,13 +143,6 @@ def test_halfline_beta_battery(s, q):
         assert res.n_evals == 135 and abs(res.value - exact) < 1e-10
 
 
-def test_oscillating_envelope_rejected():
-    # the map has no rule for a frequency band; such an integral belongs on the line
-    env = PowerEnvelope(p=2.0, c=1.0, t0=1.0, freq_lo=2.0, freq_hi=2.0)
-    with pytest.raises(InvalidParameter, match="oscillating"):
-        integrate_halfline(lambda t: np.exp(2.0j * t) / (1.0 + t) ** 2, env, CFG)
-
-
 # (envelope, half-line integrand and value, line integrand and value)
 TAIL_BUDGET_CASES = [
     (PowerEnvelope(p=3.0, c=1.0), lambda t: (1.0 + t) ** -3, 0.5,
@@ -180,21 +168,6 @@ def test_tails_spend_abs_tol(env, half, half_exact, line, line_exact, abs_tol):
     res = integrate_halfline(half, env, cfg)
     assert abs(res.value - half_exact) <= res.error + 1e-15
     assert abs(res.value - half_exact) < 1e-3 * cfg.abs_tol
-
-
-def test_oscillatory_correction_multiple_frequencies():
-    # int exp(i w t) / (1+t^2) dt = pi exp(-w); mixed band disables the
-    # single-frequency shortcut but the IBP bound must still hold
-    def f(t):
-        return (np.exp(1j * t) + np.exp(3j * t)) / (1.0 + t**2)
-
-    env = SumEnvelope.of(
-        ResolventEnvelope(m=1.0, shift=1.0, freq_lo=1.0, freq_hi=1.0),
-        ResolventEnvelope(m=1.0, shift=1.0, freq_lo=3.0, freq_hi=3.0),
-    )
-    exact = math.pi * (math.exp(-1.0) + math.exp(-3.0))
-    res = integrate_line(f, env, CFG)
-    assert abs(res.value - exact) <= res.error + 1e-12
 
 
 @given(
@@ -228,11 +201,31 @@ def test_nonintegrable_envelope_rejected():
         integrate_halfline(lambda t: np.ones_like(t), ConstEnvelope(c=1.0), CFG)
 
 
+@pytest.mark.parametrize("direction", [1.0, -1.0], ids=["right", "left"])
+def test_contour_takes_the_residue(direction):
+    """int exp(-d tau w)/(w - p)^2 dy over the line Re w = x is 2 pi tau exp(-d tau p) when
+    the pole p lies on the rays' side d of the line, and 0 on the other side; every pole
+    has |Im p| <= radius, and exp(-d tau w) decays along the rays."""
+    x, tau, radius = 0.5, 2.0, 0.4
+
+    def integral(p):
+        def h(w, dy):
+            return np.exp(-direction * tau * w) / (w - p) ** 2 * dy
+
+        return integrate_contour(h, x, radius, direction, CFG)
+
+    p = x + direction * 0.7 + 0.4j
+    res = integral(p)
+    exact = 2.0 * math.pi * tau * np.exp(-direction * tau * p)
+    assert abs(res.value - exact) < 1e-12 and res.converged
+    assert abs(integral(x - direction * 0.7 + 0.4j).value) < 1e-12
+
+
 def test_determinism_bitwise():
     def f(t):
-        return np.exp(1j * t) / (1.0 + t**2)
+        return np.exp(1j * t) / (1.0 + t**2) ** 2
 
-    env = ResolventEnvelope(m=1.0, shift=1.0, freq_lo=1.0, freq_hi=1.0)
+    env = PowerEnvelope(p=4.0, c=1.0, t0=1.0)
     r1 = integrate_line(f, env, CFG)
     r2 = integrate_line(f, env, CFG)
     assert complex(r1.value) == complex(r2.value)
@@ -437,14 +430,13 @@ class TestEnvelopes:
     def test_cutoff_meets_tolerance(self):
         env = PowerEnvelope(p=2.0, c=5.0, t0=1.0)
         T = env.cutoff(1e-6)
-        assert env.effective_tail(T) <= 1e-6
+        assert env.tail(T) <= 1e-6
 
     def test_product_rules(self):
-        e1 = ResolventEnvelope(m=2.0, shift=1.0, freq_lo=-1.0, freq_hi=-1.0)
+        e1 = ResolventEnvelope(m=2.0, shift=1.0)
         e2 = ConstEnvelope(c=3.0)
         out = envelope_product(e1, e2)
         assert out.bound(5.0) == pytest.approx(3.0 * e1.bound(5.0))
-        assert out.freq_lo == -1.0 and out.freq_hi == -1.0
         p = envelope_product(
             PowerEnvelope(p=2.0, c=1.0, t0=1.0), PowerEnvelope(p=1.0, c=2.0, t0=1.0)
         )
@@ -826,7 +818,7 @@ class TestPanelSlices:
             (lambda t: np.cos(3.0 * t) / (1.0 + t * t) ** 2, PowerEnvelope(p=4.0, c=1.0, t0=1.0)),
             (
                 lambda t: np.exp(2j * t) / (1.0 + t * t) ** 2,
-                PowerEnvelope(p=4.0, c=1.0, t0=1.0, freq_lo=2.0, freq_hi=2.0),
+                PowerEnvelope(p=4.0, c=1.0, t0=1.0),
             ),
         ],
         ids=["real", "complex"],
@@ -846,54 +838,36 @@ class TestPanelSlices:
         assert (res.error, res.n_evals, res.converged) == (ref.error, ref.n_evals, ref.converged)
 
 
-def _effective_tail_reference(env, T):
-    """min(plain, IBP, corrected) with each bound evaluated on its own."""
-    plain = env.tail(T)
-    w = env.osc_freq
-    ibp = math.inf if w <= 0 else (env.bound(T) + 6.0 * env.tail(T) / T) / w
-    w = abs(env.single_freq)
-    corr = (
-        math.inf
-        if w <= 0
-        else (6.0 * env.bound(T) / T + 36.0 * env.tail(T) / T**2) / w**2
-    )
-    return min(plain, ibp, corr)
-
-
 def _cutoff_reference(env, eps):
     """The cutoff search with all 80 bisection rounds."""
     lo = max(env.t0, 1e-12)
-    if _effective_tail_reference(env, lo) <= eps:
+    if env.tail(lo) <= eps:
         return lo
     hi = lo
     for _ in range(220):
         hi = min(hi * 2.0, 1e308)
-        if _effective_tail_reference(env, hi) <= eps or hi >= 1e308:
+        if env.tail(hi) <= eps or hi >= 1e308:
             break
-    if _effective_tail_reference(env, hi) > eps:
+    if env.tail(hi) > eps:
         return math.inf
     for _ in range(80):
         mid = math.sqrt(lo * hi)
-        if _effective_tail_reference(env, mid) <= eps:
+        if env.tail(mid) <= eps:
             hi = mid
         else:
             lo = mid
     return hi
 
 
-_BANDS = {"zero": (0.0, 0.0), "banded": (1.0, 3.0), "single": (2.0, 2.0), "negative": (-0.5, -0.5)}
-
-
 def _cutoff_envelopes():
-    for band, (lo, hi) in _BANDS.items():
-        kw = dict(freq_lo=lo, freq_hi=hi)
-        yield f"power-{band}", PowerEnvelope(p=2.5, c=3.0, t0=1.0, **kw)
-        yield f"exp-{band}", ExpEnvelope(a=0.7, c=2.0, **kw)
-        yield f"resolvent-{band}", ResolventEnvelope(m=1.5, shift=0.3, **kw)
-        yield f"stretched-{band}", StretchedExpEnvelope(alpha=0.5, rho=2.0, c=1.0, t0=0.5, **kw)
-        yield f"sum-{band}", SumEnvelope.of(
-            PowerEnvelope(p=3.0, c=1.0, t0=2.0, **kw), ExpEnvelope(a=1.0, c=5.0, **kw)
-        )
+    # "-zero": the zero frequency band these cases had while envelopes carried one
+    yield "power-zero", PowerEnvelope(p=2.5, c=3.0, t0=1.0)
+    yield "exp-zero", ExpEnvelope(a=0.7, c=2.0)
+    yield "resolvent-zero", ResolventEnvelope(m=1.5, shift=0.3)
+    yield "stretched-zero", StretchedExpEnvelope(alpha=0.5, rho=2.0, c=1.0, t0=0.5)
+    yield "sum-zero", SumEnvelope.of(
+        PowerEnvelope(p=3.0, c=1.0, t0=2.0), ExpEnvelope(a=1.0, c=5.0)
+    )
 
 
 class TestCutoff:
@@ -904,8 +878,6 @@ class TestCutoff:
     @pytest.mark.parametrize("eps", [1e2, 1e-3, 1.5e-8, 1e-14])
     def test_matches_full_bisection(self, env, eps):
         assert env.cutoff(eps) == _cutoff_reference(env, eps)
-        for T in (0.5, 3.0, 1e4):
-            assert env.effective_tail(T) == _effective_tail_reference(env, T)
 
     @pytest.mark.parametrize("t_max", [1.0, 10.0, 1e3])
     def test_t_max_cap_and_inf(self, t_max):
@@ -914,21 +886,21 @@ class TestCutoff:
         env = PowerEnvelope(p=1.5, c=1.0, t0=0.25)
         for eps in (1e-1, 1e-2, 1e-6):
             assert env.cutoff(eps) == _cutoff_reference(env, eps) < math.inf
-        eps = env.effective_tail(t_max)
+        eps = env.tail(t_max)
         assert env.cutoff(eps) == _cutoff_reference(env, eps) <= t_max
         # the tail 2/sqrt(T) stays above 1e-300 for every T up to 1e308
         assert env.cutoff(1e-300) == _cutoff_reference(env, 1e-300) == math.inf
 
     def test_reaches_the_fixed_point(self):
-        """The exit is taken: the search makes fewer effective_tail calls, and
+        """The exit is taken: the search makes fewer tail calls, and
         evaluates no T twice."""
         env = ExpEnvelope(a=1.0, c=1.0)
         calls = []
 
         class Counted(ExpEnvelope):
-            def effective_tail(self, T):
+            def tail(self, T):
                 calls.append(T)
-                return super().effective_tail(T)
+                return super().tail(T)
 
         T = Counted(a=1.0, c=1.0).cutoff(1e-9)
         assert T == env.cutoff(1e-9) == _cutoff_reference(env, 1e-9)
