@@ -1,11 +1,10 @@
 """Adaptive 1-D quadrature over finite, half-line and full-line domains.
 
 Improper integrals require a declared decay envelope or a contour.  A half-line
-integral runs on a map of [0, 1) onto [0, inf) matched to the envelope's decay,
-with no cutoff and no tail; a line integral is truncated where the envelope's
-closed-form tail bound meets the tolerance, and that bound is charged to the
-reported error; a line integral of an integrand analytic off the line runs on a
-segment plus two horizontal rays, with no tail.  Integrands may be scalar-,
+or line integral runs on a map of [0, 1) onto [0, inf), matched to the
+envelope's decay and taken on both sides for the line, with no cutoff and no
+tail; a line integral of an integrand analytic off the line runs on a segment
+plus two horizontal rays, also with no tail.  Integrands may be scalar-,
 vector- or matrix-valued; the values at the nodes of a panel batch are computed
 in vectorized calls of at most 2**12 points and 2**16 value entries each, and
 each panel is summed on its own, so no result depends on that slicing.
@@ -74,40 +73,12 @@ DEFAULT_CONFIG = QuadratureConfig()
 
 @dataclass(frozen=True)
 class DecayEnvelope:
-    """Upper bound for |integrand(t)| valid for |t| >= t0, with closed-form tail."""
+    """Upper bound for |integrand(t)| valid for |t| >= t0."""
 
     t0: float = 0.0
 
     def bound(self, t: float) -> float:
         raise NotImplementedError
-
-    def tail(self, T: float) -> float:
-        """Closed form of the tail integral of the bound over [T, inf)."""
-        raise NotImplementedError
-
-    def cutoff(self, eps: float) -> float:
-        """Smallest T >= t0 with tail(T) <= eps, by bisection on log T;
-        inf when no T up to 1e308 qualifies."""
-        lo = max(self.t0, 1e-12)
-        if self.tail(lo) <= eps:
-            return lo
-        hi = lo
-        for _ in range(220):
-            hi = min(hi * 2.0, 1e308)
-            tail = self.tail(hi)
-            if tail <= eps or hi >= 1e308:
-                break
-        if tail > eps:
-            return math.inf
-        for _ in range(80):
-            mid = math.sqrt(lo * hi)
-            if mid == lo or mid == hi:
-                break  # fixed point: neither end can move again
-            if self.tail(mid) <= eps:
-                hi = mid
-            else:
-                lo = mid
-        return hi
 
     def scaled(self, c: float) -> "DecayEnvelope":
         raise NotImplementedError
@@ -133,15 +104,12 @@ class DecayEnvelope:
 
 @dataclass(frozen=True)
 class ConstEnvelope(DecayEnvelope):
-    """Constant bound; no integrable tail (supremum searches only)."""
+    """Constant bound; not integrable (supremum searches only)."""
 
     c: float = 1.0
 
     def bound(self, t):
         return self.c
-
-    def tail(self, T):
-        return math.inf
 
     def scaled(self, k):
         return replace(self, c=self.c * k)
@@ -156,7 +124,7 @@ class ConstEnvelope(DecayEnvelope):
 
 @dataclass(frozen=True)
 class PowerEnvelope(DecayEnvelope):
-    """bound(t) = c / t**p; integrable tail only for p > 1."""
+    """bound(t) = c / t**p; integrable only for p > 1."""
 
     p: float = 2.0
     c: float = 1.0
@@ -167,11 +135,6 @@ class PowerEnvelope(DecayEnvelope):
 
     def bound(self, t):
         return self.c / max(t, 1e-300) ** self.p
-
-    def tail(self, T):
-        if self.p <= 1:
-            return math.inf
-        return self.c * T ** (1.0 - self.p) / (self.p - 1.0)
 
     def scaled(self, k):
         return replace(self, c=self.c * k)
@@ -198,9 +161,6 @@ class ExpEnvelope(DecayEnvelope):
     def bound(self, t):
         return self.c * math.exp(-self.a * t)
 
-    def tail(self, T):
-        return self.c * math.exp(-self.a * T) / self.a
-
     def scaled(self, k):
         return replace(self, c=self.c * k)
 
@@ -221,9 +181,6 @@ class ResolventEnvelope(DecayEnvelope):
 
     def bound(self, t):
         return self.m / (self.shift * self.shift + t * t)
-
-    def tail(self, T):
-        return (self.m / self.shift) * (math.pi / 2 - math.atan(T / self.shift))
 
     def scaled(self, k):
         return replace(self, m=self.m * k)
@@ -247,9 +204,6 @@ class StretchedExpEnvelope(DecayEnvelope):
     def bound(self, t):
         t = max(t, 1e-300)
         return self.c * t ** (self.alpha - 1.0) * math.exp(-self.rho * t**self.alpha)
-
-    def tail(self, T):
-        return self.c * math.exp(-self.rho * T**self.alpha) / (self.alpha * self.rho)
 
     def scaled(self, k):
         return replace(self, c=self.c * k)
@@ -276,9 +230,6 @@ class SumEnvelope(DecayEnvelope):
 
     def bound(self, t):
         return sum(p.bound(t) for p in self.parts)
-
-    def tail(self, T):
-        return sum(p.tail(T) for p in self.parts)
 
     def scaled(self, k):
         return replace(self, parts=tuple(p.scaled(k) for p in self.parts))
@@ -513,42 +464,6 @@ def integrate_interval(
     return QuadResult(value, total_err, n_evals, converged=total_err <= tol)
 
 
-def _check_envelope(f, env: DecayEnvelope, T: float, sign: float = 1.0) -> None:
-    """Sample |f| at a few points beyond T and compare with the envelope."""
-    ts = T * np.array([1.0, 1.5, 2.3, 3.7])
-    vals = np.abs(np.asarray(f(sign * ts)))
-    if vals.ndim > 1:
-        vals = vals.reshape(len(ts), -1).max(axis=1)
-    bounds = np.array([env.bound(t) for t in ts])
-    bad = vals > 1.1 * bounds + 1e-300
-    if np.any(bad):
-        t_bad = ts[bad][0]
-        raise EnvelopeViolated(
-            f"integrand exceeds envelope at t={t_bad:.4g}: "
-            f"{vals[bad][0]:.4g} > 1.1*{env.bound(t_bad):.4g}"
-        )
-
-
-def _dyadic_breakpoints(a: float, b: float, scale: float) -> list[float]:
-    """Geometric pre-subdivision so the adaptive engine descends fewer levels."""
-    pts = []
-    t = max(scale, 1e-6)
-    while a + t < b:
-        pts.append(a + t)
-        t *= 4.0
-    return pts
-
-
-def _truncation_point(envelope: DecayEnvelope, eps: float) -> float:
-    """The cutoff where envelope's tail fits in eps, and at least 1.5 t0 and 1."""
-    if not envelope.integrable:
-        raise InvalidParameter("integration to infinity requires an integrable envelope")
-    T = envelope.cutoff(eps)
-    if not math.isfinite(T):
-        raise InvalidParameter("envelope tail never reaches the requested tolerance")
-    return max(T, envelope.t0 * 1.5 + 1e-9, 1.0)
-
-
 def _decay_power(env: DecayEnvelope) -> float:
     """The slowest power decay of env, capped at 2: a sum's slowest part; exponential and
     resolvent shapes count as 2, and t^(alpha-1) exp(-rho t^alpha) as 1 + alpha, whose map
@@ -568,6 +483,12 @@ def _decay_rate(env: DecayEnvelope) -> float:
     return env.a if isinstance(env, ExpEnvelope) else 0.0
 
 
+def _map_scale(env: DecayEnvelope, reach: float) -> tuple[float, float]:
+    """k and S of `halfline_map`."""
+    a, S = _decay_rate(env), 1.0 + env.t0 + reach
+    return 1.0 / (_decay_power(env) - 1.0), min(S, 1.0 / a) if a > 0.0 else S
+
+
 def halfline_map(env: DecayEnvelope, reach: float) -> Callable[[np.ndarray], tuple]:
     """The map of u in [0, 1) onto the half-line for integrands under env: a function of
     the nodes u that returns x and dx/du there.
@@ -579,11 +500,7 @@ def halfline_map(env: DecayEnvelope, reach: float) -> Callable[[np.ndarray], tup
     bump of width about 1/a, so S is at most 1/a, which keeps the bump off the end u = 0.
     A node whose dx/du leaves the floats raises InvalidParameter: env then decays too
     slowly for the map."""
-    p, a = _decay_power(env), _decay_rate(env)
-    k = 1.0 / (p - 1.0)
-    S = 1.0 + env.t0 + reach
-    if a > 0.0:
-        S = min(S, 1.0 / a)
+    k, S = _map_scale(env, reach)
 
     def nodes(us):
         logs = -k * np.log1p(-us)  # ln (1-u)^-k
@@ -591,16 +508,55 @@ def halfline_map(env: DecayEnvelope, reach: float) -> Callable[[np.ndarray], tup
             xs, dxs = S * np.expm1(logs), S * k * np.exp(logs) / (1.0 - us)
         if not np.all(np.isfinite(dxs)):
             raise InvalidParameter(
-                f"half-line map overflows: a decay like x^-{p:g} is too slow for it"
+                f"half-line map overflows: a decay like x^-{1.0 + 1.0 / k:g} is too slow for it"
             )
         return xs, dxs
 
     return nodes
 
 
+# `_on_map` checks f against its envelope at the map's nodes u = 1 - 10^-m, m = 3..6: an
+# integrand above the envelope near u = 1 can make the mapped one non-integrable there
+_CHECK_NODES = 1.0 - np.array([1e-3, 1e-4, 1e-5, 1e-6])
+
+
+def _on_map(f, envelope: DecayEnvelope, signs: tuple[float, ...]):
+    """f(y) dy/dv at y = sign(v) x(|v|), with x and dx/du from `halfline_map` of the
+    envelope, for an `integrate_interval` run over v in [0, 1) or (-1, 1).
+
+    The envelope must be integrable, and |f| must stay under 1.1 times it at x(u) for u in
+    _CHECK_NODES, raised to t0 where below it, on each side y = sign * x of signs; both are
+    checked first, in one call of f.  The mapped integrand scales f's values in place, so f
+    must return arrays it does not keep."""
+    if not envelope.integrable:
+        raise InvalidParameter("integration to infinity requires an integrable envelope")
+    to_halfline = halfline_map(envelope, 0.0)
+    ts = np.maximum(to_halfline(_CHECK_NODES)[0], envelope.t0)
+    vals = np.abs(np.asarray(f(np.concatenate([sign * ts for sign in signs]))))
+    vals = vals.reshape(len(signs), len(ts), -1).max(axis=(0, 2))
+    bounds = np.array([envelope.bound(t) for t in ts])
+    bad = vals > 1.1 * bounds + 1e-300
+    if np.any(bad):
+        raise EnvelopeViolated(
+            f"integrand exceeds envelope at |t|={ts[bad][0]:.4g}: "
+            f"{vals[bad][0]:.4g} > 1.1*{bounds[bad][0]:.4g}"
+        )
+
+    def mapped(vs):
+        xs, dxs = to_halfline(np.abs(vs))
+        vals = np.asarray(f(np.copysign(xs, vs)))
+        # scaled in place where the dtype allows, so wide values take no second copy
+        out = vals if vals.dtype in (np.float64, np.complex128) and vals.flags.writeable else None
+        return np.multiply(vals, dxs.reshape((-1,) + (1,) * (vals.ndim - 1)), out=out)
+
+    return mapped
+
+
 # integrate_halfline's breakpoints u = 4^-j, j = 1..8: an integrable singularity at x = 0,
 # such as x^(alpha-1), would use up _MAX_DEPTH levels from the single panel [0, 1)
 _HALFLINE_BREAKPOINTS = tuple(4.0**-j for j in range(1, 9))
+# integrate_line's breakpoints stop where 1 - u falls below this
+_LINE_BREAK_GAP = 1e-6
 
 
 def integrate_halfline(
@@ -609,19 +565,11 @@ def integrate_halfline(
     cfg: QuadratureConfig = DEFAULT_CONFIG,
 ) -> QuadResult:
     """Integrate f over [0, inf) in one strict `integrate_interval` run on `halfline_map` of
-    the envelope, with breakpoints graded toward u = 0: no cutoff and no tail.  The envelope
-    must be integrable, with a tail that reaches cfg.abs_tol at a cutoff T, and f must stay
-    under it at four points beyond T, checked first."""
-    # an integrand above the envelope can make the mapped one non-integrable at u = 1
-    _check_envelope(f, envelope, _truncation_point(envelope, cfg.abs_tol))
-    to_halfline = halfline_map(envelope, 0.0)
-
-    def mapped(us):
-        xs, dxs = to_halfline(us)
-        vals = np.asarray(f(xs))
-        return vals * dxs.reshape((-1,) + (1,) * (vals.ndim - 1))
-
-    return integrate_interval(mapped, 0.0, 1.0, cfg, breakpoints=_HALFLINE_BREAKPOINTS)
+    the envelope, with breakpoints graded toward u = 0: no cutoff and no tail.  f is checked
+    against the envelope first, and its values are scaled in place (see `_on_map`)."""
+    return integrate_interval(
+        _on_map(f, envelope, (1.0,)), 0.0, 1.0, cfg, breakpoints=_HALFLINE_BREAKPOINTS
+    )
 
 
 def integrate_line(
@@ -631,16 +579,19 @@ def integrate_line(
     *,
     strict: bool = True,
 ) -> QuadResult:
-    """Integrate f over the whole line, truncated where each tail in |t| fits in
-    cfg.abs_tol / 2, and at least at 1.5 t0 and 1; the envelope bounds both tails, and
-    their bound is charged to the error."""
-    T = _truncation_point(envelope, cfg.abs_tol / 2)
-    bp = _dyadic_breakpoints(0.0, T, max(envelope.t0, 1.0) / 4.0)
-    bp += [0.0, *(-x for x in bp)]  # integrate_interval sorts and deduplicates breakpoints
-    res = integrate_interval(f, -T, T, cfg, breakpoints=bp, strict=strict)
-    for sign in (1.0, -1.0):
-        _check_envelope(f, envelope, T, sign)
-    return QuadResult(res.value, res.error + 2 * envelope.tail(T), res.n_evals, res.converged)
+    """Integrate f over the whole line in one `integrate_interval` run over v in (-1, 1),
+    y = sign(v) x(|v|) on `halfline_map` of the envelope: no cutoff and no tail.  The
+    breakpoints are 0 and the map's images +-u_j of the dyadic points
+    x_j = max(t0, 1)/4 * 4^j, while 1 - u_j >= _LINE_BREAK_GAP, so that the engine starts
+    from panels that each span a factor 4 of |y|.  f is checked against the envelope on
+    both sides first, and its values are scaled in place (see `_on_map`)."""
+    mapped = _on_map(f, envelope, (1.0, -1.0))
+    k, S = _map_scale(envelope, 0.0)
+    bp, x = [0.0], max(envelope.t0, 1.0) / 4.0
+    while (gap := (1.0 + x / S) ** (-1.0 / k)) >= _LINE_BREAK_GAP:  # 1 - u at x
+        bp += [1.0 - gap, gap - 1.0]
+        x *= 4.0
+    return integrate_interval(mapped, -1.0, 1.0, cfg, breakpoints=bp, strict=strict)
 
 
 def integrate_contour(
@@ -744,7 +695,7 @@ EDGE_ALLOWANCE = 2.0**-18
 
 def line_weight(h, env: DecayEnvelope, x: float, cfg: QuadratureConfig):
     """x * Re int h(x + iy) dy under env, and whether it converged.  The factor x amplifies
-    absolute errors, so the absolute tolerance, also the tail's, shrinks by 1/max(x, 1)."""
+    absolute errors, so the absolute tolerance shrinks by 1/max(x, 1)."""
     shrink = max(x, 1.0)
     res = integrate_line(
         lambda ys: h(x + 1j * np.asarray(ys, dtype=float)), env,

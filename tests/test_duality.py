@@ -547,26 +547,10 @@ class TestMappedOuter:
         assert 15 * duality._OUTER_PANELS < len(xs) <= 15 * (2 * duality._OUTER_PANELS - 1)
         assert abs(got.value - math.pi / 6.0) <= got.error
 
-    def test_no_cutoff_search(self, monkeypatch):
-        A = MatrixOperator(np.diag([1.0, 2.0 + 1.0j]))
-        A.profile()  # its kernel weight truncates line integrals; the calculus does not
-        calls = []
-        cutoff = quadrature.DecayEnvelope.cutoff
-
-        def counted(env, eps):
-            calls.append(eps)
-            return cutoff(env, eps)
-
-        monkeypatch.setattr(quadrature.DecayEnvelope, "cutoff", counted)
-        kernels = [
-            resolvent(1.0 + 1.0j),
-            cayley_pow(2),
-            shift(resolvent(1.0), 1.0 + 2.0j),
-            dilate(resolvent(1.0), 2.0),
-        ]
-        for f in criterion_03_catalog():
-            reproduce_residual(f, TestOneDoubleIntegral.ZS, FAST)
-            for g in kernels:
-                pairing(g, f, FAST)
-            apply_calculus_report(A, f)
-        assert calls == []
+    def test_no_cutoff_search(self):
+        # no pairing or calculus run can truncate an integral: no envelope has a cutoff or a tail
+        classes = [quadrature.DecayEnvelope]
+        for cls in classes:
+            classes.extend(cls.__subclasses__())
+        assert len(classes) >= 7
+        assert not [c.__name__ for c in classes if hasattr(c, "cutoff") or hasattr(c, "tail")]

@@ -1,5 +1,5 @@
 """Quadrature engine tests: a closed-form battery with error-bound domination,
-certified truncation, contours, and supremum search."""
+mapped half-lines and lines, contours, and supremum search."""
 
 import math
 import tracemalloc
@@ -17,14 +17,13 @@ from besovcalc.quadrature import (
     PowerEnvelope,
     QuadratureConfig,
     ResolventEnvelope,
-    StretchedExpEnvelope,
-    SumEnvelope,
     envelope_product,
     integrate_halfline,
     integrate_contour,
     integrate_interval,
     integrate_line,
     kernel_weight,
+    line_weight,
     sup_on_vertical_line,
 )
 from besovcalc import quadrature
@@ -159,12 +158,14 @@ TAIL_BUDGET_CASES = [
     "env,half,half_exact,line,line_exact", TAIL_BUDGET_CASES, ids=["power", "resolvent", "exp"]
 )
 def test_tails_spend_abs_tol(env, half, half_exact, line, line_exact, abs_tol):
-    """The line's two truncated tails add at most abs_tol to its error; the half-line's map
-    leaves no tail, so its value is not biased by one."""
+    """The line and the half-line both run on the envelope's map of [0, 1), which leaves no
+    tail: each value lies within its reported error, which meets the config, and is not
+    biased by a tail left out."""
     cfg = QuadratureConfig(abs_tol=abs_tol, rel_tol=1e-7)
     res = integrate_line(line, env, cfg)
     assert abs(res.value - line_exact) <= res.error + 1e-15
-    assert res.error <= max(cfg.abs_tol, cfg.rel_tol * abs(res.value)) + cfg.abs_tol
+    assert res.error <= max(cfg.abs_tol, cfg.rel_tol * abs(res.value))
+    assert abs(res.value - line_exact) < 1e-3 * cfg.abs_tol
     res = integrate_halfline(half, env, cfg)
     assert abs(res.value - half_exact) <= res.error + 1e-15
     assert abs(res.value - half_exact) < 1e-3 * cfg.abs_tol
@@ -187,6 +188,35 @@ def test_polynomial_property(coeffs, a, width):
 def test_envelope_violation_detected():
     with pytest.raises(EnvelopeViolated):
         integrate_halfline(lambda t: 1.0 / (1.0 + t), ExpEnvelope(a=1.0, c=1.0), CFG)
+
+
+@pytest.mark.parametrize(
+    "integrate,share", [(integrate_halfline, 0.5), (integrate_line, 1.0)], ids=["halfline", "line"]
+)
+def test_envelope_checked_from_t0(integrate, share):
+    """With t0 = 5 > 1/a the map's scale is S = 1/a and its first check node x = 0.999 lies
+    below t0, where the envelope need not hold, so the check samples t0 there instead.
+    exp(-200 t^2) lies above exp(-1000 t) only below t0; exp(-|t|) lies above it beyond."""
+    env = ExpEnvelope(a=1e3, c=1.0, t0=5.0)
+    res = integrate(lambda t: np.exp(-200.0 * t * t), env, CFG)
+    assert abs(res.value - share * math.sqrt(math.pi / 200.0)) <= res.error + 1e-15
+    with pytest.raises(EnvelopeViolated):
+        integrate(lambda t: np.exp(-np.abs(t)), env, CFG)
+
+
+def test_line_checks_both_sides():
+    with pytest.raises(EnvelopeViolated):
+        integrate_line(lambda t: np.where(t < 0.0, 1.0 / (1.0 - t), 0.0), ExpEnvelope(), CFG)
+
+
+@pytest.mark.parametrize("p", [1.01, 1.001])
+@pytest.mark.parametrize(
+    "integrate", [integrate_halfline, integrate_line], ids=["halfline", "line"]
+)
+def test_too_slow_envelope_rejected(integrate, p):
+    # x = S ((1-u)^-k - 1) with k = 1/(p-1) >= 100 leaves the floats at the check's nodes
+    with pytest.raises(InvalidParameter, match="half-line map overflows"):
+        integrate(lambda t: (1.0 + np.abs(t)) ** -p, PowerEnvelope(p=p), CFG)
 
 
 def test_depth_exceeded_on_hard_singularity(monkeypatch):
@@ -412,26 +442,16 @@ class TestKernelWeight:
         assert (math.pi - value <= 4.0 * value / 2.0**20) == settled
 
 
+@pytest.mark.parametrize("x", [2.0**-10, 1.0, 2.0**10])
+def test_line_weight_takes_the_whole_line(x):
+    # x int |x + iy|^-2 dy = pi at every x > 0, with no tail left out of the value
+    value, converged = line_weight(
+        lambda w: np.abs(w) ** -2.0, ResolventEnvelope(m=1.0, shift=x), x, CFG
+    )
+    assert converged and abs(value - math.pi) <= 1e-12 * math.pi
+
+
 class TestEnvelopes:
-    def test_tails_dominate(self):
-        envs = [
-            ExpEnvelope(a=2.0, c=3.0),
-            PowerEnvelope(p=2.5, c=1.0, t0=1.0),
-            ResolventEnvelope(m=2.0, shift=1.5),
-            StretchedExpEnvelope(alpha=0.5, rho=1.0, c=1.0),
-        ]
-        for env in envs:
-            T = max(env.t0, 2.0)
-            # numeric tail of the bound must not exceed the closed form
-            ts = np.linspace(T, T * 200, 400001)
-            numeric = np.trapezoid([env.bound(t) for t in ts], ts)
-            assert numeric <= env.tail(T) * (1.0 + 1e-3)
-
-    def test_cutoff_meets_tolerance(self):
-        env = PowerEnvelope(p=2.0, c=5.0, t0=1.0)
-        T = env.cutoff(1e-6)
-        assert env.tail(T) <= 1e-6
-
     def test_product_rules(self):
         e1 = ResolventEnvelope(m=2.0, shift=1.0)
         e2 = ConstEnvelope(c=3.0)
@@ -836,75 +856,3 @@ class TestPanelSlices:
         assert max(calls) <= 105 and len(calls) > 10
         assert np.asarray(res.value).tobytes() == np.asarray(ref.value).tobytes()
         assert (res.error, res.n_evals, res.converged) == (ref.error, ref.n_evals, ref.converged)
-
-
-def _cutoff_reference(env, eps):
-    """The cutoff search with all 80 bisection rounds."""
-    lo = max(env.t0, 1e-12)
-    if env.tail(lo) <= eps:
-        return lo
-    hi = lo
-    for _ in range(220):
-        hi = min(hi * 2.0, 1e308)
-        if env.tail(hi) <= eps or hi >= 1e308:
-            break
-    if env.tail(hi) > eps:
-        return math.inf
-    for _ in range(80):
-        mid = math.sqrt(lo * hi)
-        if env.tail(mid) <= eps:
-            hi = mid
-        else:
-            lo = mid
-    return hi
-
-
-def _cutoff_envelopes():
-    # "-zero": the zero frequency band these cases had while envelopes carried one
-    yield "power-zero", PowerEnvelope(p=2.5, c=3.0, t0=1.0)
-    yield "exp-zero", ExpEnvelope(a=0.7, c=2.0)
-    yield "resolvent-zero", ResolventEnvelope(m=1.5, shift=0.3)
-    yield "stretched-zero", StretchedExpEnvelope(alpha=0.5, rho=2.0, c=1.0, t0=0.5)
-    yield "sum-zero", SumEnvelope.of(
-        PowerEnvelope(p=3.0, c=1.0, t0=2.0), ExpEnvelope(a=1.0, c=5.0)
-    )
-
-
-class TestCutoff:
-    """`cutoff` leaves its bisection at the fixed point; T must equal the
-    80-round search's exactly."""
-
-    @pytest.mark.parametrize("env", [pytest.param(e, id=n) for n, e in _cutoff_envelopes()])
-    @pytest.mark.parametrize("eps", [1e2, 1e-3, 1.5e-8, 1e-14])
-    def test_matches_full_bisection(self, env, eps):
-        assert env.cutoff(eps) == _cutoff_reference(env, eps)
-
-    @pytest.mark.parametrize("t_max", [1.0, 10.0, 1e3])
-    def test_t_max_cap_and_inf(self, t_max):
-        """The tail bound at t_max caps the cutoff at t_max; a tail that no T
-        up to 1e308 reaches gives inf."""
-        env = PowerEnvelope(p=1.5, c=1.0, t0=0.25)
-        for eps in (1e-1, 1e-2, 1e-6):
-            assert env.cutoff(eps) == _cutoff_reference(env, eps) < math.inf
-        eps = env.tail(t_max)
-        assert env.cutoff(eps) == _cutoff_reference(env, eps) <= t_max
-        # the tail 2/sqrt(T) stays above 1e-300 for every T up to 1e308
-        assert env.cutoff(1e-300) == _cutoff_reference(env, 1e-300) == math.inf
-
-    def test_reaches_the_fixed_point(self):
-        """The exit is taken: the search makes fewer tail calls, and
-        evaluates no T twice."""
-        env = ExpEnvelope(a=1.0, c=1.0)
-        calls = []
-
-        class Counted(ExpEnvelope):
-            def tail(self, T):
-                calls.append(T)
-                return super().tail(T)
-
-        T = Counted(a=1.0, c=1.0).cutoff(1e-9)
-        assert T == env.cutoff(1e-9) == _cutoff_reference(env, 1e-9)
-        assert len(set(calls)) == len(calls)
-        # lo and the rising doublings, then one call per bisection round
-        first_mid = next(k for k in range(1, len(calls)) if calls[k] < calls[k - 1])
-        assert 40 < len(calls) - first_mid < 80
