@@ -16,8 +16,7 @@ from .quadrature import (
     DEFAULT_CONFIG,
     QuadResult,
     QuadratureConfig,
-    _decay_power,
-    _decay_rate,
+    _decay,
     halfline_map,
     integrate_contour,
     integrate_interval,
@@ -85,8 +84,8 @@ def kernel_pairing(
 
     The outer integral has no cutoff: one `integrate_interval` run over [0, 1) takes it on
     `quadrature.halfline_map` of f's outer envelope with reach R.  The inner integral at x
-    runs under abs_tol alone, tol(x) = cfg.abs_tol/(1+x)^(1+p), p the envelope's
-    `_decay_power`, and ends far below it, since the contour has no tails.  The outer run
+    runs under abs_tol alone, tol(x) = cfg.abs_tol/(1+x)^(1+p), with (p, a) the envelope's
+    `_decay`, and ends far below it, since the contour has no tails.  The outer run
     takes cfg's tolerances times _OUTER_MARGIN within _OUTER_PANELS panels: at cfg's own
     tolerances the rule stops wherever its panels first meet them, from just under them to
     eight orders below, so the error moved by orders of magnitude with z or A; a thousand
@@ -95,9 +94,9 @@ def kernel_pairing(
     one met cfg.  A node whose tol(x) leaves the normal floats raises InvalidParameter:
     f' then decays too slowly for the map.
 
-    Where f' decays like exp(-a x) (a = `_decay_rate` > 0), an inner integral's integrand
-    falls below a power-law tol(x) at moderate x, where the rule accepts whatever its first
-    panels give; so tol(x) also carries the factor max(exp(-a x), _INNER_FLOOR).
+    Where f' decays like exp(-a x) (a > 0), an inner integral's integrand falls below a
+    power-law tol(x) at moderate x, where the rule accepts whatever its first panels give;
+    so tol(x) also carries the factor max(exp(-a x), _INNER_FLOOR).
 
     A converged inner integral errs by at most tol(x).  The outer rule's weights are
     positive, so the inner stage adds at most int_0^inf x tol(x) dx <= abs_tol/(p(p-1)).
@@ -105,7 +104,7 @@ def kernel_pairing(
     env = f.profiles.deriv_outer
     if not env.integrable:
         raise IntegralNotNormConvergent("pairing outer integrand has no integrable envelope")
-    p, a = _decay_power(env), _decay_rate(env)
+    p, a = _decay(env)
     to_halfline = halfline_map(env, pole_radius)
     n_evals, converged = 0, True
 

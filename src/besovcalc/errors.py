@@ -30,7 +30,8 @@ class EnvelopeViolated(BesovCalcError):
 
 
 class DivergenceSuspicion(BesovCalcError):
-    """Partial integrals fail the Cauchy criterion; the norm looks infinite."""
+    """The norm looks infinite: a declared envelope is not integrable, or a line lies
+    outside the analyticity strip."""
 
 
 class UnboundedSuspicion(BesovCalcError):

@@ -103,7 +103,8 @@ class HalfLineMeasure:
                     raise InvalidParameter("lebesgue density needs 0 <= a < b < inf")
             else:
                 raise InvalidParameter(f"unknown density kind {kind!r}")
-        _require_finite("measure", *(v for atom in self.atoms for v in atom))
+        density = () if self.density is None else self.density[1:]
+        _require_finite("measure", *(v for atom in self.atoms for v in atom), *density)
 
     def total_variation(self) -> float:
         tv = sum(abs(c) for _, c in self.atoms)

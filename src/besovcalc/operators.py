@@ -248,6 +248,8 @@ def resolvent_matrix(A: MatrixOperator, z: complex) -> np.ndarray:
     if A.n == 0:
         raise InvalidParameter("the resolvent needs a matrix of size at least 1x1")
     z = complex(z)
+    if not np.isfinite(z):
+        raise InvalidParameter(f"the resolvent needs a finite shift z, not {z}")
     if np.min(np.abs(z + A.eigenvalues)) <= 1e-12 * max(1.0, abs(z), A.norm2):
         raise SingularShift(f"-z = {-z} meets the spectrum")
     m = z * np.eye(A.n) + A.matrix

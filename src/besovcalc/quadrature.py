@@ -80,26 +80,28 @@ class DecayEnvelope:
     def bound(self, t: float) -> float:
         raise NotImplementedError
 
-    def scaled(self, c: float) -> "DecayEnvelope":
+    def _transform(self, k: float, b: float) -> "DecayEnvelope":
+        """Shape change for t -> k * bound(b*t), without t0 bookkeeping."""
         raise NotImplementedError
 
-    def _arg_scaled(self, b: float) -> "DecayEnvelope":
-        """Shape change for t -> bound(b*t), without t0 bookkeeping."""
-        raise NotImplementedError
+    def scaled(self, k: float) -> "DecayEnvelope":
+        """Envelope for t -> k * f(t) given |f| <= bound."""
+        return self._transform(k, 1.0)
 
     def dilated_arg(self, b: float) -> "DecayEnvelope":
         """Envelope for t -> f(b*t) given |f| <= bound."""
-        return replace(self._arg_scaled(b), t0=self.t0 / b)
+        return replace(self._transform(1.0, b), t0=self.t0 / b)
 
     def off_center(self, c: float) -> "DecayEnvelope":
         """Valid envelope when the integrand's symmetry center moved by <= c."""
         if c == 0:
             return self
-        return replace(self._arg_scaled(0.5), t0=max(2.0 * c, 2.0 * self.t0, 1e-9))
+        return replace(self._transform(1.0, 0.5), t0=max(2.0 * c, 2.0 * self.t0, 1e-9))
 
     @property
     def integrable(self) -> bool:
-        return True
+        p, a = _decay(self)
+        return p > 1.0 or a > 0.0
 
 
 @dataclass(frozen=True)
@@ -111,15 +113,8 @@ class ConstEnvelope(DecayEnvelope):
     def bound(self, t):
         return self.c
 
-    def scaled(self, k):
+    def _transform(self, k, b):
         return replace(self, c=self.c * k)
-
-    def _arg_scaled(self, b):
-        return self
-
-    @property
-    def integrable(self):
-        return False
 
 
 @dataclass(frozen=True)
@@ -136,15 +131,8 @@ class PowerEnvelope(DecayEnvelope):
     def bound(self, t):
         return self.c / max(t, 1e-300) ** self.p
 
-    def scaled(self, k):
-        return replace(self, c=self.c * k)
-
-    def _arg_scaled(self, b):
-        return replace(self, c=self.c / b**self.p)
-
-    @property
-    def integrable(self):
-        return self.p > 1
+    def _transform(self, k, b):
+        return replace(self, c=self.c * k / b**self.p)
 
 
 @dataclass(frozen=True)
@@ -161,11 +149,8 @@ class ExpEnvelope(DecayEnvelope):
     def bound(self, t):
         return self.c * math.exp(-self.a * t)
 
-    def scaled(self, k):
-        return replace(self, c=self.c * k)
-
-    def _arg_scaled(self, b):
-        return replace(self, a=self.a * b)
+    def _transform(self, k, b):
+        return replace(self, c=self.c * k, a=self.a * b)
 
 
 @dataclass(frozen=True)
@@ -182,11 +167,8 @@ class ResolventEnvelope(DecayEnvelope):
     def bound(self, t):
         return self.m / (self.shift * self.shift + t * t)
 
-    def scaled(self, k):
-        return replace(self, m=self.m * k)
-
-    def _arg_scaled(self, b):
-        return replace(self, m=self.m / b**2, shift=self.shift / b)
+    def _transform(self, k, b):
+        return replace(self, m=self.m * k / b**2, shift=self.shift / b)
 
 
 @dataclass(frozen=True)
@@ -205,11 +187,8 @@ class StretchedExpEnvelope(DecayEnvelope):
         t = max(t, 1e-300)
         return self.c * t ** (self.alpha - 1.0) * math.exp(-self.rho * t**self.alpha)
 
-    def scaled(self, k):
-        return replace(self, c=self.c * k)
-
-    def _arg_scaled(self, b):
-        return replace(self, rho=self.rho * b**self.alpha, c=self.c * b ** (self.alpha - 1.0))
+    def _transform(self, k, b):
+        return replace(self, rho=self.rho * b**self.alpha, c=self.c * k * b ** (self.alpha - 1.0))
 
 
 @dataclass(frozen=True)
@@ -231,19 +210,33 @@ class SumEnvelope(DecayEnvelope):
     def bound(self, t):
         return sum(p.bound(t) for p in self.parts)
 
-    def scaled(self, k):
-        return replace(self, parts=tuple(p.scaled(k) for p in self.parts))
-
-    def _arg_scaled(self, b):
-        return replace(self, parts=tuple(p.dilated_arg(b) for p in self.parts))
+    def _transform(self, k, b):
+        return replace(
+            self, parts=tuple(replace(p._transform(k, b), t0=p.t0 / b) for p in self.parts)
+        )
 
     def off_center(self, c):
+        # every part takes t0 >= 2c too, which the base rule's t0 bookkeeping would not give
         out = replace(self, parts=tuple(p.off_center(c) for p in self.parts))
         return replace(out, t0=max(2.0 * c, 2.0 * self.t0, 1e-9))
 
-    @property
-    def integrable(self):
-        return all(p.integrable for p in self.parts)
+
+def _decay(env: DecayEnvelope) -> tuple[float, float]:
+    """(p, a): the slowest power decay t^-p of env, capped at 2, and the slowest exponential
+    rate a of its decay exp(-a t), each over a sum's parts.  A constant gives (0, 0);
+    exponential and resolvent shapes give p = 2, and t^(alpha-1) exp(-rho t^alpha) gives
+    1 + alpha, whose map x^alpha ~ 1/(1-u) makes it decay like an exponential in 1/(1-u);
+    a is 0 for every shape but the exponential."""
+    if isinstance(env, SumEnvelope):
+        decays = [_decay(part) for part in env.parts]
+        return min((p for p, _ in decays), default=2.0), min((a for _, a in decays), default=0.0)
+    if isinstance(env, ConstEnvelope):
+        return 0.0, 0.0
+    if isinstance(env, PowerEnvelope):
+        return min(env.p, 2.0), 0.0
+    if isinstance(env, StretchedExpEnvelope):
+        return 1.0 + env.alpha, 0.0
+    return 2.0, (env.a if isinstance(env, ExpEnvelope) else 0.0)
 
 
 def envelope_product(e1: DecayEnvelope, e2: DecayEnvelope) -> DecayEnvelope:
@@ -464,42 +457,25 @@ def integrate_interval(
     return QuadResult(value, total_err, n_evals, converged=total_err <= tol)
 
 
-def _decay_power(env: DecayEnvelope) -> float:
-    """The slowest power decay of env, capped at 2: a sum's slowest part; exponential and
-    resolvent shapes count as 2, and t^(alpha-1) exp(-rho t^alpha) as 1 + alpha, whose map
-    x^alpha ~ 1/(1-u) makes it decay like an exponential in 1/(1-u)."""
-    if isinstance(env, SumEnvelope):
-        return min(map(_decay_power, env.parts), default=2.0)
-    if isinstance(env, StretchedExpEnvelope):
-        return 1.0 + env.alpha
-    return min(env.p, 2.0) if isinstance(env, PowerEnvelope) else 2.0
-
-
-def _decay_rate(env: DecayEnvelope) -> float:
-    """The slowest exponential rate a of env's decay exp(-a t): a sum's slowest part, and 0
-    when any part decays like a power or a stretched exponential."""
-    if isinstance(env, SumEnvelope):
-        return min(map(_decay_rate, env.parts), default=0.0)
-    return env.a if isinstance(env, ExpEnvelope) else 0.0
-
-
 def _map_scale(env: DecayEnvelope, reach: float) -> tuple[float, float]:
     """k and S of `halfline_map`."""
-    a, S = _decay_rate(env), 1.0 + env.t0 + reach
-    return 1.0 / (_decay_power(env) - 1.0), min(S, 1.0 / a) if a > 0.0 else S
+    (p, a), S = _decay(env), 1.0 + env.t0 + reach
+    return 1.0 / (p - 1.0), min(S, 1.0 / a) if a > 0.0 else S
 
 
 def halfline_map(env: DecayEnvelope, reach: float) -> Callable[[np.ndarray], tuple]:
     """The map of u in [0, 1) onto the half-line for integrands under env: a function of
     the nodes u that returns x and dx/du there.
 
-    With p = `_decay_power` of env, k = 1/(p-1) and S = 1 + t0 + reach,
+    With (p, a) = `_decay` of env, k = 1/(p-1) and S = 1 + t0 + reach,
     x = S ((1-u)^-k - 1) maps a decay x^-p onto a bounded integrand at u = 1 (QUADPACK's
     QAGI step), so one `integrate_interval` run over [0, 1) takes the whole half-line with
-    no cutoff.  Where env decays like exp(-a x) (a = `_decay_rate` > 0), the integrand is a
-    bump of width about 1/a, so S is at most 1/a, which keeps the bump off the end u = 0.
-    A node whose dx/du leaves the floats raises InvalidParameter: env then decays too
-    slowly for the map."""
+    no cutoff.  Where env decays like exp(-a x) (a > 0), the integrand is a bump of width
+    about 1/a, so S is at most 1/a, which keeps the bump off the end u = 0.  An env that is
+    not integrable raises InvalidParameter, and so does a node whose dx/du leaves the
+    floats: env then decays too slowly for the map."""
+    if not env.integrable:
+        raise InvalidParameter("integration to infinity requires an integrable envelope")
     k, S = _map_scale(env, reach)
 
     def nodes(us):
@@ -524,12 +500,10 @@ def _on_map(f, envelope: DecayEnvelope, signs: tuple[float, ...]):
     """f(y) dy/dv at y = sign(v) x(|v|), with x and dx/du from `halfline_map` of the
     envelope, for an `integrate_interval` run over v in [0, 1) or (-1, 1).
 
-    The envelope must be integrable, and |f| must stay under 1.1 times it at x(u) for u in
-    _CHECK_NODES, raised to t0 where below it, on each side y = sign * x of signs; both are
-    checked first, in one call of f.  The mapped integrand scales f's values in place, so f
-    must return arrays it does not keep."""
-    if not envelope.integrable:
-        raise InvalidParameter("integration to infinity requires an integrable envelope")
+    |f| must stay under 1.1 times the envelope at x(u) for u in _CHECK_NODES, raised to t0
+    where below it, on each side y = sign * x of signs; this is checked first, in one call
+    of f.  The mapped integrand scales f's values in place, so f must return arrays it does
+    not keep."""
     to_halfline = halfline_map(envelope, 0.0)
     ts = np.maximum(to_halfline(_CHECK_NODES)[0], envelope.t0)
     vals = np.abs(np.asarray(f(np.concatenate([sign * ts for sign in signs]))))

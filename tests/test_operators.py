@@ -91,6 +91,14 @@ class TestBasics:
         r = resolvent_matrix(A, 0.0)
         assert np.allclose(r, [[1.0, -1.0], [0.0, 1.0]])
 
+    @pytest.mark.parametrize(
+        "z", [math.nan, complex(1.0, math.nan), math.inf], ids=["nan", "nan-imag", "inf"]
+    )
+    def test_non_finite_shift_rejected(self, z):
+        A = parse_operator_spec("diag(1,2)")
+        with pytest.raises(InvalidParameter, match="finite"):
+            resolvent_matrix(A, z)
+
     def test_singular_shift(self):
         A = parse_operator_spec("diag(1,2)")
         with pytest.raises(SingularShift):
@@ -1042,6 +1050,16 @@ class TestHPApply:
         assert hp_apply(A, HP_MEASURES[1]).shape == (0, 0)
         with pytest.raises(InvalidParameter, match="1x1"):
             hp_apply(A, HP_MEASURES[0])
+
+    @pytest.mark.parametrize(
+        "density",
+        [("exp", math.inf, 1.0), ("lebesgue", math.nan, 0.0, 1.0), ("exp", 1.0, math.nan)],
+        ids=["exp-coeff", "lebesgue-coeff", "exp-rate"],
+    )
+    def test_non_finite_density_rejected(self, density):
+        A = parse_operator_spec("diag(1,2)")
+        with pytest.raises(InvalidParameter, match="finite"):
+            hp_apply(A, HalfLineMeasure(density=density))
 
     def test_delta_zero(self):
         A = parse_operator_spec("diag(1,2)")

@@ -17,7 +17,10 @@ from besovcalc.quadrature import (
     PowerEnvelope,
     QuadratureConfig,
     ResolventEnvelope,
+    StretchedExpEnvelope,
+    SumEnvelope,
     envelope_product,
+    halfline_map,
     integrate_halfline,
     integrate_contour,
     integrate_interval,
@@ -149,7 +152,7 @@ TAIL_BUDGET_CASES = [
     (ResolventEnvelope(m=1.0, shift=1.0), lambda t: 1.0 / (1.0 + t * t), 0.5 * math.pi,
      lambda t: 1.0 / (1.0 + t * t), math.pi),
     (ExpEnvelope(a=1.0, c=2.0), lambda t: np.exp(-t), 1.0,
-     lambda t: 1.0 / np.cosh(t), math.pi),
+     lambda t: 2.0 * np.exp(-np.abs(t)) / (1.0 + np.exp(-2.0 * np.abs(t))), math.pi),
 ]
 
 
@@ -451,6 +454,19 @@ def test_line_weight_takes_the_whole_line(x):
     assert converged and abs(value - math.pi) <= 1e-12 * math.pi
 
 
+# one envelope of each shape, each with its own t0, and a sum whose parts' t0 differ
+LAW_ENVELOPES = [
+    ConstEnvelope(c=2.0, t0=1.0),
+    PowerEnvelope(p=1.5, c=3.0, t0=0.5),
+    ExpEnvelope(a=0.7, c=2.0, t0=1.0),
+    ResolventEnvelope(m=2.0, shift=1.5, t0=0.3),
+    StretchedExpEnvelope(alpha=0.5, rho=1.2, c=0.8, t0=2.0),
+    SumEnvelope.of(ExpEnvelope(a=2.0, t0=1.0), PowerEnvelope(p=3.0, c=0.5, t0=4.0)),
+]
+LAW_IDS = ["const", "power", "exp", "resolvent", "stretched", "sum"]
+LAW_TS = [0.3, 1.0, 2.5, 6.0]
+
+
 class TestEnvelopes:
     def test_product_rules(self):
         e1 = ResolventEnvelope(m=2.0, shift=1.0)
@@ -461,6 +477,58 @@ class TestEnvelopes:
             PowerEnvelope(p=2.0, c=1.0, t0=1.0), PowerEnvelope(p=1.0, c=2.0, t0=1.0)
         )
         assert p.p == 3.0 and p.c == 2.0
+
+    @pytest.mark.parametrize("env", LAW_ENVELOPES, ids=LAW_IDS)
+    @pytest.mark.parametrize("k", [0.3, 2.5])
+    def test_scaled_multiplies_the_bound(self, env, k):
+        out = env.scaled(k)
+        assert out.t0 == env.t0
+        for t in LAW_TS:
+            assert out.bound(t) == pytest.approx(k * env.bound(t), rel=1e-14)
+
+    @pytest.mark.parametrize("env", LAW_ENVELOPES, ids=LAW_IDS)
+    @pytest.mark.parametrize("b", [0.25, 3.0])
+    def test_dilated_arg_composes_the_bound(self, env, b):
+        out = env.dilated_arg(b)
+        assert out.t0 == env.t0 / b
+        for t in LAW_TS:
+            assert out.bound(t) == pytest.approx(env.bound(b * t), rel=1e-14)
+
+    @pytest.mark.parametrize("env", LAW_ENVELOPES, ids=LAW_IDS)
+    @pytest.mark.parametrize("c", [0.5, 3.0])
+    def test_off_center_covers_the_moved_bound(self, env, c):
+        """From its new t0 on, t - c >= t/2, so the bound at t/2 covers the bound at t - c."""
+        out = env.off_center(c)
+        assert out.t0 >= max(2.0 * c, 2.0 * env.t0)
+        for t in out.t0 * np.array([1.0, 1.5, 3.0, 10.0]):
+            assert out.bound(t) >= env.bound(t - c) * (1.0 - 1e-14)
+
+    @pytest.mark.parametrize(
+        "env,integrable",
+        [
+            (ConstEnvelope(), False),
+            (PowerEnvelope(p=0.5), False),
+            (PowerEnvelope(p=1.0), False),
+            (PowerEnvelope(p=1.5), True),
+            (ExpEnvelope(), True),
+            (ResolventEnvelope(), True),
+            (StretchedExpEnvelope(alpha=0.1), True),
+            (SumEnvelope(), True),
+            (SumEnvelope.of(ExpEnvelope(), PowerEnvelope(p=0.5)), False),
+            (SumEnvelope.of(ExpEnvelope(), ConstEnvelope()), False),
+            (SumEnvelope.of(ExpEnvelope(), StretchedExpEnvelope()), True),
+        ],
+    )
+    def test_integrable(self, env, integrable):
+        assert env.integrable is integrable
+
+    @pytest.mark.parametrize(
+        "env", [PowerEnvelope(p=1.0), PowerEnvelope(p=0.5), ConstEnvelope()],
+        ids=["p=1", "p=0.5", "const"],
+    )
+    def test_map_rejects_a_non_integrable_envelope(self, env):
+        with pytest.raises(InvalidParameter, match="integrable envelope"):
+            halfline_map(env, 0.0)
 
     def test_config_validation(self):
         with pytest.raises(InvalidParameter):
