@@ -25,9 +25,8 @@ from .functions import (
 from .norms import BOUNDARY_OFFSET, b0_norm, b_norm, hinf_norm, left_line_sup, line_sup
 from .quadrature import (
     DEFAULT_CONFIG,
-    ConstEnvelope,
-    PowerEnvelope,
     QuadratureConfig,
+    ShapeEnvelope,
     envelope_product,
     integrate_halfline,
 )
@@ -118,7 +117,7 @@ def _phi_over_weight(f: AnalyticFunction, omega: float, cfg: QuadratureConfig) -
     def integrand(xs):
         return line_sup(f, xs).value / (omega + xs)
 
-    env = envelope_product(f.profiles.modulus_outer, PowerEnvelope(p=1.0, c=1.0, t0=1.0))
+    env = envelope_product(f.profiles.modulus_outer, ShapeEnvelope(t0=1.0, c=1.0, p=1.0))
     res = integrate_halfline(integrand, env, cfg)
     return float(np.real(res.value))
 
@@ -176,7 +175,7 @@ def majorant_integral(h: DecayProfile, omega: float, cfg: QuadratureConfig) -> f
         ts = np.asarray(ts, dtype=float)
         return np.asarray(h.h(ts), dtype=float) / (omega + ts)
 
-    env = envelope_product(h.envelope, ConstEnvelope(c=1.0 / omega))
+    env = envelope_product(h.envelope, ShapeEnvelope(c=1.0 / omega))
     res = integrate_halfline(integrand, env, cfg)
     return float(np.real(res.value))
 

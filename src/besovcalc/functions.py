@@ -18,16 +18,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import InvalidParameter, RangeViolation, UnknownSpec
-from .quadrature import (
-    ConstEnvelope,
-    DecayEnvelope,
-    ExpEnvelope,
-    PowerEnvelope,
-    ResolventEnvelope,
-    StretchedExpEnvelope,
-    SumEnvelope,
-    envelope_product,
-)
+from .quadrature import DecayEnvelope, ShapeEnvelope, SumEnvelope, envelope_product
 
 __all__ = [
     "AnalyticFunction",
@@ -256,7 +247,7 @@ class AnalyticFunction:
 # Catalog members
 # ---------------------------------------------------------------------------
 
-_ZERO_ENV = PowerEnvelope(p=2.0, c=0.0)
+_ZERO_ENV = ShapeEnvelope(c=0.0, p=2.0)
 
 
 def const(c: complex) -> AnalyticFunction:
@@ -264,9 +255,9 @@ def const(c: complex) -> AnalyticFunction:
     c = complex(c)
     prof = Profiles(
         deriv_line=lambda x: _ZERO_ENV,
-        modulus_line=lambda x: ConstEnvelope(c=abs(c)),
+        modulus_line=lambda x: ShapeEnvelope(c=abs(c)),
         deriv_outer=_ZERO_ENV,
-        modulus_outer=ConstEnvelope(c=abs(c)),
+        modulus_outer=ShapeEnvelope(c=abs(c)),
         e0_upper=0.0,
         pole_radius=0.0,
     )
@@ -289,10 +280,10 @@ def exp_decay(a: float) -> AnalyticFunction:
     if a == 0:
         return const(1.0)
     prof = Profiles(
-        deriv_line=lambda x: ConstEnvelope(c=a * math.exp(-a * x)),
-        modulus_line=lambda x: ConstEnvelope(c=math.exp(-a * x)),
-        deriv_outer=ExpEnvelope(a=a, c=a),
-        modulus_outer=ExpEnvelope(a=a, c=1.0),
+        deriv_line=lambda x: ShapeEnvelope(c=a * math.exp(-a * x)),
+        modulus_line=lambda x: ShapeEnvelope(c=math.exp(-a * x)),
+        deriv_outer=ShapeEnvelope(c=a, rho=a),
+        modulus_outer=ShapeEnvelope(c=1.0, rho=a),
         window=3.0 * 2.0 * math.pi / a,
     )
     return AnalyticFunction(
@@ -323,13 +314,14 @@ def resolvent(a: complex) -> AnalyticFunction:
     s, c0 = a.real, abs(a.imag)
 
     def dl(x):
-        return ResolventEnvelope(m=1.0, shift=x + s, t0=0.0).off_center(c0)
+        return ShapeEnvelope(c=1.0, p=2.0, s=x + s).off_center(c0)
 
     prof = Profiles(
         deriv_line=dl,
-        modulus_line=lambda x: PowerEnvelope(p=1.0, c=2.0, t0=max(2 * (c0 + x + s), 1.0)),
-        deriv_outer=PowerEnvelope(p=2.0, c=1.0, t0=1e-6),
-        modulus_outer=PowerEnvelope(p=1.0, c=1.0, t0=1e-6),
+        modulus_line=lambda x: ShapeEnvelope(t0=max(2 * (c0 + x + s), 1.0), c=2.0, p=1.0),
+        deriv_outer=ShapeEnvelope(t0=1e-6, c=1.0, p=2.0),
+        # sup_y |r_a(x+iy)| = 1/(x + s) <= (x^2 + s^2)^(-1/2) for every x >= 0
+        modulus_outer=ShapeEnvelope(c=1.0, p=1.0, s=s),
         window=max(8.0, 4.0 * c0),
         e0_upper=math.pi,
         pole_radius=abs(a),
@@ -358,10 +350,10 @@ def cayley_pow(n: int) -> AnalyticFunction:
         return 2.0 * n * w ** (n - 1) / (z + 1.0) ** 2
 
     prof = Profiles(
-        deriv_line=lambda x: ResolventEnvelope(m=2.0 * n, shift=x + 1.0),
-        modulus_line=lambda x: ConstEnvelope(c=1.0),
-        deriv_outer=PowerEnvelope(p=2.0, c=2.0 * n, t0=2.0 * n),
-        modulus_outer=ConstEnvelope(c=1.0),
+        deriv_line=lambda x: ShapeEnvelope(c=2.0 * n, p=2.0, s=x + 1.0),
+        modulus_line=lambda x: ShapeEnvelope(c=1.0),
+        deriv_outer=ShapeEnvelope(t0=2.0 * n, c=2.0 * n, p=2.0),
+        modulus_outer=ShapeEnvelope(c=1.0),
         window=max(8.0, 2.0 * n),
         # |chi_n'(z)| <= 2n/|z+1|^2, so x int |chi_n'(x+iy)| dy <= 2n pi x/(x+1)
         e0_upper=2.0 * n * math.pi,
@@ -419,15 +411,15 @@ def eta(delta: float = 1.0) -> AnalyticFunction:
 
     def dl(x):
         return SumEnvelope.of(
-            PowerEnvelope(p=2.0, c=2.0, t0=max(2.0 * (1.0 + x), 2.0)),
-            PowerEnvelope(p=1.0, c=math.exp(-x), t0=max(2.0 * (1.0 + x), 2.0)),
+            ShapeEnvelope(t0=max(2.0 * (1.0 + x), 2.0), c=2.0, p=2.0),
+            ShapeEnvelope(t0=max(2.0 * (1.0 + x), 2.0), c=math.exp(-x), p=1.0),
         )
 
     prof = Profiles(
         deriv_line=dl,
-        modulus_line=lambda x: PowerEnvelope(p=1.0, c=2.0, t0=max(x, 1.0)),
-        deriv_outer=PowerEnvelope(p=2.0, c=1.0, t0=1.0),
-        modulus_outer=PowerEnvelope(p=1.0, c=1.0, t0=1e-6),
+        modulus_line=lambda x: ShapeEnvelope(t0=max(x, 1.0), c=2.0, p=1.0),
+        deriv_outer=ShapeEnvelope(t0=1.0, c=1.0, p=2.0),
+        modulus_outer=ShapeEnvelope(t0=1e-6, c=1.0, p=1.0),
         window=24.0,
     )
     base = AnalyticFunction(
@@ -460,10 +452,10 @@ def exp_inv_shift(t: float) -> AnalyticFunction:
     # t0 >= t/6 widens the supremum grid's cap (`sup_on_vertical_line`) with t; the only
     # singularity, at z = -1, gives the pole radius 1
     prof = Profiles(
-        deriv_line=lambda x: ResolventEnvelope(m=t, shift=x + 1.0, t0=t / 6.0),
-        modulus_line=lambda x: ConstEnvelope(c=1.0, t0=t / 6.0),
-        deriv_outer=PowerEnvelope(p=2.0, c=t, t0=1.0),
-        modulus_outer=ConstEnvelope(c=1.0),
+        deriv_line=lambda x: ShapeEnvelope(t0=t / 6.0, c=t, p=2.0, s=x + 1.0),
+        modulus_line=lambda x: ShapeEnvelope(t0=t / 6.0, c=1.0),
+        deriv_outer=ShapeEnvelope(t0=1.0, c=t, p=2.0),
+        modulus_outer=ShapeEnvelope(c=1.0),
         pole_radius=1.0,
     )
     return AnalyticFunction(
@@ -491,10 +483,10 @@ def vitse_reg(t: float) -> AnalyticFunction:
     # as in exp_inv_shift, t0 >= t/6 widens the supremum grid's cap; the singularities,
     # at z = 0 and z = -1, give the pole radius 1
     prof = Profiles(
-        deriv_line=lambda x: ResolventEnvelope(m=t + 2.0, shift=x + 1.0, t0=t / 6.0),
-        modulus_line=lambda x: ConstEnvelope(c=1.0, t0=t / 6.0),
-        deriv_outer=PowerEnvelope(p=2.0, c=t + 2.0, t0=1.0),
-        modulus_outer=ConstEnvelope(c=1.0),
+        deriv_line=lambda x: ShapeEnvelope(t0=t / 6.0, c=t + 2.0, p=2.0, s=x + 1.0),
+        modulus_line=lambda x: ShapeEnvelope(t0=t / 6.0, c=1.0),
+        deriv_outer=ShapeEnvelope(t0=1.0, c=t + 2.0, p=2.0),
+        modulus_outer=ShapeEnvelope(c=1.0),
         window=max(8.0, 4.0 * math.sqrt(t)),
         pole_radius=1.0,
     )
@@ -541,7 +533,7 @@ def laplace_transform(measure: HalfLineMeasure) -> AnalyticFunction:
     prof = replace(
         f.profiles,
         window=max(8.0, 3.0 * 2.0 * math.pi / beat),
-        modulus_outer=ConstEnvelope(c=measure.total_variation()),
+        modulus_outer=ShapeEnvelope(c=measure.total_variation()),
     )
     return replace(f, profiles=prof, label="laplace(...)")
 
@@ -614,20 +606,22 @@ def bernstein_resolvent(
             * (fb.b + sum(c * s for s, c in fb.jumps))
             / (kappa**2 * (fb.b * c_a) ** (beta + 1.0))
         )
-        deriv_outer = PowerEnvelope(p=1.0 + alpha * beta, c=c_pow, t0=1.0)
+        deriv_outer = ShapeEnvelope(t0=1.0, c=c_pow, p=1.0 + alpha * beta)
     elif fb.jumps:
         s_min = min(s for s, _ in fb.jumps)
         d0 = sum(c * s for s, c in fb.jumps)
         c_st = alpha * beta * d0 / (kappa**2 * abs(lam) ** (1 + 1 / beta))
-        deriv_outer = StretchedExpEnvelope(alpha=alpha, rho=s_min * c_a, c=c_st, t0=1e-6)
+        deriv_outer = ShapeEnvelope(
+            t0=1e-6, c=c_st, p=1.0 - alpha, rho=s_min * c_a, alpha=alpha
+        )
     else:
         return const(1.0 / (lam + fb.a**beta))
 
     prof = Profiles(
-        deriv_line=lambda x: PowerEnvelope(p=1.0 - alpha, c=s_bound(x) + 1e-300, t0=max(x, 1.0)),
-        modulus_line=lambda x: ConstEnvelope(c=1.0 / (kappa * abs(lam))),
+        deriv_line=lambda x: ShapeEnvelope(t0=max(x, 1.0), c=s_bound(x) + 1e-300, p=1.0 - alpha),
+        modulus_line=lambda x: ShapeEnvelope(c=1.0 / (kappa * abs(lam))),
         deriv_outer=deriv_outer,
-        modulus_outer=ConstEnvelope(c=1.0 / (kappa * abs(lam))),
+        modulus_outer=ShapeEnvelope(c=1.0 / (kappa * abs(lam))),
     )
     return AnalyticFunction(
         eval_fn=ev,
@@ -645,10 +639,13 @@ def bernstein_resolvent(
 
 
 def _global_modulus_bound(f: AnalyticFunction) -> float | None:
+    """sup |f| over the half-plane when the outer modulus envelope gives it: a constant
+    shape's c, or a shape's finite bound(0) when the shape holds from t0 = 0 on."""
     env = f.profiles.modulus_outer
-    if isinstance(env, ConstEnvelope):
-        return env.c
-    return None
+    if isinstance(env, SumEnvelope) or not (env.t0 == 0 or env.p == env.rho == 0):
+        return None
+    big = env.bound(0.0)
+    return big if math.isfinite(big) else None
 
 
 def _merge_left(f, g):
@@ -834,7 +831,7 @@ def power(f: AnalyticFunction, beta: float) -> AnalyticFunction:
     if big is None:
         big = float(np.max(np.abs(vals))) * 2.0
     amp = abs(beta) * (big ** (beta - 1.0) if beta >= 1 else m ** (beta - 1.0))
-    bound = ConstEnvelope(c=big**beta if beta >= 0 else m**beta)
+    bound = ShapeEnvelope(c=big**beta if beta >= 0 else m**beta)
     fp = f.profiles
     prof = replace(
         fp,

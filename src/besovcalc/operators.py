@@ -29,8 +29,8 @@ from .functions import (
 from .quadrature import (
     DEFAULT_CONFIG,
     DYADIC_GRID,
-    PowerEnvelope,
     QuadratureConfig,
+    ShapeEnvelope,
     _bracket_row,
     _refine_max,
     integrate_contour,
@@ -507,9 +507,9 @@ def _sectoriality_sup(A: MatrixOperator) -> float:
     return max(float(_refine_max(lambda us, _: phis(us), _bracket_row(ys, phis(ys), 1))[0, 1]), 1.0)
 
 
-def _kernel_line(A: MatrixOperator, alpha: float) -> PowerEnvelope:
+def _kernel_line(A: MatrixOperator, alpha: float) -> ShapeEnvelope:
     """Envelope of ||(alpha + i beta + A)^(-2)|| in beta: 4/beta^2 past 2(alpha + ||A||) + 1."""
-    return PowerEnvelope(p=2.0, c=4.0, t0=2.0 * (alpha + A.norm2) + 1.0)
+    return ShapeEnvelope(t0=2.0 * (alpha + A.norm2) + 1.0, c=4.0, p=2.0)
 
 
 # the tolerances of gamma_hat's and gamma_weak_sample's kernel weights
@@ -584,8 +584,9 @@ def gamma_weak_sample(A: MatrixOperator, seed: int = 42) -> float:
 class ApplyReport:
     value: np.ndarray
     error: float
-    # False when K is not exact, so that the bound's weight pi K^2 may be too small, when
-    # f's envelopes are sampled, or when the pairing did not converge
+    # False when K is not exact, so that the outer integrand may not decay like f's envelope
+    # as the outer map presumes (no K term enters the error), when f's envelopes are
+    # sampled, or when the pairing did not converge
     certified: bool
     n_evals: int = 0
 

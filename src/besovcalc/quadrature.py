@@ -23,11 +23,7 @@ from .errors import DepthExceeded, EnvelopeViolated, InvalidParameter
 __all__ = [
     "QuadratureConfig",
     "DecayEnvelope",
-    "ConstEnvelope",
-    "PowerEnvelope",
-    "ExpEnvelope",
-    "ResolventEnvelope",
-    "StretchedExpEnvelope",
+    "ShapeEnvelope",
     "SumEnvelope",
     "envelope_product",
     "QuadResult",
@@ -73,16 +69,11 @@ DEFAULT_CONFIG = QuadratureConfig()
 
 @dataclass(frozen=True)
 class DecayEnvelope:
-    """Upper bound for |integrand(t)| valid for |t| >= t0."""
+    """Upper bound for |integrand(t)| valid for |t| >= t0: a `ShapeEnvelope` or a
+    `SumEnvelope` of them, each of which states `bound(t)` and `_transform(k, b)`, the
+    envelope of t -> k * bound(b*t) without t0 bookkeeping."""
 
     t0: float = 0.0
-
-    def bound(self, t: float) -> float:
-        raise NotImplementedError
-
-    def _transform(self, k: float, b: float) -> "DecayEnvelope":
-        """Shape change for t -> k * bound(b*t), without t0 bookkeeping."""
-        raise NotImplementedError
 
     def scaled(self, k: float) -> "DecayEnvelope":
         """Envelope for t -> k * f(t) given |f| <= bound."""
@@ -105,90 +96,29 @@ class DecayEnvelope:
 
 
 @dataclass(frozen=True)
-class ConstEnvelope(DecayEnvelope):
-    """Constant bound; not integrable (supremum searches only)."""
+class ShapeEnvelope(DecayEnvelope):
+    """bound(t) = c (s^2 + t^2)^(-p/2) exp(-rho t^alpha), with p, s, rho >= 0 and alpha in
+    (0, 1].  A constant is p = rho = 0, a power c/t^p is s = 0, the squared-resolvent shape
+    c/(s^2 + t^2) is p = 2, an exponential is alpha = 1, and a stretched exponential
+    c t^(alpha-1) exp(-rho t^alpha) is s = 0 and p = 1 - alpha.  The family is closed under
+    scaling, dilation, off-centring and `envelope_product`."""
 
     c: float = 1.0
-
-    def bound(self, t):
-        return self.c
-
-    def _transform(self, k, b):
-        return replace(self, c=self.c * k)
-
-
-@dataclass(frozen=True)
-class PowerEnvelope(DecayEnvelope):
-    """bound(t) = c / t**p; integrable only for p > 1."""
-
-    p: float = 2.0
-    c: float = 1.0
+    p: float = 0.0
+    s: float = 0.0
+    rho: float = 0.0
+    alpha: float = 1.0
 
     def __post_init__(self):
-        if self.p <= 0:
-            raise InvalidParameter("power envelope needs p > 0")
+        if not (self.p >= 0 and self.s >= 0 and self.rho >= 0 and 0 < self.alpha <= 1):
+            raise InvalidParameter("envelope needs p, s, rho >= 0 and alpha in (0, 1]")
 
     def bound(self, t):
-        return self.c / max(t, 1e-300) ** self.p
+        den = (self.s * self.s + t * t) ** (0.5 * self.p)
+        return self.c / den * math.exp(-self.rho * t**self.alpha) if den else math.inf
 
     def _transform(self, k, b):
-        return replace(self, c=self.c * k / b**self.p)
-
-
-@dataclass(frozen=True)
-class ExpEnvelope(DecayEnvelope):
-    """bound(t) = c * exp(-a t) with a > 0."""
-
-    a: float = 1.0
-    c: float = 1.0
-
-    def __post_init__(self):
-        if self.a <= 0:
-            raise InvalidParameter("exponential envelope needs a > 0")
-
-    def bound(self, t):
-        return self.c * math.exp(-self.a * t)
-
-    def _transform(self, k, b):
-        return replace(self, c=self.c * k, a=self.a * b)
-
-
-@dataclass(frozen=True)
-class ResolventEnvelope(DecayEnvelope):
-    """bound(t) = m / (shift**2 + t**2); the shape of squared-resolvent decay."""
-
-    m: float = 1.0
-    shift: float = 1.0
-
-    def __post_init__(self):
-        if self.shift <= 0:
-            raise InvalidParameter("resolvent envelope needs shift > 0")
-
-    def bound(self, t):
-        return self.m / (self.shift * self.shift + t * t)
-
-    def _transform(self, k, b):
-        return replace(self, m=self.m * k / b**2, shift=self.shift / b)
-
-
-@dataclass(frozen=True)
-class StretchedExpEnvelope(DecayEnvelope):
-    """bound(t) = c * t**(alpha-1) * exp(-rho * t**alpha), alpha in (0, 1]."""
-
-    alpha: float = 0.5
-    rho: float = 1.0
-    c: float = 1.0
-
-    def __post_init__(self):
-        if not 0 < self.alpha <= 1 or self.rho <= 0:
-            raise InvalidParameter("stretched-exponential envelope parameters invalid")
-
-    def bound(self, t):
-        t = max(t, 1e-300)
-        return self.c * t ** (self.alpha - 1.0) * math.exp(-self.rho * t**self.alpha)
-
-    def _transform(self, k, b):
-        return replace(self, rho=self.rho * b**self.alpha, c=self.c * k * b ** (self.alpha - 1.0))
+        return replace(self, c=self.c * k / b**self.p, s=self.s / b, rho=self.rho * b**self.alpha)
 
 
 @dataclass(frozen=True)
@@ -216,6 +146,8 @@ class SumEnvelope(DecayEnvelope):
         )
 
     def off_center(self, c):
+        if c == 0:
+            return self
         # every part takes t0 >= 2c too, which the base rule's t0 bookkeeping would not give
         out = replace(self, parts=tuple(p.off_center(c) for p in self.parts))
         return replace(out, t0=max(2.0 * c, 2.0 * self.t0, 1e-9))
@@ -223,59 +155,41 @@ class SumEnvelope(DecayEnvelope):
 
 def _decay(env: DecayEnvelope) -> tuple[float, float]:
     """(p, a): the slowest power decay t^-p of env, capped at 2, and the slowest exponential
-    rate a of its decay exp(-a t), each over a sum's parts.  A constant gives (0, 0);
-    exponential and resolvent shapes give p = 2, and t^(alpha-1) exp(-rho t^alpha) gives
-    1 + alpha, whose map x^alpha ~ 1/(1-u) makes it decay like an exponential in 1/(1-u);
-    a is 0 for every shape but the exponential."""
+    rate a of its decay exp(-a t), each over a sum's parts.  An exponential (rho > 0,
+    alpha = 1) gives (2, rho); a stretched one (rho > 0, alpha < 1) gives 1 + alpha, whose
+    map x^alpha ~ 1/(1-u) makes it decay like an exponential in 1/(1-u); any other shape
+    gives (min(p, 2), 0), so a constant gives (0, 0)."""
     if isinstance(env, SumEnvelope):
         decays = [_decay(part) for part in env.parts]
         return min((p for p, _ in decays), default=2.0), min((a for _, a in decays), default=0.0)
-    if isinstance(env, ConstEnvelope):
-        return 0.0, 0.0
-    if isinstance(env, PowerEnvelope):
-        return min(env.p, 2.0), 0.0
-    if isinstance(env, StretchedExpEnvelope):
-        return 1.0 + env.alpha, 0.0
-    return 2.0, (env.a if isinstance(env, ExpEnvelope) else 0.0)
+    if env.rho > 0:
+        return (2.0, env.rho) if env.alpha == 1.0 else (1.0 + env.alpha, 0.0)
+    return min(env.p, 2.0), 0.0
 
 
 def envelope_product(e1: DecayEnvelope, e2: DecayEnvelope) -> DecayEnvelope:
-    """Envelope for a product of integrands bounded by e1 and e2.
+    """Envelope for a product of integrands bounded by e1 and e2, from t0 = the larger t0.
 
-    Resolvent shapes are conservatively widened to power-2 decay; exponential
-    factors absorb the other factor's value at the joint t0.
+    A product of sums is the sum of the parts' products.  Of two shapes, c and p multiply
+    through and s is the least s of a factor with p > 0, since s^2 + t^2 grows with s.
+    Equal alphas add the rates; otherwise the factor of larger alpha among those with
+    rho > 0 keeps its exponential, and the other's exp(-rho t^alpha) is absorbed into c at t0.
     """
-    t0 = max(e1.t0, e2.t0, 1e-12)
-
-    def as_power(e: DecayEnvelope):
-        if isinstance(e, PowerEnvelope):
-            return e.p, e.c
-        if isinstance(e, ResolventEnvelope):
-            return 2.0, e.m
-        return None
-
     if isinstance(e1, SumEnvelope):
         return SumEnvelope.of(*(envelope_product(p, e2) for p in e1.parts))
     if isinstance(e2, SumEnvelope):
         return SumEnvelope.of(*(envelope_product(e1, p) for p in e2.parts))
-    if isinstance(e1, ConstEnvelope):
-        out = e2.scaled(e1.c)
-        return replace(out, t0=max(t0, out.t0))
-    if isinstance(e2, ConstEnvelope):
-        out = e1.scaled(e2.c)
-        return replace(out, t0=max(t0, out.t0))
-    if isinstance(e1, ExpEnvelope):
-        return ExpEnvelope(t0=t0, a=e1.a, c=e1.c * e2.bound(t0))
-    if isinstance(e2, ExpEnvelope):
-        return ExpEnvelope(t0=t0, a=e2.a, c=e2.c * e1.bound(t0))
-    p1, p2 = as_power(e1), as_power(e2)
-    if p1 and p2:
-        return PowerEnvelope(t0=t0, p=p1[0] + p2[0], c=p1[1] * p2[1])
-    if isinstance(e1, StretchedExpEnvelope):
-        return replace(e1, t0=t0, c=e1.c * e2.bound(t0))
-    if isinstance(e2, StretchedExpEnvelope):
-        return replace(e2, t0=t0, c=e2.c * e1.bound(t0))
-    raise InvalidParameter(f"no product rule for {type(e1).__name__} x {type(e2).__name__}")
+    t0 = max(e1.t0, e2.t0, 1e-12)
+    low, high = sorted((e1, e2), key=lambda e: (e.rho > 0, e.alpha))
+    same = low.alpha == high.alpha
+    return ShapeEnvelope(
+        t0=t0,
+        c=e1.c * e2.c * (1.0 if same else math.exp(-low.rho * t0**low.alpha)),
+        p=e1.p + e2.p,
+        s=min((e.s for e in (e1, e2) if e.p > 0), default=0.0),
+        rho=high.rho + low.rho if same else high.rho,
+        alpha=high.alpha,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -43,7 +43,7 @@ from .functions import (
     scale,
 )
 from .operators import parse_operator_spec
-from .quadrature import DEFAULT_CONFIG, QuadratureConfig, ResolventEnvelope
+from .quadrature import DEFAULT_CONFIG, QuadratureConfig, ShapeEnvelope
 
 __all__ = ["run_suite", "parse_manifest", "default_manifest", "VALIDATORS"]
 
@@ -55,7 +55,7 @@ def _r_squared():
 def _inv_square_profile():
     return DecayProfile(
         h=lambda t: 1.0 / (1.0 + np.asarray(t, dtype=float) ** 2),
-        envelope=ResolventEnvelope(m=1.0, shift=1.0),
+        envelope=ShapeEnvelope(c=1.0, p=2.0, s=1.0),
     )
 
 

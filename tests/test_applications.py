@@ -40,7 +40,7 @@ from besovcalc.operators import (
     random_sectorial_operator,
     semigroup,
 )
-from besovcalc.quadrature import QuadratureConfig, ResolventEnvelope
+from besovcalc.quadrature import QuadratureConfig, ShapeEnvelope
 
 CFG = QuadratureConfig()
 DIAG12 = parse_operator_spec("diag(1,2)")
@@ -49,7 +49,7 @@ DIAG12 = parse_operator_spec("diag(1,2)")
 def inv_square_profile():
     return DecayProfile(
         h=lambda t: 1.0 / (1.0 + np.asarray(t, dtype=float) ** 2),
-        envelope=ResolventEnvelope(m=1.0, shift=1.0),
+        envelope=ShapeEnvelope(c=1.0, p=2.0, s=1.0),
     )
 
 

@@ -4,6 +4,7 @@ import dataclasses
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -41,7 +42,7 @@ from besovcalc.operators import (
     gamma_hat,
     random_sectorial_operator,
 )
-from besovcalc.quadrature import ConstEnvelope, PowerEnvelope, QuadratureConfig, integrate_line
+from besovcalc.quadrature import QuadratureConfig, ShapeEnvelope, integrate_line
 
 CFG = QuadratureConfig()
 FAST = CFG.with_tolerances(abs_tol=3e-8, rel_tol=1e-7)
@@ -189,6 +190,15 @@ class TestPairingValues:
         assert abs(got.value - ref.value) < 1e-12
         assert abs(ref.value - 0.4150689770) < 1e-9
 
+    def test_squared_resolvent_pairing_is_certified(self):
+        # e0_upper(r_1 * r_1) = 2 pi certifies the pairing; r_1^2 = -d/dz r_z at z = 1, so
+        # <r_1^2, eta> = -(pi/2) eta'(1), here from mpmath's derivative of (1 - e^-z)/z
+        ref = -0.5 * math.pi * float(mpmath.diff(lambda z: (1 - mpmath.exp(-z)) / z, 1))
+        r = resolvent(1.0)
+        got = pairing(mul(r, r), eta(), CFG)
+        assert got.error < 1e-6
+        assert abs(got.value - ref) <= got.error
+
     def test_no_pole_radius_on_either_side_is_rejected(self, capsys):
         with pytest.raises(IntegralNotNormConvergent):
             pairing(eta(), eta(), CFG)
@@ -220,13 +230,13 @@ class TestReproducing:
 class TestGreenCrossCheck:
     def test_resolvent_pair(self):
         # |r_2(x0 - iy) r_1(x0 + iy)| <= 1/y^2
-        got = green_pairing(resolvent(2.0), resolvent(1.0), PowerEnvelope(p=2.0, c=1.0))
+        got = green_pairing(resolvent(2.0), resolvent(1.0), ShapeEnvelope(c=1.0, p=2.0))
         assert abs(got - math.pi / 6.0) < 1e-4
 
     def test_cayley_pair_after_centering(self):
         # chi^2 - 1 = -4z/(z+1)^2, so |r_1(x0 - iy)| |chi^2 - 1|(x0 + iy) <= 4/y^2
         direct = pairing(resolvent(1.0), cayley_pow(2), CFG).value
-        green = green_pairing(resolvent(1.0), cayley_pow(2), PowerEnvelope(p=2.0, c=4.0))
+        green = green_pairing(resolvent(1.0), cayley_pow(2), ShapeEnvelope(c=4.0, p=2.0))
         assert abs(direct - green) < 1e-3
 
 
@@ -298,7 +308,7 @@ class TestOneDoubleIntegral:
         base = exp_decay(1.0)
         bad = dataclasses.replace(
             base,
-            profiles=dataclasses.replace(base.profiles, deriv_outer=ConstEnvelope(c=1.0)),
+            profiles=dataclasses.replace(base.profiles, deriv_outer=ShapeEnvelope(c=1.0)),
         )
         with pytest.raises(IntegralNotNormConvergent):
             pairing(resolvent(1.0), bad, CFG)
@@ -552,5 +562,5 @@ class TestMappedOuter:
         classes = [quadrature.DecayEnvelope]
         for cls in classes:
             classes.extend(cls.__subclasses__())
-        assert len(classes) >= 7
+        assert [c.__name__ for c in classes] == ["DecayEnvelope", "ShapeEnvelope", "SumEnvelope"]
         assert not [c.__name__ for c in classes if hasattr(c, "cutoff") or hasattr(c, "tail")]

@@ -26,7 +26,7 @@ from besovcalc.functions import (
     resolvent,
     scale,
 )
-from besovcalc.quadrature import QuadratureConfig, ResolventEnvelope
+from besovcalc.quadrature import QuadratureConfig, ShapeEnvelope
 from besovcalc.report import reports_to_json
 
 CFG = QuadratureConfig()
@@ -79,7 +79,7 @@ class TestDerivAndProducts:
         f = mul(resolvent(1.0), resolvent(1.0))
         h = DecayProfile(
             h=lambda t: 1.0 / (1.0 + np.asarray(t, dtype=float) ** 2),
-            envelope=ResolventEnvelope(m=1.0, shift=1.0),
+            envelope=ShapeEnvelope(c=1.0, p=2.0, s=1.0),
         )
         assert check_decay_majorant(f, h, omega, CFG).passed
 
@@ -87,7 +87,7 @@ class TestDerivAndProducts:
         f = resolvent(1.0)  # |f(iy)| = 1/sqrt(1+y^2) >> 1/(1+y^2)
         h = DecayProfile(
             h=lambda t: 1.0 / (1.0 + np.asarray(t, dtype=float) ** 2) * 0.01,
-            envelope=ResolventEnvelope(m=0.01, shift=1.0),
+            envelope=ShapeEnvelope(c=0.01, p=2.0, s=1.0),
         )
         with pytest.raises(InvalidParameter):
             check_decay_majorant(f, h, 1.0, CFG)

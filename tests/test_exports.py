@@ -66,20 +66,11 @@ def _unread_parameters():
 
 def test_every_parameter_is_read():
     """A parameter that no code path reads looks like a setting and changes nothing."""
-    from besovcalc import quadrature
     from besovcalc.suite import VALIDATORS
 
-    envelopes = {
-        name
-        for name, obj in vars(quadrature).items()
-        if isinstance(obj, type) and issubclass(obj, quadrature.DecayEnvelope)
-    }
     runners = {runner.__name__ for runner, _ in VALIDATORS.values()}
 
     def exempt(module, cls, func, param):
-        # DecayEnvelope's stubs and their overrides keep the signature their callers use
-        if module == "quadrature" and cls in envelopes and func in vars(quadrature.DecayEnvelope):
-            return True
         # perfbench/workloads.py passes the calculus a config positionally
         if (module, cls, func, param) == ("operators", None, "apply_calculus_report", "cfg"):
             return True

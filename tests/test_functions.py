@@ -226,6 +226,27 @@ class TestAlgebra:
         g = mul(resolvent(1.0), resolvent(1.0))
         assert complex(g(1.0)) == pytest.approx(0.25)
 
+    @pytest.mark.parametrize("x", [0.5, 1.0, 3.0])
+    @pytest.mark.parametrize("f", [eta(), band_function(1.0, 4.0)], ids=["eta", "band"])
+    def test_real_shift_keeps_the_line_envelope(self, f, x):
+        # a real shift moves no symmetry center, so f(. + a) on Re = x is f on Re = x + a
+        g, a = shift(f, 0.5), 0.5
+        assert g.profiles.deriv_line(x) == f.profiles.deriv_line(x + a)
+        assert g.profiles.modulus_line(x) == f.profiles.modulus_line(x + a)
+
+    @pytest.mark.parametrize(
+        "f,g", [(resolvent(1.0), resolvent(1.0)), (const(2.0), resolvent(1.0))],
+        ids=["r1*r1", "2*r1"],
+    )
+    def test_mul_keeps_e0_upper_of_resolvent_factors(self, f, g):
+        # sup |r_1| = 1 on the half-plane: e0(fg) <= e0(f) sup|g| + e0(g) sup|f| = 2 pi
+        assert mul(f, g).profiles.e0_upper == pytest.approx(2.0 * math.pi, rel=1e-15)
+
+    def test_resolvent_modulus_bound(self):
+        assert _global_modulus_bound(resolvent(2.0 + 3.0j)) == 0.5
+        # a pole on iR leaves |r_a| unbounded
+        assert _global_modulus_bound(resolvent(3.0j)) is None
+
     def test_product_rule_random_points(self):
         rng = np.random.default_rng(5)
         f, g = cayley_pow(2), resolvent(1 + 1j)

@@ -65,8 +65,8 @@ from besovcalc.operators import (
 )
 from besovcalc.quadrature import (
     DYADIC_GRID,
-    PowerEnvelope,
     QuadratureConfig,
+    ShapeEnvelope,
     _bracket_row,
     _refine_max,
     integrate_line,
@@ -962,7 +962,7 @@ class TestApplyCalculus:
                 r2 = inv @ inv
                 return np.abs(np.einsum("kij,j,i->k", r2, x, y.conj()))
 
-            env = PowerEnvelope(p=2.0, c=4.0, t0=2.0 * (alpha + A.norm2) + 1.0)
+            env = ShapeEnvelope(t0=2.0 * (alpha + A.norm2) + 1.0, c=4.0, p=2.0)
             val = integrate_line(integrand, env, CFG, strict=False)
             assert float(np.real(val.value)) <= math.pi * K**2 / alpha + 1e-4
         # every bounded semigroup, entrywise: the calculus's weight pi K^2, with K exact
@@ -975,7 +975,7 @@ class TestApplyCalculus:
                 def entries(betas):
                     return np.abs(_resolvents_squared(B, alpha + 1j * betas).reshape(-1, 4))
 
-                env = PowerEnvelope(p=2.0, c=4.0, t0=2.0 * (alpha + B.norm2) + 1.0)
+                env = ShapeEnvelope(t0=2.0 * (alpha + B.norm2) + 1.0, c=4.0, p=2.0)
                 val = integrate_line(entries, env, CFG, strict=False)
                 top = alpha * float(np.real(val.value).max())
                 assert top <= math.pi * K**2 + 1e-4, (lam, alpha)
@@ -1318,14 +1318,14 @@ class TestErrorPaths:
 
         from besovcalc.errors import IntegralNotNormConvergent
         from besovcalc.functions import Profiles, exp_decay as _e
-        from besovcalc.quadrature import ConstEnvelope
+        from besovcalc.quadrature import ShapeEnvelope
 
         base = _e(1.0)
         prof = Profiles(
             deriv_line=base.profiles.deriv_line,
             modulus_line=base.profiles.modulus_line,
-            deriv_outer=ConstEnvelope(c=1.0),
-            modulus_outer=ConstEnvelope(c=1.0),
+            deriv_outer=ShapeEnvelope(c=1.0),
+            modulus_outer=ShapeEnvelope(c=1.0),
         )
         bad = dreplace(base, profiles=prof)
         with pytest.raises(IntegralNotNormConvergent):

@@ -12,13 +12,10 @@ from hypothesis import strategies as st
 
 from besovcalc.errors import DepthExceeded, EnvelopeViolated, InvalidParameter
 from besovcalc.quadrature import (
-    ConstEnvelope,
-    ExpEnvelope,
-    PowerEnvelope,
     QuadratureConfig,
-    ResolventEnvelope,
-    StretchedExpEnvelope,
+    ShapeEnvelope,
     SumEnvelope,
+    _decay,
     envelope_product,
     halfline_map,
     integrate_halfline,
@@ -74,36 +71,36 @@ FINITE_BATTERY = [
 ]
 
 HALFLINE_BATTERY = [
-    ("exp3", lambda t: np.exp(-3.0 * t), ExpEnvelope(a=3.0, c=1.0), 1.0 / 3.0),
+    ("exp3", lambda t: np.exp(-3.0 * t), ShapeEnvelope(c=1.0, rho=3.0), 1.0 / 3.0),
     (
         "cubic_decay",
         lambda t: 1.0 / (1.0 + t) ** 3,
-        PowerEnvelope(p=3.0, c=1.0, t0=1.0),
+        ShapeEnvelope(t0=1.0, c=1.0, p=3.0),
         0.5,
     ),
     (
         "t_exp",
         lambda t: t * np.exp(-t),
-        ExpEnvelope(a=0.9, c=10.0 * math.exp(-1.0)),
+        ShapeEnvelope(c=10.0 * math.exp(-1.0), rho=0.9),
         1.0,
     ),
-    ("lorentz", lambda t: 1.0 / (4.0 + t**2), ResolventEnvelope(m=1.0, shift=2.0), math.pi / 4),
-    ("damped_cos", lambda t: np.exp(-t) * np.cos(t), ExpEnvelope(a=1.0, c=1.0), 0.5),
-    ("inv_square", lambda t: (1.0 + t) ** -2, PowerEnvelope(p=2.0, c=1.0, t0=1.0), 1.0),
+    ("lorentz", lambda t: 1.0 / (4.0 + t**2), ShapeEnvelope(c=1.0, p=2.0, s=2.0), math.pi / 4),
+    ("damped_cos", lambda t: np.exp(-t) * np.cos(t), ShapeEnvelope(c=1.0, rho=1.0), 0.5),
+    ("inv_square", lambda t: (1.0 + t) ** -2, ShapeEnvelope(t0=1.0, c=1.0, p=2.0), 1.0),
 ]
 
 LINE_BATTERY = [
-    ("poisson", lambda t: 1.0 / (1.0 + t**2), ResolventEnvelope(m=1.0, shift=1.0), math.pi),
+    ("poisson", lambda t: 1.0 / (1.0 + t**2), ShapeEnvelope(c=1.0, p=2.0, s=1.0), math.pi),
     (
         "gaussian",
         lambda t: np.exp(-(t**2)),
-        ExpEnvelope(a=1.0, c=1.0, t0=1.0),
+        ShapeEnvelope(t0=1.0, c=1.0, rho=1.0),
         math.sqrt(math.pi),
     ),
     (
         "double_lorentz",
         lambda t: 1.0 / ((1.0 + t**2) * (4.0 + t**2)),
-        PowerEnvelope(p=4.0, c=1.0, t0=2.0),
+        ShapeEnvelope(t0=2.0, c=1.0, p=4.0),
         math.pi / 6.0,
     ),
 ]
@@ -131,13 +128,13 @@ def test_line_battery(name, f, env, exact):
     assert abs(res.value - exact) < 1e-6
 
 
-# int_0^inf x^s/(1+x)^p dx = B(s+1, p-s-1) under PowerEnvelope(p-s): s < 0 puts an
+# int_0^inf x^s/(1+x)^p dx = B(s+1, p-s-1) under a power envelope of p - s: s < 0 puts an
 # integrable singularity at x = 0, which the map's graded breakpoints take
 @pytest.mark.parametrize("q", [1.2, 1.5, 2.0, 3.0])
 @pytest.mark.parametrize("s", [-0.6, -0.3, 0.0, 0.5, 1.0])
 def test_halfline_beta_battery(s, q):
     exact = float(mpmath.beta(s + 1.0, q - 1.0))
-    res = integrate_halfline(lambda x: x**s / (1.0 + x) ** (s + q), PowerEnvelope(p=q), CFG)
+    res = integrate_halfline(lambda x: x**s / (1.0 + x) ** (s + q), ShapeEnvelope(c=1.0, p=q), CFG)
     assert abs(res.value - exact) <= res.error + 1e-13 * (1.0 + abs(exact))
     assert abs(res.value - exact) < 1e-6
     if s >= 0.0:
@@ -147,11 +144,11 @@ def test_halfline_beta_battery(s, q):
 
 # (envelope, half-line integrand and value, line integrand and value)
 TAIL_BUDGET_CASES = [
-    (PowerEnvelope(p=3.0, c=1.0), lambda t: (1.0 + t) ** -3, 0.5,
+    (ShapeEnvelope(c=1.0, p=3.0), lambda t: (1.0 + t) ** -3, 0.5,
      lambda t: (1.0 + t * t) ** -2, 0.5 * math.pi),
-    (ResolventEnvelope(m=1.0, shift=1.0), lambda t: 1.0 / (1.0 + t * t), 0.5 * math.pi,
+    (ShapeEnvelope(c=1.0, p=2.0, s=1.0), lambda t: 1.0 / (1.0 + t * t), 0.5 * math.pi,
      lambda t: 1.0 / (1.0 + t * t), math.pi),
-    (ExpEnvelope(a=1.0, c=2.0), lambda t: np.exp(-t), 1.0,
+    (ShapeEnvelope(c=2.0, rho=1.0), lambda t: np.exp(-t), 1.0,
      lambda t: 2.0 * np.exp(-np.abs(t)) / (1.0 + np.exp(-2.0 * np.abs(t))), math.pi),
 ]
 
@@ -190,7 +187,7 @@ def test_polynomial_property(coeffs, a, width):
 
 def test_envelope_violation_detected():
     with pytest.raises(EnvelopeViolated):
-        integrate_halfline(lambda t: 1.0 / (1.0 + t), ExpEnvelope(a=1.0, c=1.0), CFG)
+        integrate_halfline(lambda t: 1.0 / (1.0 + t), ShapeEnvelope(c=1.0, rho=1.0), CFG)
 
 
 @pytest.mark.parametrize(
@@ -200,7 +197,7 @@ def test_envelope_checked_from_t0(integrate, share):
     """With t0 = 5 > 1/a the map's scale is S = 1/a and its first check node x = 0.999 lies
     below t0, where the envelope need not hold, so the check samples t0 there instead.
     exp(-200 t^2) lies above exp(-1000 t) only below t0; exp(-|t|) lies above it beyond."""
-    env = ExpEnvelope(a=1e3, c=1.0, t0=5.0)
+    env = ShapeEnvelope(t0=5.0, c=1.0, rho=1e3)
     res = integrate(lambda t: np.exp(-200.0 * t * t), env, CFG)
     assert abs(res.value - share * math.sqrt(math.pi / 200.0)) <= res.error + 1e-15
     with pytest.raises(EnvelopeViolated):
@@ -209,7 +206,9 @@ def test_envelope_checked_from_t0(integrate, share):
 
 def test_line_checks_both_sides():
     with pytest.raises(EnvelopeViolated):
-        integrate_line(lambda t: np.where(t < 0.0, 1.0 / (1.0 - t), 0.0), ExpEnvelope(), CFG)
+        integrate_line(
+            lambda t: np.where(t < 0.0, 1.0 / (1.0 - t), 0.0), ShapeEnvelope(c=1.0, rho=1.0), CFG
+        )
 
 
 @pytest.mark.parametrize("p", [1.01, 1.001])
@@ -219,7 +218,7 @@ def test_line_checks_both_sides():
 def test_too_slow_envelope_rejected(integrate, p):
     # x = S ((1-u)^-k - 1) with k = 1/(p-1) >= 100 leaves the floats at the check's nodes
     with pytest.raises(InvalidParameter, match="half-line map overflows"):
-        integrate(lambda t: (1.0 + np.abs(t)) ** -p, PowerEnvelope(p=p), CFG)
+        integrate(lambda t: (1.0 + np.abs(t)) ** -p, ShapeEnvelope(c=1.0, p=p), CFG)
 
 
 def test_depth_exceeded_on_hard_singularity(monkeypatch):
@@ -231,7 +230,7 @@ def test_depth_exceeded_on_hard_singularity(monkeypatch):
 
 def test_nonintegrable_envelope_rejected():
     with pytest.raises(InvalidParameter):
-        integrate_halfline(lambda t: np.ones_like(t), ConstEnvelope(c=1.0), CFG)
+        integrate_halfline(lambda t: np.ones_like(t), ShapeEnvelope(c=1.0), CFG)
 
 
 @pytest.mark.parametrize("direction", [1.0, -1.0], ids=["right", "left"])
@@ -258,7 +257,7 @@ def test_determinism_bitwise():
     def f(t):
         return np.exp(1j * t) / (1.0 + t**2) ** 2
 
-    env = PowerEnvelope(p=4.0, c=1.0, t0=1.0)
+    env = ShapeEnvelope(t0=1.0, c=1.0, p=4.0)
     r1 = integrate_line(f, env, CFG)
     r2 = integrate_line(f, env, CFG)
     assert complex(r1.value) == complex(r2.value)
@@ -270,7 +269,7 @@ class TestSupremum:
         # |exp(-(1+iy))| is constant in y
         sup = sup_on_vertical_line(
             lambda z: np.full_like(z.imag, math.exp(-1.0)),
-            lambda x: ConstEnvelope(c=math.exp(-1.0)),
+            lambda x: ShapeEnvelope(c=math.exp(-1.0)),
             [1.0],
             window=10.0,
         )
@@ -279,7 +278,7 @@ class TestSupremum:
     def test_resolvent_peak(self):
         sup = sup_on_vertical_line(
             lambda z: 1.0 / (4.0 + z.imag**2),
-            lambda x: ResolventEnvelope(m=1.0, shift=2.0),
+            lambda x: ShapeEnvelope(c=1.0, p=2.0, s=2.0),
             [0.0],
             window=4.0,
         )
@@ -300,20 +299,20 @@ class TestSupremum:
             return 2.0 * n * w ** (n - 1) / (z + 1.0) ** 2
 
         sup = sup_on_vertical_line(
-            deriv, lambda x: ResolventEnvelope(m=2.0 * n, shift=x + 1.0), [x], window=4.0
+            deriv, lambda x: ShapeEnvelope(c=2.0 * n, p=2.0, s=x + 1.0), [x], window=4.0
         )
         assert sup.value[0] == pytest.approx(oracle, abs=1e-6)
 
     def test_monotone_under_domination(self):
         s1 = sup_on_vertical_line(
             lambda z: 1.0 / (4.0 + z.imag**2),
-            lambda x: ResolventEnvelope(m=1.0, shift=2.0),
+            lambda x: ShapeEnvelope(c=1.0, p=2.0, s=2.0),
             [0.0],
             window=4.0,
         )
         s2 = sup_on_vertical_line(
             lambda z: 1.0 / (1.0 + z.imag**2),
-            lambda x: ResolventEnvelope(m=1.0, shift=1.0),
+            lambda x: ShapeEnvelope(c=1.0, p=2.0, s=1.0),
             [0.0],
             window=4.0,
         )
@@ -424,7 +423,7 @@ class TestKernelWeight:
     def test_interior_maximum(self):
         # x * int |x + 1 + iy|^-3 dy = 2x / (x + 1)^2, largest (1/2) at the grid point x = 1
         x, value, settled = kernel_weight(
-            lambda w: np.abs(w + 1.0) ** -3.0, lambda x: PowerEnvelope(p=3.0, c=1.0), CFG
+            lambda w: np.abs(w + 1.0) ** -3.0, lambda x: ShapeEnvelope(c=1.0, p=3.0), CFG
         )
         # the golden-section refinement may keep a point of its last bracket, about
         # 2 * 0.618**30 wide in log2 x, whose rounding lifts it past the grid value
@@ -438,7 +437,7 @@ class TestKernelWeight:
         # last grid step, pi s / 2**20 to first order, is below the allowance 4 value / 2**20
         # at s = 1, where the value is then within the allowance of the supremum pi
         x, value, flag = kernel_weight(
-            lambda w: np.abs(w + s) ** -2.0, lambda x: ResolventEnvelope(m=1.0, shift=x + s), CFG
+            lambda w: np.abs(w + s) ** -2.0, lambda x: ShapeEnvelope(c=1.0, p=2.0, s=x + s), CFG
         )
         assert x == 2.0**20 and flag == settled
         assert abs(value - math.pi * x / (x + s)) <= max(CFG.abs_tol, CFG.rel_tol * value)
@@ -449,19 +448,19 @@ class TestKernelWeight:
 def test_line_weight_takes_the_whole_line(x):
     # x int |x + iy|^-2 dy = pi at every x > 0, with no tail left out of the value
     value, converged = line_weight(
-        lambda w: np.abs(w) ** -2.0, ResolventEnvelope(m=1.0, shift=x), x, CFG
+        lambda w: np.abs(w) ** -2.0, ShapeEnvelope(c=1.0, p=2.0, s=x), x, CFG
     )
     assert converged and abs(value - math.pi) <= 1e-12 * math.pi
 
 
 # one envelope of each shape, each with its own t0, and a sum whose parts' t0 differ
 LAW_ENVELOPES = [
-    ConstEnvelope(c=2.0, t0=1.0),
-    PowerEnvelope(p=1.5, c=3.0, t0=0.5),
-    ExpEnvelope(a=0.7, c=2.0, t0=1.0),
-    ResolventEnvelope(m=2.0, shift=1.5, t0=0.3),
-    StretchedExpEnvelope(alpha=0.5, rho=1.2, c=0.8, t0=2.0),
-    SumEnvelope.of(ExpEnvelope(a=2.0, t0=1.0), PowerEnvelope(p=3.0, c=0.5, t0=4.0)),
+    ShapeEnvelope(t0=1.0, c=2.0),
+    ShapeEnvelope(t0=0.5, c=3.0, p=1.5),
+    ShapeEnvelope(t0=1.0, c=2.0, rho=0.7),
+    ShapeEnvelope(t0=0.3, c=2.0, p=2.0, s=1.5),
+    ShapeEnvelope(t0=2.0, c=0.8, p=0.5, rho=1.2, alpha=0.5),
+    SumEnvelope.of(ShapeEnvelope(t0=1.0, c=1.0, rho=2.0), ShapeEnvelope(t0=4.0, c=0.5, p=3.0)),
 ]
 LAW_IDS = ["const", "power", "exp", "resolvent", "stretched", "sum"]
 LAW_TS = [0.3, 1.0, 2.5, 6.0]
@@ -469,14 +468,45 @@ LAW_TS = [0.3, 1.0, 2.5, 6.0]
 
 class TestEnvelopes:
     def test_product_rules(self):
-        e1 = ResolventEnvelope(m=2.0, shift=1.0)
-        e2 = ConstEnvelope(c=3.0)
+        e1 = ShapeEnvelope(c=2.0, p=2.0, s=1.0)
+        e2 = ShapeEnvelope(c=3.0)
         out = envelope_product(e1, e2)
         assert out.bound(5.0) == pytest.approx(3.0 * e1.bound(5.0))
         p = envelope_product(
-            PowerEnvelope(p=2.0, c=1.0, t0=1.0), PowerEnvelope(p=1.0, c=2.0, t0=1.0)
+            ShapeEnvelope(t0=1.0, c=1.0, p=2.0), ShapeEnvelope(t0=1.0, c=2.0, p=1.0)
         )
         assert p.p == 3.0 and p.c == 2.0
+
+    @pytest.mark.parametrize("e2", LAW_ENVELOPES, ids=LAW_IDS)
+    @pytest.mark.parametrize("e1", LAW_ENVELOPES, ids=LAW_IDS)
+    def test_product_covers_the_product_of_bounds(self, e1, e2):
+        out = envelope_product(e1, e2)
+        assert out.t0 >= max(e1.t0, e2.t0)
+        for t in out.t0 * np.array([1.0, 1.5, 3.0, 10.0, 40.0]):
+            assert out.bound(t) >= e1.bound(t) * e2.bound(t) * (1.0 - 1e-14)
+
+    @pytest.mark.parametrize(
+        "env,decay",
+        [
+            (ShapeEnvelope(c=2.0), (0.0, 0.0)),
+            (ShapeEnvelope(c=3.0, p=1.5), (1.5, 0.0)),
+            (ShapeEnvelope(c=3.0, p=3.0), (2.0, 0.0)),
+            (ShapeEnvelope(c=2.0, rho=0.7), (2.0, 0.7)),
+            (ShapeEnvelope(c=2.0, p=2.0, s=1.5), (2.0, 0.0)),
+            (ShapeEnvelope(c=0.8, p=0.5, rho=1.2, alpha=0.5), (1.5, 0.0)),
+        ],
+        ids=["const", "power", "power-capped", "exp", "resolvent", "stretched"],
+    )
+    def test_decay_of_each_shape(self, env, decay):
+        assert _decay(env) == decay
+
+    def test_exponential_rates_add(self):
+        out = envelope_product(ShapeEnvelope(c=2.0, rho=0.7), ShapeEnvelope(c=3.0, rho=0.5))
+        assert _decay(out) == (2.0, 1.2) and out.c == 6.0
+
+    def test_sum_off_center_zero_is_the_sum(self):
+        env = LAW_ENVELOPES[-1]
+        assert env.off_center(0.0) is env
 
     @pytest.mark.parametrize("env", LAW_ENVELOPES, ids=LAW_IDS)
     @pytest.mark.parametrize("k", [0.3, 2.5])
@@ -506,24 +536,29 @@ class TestEnvelopes:
     @pytest.mark.parametrize(
         "env,integrable",
         [
-            (ConstEnvelope(), False),
-            (PowerEnvelope(p=0.5), False),
-            (PowerEnvelope(p=1.0), False),
-            (PowerEnvelope(p=1.5), True),
-            (ExpEnvelope(), True),
-            (ResolventEnvelope(), True),
-            (StretchedExpEnvelope(alpha=0.1), True),
+            (ShapeEnvelope(c=1.0), False),
+            (ShapeEnvelope(c=1.0, p=0.5), False),
+            (ShapeEnvelope(c=1.0, p=1.0), False),
+            (ShapeEnvelope(c=1.0, p=1.5), True),
+            (ShapeEnvelope(c=1.0, rho=1.0), True),
+            (ShapeEnvelope(c=1.0, p=2.0, s=1.0), True),
+            (ShapeEnvelope(c=1.0, p=0.9, rho=1.0, alpha=0.1), True),
             (SumEnvelope(), True),
-            (SumEnvelope.of(ExpEnvelope(), PowerEnvelope(p=0.5)), False),
-            (SumEnvelope.of(ExpEnvelope(), ConstEnvelope()), False),
-            (SumEnvelope.of(ExpEnvelope(), StretchedExpEnvelope()), True),
+            (SumEnvelope.of(ShapeEnvelope(c=1.0, rho=1.0), ShapeEnvelope(c=1.0, p=0.5)), False),
+            (SumEnvelope.of(ShapeEnvelope(c=1.0, rho=1.0), ShapeEnvelope(c=1.0)), False),
+            (
+                SumEnvelope.of(
+                    ShapeEnvelope(c=1.0, rho=1.0), ShapeEnvelope(c=1.0, p=0.5, rho=1.0, alpha=0.5)
+                ),
+                True,
+            ),
         ],
     )
     def test_integrable(self, env, integrable):
         assert env.integrable is integrable
 
     @pytest.mark.parametrize(
-        "env", [PowerEnvelope(p=1.0), PowerEnvelope(p=0.5), ConstEnvelope()],
+        "env", [ShapeEnvelope(c=1.0, p=1.0), ShapeEnvelope(c=1.0, p=0.5), ShapeEnvelope(c=1.0)],
         ids=["p=1", "p=0.5", "const"],
     )
     def test_map_rejects_a_non_integrable_envelope(self, env):
@@ -903,10 +938,10 @@ class TestPanelSlices:
     @pytest.mark.parametrize(
         "f,env",
         [
-            (lambda t: np.cos(3.0 * t) / (1.0 + t * t) ** 2, PowerEnvelope(p=4.0, c=1.0, t0=1.0)),
+            (lambda t: np.cos(3.0 * t) / (1.0 + t * t) ** 2, ShapeEnvelope(t0=1.0, c=1.0, p=4.0)),
             (
                 lambda t: np.exp(2j * t) / (1.0 + t * t) ** 2,
-                PowerEnvelope(p=4.0, c=1.0, t0=1.0),
+                ShapeEnvelope(t0=1.0, c=1.0, p=4.0),
             ),
         ],
         ids=["real", "complex"],
