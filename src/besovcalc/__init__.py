@@ -10,7 +10,6 @@ from .errors import (
     IntegralNotNormConvergent,
     InvalidParameter,
     NonConvergence,
-    NotDiagonalizable,
     ProfileDivergence,
     RangeViolation,
     SingularShift,

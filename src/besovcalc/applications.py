@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidParameter, NotDiagonalizable
+from .errors import InvalidParameter
 from .estimates import EstimateReport, majorant_integral, require_positive
 from .functions import (
     AnalyticFunction,
@@ -30,12 +30,12 @@ from .norms import BOUNDARY_OFFSET, b_norm, fitted_slope, hinf_norm, left_line_s
 from .operators import (
     MatrixOperator,
     _as_vector,
+    _semigroup_norms,
     _semigroup_sup,
     apply_calculus,
     apply_calculus_report,
     gamma_hat,
     gamma_weak_sample,
-    is_normal,
     semigroup,
 )
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig
@@ -72,7 +72,7 @@ def stability_constants(A: MatrixOperator) -> tuple[float, float]:
     if w_spec <= 0:
         raise InvalidParameter("exponential-stability fit needs min Re spectrum > 0")
     ts = np.geomspace(0.05, max(4.0 / w_spec, 1.0), 40)
-    norms = np.linalg.norm(semigroup(A, ts), 2, axis=(1, 2))
+    norms = _semigroup_norms(A, ts)
     omega = min(-fitted_slope(ts, np.log(norms)), w_spec) * 0.999
     if omega <= 0:
         omega = 0.5 * w_spec
@@ -126,7 +126,7 @@ def check_band_operator(
     lhs = _opnorm(rep.value)
     prof = A.profile()
     f_inf = hinf_norm(f).value
-    if is_normal(A):
+    if A.spectral is not None:
         rhs = 2.0 * prof.K**2 * (1.0 + 2.0 * math.log(1.0 + 2.0 * sigma / eps)) * f_inf
         variant = "normal"
     else:
@@ -182,10 +182,8 @@ def check_fractional_smoothing(
 ) -> EstimateReport:
     """||g(A) (lam+A)^(-alpha)|| <= (4 + 1/alpha) K^2 / m^alpha * left-line sup."""
     require_positive(alpha=alpha, omega=omega)
-    if not is_normal(A):
+    if A.spectral is None:
         raise InvalidParameter("fractional-smoothing bound is for the Hilbert model")
-    if not A.diagonalizable:
-        raise NotDiagonalizable("matrix power needs the eigendecomposition")
     lam = complex(lam)
     if lam.real <= 0:
         raise InvalidParameter("needs Re lambda > 0")
@@ -233,7 +231,7 @@ def check_exp_stable_decay(
     cfg: QuadratureConfig = DEFAULT_CONFIG,
 ) -> EstimateReport:
     """Exponentially stable Hilbert model: ||f(A)|| <= 6 M^2 int h(t)/(omega+t) dt."""
-    if not is_normal(A):
+    if A.spectral is None:
         raise InvalidParameter("exp-stable-decay bound is for the Hilbert model")
     M, omega = stability_constants(A)
     shifted = MatrixOperator(A.matrix - omega * np.eye(A.n), label=f"{A.label}-{omega:.3g}")
@@ -284,13 +282,13 @@ def inverse_generator_constant(
 ) -> dict:
     """Measured constant in ||exp(-t A^(-1))|| <= C_A (1 + log(1+t)); reported only."""
     inv_op = _inverse_generator(A)
-    norms = np.linalg.norm(semigroup(inv_op, ts), 2, axis=(1, 2))
+    norms = _semigroup_norms(inv_op, ts)
     vals = {float(t): float(v) for t, v in zip(ts, norms)}
     c_meas = max(v / (1.0 + math.log1p(t)) for t, v in vals.items())
     envelope_const = max(
         b_norm(vitse_reg(t), cfg).value / (1.0 + math.log1p(t)) for t in (1.0, 16.0)
     )
-    c_a = 2.0 * envelope_const * _semigroup_sup(A)[0] ** 2 * _opnorm(
+    c_a = 2.0 * envelope_const * _semigroup_sup(A) ** 2 * _opnorm(
         (np.eye(A.n) + inv_op.matrix) @ (np.eye(A.n) + inv_op.matrix)
     )
     return {"measured": c_meas, "predicted": c_a, "values": vals}

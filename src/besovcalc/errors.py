@@ -52,7 +52,3 @@ class ProfileDivergence(BesovCalcError):
 
 class IntegralNotNormConvergent(BesovCalcError):
     """Preconditions for the norm-convergent double integral fail."""
-
-
-class NotDiagonalizable(BesovCalcError):
-    """Eigendecomposition oracle requested for an unsupported defective matrix."""

@@ -179,7 +179,7 @@ def envelope_product(e1: DecayEnvelope, e2: DecayEnvelope) -> DecayEnvelope:
         return SumEnvelope.of(*(envelope_product(p, e2) for p in e1.parts))
     if isinstance(e2, SumEnvelope):
         return SumEnvelope.of(*(envelope_product(e1, p) for p in e2.parts))
-    t0 = max(e1.t0, e2.t0, 1e-12)
+    t0 = max(e1.t0, e2.t0)
     low, high = sorted((e1, e2), key=lambda e: (e.rho > 0, e.alpha))
     same = low.alpha == high.alpha
     return ShapeEnvelope(

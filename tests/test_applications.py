@@ -20,7 +20,6 @@ from besovcalc.applications import (
     inverse_generator_check,
     inverse_generator_consistency,
     inverse_generator_constant,
-    is_normal,
     spectral_mapping_check,
     stability_constants,
 )
@@ -54,9 +53,13 @@ def inv_square_profile():
 
 
 class TestHilbertAndSectorial:
-    def test_is_normal(self):
-        assert is_normal(DIAG12)
-        assert not is_normal(jordan_operator(1.0, 2))
+    def test_spectral_decides_normality(self):
+        """`spectral` is the one normality test; `contractive` (K = 1) also holds for
+        accretive non-normal operators."""
+        assert DIAG12.spectral is not None and DIAG12.contractive
+        A = jordan_operator(1.0, 2)
+        assert A.spectral is None and A.contractive
+        assert not jordan_operator(0.1, 2).contractive
 
     def test_hilbert_bound(self):
         assert check_hilbert_calc_bound(DIAG12, exp_decay(1.0), CFG).passed
@@ -72,7 +75,7 @@ class TestHilbertAndSectorial:
             "sectorial_random(6,seed=1,angle=1.3)",
         ):
             A = parse_operator_spec(spec)
-            assert not is_normal(A)
+            assert A.spectral is None
             reports = [
                 check_hilbert_calc_bound(A, exp_decay(1.0), CFG),
                 check_smoothed_window(A, resolvent(2.0), 1.0, 1.0),

@@ -199,6 +199,18 @@ class TestPairingValues:
         assert got.error < 1e-6
         assert abs(got.value - ref) <= got.error
 
+    def test_cubed_resolvent_pairing_is_certified(self):
+        # a product's envelopes hold from its factors' t0 = 0, so r_1 * r_1 keeps
+        # sup |r_1^2| = 1 and e0_upper(r_1 r_1 r_1) = 3 pi certifies the pairing;
+        # r_1^3 = (1/2) d^2/da^2 r_a at a = 1, so <r_1^3, eta> = (pi/4) eta''(1)
+        ref = 0.25 * math.pi * float(mpmath.diff(lambda z: (1 - mpmath.exp(-z)) / z, 1, 2))
+        r = resolvent(1.0)
+        g = mul(mul(r, r), r)
+        assert g.profiles.e0_upper == pytest.approx(3.0 * math.pi, rel=1e-15)
+        got = pairing(g, eta(), CFG)
+        assert got.error < 1e-6
+        assert abs(got.value - ref) <= got.error
+
     def test_no_pole_radius_on_either_side_is_rejected(self, capsys):
         with pytest.raises(IntegralNotNormConvergent):
             pairing(eta(), eta(), CFG)

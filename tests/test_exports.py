@@ -94,3 +94,45 @@ def test_least_squares_solver_only_in_the_jordan_oracle():
                 if isinstance(name, str) and name.rsplit(".", 1)[-1] in ("polyfit", "lstsq"):
                     found.add((path.stem, owner, name))
     assert found == set()
+
+
+def _private_definitions_and_references():
+    """({(module, name)} of each private module-level function, class or constant in the
+    package, and the set of names each top-level statement references, keyed by
+    (module, statement index)."""
+    defined, refs = set(), {}
+    for path in sorted(pathlib.Path(besovcalc.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for i, top in enumerate(tree.body):
+            if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [top.name]
+            elif isinstance(top, (ast.Assign, ast.AnnAssign)):
+                targets = top.targets if isinstance(top, ast.Assign) else [top.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                names = []
+            private = [n for n in names if n.startswith("_") and not n.startswith("__")]
+            defined |= {(path.stem, n, i) for n in private}
+            used = set()
+            for n in ast.walk(top):
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+                    used.add(n.id)
+                elif isinstance(n, ast.Attribute):
+                    used.add(n.attr)
+                elif isinstance(n, ast.alias):
+                    used.add(n.name)
+            refs[path.stem, i] = used
+    return defined, refs
+
+
+def test_every_private_helper_is_referenced():
+    """A private module-level name that no other statement in the package reads is dead
+    code: deleting a caller must delete the helper, constant or class it alone used."""
+    defined, refs = _private_definitions_and_references()
+    assert defined
+    unreferenced = [
+        f"{module}.{name}"
+        for module, name, i in sorted(defined)
+        if not any(name in used for key, used in refs.items() if key != (module, i))
+    ]
+    assert unreferenced == []

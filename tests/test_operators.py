@@ -57,7 +57,6 @@ from besovcalc.operators import (
     profile,
     random_normal_operator,
     random_sectorial_operator,
-    is_normal,
     read_matrix_text,
     resolvent_matrix,
     semigroup,
@@ -451,7 +450,7 @@ class TestAdmission:
         clustering tolerance, so a diagonal matrix keeps its eigenvectors."""
         A = MatrixOperator(np.diag([1.0, 1.0 + 2e-7, 3.0]))
         assert A.diagonalizable and A.clusters[0] == (pytest.approx(1.0 + 1e-7), True)
-        assert A.spectral() is not None
+        assert A.spectral is not None
         expect = np.diag(np.exp(-np.array([1.0, 1.0 + 2e-7, 3.0])))
         assert np.max(np.abs(oracle_apply(A, exp_decay(1.0), CFG) - expect)) < 1e-15
 
@@ -482,7 +481,9 @@ class TestProfile:
         s = math.acosh(1.0 / (2.0 * lam))
         exact = math.exp(s - 2.0 * lam * math.sinh(s))
         assert exact > 1.0
-        assert _semigroup_sup(jordan_operator(lam, 2)) == (pytest.approx(exact, rel=1e-12), False)
+        A = jordan_operator(lam, 2)
+        assert _semigroup_sup(A) == pytest.approx(exact, rel=1e-12)
+        assert not A.contractive
 
     def test_semigroup_settling_evaluates_only_new_points(self, monkeypatch):
         # the first round covers log2 t in [-12, 8), the second appends [8, 14);
@@ -496,8 +497,8 @@ class TestProfile:
 
         monkeypatch.setattr(operators, "_semigroup_norms", recording)
         # (A + A^H)/2 has least eigenvalue -0.4, so K comes from the search
-        K, exact = _semigroup_sup(parse_operator_spec("jordan(lambda=0.1,m=2)"))
-        assert K > 1.0 and not exact
+        A = parse_operator_spec("jordan(lambda=0.1,m=2)")
+        assert _semigroup_sup(A) > 1.0 and not A.contractive
         assert sizes == [80, 24] + [1] * 32
 
     def test_gamma_settled_flag(self):
@@ -589,9 +590,9 @@ NORMAL_CASES = [
 def _dense_twin(matrix, monkeypatch):
     """The same matrix as an operator that the normality test turns away."""
     with monkeypatch.context() as m:
-        m.setattr(operators, "is_normal", lambda A: False)
+        m.setattr(operators, "_diagonalise", lambda A: None)
         A = MatrixOperator(matrix)
-        assert A.spectral() is None
+        assert A.spectral is None
     return A
 
 
@@ -599,7 +600,7 @@ class TestSpectralPath:
     @pytest.mark.parametrize("name,matrix", NORMAL_CASES, ids=[c[0] for c in NORMAL_CASES])
     def test_profile_matches_dense(self, name, matrix, monkeypatch):
         A = MatrixOperator(matrix)
-        spec = A.spectral()
+        spec = A.spectral
         assert spec is not None
         assert spec.residual <= 1e-12 * max(1.0, A.norm2)
         B = _dense_twin(matrix, monkeypatch)
@@ -625,14 +626,13 @@ class TestSpectralPath:
 
     def test_perturbed_normal_takes_dense_path(self):
         A = MatrixOperator(np.diag([1.0, 2.0]) + 1e-6 * np.eye(2, k=1))
-        assert not is_normal(A)
-        assert A.spectral() is None
+        assert A.spectral is None
 
     def test_rotated_repeated_eigenvalue(self):
         rng = np.random.default_rng(3)
         q, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
         lam = np.array([1.0, 1.0, 1.0 + 2.0j, 2.0])
-        spec = MatrixOperator(q @ np.diag(lam) @ q.conj().T).spectral()
+        spec = MatrixOperator(q @ np.diag(lam) @ q.conj().T).spectral
         assert spec is not None
         assert np.allclose(np.sort_complex(spec.lam.round(12)), lam, atol=1e-13)
         assert np.allclose(spec.q.conj().T @ spec.q, np.eye(4), atol=1e-13)
@@ -641,7 +641,7 @@ class TestSpectralPath:
         A = MatrixOperator(np.diag([1.0, 2.0]))
         f = resolvent(1.0)
         base = apply_calculus_report(A, f).error
-        A.spectral().residual = 1e-3
+        A.spectral.residual = 1e-3
         # max |f[lam_i, lam_j]| = |f'(1)| = 1/4 for r_1 on {1, 2}
         assert apply_calculus_report(A, f).error == pytest.approx(base + 0.25e-3, rel=1e-9)
 
@@ -652,6 +652,46 @@ class TestSpectralPath:
         # a pair closer than the cancellation guard takes the larger endpoint slope
         near = np.array([1.0, 1.0 + 1e-6], dtype=complex)
         assert _spectral_lipschitz(resolvent(1.0), near) == pytest.approx(0.25, rel=1e-12)
+
+
+def _normality_sweep():
+    """Operators of the default manifest, calculus-style blocks, the random families at
+    n = 2 ... 64, and normal matrices with upper-triangle perturbations of 1e-14 ... 1e-9."""
+    from besovcalc.suite import VALIDATORS
+
+    specs = {"diag(1,2)", "diag(1)", "diag(1,4)"}
+    specs |= {p["A"] for _, grid in VALIDATORS.values() for p in grid if "A" in p}
+    ops = [parse_operator_spec(s) for s in sorted(specs)]
+    rng = np.random.default_rng(7)
+    for n in (2, 3, 12):
+        lam = rng.uniform(0.5, 5.0, n) + 1j * rng.uniform(-5.0, 5.0, n)
+        q, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+        v = np.eye(n) + 0.25 * np.triu(rng.normal(size=(n, n)), 1)
+        ops.append(MatrixOperator(q @ np.diag(lam) @ q.conj().T))
+        ops.append(MatrixOperator(v @ np.diag(lam) @ np.linalg.inv(v)))
+        ops.append(MatrixOperator(q @ (lam[0] * np.eye(n) + np.eye(n, k=1)) @ q.conj().T))
+    for n in (2, 4, 8, 16, 32, 64):
+        ops.append(random_normal_operator(n, n))
+        ops.append(random_sectorial_operator(n, n, 0.5))
+    for n in (2, 8, 64):
+        base = random_normal_operator(n, 3).matrix
+        for eps in (1e-14, 1e-13, 1e-12, 1e-11, 1e-10, 1e-9):
+            ops.append(MatrixOperator(base + eps * np.triu(np.ones((n, n)), 1)))
+    return ops
+
+
+def test_spectral_path_implies_normal():
+    """The diagonalisation's residual test implies the commutator bound
+    ||A A^H - A^H A||_F <= 1e-10 max(1, ||A||_2^2), so it is the one normality test."""
+    taken = 0
+    for A in _normality_sweep():
+        if A.spectral is None:
+            continue
+        taken += 1
+        a = A.matrix
+        comm = float(np.linalg.norm(a @ a.conj().T - a.conj().T @ a))
+        assert comm <= 1e-10 * max(1.0, A.norm2**2), A.label
+    assert taken >= 20
 
 
 def _unit_pairs(n, npairs=200, seed=42):
@@ -688,7 +728,7 @@ def _weak_integrand(A):
 def _weak_operator(path, n, monkeypatch):
     if path == "spectral":
         A = random_normal_operator(n, 3)
-        assert A.spectral() is not None
+        assert A.spectral is not None
         return A
     return _dense_twin(random_sectorial_operator(n, 4, 0.5).matrix, monkeypatch)
 
@@ -698,7 +738,7 @@ def _weak_reference(A, alpha, betas, pairs):
     d @ weights on the spectral one."""
     xs, ys = pairs
     zs = alpha + 1j * betas
-    spec = A.spectral()
+    spec = A.spectral
     if spec is None:
         inv = np.linalg.inv(zs[:, None, None] * np.eye(A.n) + A.matrix)
         r2 = inv @ inv
@@ -787,7 +827,7 @@ def _sectoriality_loop(A):
 @pytest.mark.parametrize("seed", [1, 3, 8])
 def test_dense_sectoriality_grid_matches_loop(seed):
     A = random_sectorial_operator(4, seed, 0.5236)
-    assert A.spectral() is None
+    assert A.spectral is None
     assert _sectoriality_sup(A) == pytest.approx(_sectoriality_loop(A), rel=1e-12)
 
 
@@ -814,7 +854,7 @@ def test_spectral_profile_closed_forms(spec, monkeypatch):
     """On the spectral path K = 1 and M = max(1, max |lam| / Re lam) exactly, with
     no semigroup norm computed."""
     A = parse_operator_spec(spec)
-    assert A.spectral() is not None
+    assert A.spectral is not None
     dense_m = math.inf if spec == "diag(i,-i,1)" else _sectoriality_loop(A)
 
     def disabled(*args):
@@ -829,20 +869,20 @@ def test_spectral_profile_closed_forms(spec, monkeypatch):
 class TestApplyCalculus:
     @pytest.mark.parametrize("spec,settled", [("diag(1e6)", False), ("diag(1,2)", True)])
     def test_certified_follows_gamma_settled(self, spec, settled):
-        """Certification no longer follows gamma_hat's settled flag but K_exact: on a
-        positive diagonal K = 1 exactly, so diag(1e6), whose gamma_hat grid ends
+        """Certification no longer follows gamma_hat's settled flag but `contractive`: on
+        a positive diagonal K = 1 exactly, so diag(1e6), whose gamma_hat grid ends
         below the exact 2, is certified as diag(1,2) is, and covers its oracle gap."""
         A = parse_operator_spec(spec)
         f = cayley_pow(1)
         rep = apply_calculus_report(A, f)
         assert gamma_hat(A)[1] is settled
-        assert rep.certified and A.profile().K_exact
+        assert rep.certified and A.contractive
         assert float(np.max(np.abs(rep.value - oracle_apply(A, f, CFG)))) <= rep.error
 
     def test_certified_follows_k_exact(self, monkeypatch):
-        """The bound's weight pi K^2 is an upper weight when K is exact.  The
+        """The bound's weight pi K^2 is an upper weight when K = 1 exactly.  The
         accretive jordan(1,2) needs neither a semigroup norm nor gamma_hat; and
-        jordan(0.1,2) takes K from the search, so it is not certified."""
+        jordan(0.1,2) is not contractive, so it is not certified."""
         f = cayley_pow(1)
 
         def disabled(*args):
@@ -854,7 +894,18 @@ class TestApplyCalculus:
             assert apply_calculus_report(jordan_operator(1.0, 2), f).certified
         A = jordan_operator(0.1, 2)
         rep = apply_calculus_report(A, f)
-        assert not rep.certified and not A.profile().K_exact
+        assert not rep.certified and not A.contractive
+        assert float(np.max(np.abs(rep.value - oracle_apply(A, f, CFG)))) <= rep.error
+
+    def test_certifies_from_contractive(self, monkeypatch):
+        """Certification reads `contractive`, not the profile's K: with the K search
+        replaced by a claim of K = 1, jordan(0.1,2) is still not certified."""
+        f = cayley_pow(1)
+        A = jordan_operator(0.1, 2)
+        monkeypatch.setattr(operators, "_semigroup_sup", lambda A: 1.0)
+        rep = apply_calculus_report(A, f)
+        assert A.profile().K == 1.0
+        assert not rep.certified and not A.contractive
         assert float(np.max(np.abs(rep.value - oracle_apply(A, f, CFG)))) <= rep.error
 
     @pytest.mark.parametrize("spec", ["diag(1,2)", "jordan(lambda=1,m=2)"])

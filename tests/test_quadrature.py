@@ -477,6 +477,11 @@ class TestEnvelopes:
         )
         assert p.p == 3.0 and p.c == 2.0
 
+    def test_product_holds_from_the_factors_t0(self):
+        # no floor on t0: factors that hold from 0 on give a product that does too
+        out = envelope_product(ShapeEnvelope(c=1.0, p=2.0, s=1.0), ShapeEnvelope(c=2.0))
+        assert out.t0 == 0.0 and out.bound(0.0) == 2.0
+
     @pytest.mark.parametrize("e2", LAW_ENVELOPES, ids=LAW_IDS)
     @pytest.mark.parametrize("e1", LAW_ENVELOPES, ids=LAW_IDS)
     def test_product_covers_the_product_of_bounds(self, e1, e2):
