@@ -62,6 +62,13 @@ def _opnorm(m: np.ndarray) -> float:
     return float(np.linalg.norm(m, 2))
 
 
+def _calculus_norm(A: MatrixOperator, f: AnalyticFunction) -> tuple[float, float]:
+    """||f(A)||_2 and its error bound: n times the calculus's bound on the largest entry of
+    the error E, since ||E||_2 <= n max |E_ij|."""
+    rep = apply_calculus_report(A, f)
+    return _opnorm(rep.value), A.n * rep.error
+
+
 def stability_constants(A: MatrixOperator) -> tuple[float, float]:
     """Exponential-stability fit ||exp(-tA)|| <= M exp(-omega t).
 
@@ -84,16 +91,9 @@ def check_hilbert_calc_bound(
     A: MatrixOperator, f: AnalyticFunction, cfg: QuadratureConfig = DEFAULT_CONFIG
 ) -> EstimateReport:
     """||f(A)|| <= 2 K^2 ||f||_B for any bounded semigroup; K is a lower estimate if not exact."""
-    rep = apply_calculus_report(A, f)
-    lhs = _opnorm(rep.value)
+    lhs, err = _calculus_norm(A, f)
     rhs = 2.0 * A.profile().K ** 2 * b_norm(f, cfg).value
-    return EstimateReport(
-        "hilbert_calc_bound",
-        {"A": A.label, "f": f.label},
-        lhs,
-        rhs,
-        rep.error,
-    )
+    return EstimateReport("hilbert_calc_bound", {"A": A.label, "f": f.label}, lhs, rhs, err)
 
 
 def check_sectorial_gamma(A: MatrixOperator) -> EstimateReport:
@@ -122,8 +122,7 @@ def check_band_operator(
 ) -> EstimateReport:
     """Spectral-band operator bound, Hilbert or sectorial flavour by profile."""
     require_positive(eps=eps, sigma=sigma)
-    rep = apply_calculus_report(A, f)
-    lhs = _opnorm(rep.value)
+    lhs, err = _calculus_norm(A, f)
     prof = A.profile()
     f_inf = hinf_norm(f).value
     if A.spectral is not None:
@@ -146,7 +145,7 @@ def check_band_operator(
         {"A": A.label, "f": f.label, "eps": eps, "sigma": sigma, "variant": variant},
         lhs,
         rhs,
-        rep.error,
+        err,
     )
 
 
@@ -160,16 +159,14 @@ def check_smoothed_window(
     bounded semigroup; K is a lower estimate if not exact."""
     require_positive(omega=omega, tau=tau)
     g_left = left_line_sup(g, omega)
-    f = mul(g, exp_decay(tau))
-    rep = apply_calculus_report(A, f)
-    lhs = _opnorm(rep.value)
+    lhs, err = _calculus_norm(A, mul(g, exp_decay(tau)))
     rhs = 2.0 * A.profile().K ** 2 * (2.0 + 0.5 * math.log1p(1.0 / (omega * tau))) * g_left
     return EstimateReport(
         "smoothed_window",
         {"A": A.label, "g": g.label, "omega": omega, "tau": tau},
         lhs,
         rhs,
-        rep.error,
+        err,
     )
 
 
@@ -180,7 +177,9 @@ def check_fractional_smoothing(
     alpha: float,
     omega: float,
 ) -> EstimateReport:
-    """||g(A) (lam+A)^(-alpha)|| <= (4 + 1/alpha) K^2 / m^alpha * left-line sup."""
+    """||g(A) (lam+A)^(-alpha)|| <= (4 + 1/alpha) K^2 / m^alpha * left-line sup.  An error E
+    in g(A) moves the left side by at most ||E||_2 ||(lam+A)^(-alpha)||_2, and
+    ||E||_2 <= n max |E_ij|."""
     require_positive(alpha=alpha, omega=omega)
     if A.spectral is None:
         raise InvalidParameter("fractional-smoothing bound is for the Hilbert model")
@@ -188,10 +187,10 @@ def check_fractional_smoothing(
     if lam.real <= 0:
         raise InvalidParameter("needs Re lambda > 0")
     g_left = left_line_sup(g, omega)
-    ga = apply_calculus(A, g)
+    rep = apply_calculus_report(A, g)
     v = A.eigenvectors
     frac = v @ np.diag((lam + A.eigenvalues) ** (-alpha)) @ np.linalg.inv(v)
-    lhs = _opnorm(ga @ frac)
+    lhs = _opnorm(rep.value @ frac)
     m = min(omega, lam.real)
     rhs = (4.0 + 1.0 / alpha) * A.profile().K ** 2 / m**alpha * g_left
     return EstimateReport(
@@ -199,7 +198,7 @@ def check_fractional_smoothing(
         {"A": A.label, "g": g.label, "lambda": str(lam), "alpha": alpha, "omega": omega},
         lhs,
         rhs,
-        1e-5,
+        A.n * rep.error * _opnorm(frac),
     )
 
 
@@ -212,15 +211,10 @@ def check_deriv_operator(
     """||f'(A)|| <= 3 K^2 / omega * left-line sup of f; K is a lower estimate if not exact."""
     require_positive(omega=omega)
     f_left = left_line_sup(f, omega)
-    rep = apply_calculus_report(A, fprime)
-    lhs = _opnorm(rep.value)
+    lhs, err = _calculus_norm(A, fprime)
     rhs = 3.0 * A.profile().K ** 2 / omega * f_left
     return EstimateReport(
-        "deriv_operator",
-        {"A": A.label, "f": f.label, "omega": omega},
-        lhs,
-        rhs,
-        rep.error,
+        "deriv_operator", {"A": A.label, "f": f.label, "omega": omega}, lhs, rhs, err
     )
 
 
@@ -235,16 +229,14 @@ def check_exp_stable_decay(
         raise InvalidParameter("exp-stable-decay bound is for the Hilbert model")
     M, omega = stability_constants(A)
     shifted = MatrixOperator(A.matrix - omega * np.eye(A.n), label=f"{A.label}-{omega:.3g}")
-    g = shift(f, omega)
-    rep = apply_calculus_report(shifted, g)
-    lhs = _opnorm(rep.value)
+    lhs, err = _calculus_norm(shifted, shift(f, omega))
     rhs = 6.0 * M**2 * majorant_integral(h, omega, cfg)
     return EstimateReport(
         "exp_stable_decay",
         {"A": A.label, "f": f.label, "M": M, "omega": omega},
         lhs,
         rhs,
-        rep.error,
+        err,
     )
 
 
@@ -344,7 +336,7 @@ def spectral_mapping_check(A: MatrixOperator, f: AnalyticFunction) -> dict:
     return {
         "inclusion_defect": incl,
         "hausdorff": haus,
-        "sectorial": math.isfinite(A.profile().M),
+        "sectorial": A.sectorial,
     }
 
 

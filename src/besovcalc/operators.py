@@ -203,6 +203,14 @@ class MatrixOperator:
         eps = np.finfo(float).eps
         return bool(np.linalg.eigvals(herm).real.min() >= 4.0 * self.n * eps * self.norm2)
 
+    @cached_property
+    def sectorial(self) -> bool:
+        """Whether sup over real y of |y| ||(iy + A)^(-1)|| is finite: no eigenvalue with
+        |lam| > 1e-9 max(1, ||A||_2) has |Re lam| within that tolerance."""
+        tol = 1e-9 * max(1.0, self.norm2)
+        lam = self.eigenvalues
+        return not np.any((np.abs(lam.real) <= tol) & (np.abs(lam) > tol))
+
 
 @dataclass
 class Spectral:
@@ -479,10 +487,9 @@ def _semigroup_sup(A: MatrixOperator) -> float:
 
 def _sectoriality_sup(A: MatrixOperator) -> float:
     """max(1, sup over real y of |y| ||(iy + A)^(-1)||): a closed form on the spectral path."""
-    lam = A.eigenvalues
-    scale = max(1.0, A.norm2)
-    if np.any((np.abs(lam.real) <= 1e-9 * scale) & (np.abs(lam) > 1e-9 * scale)):
+    if not A.sectorial:
         return math.inf
+    scale = max(1.0, A.norm2)
     spec = A.spectral
     if spec is not None:
         # sup over y of |y| / |iy + lam| is |lam| / Re lam

@@ -464,22 +464,22 @@ def integrate_line(
     f,
     envelope: DecayEnvelope,
     cfg: QuadratureConfig = DEFAULT_CONFIG,
-    *,
-    strict: bool = True,
 ) -> QuadResult:
     """Integrate f over the whole line in one `integrate_interval` run over v in (-1, 1),
-    y = sign(v) x(|v|) on `halfline_map` of the envelope: no cutoff and no tail.  The
-    breakpoints are 0 and the map's images +-u_j of the dyadic points
-    x_j = max(t0, 1)/4 * 4^j, while 1 - u_j >= _LINE_BREAK_GAP, so that the engine starts
-    from panels that each span a factor 4 of |y|.  f is checked against the envelope on
-    both sides first, and its values are scaled in place (see `_on_map`)."""
+    y = sign(v) x(|v|) on `halfline_map` of the envelope: no cutoff and no tail.  The run is
+    not strict, as `integrate_contour`'s is not: a run that stops short of its tolerance
+    raises nothing and shows in `QuadResult.converged`.  The breakpoints are 0 and the
+    map's images +-u_j of the dyadic points x_j = max(t0, 1)/4 * 4^j, while
+    1 - u_j >= _LINE_BREAK_GAP, so that the engine starts from panels that each span a
+    factor 4 of |y|.  f is checked against the envelope on both sides first, and its values
+    are scaled in place (see `_on_map`)."""
     mapped = _on_map(f, envelope, (1.0, -1.0))
     k, S = _map_scale(envelope, 0.0)
     bp, x = [0.0], max(envelope.t0, 1.0) / 4.0
     while (gap := (1.0 + x / S) ** (-1.0 / k)) >= _LINE_BREAK_GAP:  # 1 - u at x
         bp += [1.0 - gap, gap - 1.0]
         x *= 4.0
-    return integrate_interval(mapped, -1.0, 1.0, cfg, breakpoints=bp, strict=strict)
+    return integrate_interval(mapped, -1.0, 1.0, cfg, breakpoints=bp, strict=False)
 
 
 def integrate_contour(
@@ -582,12 +582,13 @@ EDGE_ALLOWANCE = 2.0**-18
 
 
 def line_weight(h, env: DecayEnvelope, x: float, cfg: QuadratureConfig):
-    """x * Re int h(x + iy) dy under env, and whether it converged.  The factor x amplifies
-    absolute errors, so the absolute tolerance shrinks by 1/max(x, 1)."""
+    """x * Re int h(x + iy) dy under env, and whether `integrate_line`, which is not strict,
+    converged.  The factor x amplifies absolute errors, so the absolute tolerance shrinks
+    by 1/max(x, 1)."""
     shrink = max(x, 1.0)
     res = integrate_line(
         lambda ys: h(x + 1j * np.asarray(ys, dtype=float)), env,
-        cfg.with_tolerances(abs_tol=cfg.abs_tol / shrink), strict=False,
+        cfg.with_tolerances(abs_tol=cfg.abs_tol / shrink),
     )
     return x * np.real(res.value), res.converged
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import inspect
 import math
 import re
 
@@ -36,6 +37,7 @@ from .functions import (
     BernsteinFunction,
     DecayProfile,
     _parse_pair_list,
+    band_function,
     mul,
     parse_function_spec,
     parse_number,
@@ -48,24 +50,18 @@ from .quadrature import DEFAULT_CONFIG, QuadratureConfig, ShapeEnvelope
 __all__ = ["run_suite", "parse_manifest", "default_manifest", "VALIDATORS"]
 
 
-def _r_squared():
-    return mul(resolvent(1.0), resolvent(1.0))
-
-
-def _inv_square_profile():
-    return DecayProfile(
+def _r_squared_and_majorant():
+    """r_1^2 and its boundary majorant 1/(1 + t^2)."""
+    h = DecayProfile(
         h=lambda t: 1.0 / (1.0 + np.asarray(t, dtype=float) ** 2),
         envelope=ShapeEnvelope(c=1.0, p=2.0, s=1.0),
     )
+    return mul(resolvent(1.0), resolvent(1.0)), h
 
 
-def _neg_deriv_of_resolvent(a: float):
-    return scale(mul(resolvent(a), resolvent(a)), -1.0)
-
-
-def _real(p: dict, key: str, default: float) -> float:
-    """A finite real manifest parameter."""
-    return parse_number(str(p.get(key, default)), key, float)
+def _resolvent_and_deriv(a: float):
+    """r_a and its derivative -r_a^2."""
+    return resolvent(a), scale(mul(resolvent(a), resolvent(a)), -1.0)
 
 
 def _bernstein_from(name: str) -> BernsteinFunction:
@@ -79,248 +75,147 @@ def _bernstein_from(name: str) -> BernsteinFunction:
     return table[name]
 
 
-def _run_band_embedding(p, cfg):
-    eps, sigma = _real(p, "eps", 1.0), _real(p, "sigma", 4.0)
-    coeffs = p.get("coeffs", [(eps, 1.0), (sigma, -1.0)])
-    if isinstance(coeffs, str):  # manifest text
-        coeffs = _parse_pair_list(coeffs)
+# How the manifest reads each key's text: a spec parser, or the kind of number (a finite
+# real for any key not listed).  Defaults and grid values are read from their str().
+_READERS = {
+    "A": parse_operator_spec,
+    "f": parse_function_spec,
+    "g": parse_function_spec,
+    "fb": _bernstein_from,
+    "coeffs": _parse_pair_list,
+    "n": int,
+    "lambda": complex,
+}
+
+
+def _read(family: str, key: str, value):
+    """One manifest value, named "<family> <key>" in errors; None, a default that the
+    family's adapter derives, stays None."""
+    if value is None:
+        return None
+    reader = _READERS.get(key, float)
+    if isinstance(reader, type):
+        return parse_number(str(value), f"{family} {key}", reader)
+    return reader(str(value))
+
+
+def _runner(family: str, check, defaults: dict):
+    """runner(params, cfg): check(*values) for the keys of defaults in order, each read from
+    params or else from its default, with cfg last when check's signature names one."""
+    takes_cfg = "cfg" in inspect.signature(check).parameters
+
+    def run(params: dict, cfg: QuadratureConfig) -> EstimateReport:
+        values = [_read(family, k, params.get(k, d)) for k, d in defaults.items()]
+        return check(*values, cfg) if takes_cfg else check(*values)
+
+    return run
+
+
+# Adapters for the families whose checks take inputs derived from the manifest's values.
+
+
+def _band_embedding(eps, sigma, coeffs, cfg):
+    if coeffs is None:
+        coeffs = [(eps, 1.0), (sigma, -1.0)]
     return check_band_embedding(coeffs, eps, sigma, cfg)
 
 
-def _run_deriv_bound(p, cfg):
-    a = _real(p, "a", 2.0)
-    omega = _real(p, "omega", 1.0)
-    return check_deriv_bound(resolvent(a), _neg_deriv_of_resolvent(a), omega, cfg)
+def _band_operator(A, f, eps, sigma):
+    return check_band_operator(A, f if f is not None else band_function(eps, sigma), eps, sigma)
 
 
-def _run_product_bound(p, cfg):
-    f = parse_function_spec(p.get("f", "resolvent(a=1)"))
-    g = parse_function_spec(p.get("g", "resolvent(a=2)"))
-    return check_product_bound(f, g, _real(p, "omega", 1.0), cfg)
+def _deriv_bound(a, omega, cfg):
+    return check_deriv_bound(*_resolvent_and_deriv(a), omega, cfg)
 
 
-def _run_exp_window(p, cfg):
-    g = parse_function_spec(p.get("g", "resolvent(a=2)"))
-    return check_exp_window(g, _real(p, "tau", 1.0), _real(p, "omega", 1.0), cfg)
+def _deriv_operator(A, a, omega):
+    return check_deriv_operator(A, *_resolvent_and_deriv(a), omega)
 
 
-def _run_decay_majorant(p, cfg):
-    return check_decay_majorant(
-        _r_squared(), _inv_square_profile(), _real(p, "omega", 1.0), cfg
-    )
+def _decay_majorant(omega, cfg):
+    return check_decay_majorant(*_r_squared_and_majorant(), omega, cfg)
 
 
-def _run_expinv(p, cfg):
-    return check_expinv_exact(_real(p, "t", 1.0), cfg)
+def _exp_stable_decay(A, cfg):
+    return check_exp_stable_decay(A, *_r_squared_and_majorant(), cfg)
 
 
-def _run_vitse(p, cfg):
-    return check_vitse_reg(_real(p, "t", 1.0), cfg)
-
-
-def _run_cayley(p, cfg):
-    return check_cayley(parse_number(str(p.get("n", 1)), "cayley_norm n", int), cfg)
-
-
-def _run_bernstein(p, cfg):
-    fb = _bernstein_from(p.get("fb", "linear"))
-    lam = parse_number(str(p.get("lambda", "1")), "bernstein_resolvent lambda")
-    return check_bernstein(
-        fb,
-        _real(p, "alpha", 0.5),
-        _real(p, "beta", 2.0),
-        _real(p, "theta", math.pi / 4),
-        lam,
-        cfg,
-    )
-
-
-def _run_hilbert_bound(p, cfg):
-    A = parse_operator_spec(p.get("A", "diag(1,2)"))
-    f = parse_function_spec(p.get("f", "exp(a=1)"))
-    return check_hilbert_calc_bound(A, f, cfg)
-
-
-def _run_sectorial_gamma(p, cfg):
-    A = parse_operator_spec(p.get("A", "diag(1)"))
-    return check_sectorial_gamma(A)
-
-
-def _run_band_operator(p, cfg):
-    eps, sigma = _real(p, "eps", 1.0), _real(p, "sigma", 4.0)
-    A = parse_operator_spec(p.get("A", "diag(1,2)"))
-    f = parse_function_spec(p.get("f", f"band(eps={eps:g},sigma={sigma:g})"))
-    return check_band_operator(A, f, eps, sigma)
-
-
-def _run_smoothed_window(p, cfg):
-    A = parse_operator_spec(p.get("A", "diag(1,2)"))
-    g = parse_function_spec(p.get("g", "resolvent(a=2)"))
-    return check_smoothed_window(A, g, _real(p, "omega", 1.0), _real(p, "tau", 1.0))
-
-
-def _run_fractional(p, cfg):
-    A = parse_operator_spec(p.get("A", "diag(1,2)"))
-    g = parse_function_spec(p.get("g", "resolvent(a=2)"))
-    return check_fractional_smoothing(
-        A,
-        g,
-        parse_number(str(p.get("lambda", "1")), "fractional_smoothing lambda"),
-        _real(p, "alpha", 1.0),
-        _real(p, "omega", 1.0),
-    )
-
-
-def _run_deriv_operator(p, cfg):
-    A = parse_operator_spec(p.get("A", "diag(1,2)"))
-    a = _real(p, "a", 2.0)
-    return check_deriv_operator(
-        A, resolvent(a), _neg_deriv_of_resolvent(a), _real(p, "omega", 1.0)
-    )
-
-
-def _run_exp_stable(p, cfg):
-    A = parse_operator_spec(p.get("A", "diag(1,2)"))
-    return check_exp_stable_decay(A, _r_squared(), _inv_square_profile(), cfg)
-
-
-def _run_inverse_generator(p, cfg):
-    A = parse_operator_spec(p.get("A", "diag(1,4)"))
-    return inverse_generator_check(A, _real(p, "t", 10.0))
-
-
-def _run_cayley_power(p, cfg):
-    A = parse_operator_spec(p.get("A", "diag(1,2)"))
-    return cayley_power_check(A, parse_number(str(p.get("n", 16)), "cayley_power n", int))
-
-
-def _run_spectral_mapping(p, cfg):
-    A = parse_operator_spec(p.get("A", "diag(1,2)"))
-    f = parse_function_spec(p.get("f", "cayley(n=1)"))
+def _spectral_mapping(A, f):
     res = spectral_mapping_check(A, f)
     lhs = res["hausdorff"] if res["sectorial"] else res["inclusion_defect"]
-    return EstimateReport(
-        "spectral_mapping",
-        {"A": A.label, "f": f.label, "two_sided": res["sectorial"]},
-        lhs,
-        1e-4,
-        0.0,
-        info=res,
-    )
+    params = {"A": A.label, "f": f.label, "two_sided": res["sectorial"]}
+    return EstimateReport("spectral_mapping", params, lhs, 1e-4, 0.0, info=res)
 
 
-# id -> (runner, default grid).  Every runner takes (params, cfg); those of the calculus-only
-# families leave cfg unread, because the calculus runs under its own fixed config.
+_SECTORIAL = "sectorial_random(4,seed=3,angle=0.5236)"
+
+# id -> (runner, default grid).  A row names the family, its check, the check's defaults in
+# the order it takes them, and the default grid.  A key that a manifest line leaves out takes
+# its default, which for seven families is not the first grid point.  run_suite and
+# perfbench/workloads.py call every runner as runner(params, cfg).
 VALIDATORS = {
-    "band_embedding": (
-        _run_band_embedding,
-        [{"eps": 1.0, "sigma": 4.0}, {"eps": 1.0, "sigma": 2.0, "coeffs": [(1.0, 1.0), (2.0, 1.0)]}],
-    ),
-    "deriv_bound": (_run_deriv_bound, [{"a": 2.0, "omega": 1.0}, {"a": 4.0, "omega": 2.0}]),
-    "product_bound": (
-        _run_product_bound,
-        [
+    family: (_runner(family, check, defaults), grid)
+    for family, check, defaults, grid in [
+        ("band_embedding", _band_embedding, {"eps": 1.0, "sigma": 4.0, "coeffs": None},
+            [{"eps": 1.0, "sigma": 4.0},
+             {"eps": 1.0, "sigma": 2.0, "coeffs": [(1.0, 1.0), (2.0, 1.0)]}]),
+        ("deriv_bound", _deriv_bound, {"a": 2.0, "omega": 1.0},
+            [{"a": 2.0, "omega": 1.0}, {"a": 4.0, "omega": 2.0}]),
+        ("product_bound", check_product_bound,
             {"f": "resolvent(a=1)", "g": "resolvent(a=2)", "omega": 1.0},
-            {"f": "exp(a=1)", "g": "resolvent(a=2)", "omega": 1.0},
-        ],
-    ),
-    "exp_window": (
-        _run_exp_window,
-        [
-            {"g": "resolvent(a=2)", "tau": 1.0, "omega": 1.0},
-            {"g": "resolvent(a=2)", "tau": 0.5, "omega": 1.0},
-        ],
-    ),
-    "decay_majorant": (_run_decay_majorant, [{"omega": 0.5}, {"omega": 1.0}]),
-    "expinv_exact": (_run_expinv, [{"t": t} for t in (0.25, 1.0, 4.0, 100.0)]),
-    "vitse_reg": (_run_vitse, [{"t": t} for t in (0.1, 1.0, 10.0, 100.0)]),
-    "cayley_norm": (_run_cayley, [{"n": n} for n in (1, 2, 8, 64)]),
-    "bernstein_resolvent": (
-        _run_bernstein,
-        [
+            [{"f": "resolvent(a=1)", "g": "resolvent(a=2)", "omega": 1.0},
+             {"f": "exp(a=1)", "g": "resolvent(a=2)", "omega": 1.0}]),
+        ("exp_window", check_exp_window, {"g": "resolvent(a=2)", "tau": 1.0, "omega": 1.0},
+            [{"g": "resolvent(a=2)", "tau": 1.0, "omega": 1.0},
+             {"g": "resolvent(a=2)", "tau": 0.5, "omega": 1.0}]),
+        ("decay_majorant", _decay_majorant, {"omega": 1.0}, [{"omega": 0.5}, {"omega": 1.0}]),
+        ("expinv_exact", check_expinv_exact, {"t": 1.0},
+            [{"t": t} for t in (0.25, 1.0, 4.0, 100.0)]),
+        ("vitse_reg", check_vitse_reg, {"t": 1.0}, [{"t": t} for t in (0.1, 1.0, 10.0, 100.0)]),
+        ("cayley_norm", check_cayley, {"n": 1}, [{"n": n} for n in (1, 2, 8, 64)]),
+        ("bernstein_resolvent", check_bernstein,
             {"fb": "linear", "alpha": 0.5, "beta": 2.0, "theta": math.pi / 4, "lambda": "1"},
-            {"fb": "atomic", "alpha": 0.5, "beta": 2.0, "theta": math.pi / 4, "lambda": "1"},
-            {"fb": "mixed", "alpha": 0.4, "beta": 2.0, "theta": math.pi / 8, "lambda": "2+0.5i"},
-        ],
-    ),
-    "hilbert_calc_bound": (
-        _run_hilbert_bound,
-        [
-            {"A": "diag(1,2)", "f": "exp(a=1)"},
-            {"A": "normal_random(3,seed=5)", "f": "cayley(n=4)"},
-            {"A": "jordan(lambda=1,m=2)", "f": "exp(a=1)"},
-            {"A": "jordan(lambda=0.1,m=2)", "f": "exp(a=1)"},
-        ],
-    ),
-    "sectorial_gamma": (
-        _run_sectorial_gamma,
-        [{"A": "diag(1)"}, {"A": "diag(1,2)"}, {"A": "sectorial_random(4,seed=3,angle=0.5236)"}],
-    ),
-    "band_operator": (
-        _run_band_operator,
-        [
-            {"A": "diag(1,2)", "eps": 1.0, "sigma": 4.0, "f": "band(eps=1,sigma=4)"},
-            {
-                "A": "sectorial_random(4,seed=3,angle=0.5236)",
-                "eps": 1.0,
-                "sigma": 4.0,
-                "f": "band(eps=1,sigma=4)",
-            },
-            {"A": "normal_random(3,seed=11)", "eps": 1.0, "sigma": 2.0, "f": "band(eps=1,sigma=2)"},
-        ],
-    ),
-    "smoothed_window": (
-        _run_smoothed_window,
-        [
-            {"A": "diag(1,2)", "g": "resolvent(a=2)", "omega": o, "tau": t}
-            for o in (0.1, 1.0)
-            for t in (0.1, 1.0)
-        ],
-    ),
-    "fractional_smoothing": (
-        _run_fractional,
-        [
-            {"A": "diag(1,2)", "g": "resolvent(a=2)", "alpha": a, "omega": 1.0, "lambda": "1"}
-            for a in (0.5, 1.0, 2.0)
-        ],
-    ),
-    "deriv_operator": (
-        _run_deriv_operator,
-        [
-            {"A": "diag(1,2)", "a": 2.0, "omega": 1.0},
-            {"A": "diag(1,2)", "a": 3.0, "omega": 1.5},
-            {"A": "diag(1,2)", "a": 2.0, "omega": 0.5},
-        ],
-    ),
-    "exp_stable_decay": (
-        _run_exp_stable,
-        [{"A": "diag(1,2)"}, {"A": "diag(2,3,5)"}, {"A": "normal_random(3,seed=9)"}],
-    ),
-    "inverse_generator": (
-        _run_inverse_generator,
-        [
-            {"A": "diag(1)", "t": 0.5},
-            {"A": "diag(2)", "t": 10.0},
-            {"A": "diag(1,4)", "t": 10.0},
-            {"A": "diag(1,4)", "t": 0.01},
-        ],
-    ),
-    "cayley_power": (
-        _run_cayley_power,
-        [
-            {"A": "diag(1,2)", "n": 1},
-            {"A": "diag(1,2)", "n": 16},
-            {"A": "diag(i,-i,1)", "n": 64},
-        ],
-    ),
-    "spectral_mapping": (
-        _run_spectral_mapping,
-        [
-            {"A": "diag(1,2)", "f": "cayley(n=1)"},
-            {"A": "jordan(lambda=1,m=2)", "f": "exp(a=1)"},
-            {"A": "sectorial_random(4,seed=3,angle=0.5236)", "f": "eta"},
-        ],
-    ),
+            [{"fb": "linear", "alpha": 0.5, "beta": 2.0, "theta": math.pi / 4, "lambda": "1"},
+             {"fb": "atomic", "alpha": 0.5, "beta": 2.0, "theta": math.pi / 4, "lambda": "1"},
+             {"fb": "mixed", "alpha": 0.4, "beta": 2.0, "theta": math.pi / 8,
+              "lambda": "2+0.5i"}]),
+        ("hilbert_calc_bound", check_hilbert_calc_bound, {"A": "diag(1,2)", "f": "exp(a=1)"},
+            [{"A": "diag(1,2)", "f": "exp(a=1)"},
+             {"A": "normal_random(3,seed=5)", "f": "cayley(n=4)"},
+             {"A": "jordan(lambda=1,m=2)", "f": "exp(a=1)"},
+             {"A": "jordan(lambda=0.1,m=2)", "f": "exp(a=1)"}]),
+        ("sectorial_gamma", check_sectorial_gamma, {"A": "diag(1)"},
+            [{"A": "diag(1)"}, {"A": "diag(1,2)"}, {"A": _SECTORIAL}]),
+        ("band_operator", _band_operator, {"A": "diag(1,2)", "f": None, "eps": 1.0, "sigma": 4.0},
+            [{"A": "diag(1,2)", "eps": 1.0, "sigma": 4.0, "f": "band(eps=1,sigma=4)"},
+             {"A": _SECTORIAL, "eps": 1.0, "sigma": 4.0, "f": "band(eps=1,sigma=4)"},
+             {"A": "normal_random(3,seed=11)", "eps": 1.0, "sigma": 2.0,
+              "f": "band(eps=1,sigma=2)"}]),
+        ("smoothed_window", check_smoothed_window,
+            {"A": "diag(1,2)", "g": "resolvent(a=2)", "omega": 1.0, "tau": 1.0},
+            [{"A": "diag(1,2)", "g": "resolvent(a=2)", "omega": o, "tau": t}
+             for o in (0.1, 1.0) for t in (0.1, 1.0)]),
+        ("fractional_smoothing", check_fractional_smoothing,
+            {"A": "diag(1,2)", "g": "resolvent(a=2)", "lambda": "1", "alpha": 1.0, "omega": 1.0},
+            [{"A": "diag(1,2)", "g": "resolvent(a=2)", "alpha": a, "omega": 1.0, "lambda": "1"}
+             for a in (0.5, 1.0, 2.0)]),
+        ("deriv_operator", _deriv_operator, {"A": "diag(1,2)", "a": 2.0, "omega": 1.0},
+            [{"A": "diag(1,2)", "a": 2.0, "omega": 1.0},
+             {"A": "diag(1,2)", "a": 3.0, "omega": 1.5},
+             {"A": "diag(1,2)", "a": 2.0, "omega": 0.5}]),
+        ("exp_stable_decay", _exp_stable_decay, {"A": "diag(1,2)"},
+            [{"A": "diag(1,2)"}, {"A": "diag(2,3,5)"}, {"A": "normal_random(3,seed=9)"}]),
+        ("inverse_generator", inverse_generator_check, {"A": "diag(1,4)", "t": 10.0},
+            [{"A": "diag(1)", "t": 0.5}, {"A": "diag(2)", "t": 10.0},
+             {"A": "diag(1,4)", "t": 10.0}, {"A": "diag(1,4)", "t": 0.01}]),
+        ("cayley_power", cayley_power_check, {"A": "diag(1,2)", "n": 16},
+            [{"A": "diag(1,2)", "n": 1}, {"A": "diag(1,2)", "n": 16},
+             {"A": "diag(i,-i,1)", "n": 64}]),
+        ("spectral_mapping", _spectral_mapping, {"A": "diag(1,2)", "f": "cayley(n=1)"},
+            [{"A": "diag(1,2)", "f": "cayley(n=1)"},
+             {"A": "jordan(lambda=1,m=2)", "f": "exp(a=1)"},
+             {"A": _SECTORIAL, "f": "eta"}]),
+    ]
 }
 
 

@@ -31,9 +31,11 @@ from besovcalc.functions import (
     mul,
     resolvent,
     scale,
+    shift,
 )
 from besovcalc.operators import (
     MatrixOperator,
+    apply_calculus_report,
     jordan_operator,
     parse_operator_spec,
     random_sectorial_operator,
@@ -144,6 +146,30 @@ class TestCorollaryGrids:
         f = mul(resolvent(1.0), resolvent(1.0))
         assert check_exp_stable_decay(DIAG12, f, inv_square_profile(), CFG).passed
 
+    def test_calculus_error_charged_in_operator_norm(self):
+        """The calculus bounds the largest entry of its error E, so a validator of
+        ||f(A)||_2 charges n times that bound (||E||_2 <= n max |E_ij|), and fractional
+        smoothing also multiplies it by ||(lam + A)^(-alpha)||_2."""
+        A = parse_operator_spec("diag(2,3,5)")
+        g, window = resolvent(2.0), mul(resolvent(2.0), exp_decay(1.0))
+        fp = scale(mul(resolvent(2.0), resolvent(2.0)), -1.0)
+        _, omega = stability_constants(A)
+        shifted = MatrixOperator(A.matrix - omega * np.eye(3))
+        f = mul(resolvent(1.0), resolvent(1.0))
+        cases = [
+            (check_hilbert_calc_bound(A, exp_decay(1.0), CFG), A, exp_decay(1.0)),
+            (check_band_operator(A, band_function(1.0, 4.0), 1.0, 4.0), A, band_function(1.0, 4.0)),
+            (check_smoothed_window(A, g, 1.0, 1.0), A, window),
+            (check_deriv_operator(A, g, fp, 1.0), A, fp),
+            (check_exp_stable_decay(A, f, inv_square_profile(), CFG), shifted, shift(f, omega)),
+        ]
+        for rep, op, h in cases:
+            assert rep.lhs_error == pytest.approx(3 * apply_calculus_report(op, h).error, rel=1e-12)
+        # ||(1 + A)^(-1/2)||_2 = 3^(-1/2)
+        rep = check_fractional_smoothing(A, g, 1.0, 0.5, 1.0)
+        expected = 3 * apply_calculus_report(A, g).error / math.sqrt(3.0)
+        assert rep.lhs_error == pytest.approx(expected, rel=1e-12)
+
 
 class TestInverseGenerator:
     def test_scalar_closed_form(self):
@@ -231,6 +257,24 @@ class TestSpectralMapping:
         A = random_sectorial_operator(4, 3, math.pi / 6)
         res = spectral_mapping_check(A, eta())
         assert res["sectorial"] and res["hausdorff"] < 1e-4
+
+    @pytest.mark.parametrize(
+        "spec,sectorial",
+        [
+            ("diag(1,2)", True),
+            ("diag(0,1)", True),
+            ("jordan(lambda=1,m=2)", True),
+            ("sectorial_random(4,seed=3,angle=0.5236)", True),
+            ("diag(i,-i,1)", False),
+        ],
+    )
+    def test_sectorial_flag(self, spec, sectorial):
+        """`MatrixOperator.sectorial` is the one test of a nonzero eigenvalue on iR: the
+        spectral-mapping check reads it, and M is infinite exactly when it fails."""
+        A = parse_operator_spec(spec)
+        assert A.sectorial is sectorial
+        assert spectral_mapping_check(A, exp_decay(1.0))["sectorial"] is sectorial
+        assert math.isfinite(A.profile().M) is sectorial
 
     def test_inclusion_nonsectorial(self):
         A = parse_operator_spec("diag(i,-i)")

@@ -66,16 +66,10 @@ def _unread_parameters():
 
 def test_every_parameter_is_read():
     """A parameter that no code path reads looks like a setting and changes nothing."""
-    from besovcalc.suite import VALIDATORS
-
-    runners = {runner.__name__ for runner, _ in VALIDATORS.values()}
 
     def exempt(module, cls, func, param):
         # perfbench/workloads.py passes the calculus a config positionally
-        if (module, cls, func, param) == ("operators", None, "apply_calculus_report", "cfg"):
-            return True
-        # run_suite and perfbench call every registered runner as runner(params, cfg)
-        return module == "suite" and cls is None and func in runners and param == "cfg"
+        return (module, cls, func, param) == ("operators", None, "apply_calculus_report", "cfg")
 
     assert [p for p in _unread_parameters() if not exempt(*p)] == []
 

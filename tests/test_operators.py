@@ -1014,7 +1014,7 @@ class TestApplyCalculus:
                 return np.abs(np.einsum("kij,j,i->k", r2, x, y.conj()))
 
             env = ShapeEnvelope(t0=2.0 * (alpha + A.norm2) + 1.0, c=4.0, p=2.0)
-            val = integrate_line(integrand, env, CFG, strict=False)
+            val = integrate_line(integrand, env, CFG)
             assert float(np.real(val.value)) <= math.pi * K**2 / alpha + 1e-4
         # every bounded semigroup, entrywise: the calculus's weight pi K^2, with K exact
         # for jordan(1,2) and a search's estimate for jordan(0.1,2)
@@ -1027,7 +1027,7 @@ class TestApplyCalculus:
                     return np.abs(_resolvents_squared(B, alpha + 1j * betas).reshape(-1, 4))
 
                 env = ShapeEnvelope(t0=2.0 * (alpha + B.norm2) + 1.0, c=4.0, p=2.0)
-                val = integrate_line(entries, env, CFG, strict=False)
+                val = integrate_line(entries, env, CFG)
                 top = alpha * float(np.real(val.value).max())
                 assert top <= math.pi * K**2 + 1e-4, (lam, alpha)
 

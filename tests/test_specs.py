@@ -21,7 +21,7 @@ from besovcalc.functions import (
 )
 from besovcalc.operators import jordan_operator, parse_operator_spec
 from besovcalc.quadrature import DEFAULT_CONFIG
-from besovcalc.report import reports_to_csv
+from besovcalc.report import reports_to_csv, reports_to_json
 from besovcalc.suite import VALIDATORS, parse_manifest, run_suite
 
 ZS = np.array([0.5, 1.0 + 2.0j, 3.0 - 0.5j])
@@ -251,6 +251,22 @@ def test_manifest_band_embedding_coeffs():
     # real weights are reported as reals, as the default grid's are
     assert rep.params["coeffs"] == [[1.0, 1.0], [4.0, -1.0]]
     assert reports_to_csv([rep]) == reports_to_csv([ref])
+
+
+@pytest.mark.parametrize(
+    "line,full",
+    [
+        ("inverse_generator t=0.5", "inverse_generator A=diag(1,4) t=0.5"),
+        (
+            "smoothed_window omega=0.5",
+            "smoothed_window A=diag(1,2) g=resolvent(a=2) omega=0.5 tau=1",
+        ),
+    ],
+)
+def test_manifest_line_takes_row_defaults(line, full):
+    """A key that a manifest line leaves out takes its row's default, which here is not the
+    first grid point (A=diag(1) for inverse_generator, tau=0.1 for smoothed_window)."""
+    assert reports_to_json(run_suite(line)) == reports_to_json(run_suite(full))
 
 
 @pytest.mark.parametrize("name", list(VALIDATORS))
